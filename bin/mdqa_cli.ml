@@ -1680,23 +1680,12 @@ let trace_cmd =
 (* --- profile: cost attribution for the engine ------------------------ *)
 
 module Profile = Mdqa_obs.Profile
-module Stats = Mdqa_store.Stats
 
 let top_arg =
   Arg.(
     value & opt int 10
     & info [ "top" ] ~docv:"N"
         ~doc:"Rows shown in the hot-rule and hot-atom tables.")
-
-let stats_store_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "stats" ] ~docv:"STORE"
-        ~doc:
-          "Merge this run's profile into the CRC-checked statistics \
-           sidecar $(docv).stats (created when absent), so selectivities \
-           accumulate across runs next to the checkpoint store.")
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
@@ -1739,13 +1728,14 @@ let print_profile_report ~top snap (tgds : Tgd.t list) =
   in
   pf "hot atoms (top %d of %d, by tuples scanned):\n" top
     (List.length hot_atoms);
-  pf "  %-40s %10s %10s %12s\n" "rule[atom] predicate" "scanned" "matched"
-    "selectivity";
+  pf "  %-40s %10s %10s %10s %10s %12s\n" "rule[atom] predicate" "visits"
+    "scanned" "matched" "fan-out" "selectivity";
   List.iter
     (fun ((scope, idx, pred), a) ->
-      pf "  %-40s %10d %10d %12.3f\n"
+      pf "  %-40s %10d %10d %10d %10.3f %12.3f\n"
         (Printf.sprintf "%s[%d] %s" scope idx pred)
-        a.Profile.scanned a.Profile.matched (Profile.selectivity a))
+        a.Profile.visits a.Profile.scanned a.Profile.matched
+        (Profile.fan_out a) (Profile.selectivity a))
     (take top hot_atoms);
   print_newline ();
   if snap.Profile.queries <> [] then begin
@@ -1774,10 +1764,7 @@ let print_profile_report ~top snap (tgds : Tgd.t list) =
       (take top (Explain.cost snap tgds))
   end
 
-let profile_finish ~json ~top ~stats snap tgds exit_code =
-  (match stats with
-  | Some store -> Stats.record ~store snap
-  | None -> ());
+let profile_finish ~json ~top snap tgds exit_code =
   if json then print_endline (Profile.to_json snap)
   else print_profile_report ~top snap tgds;
   exit_code
@@ -1787,8 +1774,8 @@ let with_profiler f =
   Profile.install p;
   Fun.protect ~finally:Profile.uninstall (fun () -> f p)
 
-let run_profile_chase file json top stats oblivious max_steps max_nulls
-    timeout max_memory =
+let run_profile_chase file json top oblivious max_steps max_nulls timeout
+    max_memory =
   run_protected @@ fun () ->
   let { Parser.program; _ } = load file in
   let inst = Program.instance_of_facts program in
@@ -1799,15 +1786,15 @@ let run_profile_chase file json top stats oblivious max_steps max_nulls
   (match r.Chase.outcome with
   | Chase.Out_of_budget e -> report_degraded e
   | _ -> ());
-  profile_finish ~json ~top ~stats (Profile.snapshot p)
+  profile_finish ~json ~top (Profile.snapshot p)
     program.Program.tgds (chase_exit r)
 
 (* `profile assess` profiles the assessment workload: the full .mdq
    pipeline (chase + quality-query evaluation), or for a plain .dl
    program the chase plus its embedded queries — so per-CQ timings are
    populated either way. *)
-let run_profile_assess file json top stats max_steps max_nulls timeout
-    max_memory =
+let run_profile_assess file json top max_steps max_nulls timeout max_memory
+    =
   run_protected @@ fun () ->
   let guard = make_guard ~max_steps ~max_nulls ~timeout ~max_memory () in
   with_profiler @@ fun p ->
@@ -1836,7 +1823,7 @@ let run_profile_assess file json top stats max_steps max_nulls timeout
       | Chase.Out_of_budget _ -> exit_degraded
       | Chase.Saturated -> exit_complete
     in
-    profile_finish ~json ~top ~stats (Profile.snapshot p)
+    profile_finish ~json ~top (Profile.snapshot p)
       (Context.program context).Program.tgds code
   end
   else begin
@@ -1856,7 +1843,7 @@ let run_profile_assess file json top stats max_steps max_nulls timeout
     (match r.Chase.outcome with
     | Chase.Out_of_budget e -> report_degraded e
     | _ -> ());
-    profile_finish ~json ~top ~stats (Profile.snapshot p)
+    profile_finish ~json ~top (Profile.snapshot p)
       program.Program.tgds (chase_exit r)
   end
 
@@ -1869,8 +1856,8 @@ let profile_chase_cmd =
           selectivities, per-round wall time and GC deltas.")
     Cterm.(
       const run_profile_chase $ file_arg $ json_arg $ top_arg
-      $ stats_store_arg $ oblivious_arg $ max_steps_arg $ max_nulls_arg
-      $ timeout_arg $ max_memory_arg)
+      $ oblivious_arg $ max_steps_arg $ max_nulls_arg $ timeout_arg
+      $ max_memory_arg)
 
 let profile_assess_cmd =
   Cmd.v
@@ -1882,8 +1869,7 @@ let profile_assess_cmd =
           per-query timings and an EXPLAIN-style per-rule plan view.")
     Cterm.(
       const run_profile_assess $ file_arg $ json_arg $ top_arg
-      $ stats_store_arg $ max_steps_arg $ max_nulls_arg $ timeout_arg
-      $ max_memory_arg)
+      $ max_steps_arg $ max_nulls_arg $ timeout_arg $ max_memory_arg)
 
 let profile_cmd =
   Cmd.group
@@ -1891,9 +1877,7 @@ let profile_cmd =
        ~doc:
          "Cost-attribution profiling: which rule, which body atom, which \
           query the engine spends its time on.  Off by default elsewhere; \
-          these subcommands install the profiler for one run.  With \
-          $(b,--stats STORE) the profile accumulates into the \
-          $(i,STORE).stats sidecar for statistics-driven planning.")
+          these subcommands install the profiler for one run.")
     [ profile_chase_cmd; profile_assess_cmd ]
 
 let main_cmd =

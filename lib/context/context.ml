@@ -72,17 +72,13 @@ let prepare t ~source =
     t.mappings;
   inst
 
-let assess_prepared ?provenance ?guard ?max_steps ?max_nulls ?metrics t
-    ~source ~prepared =
-  let chase =
-    Chase.run ?provenance ?guard ?max_steps ?max_nulls ?metrics (program t)
-      prepared
-  in
+let assess_prepared ?provenance ?guard ?metrics t ~source ~prepared =
+  let chase = Chase.run ?provenance ?guard ?metrics (program t) prepared in
   { context = t; chase; source }
 
-let assess ?provenance ?guard ?max_steps ?max_nulls ?metrics t ~source =
+let assess ?provenance ?guard ?metrics t ~source =
   Mdqa_obs.Profile.with_phase "assess" @@ fun () ->
-  assess_prepared ?provenance ?guard ?max_steps ?max_nulls ?metrics t ~source
+  assess_prepared ?provenance ?guard ?metrics t ~source
     ~prepared:(prepare t ~source)
 
 let degradation a =
@@ -90,7 +86,7 @@ let degradation a =
   | Chase.Out_of_budget e -> Some e
   | _ -> None
 
-let assess_incremental ?guard ?max_steps ?max_nulls (a : assessment) ~added =
+let assess_incremental ?guard (a : assessment) ~added =
   (* extend the original instance D *)
   let source = R.Instance.copy a.source in
   List.iter
@@ -114,8 +110,9 @@ let assess_incremental ?guard ?max_steps ?max_nulls (a : assessment) ~added =
       added
   in
   let chase =
-    Chase.extend ?guard ?max_steps ?max_nulls (program a.context) a.chase
-      ~facts:delta
+    Chase.run ?guard
+      ~start:(Chase.Extend { prior = a.chase; facts = delta })
+      (program a.context) a.chase.Chase.instance
   in
   { context = a.context; chase; source }
 

@@ -71,8 +71,6 @@ type assessment = {
 val assess :
   ?provenance:bool ->
   ?guard:Mdqa_datalog.Guard.t ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
   ?metrics:Mdqa_obs.Metrics.t ->
   t ->
   source:Mdqa_relational.Instance.t ->
@@ -83,17 +81,14 @@ val assess :
     [chase].  With [provenance], {!explain} can reconstruct why a tuple
     is in a quality version.
 
-    Resource governance: the [guard] (or the step/null budgets) bounds
-    the whole assessment chase.  On any trip the assessment is still
-    returned — {!degradation} reports the exhausted resource, and
-    {!quality_version} / {!clean_answers} with [~partial:true] read the
-    partial chase. *)
+    Resource governance: the [guard] bounds the whole assessment chase.
+    On any trip the assessment is still returned — {!degradation}
+    reports the exhausted resource, and {!quality_version} /
+    {!clean_answers} with [~partial:true] read the partial chase. *)
 
 val assess_prepared :
   ?provenance:bool ->
   ?guard:Mdqa_datalog.Guard.t ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
   ?metrics:Mdqa_obs.Metrics.t ->
   t ->
   source:Mdqa_relational.Instance.t ->
@@ -108,15 +103,13 @@ val degradation : assessment -> Mdqa_datalog.Guard.exhaustion option
 
 val assess_incremental :
   ?guard:Mdqa_datalog.Guard.t ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
   assessment ->
   added:(string * Mdqa_relational.Tuple.t) list ->
   assessment
 (** Incremental re-assessment after new tuples arrive in the original
     instance D: [added] pairs relation names of D with new tuples.  The
     mapped contextual copies are computed and the chase is {e extended}
-    from the prior result ({!Mdqa_datalog.Chase.extend}) — work is
+    from the prior result ({!Mdqa_datalog.Chase.Extend}) — work is
     proportional to the consequences of the new data.  The prior
     assessment must be saturated; otherwise a full {!assess} runs. *)
 

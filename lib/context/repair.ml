@@ -211,25 +211,21 @@ let context_deletable (ctx : Context.t) =
   let mapped = List.map (fun m -> m.Context.target) ctx.Context.mappings in
   fun pred -> List.mem pred data_preds || List.mem pred mapped
 
-let assess_repaired ?guard ?max_steps ?max_nulls ctx ~source =
+let assess_repaired ?guard ctx ~source =
   let prepared = Context.prepare ctx ~source in
   let program = Context.program ctx in
   match violations program prepared ~deletable:(context_deletable ctx) with
   | Error _ as e -> e
   | Ok [] ->
     Ok
-      ( Context.assess_prepared ?guard ?max_steps ?max_nulls ctx ~source
-          ~prepared,
-        [] )
+      (Context.assess_prepared ?guard ctx ~source ~prepared, [])
   | Ok witnesses ->
     let fix = greedy_repair witnesses in
     let repaired = apply prepared fix in
     Ok
-      ( Context.assess_prepared ?guard ?max_steps ?max_nulls ctx ~source
-          ~prepared:repaired,
-        fix )
+      (Context.assess_prepared ?guard ctx ~source ~prepared:repaired, fix)
 
-let cautious_answers ?guard ?max_repairs ?max_steps ?max_nulls ctx ~source q =
+let cautious_answers ?guard ?max_repairs ctx ~source q =
   let prepared = Context.prepare ctx ~source in
   let program = Context.program ctx in
   match violations program prepared ~deletable:(context_deletable ctx) with
@@ -254,7 +250,7 @@ let cautious_answers ?guard ?max_repairs ?max_steps ?max_nulls ctx ~source q =
       List.map
         (fun dels ->
           let a =
-            Context.assess_prepared ?guard ?max_steps ?max_nulls ctx ~source
+            Context.assess_prepared ?guard ctx ~source
               ~prepared:(apply prepared dels)
           in
           note_degraded a;

@@ -57,8 +57,6 @@ val apply :
 
 val assess_repaired :
   ?guard:Mdqa_datalog.Guard.t ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
   Context.t ->
   source:Mdqa_relational.Instance.t ->
   (Context.assessment * deletion list, string) result
@@ -72,8 +70,6 @@ val assess_repaired :
 val cautious_answers :
   ?guard:Mdqa_datalog.Guard.t ->
   ?max_repairs:int ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
   Context.t ->
   source:Mdqa_relational.Instance.t ->
   Mdqa_datalog.Query.t ->

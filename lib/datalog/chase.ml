@@ -81,19 +81,61 @@ let trigger_key (tgd : Tgd.t) subst =
       (fun a -> Atom.to_tuple (Subst.apply_atom subst a))
       tgd.Tgd.body )
 
-let run_internal ?(variant = Restricted) ?(semi_naive = true)
-    ?(provenance = false) ?resume_delta ?prior_provenance ?guard ?max_steps
-    ?max_nulls ?checkpoint ?null_base ?prior_stats ?metrics program start =
+type start =
+  | Resume of {
+      frontier : (string * Tuple.t) list;
+      null_base : int;
+      prior_stats : stats;
+    }
+  | Extend of { prior : result; facts : (string * Tuple.t) list }
+
+(* What one run did to one rule: the only place chase work is counted.
+   [stats], the metrics registry and an installed profiler are all
+   written from these. *)
+type rule_count = {
+  mutable fires : int;
+  mutable triggers : int;
+  mutable matches : int;
+  mutable seconds : float;
+}
+
+let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
+    ?guard ?checkpoint ?metrics ?start program instance =
   let guard =
     match guard with
     | Some g -> g
-    | None ->
-      Guard.create
-        ~max_steps:(Option.value ~default:1_000_000 max_steps)
-        ~max_nulls:(Option.value ~default:100_000 max_nulls)
-        ()
+    | None -> Guard.create ~max_steps:1_000_000 ~max_nulls:100_000 ()
   in
-  let inst = Instance.copy start in
+  let inst = Instance.copy instance in
+  (* [seed] becomes the first round's semi-naive delta; without one the
+     first round evaluates every rule body in full. *)
+  let null_base, prior, seed, prov =
+    match start with
+    | None -> (0, zero_stats, None, None)
+    | Some (Resume { frontier; null_base; prior_stats }) ->
+      (* An empty frontier would make the seeded loop stop at once
+         whatever the image holds: run a full first round instead
+         (always sound, cheap if truly saturated). *)
+      let seed = match frontier with [] -> None | l -> Some l in
+      (null_base, prior_stats, seed, None)
+    | Some (Extend { prior = { outcome = Saturated; provenance; _ }; facts }) ->
+      (0, zero_stats, Some facts, Option.map Hashtbl.copy provenance)
+    | Some (Extend { prior; facts }) ->
+      (* A prior that never saturated has no sound delta: chase it plus
+         the new facts from scratch. *)
+      List.iter
+        (fun (pred, t) -> ignore (Instance.add_tuple inst pred t))
+        facts;
+      ( 0,
+        zero_stats,
+        None,
+        Option.map (fun _ -> Hashtbl.create 256) prior.provenance )
+  in
+  let prov : ((string * Tuple.t), derivation) Hashtbl.t option =
+    match prov with
+    | Some _ -> prov
+    | None -> if provenance then Some (Hashtbl.create 256) else None
+  in
   Program.declare_predicates program inst;
   List.iter
     (fun f -> ignore (Instance.add_tuple inst (Atom.pred f) (Atom.to_tuple f)))
@@ -102,67 +144,67 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
      (on resume) every null the prior run ever invented — a persisted
      [null_base] covers nulls that were merged away. *)
   let fresh =
-    Value.Fresh.create
-      ~start:(max (max_null_id inst + 1) (Option.value ~default:0 null_base))
-      ()
+    Value.Fresh.create ~start:(max (max_null_id inst + 1) null_base) ()
   in
-  let prior = Option.value ~default:zero_stats prior_stats in
   let ck f = match checkpoint with Some c -> f c | None -> () in
-  let prov : ((string * Tuple.t), derivation) Hashtbl.t option =
-    match prior_provenance with
-    | Some tbl -> Some (Hashtbl.copy tbl)
-    | None -> if provenance then Some (Hashtbl.create 256) else None
-  in
   let fired : (string * Tuple.t list, unit) Hashtbl.t = Hashtbl.create 256 in
-  (* All chase accounting lives in the metrics registry; [stats] is
-     derived from per-run baselines so a shared (service-lifetime)
-     registry still yields correct per-run numbers. *)
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  let c_rounds =
-    Metrics.counter metrics ~help:"chase rounds completed"
-      "mdqa_chase_rounds_total"
-  and c_triggers =
-    Metrics.counter metrics ~help:"chase triggers checked"
-      "mdqa_chase_triggers_total"
-  and c_fires =
-    Metrics.counter metrics ~help:"TGD firings that derived a new fact"
-      "mdqa_chase_tgd_fires_total"
-  and c_nulls =
-    Metrics.counter metrics ~help:"labelled nulls minted"
-      "mdqa_chase_nulls_total"
-  and c_merges =
-    Metrics.counter metrics ~help:"EGD null merges applied"
-      "mdqa_chase_egd_merges_total"
-  and c_facts =
-    Metrics.counter metrics ~help:"facts derived by TGD heads"
-      "mdqa_chase_facts_total"
+  let rounds = ref 0 and merges = ref 0 and facts = ref 0 in
+  let rule_counts : (string, rule_count) Hashtbl.t = Hashtbl.create 16 in
+  let rule_count name =
+    match Hashtbl.find_opt rule_counts name with
+    | Some c -> c
+    | None ->
+      let c = { fires = 0; triggers = 0; matches = 0; seconds = 0. } in
+      Hashtbl.add rule_counts name c;
+      c
   in
-  let rule_fire_counter =
-    let cache = Hashtbl.create 16 in
-    fun rule ->
-      match Hashtbl.find_opt cache rule with
-      | Some c -> c
-      | None ->
-        let c =
-          Metrics.counter metrics ~help:"TGD firings per rule"
-            ~labels:[ ("rule", rule) ] "mdqa_chase_rule_fires_total"
-        in
-        Hashtbl.add cache rule c;
-        c
+  let sum f = Hashtbl.fold (fun _ c acc -> acc + f c) rule_counts 0 in
+  let current_stats () =
+    { rounds = prior.rounds + !rounds;
+      tgd_fires = prior.tgd_fires + sum (fun c -> c.fires);
+      triggers_checked = prior.triggers_checked + sum (fun c -> c.triggers);
+      nulls_created = prior.nulls_created + Value.Fresh.count fresh;
+      egd_merges = prior.egd_merges + !merges }
   in
-  let base_rounds = Metrics.counter_value c_rounds
-  and base_triggers = Metrics.counter_value c_triggers
-  and base_fires = Metrics.counter_value c_fires
-  and base_merges = Metrics.counter_value c_merges in
-  (* Cost attribution: resolve the per-rule accumulator once per rule
-     so the trigger loop pays field writes, not lookups.  [prof] is
-     sampled once per run — installing a profiler mid-chase attributes
-     from the next run on. *)
+  (* [prof] is sampled once per run — installing a profiler mid-chase
+     attributes from the next run on.  Rule time is only read off its
+     clock, so an unprofiled run never reads one. *)
   let prof = Profile.installed () in
-  let prof_rule =
+  let now =
+    match prof with Some p -> fun () -> Profile.now p | None -> fun () -> 0.
+  in
+  (* Publish this run's counts to the registry and the profiler. *)
+  let record () =
+    (match metrics with
+     | None -> ()
+     | Some m ->
+       let add name help n = Metrics.add (Metrics.counter m ~help name) n in
+       add "mdqa_chase_rounds_total" "chase rounds completed" !rounds;
+       add "mdqa_chase_triggers_total" "chase triggers checked"
+         (sum (fun c -> c.triggers));
+       add "mdqa_chase_tgd_fires_total" "TGD firings that derived a new fact"
+         (sum (fun c -> c.fires));
+       add "mdqa_chase_nulls_total" "labelled nulls minted"
+         (Value.Fresh.count fresh);
+       add "mdqa_chase_egd_merges_total" "EGD null merges applied" !merges;
+       add "mdqa_chase_facts_total" "facts derived by TGD heads" !facts;
+       Hashtbl.iter
+         (fun rule c ->
+           if c.fires > 0 then
+             Metrics.add
+               (Metrics.counter m ~help:"TGD firings per rule"
+                  ~labels:[ ("rule", rule) ] "mdqa_chase_rule_fires_total")
+               c.fires)
+         rule_counts);
     match prof with
-    | None -> fun _ -> None
-    | Some p -> fun name -> Some (Profile.rule p name)
+    | None -> ()
+    | Some p ->
+      Hashtbl.iter
+        (fun rule c ->
+          Profile.add_rule p rule
+            { Profile.fires = c.fires; triggers = c.triggers;
+              matches = c.matches; rule_seconds = c.seconds })
+        rule_counts
   in
   (* Delta of the previous round, per predicate. *)
   let delta : (string, Tuple.Set.t) Hashtbl.t = Hashtbl.create 16 in
@@ -183,7 +225,6 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
       Term.Var_set.fold
         (fun v s ->
           Guard.count_null guard;
-          Metrics.inc c_nulls;
           Subst.bind_exn s v (Term.Const (Value.Fresh.next fresh)))
         (Tgd.existential_vars tgd) subst
     in
@@ -196,10 +237,9 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
     Eval.exists ~guard inst (List.map (Subst.apply_atom subst) tgd.Tgd.head)
   in
 
-  let fire_trigger added prof_h (tgd : Tgd.t) subst =
-    Metrics.inc c_triggers;
+  let fire_trigger added count (tgd : Tgd.t) subst =
+    count.triggers <- count.triggers + 1;
     Guard.count_step guard;
-    (match prof_h with Some h -> Profile.add_trigger h | None -> ());
     let proceed =
       match variant with
       | Restricted -> not (head_satisfied tgd subst)
@@ -228,7 +268,7 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
             let t = Atom.to_tuple a in
             if Instance.add_tuple inst (Atom.pred a) t then begin
               new_fact := true;
-              Metrics.inc c_facts;
+              incr facts;
               ck (fun c -> c.on_fact (Atom.pred a) t);
               (match prov with
                | Some tbl ->
@@ -243,11 +283,7 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
               Hashtbl.replace added (Atom.pred a) (Tuple.Set.add t prev)
             end)
           head;
-        if !new_fact then begin
-          Metrics.inc c_fires;
-          Metrics.inc (rule_fire_counter tgd.Tgd.name);
-          match prof_h with Some h -> Profile.add_fire h | None -> ()
-        end
+        if !new_fact then count.fires <- count.fires + 1
       in
       if Trace.active () then
         Trace.with_span "rule.fire"
@@ -313,7 +349,7 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
        | false, true -> replace ~from:y ~into:x
        | false, false ->
          raise (Stop (Failed (Egd_clash { egd; left = x; right = y }))));
-      Metrics.inc c_merges;
+      incr merges;
       Log.debug (fun m ->
           m "EGD %s merged %a into %a" egd.Egd.name Value.pp x Value.pp y);
       apply_egds true
@@ -331,17 +367,8 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
       program.Program.ncs
   in
 
-  let current_stats () =
-    { rounds = prior.rounds + (Metrics.counter_value c_rounds - base_rounds);
-      tgd_fires = prior.tgd_fires + (Metrics.counter_value c_fires - base_fires);
-      triggers_checked =
-        prior.triggers_checked
-        + (Metrics.counter_value c_triggers - base_triggers);
-      nulls_created = prior.nulls_created + Value.Fresh.count fresh;
-      egd_merges =
-        prior.egd_merges + (Metrics.counter_value c_merges - base_merges) }
-  in
   let outcome =
+    Fun.protect ~finally:record @@ fun () ->
     Profile.with_phase "chase" @@ fun () ->
     try
       (* The durable base image: everything below is journaled as a
@@ -353,34 +380,29 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
       check_ncs ();
       let continue = ref true in
       let first_round = ref true in
-      (* Incremental mode: seed the delta with the resumed facts and
-         start semi-naive immediately.  An initial EGD merge rewrites
-         values the seeded tuples may still mention, so it invalidates
-         the frontier: fall back to a full first round. *)
-      (match resume_delta with
-       | Some new_facts when semi_naive && not merged0 ->
+      (* Incremental mode: seed the delta with the resumed or added
+         facts and start semi-naive immediately.  An initial EGD merge
+         rewrites values the seeded tuples may still mention, so it
+         invalidates the frontier: fall back to a full first round. *)
+      (match seed with
+       | None -> ()
+       | Some new_facts ->
+         let seeded = semi_naive && not merged0 in
          List.iter
            (fun (pred, t) ->
              if Instance.add_tuple inst pred t then
                ck (fun c -> c.on_fact pred t);
-             let prev =
-               Option.value ~default:Tuple.Set.empty
-                 (Hashtbl.find_opt delta pred)
-             in
-             Hashtbl.replace delta pred (Tuple.Set.add t prev))
+             if seeded then
+               Hashtbl.replace delta pred
+                 (Tuple.Set.add t
+                    (Option.value ~default:Tuple.Set.empty
+                       (Hashtbl.find_opt delta pred))))
            new_facts;
-         first_round := false
-       | Some new_facts ->
-         List.iter
-           (fun (pred, t) ->
-             if Instance.add_tuple inst pred t then
-               ck (fun c -> c.on_fact pred t))
-           new_facts
-       | None -> ());
+         if seeded then first_round := false);
       while !continue do
         Mdqa_obs.Failpoint.hit "chase.round";
-        Metrics.inc c_rounds;
-        let round_no = Metrics.counter_value c_rounds - base_rounds in
+        incr rounds;
+        let round_no = !rounds in
         Log.debug (fun m ->
             m "round %d (%d facts so far)" round_no
               (Instance.total_tuples inst));
@@ -392,8 +414,8 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
         let added : (string, Tuple.Set.t) Hashtbl.t = Hashtbl.create 16 in
         List.iter
           (fun (tgd : Tgd.t) ->
-            let ph = prof_rule tgd.Tgd.name in
-            let t0 = match prof with Some p -> Profile.now p | None -> 0. in
+            let count = rule_count tgd.Tgd.name in
+            let t0 = now () in
             let enumerate () =
               if semi_naive && not !first_round then
                 Eval.delta_answers ~guard inst ~delta:delta_mem ~delta_tuples
@@ -408,9 +430,7 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
               | Some p -> Profile.with_scope p tgd.Tgd.name enumerate
               | None -> enumerate ()
             in
-            (match ph with
-             | Some h -> Profile.add_matches h (List.length triggers)
-             | None -> ());
+            count.matches <- count.matches + List.length triggers;
             (* For the restricted chase, matches differing only on
                head-irrelevant body variables are the same trigger;
                dedup on the frontier to avoid redundant head checks.
@@ -430,13 +450,10 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
                 in
                 if not (Hashtbl.mem seen key) then begin
                   Hashtbl.add seen key ();
-                  fire_trigger added ph tgd s
+                  fire_trigger added count tgd s
                 end)
               triggers;
-            match prof, ph with
-            | Some p, Some h ->
-              Profile.add_rule_seconds h (Profile.now p -. t0)
-            | _ -> ())
+            count.seconds <- count.seconds +. (now () -. t0))
           program.Program.tgds;
         let merged = apply_egds false in
         check_ncs ();
@@ -476,35 +493,6 @@ let run_internal ?(variant = Restricted) ?(semi_naive = true)
   let stats = current_stats () in
   ck (fun c -> c.on_done ~instance:inst outcome stats);
   { instance = inst; outcome; provenance = prov; stats }
-
-let run ?variant ?semi_naive ?provenance ?guard ?max_steps ?max_nulls
-    ?checkpoint ?metrics program start =
-  run_internal ?variant ?semi_naive ?provenance ?guard ?max_steps ?max_nulls
-    ?checkpoint ?metrics program start
-
-let resume ?variant ?semi_naive ?guard ?max_steps ?max_nulls ?checkpoint
-    ?frontier ?null_base ?prior_stats ?metrics program image =
-  (* An empty frontier would make the seeded semi-naive loop terminate
-     immediately whatever the image contains; a full first round is the
-     safe (and cheap, if truly saturated) interpretation. *)
-  let resume_delta =
-    match frontier with Some (_ :: _ as l) -> Some l | _ -> None
-  in
-  run_internal ?variant ?semi_naive ?guard ?max_steps ?max_nulls ?checkpoint
-    ?resume_delta ?null_base ?prior_stats ?metrics program image
-
-let extend ?guard ?max_steps ?max_nulls ?metrics program (prior : result)
-    ~facts =
-  match prior.outcome with
-  | Saturated ->
-    run_internal ~resume_delta:facts ?prior_provenance:prior.provenance
-      ?guard ?max_steps ?max_nulls ?metrics program prior.instance
-  | _ ->
-    let inst = Instance.copy prior.instance in
-    List.iter (fun (pred, t) -> ignore (Instance.add_tuple inst pred t)) facts;
-    run_internal ?guard ?max_steps ?max_nulls ?metrics
-      ~provenance:(prior.provenance <> None)
-      program inst
 
 let pp_outcome ppf = function
   | Saturated -> Format.pp_print_string ppf "saturated"

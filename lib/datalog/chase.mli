@@ -97,82 +97,67 @@ type checkpoint = {
     may raise {!Guard.Exhausted} (e.g. a checkpoint byte budget): the
     run then degrades to [Out_of_budget] like any other trip. *)
 
+type start =
+  | Resume of {
+      frontier : (string * Mdqa_relational.Tuple.t) list;
+      null_base : int;
+      prior_stats : stats;
+    }
+      (** continue an interrupted run from its recovered image (see
+          [Mdqa_store.Store]).  A non-empty [frontier] seeds the
+          semi-naive delta, so the first round only considers triggers
+          involving facts added since the last completed round; an
+          empty one means a full first round — always sound, just
+          slower.  Fresh null labels start above [null_base], so a
+          resumed run never re-issues a label the prior run used (even
+          one merged away by an EGD).  [prior_stats] are folded into
+          the reported statistics.  Provenance does not survive a
+          resume (it is not persisted). *)
+  | Extend of {
+      prior : result;
+      facts : (string * Mdqa_relational.Tuple.t) list;
+    }
+      (** incremental chase: the instance passed to {!run} is
+          [prior.instance]; [facts] are added and become the initial
+          semi-naive delta, so the work is proportional to their
+          consequences, not to the whole instance.  [prior]'s
+          provenance table (if any) is copied and extended.  When
+          [prior] is not [Saturated] there is no sound delta: the run
+          is a full chase of the instance plus [facts]. *)
+(** Where a run starts.  Without one, {!run} chases from scratch. *)
+
 val run :
   ?variant:variant ->
   ?semi_naive:bool ->
   ?provenance:bool ->
   ?guard:Guard.t ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
   ?checkpoint:checkpoint ->
   ?metrics:Mdqa_obs.Metrics.t ->
+  ?start:start ->
   Program.t ->
   Mdqa_relational.Instance.t ->
   result
 (** [run program instance] chases a {e copy} of [instance] (merged with
-    the program's bundled facts); the input is never mutated.
-    Defaults: [Restricted], semi-naive on, no provenance.
+    the program's bundled facts); neither the input instance nor a
+    prior provenance table is ever mutated.  Defaults: [Restricted],
+    semi-naive on, no provenance, a fresh start.  A resumed run reaches
+    the same fixpoint an uninterrupted run reaches — same facts up to
+    the labels of nulls invented after the interruption, same outcome.
 
-    Resource governance: when [guard] is given it is consumed for every
-    trigger (a step), invented null, and join row, and its deadline /
-    memory / cancellation checks run cooperatively — [max_steps] and
-    [max_nulls] are then ignored.  Without a guard one is created from
-    [max_steps] (default 1_000_000) and [max_nulls] (default 100_000).
-    A guard trip never raises out of [run]: it returns the partial
+    Resource governance: [guard] is consumed for every trigger (a
+    step), invented null, and join row, and its deadline / memory /
+    cancellation checks run cooperatively.  Without a guard, one
+    bounding the run at 1,000,000 steps and 100,000 nulls is used.  A
+    guard trip never raises out of [run]: it returns the partial
     instance with [Out_of_budget].
 
-    Observability: all chase accounting (rounds, triggers, fires per
-    rule, nulls, EGD merges, derived facts) is recorded in [metrics]
-    when given — [stats] is derived from the same registry against a
-    per-run baseline, so a long-lived shared registry (e.g. the
-    server's) accumulates across runs while each result still reports
-    its own run.  When a {!Mdqa_obs.Trace} tracer is installed,
-    [chase.round], [rule.fire] and [egd.merge] spans are emitted. *)
-
-val resume :
-  ?variant:variant ->
-  ?semi_naive:bool ->
-  ?guard:Guard.t ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
-  ?checkpoint:checkpoint ->
-  ?frontier:(string * Mdqa_relational.Tuple.t) list ->
-  ?null_base:int ->
-  ?prior_stats:stats ->
-  ?metrics:Mdqa_obs.Metrics.t ->
-  Program.t ->
-  Mdqa_relational.Instance.t ->
-  result
-(** Continue an interrupted chase from a recovered image (see
-    [Mdqa_store.Store]): chases a copy of [image] to the same fixpoint
-    an uninterrupted run reaches — same facts up to the labels of nulls
-    invented after the interruption, same outcome.
-
-    [frontier] (if non-empty) seeds the semi-naive delta so the first
-    round only considers triggers involving facts added since the last
-    completed round; without it the first round evaluates every rule
-    body in full — always sound, just slower.  [null_base] lower-bounds
-    fresh null labels so resumed runs never re-issue a label the prior
-    run used (even one merged away by an EGD); [prior_stats] are folded
-    into the reported statistics.  Provenance does not survive a resume
-    (it is not persisted). *)
-
-val extend :
-  ?guard:Guard.t ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
-  ?metrics:Mdqa_obs.Metrics.t ->
-  Program.t ->
-  result ->
-  facts:(string * Mdqa_relational.Tuple.t) list ->
-  result
-(** Incremental chase: add [facts] to an already-saturated chase result
-    and continue semi-naive rounds with exactly those facts as the
-    initial delta — the work is proportional to the consequences of the
-    new facts, not to the whole instance.  The given result's instance
-    is not mutated; its provenance table (if any) is carried over and
-    extended.  Precondition: [result] was produced by {!run} on the
-    same program and is [Saturated] (otherwise the outcome of a full
-    {!run} is returned instead). *)
+    Observability: the run counts its own work once — per rule fires,
+    triggers, matches and time, per run rounds, merges and derived
+    facts.  [stats] is the prior statistics plus these counts; when the
+    run ends, by any path, they are added to the [mdqa_chase_*]
+    counters of [metrics] (when given) and to the installed
+    {!Mdqa_obs.Profile} (when one is).  When a {!Mdqa_obs.Trace} tracer
+    is installed, [chase.round], [rule.fire] and [egd.merge] spans are
+    emitted. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

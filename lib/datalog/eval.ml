@@ -107,41 +107,32 @@ let search ?guard ?(cmps = []) inst tagged_atoms ~emit =
               else l
             | None -> Relation.scan r bound
           in
+          let rec loop matched = function
+            | [] -> matched
+            | tuple :: tl ->
+              tick ();
+              let matched =
+                if not (tg.keep tuple) then matched
+                else
+                  match
+                    Unify.match_against ~init:s ~pattern
+                      (Atom.of_fact (Atom.pred atom) tuple)
+                  with
+                  | Some s' ->
+                    go s' rest pending;
+                    matched + 1
+                  | None -> matched
+              in
+              loop matched tl
+          in
+          let matched = loop 0 candidates in
           (* With an attribution scope open (chase rule body or named
-             query), count tuples scanned and substitutions surviving
-             this atom; the counters flush once per atom visit so the
-             per-tuple loop stays allocation-free. *)
-          (match Mdqa_obs.Profile.scoped () with
-           | None ->
-             List.iter
-               (fun tuple ->
-                 tick ();
-                 if tg.keep tuple then
-                   match
-                     Unify.match_against ~init:s ~pattern
-                       (Atom.of_fact (Atom.pred atom) tuple)
-                   with
-                   | Some s' -> go s' rest pending
-                   | None -> ())
-               candidates
-           | Some p ->
-             let scanned = ref 0 and matched = ref 0 in
-             List.iter
-               (fun tuple ->
-                 tick ();
-                 incr scanned;
-                 if tg.keep tuple then
-                   match
-                     Unify.match_against ~init:s ~pattern
-                       (Atom.of_fact (Atom.pred atom) tuple)
-                   with
-                   | Some s' ->
-                     incr matched;
-                     go s' rest pending
-                   | None -> ())
-               candidates;
-             Mdqa_obs.Profile.atom_visit p ~idx:tg.t_idx
-               ~pred:(Atom.pred atom) ~scanned:!scanned ~matched:!matched)))
+             query), this visit is credited to the atom. *)
+          match Mdqa_obs.Profile.scoped () with
+          | None -> ()
+          | Some p ->
+            Mdqa_obs.Profile.atom_visit p ~idx:tg.t_idx ~pred:(Atom.pred atom)
+              ~scanned:(List.length candidates) ~matched))
   in
   go Subst.empty tagged_atoms cmps
 
@@ -186,32 +177,38 @@ let holds_fact inst a =
 (* Semi-naive enumeration: exactly the matches using at least one
    delta fact, partitioned so no match is produced twice: for each atom
    index i, atom i matches delta facts only, atoms before i old facts
-   only, atoms after i are unrestricted. *)
+   only, atoms after i are unrestricted.  A partition whose delta atom
+   has no delta tuples has no matches and is skipped. *)
 let delta_answers ?guard ?cmps inst ~delta ?delta_tuples atoms =
   let out = ref [] in
-  let n = List.length atoms in
-  for i = 0 to n - 1 do
-    let tagged =
-      List.mapi
-        (fun j a ->
-          if j = i then
-            { t_atom = a;
-              t_idx = j;
-              keep = (fun tuple -> delta (Atom.pred a) tuple);
-              candidates =
-                (match delta_tuples with
-                 | Some f ->
-                   let l = f (Atom.pred a) in
-                   Some (List.length l, l)
-                 | None -> None) }
-          else if j < i then
-            { t_atom = a;
-              t_idx = j;
-              keep = (fun tuple -> not (delta (Atom.pred a) tuple));
-              candidates = None }
-          else plain j a)
-        atoms
-    in
-    search ?guard ?cmps inst tagged ~emit:(fun s -> out := s :: !out)
-  done;
+  List.iteri
+    (fun i a_i ->
+      let candidates =
+        Option.map
+          (fun f ->
+            let l = f (Atom.pred a_i) in
+            (List.length l, l))
+          delta_tuples
+      in
+      match candidates with
+      | Some (0, _) -> ()
+      | _ ->
+        let tagged =
+          List.mapi
+            (fun j a ->
+              if j = i then
+                { t_atom = a;
+                  t_idx = j;
+                  keep = (fun tuple -> delta (Atom.pred a) tuple);
+                  candidates }
+              else if j < i then
+                { t_atom = a;
+                  t_idx = j;
+                  keep = (fun tuple -> not (delta (Atom.pred a) tuple));
+                  candidates = None }
+              else plain j a)
+            atoms
+        in
+        search ?guard ?cmps inst tagged ~emit:(fun s -> out := s :: !out))
+    atoms;
   List.rev !out

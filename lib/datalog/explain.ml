@@ -71,12 +71,7 @@ let extensional_support t =
 
 module Profile = Mdqa_obs.Profile
 
-type atom_cost = {
-  atom : Atom.t;
-  atom_idx : int;
-  scanned : int;
-  matched : int;
-}
+type atom_cost = { atom : Atom.t; atom_idx : int; stat : Profile.atom_stat }
 
 type rule_cost = {
   rule_name : string;
@@ -100,12 +95,12 @@ let cost snap (tgds : Tgd.t list) =
     let body =
       List.mapi
         (fun i a ->
-          let scanned, matched =
-            match Profile.find_atom snap (name, i, Atom.pred a) with
-            | Some s -> (s.Profile.scanned, s.Profile.matched)
-            | None -> (0, 0)
+          let stat =
+            Option.value
+              ~default:{ Profile.visits = 0; scanned = 0; matched = 0 }
+              (Profile.find_atom snap (name, i, Atom.pred a))
           in
-          { atom = a; atom_idx = i; scanned; matched })
+          { atom = a; atom_idx = i; stat })
         tgd.Tgd.body
     in
     { rule_name = name; fires; triggers; matches; seconds; body }
@@ -113,18 +108,17 @@ let cost snap (tgds : Tgd.t list) =
   List.map of_tgd tgds
   |> List.sort (fun a b -> compare (b.seconds, b.rule_name) (a.seconds, a.rule_name))
 
-let atom_selectivity a =
-  if a.scanned = 0 then 0.
-  else float_of_int a.matched /. float_of_int a.scanned
-
 let pp_rule_cost ppf rc =
   Format.fprintf ppf "@[<v>%s  fires=%d triggers=%d matches=%d time=%.6fs@,"
     rc.rule_name rc.fires rc.triggers rc.matches rc.seconds;
   List.iter
     (fun ac ->
-      Format.fprintf ppf "  [%d] %a  scanned=%d matched=%d selectivity=%.3f@,"
-        ac.atom_idx Atom.pp ac.atom ac.scanned ac.matched
-        (atom_selectivity ac))
+      let s = ac.stat in
+      Format.fprintf ppf
+        "  [%d] %a  visits=%d scanned=%d matched=%d fan-out=%.3f \
+         selectivity=%.3f@,"
+        ac.atom_idx Atom.pp ac.atom s.Profile.visits s.Profile.scanned
+        s.Profile.matched (Profile.fan_out s) (Profile.selectivity s))
     rc.body;
   Format.fprintf ppf "@]"
 

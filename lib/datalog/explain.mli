@@ -40,8 +40,8 @@ val extensional_support : tree -> (string * Mdqa_relational.Tuple.t) list
 type atom_cost = {
   atom : Atom.t;
   atom_idx : int;  (** source position in the rule body *)
-  scanned : int;  (** candidate tuples iterated at this atom *)
-  matched : int;  (** substitutions surviving unification here *)
+  stat : Mdqa_obs.Profile.atom_stat;
+      (** visits, tuples scanned and substitutions passed on *)
 }
 
 type rule_cost = {
@@ -57,15 +57,13 @@ val cost : Mdqa_obs.Profile.snapshot -> Tgd.t list -> rule_cost list
 (** One {!rule_cost} per TGD (zeroed when the profiler never saw the
     rule), hottest first. *)
 
-val atom_selectivity : atom_cost -> float
-(** [matched / scanned] ([0.] when nothing was scanned). *)
-
 val pp_rule_cost : Format.formatter -> rule_cost -> unit
 val pp_cost : Format.formatter -> rule_cost list -> unit
 (** EXPLAIN-style plan view:
     {v
     rule7_patient_unit  fires=12 triggers=40 matches=40 time=0.000412s
-      [0] PatientUnit(p, u)  scanned=120 matched=40 selectivity=0.333
+      [0] PatientUnit(p, u)  visits=40 scanned=120 matched=40 fan-out=1.000
+        selectivity=0.333
       ...
     v} *)
 

@@ -100,17 +100,15 @@ let value = function
    query is still evaluated over the well-formed partial instance
    (unguarded: the instance is finite and the guard has already
    tripped), so callers always get the answers supported so far. *)
-let with_chase ?guard ?chase_variant ?(goal_directed = false) ?max_steps
-    ?max_nulls program inst q ~eval =
+let with_chase ?guard ?chase_variant ?(goal_directed = false) program inst q
+    ~eval =
   let program =
     if goal_directed then
       Program.restrict_to_goals program
         ~goals:(List.map Atom.pred q.body)
     else program
   in
-  let result =
-    Chase.run ?variant:chase_variant ?guard ?max_steps ?max_nulls program inst
-  in
+  let result = Chase.run ?variant:chase_variant ?guard program inst in
   let stats = result.Chase.stats in
   let eval ?guard i =
     Mdqa_obs.Trace.with_span "eval" ~attrs:[ ("query", q.name) ] @@ fun () ->
@@ -127,10 +125,9 @@ let with_chase ?guard ?chase_variant ?(goal_directed = false) ?max_steps
     let partial = Guard.value (eval ?guard:None result.Chase.instance) in
     Degraded { partial; exhaustion = e; stats }
 
-let certain_answers ?guard ?chase_variant ?goal_directed ?max_steps ?max_nulls
-    program inst q =
-  with_chase ?guard ?chase_variant ?goal_directed ?max_steps ?max_nulls
-    program inst q ~eval:(fun ?guard i ->
+let certain_answers ?guard ?chase_variant ?goal_directed program inst q =
+  with_chase ?guard ?chase_variant ?goal_directed program inst q
+    ~eval:(fun ?guard i ->
       Guard.map
         (fun subs ->
           List.filter
@@ -138,10 +135,9 @@ let certain_answers ?guard ?chase_variant ?goal_directed ?max_steps ?max_nulls
             (Tuple.Set.elements (images_of q subs)))
         (Eval.answers_guarded ?guard ~cmps:q.cmps i q.body))
 
-let entails ?guard ?chase_variant ?goal_directed ?max_steps ?max_nulls program
-    inst q =
-  with_chase ?guard ?chase_variant ?goal_directed ?max_steps ?max_nulls
-    program inst q ~eval:(fun ?guard i ->
+let entails ?guard ?chase_variant ?goal_directed program inst q =
+  with_chase ?guard ?chase_variant ?goal_directed program inst q
+    ~eval:(fun ?guard i ->
       match Eval.exists ?guard ~cmps:q.cmps i q.body with
       | b -> Guard.Complete b
       | exception Guard.Exhausted e -> Guard.Degraded (false, e))

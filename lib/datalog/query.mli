@@ -69,8 +69,6 @@ val certain_answers :
   ?guard:Guard.t ->
   ?chase_variant:Chase.variant ->
   ?goal_directed:bool ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
   Program.t ->
   Mdqa_relational.Instance.t ->
   t ->
@@ -86,8 +84,6 @@ val entails :
   ?guard:Guard.t ->
   ?chase_variant:Chase.variant ->
   ?goal_directed:bool ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
   Program.t ->
   Mdqa_relational.Instance.t ->
   t ->

@@ -185,8 +185,8 @@ let referential_violations t =
     (R.Instance.relations t.data);
   List.rev !out
 
-let chase ?variant ?guard ?max_steps ?max_nulls t =
-  Chase.run ?variant ?guard ?max_steps ?max_nulls (program t) (instance t)
+let chase ?variant ?guard t =
+  Chase.run ?variant ?guard (program t) (instance t)
 
 let certain_answers ?guard t q =
   Query.certain_answers ?guard (program t) (instance t) q

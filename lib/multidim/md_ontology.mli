@@ -77,12 +77,9 @@ val referential_violations : t -> referential_violation list
 val chase :
   ?variant:Mdqa_datalog.Chase.variant ->
   ?guard:Mdqa_datalog.Guard.t ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
   t ->
   Mdqa_datalog.Chase.result
-(** The guard (or the step/null budgets) governs the chase as in
-    {!Mdqa_datalog.Chase.run}. *)
+(** The guard governs the chase as in {!Mdqa_datalog.Chase.run}. *)
 
 val certain_answers :
   ?guard:Mdqa_datalog.Guard.t ->

@@ -1,18 +1,27 @@
 (* Cost-attribution profiler.  Mirrors Trace's installation idiom (a
    global [current] ref, one ref read on the disabled path) and
    Metrics' snapshot algebra (immutable sorted association lists with
-   an associative, commutative merge).  The chase hot loop increments
-   through pre-resolved mutable records so the enabled path costs a
-   few field writes per trigger, not a hash lookup. *)
+   an associative, commutative merge).  The chase counts its own work
+   per rule and hands each rule's totals over once, when a run ends. *)
 
-type rule = {
-  mutable r_fires : int;
-  mutable r_triggers : int;
-  mutable r_matches : int;
-  mutable r_seconds : float;
+type rule_stat = {
+  fires : int;
+  triggers : int;
+  matches : int;
+  rule_seconds : float;
 }
 
-type atom_cell = { mutable a_scanned : int; mutable a_matched : int }
+let add_rule_stats x y =
+  { fires = x.fires + y.fires;
+    triggers = x.triggers + y.triggers;
+    matches = x.matches + y.matches;
+    rule_seconds = x.rule_seconds +. y.rule_seconds }
+
+type atom_cell = {
+  mutable a_visits : int;
+  mutable a_scanned : int;
+  mutable a_matched : int;
+}
 
 type round_cell = {
   mutable rd_count : int;
@@ -27,7 +36,7 @@ type phase_cell = { mutable p_calls : int; mutable p_seconds : float }
 
 type t = {
   clock : unit -> float;
-  rules : (string, rule) Hashtbl.t;
+  rules : (string, rule_stat) Hashtbl.t;
   atoms : (string * int * string, atom_cell) Hashtbl.t;
   rounds : (int, round_cell) Hashtbl.t;
   queries : (string, query_cell) Hashtbl.t;
@@ -74,18 +83,11 @@ let active () = !current <> None
 
 let now t = t.clock ()
 
-let rule t name =
-  match Hashtbl.find_opt t.rules name with
-  | Some r -> r
-  | None ->
-    let r = { r_fires = 0; r_triggers = 0; r_matches = 0; r_seconds = 0. } in
-    Hashtbl.add t.rules name r;
-    r
-
-let add_trigger r = r.r_triggers <- r.r_triggers + 1
-let add_fire r = r.r_fires <- r.r_fires + 1
-let add_matches r n = r.r_matches <- r.r_matches + n
-let add_rule_seconds r s = r.r_seconds <- r.r_seconds +. s
+let add_rule t name r =
+  Hashtbl.replace t.rules name
+    (match Hashtbl.find_opt t.rules name with
+     | Some prev -> add_rule_stats prev r
+     | None -> r)
 
 let with_scope t name f =
   let saved = t.scope in
@@ -106,10 +108,11 @@ let atom_visit t ~idx ~pred ~scanned ~matched =
       match Hashtbl.find_opt t.atoms key with
       | Some c -> c
       | None ->
-        let c = { a_scanned = 0; a_matched = 0 } in
+        let c = { a_visits = 0; a_scanned = 0; a_matched = 0 } in
         Hashtbl.add t.atoms key c;
         c
     in
+    cell.a_visits <- cell.a_visits + 1;
     cell.a_scanned <- cell.a_scanned + scanned;
     cell.a_matched <- cell.a_matched + matched
 
@@ -187,14 +190,7 @@ let with_phase name f =
 
 (* --------------------------------------------------------- snapshots *)
 
-type rule_stat = {
-  fires : int;
-  triggers : int;
-  matches : int;
-  rule_seconds : float;
-}
-
-type atom_stat = { scanned : int; matched : int }
+type atom_stat = { visits : int; scanned : int; matched : int }
 
 type round_stat = {
   round_count : int;
@@ -224,12 +220,11 @@ let sorted_bindings cmp tbl f =
 let snapshot (t : t) =
   {
     rules =
-      sorted_bindings String.compare t.rules (fun r ->
-          { fires = r.r_fires; triggers = r.r_triggers;
-            matches = r.r_matches; rule_seconds = r.r_seconds });
+      sorted_bindings String.compare t.rules Fun.id;
     atoms =
       sorted_bindings compare t.atoms (fun c ->
-          { scanned = c.a_scanned; matched = c.a_matched });
+          { visits = c.a_visits; scanned = c.a_scanned;
+            matched = c.a_matched });
     rounds =
       sorted_bindings compare t.rounds (fun c ->
           { round_count = c.rd_count; round_seconds = c.rd_seconds;
@@ -257,18 +252,13 @@ let rec merge_assoc cmp f a b =
 
 let merge a b =
   {
-    rules =
-      merge_assoc String.compare
-        (fun x y ->
-          { fires = x.fires + y.fires;
-            triggers = x.triggers + y.triggers;
-            matches = x.matches + y.matches;
-            rule_seconds = x.rule_seconds +. y.rule_seconds })
-        a.rules b.rules;
+    rules = merge_assoc String.compare add_rule_stats a.rules b.rules;
     atoms =
       merge_assoc compare
         (fun x y ->
-          { scanned = x.scanned + y.scanned; matched = x.matched + y.matched })
+          { visits = x.visits + y.visits;
+            scanned = x.scanned + y.scanned;
+            matched = x.matched + y.matched })
         a.atoms b.atoms;
     rounds =
       merge_assoc compare
@@ -300,6 +290,9 @@ let find_phase s name = List.assoc_opt name s.phases
 
 let selectivity a =
   if a.scanned = 0 then 0. else float_of_int a.matched /. float_of_int a.scanned
+
+let fan_out a =
+  if a.visits = 0 then 0. else float_of_int a.matched /. float_of_int a.visits
 
 let total_rule_seconds s =
   List.fold_left (fun acc (_, r) -> acc +. r.rule_seconds) 0. s.rules
@@ -341,9 +334,11 @@ let to_json s =
   and atoms =
     arr s.atoms (fun ((scope, idx, pred), a) ->
         Printf.sprintf
-          "{\"rule\":\"%s\",\"atom\":%d,\"pred\":\"%s\",\"scanned\":%d,\"matched\":%d,\"selectivity\":%s}"
-          (json_escape scope) idx (json_escape pred) a.scanned a.matched
-          (json_float (selectivity a)))
+          "{\"rule\":\"%s\",\"atom\":%d,\"pred\":\"%s\",\"visits\":%d,\"scanned\":%d,\"matched\":%d,\"selectivity\":%s,\"fan_out\":%s}"
+          (json_escape scope) idx (json_escape pred) a.visits a.scanned
+          a.matched
+          (json_float (selectivity a))
+          (json_float (fan_out a)))
   and rounds =
     arr s.rounds (fun (n, r) ->
         Printf.sprintf

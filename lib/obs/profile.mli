@@ -6,9 +6,10 @@
     name hot rules.  It is always compiled in and off by default: a
     profiler is installed process-globally ([install]) exactly like a
     {!Trace} tracer, instrumented code pays a single ref read when none
-    is installed, and the hot chase loop works against pre-resolved
-    per-rule handles so the profiled path stays within the overhead
-    budget (≤1.05x on an unprofiled assessment).
+    is installed, and the chase, which counts its own work, hands over
+    each rule's totals once per run ({!add_rule}), so the profiled path
+    stays within the overhead budget (≤1.05x on an unprofiled
+    assessment).
 
     Everything is keyed on stable identifiers: rule name (the TGD name
     from the program text), body-atom source position within the rule
@@ -22,10 +23,6 @@
 type t
 (** A mutable collector. *)
 
-type rule
-(** Pre-resolved per-rule accumulator handle; incrementing through a
-    handle is a field write, not a table lookup. *)
-
 (** {1 Aggregated statistics} *)
 
 type rule_stat = {
@@ -38,6 +35,9 @@ type rule_stat = {
 }
 
 type atom_stat = {
+  visits : int;
+      (** substitutions arriving at this atom, including those whose
+          index probe finds an empty bucket *)
   scanned : int;  (** candidate tuples iterated at this atom *)
   matched : int;  (** substitutions surviving unification here *)
 }
@@ -88,19 +88,13 @@ val clear : t -> unit
 (** {1 Collection hooks}
 
     The [with_]* wrappers act on the installed profiler and reduce to a
-    plain call when none is installed; the handle-based increments are
-    for the chase hot loop, which resolves handles once per rule. *)
+    plain call when none is installed. *)
 
 val now : t -> float
 (** Read the collector's clock. *)
 
-val rule : t -> string -> rule
-(** Resolve (creating on first use) the accumulator for a rule name. *)
-
-val add_trigger : rule -> unit
-val add_fire : rule -> unit
-val add_matches : rule -> int -> unit
-val add_rule_seconds : rule -> float -> unit
+val add_rule : t -> string -> rule_stat -> unit
+(** Add one run's totals for a rule (creating its entry on first use). *)
 
 val with_scope : t -> string -> (unit -> 'a) -> 'a
 (** Run [f] with atom-level statistics attributed to the given rule or
@@ -114,7 +108,8 @@ val scoped : unit -> t option
 
 val atom_visit : t -> idx:int -> pred:string -> scanned:int -> matched:int -> unit
 (** Credit one visit of body atom [idx] ([pred]) under the current
-    scope; no-op when no scope is active. *)
+    scope — one substitution arriving, [scanned] candidates tried,
+    [matched] substitutions passed on; no-op when no scope is active. *)
 
 val with_round : int -> (unit -> 'a) -> 'a
 (** Time a chase round and sample [Gc.quick_stat] deltas at its
@@ -145,12 +140,20 @@ val find_query : snapshot -> string -> query_stat option
 val find_phase : snapshot -> string -> phase_stat option
 
 val selectivity : atom_stat -> float
-(** [matched / scanned] ([0.] when nothing was scanned). *)
+(** [matched / scanned] ([0.] when nothing was scanned).  Behind an
+    index every candidate already agrees on the bound positions, so
+    this stays near [1.]; {!fan_out} is the join-order statistic. *)
+
+val fan_out : atom_stat -> float
+(** [matched / visits]: substitutions passed on per substitution
+    arriving ([0.] when never visited).  Above [1.] the atom multiplies
+    the partial matches, below [1.] it cuts them. *)
 
 val total_rule_seconds : snapshot -> float
 val total_query_seconds : snapshot -> float
 
 val to_json : snapshot -> string
 (** Self-contained JSON object with ["rules"], ["atoms"] (each row
-    carrying a derived ["selectivity"]), ["rounds"], ["queries"] and
+    carrying derived ["selectivity"] and ["fan_out"]), ["rounds"],
+    ["queries"] and
     ["phases"] arrays, each sorted by key. *)

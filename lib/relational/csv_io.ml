@@ -125,14 +125,6 @@ let relation_of_string_result ~name text =
 let pp_error ppf e =
   Format.fprintf ppf "row %d, column %d: %s" e.row e.col e.message
 
-let relation_of_string ~name text =
-  match relation_of_string_result ~name text with
-  | Ok r -> r
-  | Error (e :: _) ->
-    failwith
-      (Printf.sprintf "Csv_io.relation_of_string: row %d: %s" e.row e.message)
-  | Error [] -> assert false
-
 let save_relation path r =
   let oc = open_out path in
   Fun.protect
@@ -149,5 +141,3 @@ let read_file path =
 
 let load_relation_result ~name path =
   relation_of_string_result ~name (read_file path)
-
-let load_relation ~name path = relation_of_string ~name (read_file path)

@@ -24,13 +24,6 @@ val relation_of_string_result :
     input, a bad header, each ragged row) with its file line and the
     first offending cell — never raises. *)
 
-val relation_of_string : name:string -> string -> Relation.t
-(** Compatibility only — new code should use
-    {!relation_of_string_result}, which reports {e every} problem with
-    its location instead of aborting on the first.  Fail-fast wrapper:
-    @raise Failure with the first error on ragged rows or empty
-    input. *)
-
 val pp_error : Format.formatter -> error -> unit
 
 val save_relation : string -> Relation.t -> unit
@@ -39,7 +32,3 @@ val save_relation : string -> Relation.t -> unit
 val load_relation_result :
   name:string -> string -> (Relation.t, error list) result
 (** @raise Sys_error on I/O failure only. *)
-
-val load_relation : name:string -> string -> Relation.t
-(** Compatibility only — new code should use {!load_relation_result}.
-    [load_relation ~name path]. @raise Sys_error / Failure. *)

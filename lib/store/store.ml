@@ -365,7 +365,7 @@ let load_from ~snapshot:spath ~journal:jpath =
 
 let load ~path = load_from ~snapshot:path ~journal:(journal_path path)
 
-let resume ?guard ?compact_bytes ?max_steps ?max_nulls ?metrics ~path () =
+let resume ?guard ?compact_bytes ?metrics ~path () =
   match load ~path with
   | Error e -> Error e
   | Ok r -> (
@@ -380,11 +380,15 @@ let resume ?guard ?compact_bytes ?max_steps ?max_nulls ?metrics ~path () =
       st.max_null <- r.null_base - 1;
       st.start_frontier <- group_frontier r.frontier;
       st.start_stats <- r.stats;
+      let start =
+        Chase.Resume
+          { frontier = Option.value ~default:[] r.frontier;
+            null_base = r.null_base;
+            prior_stats = r.stats }
+      in
       let result =
-        Chase.resume ~variant:r.variant ?guard ?max_steps ?max_nulls
-          ~checkpoint:(checkpoint st) ?frontier:r.frontier
-          ~null_base:r.null_base ~prior_stats:r.stats ?metrics
-          parsed.Parser.program r.instance
+        Chase.run ~variant:r.variant ?guard ~checkpoint:(checkpoint st)
+          ?metrics ~start parsed.Parser.program r.instance
       in
       Ok (result, r))
 

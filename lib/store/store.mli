@@ -149,8 +149,6 @@ val load_from :
 val resume :
   ?guard:Mdqa_datalog.Guard.t ->
   ?compact_bytes:int ->
-  ?max_steps:int ->
-  ?max_nulls:int ->
   ?metrics:Mdqa_obs.Metrics.t ->
   path:string ->
   unit ->

@@ -196,7 +196,7 @@ let test_chase_budget_on_divergent () =
       ()
   in
   let inst = instance_of [ ("r", 2, [ [ "a"; "b" ] ]) ] in
-  let r = Chase.run ~max_nulls:50 p inst in
+  let r = Chase.run ~guard:(Guard.create ~max_nulls:50 ()) p inst in
   Alcotest.(check bool) "out of null budget" true
     (match r.Chase.outcome with
      | Chase.Out_of_budget { Guard.resource = Guard.Nulls; _ } -> true
@@ -760,7 +760,7 @@ let test_chase_trigger_budget () =
     instance_of
       [ ("e", 2, List.init 50 (fun i -> [ Printf.sprintf "a%d" i; "b" ])) ]
   in
-  let r = Chase.run ~max_steps:10 p big in
+  let r = Chase.run ~guard:(Guard.create ~max_steps:10 ()) p big in
   Alcotest.(check bool) "step budget reported" true
     (match r.Chase.outcome with
      | Chase.Out_of_budget { Guard.resource = Guard.Steps; _ } -> true
@@ -893,13 +893,16 @@ let tc_program =
           [ atom "t" [ v "X"; v "Z" ] ] ]
     ()
 
+let extend program (prior : Chase.result) facts =
+  Chase.run ~start:(Chase.Extend { prior; facts }) program prior.Chase.instance
+
 let test_extend_matches_full_rechase () =
   let base = instance_of [ ("e", 2, [ [ "a"; "b" ]; [ "b"; "c" ] ]) ] in
   let prior = Chase.run tc_program base in
   Alcotest.(check bool) "prior saturated" true
     (prior.Chase.outcome = Chase.Saturated);
   let new_fact = ("e", R.Tuple.of_list [ R.Value.sym "c"; R.Value.sym "d" ]) in
-  let incr = Chase.extend tc_program prior ~facts:[ new_fact ] in
+  let incr = extend tc_program prior [ new_fact ] in
   Alcotest.(check bool) "incr saturated" true
     (incr.Chase.outcome = Chase.Saturated);
   let full =
@@ -923,8 +926,8 @@ let test_extend_cheaper_than_full () =
   in
   let prior = Chase.run p base in
   let incr =
-    Chase.extend p prior
-      ~facts:[ ("e", R.Tuple.of_list [ R.Value.sym "zz"; R.Value.sym "zz2" ]) ]
+    extend p prior
+      [ ("e", R.Tuple.of_list [ R.Value.sym "zz"; R.Value.sym "zz2" ]) ]
   in
   Alcotest.(check bool) "few triggers" true
     (incr.Chase.stats.Chase.triggers_checked
@@ -936,8 +939,8 @@ let test_extend_carries_provenance () =
   let base = instance_of [ ("e", 2, [ [ "a"; "b" ] ]) ] in
   let prior = Chase.run ~provenance:true tc_program base in
   let incr =
-    Chase.extend tc_program prior
-      ~facts:[ ("e", R.Tuple.of_list [ R.Value.sym "b"; R.Value.sym "c" ]) ]
+    extend tc_program prior
+      [ ("e", R.Tuple.of_list [ R.Value.sym "b"; R.Value.sym "c" ]) ]
   in
   (* old and new derived facts both explainable *)
   (match
@@ -961,12 +964,76 @@ let test_extend_detects_new_violation () =
   let prior = Chase.run p base in
   Alcotest.(check bool) "prior consistent" true
     (prior.Chase.outcome = Chase.Saturated);
-  let incr =
-    Chase.extend p prior ~facts:[ ("bad", R.Tuple.of_list [ R.Value.sym "x" ]) ]
-  in
+  let incr = extend p prior [ ("bad", R.Tuple.of_list [ R.Value.sym "x" ]) ] in
   (match incr.Chase.outcome with
    | Chase.Failed (Chase.Nc_violation _) -> ()
    | o -> Alcotest.failf "expected violation, got %a" Chase.pp_outcome o)
+
+let test_extend_unsaturated_prior_rechases () =
+  (* a prior cut short by its guard has no sound delta: extending it must
+     chase the prior's instance plus the new facts in full, leaving the
+     prior's instance and provenance untouched *)
+  let rows = List.init 6 (fun i -> [ Printf.sprintf "n%d" i; Printf.sprintf "n%d" (i + 1) ]) in
+  let base = instance_of [ ("e", 2, rows) ] in
+  let prior =
+    Chase.run ~provenance:true ~guard:(Guard.create ~max_steps:3 ()) tc_program
+      base
+  in
+  Alcotest.(check bool) "prior cut short" true
+    (match prior.Chase.outcome with Chase.Out_of_budget _ -> true | _ -> false);
+  let prior_t = R.Relation.cardinal (R.Instance.get prior.Chase.instance "t") in
+  let prior_prov = Hashtbl.length (Option.get prior.Chase.provenance) in
+  let new_fact = ("e", R.Tuple.of_list [ R.Value.sym "n6"; R.Value.sym "n7" ]) in
+  let incr = extend tc_program prior [ new_fact ] in
+  Alcotest.(check bool) "extension saturated" true
+    (incr.Chase.outcome = Chase.Saturated);
+  let full =
+    Chase.run tc_program
+      (instance_of [ ("e", 2, rows @ [ [ "n6"; "n7" ] ]) ])
+  in
+  Alcotest.(check bool) "same instance as full chase" true
+    (R.Instance.equal incr.Chase.instance full.Chase.instance);
+  Alcotest.(check int) "closure of an 8-node path" 28
+    (R.Relation.cardinal (R.Instance.get incr.Chase.instance "t"));
+  Alcotest.(check int) "prior instance not mutated" prior_t
+    (R.Relation.cardinal (R.Instance.get prior.Chase.instance "t"));
+  Alcotest.(check int) "prior provenance not mutated" prior_prov
+    (Hashtbl.length (Option.get prior.Chase.provenance))
+
+let test_resume_empty_frontier_full_round () =
+  (* an empty resume frontier means a full first round, and every null
+     the resumed run mints is labelled at or above [null_base] *)
+  let p =
+    Program.make
+      ~tgds:[ tgd [ atom "person" [ v "X" ] ] [ atom "father" [ v "X"; v "Y" ] ] ]
+      ()
+  in
+  let image = instance_of [ ("person", 1, [ [ "ann" ]; [ "bob" ] ]) ] in
+  let image_before = R.Instance.copy image in
+  let prior_stats =
+    { Chase.rounds = 1; tgd_fires = 0; triggers_checked = 0;
+      nulls_created = 0; egd_merges = 0 }
+  in
+  let r =
+    Chase.run
+      ~start:(Chase.Resume { frontier = []; null_base = 100; prior_stats })
+      p image
+  in
+  Alcotest.(check bool) "saturated" true (r.Chase.outcome = Chase.Saturated);
+  Alcotest.(check int) "both heads fired" 2 r.Chase.stats.Chase.tgd_fires;
+  Alcotest.(check bool) "prior rounds folded in" true
+    (r.Chase.stats.Chase.rounds > 1);
+  let father = R.Instance.get r.Chase.instance "father" in
+  Alcotest.(check int) "two facts" 2 (R.Relation.cardinal father);
+  R.Relation.iter
+    (fun t ->
+      match R.Tuple.get t 1 with
+      | R.Value.Null k ->
+        Alcotest.(check bool) "null above base" true (k >= 100)
+      | _ -> Alcotest.fail "expected a labelled null")
+    father;
+  Alcotest.(check bool) "input image not mutated" true
+    (R.Instance.equal image image_before)
 
 (* ------------------------------------------------------------------ *)
 (* Stickiness marking internals *)
@@ -1412,7 +1479,11 @@ let suites =
       [ case "extend matches full re-chase" test_extend_matches_full_rechase;
         case "extend checks fewer triggers" test_extend_cheaper_than_full;
         case "extend carries provenance" test_extend_carries_provenance;
-        case "extend detects new violations" test_extend_detects_new_violation
+        case "extend detects new violations" test_extend_detects_new_violation;
+        case "extend re-chases an unsaturated prior"
+          test_extend_unsaturated_prior_rechases;
+        case "resume with empty frontier runs a full round"
+          test_resume_empty_frontier_full_round
       ] );
     ( "datalog.stickiness",
       [ case "base marking step" test_marking_base_step;

@@ -182,13 +182,9 @@ let test_csv_empty () =
    | Ok _ -> Alcotest.fail "expected empty-input error"
    | Error [ e ] -> Alcotest.(check int) "row" 1 e.R.Csv_io.row
    | Error _ -> Alcotest.fail "expected exactly one error");
-  (* the fail-fast wrapper still raises Failure, for compatibility *)
-  (match R.Csv_io.relation_of_string ~name:"t" "" with
-   | _ -> Alcotest.fail "expected Failure"
-   | exception Failure _ -> ());
-  match R.Csv_io.relation_of_string ~name:"t" "a,b\nx\n" with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ()
+  match R.Csv_io.relation_of_string_result ~name:"t" "a,b\nx\n" with
+  | Ok _ -> Alcotest.fail "expected a ragged-row error"
+  | Error errs -> Alcotest.(check int) "one ragged row" 1 (List.length errs)
 
 let test_csv_ok_roundtrip () =
   match R.Csv_io.relation_of_string_result ~name:"t" "a,b\n1,x\n2,y\n" with

@@ -312,7 +312,7 @@ module Profile = Mdqa_obs.Profile
 (* Snapshots are generated by replaying op scripts against a collector
    with a fake integer clock, so every accumulated duration is an exact
    float and merge algebra can be checked with [=].  The ops exercise
-   every table: rule counters, scoped atom visits, rounds, queries and
+   every table: per-rule totals, scoped atom visits, rounds, queries and
    phases. *)
 let profile_snapshot_of ops =
   let tick = ref 0. in
@@ -323,17 +323,16 @@ let profile_snapshot_of ops =
   List.iter
     (fun n ->
       let rname = Printf.sprintf "r%d" (n mod 3) in
-      let h = Profile.rule p rname in
-      match n mod 7 with
-      | 0 -> Profile.add_trigger h
-      | 1 -> Profile.add_fire h
-      | 2 -> Profile.add_matches h (n mod 5)
-      | 3 -> Profile.add_rule_seconds h (float_of_int (n mod 9))
-      | 4 ->
+      match n mod 5 with
+      | 0 | 1 ->
+        Profile.add_rule p rname
+          { Profile.fires = n mod 2; triggers = n mod 3; matches = n mod 5;
+            rule_seconds = float_of_int (n mod 9) }
+      | 2 ->
         Profile.with_scope p rname (fun () ->
             Profile.atom_visit p ~idx:(n mod 2) ~pred:"p"
               ~scanned:(n mod 11) ~matched:(n mod 4))
-      | 5 ->
+      | 3 ->
         Profile.with_round (n mod 4) (fun () ->
             tick := !tick +. float_of_int (n mod 6))
       | _ ->
@@ -428,9 +427,57 @@ let test_profile_scope_discipline () =
   Alcotest.(check bool) "scope restored" true (Profile.scoped () = None);
   match Profile.find_atom (Profile.snapshot p) ("r", 1, "q") with
   | Some a ->
+    Alcotest.(check int) "visits" 1 a.Profile.visits;
     Alcotest.(check int) "scanned" 3 a.Profile.scanned;
     Alcotest.(check int) "matched" 3 a.Profile.matched
   | None -> Alcotest.fail "scoped visit not attributed"
+
+(* Visits count every substitution arriving at an atom, including index
+   probes that hit an empty bucket.  a has 4 rows and b 8, so the join
+   starts at a (one visit, fan-out 4) and probes b once per X: the
+   buckets for X=1,2,3,4 hold 2, 0, 1 and 0 rows, so b sees 4 visits, 3
+   scanned tuples and 3 matches — two visits die on a miss. *)
+let test_profile_visits_count_bucket_misses () =
+  let module R = Mdqa_relational in
+  let module D = Mdqa_datalog in
+  let p = Profile.create ~clock:(fun () -> 0.) () in
+  Profile.install p;
+  Fun.protect ~finally:Profile.uninstall @@ fun () ->
+  let inst = R.Instance.create () in
+  ignore (R.Instance.declare inst (R.Rel_schema.of_names "a" [ "x" ]));
+  ignore (R.Instance.declare inst (R.Rel_schema.of_names "b" [ "x"; "y" ]));
+  let add pred row =
+    ignore
+      (R.Instance.add_tuple inst pred
+         (R.Tuple.of_list (List.map R.Value.sym row)))
+  in
+  List.iter (fun x -> add "a" [ x ]) [ "1"; "2"; "3"; "4" ];
+  List.iter
+    (fun (x, y) -> add "b" [ x; y ])
+    [ ("1", "x"); ("1", "y"); ("3", "z"); ("5", "p"); ("6", "q");
+      ("7", "r"); ("8", "s"); ("9", "t") ];
+  let v name = D.Term.Var name in
+  let body =
+    [ D.Atom.make "a" [ v "X" ]; D.Atom.make "b" [ v "X"; v "Y" ] ]
+  in
+  let answers = Profile.with_scope p "q" (fun () -> D.Eval.answers inst body) in
+  Alcotest.(check int) "answers" 3 (List.length answers);
+  let snap = Profile.snapshot p in
+  let stat idx pred =
+    match Profile.find_atom snap ("q", idx, pred) with
+    | Some a -> (a.Profile.visits, a.Profile.scanned, a.Profile.matched)
+    | None -> Alcotest.failf "no row for q[%d] %s" idx pred
+  in
+  Alcotest.(check (triple int int int)) "a: visits scanned matched" (1, 4, 4)
+    (stat 0 "a");
+  Alcotest.(check (triple int int int)) "b: visits scanned matched" (4, 3, 3)
+    (stat 1 "b");
+  match Profile.find_atom snap ("q", 1, "b") with
+  | Some b ->
+    Alcotest.(check (float 1e-9)) "fan-out at b" 0.75 (Profile.fan_out b);
+    Alcotest.(check (float 1e-9)) "selectivity at b" 1.0
+      (Profile.selectivity b)
+  | None -> assert false
 
 let test_profile_off_is_transparent () =
   Alcotest.(check bool) "inactive by default" false (Profile.active ());
@@ -482,101 +529,110 @@ let test_profile_attributes_hospital_rules () =
     Alcotest.(check bool) "assess phase recorded" true
       (Profile.find_phase snap "assess" <> None)
 
-(* --- stats sidecar ----------------------------------------------------- *)
+(* --- one count ------------------------------------------------------- *)
 
-module Stats = Mdqa_store.Stats
+(* The chase counts its work once; [Chase.stats], the [mdqa_chase_*]
+   registry counters and the profiler's per-rule rows are all written
+   from that count, so they must agree exactly — across runs sharing a
+   registry, on a guard trip in mid-round, and with prior statistics
+   folded into a resumed run.  The program mints nulls (rule dept_of)
+   and merges two of them away (the EGD), over three rounds of a
+   transitive closure. *)
+module Chase = Mdqa_datalog.Chase
 
-let with_tmp_sidecar f =
-  let store = Filename.temp_file "mdqa_stats" ".store" in
-  let path = Stats.path_of store in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ store; path ])
-    (fun () -> f ~store ~path)
+let counts_program =
+  (Mdqa_datalog.Parser.parse_string
+     "emp(a). emp(b). emp(c). dept(a, sales). boss(b). boss(c).\n\
+      e(n1, n2). e(n2, n3). e(n3, n4). e(n4, n5).\n\
+      dept(X, D) :- emp(X).\n\
+      dept(X, hq) :- boss(X).\n\
+      D1 = D2 :- dept(X, D1), dept(X, D2).\n\
+      t(X, Y) :- e(X, Y).\n\
+      t(X, Z) :- t(X, Y), e(Y, Z).")
+    .Mdqa_datalog.Parser.program
 
-let prop_stats_roundtrip =
-  QCheck.Test.make ~name:"sidecar write/read round-trips" ~count:50
-    obs_list_arb (fun ops ->
-      let snap = profile_snapshot_of ops in
-      with_tmp_sidecar (fun ~store:_ ~path ->
-          Stats.write ~path snap;
-          Stats.read ~path = Ok snap))
+let no_prior =
+  { Chase.rounds = 0; tgd_fires = 0; triggers_checked = 0; nulls_created = 0;
+    egd_merges = 0 }
 
-let prop_stats_corruption_detected =
-  QCheck.Test.make ~name:"every single-byte flip is rejected" ~count:10
-    obs_list_arb (fun ops ->
-      let snap = profile_snapshot_of ops in
-      with_tmp_sidecar (fun ~store:_ ~path ->
-          Stats.write ~path snap;
-          let ic = open_in_bin path in
-          let raw =
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          let ok = ref true in
-          String.iteri
-            (fun i c ->
-              let damaged = Bytes.of_string raw in
-              Bytes.set damaged i (Char.chr (Char.code c lxor 0x40));
-              let oc = open_out_bin path in
-              output_bytes oc damaged;
-              close_out oc;
-              match Stats.read ~path with
-              | Error _ -> ()
-              | Ok _ -> ok := false)
-            raw;
-          !ok))
+let registry_counts m =
+  let snap = Metrics.snapshot m in
+  let c = Metrics.counter_total snap in
+  [ c "mdqa_chase_rounds_total"; c "mdqa_chase_tgd_fires_total";
+    c "mdqa_chase_triggers_total"; c "mdqa_chase_nulls_total";
+    c "mdqa_chase_egd_merges_total"; c "mdqa_chase_rule_fires_total" ]
 
-let test_stats_record_accumulates () =
-  let s1 = profile_snapshot_of [ 0; 1; 2; 3; 17 ]
-  and s2 = profile_snapshot_of [ 7; 8; 9; 10; 24 ] in
-  with_tmp_sidecar (fun ~store ~path ->
-      Stats.record ~store s1;
-      Stats.record ~store s2;
-      match Stats.read ~path with
-      | Error e -> Alcotest.fail e
-      | Ok got ->
-        Alcotest.(check bool) "merge of both runs" true
-          (got = Profile.merge s1 s2))
+let stats_counts (st : Chase.stats) =
+  [ st.Chase.rounds; st.Chase.tgd_fires; st.Chase.triggers_checked;
+    st.Chase.nulls_created; st.Chase.egd_merges; st.Chase.tgd_fires ]
 
-let test_stats_read_absent_and_truncated () =
-  with_tmp_sidecar (fun ~store:_ ~path ->
-      (try Sys.remove path with Sys_error _ -> ());
-      Alcotest.(check bool) "absent file is an error, not a crash" true
-        (match Stats.read ~path with Error _ -> true | Ok _ -> false);
-      let oc = open_out_bin path in
-      output_string oc "MDQA";
-      close_out oc;
-      Alcotest.(check bool) "truncated header rejected" true
-        (match Stats.read ~path with Error _ -> true | Ok _ -> false))
-
-(* A damaged (or healthy) sidecar must be invisible to store triage:
-   fsck walks the snapshot, journal and generations, never [path.stats]. *)
-let test_stats_opaque_to_fsck () =
-  let module Store = Mdqa_store.Store in
-  let module Fsck = Mdqa_store.Fsck in
-  let dir = Filename.temp_file "mdqa_fsck_stats" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let path = Filename.concat dir "s.store" in
-  let guard = Mdqa_datalog.Guard.unlimited () in
-  let program_text = "p(a). q(X) :- p(X)." in
-  let program = (Mdqa_datalog.Parser.parse_string program_text).Mdqa_datalog.Parser.program in
-  let store =
-    Store.create ~guard ~path ~program_text ~variant:Mdqa_datalog.Chase.Restricted ()
+(* One run under a fresh profiler; returns the run's stats, the
+   registry's change across it, and the profiler's per-rule sums. *)
+let counted_run ?guard ?start m =
+  let before = registry_counts m in
+  let p = Profile.create ~clock:(fun () -> 0.) () in
+  Profile.install p;
+  let r =
+    Fun.protect ~finally:Profile.uninstall (fun () ->
+        Chase.run ?guard ?start ~metrics:m counts_program
+          (Mdqa_relational.Instance.create ()))
   in
-  ignore
-    (Mdqa_datalog.Chase.run ~guard ~checkpoint:(Store.checkpoint store)
-       program (Mdqa_relational.Instance.create ()));
-  let oc = open_out_bin (Stats.path_of path) in
-  output_string oc "garbage, not a valid sidecar at all";
-  close_out oc;
-  let report = Fsck.check ~path in
-  Alcotest.(check bool) "store stays clean under a damaged sidecar" true
-    (report.Fsck.status = Fsck.Clean)
+  let delta = List.map2 ( - ) (registry_counts m) before in
+  let rules = (Profile.snapshot p).Profile.rules in
+  let sum f = sum_int (List.map (fun (_, r) -> f r) rules) in
+  let fires = sum (fun r -> r.Profile.fires)
+  and triggers = sum (fun r -> r.Profile.triggers) in
+  (r, delta, (fires, triggers))
+
+let check_counts name ~(prior : Chase.stats) (r, delta, (fires, triggers)) =
+  let st = r.Chase.stats in
+  let minus a b = List.map2 ( - ) a b in
+  Alcotest.(check (list int)) (name ^ ": stats = prior + registry delta")
+    (stats_counts st)
+    (List.map2 ( + ) (stats_counts prior) delta);
+  Alcotest.(check (pair int int)) (name ^ ": profile sums = run's own counts")
+    (match minus (stats_counts st) (stats_counts prior) with
+     | [ _; f; t; _; _; _ ] -> (f, t)
+     | _ -> assert false)
+    (fires, triggers)
+
+let test_counts_shared_registry () =
+  let m = Metrics.create () in
+  let first = counted_run m in
+  let second = counted_run m in
+  let (r, _, _) = first in
+  Alcotest.(check bool) "saturated" true (r.Chase.outcome = Chase.Saturated);
+  Alcotest.(check int) "nulls minted" 2 r.Chase.stats.Chase.nulls_created;
+  Alcotest.(check int) "nulls merged" 2 r.Chase.stats.Chase.egd_merges;
+  check_counts "first run" ~prior:no_prior first;
+  check_counts "second run" ~prior:no_prior second
+
+let test_counts_guard_trip () =
+  let m = Metrics.create () in
+  let ((r, _, _) as run) =
+    counted_run ~guard:(Mdqa_datalog.Guard.create ~max_steps:3 ()) m
+  in
+  Alcotest.(check bool) "tripped on steps" true
+    (match r.Chase.outcome with
+     | Chase.Out_of_budget { Mdqa_datalog.Guard.resource = Steps; _ } -> true
+     | _ -> false);
+  Alcotest.(check int) "the tripping trigger is counted" 4
+    r.Chase.stats.Chase.triggers_checked;
+  check_counts "guard trip" ~prior:no_prior run
+
+let test_counts_resumed () =
+  let m = Metrics.create () in
+  let prior =
+    { Chase.rounds = 7; tgd_fires = 11; triggers_checked = 13;
+      nulls_created = 17; egd_merges = 19 }
+  in
+  let run =
+    counted_run
+      ~start:
+        (Chase.Resume { frontier = []; null_base = 100; prior_stats = prior })
+      m
+  in
+  check_counts "resumed" ~prior run
 
 (* ---------------------------------------------------------------------- *)
 
@@ -609,10 +665,10 @@ let suites =
       @ [ case "scope discipline" test_profile_scope_discipline;
           case "off is transparent" test_profile_off_is_transparent;
           case "hospital assessment attributes every used rule"
-            test_profile_attributes_hospital_rules ] );
-    ( "obs.stats",
-      props [ prop_stats_roundtrip; prop_stats_corruption_detected ]
-      @ [ case "record accumulates across runs" test_stats_record_accumulates;
-          case "absent and truncated sidecars are errors"
-            test_stats_read_absent_and_truncated;
-          case "fsck treats the sidecar as opaque" test_stats_opaque_to_fsck ] ) ]
+            test_profile_attributes_hospital_rules;
+          case "visits count bucket misses"
+            test_profile_visits_count_bucket_misses ] );
+    ( "obs.counts",
+      [ case "two runs share one registry" test_counts_shared_registry;
+        case "guard trip in mid-round" test_counts_guard_trip;
+        case "resumed run folds prior stats" test_counts_resumed ] ) ]
