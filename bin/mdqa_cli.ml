@@ -72,10 +72,6 @@ let run_protected f =
     Logger.error ~fields:[ ("line", Logger.Int line) ]
       ("parse error: " ^ message);
     exit_error
-  | Mdqa_context.Md_parser.Error { line; message } ->
-    Logger.error ~fields:[ ("line", Logger.Int line) ]
-      ("parse error: " ^ message);
-    exit_error
   | Sys_error e | Failure e ->
     Logger.error e;
     exit_error
@@ -98,13 +94,22 @@ let report_error_diags diags =
 
 (* Validation-first loading: every error in the file is reported (with
    its location and code) before the subcommand gives up. *)
-let load path =
-  let { Validate.parsed; diags } = Validate.check_file path in
+let parsed_or_exit parsed diags =
   match parsed with
   | Some p -> p
   | None ->
     report_error_diags diags;
     raise Fatal_diags
+
+let load path =
+  let { Validate.parsed; diags } = Validate.check_file path in
+  parsed_or_exit parsed diags
+
+let load_context path =
+  let { Mdqa_context.Md_parser.parsed; diags } =
+    Mdqa_context.Md_parser.check_file path
+  in
+  parsed_or_exit parsed diags
 
 (* A located, coded fatal error: the diagnostic prints like any other
    (file:line code message) and the command exits 1 through
@@ -857,15 +862,9 @@ let run_context file do_repair loads explain_n max_steps max_nulls timeout
   let module Context = Mdqa_context.Context in
   let module Repair = Mdqa_context.Repair in
   let module Md_ontology = Mdqa_multidim.Md_ontology in
-  let parsed =
-    let checked = Mdqa_context.Md_parser.check_file file in
-    match checked.Mdqa_context.Md_parser.parsed with
-    | Some p -> p
-    | None ->
-      report_error_diags checked.Mdqa_context.Md_parser.diags;
-      raise Fatal_diags
+  let { Mdqa_context.Md_parser.ontology; context; source; queries } =
+    load_context file
   in
-  let { Mdqa_context.Md_parser.ontology; context; source; queries } = parsed in
   (* CSV overrides for source relations *)
   List.iter
     (fun (rel, path) ->
@@ -1792,7 +1791,8 @@ let run_profile_chase file json top oblivious max_steps max_nulls timeout
 (* `profile assess` profiles the assessment workload: the full .mdq
    pipeline (chase + quality-query evaluation), or for a plain .dl
    program the chase plus its embedded queries — so per-CQ timings are
-   populated either way. *)
+   populated either way.  Parsing and validation are the "parse" phase
+   on both. *)
 let run_profile_assess file json top max_steps max_nulls timeout max_memory
     =
   run_protected @@ fun () ->
@@ -1800,15 +1800,9 @@ let run_profile_assess file json top max_steps max_nulls timeout max_memory
   with_profiler @@ fun p ->
   if Filename.check_suffix file ".mdq" then begin
     let module Context = Mdqa_context.Context in
-    let parsed =
-      let checked = Mdqa_context.Md_parser.check_file file in
-      match checked.Mdqa_context.Md_parser.parsed with
-      | Some parsed -> parsed
-      | None ->
-        report_error_diags checked.Mdqa_context.Md_parser.diags;
-        raise Fatal_diags
+    let { Mdqa_context.Md_parser.context; source; queries; _ } =
+      Profile.with_phase "parse" @@ fun () -> load_context file
     in
-    let { Mdqa_context.Md_parser.context; source; queries; _ } = parsed in
     let a = Context.assess ~guard context ~source in
     let partial = Context.degradation a <> None in
     List.iter
@@ -1827,7 +1821,9 @@ let run_profile_assess file json top max_steps max_nulls timeout max_memory
       (Context.program context).Program.tgds code
   end
   else begin
-    let { Parser.program; queries } = load file in
+    let { Parser.program; queries } =
+      Profile.with_phase "parse" @@ fun () -> load file
+    in
     let inst = Program.instance_of_facts program in
     let r =
       Profile.with_phase "assess" @@ fun () ->

@@ -15,8 +15,6 @@ type checked = {
   diags : Diag.t list;
 }
 
-exception Error of { line : int; message : string }
-
 (* Intermediate, pre-assembly representation of the declarations.
    Every item carries the position of its declaration, so each
    validation failure is reported at its real source line — never at
@@ -31,19 +29,18 @@ type dim_decl = {
       (* child member, parent member *)
 }
 
-type decls = {
-  mutable dims : dim_decl list;
-  mutable relations : (R.Rel_schema.t * Lexer.pos) list;
-  mutable sources : (R.Rel_schema.t * Lexer.pos) list;
-  mutable externals : (R.Rel_schema.t * Lexer.pos) list;
-  mutable maps : (string * string * Lexer.pos) list;
-  mutable qualities : (string * string * Lexer.pos) list;
-  mutable facts : (Atom.t * Lexer.pos) list;
-  mutable tgds : (Tgd.t * Lexer.pos) list;
-  mutable egds : (Egd.t * Lexer.pos) list;
-  mutable ncs : (Nc.t * Lexer.pos) list;
-  mutable queries : (Query.t * Lexer.pos) list;
-}
+type schema_kind = Relation | Source | External
+
+let kind_name = function
+  | Relation -> "relation"
+  | Source -> "source"
+  | External -> "external"
+
+type decl =
+  | Dimension of dim_decl
+  | Schema of schema_kind * R.Rel_schema.t
+  | Map of string * string  (* source relation, contextual copy *)
+  | Quality of string * string  (* source relation, quality version *)
 
 let fail st message = Raw.error st message
 
@@ -86,19 +83,14 @@ let keyword st = function
     | _ -> None)
   | _ -> None
 
-let record_parse_error ?file diags (pe : exn) =
-  match pe with
-  | Parser.Error { line; col; code; message } ->
-    Diag.error diags ?file ~line ~col ~code message
-  | e -> raise e
-
-let parse_dimension st ?file diags decls ~start =
+let parse_dimension diags st =
+  let dim_pos = Raw.pos st in
   Raw.advance st (* 'dimension' *);
   let dim_name = name_token st "a dimension name" in
   Raw.expect st Lexer.LBRACE "'{'";
   let d =
-    { dim_name; dim_pos = start; cat_edges = []; standalone = [];
-      dmembers = []; links = [] }
+    { dim_name; dim_pos; cat_edges = []; standalone = []; dmembers = [];
+      links = [] }
   in
   let item () =
     match Raw.peek st with
@@ -146,16 +138,17 @@ let parse_dimension st ?file diags decls ~start =
     | _ ->
       let before = Raw.pos st in
       (try item ()
-       with Parser.Error _ as pe ->
-         record_parse_error ?file diags pe;
+       with Parser.Error { line; col; code; message } ->
+         Diag.error diags ~line ~col ~code message;
          if Raw.pos st = before then Raw.advance st;
          Raw.recover st);
       body ()
   in
   body ();
-  decls.dims <- decls.dims @ [ d ]
+  Dimension d
 
-let parse_relation st decls ~kind ~start =
+let parse_relation st kind =
+  let start = Raw.pos st in
   Raw.advance st (* 'relation' | 'source' | 'external' *);
   let name =
     match Raw.peek st with
@@ -186,93 +179,63 @@ let parse_relation st decls ~kind ~start =
   let attrs = comma_list st parse_attr in
   Raw.expect st Lexer.RPAREN "')'";
   Raw.expect st Lexer.PERIOD "'.'";
-  let schema =
-    try R.Rel_schema.make name attrs
-    with Invalid_argument m ->
-      raise
-        (Parser.Error
-           { line = start.Lexer.line; col = start.Lexer.col; code = "E018";
-             message = m })
-  in
-  match kind with
-  | `Source -> decls.sources <- decls.sources @ [ (schema, start) ]
-  | `External -> decls.externals <- decls.externals @ [ (schema, start) ]
-  | `Relation -> decls.relations <- decls.relations @ [ (schema, start) ]
+  match R.Rel_schema.make name attrs with
+  | schema -> Schema (kind, schema)
+  | exception Invalid_argument message ->
+    raise
+      (Parser.Error
+         { line = start.Lexer.line; col = start.Lexer.col; code = "E018";
+           message })
 
-let parse_wiring st decls ~quality ~start =
+let parse_wiring st ~quality =
   Raw.advance st (* 'map' | 'quality' *);
   let from = name_token st "a relation name" in
   Raw.expect st Lexer.ARROW "'->'";
   let target = name_token st "a predicate name" in
   Raw.expect st Lexer.PERIOD "'.'";
-  if quality then decls.qualities <- decls.qualities @ [ (from, target, start) ]
-  else decls.maps <- decls.maps @ [ (from, target, start) ]
+  if quality then Quality (from, target) else Map (from, target)
 
-(* Collect every declaration, recovering at statement boundaries so
-   one pass reports all syntax errors. *)
-let collect ?file diags st =
-  let decls =
-    { dims = []; relations = []; sources = []; externals = []; maps = [];
-      qualities = []; facts = []; tgds = []; egds = []; ncs = [];
-      queries = [] }
-  in
-  let rec go () =
-    if not (Raw.at_eof st) then begin
-      let start = Raw.pos st in
-      (try
-         match keyword st (fst (Raw.peek st)) with
-         | Some "dimension" -> parse_dimension st ?file diags decls ~start
-         | Some "relation" -> parse_relation st decls ~kind:`Relation ~start
-         | Some "source" -> parse_relation st decls ~kind:`Source ~start
-         | Some "external" -> parse_relation st decls ~kind:`External ~start
-         | Some "map" -> parse_wiring st decls ~quality:false ~start
-         | Some "quality" -> parse_wiring st decls ~quality:true ~start
-         | Some k ->
-           fail st (Printf.sprintf "'%s' is only allowed inside a dimension" k)
-         | None -> (
-           match Raw.statement st with
-           | Raw.S_fact f -> decls.facts <- decls.facts @ [ (f, start) ]
-           | Raw.S_tgd t -> decls.tgds <- decls.tgds @ [ (t, start) ]
-           | Raw.S_egd e -> decls.egds <- decls.egds @ [ (e, start) ]
-           | Raw.S_nc n -> decls.ncs <- decls.ncs @ [ (n, start) ]
-           | Raw.S_query q -> decls.queries <- decls.queries @ [ (q, start) ])
-       with Parser.Error { code; _ } as pe ->
-         record_parse_error ?file diags pe;
-         if Raw.pos st = start then Raw.advance st;
-         (* statement-level semantic errors (E003) are raised after
-            the whole statement was consumed, '.' included —
-            resyncing would swallow the next declaration *)
-         if code <> "E003" then begin
-           Raw.recover st;
-           (* a '}' left over from a broken dimension body would
-              otherwise cascade into a statement error *)
-           match Raw.peek st with
-           | Lexer.RBRACE, _ -> Raw.advance st
-           | _ -> ()
-         end);
-      go ()
-    end
-  in
-  go ();
-  decls
+(* The declarations and the Datalog± statements of an input, each in
+   source order: to the shared recovering loop a declaration is one
+   more kind of statement. *)
+let collect diags input =
+  let decls = ref [] and statements = ref [] in
+  Raw.items diags (Raw.init diags input) (fun st ->
+      let pos = Raw.pos st in
+      let decl d = decls := (d, pos) :: !decls in
+      match keyword st (fst (Raw.peek st)) with
+      | Some "dimension" -> decl (parse_dimension diags st)
+      | Some "relation" -> decl (parse_relation st Relation)
+      | Some "source" -> decl (parse_relation st Source)
+      | Some "external" -> decl (parse_relation st External)
+      | Some "map" -> decl (parse_wiring st ~quality:false)
+      | Some "quality" -> decl (parse_wiring st ~quality:true)
+      | Some k ->
+        fail st (Printf.sprintf "'%s' is only allowed inside a dimension" k)
+      | None ->
+        statements := { Parser.stmt = Raw.statement st; pos } :: !statements);
+  (List.rev !decls, List.rev !statements)
 
 (* --- semantic validation ------------------------------------------- *)
 
 module Smap = Map.Make (String)
 
 type artifacts = {
-  dim_schemas : Dim_schema.t Smap.t;
   dim_instances : Dim_instance.t Smap.t;  (* only error-free dimensions *)
+  schemas : (string, schema_kind * R.Rel_schema.t * Lexer.pos) Hashtbl.t;
+      (* each declared name, at its first declaration *)
   md_schema : Md_schema.t option;
+  md_rules : Tgd.t list;  (* every predicate is an MD predicate *)
+  ctx_rules : Tgd.t list;
 }
 
-let err ?file diags (pos : Lexer.pos) code fmt =
-  Diag.errorf diags ?file ~line:pos.Lexer.line ~col:pos.Lexer.col ~code fmt
+let err diags (pos : Lexer.pos) code fmt =
+  Diag.errorf diags ~line:pos.Lexer.line ~col:pos.Lexer.col ~code fmt
 
-let warn ?file diags (pos : Lexer.pos) code fmt =
-  Diag.warningf diags ?file ~line:pos.Lexer.line ~col:pos.Lexer.col ~code fmt
+let warn diags (pos : Lexer.pos) code fmt =
+  Diag.warningf diags ~line:pos.Lexer.line ~col:pos.Lexer.col ~code fmt
 
-let validate_dimension ?file diags (d : dim_decl) =
+let validate_dimension diags (d : dim_decl) =
   let ok = ref true in
   let schema =
     let edges =
@@ -288,7 +251,7 @@ let validate_dimension ?file diags (d : dim_decl) =
     match Dim_schema.make ~name:d.dim_name ~edges with
     | s -> Some s
     | exception Invalid_argument m ->
-      err ?file diags d.dim_pos "E014" "%s" m;
+      err diags d.dim_pos "E014" "%s" m;
       ok := false;
       None
   in
@@ -300,13 +263,13 @@ let validate_dimension ?file diags (d : dim_decl) =
      List.iter
        (fun (m, cat, pos) ->
          if not (Dim_schema.mem_category schema cat) then begin
-           err ?file diags pos "E015"
+           err diags pos "E015"
              "dimension %s has no category %s (member %s)" d.dim_name cat m;
            ok := false
          end;
          (match Hashtbl.find_opt seen m with
           | Some other_cat ->
-            err ?file diags pos "E016"
+            err diags pos "E016"
               "member %s already declared in category %s of dimension %s" m
               other_cat d.dim_name;
             ok := false
@@ -317,20 +280,20 @@ let validate_dimension ?file diags (d : dim_decl) =
        (fun (child, parent, pos) ->
          match Hashtbl.find_opt seen child, Hashtbl.find_opt seen parent with
          | None, _ ->
-           err ?file diags pos "E017"
+           err diags pos "E017"
              "link references unknown member %s of dimension %s" child
              d.dim_name;
            ok := false
          | _, None ->
            if parent <> "all" then begin
-             err ?file diags pos "E017"
+             err diags pos "E017"
                "link references unknown member %s of dimension %s" parent
                d.dim_name;
              ok := false
            end
          | Some cc, Some pc ->
            if not (List.mem pc (Dim_schema.parents schema cc)) then begin
-             err ?file diags pos "E017"
+             err diags pos "E017"
                "link %s -> %s does not follow a schema edge (%s -> %s) in \
                 dimension %s"
                child parent cc pc d.dim_name;
@@ -358,7 +321,7 @@ let validate_dimension ?file diags (d : dim_decl) =
         | i -> Some i
         | exception Invalid_argument m ->
           (* pre-empted by the checks above; located safety net *)
-          err ?file diags d.dim_pos "E014" "%s" m;
+          err diags d.dim_pos "E014" "%s" m;
           None)
   in
   (* hierarchy quality warnings: strictness and homogeneity *)
@@ -374,7 +337,7 @@ let validate_dimension ?file diags (d : dim_decl) =
      in
      List.iter
        (fun (m, anc, ups) ->
-         warn ?file diags (pos_of_member m) "W043"
+         warn diags (pos_of_member m) "W043"
            "dimension %s is not strict: member %s rolls up to %d members of \
             %s (%s)"
            d.dim_name m (List.length ups) anc
@@ -382,7 +345,7 @@ let validate_dimension ?file diags (d : dim_decl) =
        (Dim_instance.strictness_violations i);
      List.iter
        (fun (m, pcat) ->
-         warn ?file diags (pos_of_member m) "W044"
+         warn diags (pos_of_member m) "W044"
            "dimension %s is not homogeneous: member %s has no parent in \
             category %s (roll-up is not total)"
            d.dim_name m pcat)
@@ -400,15 +363,18 @@ let schema_conflict_code message =
   else if contains "unknown category" then "E015"
   else "E010"
 
-let validate ?file diags (decls : decls) =
+let validate diags decls statements =
   (* 1. dimensions *)
+  let dims =
+    List.filter_map (function Dimension d, _ -> Some d | _ -> None) decls
+  in
   let dim_schemas = ref Smap.empty and dim_instances = ref Smap.empty in
   List.iter
     (fun (d : dim_decl) ->
       if Smap.mem d.dim_name !dim_schemas then
-        err ?file diags d.dim_pos "E010" "duplicate dimension %s" d.dim_name
+        err diags d.dim_pos "E010" "duplicate dimension %s" d.dim_name
       else begin
-        let schema, instance = validate_dimension ?file diags d in
+        let schema, instance = validate_dimension diags d in
         (match schema with
          | Some s -> dim_schemas := Smap.add d.dim_name s !dim_schemas
          | None -> ());
@@ -416,24 +382,20 @@ let validate ?file diags (decls : decls) =
         | Some i -> dim_instances := Smap.add d.dim_name i !dim_instances
         | None -> ()
       end)
-    decls.dims;
+    dims;
   (* 2. relation / source / external namespaces are disjoint *)
-  let decl_pos = Hashtbl.create 16 in
+  let schemas = Hashtbl.create 16 in
   List.iter
-    (fun (what, schemas) ->
-      List.iter
-        (fun (s, pos) ->
-          let n = R.Rel_schema.name s in
-          (match Hashtbl.find_opt decl_pos n with
-           | Some (other, (first : Lexer.pos)) ->
-             err ?file diags pos "E010"
-               "%s %s already declared as a %s at line %d" what n other
-               first.Lexer.line
-           | None -> ());
-          Hashtbl.replace decl_pos n (what, pos))
-        schemas)
-    [ ("relation", decls.relations); ("source", decls.sources);
-      ("external", decls.externals) ];
+    (function
+      | Schema (kind, s), pos -> (
+        let n = R.Rel_schema.name s in
+        match Hashtbl.find_opt schemas n with
+        | Some (other, _, (first : Lexer.pos)) ->
+          err diags pos "E010" "%s %s already declared as a %s at line %d"
+            (kind_name kind) n (kind_name other) first.Lexer.line
+        | None -> Hashtbl.add schemas n (kind, s, pos))
+      | _ -> ())
+    decls;
   (* 3. the MD schema itself *)
   let dims_in_order =
     (* first declaration of each name, when its schema built *)
@@ -445,375 +407,335 @@ let validate ?file diags (decls : decls) =
           Hashtbl.add seen d.dim_name ();
           Smap.find_opt d.dim_name !dim_schemas
         end)
-      decls.dims
+      dims
   in
-  let relations = List.map fst decls.relations in
+  let relations =
+    List.filter_map
+      (function Schema (Relation, s), _ -> Some s | _ -> None)
+      decls
+  in
   let conflicts =
     Md_schema.conflicts ~dimensions:dims_in_order ~relations
   in
   List.iter
     (fun { Md_schema.subject; message } ->
       let pos =
-        match Hashtbl.find_opt decl_pos subject with
-        | Some (_, pos) -> pos
+        match Hashtbl.find_opt schemas subject with
+        | Some (_, _, pos) -> pos
         | None -> (
           match
             List.find_opt
               (fun (d : dim_decl) -> String.equal d.dim_name subject)
-              decls.dims
+              dims
           with
           | Some d -> d.dim_pos
           | None -> { Lexer.line = 1; col = 0 })
       in
-      err ?file diags pos (schema_conflict_code message) "%s" message)
+      err diags pos (schema_conflict_code message) "%s" message)
     conflicts;
   let md_schema =
-    if
-      conflicts = []
-      && List.length dims_in_order = List.length decls.dims
-    then
+    if conflicts = [] && List.length dims_in_order = List.length dims then
       match Md_schema.make ~dimensions:dims_in_order ~relations with
       | s -> Some s
       | exception Invalid_argument m ->
-        err ?file diags { Lexer.line = 1; col = 0 } "E014" "%s" m;
+        err diags { Lexer.line = 1; col = 0 } "E014" "%s" m;
         None
     else None
   in
   (* 4. facts: declared predicates only *)
-  let find_schema n =
-    List.find_map
-      (fun (s, _) ->
-        if String.equal (R.Rel_schema.name s) n then Some s else None)
-      (decls.relations @ decls.sources @ decls.externals)
-  in
   List.iter
-    (fun (f, pos) ->
-      let p = Atom.pred f in
-      match find_schema p with
-      | Some _ -> ()
-      | None ->
-        err ?file diags pos "E013"
+    (function
+      | { Parser.stmt = Raw.S_fact f; pos }
+        when not (Hashtbl.mem schemas (Atom.pred f)) ->
+        err diags pos "E013"
           "fact over undeclared predicate %s (declare it with 'relation', \
            'source' or 'external')"
-          p)
-    decls.facts;
-  (* 5. global arity consistency: declarations, then facts, then rules,
-     constraints and queries — each clash located at its statement *)
-  let seen_arity = Hashtbl.create 32 in
-  let check_entry what pos p k =
-    match Hashtbl.find_opt seen_arity p with
-    | None -> Hashtbl.add seen_arity p (k, pos)
-    | Some (k', (first : Lexer.pos)) ->
-      if k <> k' then
-        err ?file diags pos "E011"
-          "%s uses predicate %s with arity %d but it has arity %d (line %d)"
-          what p k k' first.Lexer.line
+          (Atom.pred f)
+      | _ -> ())
+    statements;
+  (* 5. global arity consistency: the MD schema's predicates, then the
+     declarations, then every statement *)
+  let md_preds =
+    match md_schema with
+    | None -> []
+    | Some s ->
+      let top = { Lexer.line = 1; col = 0 } in
+      List.concat_map
+        (fun d ->
+          List.filter_map
+            (fun c ->
+              if c = Dim_schema.all then None
+              else Some (Md_schema.category_pred c, 1, top))
+            (Dim_schema.categories d)
+          @ List.filter_map
+              (fun (child, parent) ->
+                if parent = Dim_schema.all then None
+                else Some (Md_schema.parent_child_pred ~parent ~child, 2, top))
+              (Dim_schema.edges d))
+        (Md_schema.dimensions s)
   in
-  (match md_schema with
-   | Some s ->
-     List.iter
-       (fun d ->
-         List.iter
-           (fun c ->
-             if c <> Dim_schema.all then
-               check_entry "category" { Lexer.line = 1; col = 0 }
-                 (Md_schema.category_pred c) 1)
-           (Dim_schema.categories d);
-         List.iter
-           (fun (child, parent) ->
-             if parent <> Dim_schema.all then
-               check_entry "roll-up" { Lexer.line = 1; col = 0 }
-                 (Md_schema.parent_child_pred ~parent ~child) 2)
-           (Dim_schema.edges d))
-       (Md_schema.dimensions s)
-   | None -> ());
-  List.iter
-    (fun (s, pos) ->
-      check_entry "declaration" pos (R.Rel_schema.name s)
-        (R.Rel_schema.arity s))
-    (decls.relations @ decls.sources @ decls.externals);
-  List.iter
-    (fun (f, pos) -> check_entry "fact" pos (Atom.pred f) (Atom.arity f))
-    decls.facts;
-  let atoms_arities what atoms pos =
-    List.iter (fun a -> check_entry what pos (Atom.pred a) (Atom.arity a)) atoms
+  Parser.check_arities diags statements
+    ~declared:
+      (md_preds
+      @ List.filter_map
+          (function
+            | Schema (_, s), pos ->
+              Some (R.Rel_schema.name s, R.Rel_schema.arity s, pos)
+            | _ -> None)
+          decls);
+  let tgds =
+    List.filter_map
+      (function { Parser.stmt = Raw.S_tgd t; pos } -> Some (t, pos) | _ -> None)
+      statements
   in
-  List.iter
-    (fun ((t : Tgd.t), pos) ->
-      atoms_arities "rule" (t.Tgd.body @ t.Tgd.head) pos)
-    decls.tgds;
-  List.iter
-    (fun ((e : Egd.t), pos) -> atoms_arities "EGD" e.Egd.body pos)
-    decls.egds;
-  List.iter
-    (fun ((n : Nc.t), pos) -> atoms_arities "constraint" n.Nc.body pos)
-    decls.ncs;
-  List.iter
-    (fun ((q : Query.t), pos) -> atoms_arities "query" q.Query.body pos)
-    decls.queries;
+  let queries =
+    List.filter_map
+      (function
+        | { Parser.stmt = Raw.S_query q; pos } -> Some (q, pos) | _ -> None)
+      statements
+  in
   (* 6. rules and constraints against the MD schema *)
-  (match md_schema with
-   | None -> ()
-   | Some schema ->
-     let md_pred p =
-       Md_schema.relation schema p <> None
-       || Md_schema.category_of_pred schema p <> None
-       || Md_schema.parent_child_of_pred schema p <> None
-     in
-     let md_rules, _ctx_rules =
-       List.partition
-         (fun ((t : Tgd.t), _) ->
-           List.for_all md_pred (Tgd.body_preds t @ Tgd.head_preds t))
-         decls.tgds
-     in
-     List.iter
-       (fun ((t : Tgd.t), pos) ->
-         match Dim_rule.analyze schema t with
-         | Ok _ -> ()
-         | Error e ->
-           err ?file diags pos "E019" "dimensional rule %s: %s" t.Tgd.name e)
-       md_rules;
-     List.iter
-       (fun ((e : Egd.t), pos) ->
-         if not (List.for_all md_pred (List.map Atom.pred e.Egd.body)) then
-           err ?file diags pos "E020"
-             "EGD %s mentions non-dimensional predicates" e.Egd.name)
-       decls.egds;
-     List.iter
-       (fun ((n : Nc.t), pos) ->
-         if not (List.for_all md_pred (List.map Atom.pred n.Nc.body)) then
-           err ?file diags pos "E020"
-             "constraint %s mentions non-dimensional predicates" n.Nc.name)
-       decls.ncs;
-     (* unknown predicates in rule and query bodies *)
-     let known = Hashtbl.create 64 in
-     let know n = Hashtbl.replace known n () in
-     List.iter
-       (fun (s, _) -> know (R.Rel_schema.name s))
-       (decls.relations @ decls.sources @ decls.externals);
-     List.iter (fun (_, t, _) -> know t) decls.maps;
-     List.iter (fun (_, t, _) -> know t) decls.qualities;
-     List.iter
-       (fun ((t : Tgd.t), _) -> List.iter know (Tgd.head_preds t))
-       decls.tgds;
-     List.iter (fun (f, _) -> know (Atom.pred f)) decls.facts;
-     let check_known what name preds pos =
-       List.iter
-         (fun p ->
-           if not (md_pred p || Hashtbl.mem known p) then
-             err ?file diags pos "E012"
-               "%s %s references unknown predicate %s (not a declared \
-                relation, a generated category/roll-up predicate, a mapped \
-                copy, or the head of any rule)"
-               what name p)
-         preds
-     in
-     List.iter
-       (fun ((t : Tgd.t), pos) ->
-         check_known "rule" t.Tgd.name (Tgd.body_preds t) pos)
-       decls.tgds;
-     List.iter
-       (fun ((q : Query.t), pos) ->
-         check_known "query" q.Query.name
-           (List.map Atom.pred q.Query.body)
-           pos)
-       decls.queries);
-  (* 7. wiring: map / quality sources must be declared sources *)
-  let source_names =
-    List.map (fun (s, _) -> R.Rel_schema.name s) decls.sources
+  let md_rules, ctx_rules =
+    match md_schema with
+    | None -> ([], [])
+    | Some schema ->
+      let md_pred p =
+        Md_schema.relation schema p <> None
+        || Md_schema.category_of_pred schema p <> None
+        || Md_schema.parent_child_of_pred schema p <> None
+      in
+      let md_rules, ctx_rules =
+        List.partition
+          (fun ((t : Tgd.t), _) ->
+            List.for_all md_pred (Tgd.body_preds t @ Tgd.head_preds t))
+          tgds
+      in
+      List.iter
+        (fun ((t : Tgd.t), pos) ->
+          match Dim_rule.analyze schema t with
+          | Ok _ -> ()
+          | Error e ->
+            err diags pos "E019" "dimensional rule %s: %s" t.Tgd.name e)
+        md_rules;
+      let md_body what name body pos =
+        if not (List.for_all md_pred (List.map Atom.pred body)) then
+          err diags pos "E020" "%s %s mentions non-dimensional predicates"
+            what name
+      in
+      List.iter
+        (function
+          | { Parser.stmt = Raw.S_egd e; pos } ->
+            md_body "EGD" e.Egd.name e.Egd.body pos
+          | { Parser.stmt = Raw.S_nc n; pos } ->
+            md_body "constraint" n.Nc.name n.Nc.body pos
+          | _ -> ())
+        statements;
+      (* unknown predicates in rule and query bodies *)
+      let known = Hashtbl.create 64 in
+      let know n = Hashtbl.replace known n () in
+      Hashtbl.iter (fun n _ -> know n) schemas;
+      List.iter
+        (function Map (_, t), _ | Quality (_, t), _ -> know t | _ -> ())
+        decls;
+      List.iter
+        (function
+          | { Parser.stmt = Raw.S_tgd t; _ } ->
+            List.iter know (Tgd.head_preds t)
+          | { Parser.stmt = Raw.S_fact f; _ } -> know (Atom.pred f)
+          | _ -> ())
+        statements;
+      let check_known what name preds pos =
+        List.iter
+          (fun p ->
+            if not (md_pred p || Hashtbl.mem known p) then
+              err diags pos "E012"
+                "%s %s references unknown predicate %s (not a declared \
+                 relation, a generated category/roll-up predicate, a mapped \
+                 copy, or the head of any rule)"
+                what name p)
+          preds
+      in
+      List.iter
+        (fun ((t : Tgd.t), pos) ->
+          check_known "rule" t.Tgd.name (Tgd.body_preds t) pos)
+        tgds;
+      List.iter
+        (fun ((q : Query.t), pos) ->
+          check_known "query" q.Query.name
+            (List.map Atom.pred q.Query.body)
+            pos)
+        queries;
+      (List.map fst md_rules, List.map fst ctx_rules)
   in
+  (* 7. wiring: map / quality sources must be declared sources *)
   let check_wiring what entries =
     let seen = Hashtbl.create 8 in
     List.iter
       (fun (from, _target, pos) ->
-        if not (List.mem from source_names) then
-          err ?file diags pos "E021"
-            "%s %s -> ... does not refer to a declared source relation" what
-            from;
+        (match Hashtbl.find_opt schemas from with
+         | Some (Source, _, _) -> ()
+         | _ ->
+           err diags pos "E021"
+             "%s %s -> ... does not refer to a declared source relation" what
+             from);
         if Hashtbl.mem seen from then
-          err ?file diags pos "E010" "duplicate %s for source %s" what from;
+          err diags pos "E010" "duplicate %s for source %s" what from;
         Hashtbl.replace seen from ())
       entries
   in
-  check_wiring "map" decls.maps;
-  check_wiring "quality" decls.qualities;
+  let maps =
+    List.filter_map
+      (function Map (f, t), pos -> Some (f, t, pos) | _ -> None)
+      decls
+  in
+  let qualities =
+    List.filter_map
+      (function Quality (f, t), pos -> Some (f, t, pos) | _ -> None)
+      decls
+  in
+  check_wiring "map" maps;
+  check_wiring "quality" qualities;
   let head_preds =
-    List.concat_map (fun ((t : Tgd.t), _) -> Tgd.head_preds t) decls.tgds
+    List.concat_map (fun ((t : Tgd.t), _) -> Tgd.head_preds t) tgds
   in
   let body_preds =
-    List.concat_map (fun ((t : Tgd.t), _) -> Tgd.body_preds t) decls.tgds
+    List.concat_map (fun ((t : Tgd.t), _) -> Tgd.body_preds t) tgds
     @ List.concat_map
         (fun ((q : Query.t), _) -> List.map Atom.pred q.Query.body)
-        decls.queries
+        queries
   in
   List.iter
     (fun (from, target, pos) ->
       if not (List.mem target head_preds) then
-        warn ?file diags pos "W042"
+        warn diags pos "W042"
           "quality version %s of %s is not the head of any rule: it will \
            always be empty"
           target from)
-    decls.qualities;
+    qualities;
   List.iter
     (fun (from, target, (pos : Lexer.pos)) ->
       if not (List.mem target body_preds) then
-        Diag.hintf diags ?file ~line:pos.Lexer.line ~col:pos.Lexer.col
-          ~code:"H051"
+        Diag.hintf diags ~line:pos.Lexer.line ~col:pos.Lexer.col ~code:"H051"
           "mapped copy %s of %s is never used in a rule or query body" target
           from)
-    decls.maps;
-  { dim_schemas = !dim_schemas;
-    dim_instances = !dim_instances;
-    md_schema }
+    maps;
+  { dim_instances = !dim_instances; schemas; md_schema; md_rules; ctx_rules }
 
 (* --- assembly (validated declarations only) ------------------------- *)
 
-let build (decls : decls) (arts : artifacts) =
+let build decls statements (arts : artifacts) =
   let md_schema =
     match arts.md_schema with
     | Some s -> s
     | None -> invalid_arg "Md_parser.build: unvalidated declarations"
   in
   let dim_instances =
-    List.map
-      (fun (d : dim_decl) -> Smap.find d.dim_name arts.dim_instances)
-      decls.dims
-  in
-  let relation_named n =
-    List.find_opt
-      (fun (s, _) -> R.Rel_schema.name s = n)
-      decls.relations
-  in
-  let source_named n =
-    List.find_opt (fun (s, _) -> R.Rel_schema.name s = n) decls.sources
-  in
-  let external_named n =
-    List.find_opt (fun (s, _) -> R.Rel_schema.name s = n) decls.externals
+    List.filter_map
+      (function
+        | Dimension d, _ -> Some (Smap.find d.dim_name arts.dim_instances)
+        | _ -> None)
+      decls
   in
   (* Facts. *)
   let data = R.Instance.create () in
   let source = R.Instance.create () in
   let externals = R.Instance.create () in
   List.iter
-    (fun (s, _) -> ignore (R.Instance.declare source s))
-    decls.sources;
+    (function
+      | Schema (Source, s), _ -> ignore (R.Instance.declare source s)
+      | Schema (External, s), _ -> ignore (R.Instance.declare externals s)
+      | _ -> ())
+    decls;
+  let egds = ref [] and ncs = ref [] and queries = ref [] in
   List.iter
-    (fun (s, _) -> ignore (R.Instance.declare externals s))
-    decls.externals;
-  List.iter
-    (fun (f, _) ->
-      let p = Atom.pred f in
-      match relation_named p, source_named p, external_named p with
-      | Some (schema, _), _, _ ->
-        ignore (R.Instance.declare data schema);
-        ignore (R.Instance.add_tuple data p (Atom.to_tuple f))
-      | None, Some _, _ ->
-        ignore (R.Instance.add_tuple source p (Atom.to_tuple f))
-      | None, None, Some _ ->
-        ignore (R.Instance.add_tuple externals p (Atom.to_tuple f))
-      | None, None, None ->
-        invalid_arg
-          (Printf.sprintf "fact over undeclared predicate %s" p))
-    decls.facts;
-  (* Rules: dimensional when every predicate is an MD predicate. *)
-  let md_pred p =
-    Md_schema.relation md_schema p <> None
-    || Md_schema.category_of_pred md_schema p <> None
-    || Md_schema.parent_child_of_pred md_schema p <> None
-  in
-  let md_rules, ctx_rules =
-    List.partition
-      (fun (t : Tgd.t) ->
-        List.for_all md_pred (Tgd.body_preds t @ Tgd.head_preds t))
-      (List.map fst decls.tgds)
-  in
+    (fun { Parser.stmt; _ } ->
+      match stmt with
+      | Raw.S_fact f -> (
+        let p = Atom.pred f in
+        match Hashtbl.find_opt arts.schemas p with
+        | Some (Relation, schema, _) ->
+          ignore (R.Instance.declare data schema);
+          ignore (R.Instance.add_tuple data p (Atom.to_tuple f))
+        | Some (Source, _, _) ->
+          ignore (R.Instance.add_tuple source p (Atom.to_tuple f))
+        | Some (External, _, _) ->
+          ignore (R.Instance.add_tuple externals p (Atom.to_tuple f))
+        | None ->
+          invalid_arg (Printf.sprintf "fact over undeclared predicate %s" p))
+      | Raw.S_tgd _ -> ()
+      | Raw.S_egd e -> egds := e :: !egds
+      | Raw.S_nc n -> ncs := n :: !ncs
+      | Raw.S_query q -> queries := q :: !queries)
+    statements;
   let ontology =
-    Md_ontology.make ~schema:md_schema ~dim_instances ~data ~rules:md_rules
-      ~egds:(List.map fst decls.egds) ~ncs:(List.map fst decls.ncs) ()
+    Md_ontology.make ~schema:md_schema ~dim_instances ~data
+      ~rules:arts.md_rules ~egds:(List.rev !egds) ~ncs:(List.rev !ncs) ()
   in
   let context =
     Context.make ~ontology
       ~mappings:
-        (List.map
-           (fun (s, t, _) -> { Context.source = s; target = t })
-           decls.maps)
-      ~rules:ctx_rules
+        (List.filter_map
+           (function
+             | Map (source, target), _ -> Some { Context.source; target }
+             | _ -> None)
+           decls)
+      ~rules:arts.ctx_rules
       ~externals:(R.Instance.relations externals)
-      ~quality_versions:(List.map (fun (f, t, _) -> (f, t)) decls.qualities)
+      ~quality_versions:
+        (List.filter_map
+           (function Quality (f, t), _ -> Some (f, t) | _ -> None)
+           decls)
       ()
   in
-  { ontology; context; source; queries = List.map fst decls.queries }
+  { ontology; context; source; queries = List.rev !queries }
 
 (* Post-build advisory analyses: the weak-stickiness certificate and
    the closed-world referential check, as warnings/hints. *)
-let advisory ?file diags (decls : decls) (p : parsed) =
-  let program = Context.program p.context in
-  let statements =
-    List.map
-      (fun (t, pos) -> { Parser.stmt = Raw.S_tgd t; pos })
-      decls.tgds
-  in
-  Validate.check_certificate ?file diags statements program;
+let advisory diags statements (p : parsed) =
+  Validate.check_certificate diags statements (Context.program p.context);
   List.iter
     (fun (v : Md_ontology.referential_violation) ->
       let pos =
         List.find_map
-          (fun (f, pos) ->
-            if
-              String.equal (Atom.pred f) v.Md_ontology.relation
-              && R.Tuple.equal (Atom.to_tuple f) v.Md_ontology.tuple
-            then Some pos
-            else None)
-          decls.facts
+          (function
+            | { Parser.stmt = Raw.S_fact f; pos }
+              when String.equal (Atom.pred f) v.Md_ontology.relation
+                   && R.Tuple.equal (Atom.to_tuple f) v.Md_ontology.tuple ->
+              Some pos
+            | _ -> None)
+          statements
       in
       let line = Option.map (fun p -> p.Lexer.line) pos in
       let col = Option.map (fun p -> p.Lexer.col) pos in
-      Diag.warningf diags ?file ?line ?col ~code:"W045" "%s"
+      Diag.warningf diags ?line ?col ~code:"W045" "%s"
         (Format.asprintf "referential violation: %a" Md_ontology.pp_violation
            v))
     (Md_ontology.referential_violations p.ontology)
 
 let check_string ?file input =
   let diags = Diag.collector ?file () in
-  let decls =
-    let st = Raw.init ~diags input in
-    collect ?file diags st
-  in
-  let arts = validate ?file diags decls in
+  let decls, statements = collect diags input in
+  let arts = validate diags decls statements in
   let parsed =
     if Diag.has_errors diags then None
     else
-      match build decls arts with
+      match build decls statements arts with
       | p ->
-        advisory ?file diags decls p;
+        advisory diags statements p;
         Some p
       | exception Invalid_argument m ->
         (* validation pre-empts every assembly failure; located net *)
-        Diag.error diags ?file ~line:1 ~code:"E003" m;
+        Diag.error diags ~line:1 ~code:"E003" m;
         None
   in
   { parsed; diags = Diag.to_list diags }
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      really_input_string ic n)
-
-let check_file path = check_string ~file:path (read_file path)
+let check_file path =
+  check_string ~file:path (In_channel.with_open_bin path In_channel.input_all)
 
 let parse_string input =
   let { parsed; diags } = check_string input in
-  match parsed with
-  | Some p -> p
-  | None -> (
-    match List.find_opt (fun d -> d.Diag.severity = Diag.Error) diags with
-    | Some d ->
-      raise
-        (Error { line = d.Diag.span.Diag.line; message = d.Diag.message })
-    | None ->
-      raise (Error { line = 1; message = "invalid context file" }))
+  Parser.fail_fast parsed diags
 
-let parse_file path = parse_string (read_file path)
+let parse_file path =
+  parse_string (In_channel.with_open_bin path In_channel.input_all)

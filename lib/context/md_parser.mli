@@ -71,7 +71,9 @@ val check_string : ?file:string -> string -> checked
     parser recovers at statement boundaries (and inside dimension
     bodies), so every lexical/syntax error is reported, and the
     semantic pass then accumulates every declaration-level problem —
-    duplicate declarations ([E010]), arity clashes ([E011]), unknown
+    duplicate declarations ([E010]), arity clashes ([E011], in the
+    arity table {!Mdqa_datalog.Parser.check_arities} seeded with the
+    MD schema's predicates and the declarations), unknown
     predicates in rule/query bodies ([E012]), facts over undeclared
     predicates ([E013]), ill-formed dimensions ([E014]–[E017]),
     ill-formed relations ([E018]), invalid dimensional rules ([E019]),
@@ -86,16 +88,15 @@ val check_string : ?file:string -> string -> checked
 val check_file : string -> checked
 (** @raise Sys_error on I/O failure only. *)
 
-exception Error of { line : int; message : string }
-(** [line] is the source line of the offending declaration or
-    statement (1-based). *)
-
 val parse_string : string -> parsed
-(** Fail-fast wrapper over {!check_string}: returns the parsed context
-    or raises {!Error} with the {e first} error diagnostic, located at
-    its real source line.
-    @raise Error on syntax errors, unknown categories/dimensions,
-    invalid dimensional rules, or facts over undeclared predicates. *)
+(** Fail-fast wrapper over {!check_string}
+    ({!Mdqa_datalog.Parser.fail_fast}): returns the parsed context or
+    raises {!Mdqa_datalog.Parser.Error} with the {e first} error
+    diagnostic, located at its real source line and column.
+    @raise Mdqa_datalog.Parser.Error on syntax errors, unknown
+    categories/dimensions, invalid dimensional rules, or facts over
+    undeclared predicates. *)
 
 val parse_file : string -> parsed
-(** @raise Sys_error on I/O failure; {!Error} as {!parse_string}. *)
+(** @raise Sys_error on I/O failure; {!Mdqa_datalog.Parser.Error} as
+    {!parse_string}. *)

@@ -38,17 +38,13 @@ type token =
 
 type pos = { line : int; col : int }  (** both 1-based *)
 
-exception Error of { line : int; col : int; message : string }
-
-val tokens_pos : ?diags:Diag.collector -> string -> (token * pos) list
-(** Tokenize a whole input; each token is paired with the position of
-    its first character.  With [diags], lexical errors (unrecognized
-    characters, unterminated strings) are recorded as [E001]
-    diagnostics and skipped, so one pass reports them all; without it
-    the first one raises {!Error}. *)
-
-val tokens : string -> (token * int) list
-(** Tokenize a whole input; each token is paired with its line number.
-    @raise Error on an unrecognized character or unterminated string. *)
+val stream : Diag.collector -> string -> unit -> token * pos
+(** [stream diags input] is a function returning the next token of
+    [input] and the position of its first character at each call, then
+    [EOF] forever.  Lexical errors (unrecognized characters,
+    unterminated strings) are recorded as [E001] diagnostics and
+    skipped, so one pass reports them all.  Tokens are produced on
+    demand, so a parser holds only its lookahead, never the whole
+    token list. *)
 
 val token_to_string : token -> string

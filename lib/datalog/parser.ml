@@ -9,24 +9,32 @@ exception
   Error of { line : int; col : int; code : string; message : string }
 
 type state = {
-  mutable toks : (Lexer.token * Lexer.pos) list;
-  mutable last_pos : Lexer.pos;
+  next : unit -> Lexer.token * Lexer.pos;  (* {!Lexer.stream} *)
+  mutable cur : Lexer.token * Lexer.pos;
+  mutable ahead : (Lexer.token * Lexer.pos) option;  (* after [cur] *)
+  mutable last : Lexer.token * Lexer.pos;  (* the last consumed token *)
 }
 
 let fail_at ?(code = "E002") (pos : Lexer.pos) message =
   raise (Error { line = pos.Lexer.line; col = pos.Lexer.col; code; message })
 
-let peek st =
-  match st.toks with
-  | (t, pos) :: _ -> (t, pos)
-  | [] -> (Lexer.EOF, st.last_pos)
+let peek st = st.cur
+
+let peek2 st =
+  match st.ahead with
+  | Some (t, _) -> t
+  | None ->
+    let tok = st.next () in
+    st.ahead <- Some tok;
+    fst tok
 
 let advance st =
-  match st.toks with
-  | (_, pos) :: rest ->
-    st.last_pos <- pos;
-    st.toks <- rest
-  | [] -> ()
+  st.last <- st.cur;
+  match st.ahead with
+  | Some tok ->
+    st.cur <- tok;
+    st.ahead <- None
+  | None -> st.cur <- st.next ()
 
 let expect st tok what =
   let t, pos = peek st in
@@ -106,8 +114,8 @@ let parse_literal st =
   | Lexer.IDENT _ -> (
     (* could still be a comparison whose lhs is a symbol constant:
        look ahead past the identifier *)
-    match st.toks with
-    | (Lexer.IDENT _, _) :: (Lexer.LPAREN, _) :: _ -> `Atom (parse_atom st)
+    match peek2 st with
+    | Lexer.LPAREN -> `Atom (parse_atom st)
     | _ ->
       let lhs = parse_term st in
       let op_tok, pos = peek st in
@@ -266,31 +274,51 @@ let recover st =
   in
   go ()
 
+(* Recovery-mode loop over a whole input: every error [item] raises
+   becomes a diagnostic and parsing resumes at the next statement, so
+   one pass reports them all. *)
+let items diags st item =
+  let rec go () =
+    match peek st with
+    | Lexer.EOF, _ -> ()
+    | _, start -> (
+      match item st with
+      | () -> go ()
+      | exception Error { line; col; code; message } ->
+        Diag.error diags ~line ~col ~code message;
+        (* if no token was consumed (e.g. a stray '}'), drop one so
+           recovery always makes progress *)
+        if snd (peek st) = start then advance st;
+        (* an error raised after the statement's '.' (a non-ground
+           fact, an invalid relation) leaves the next statement
+           intact: resyncing would swallow it *)
+        if fst st.last <> Lexer.PERIOD then begin
+          recover st;
+          (* a '}' left over from a broken dimension body would
+             otherwise cascade into a statement error *)
+          match peek st with Lexer.RBRACE, _ -> advance st | _ -> ()
+        end;
+        go ())
+  in
+  go ()
+
 module Raw = struct
   type nonrec state = state
 
-  let init ?diags input =
-    let toks =
-      match diags with
-      | Some c -> Lexer.tokens_pos ~diags:c input
-      | None -> (
-        try Lexer.tokens_pos input
-        with Lexer.Error { line; col; message } ->
-          raise (Error { line; col; code = "E001"; message }))
-    in
-    { toks; last_pos = { Lexer.line = 1; col = 1 } }
+  let init diags input =
+    let next = Lexer.stream diags input in
+    let cur = next () in
+    { next; cur; ahead = None;
+      last = (Lexer.EOF, { Lexer.line = 1; col = 1 }) }
 
-  let at_eof st = match peek st with Lexer.EOF, _ -> true | _ -> false
   let peek = peek
-
-  let peek2 st =
-    match st.toks with _ :: (t, _) :: _ -> t | _ -> Lexer.EOF
-
+  let peek2 = peek2
   let pos st = snd (peek st)
   let advance = advance
   let expect = expect
   let recover = recover
   let error st message = fail_at (pos st) message
+  let items = items
 
   type nonrec statement = statement =
     | S_fact of Atom.t
@@ -304,33 +332,50 @@ end
 
 type located_statement = { stmt : statement; pos : Lexer.pos }
 
-(* Recovery-mode parse: every syntax error becomes a diagnostic and
-   parsing resumes at the next '.', so a single pass reports them all.
-   Lexical errors were already collected by {!Raw.init}. *)
-let parse_statements ?file diags input =
-  let st = Raw.init ~diags input in
+let parse_statements diags input =
   let out = ref [] in
-  let rec go () =
-    if not (Raw.at_eof st) then begin
-      let start = Raw.pos st in
-      (match parse_statement st with
-       | s -> out := { stmt = s; pos = start } :: !out
-       | exception Error { line; col; code; message } ->
-         Diag.error diags ?file ~line ~col ~code message;
-         (* if no token was consumed (e.g. a stray '}'), drop one so
-            recovery always makes progress *)
-         if Raw.pos st = start then Raw.advance st;
-         (* statement-level semantic errors (E003) are raised after
-            the whole statement was consumed, '.' included — resyncing
-            would swallow the next statement *)
-         if code <> "E003" then recover st);
-      go ()
-    end
-  in
-  go ();
+  items diags (Raw.init diags input) (fun st ->
+      let pos = Raw.pos st in
+      out := { stmt = parse_statement st; pos } :: !out);
   List.rev !out
 
-let program_of_statements ?file diags statements =
+module Smap = Map.Make (String)
+
+let statement_atoms = function
+  | S_fact f -> [ f ]
+  | S_tgd t -> t.Tgd.body @ t.Tgd.head
+  | S_egd e -> e.Egd.body
+  | S_nc n -> n.Nc.body
+  | S_query q -> q.Query.body
+
+(* Arity consistency across every atom of the input, reported per
+   clashing statement — unlike [Program.make], which aborts on the
+   first inconsistency with no location.  The first use of a
+   predicate, [declared] ones first, fixes its arity. *)
+let check_arities ~declared diags statements =
+  let see pos seen (p, k) =
+    match Smap.find_opt p seen with
+    | None -> Smap.add p (k, pos) seen
+    | Some (k', first) ->
+      if k <> k' then
+        Diag.errorf diags ~line:pos.Lexer.line ~col:pos.Lexer.col ~code:"E011"
+          "predicate %s used with arity %d here but arity %d at line %d" p k
+          k' first.Lexer.line;
+      seen
+  in
+  let seen =
+    List.fold_left (fun seen (p, k, pos) -> see pos seen (p, k)) Smap.empty
+      declared
+  in
+  ignore
+    (List.fold_left
+       (fun seen { stmt; pos } ->
+         List.fold_left
+           (fun seen a -> see pos seen (Atom.pred a, Atom.arity a))
+           seen (statement_atoms stmt))
+       seen statements)
+
+let program_of_statements diags statements =
   let facts = ref [] and tgds = ref [] and egds = ref [] in
   let ncs = ref [] and queries = ref [] in
   List.iter
@@ -348,41 +393,35 @@ let program_of_statements ?file diags statements =
   with
   | p -> Some { program = p; queries = List.rev !queries }
   | exception Invalid_argument m ->
-    (* normally pre-empted by per-statement arity checks; a safety net
-       so assembly failures still surface as located diagnostics *)
-    Diag.error diags ?file ~line:1 ~code:"E003" m;
+    (* normally pre-empted by [check_arities]; a safety net so assembly
+       failures still surface as located diagnostics *)
+    Diag.error diags ~line:1 ~code:"E003" m;
     None
+
+let fail_fast parsed diags =
+  match parsed with
+  | Some p -> p
+  | None -> (
+    match List.find_opt (fun d -> d.Diag.severity = Diag.Error) diags with
+    | Some { Diag.code; span = { Diag.line; col; _ }; message; _ } ->
+      raise (Error { line; col; code; message })
+    | None ->
+      raise
+        (Error { line = 1; col = 0; code = "E003"; message = "invalid input" }))
 
 let parse_string input =
   Mdqa_obs.Trace.with_span "parse" @@ fun () ->
-  let st = Raw.init input in
-  let rec go facts tgds egds ncs queries =
-    match peek st with
-    | Lexer.EOF, pos -> (
-      let mk () =
-        Program.make ~tgds:(List.rev tgds) ~egds:(List.rev egds)
-          ~ncs:(List.rev ncs) ~facts:(List.rev facts) ()
-      in
-      match mk () with
-      | p -> { program = p; queries = List.rev queries }
-      | exception Invalid_argument m -> fail_at ~code:"E003" pos m)
-    | _ -> (
-      match parse_statement st with
-      | S_fact f -> go (f :: facts) tgds egds ncs queries
-      | S_tgd t -> go facts (t :: tgds) egds ncs queries
-      | S_egd e -> go facts tgds (e :: egds) ncs queries
-      | S_nc n -> go facts tgds egds (n :: ncs) queries
-      | S_query q -> go facts tgds egds ncs (q :: queries))
+  let diags = Diag.collector () in
+  let statements = parse_statements diags input in
+  check_arities ~declared:[] diags statements;
+  let parsed =
+    if Diag.has_errors diags then None
+    else program_of_statements diags statements
   in
-  go [] [] [] [] []
+  fail_fast parsed (Diag.to_list diags)
 
 let parse_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      parse_string (really_input_string ic n))
+  parse_string (In_channel.with_open_bin path In_channel.input_all)
 
 let parse_query input =
   let input = String.trim input in

@@ -17,11 +17,12 @@
     Constants are lowercase identifiers, quoted strings or numbers;
     variables start with an uppercase letter or [_].
 
-    Two entry styles are provided: the historical fail-fast one
-    ({!parse_string}, raising {!Error} on the first problem) and the
-    recovering one ({!parse_statements}), which resynchronizes on ['.']
-    after an error and accumulates every problem in a
-    {!Diag.collector} — the substrate of [mdqa check]. *)
+    There is one parsing loop ({!Raw.items}): it resynchronizes on
+    ['.'] after an error and accumulates every problem in a
+    {!Diag.collector} — the substrate of [mdqa check], for plain
+    programs ({!parse_statements}) and for [.mdq] contexts alike.
+    {!parse_string} is a fail-fast wrapper over it that raises {!Error}
+    with the first error diagnostic. *)
 
 type parsed = {
   program : Program.t;
@@ -31,13 +32,18 @@ type parsed = {
 exception
   Error of { line : int; col : int; code : string; message : string }
 (** [code] is the stable diagnostic code ({!Diag.codes}): [E001]
-    lexical, [E002] syntax, [E003] statement-level semantic error. *)
+    lexical, [E002] syntax, [E003] statement-level semantic error, or
+    whichever code a fail-fast wrapper's first error diagnostic has
+    (e.g. [E011], or an [.mdq] validation code). *)
 
 val parse_string : string -> parsed
-(** @raise Error on syntax errors, non-ground facts, unsafe rules. *)
+(** Fail-fast wrapper over {!parse_statements}, {!check_arities} and
+    {!program_of_statements}.
+    @raise Error with the first error diagnostic they report: syntax
+    errors, non-ground facts, unsafe rules, arity clashes. *)
 
 val parse_file : string -> parsed
-(** @raise Sys_error on I/O failure, {!Error} on syntax errors. *)
+(** @raise Sys_error on I/O failure, {!Error} as {!parse_string}. *)
 
 val parse_query : string -> Query.t
 (** Parse a single query statement (with or without the leading [?]).
@@ -50,12 +56,9 @@ val parse_query : string -> Query.t
 module Raw : sig
   type state
 
-  val init : ?diags:Diag.collector -> string -> state
-  (** Tokenize an input.  With [diags], lexical errors are collected
-      and skipped (see {!Lexer.tokens_pos}); without it they raise
-      {!Error}. *)
-
-  val at_eof : state -> bool
+  val init : Diag.collector -> string -> state
+  (** Start parsing an input.  Tokens are read on demand; lexical
+      errors are collected and skipped (see {!Lexer.stream}). *)
 
   val peek : state -> Lexer.token * Lexer.pos
   (** Current token and its position, without consuming. *)
@@ -76,6 +79,15 @@ module Raw : sig
   val error : state -> string -> 'a
   (** @raise Error at the current position. *)
 
+  val items : Diag.collector -> state -> (state -> unit) -> unit
+  (** [items diags st item] runs [item] on each statement, in source
+      order, up to EOF.  An {!Error} raised by [item] is recorded in
+      [diags]; parsing then resumes at the next statement: after the
+      next ['.'] ({!recover}, then one stray ['}'] is skipped) —
+      unless the failed statement's ['.'] was already consumed.  At
+      least one token is consumed per failed statement, so the loop
+      terminates.  Never raises {!Error}. *)
+
   type statement =
     | S_fact of Atom.t
     | S_tgd of Tgd.t
@@ -95,18 +107,31 @@ type located_statement = {
   pos : Lexer.pos;  (** position of the statement's first token *)
 }
 
-val parse_statements :
-  ?file:string -> Diag.collector -> string -> located_statement list
-(** Parse a whole input, accumulating every lexical and syntax error in
-    the collector (resynchronizing on ['.']) instead of raising.
-    Returns the statements that did parse, each with its source
-    position.  Never raises {!Error}. *)
+val parse_statements : Diag.collector -> string -> located_statement list
+(** Parse a whole input with {!Raw.items}, accumulating every lexical
+    and syntax error in the collector instead of raising.  Returns the
+    statements that did parse, each with its source position. *)
 
-val program_of_statements :
-  ?file:string ->
+val check_arities :
+  declared:(string * int * Lexer.pos) list ->
   Diag.collector ->
   located_statement list ->
-  parsed option
+  unit
+(** One arity table over [declared] [(predicate, arity, position)]
+    entries, then over every atom of [statements]: the first use of a
+    predicate fixes its arity, and each later use with another arity
+    is an [E011] at its statement.  [.mdq] contexts seed [declared]
+    with their category/roll-up predicates and relation declarations;
+    plain programs pass [[]]. *)
+
+val program_of_statements :
+  Diag.collector -> located_statement list -> parsed option
 (** Assemble parsed statements into a program.  [None] (with a
     diagnostic) if assembly fails — e.g. inconsistent arities not
     caught earlier. *)
+
+val fail_fast : 'a option -> Diag.t list -> 'a
+(** [fail_fast parsed diags] is the value of [parsed], or, when it is
+    [None], raises {!Error} built from the first error diagnostic of
+    [diags] (in {!Diag.compare} order): the fail-fast side of a
+    recovering front end. *)

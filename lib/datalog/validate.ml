@@ -5,39 +5,9 @@ type checked = {
   diags : Diag.t list;
 }
 
-let statement_atoms = function
-  | Parser.Raw.S_fact f -> [ f ]
-  | Parser.Raw.S_tgd t -> t.Tgd.body @ t.Tgd.head
-  | Parser.Raw.S_egd e -> e.Egd.body
-  | Parser.Raw.S_nc n -> n.Nc.body
-  | Parser.Raw.S_query q -> q.Query.body
-
-(* Arity consistency across every atom of the input, reported per
-   clashing statement — unlike [Program.make], which aborts on the
-   first inconsistency with no location. *)
-let check_arities ?file diags statements =
-  ignore
-    (List.fold_left
-       (fun seen { Parser.stmt; pos } ->
-         List.fold_left
-           (fun seen a ->
-             let p = Atom.pred a and k = Atom.arity a in
-             match Smap.find_opt p seen with
-             | None -> Smap.add p (k, pos) seen
-             | Some (k', first) ->
-               if k <> k' then
-                 Diag.errorf diags ?file ~line:pos.Lexer.line
-                   ~col:pos.Lexer.col ~code:"E011"
-                   "predicate %s used with arity %d here but arity %d at \
-                    line %d"
-                   p k k' first.Lexer.line;
-               seen)
-           seen (statement_atoms stmt))
-       Smap.empty statements)
-
 (* A body/query predicate with no facts and no defining rule has a
    forever-empty extension: legal, but almost always a typo. *)
-let check_undefined ?file diags statements =
+let check_undefined diags statements =
   let defined =
     List.fold_left
       (fun s { Parser.stmt; _ } ->
@@ -64,15 +34,15 @@ let check_undefined ?file diags statements =
         (fun a ->
           let p = Atom.pred a in
           if not (Smap.mem p defined) then
-            Diag.warningf diags ?file ~line:pos.Lexer.line
-              ~col:pos.Lexer.col ~code:"W040"
+            Diag.warningf diags ~line:pos.Lexer.line ~col:pos.Lexer.col
+              ~code:"W040"
               "predicate %s has no facts and no defining rule (its \
                extension is always empty)"
               p)
         used)
     statements
 
-let check_certificate ?file diags statements (program : Program.t) =
+let check_certificate diags statements (program : Program.t) =
   if program.Program.tgds <> [] then begin
     let cert = Stickiness.certify program in
     let pos_of_rule name =
@@ -87,7 +57,7 @@ let check_certificate ?file diags statements (program : Program.t) =
       List.iter
         (fun ((tgd : Tgd.t), var) ->
           let pos = pos_of_rule tgd.Tgd.name in
-          Diag.warningf diags ?file
+          Diag.warningf diags
             ?line:(Option.map (fun p -> p.Lexer.line) pos)
             ?col:(Option.map (fun p -> p.Lexer.col) pos)
             ~code:"W041"
@@ -95,34 +65,25 @@ let check_certificate ?file diags statements (program : Program.t) =
              in the body with no finite-rank occurrence"
             tgd.Tgd.name var)
         cert.Stickiness.violations;
-    Diag.hintf diags ?file ~line:1 ~code:"H050" "%s"
+    Diag.hintf diags ~line:1 ~code:"H050" "%s"
       (Format.asprintf "justified QA path: %a" Stickiness.pp_qa_path
          cert.Stickiness.path)
   end
 
-let check_statements ?file diags statements =
-  check_arities ?file diags statements;
-  check_undefined ?file diags statements
-
 let check_string ?file input =
   Mdqa_obs.Trace.with_span "validate" @@ fun () ->
   let diags = Diag.collector ?file () in
-  let statements = Parser.parse_statements ?file diags input in
-  check_statements ?file diags statements;
+  let statements = Parser.parse_statements diags input in
+  Parser.check_arities ~declared:[] diags statements;
+  check_undefined diags statements;
   let parsed =
     if Diag.has_errors diags then None
-    else Parser.program_of_statements ?file diags statements
+    else Parser.program_of_statements diags statements
   in
   (match parsed with
-   | Some { Parser.program; _ } ->
-     check_certificate ?file diags statements program
+   | Some { Parser.program; _ } -> check_certificate diags statements program
    | None -> ());
   { parsed; diags = Diag.to_list diags }
 
 let check_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      check_string ~file:path (really_input_string ic n))
+  check_string ~file:path (In_channel.with_open_bin path In_channel.input_all)

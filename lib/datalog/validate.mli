@@ -6,8 +6,9 @@
     syntax and semantic diagnostics.  Semantic checks:
 
     - arity consistency of every predicate across facts, rules,
-      constraints and queries ([E011] per clashing statement, each with
-      its source line — where [Program.make] would abort on the first);
+      constraints and queries ({!Parser.check_arities}: [E011] per
+      clashing statement, each with its source line — where
+      [Program.make] would abort on the first);
     - predicates used in rule/constraint/query bodies that have no
       facts and no defining rule ([W040]: a forever-empty extension,
       almost always a typo);
@@ -32,17 +33,8 @@ val check_string : ?file:string -> string -> checked
 val check_file : string -> checked
 (** @raise Sys_error on I/O failure only. *)
 
-val check_statements :
-  ?file:string -> Diag.collector -> Parser.located_statement list -> unit
-(** The arity and undefined-predicate checks alone, for callers that
-    manage their own parse (e.g. the [.mdq] validator). *)
-
 val check_certificate :
-  ?file:string ->
-  Diag.collector ->
-  Parser.located_statement list ->
-  Program.t ->
-  unit
+  Diag.collector -> Parser.located_statement list -> Program.t -> unit
 (** The weak-stickiness certificate as diagnostics ([W041]/[H050]),
     locating violations at their rule's statement when it appears in
     [statements]. *)

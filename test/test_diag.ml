@@ -128,8 +128,8 @@ let test_examples_clean () =
 let test_error_lines () =
   let check_line input want =
     match Md_parser.parse_string input with
-    | _ -> Alcotest.fail "expected Md_parser.Error"
-    | exception Md_parser.Error { line; _ } ->
+    | _ -> Alcotest.fail "expected Parser.Error"
+    | exception Parser.Error { line; _ } ->
       Alcotest.(check int) "error line" want line
   in
   check_line
@@ -138,7 +138,13 @@ let test_error_lines () =
   check_line
     "dimension Loc {\n  category Sensor -> Station.\n  member \"x\" in \
      Nowhere.\n}\n"
-    3
+    3;
+  (* arity clashes with a declaration and with a category predicate *)
+  check_line "source readings(sensor, value).\nreadings(\"s1\").\n" 2;
+  check_line
+    "dimension Loc {\n  category Sensor.\n}\nsource r(a).\n\
+     r(X) :- sensor(X, Y).\n"
+    5
 
 (* --- parser recovery ------------------------------------------------ *)
 
@@ -157,9 +163,146 @@ let test_recovery_counts () =
 let test_recovery_no_progress_loop () =
   (* pathological inputs must terminate (forced single-token advance) *)
   List.iter
-    (fun input -> ignore (Md_parser.check_string input))
+    (fun input ->
+      ignore (Md_parser.check_string input);
+      ignore (Validate.check_string input))
     [ "}"; "}}}}"; "."; "...."; "dimension"; "dimension Loc {";
       "dimension Loc { category }"; ":-"; "p("; "\"unterminated" ]
+
+(* The fail-fast entry points are wrappers over the recovering ones:
+   they raise the first error diagnostic the checker reports, and
+   return what the checker returns. *)
+let test_fail_fast_agrees () =
+  List.iter
+    (fun path ->
+      let text = read_file path in
+      let first_error =
+        List.find_map
+          (fun (d : Diag.t) ->
+            if d.Diag.severity = Diag.Error then
+              Some (d.Diag.code, d.Diag.span.Diag.line, d.Diag.span.Diag.col)
+            else None)
+          (check_diags path text)
+      in
+      let raised =
+        match
+          if Filename.check_suffix path ".mdq" then
+            ignore (Md_parser.parse_string text)
+          else ignore (Parser.parse_string text)
+        with
+        | () -> None
+        | exception Parser.Error { code; line; col; _ } ->
+          Some (code, line, col)
+      in
+      Alcotest.(check (option (triple string int int))) path first_error raised)
+    (corpus_files ())
+
+let test_fail_fast_examples () =
+  let files =
+    Sys.readdir "../examples" |> Array.to_list |> List.sort compare
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".mdq" || Filename.check_suffix f ".dl")
+  in
+  Alcotest.(check bool) "examples found" true (List.length files >= 3);
+  List.iter
+    (fun f ->
+      let path = Filename.concat "../examples" f in
+      let text = read_file path in
+      let same checked show fail_fast =
+        match checked with
+        | None -> Alcotest.failf "%s: did not check" path
+        | Some p ->
+          Alcotest.(check string) path (show p) (show (fail_fast text))
+      in
+      if Filename.check_suffix f ".mdq" then
+        same (Md_parser.check_string text).Md_parser.parsed
+          (fun (p : Md_parser.parsed) ->
+            Mdqa_context.Md_pretty.context_to_string ~source:p.Md_parser.source
+              ~queries:p.Md_parser.queries p.Md_parser.context)
+          Md_parser.parse_string
+      else
+        same (Validate.check_string text).Validate.parsed
+          (fun { Parser.program; queries } ->
+            String.concat "\n"
+              (Pretty.program_to_string program
+              :: List.map Pretty.query_to_string queries))
+          Parser.parse_string)
+    files
+
+(* Declarations interleaved with statements: the query before the
+   first dimension, a rule and facts between two relation declarations.
+   Rules and queries come back in source order, and the context
+   round-trips through Md_pretty.  A context keeps its facts in
+   relations (sets), so fact order is checked on the plain-program
+   path, which runs the same statement loop. *)
+let test_source_order () =
+  let text =
+    {|?early(P) :- patient_unit("Standard", P).
+dimension Hospital {
+  category Ward -> Unit.
+  member "W1" in Ward -> "Standard".
+  member "W2" in Ward -> "Standard".
+  member "Standard" in Unit.
+}
+relation patient_ward(ward in Hospital.Ward, patient).
+patient_ward("W2", "bob").
+visited(P) :- visits_c(P, D).
+patient_unit(U, P) :- patient_ward(W, P), unit_ward(U, W).
+patient_ward("W1", "alice").
+relation patient_unit(unit in Hospital.Unit, patient).
+source visits(patient, day).
+visits("bob", "mon").
+map visits -> visits_c.
+visits("alice", "tue").
+quality visits -> visits_q.
+visits_q(P, D) :- visits_c(P, D), patient_unit("Standard", P).
+?late(D) :- visits_q(P, D).
+|}
+  in
+  let p = Md_parser.parse_string text in
+  let heads rules = List.concat_map Tgd.head_preds rules in
+  Alcotest.(check (list string)) "dimensional rules" [ "patient_unit" ]
+    (heads p.Md_parser.ontology.Mdqa_multidim.Md_ontology.rules);
+  Alcotest.(check (list string)) "contextual rules in source order"
+    [ "visited"; "visits_q" ]
+    (heads p.Md_parser.context.Mdqa_context.Context.rules);
+  Alcotest.(check (list string)) "queries in source order" [ "early"; "late" ]
+    (List.map (fun q -> q.Query.name) p.Md_parser.queries);
+  let tuples inst rel =
+    match R.Instance.find inst rel with
+    | Some r ->
+      List.map (Format.asprintf "%a" R.Tuple.pp) (R.Relation.to_list r)
+    | None -> []
+  in
+  Alcotest.(check (list string)) "ontology facts"
+    [ "(W1, alice)"; "(W2, bob)" ]
+    (tuples p.Md_parser.ontology.Mdqa_multidim.Md_ontology.data "patient_ward");
+  Alcotest.(check (list string)) "source facts" [ "(alice, tue)"; "(bob, mon)" ]
+    (tuples p.Md_parser.source "visits");
+  let print (p : Md_parser.parsed) =
+    Mdqa_context.Md_pretty.context_to_string ~source:p.Md_parser.source
+      ~queries:p.Md_parser.queries p.Md_parser.context
+  in
+  Alcotest.(check string) "Md_pretty round trip" (print p)
+    (print (Md_parser.parse_string (print p)));
+  let { Parser.program; queries } =
+    Parser.parse_string
+      {|?early(X) :- q(X).
+p(c).
+q(X) :- p(X).
+p(a).
+?late(X) :- p(X).
+p(b).
+r(X) :- q(X).
+|}
+  in
+  Alcotest.(check (list string)) "facts in source order"
+    [ "p(c)"; "p(a)"; "p(b)" ]
+    (List.map (Format.asprintf "%a" Atom.pp) program.Program.facts);
+  Alcotest.(check (list string)) "rules in source order" [ "q"; "r" ]
+    (heads program.Program.tgds);
+  Alcotest.(check (list string)) "queries in source order" [ "early"; "late" ]
+    (List.map (fun q -> q.Query.name) queries)
 
 (* --- CSV ------------------------------------------------------------ *)
 
@@ -264,7 +407,12 @@ let suites =
       [ Alcotest.test_case "statement resync counts" `Quick
           test_recovery_counts;
         Alcotest.test_case "pathological inputs terminate" `Quick
-          test_recovery_no_progress_loop ] );
+          test_recovery_no_progress_loop;
+        Alcotest.test_case "fail-fast agrees with recovering" `Quick
+          test_fail_fast_agrees;
+        Alcotest.test_case "fail-fast returns the checked examples" `Quick
+          test_fail_fast_examples;
+        Alcotest.test_case "source order survives" `Quick test_source_order ] );
     ( "diag.csv",
       [ Alcotest.test_case "row and column numbers" `Quick test_csv_row_col;
         Alcotest.test_case "empty input" `Quick test_csv_empty;

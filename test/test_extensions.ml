@@ -402,7 +402,7 @@ let test_mdq_telecom_file () =
 let test_mdq_errors () =
   let bad input =
     match Md_parser.parse_string input with
-    | exception Md_parser.Error _ -> ()
+    | exception Parser.Error _ -> ()
     | _ -> Alcotest.failf "expected .mdq error on %S" input
   in
   (* fact over undeclared predicate *)
