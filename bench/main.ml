@@ -77,7 +77,7 @@ let report_t4 () =
   let mark_w1_w2 =
     List.for_all
       (fun w ->
-        R.Relation.scan
+        R.Relation.probe
           (R.Instance.get r.Chase.instance "shifts")
           [ (0, R.Value.sym w); (1, R.Value.sym "Sep/9");
             (2, R.Value.sym "Mark") ]
@@ -98,7 +98,7 @@ let report_t5 () =
     (R.Instance.get r.Chase.instance "patient_unit");
   print_newline ();
   let elvis =
-    R.Relation.scan
+    R.Relation.probe
       (R.Instance.get r.Chase.instance "patient_unit")
       [ (2, R.Value.sym "Elvis Costello") ]
   in

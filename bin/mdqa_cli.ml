@@ -1727,13 +1727,13 @@ let print_profile_report ~top snap (tgds : Tgd.t list) =
   in
   pf "hot atoms (top %d of %d, by tuples scanned):\n" top
     (List.length hot_atoms);
-  pf "  %-40s %10s %10s %10s %10s %12s\n" "rule[atom] predicate" "visits"
-    "scanned" "matched" "fan-out" "selectivity";
+  pf "  %-40s %-12s %10s %10s %10s %10s %12s\n" "rule[atom] predicate" "access"
+    "visits" "scanned" "matched" "fan-out" "selectivity";
   List.iter
     (fun ((scope, idx, pred), a) ->
-      pf "  %-40s %10d %10d %10d %10.3f %12.3f\n"
+      pf "  %-40s %-12s %10d %10d %10d %10.3f %12.3f\n"
         (Printf.sprintf "%s[%d] %s" scope idx pred)
-        a.Profile.visits a.Profile.scanned a.Profile.matched
+        a.Profile.key a.Profile.visits a.Profile.scanned a.Profile.matched
         (Profile.fan_out a) (Profile.selectivity a))
     (take top hot_atoms);
   print_newline ();
@@ -1758,7 +1758,7 @@ let print_profile_report ~top snap (tgds : Tgd.t list) =
     print_newline ()
   end;
   if tgds <> [] then begin
-    pf "plan (per-rule, body atoms in source order):\n";
+    pf "plan (per-rule, body atoms in executed order):\n";
     Format.printf "%a@." Explain.pp_cost
       (take top (Explain.cost snap tgds))
   end

@@ -28,6 +28,14 @@ let var_positions a v =
     a.args;
   List.rev !acc
 
+let const_args a =
+  let acc = ref [] in
+  Array.iteri
+    (fun i t ->
+      match t with Term.Const c -> acc := (i, c) :: !acc | Term.Var _ -> ())
+    a.args;
+  List.rev !acc
+
 let is_ground a = Array.for_all Term.is_const a.args
 
 let to_tuple a =

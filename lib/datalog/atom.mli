@@ -21,6 +21,11 @@ val vars : t -> Term.Var_set.t
 val var_positions : t -> string -> int list
 (** Positions (0-based) at which the given variable occurs. *)
 
+val const_args : t -> (int * Mdqa_relational.Value.t) list
+(** The constant arguments with their positions, ascending: the
+    {!Mdqa_relational.Relation.probe} key of the facts the atom can
+    match. *)
+
 val is_ground : t -> bool
 
 val to_tuple : t -> Mdqa_relational.Tuple.t

@@ -1,155 +1,345 @@
 module Instance = Mdqa_relational.Instance
 module Relation = Mdqa_relational.Relation
 module Tuple = Mdqa_relational.Tuple
+module Value = Mdqa_relational.Value
 
-(* Positions of an atom whose argument is ground under [s], paired with
-   the value, in {!Relation.scan} binding format. *)
-let bound_positions s (a : Atom.t) =
-  let acc = ref [] in
-  List.iteri
-    (fun i t ->
-      match Subst.walk s t with
-      | Term.Const c -> acc := (i, c) :: !acc
-      | Term.Var _ -> ())
-    (Atom.args a);
-  List.rev !acc
-
-(* A body atom tagged with its evaluation constraints: an optional
-   explicit candidate list with its length (the semi-naive delta), and
-   a tuple filter.  The candidate list is an upper bound: evaluation
-   may instead use an indexed scan when the current bindings are more
-   selective (the [keep] filter preserves the delta restriction). *)
+(* A body atom with its semi-naive role: a tuple filter ([keep]), the
+   explicit delta list when the atom is the delta atom of a semi-naive
+   partition, and the estimated number of tuples [keep] accepts out of
+   a relation of the given cardinality. *)
 type tagged = {
-  t_atom : Atom.t;
-  t_idx : int;  (* source position in the rule body: the stable atom id *)
+  atom : Atom.t;
   keep : Tuple.t -> bool;
-  candidates : (int * Tuple.t list) option;  (* None: scan the relation *)
+  delta : Tuple.t list option;
+  kept : int -> int;
 }
 
-(* Greedy selectivity score: the estimated number of candidate tuples
-   the atom would enumerate right now — the smaller of the explicit
-   (delta) candidate list and the index-bucket estimate of the bound
-   positions.  Ties broken towards more bound positions. *)
-let score inst s tg =
-  let bound = bound_positions s tg.t_atom in
-  let scan_est =
-    match Instance.find inst (Atom.pred tg.t_atom) with
-    | Some r -> Relation.scan_estimate r bound
-    | None -> 0
-  in
-  let estimate =
-    match tg.candidates with
-    | Some (len, _) -> min len scan_est
-    | None -> scan_est
-  in
-  (estimate, -List.length bound)
+(* Where a step reads a value from: a constant of the body, or the
+   slot of a variable bound by an earlier step (or earlier position of
+   the same atom). *)
+type source = Val of Value.t | Slot of int
 
-let pick_next inst s atoms =
-  let rec go best best_score rest = function
-    | [] -> (best, List.rev rest)
-    | x :: xs ->
-      let sc = score inst s x in
-      if sc < best_score then go x sc (best :: rest) xs
-      else go best best_score (x :: rest) xs
-  in
-  match atoms with
-  | [] -> invalid_arg "Eval.pick_next: empty"
-  | x :: xs -> go x (score inst s x) [] xs
+type access =
+  | Scan  (* every tuple of the relation *)
+  | Delta of Tuple.t list  (* the semi-naive delta list *)
+  | Probe of (int * source) list
+      (* exact composite key over every bound position *)
 
-(* Comparisons whose two sides are ground under [s] must hold; the rest
-   are kept pending. *)
-let check_cmps s cmps =
-  let rec go pending = function
-    | [] -> Some (List.rev pending)
-    | c :: rest -> (
-      match Atom.Cmp.eval (Subst.apply_cmp s c) with
-      | Some true -> go pending rest
-      | Some false -> None
-      | None -> go (c :: pending) rest)
-  in
-  go [] cmps
+(* One step of a compiled plan.  For each candidate tuple of [access],
+   a step applies [keep], stores the variables it binds first, then
+   checks the positions [access] does not enforce (repeated variables;
+   every bound position under [Delta]) and the comparisons that become
+   ground here. *)
+type step = {
+  idx : int;  (* source position in the body: the stable atom id *)
+  pred : string;
+  rel : Relation.t;
+  access : access;
+  label : string;  (* "scan", "delta" or "key=(0,2)", for the profiler *)
+  keep : Tuple.t -> bool;
+  binds : (int * int) list;  (* tuple position -> variable slot *)
+  checks : (int * source) list;
+  cmps : (Atom.Cmp.op * source * source) list;
+}
 
-(* Backtracking join over atoms tagged with a per-atom tuple filter.
-   [emit] is called on every complete match; a safe body grounds every
-   comparison by the end.  With a guard, every emitted match consumes a
-   row and every candidate tuple ticks the cooperative deadline /
-   memory / cancellation check, so a join explosion trips the guard
-   instead of exhausting time or memory. *)
-let search ?guard ?(cmps = []) inst tagged_atoms ~emit =
+type plan = { vars : string array; steps : step array }
+
+(* Bodies up to this many atoms are ordered by the exact subset DP;
+   longer ones (homomorphism checks over whole instances) greedily by
+   the same estimates. *)
+let dp_limit = 8
+
+(* Number the variables of the body by first occurrence. *)
+let slot_table atoms =
+  let tbl = Hashtbl.create 16 and names = ref [] in
+  List.iter
+    (fun (tg : tagged) ->
+      List.iter
+        (function
+          | Term.Var v when not (Hashtbl.mem tbl v) ->
+            Hashtbl.add tbl v (Hashtbl.length tbl);
+            names := v :: !names
+          | _ -> ())
+        (Atom.args tg.atom))
+    atoms;
+  (tbl, Array.of_list (List.rev !names))
+
+let source_of slots = function
+  | Term.Const c -> Val c
+  | Term.Var v -> Slot (Hashtbl.find slots v)
+
+(* Left-deep join order minimising the summed estimated tuples walked
+   per step, by DP over atom subsets.  [estimate i bound] is the
+   (walked, passed-on) estimate per incoming substitution of atom [i]
+   when the variable slots satisfying [bound] are bound.  Ties keep the
+   order found first, which favours source order. *)
+let order_dp n occ estimate =
+  let full = (1 lsl n) - 1 in
+  let cost = Array.make (full + 1) infinity
+  and size = Array.make (full + 1) 0.
+  and order = Array.make (full + 1) [] in
+  cost.(0) <- 0.;
+  size.(0) <- 1.;
+  for mask = 0 to full - 1 do
+    if cost.(mask) < infinity then
+      for i = 0 to n - 1 do
+        if mask land (1 lsl i) = 0 then begin
+          let walked, out =
+            estimate i (fun s -> occ.(s) land mask <> 0)
+          in
+          let c = cost.(mask) +. (size.(mask) *. walked)
+          and m = mask lor (1 lsl i) in
+          if c < cost.(m) then begin
+            cost.(m) <- c;
+            size.(m) <- size.(mask) *. out;
+            order.(m) <- i :: order.(mask)
+          end
+        end
+      done
+  done;
+  List.rev order.(full)
+
+let order_greedy n nslots args estimate =
+  let placed = Array.make n false and bound = Array.make nslots false in
+  List.init n (fun _ ->
+      let best = ref (-1) and best_est = ref (infinity, infinity) in
+      for i = 0 to n - 1 do
+        if not placed.(i) then begin
+          let e = estimate i (fun s -> bound.(s)) in
+          if e < !best_est then begin
+            best := i;
+            best_est := e
+          end
+        end
+      done;
+      placed.(!best) <- true;
+      Array.iter (function Slot s -> bound.(s) <- true | Val _ -> ())
+        args.(!best);
+      !best)
+
+let key_label key =
+  "key=(" ^ String.concat "," (List.map (fun (p, _) -> string_of_int p) key)
+  ^ ")"
+
+(* The per-step estimator of a body: [estimate i bound] is the
+   (walked, passed-on) tuple count per incoming substitution of atom
+   [i] when the variable slots satisfying [bound] are bound.  System R
+   style: a bound position keeps 1/distinct of the relation, positions
+   independently; a repeated fresh variable filters likewise; [keep]
+   passes [kept card] of the [card] tuples.  The delta atom walks its
+   list while none of its variables is bound. *)
+let estimator rels (atoms : tagged array) args =
+  let card = Array.map (fun r -> float_of_int (Relation.cardinal r)) rels in
+  let sel =
+    Array.map
+      (fun r ->
+        Array.init (Relation.arity r) (fun p ->
+            1. /. float_of_int (Relation.distinct r p)))
+      rels
+  and kept =
+    Array.mapi (fun i tg -> float_of_int (tg.kept (Relation.cardinal rels.(i)))) atoms
+  in
+  fun i bound ->
+    let bucket = ref card.(i) and filter = ref (kept.(i) /. card.(i))
+    and any_var = ref false and fresh = ref [] in
+    Array.iteri
+      (fun p src ->
+        match src with
+        | Val _ -> bucket := !bucket *. sel.(i).(p)
+        | Slot s when bound s ->
+          any_var := true;
+          bucket := !bucket *. sel.(i).(p)
+        | Slot s when List.mem s !fresh -> filter := !filter *. sel.(i).(p)
+        | Slot s -> fresh := s :: !fresh)
+      args.(i);
+    let walked =
+      if Option.is_some atoms.(i).delta && not !any_var then kept.(i)
+      else !bucket
+    in
+    (walked, !bucket *. !filter)
+
+(* Compile a body into a plan, or [None] when it has no match whatever
+   the bindings: a predicate absent, empty or of another arity, a
+   ground comparison that fails, or a comparison over a variable the
+   body never binds. *)
+let plan inst (atoms : tagged list) cmps =
+  let atoms = Array.of_list atoms in
+  let n = Array.length atoms in
+  let rels =
+    Array.map
+      (fun tg ->
+        match Instance.find inst (Atom.pred tg.atom) with
+        | Some r
+          when (not (Relation.is_empty r))
+               && Relation.arity r = Atom.arity tg.atom ->
+          Some r
+        | _ -> None)
+      atoms
+  in
+  let slots, vars = slot_table (Array.to_list atoms) in
+  let known = function
+    | Term.Var v -> Hashtbl.mem slots v
+    | Term.Const _ -> true
+  in
+  let compile_cmp (c : Atom.Cmp.t) =
+    match (c.lhs, c.rhs) with
+    | l, r when not (known l && known r) -> None
+    | Term.Const a, Term.Const b ->
+      if Atom.Cmp.holds c.op a b then Some [] else None
+    | l, r -> Some [ (c.op, source_of slots l, source_of slots r) ]
+  in
+  let cmps = List.map compile_cmp cmps in
+  if Array.exists Option.is_none rels || List.exists Option.is_none cmps then
+    None
+  else
+    let rels = Array.map Option.get rels
+    and cmps = List.concat_map Option.get cmps
+    and args =
+      Array.map
+        (fun tg ->
+          Array.of_list (List.map (source_of slots) (Atom.args tg.atom)))
+        atoms
+    in
+    let order =
+      if n <= 1 then List.init n Fun.id
+      else
+        let estimate = estimator rels atoms args in
+        if n <= dp_limit then begin
+          let occ = Array.make (Array.length vars) 0 in
+          Array.iteri
+            (fun i ->
+              Array.iter (function
+                | Slot s -> occ.(s) <- occ.(s) lor (1 lsl i)
+                | Val _ -> ()))
+            args;
+          order_dp n occ estimate
+        end
+        else order_greedy n (Array.length vars) args estimate
+    in
+    let bound = Array.make (Array.length vars) false
+    and pending = ref cmps in
+    let ground = function Val _ -> true | Slot s -> bound.(s) in
+    let step i =
+      let tg = atoms.(i) in
+      let key = ref [] and binds = ref [] and checks = ref [] in
+      Array.iteri
+        (fun p src ->
+          match src with
+          | Slot s when not bound.(s) ->
+            if List.exists (fun (_, s') -> s' = s) !binds then
+              checks := (p, src) :: !checks
+            else binds := (p, s) :: !binds
+          | _ -> key := (p, src) :: !key)
+        args.(i);
+      let key = List.rev !key and checks = List.rev !checks in
+      let access, label, checks =
+        match tg.delta with
+        | Some l
+          when List.for_all (function _, Val _ -> true | _ -> false) key ->
+          (Delta l, "delta", key @ checks)
+        | _ when key = [] -> (Scan, "scan", checks)
+        | _ -> (Probe key, key_label key, checks)
+      in
+      List.iter (fun (_, s) -> bound.(s) <- true) !binds;
+      let ready, rest =
+        List.partition (fun (_, l, r) -> ground l && ground r) !pending
+      in
+      pending := rest;
+      { idx = i; pred = Atom.pred tg.atom; rel = rels.(i); access; label;
+        keep = tg.keep; binds = List.rev !binds; checks; cmps = ready }
+    in
+    let steps = Array.of_list (List.map step order) in
+    (* every comparison mentions only body variables, all bound by the
+       last step *)
+    assert (!pending = []);
+    Some { vars; steps }
+
+(* Run a plan: a backtracking loop over the steps, variables in slots,
+   a [Subst.t] built only for a complete match.  With a guard, every
+   emitted match consumes a row and every candidate tuple ticks the
+   cooperative deadline / memory / cancellation check, so a join
+   explosion trips the guard instead of exhausting time or memory. *)
+let execute ?guard { vars; steps } ~emit =
   let tick, count_row =
     match guard with
     | Some g -> ((fun () -> Guard.tick g), fun () -> Guard.count_row g)
     | None -> (ignore, ignore)
   in
-  let rec go s atoms cmps =
-    match check_cmps s cmps with
-    | None -> ()
-    | Some pending -> (
-      match atoms with
-      | [] ->
-        if pending = [] then begin
-          count_row ();
-          emit s
+  (* With an attribution scope open (chase rule body or named query),
+     every visit of a step is credited to its atom. *)
+  let prof = Mdqa_obs.Profile.scoped () in
+  let slots = Array.make (Array.length vars) (Value.Int 0) in
+  let value = function Val v -> v | Slot s -> slots.(s) in
+  let n = Array.length steps in
+  let rec go k =
+    if k = n then begin
+      count_row ();
+      emit
+        (Subst.of_list
+           (Array.to_list
+              (Array.mapi (fun s v -> (v, Term.Const slots.(s))) vars)))
+    end
+    else begin
+      let st = steps.(k) in
+      let candidates =
+        match st.access with
+        | Scan -> Relation.to_list st.rel
+        | Delta l -> l
+        | Probe key ->
+          Relation.probe st.rel (List.map (fun (p, src) -> (p, value src)) key)
+      in
+      let accept t =
+        st.keep t
+        && begin
+          List.iter (fun (p, s) -> slots.(s) <- Tuple.get t p) st.binds;
+          List.for_all
+            (fun (p, src) -> Value.equal (Tuple.get t p) (value src))
+            st.checks
+          && List.for_all
+               (fun (op, l, r) -> Atom.Cmp.holds op (value l) (value r))
+               st.cmps
         end
-      | _ -> (
-        let tg, rest = pick_next inst s atoms in
-        let atom = tg.t_atom in
-        match Instance.find inst (Atom.pred atom) with
-        | None -> ()
-        | Some r ->
-          let pattern = Subst.apply_atom s atom in
-          let bound = bound_positions s atom in
-          let candidates =
-            match tg.candidates with
-            | Some (len, l) ->
-              if Relation.scan_estimate r bound < len then
-                Relation.scan r bound
-              else l
-            | None -> Relation.scan r bound
-          in
-          let rec loop matched = function
-            | [] -> matched
-            | tuple :: tl ->
-              tick ();
-              let matched =
-                if not (tg.keep tuple) then matched
-                else
-                  match
-                    Unify.match_against ~init:s ~pattern
-                      (Atom.of_fact (Atom.pred atom) tuple)
-                  with
-                  | Some s' ->
-                    go s' rest pending;
-                    matched + 1
-                  | None -> matched
-              in
-              loop matched tl
-          in
-          let matched = loop 0 candidates in
-          (* With an attribution scope open (chase rule body or named
-             query), this visit is credited to the atom. *)
-          match Mdqa_obs.Profile.scoped () with
-          | None -> ()
-          | Some p ->
-            Mdqa_obs.Profile.atom_visit p ~idx:tg.t_idx ~pred:(Atom.pred atom)
-              ~scanned:(List.length candidates) ~matched))
+      in
+      let rec loop scanned matched = function
+        | [] -> (scanned, matched)
+        | t :: tl ->
+          tick ();
+          if accept t then begin
+            go (k + 1);
+            loop (scanned + 1) (matched + 1) tl
+          end
+          else loop (scanned + 1) matched tl
+      in
+      let scanned, matched = loop 0 0 candidates in
+      match prof with
+      | None -> ()
+      | Some p ->
+        Mdqa_obs.Profile.atom_visit p ~idx:st.idx ~pred:st.pred ~step:k
+          ~key:st.label ~scanned ~matched
+    end
   in
-  go Subst.empty tagged_atoms cmps
+  go 0
+
+(* Plan once at entry, then run. *)
+let search ?guard ?(cmps = []) inst atoms ~emit =
+  match plan inst atoms cmps with
+  | None -> ()
+  | Some p -> execute ?guard p ~emit
 
 let no_filter _ = true
 
-let plain i a = { t_atom = a; t_idx = i; keep = no_filter; candidates = None }
+let plain a = { atom = a; keep = no_filter; delta = None; kept = Fun.id }
 
 let answers ?guard ?cmps inst atoms =
   let out = ref [] in
-  search ?guard ?cmps inst (List.mapi plain atoms)
+  search ?guard ?cmps inst (List.map plain atoms)
     ~emit:(fun s -> out := s :: !out);
   List.rev !out
 
 let answers_guarded ?guard ?cmps inst atoms =
   let out = ref [] in
   match
-    search ?guard ?cmps inst (List.mapi plain atoms)
+    search ?guard ?cmps inst (List.map plain atoms)
       ~emit:(fun s -> out := s :: !out)
   with
   | () -> Guard.Complete (List.rev !out)
@@ -159,7 +349,7 @@ exception Found of Subst.t
 
 let first ?guard ?cmps inst atoms =
   try
-    search ?guard ?cmps inst (List.mapi plain atoms)
+    search ?guard ?cmps inst (List.map plain atoms)
       ~emit:(fun s -> raise (Found s));
     None
   with Found s -> Some s
@@ -177,36 +367,48 @@ let holds_fact inst a =
 (* Semi-naive enumeration: exactly the matches using at least one
    delta fact, partitioned so no match is produced twice: for each atom
    index i, atom i matches delta facts only, atoms before i old facts
-   only, atoms after i are unrestricted.  A partition whose delta atom
-   has no delta tuples has no matches and is skipped. *)
+   only, atoms after i are unrestricted.  Each partition is planned on
+   its own; one whose delta atom has no delta tuples has no matches
+   and is skipped. *)
 let delta_answers ?guard ?cmps inst ~delta ?delta_tuples atoms =
+  let lists = Hashtbl.create 8 in
+  let delta_list pred =
+    Option.map
+      (fun f ->
+        match Hashtbl.find_opt lists pred with
+        | Some l -> l
+        | None ->
+          let l = f pred in
+          let l = (List.length l, l) in
+          Hashtbl.add lists pred l;
+          l)
+      delta_tuples
+  in
   let out = ref [] in
   List.iteri
     (fun i a_i ->
-      let candidates =
-        Option.map
-          (fun f ->
-            let l = f (Atom.pred a_i) in
-            (List.length l, l))
-          delta_tuples
-      in
-      match candidates with
+      match delta_list (Atom.pred a_i) with
       | Some (0, _) -> ()
-      | _ ->
+      | own ->
         let tagged =
           List.mapi
             (fun j a ->
+              let pred = Atom.pred a in
               if j = i then
-                { t_atom = a;
-                  t_idx = j;
-                  keep = (fun tuple -> delta (Atom.pred a) tuple);
-                  candidates }
+                { atom = a;
+                  keep = delta pred;
+                  delta = Option.map snd own;
+                  kept =
+                    (match own with Some (len, _) -> Fun.const len | None -> Fun.id) }
               else if j < i then
-                { t_atom = a;
-                  t_idx = j;
-                  keep = (fun tuple -> not (delta (Atom.pred a) tuple));
-                  candidates = None }
-              else plain j a)
+                { atom = a;
+                  keep = (fun t -> not (delta pred t));
+                  delta = None;
+                  kept =
+                    (match delta_list pred with
+                     | Some (len, _) -> fun card -> max 0 (card - len)
+                     | None -> Fun.id) }
+              else plain a)
             atoms
         in
         search ?guard ?cmps inst tagged ~emit:(fun s -> out := s :: !out))

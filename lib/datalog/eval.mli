@@ -5,17 +5,31 @@
     all substitutions θ such that every atom of the body, instantiated
     by θ, is a fact of the instance, and every comparison holds.
 
-    Evaluation performs an index-backed backtracking join: atoms are
-    matched left to right, each candidate set retrieved through
-    {!Mdqa_relational.Relation.scan} with the positions already bound.
-    Atoms are reordered greedily at each step to bind the most
-    selective atom first.
+    Each call plans its body once, on entry (once per delta position
+    for {!delta_answers}), and then runs the plan as a backtracking
+    loop; nothing is re-planned during the search.  The plan is a
+    left-deep join order chosen by a DP over atom subsets that
+    minimises the summed estimated tuples walked per step, estimated
+    System R style from each relation's cardinality and per-position
+    {!Mdqa_relational.Relation.distinct} counts (positions assumed
+    independent).  A strict roll-up such as [day_time(Day, Time)] thus
+    estimates to one tuple per probe on [Time] without the evaluator
+    knowing about dimensions.  Each step reads its atom by a full scan,
+    the semi-naive delta list, or an exact
+    {!Mdqa_relational.Relation.probe} on a composite key over all of
+    its bound positions; it keeps variables in slots (a [Subst.t] is
+    built only for a complete match) and checks repeated variables and
+    every comparison at the first step where it is ground.  A
+    single-atom body is a single probe, with no planning.
 
     Every entry point takes an optional {!Guard.t}: each emitted match
     consumes one row of the guard's row budget and every candidate
     tuple ticks the deadline / memory / cancellation check, so a join
     explosion surfaces as {!Guard.Exhausted} (or a [Degraded] outcome
-    from {!answers_guarded}) instead of unbounded time or memory. *)
+    from {!answers_guarded}) instead of unbounded time or memory.
+    Under an open {!Mdqa_obs.Profile} scope each visit of a step is
+    credited to its atom's source position, with the step's position
+    in the plan and its access path. *)
 
 val answers :
   ?guard:Guard.t ->
@@ -25,8 +39,9 @@ val answers :
   Subst.t list
 (** All matching substitutions (deterministic order, no duplicates
     modulo the body's variables).  Comparisons are applied as soon as
-    both sides are ground.  Atoms over predicates absent from the
-    instance yield no answers.
+    both sides are ground; one over a variable the body does not bind
+    never holds.  Atoms over predicates absent from the instance yield
+    no answers.
     @raise Guard.Exhausted when the guard trips — used by engines that
     thread one guard through a whole pipeline and catch the trip at
     their own entry point.  Use {!answers_guarded} for the structured
@@ -72,7 +87,9 @@ val delta_answers :
 (** Like {!answers} but keeps only matches in which at least one body
     atom is instantiated to a fact satisfying [delta] — the semi-naive
     restriction used by the chase to enumerate only new triggers.  When
-    [delta_tuples] lists the delta per predicate, the delta-constrained
-    atom is evaluated directly over that list instead of scanning the
-    relation, making small-delta rounds proportional to the delta.
+    [delta_tuples] lists the delta per predicate, the plan of each delta
+    position may walk that list instead of the relation (it does when
+    no variable of the delta atom is bound yet), making small-delta
+    rounds proportional to the delta, and the list sizes feed the
+    estimates.
     @raise Guard.Exhausted when the guard trips. *)

@@ -97,7 +97,9 @@ let cost snap (tgds : Tgd.t list) =
         (fun i a ->
           let stat =
             Option.value
-              ~default:{ Profile.visits = 0; scanned = 0; matched = 0 }
+              ~default:
+                { Profile.visits = 0; scanned = 0; matched = 0; key = "";
+                  step = max_int }
               (Profile.find_atom snap (name, i, Atom.pred a))
           in
           { atom = a; atom_idx = i; stat })
@@ -111,15 +113,22 @@ let cost snap (tgds : Tgd.t list) =
 let pp_rule_cost ppf rc =
   Format.fprintf ppf "@[<v>%s  fires=%d triggers=%d matches=%d time=%.6fs@,"
     rc.rule_name rc.fires rc.triggers rc.matches rc.seconds;
+  let executed =
+    List.stable_sort
+      (fun a b -> Int.compare a.stat.Profile.step b.stat.Profile.step)
+      rc.body
+  in
   List.iter
     (fun ac ->
       let s = ac.stat in
       Format.fprintf ppf
-        "  [%d] %a  visits=%d scanned=%d matched=%d fan-out=%.3f \
+        "  [%d] %a  %s visits=%d scanned=%d matched=%d fan-out=%.3f \
          selectivity=%.3f@,"
-        ac.atom_idx Atom.pp ac.atom s.Profile.visits s.Profile.scanned
-        s.Profile.matched (Profile.fan_out s) (Profile.selectivity s))
-    rc.body;
+        ac.atom_idx Atom.pp ac.atom
+        (if s.Profile.key = "" then "unvisited" else s.Profile.key)
+        s.Profile.visits s.Profile.scanned s.Profile.matched
+        (Profile.fan_out s) (Profile.selectivity s))
+    executed;
   Format.fprintf ppf "@]"
 
 let pp_cost ppf costs =

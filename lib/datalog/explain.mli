@@ -50,7 +50,8 @@ type rule_cost = {
   triggers : int;
   matches : int;
   seconds : float;
-  body : atom_cost list;  (** in body order *)
+  body : atom_cost list;
+      (** in body order; {!pp_rule_cost} prints them in executed order *)
 }
 
 val cost : Mdqa_obs.Profile.snapshot -> Tgd.t list -> rule_cost list
@@ -59,11 +60,17 @@ val cost : Mdqa_obs.Profile.snapshot -> Tgd.t list -> rule_cost list
 
 val pp_rule_cost : Format.formatter -> rule_cost -> unit
 val pp_cost : Format.formatter -> rule_cost list -> unit
-(** EXPLAIN-style plan view:
+(** EXPLAIN-style plan view: the body atoms in the order the join ran
+    them (by {!Mdqa_obs.Profile.atom_stat.step}; [[i]] is still the
+    source position), each with the access path its step used:
     {v
-    rule7_patient_unit  fires=12 triggers=40 matches=40 time=0.000412s
-      [0] PatientUnit(p, u)  visits=40 scanned=120 matched=40 fan-out=1.000
-        selectivity=0.333
+    measurements_q/3  fires=2120 triggers=4240 matches=4240 time=0.072863s
+      [3] std_unit(U)  scan visits=2 scanned=2 matched=2 fan-out=1.000 ...
+      [4] working_schedules(U, D, N, cert.)  key=(0,3) visits=2 scanned=80
+        matched=80 fan-out=40.000 selectivity=1.000
+      [1] day_time(D, T)  key=(0) visits=80 scanned=12800 ...
+      [0] measurements_c(T, P, V)  key=(0) visits=12800 scanned=12800
+        matched=12800 fan-out=1.000 selectivity=1.000
       ...
     v} *)
 

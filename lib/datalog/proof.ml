@@ -12,17 +12,6 @@ type result = {
 exception Truncated
 exception Proved
 
-(* Positions of [a] ground under [s], for indexed candidate lookup. *)
-let bound_positions s (a : Atom.t) =
-  let acc = ref [] in
-  List.iteri
-    (fun i t ->
-      match Subst.walk s t with
-      | Term.Const c -> acc := (i, c) :: !acc
-      | Term.Var _ -> ())
-    (Atom.args a);
-  List.rev !acc
-
 let search ?(max_depth = 32) ?(max_steps = 2_000_000) (program : Program.t)
     inst (q : Query.t) ~steps ~emit =
   let rename_counter = ref 0 in
@@ -68,7 +57,7 @@ let search ?(max_depth = 32) ?(max_steps = 2_000_000) (program : Program.t)
                with
                | Some s' -> resolve rest s' lemmas depth pending
                | None -> ())
-             (Relation.scan r (bound_positions s g)));
+             (Relation.probe r (Atom.const_args g)));
         (* (b) match a lemma: a sibling head atom of an earlier rule
            application in this branch *)
         List.iter

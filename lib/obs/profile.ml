@@ -21,7 +21,20 @@ type atom_cell = {
   mutable a_visits : int;
   mutable a_scanned : int;
   mutable a_matched : int;
+  mutable a_keys : string list;  (* distinct access paths seen *)
+  mutable a_step : int;
 }
+
+(* Access paths are kept as a sorted, deduplicated "|"-separated set,
+   so combining them is associative and commutative. *)
+let union_keys a b =
+  if String.equal a b then a
+  else if a = "" then b
+  else if b = "" then a
+  else
+    String.split_on_char '|' a @ String.split_on_char '|' b
+    |> List.sort_uniq String.compare
+    |> String.concat "|"
 
 type round_cell = {
   mutable rd_count : int;
@@ -99,22 +112,28 @@ let scoped () =
   | Some t when t.scope <> None -> Some t
   | _ -> None
 
-let atom_visit t ~idx ~pred ~scanned ~matched =
+let atom_visit t ~idx ~pred ~step ~key ~scanned ~matched =
   match t.scope with
   | None -> ()
   | Some scope ->
     let cell =
-      let key = (scope, idx, pred) in
-      match Hashtbl.find_opt t.atoms key with
+      let id = (scope, idx, pred) in
+      match Hashtbl.find_opt t.atoms id with
       | Some c -> c
       | None ->
-        let c = { a_visits = 0; a_scanned = 0; a_matched = 0 } in
-        Hashtbl.add t.atoms key c;
+        let c =
+          { a_visits = 0; a_scanned = 0; a_matched = 0; a_keys = [ key ];
+            a_step = step }
+        in
+        Hashtbl.add t.atoms id c;
         c
     in
     cell.a_visits <- cell.a_visits + 1;
     cell.a_scanned <- cell.a_scanned + scanned;
-    cell.a_matched <- cell.a_matched + matched
+    cell.a_matched <- cell.a_matched + matched;
+    if not (List.exists (String.equal key) cell.a_keys) then
+      cell.a_keys <- key :: cell.a_keys;
+    if step < cell.a_step then cell.a_step <- step
 
 let with_round n f =
   match !current with
@@ -190,7 +209,13 @@ let with_phase name f =
 
 (* --------------------------------------------------------- snapshots *)
 
-type atom_stat = { visits : int; scanned : int; matched : int }
+type atom_stat = {
+  visits : int;
+  scanned : int;
+  matched : int;
+  key : string;
+  step : int;
+}
 
 type round_stat = {
   round_count : int;
@@ -224,7 +249,8 @@ let snapshot (t : t) =
     atoms =
       sorted_bindings compare t.atoms (fun c ->
           { visits = c.a_visits; scanned = c.a_scanned;
-            matched = c.a_matched });
+            matched = c.a_matched;
+            key = List.fold_left union_keys "" c.a_keys; step = c.a_step });
     rounds =
       sorted_bindings compare t.rounds (fun c ->
           { round_count = c.rd_count; round_seconds = c.rd_seconds;
@@ -258,7 +284,9 @@ let merge a b =
         (fun x y ->
           { visits = x.visits + y.visits;
             scanned = x.scanned + y.scanned;
-            matched = x.matched + y.matched })
+            matched = x.matched + y.matched;
+            key = union_keys x.key y.key;
+            step = min x.step y.step })
         a.atoms b.atoms;
     rounds =
       merge_assoc compare
@@ -334,9 +362,9 @@ let to_json s =
   and atoms =
     arr s.atoms (fun ((scope, idx, pred), a) ->
         Printf.sprintf
-          "{\"rule\":\"%s\",\"atom\":%d,\"pred\":\"%s\",\"visits\":%d,\"scanned\":%d,\"matched\":%d,\"selectivity\":%s,\"fan_out\":%s}"
-          (json_escape scope) idx (json_escape pred) a.visits a.scanned
-          a.matched
+          "{\"rule\":\"%s\",\"atom\":%d,\"pred\":\"%s\",\"step\":%d,\"key\":\"%s\",\"visits\":%d,\"scanned\":%d,\"matched\":%d,\"selectivity\":%s,\"fan_out\":%s}"
+          (json_escape scope) idx (json_escape pred) a.step (json_escape a.key)
+          a.visits a.scanned a.matched
           (json_float (selectivity a))
           (json_float (fan_out a)))
   and rounds =

@@ -14,7 +14,8 @@
     Everything is keyed on stable identifiers: rule name (the TGD name
     from the program text), body-atom source position within the rule
     (index 0 is the first written atom, regardless of the join order
-    the evaluator actually picked), query name, chase round number and
+    the evaluator actually picked; that order is in
+    {!atom_stat.step}), query name, chase round number and
     phase name.  Collected state is read out as an immutable
     {!snapshot} whose {!merge} is associative and commutative, so
     snapshots from different runs or processes combine like {!Metrics}
@@ -38,8 +39,17 @@ type atom_stat = {
   visits : int;
       (** substitutions arriving at this atom, including those whose
           index probe finds an empty bucket *)
-  scanned : int;  (** candidate tuples iterated at this atom *)
-  matched : int;  (** substitutions surviving unification here *)
+  scanned : int;
+      (** tuples walked at this atom, including those a filter
+          (semi-naive delta, repeated variable, comparison) rejects *)
+  matched : int;  (** substitutions passed on to the next step *)
+  key : string;
+      (** the access path of the atom's step: ["key=(0,2)"] for an
+          exact probe on those positions, ["scan"] or ["delta"]; the
+          distinct paths of several plans joined by ["|"] *)
+  step : int;
+      (** the atom's position in the executed join order (the earliest
+          one when several plans ran) *)
 }
 
 type round_stat = {
@@ -106,10 +116,19 @@ val scoped : unit -> t option
     attribution scope (EGD checks, applicability probes) reports
     nothing. *)
 
-val atom_visit : t -> idx:int -> pred:string -> scanned:int -> matched:int -> unit
-(** Credit one visit of body atom [idx] ([pred]) under the current
-    scope — one substitution arriving, [scanned] candidates tried,
-    [matched] substitutions passed on; no-op when no scope is active. *)
+val atom_visit :
+  t ->
+  idx:int ->
+  pred:string ->
+  step:int ->
+  key:string ->
+  scanned:int ->
+  matched:int ->
+  unit
+(** Credit one visit of body atom [idx] ([pred]), run as step [step]
+    of its plan through access path [key], under the current scope —
+    one substitution arriving, [scanned] tuples walked, [matched]
+    substitutions passed on; no-op when no scope is active. *)
 
 val with_round : int -> (unit -> 'a) -> 'a
 (** Time a chase round and sample [Gc.quick_stat] deltas at its
@@ -140,9 +159,11 @@ val find_query : snapshot -> string -> query_stat option
 val find_phase : snapshot -> string -> phase_stat option
 
 val selectivity : atom_stat -> float
-(** [matched / scanned] ([0.] when nothing was scanned).  Behind an
-    index every candidate already agrees on the bound positions, so
-    this stays near [1.]; {!fan_out} is the join-order statistic. *)
+(** [matched / scanned] ([0.] when nothing was scanned).  An exact
+    probe returns only tuples agreeing on every bound position, so this
+    drops below [1.] only where a filter rejects walked tuples (the
+    semi-naive delta, a repeated variable, a comparison); {!fan_out}
+    is the join-order statistic. *)
 
 val fan_out : atom_stat -> float
 (** [matched / visits]: substitutions passed on per substitution
@@ -154,6 +175,7 @@ val total_query_seconds : snapshot -> float
 
 val to_json : snapshot -> string
 (** Self-contained JSON object with ["rules"], ["atoms"] (each row
-    carrying derived ["selectivity"] and ["fan_out"]), ["rounds"],
+    carrying its ["step"] and ["key"] and the derived ["selectivity"]
+    and ["fan_out"]), ["rounds"],
     ["queries"] and
     ["phases"] arrays, each sorted by key. *)

@@ -4,7 +4,7 @@ let select p r = Relation.filter p r
 
 let select_eq pos v r =
   let out = Relation.create (Relation.schema r) in
-  List.iter (fun t -> ignore (Relation.add out t)) (Relation.scan r [ (pos, v) ]);
+  List.iter (fun t -> ignore (Relation.add out t)) (Relation.probe r [ (pos, v) ]);
   out
 
 let project ?name ps r =
@@ -95,7 +95,7 @@ let product ?name l r =
 let join ?name eqs l r =
   match eqs with
   | [] -> product ?name l r
-  | (lp0, rp0) :: rest ->
+  | _ ->
     let rname =
       Option.value name
         ~default:(Relation.name l ^ "_j_" ^ Relation.name r)
@@ -103,17 +103,10 @@ let join ?name eqs l r =
     let out = Relation.create (Rel_schema.make rname (concat_attrs l r)) in
     Relation.iter
       (fun tl ->
-        let probe = Relation.scan r [ (rp0, Tuple.get tl lp0) ] in
         List.iter
-          (fun tr ->
-            let ok =
-              List.for_all
-                (fun (lp, rp) ->
-                  Value.equal (Tuple.get tl lp) (Tuple.get tr rp))
-                rest
-            in
-            if ok then ignore (Relation.add out (Tuple.append tl tr)))
-          probe)
+          (fun tr -> ignore (Relation.add out (Tuple.append tl tr)))
+          (Relation.probe r
+             (List.map (fun (lp, rp) -> (rp, Tuple.get tl lp)) eqs)))
       l;
     out
 

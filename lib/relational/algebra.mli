@@ -37,8 +37,8 @@ val product : ?name:string -> Relation.t -> Relation.t -> Relation.t
 val join : ?name:string -> (int * int) list -> Relation.t -> Relation.t
   -> Relation.t
 (** [join eqs l r] is the equi-join on pairs [(li, ri)] of positions;
-    the result concatenates the full tuples of both sides (index-backed
-    hash join on the first pair). *)
+    the result concatenates the full tuples of both sides (one
+    {!Relation.probe} of [r] per tuple of [l], keyed on every [ri]). *)
 
 val natural_join : ?name:string -> Relation.t -> Relation.t -> Relation.t
 (** Equi-join on all attribute names common to both schemas; common

@@ -1,35 +1,53 @@
-type bucket = { mutable size : int; mutable items : Tuple.t list }
+(* Composite-key indexes: the key of a tuple under an index over
+   positions [ps] is [Tuple.project t ps]. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = Tuple.t
 
-type index = (Value.t, bucket) Hashtbl.t
+  let equal = Tuple.equal
+  let hash = Tuple.hash
+end)
+
+type index = Tuple.t list Key_tbl.t
+
+(* Per-position distinct counts and the cardinality they were taken at. *)
+type stats = { counts : int array; at : int }
 
 type t = {
   schema : Rel_schema.t;
   mutable tuples : Tuple.Set.t;
-  mutable indexes : (int * index) list;  (* one per position, built lazily *)
+  mutable card : int;
+  mutable indexes : (int list * index) list;
+      (* one per probed position list, built lazily *)
+  mutable stats : stats option;
 }
 
-let create schema = { schema; tuples = Tuple.Set.empty; indexes = [] }
+let create schema =
+  { schema; tuples = Tuple.Set.empty; card = 0; indexes = []; stats = None }
 
 let schema r = r.schema
 let name r = Rel_schema.name r.schema
 let arity r = Rel_schema.arity r.schema
-let cardinal r = Tuple.Set.cardinal r.tuples
-let is_empty r = Tuple.Set.is_empty r.tuples
+let cardinal r = r.card
+let is_empty r = r.card = 0
 
-let index_insert (idx : index) key t =
-  match Hashtbl.find_opt idx key with
-  | Some b ->
-    b.size <- b.size + 1;
-    b.items <- t :: b.items
-  | None -> Hashtbl.add idx key { size = 1; items = [ t ] }
+let index_insert (idx : index) ps t =
+  let key = Tuple.project t ps in
+  match Key_tbl.find_opt idx key with
+  | Some items -> Key_tbl.replace idx key (t :: items)
+  | None -> Key_tbl.add idx key [ t ]
 
-let build_index r pos =
-  let idx : index = Hashtbl.create (max 16 (cardinal r)) in
-  Tuple.Set.iter (fun t -> index_insert idx (Tuple.get t pos) t) r.tuples;
-  r.indexes <- (pos, idx) :: r.indexes;
+let build_index r ps =
+  let idx : index = Key_tbl.create (max 16 r.card) in
+  Tuple.Set.iter (index_insert idx ps) r.tuples;
+  r.indexes <- (ps, idx) :: r.indexes;
   idx
 
-let find_index r pos = List.assoc_opt pos r.indexes
+(* Indexes and distinct counts describe the tuple set: a removal or a
+   value rewrite drops both (removals are rare, EGD merges rebuild
+   wholesale). *)
+let invalidate r =
+  r.indexes <- [];
+  r.stats <- None
 
 let check_arity r t =
   if Tuple.arity t <> arity r then
@@ -42,8 +60,8 @@ let add r t =
   if Tuple.Set.mem t r.tuples then false
   else begin
     r.tuples <- Tuple.Set.add t r.tuples;
-    List.iter (fun (pos, idx) -> index_insert idx (Tuple.get t pos) t)
-      r.indexes;
+    r.card <- r.card + 1;
+    List.iter (fun (ps, idx) -> index_insert idx ps t) r.indexes;
     true
   end
 
@@ -58,9 +76,8 @@ let remove r t =
   if not (Tuple.Set.mem t r.tuples) then false
   else begin
     r.tuples <- Tuple.Set.remove t r.tuples;
-    (* Dropping the indexes is simpler than deleting from per-value
-       buckets; removals are rare (EGD merges rebuild wholesale). *)
-    r.indexes <- [];
+    r.card <- r.card - 1;
+    invalidate r;
     true
   end
 
@@ -69,45 +86,47 @@ let fold f r init = Tuple.Set.fold f r.tuples init
 let to_list r = Tuple.Set.elements r.tuples
 let to_set r = r.tuples
 
-let empty_bucket = { size = 0; items = [] }
+let rec ascending_from i = function
+  | [] -> true
+  | p :: rest -> p = i && ascending_from (i + 1) rest
 
-(* The index bucket for one bound position (built on demand). *)
-let bucket r (pos, v) =
-  let idx =
-    match find_index r pos with Some i -> i | None -> build_index r pos
-  in
-  match Hashtbl.find_opt idx v with Some b -> b | None -> empty_bucket
-
-(* Pick the most selective bound position: smallest index bucket. *)
-let best_bucket r binding =
+let probe r binding =
   match binding with
-  | [] -> None
-  | b0 :: rest ->
-    let best =
-      List.fold_left
-        (fun ((_, best_b) as best) b ->
-          let c = bucket r b in
-          if c.size < best_b.size then (b, c) else best)
-        (b0, bucket r b0) rest
-    in
-    Some best
-
-let scan r binding =
-  match best_bucket r binding with
-  | None -> to_list r
-  | Some (chosen, b) ->
-    let rest = List.filter (fun bd -> bd != chosen) binding in
-    if rest = [] then b.items
+  | [] -> to_list r
+  | _ ->
+    let ps = List.map fst binding
+    and key = Tuple.of_list (List.map snd binding) in
+    if List.length ps = arity r && ascending_from 0 ps then
+      (* every position bound: a membership test, no index *)
+      if mem r key then [ key ] else []
     else
-      List.filter
-        (fun t ->
-          List.for_all (fun (p, x) -> Value.equal (Tuple.get t p) x) rest)
-        b.items
+      let idx =
+        match List.assoc_opt ps r.indexes with
+        | Some idx -> idx
+        | None -> build_index r ps
+      in
+      Option.value ~default:[] (Key_tbl.find_opt idx key)
 
-let scan_estimate r binding =
-  match best_bucket r binding with
-  | None -> cardinal r
-  | Some (_, b) -> b.size
+(* One pass over the tuples with throwaway per-position sets: the
+   counts outlive them, so no index is kept alive for estimation. *)
+let count_distinct r =
+  let sets = Array.init (arity r) (fun _ -> Hashtbl.create 64) in
+  Tuple.Set.iter
+    (fun t ->
+      Array.iteri (fun p s -> Hashtbl.replace s (Tuple.get t p) ()) sets)
+    r.tuples;
+  { counts = Array.map Hashtbl.length sets; at = r.card }
+
+let distinct r pos =
+  let s =
+    match r.stats with
+    | Some s when r.card < 2 * s.at && 2 * r.card > s.at -> s
+    | _ ->
+      let s = count_distinct r in
+      r.stats <- Some s;
+      s
+  in
+  s.counts.(pos)
 
 let map_values r f =
   let tuples' =
@@ -116,14 +135,17 @@ let map_values r f =
       r.tuples Tuple.Set.empty
   in
   r.tuples <- tuples';
-  r.indexes <- []
+  r.card <- Tuple.Set.cardinal tuples';
+  invalidate r
 
 let filter p r =
   let r' = create r.schema in
   iter (fun t -> if p t then ignore (add r' t)) r;
   r'
 
-let copy r = { schema = r.schema; tuples = r.tuples; indexes = [] }
+let copy r =
+  { schema = r.schema; tuples = r.tuples; card = r.card; indexes = [];
+    stats = r.stats }
 
 let equal a b =
   Rel_schema.equal a.schema b.schema && Tuple.Set.equal a.tuples b.tuples

@@ -1,10 +1,12 @@
-(** Relations: mutable sets of tuples under a schema, with per-position
-    hash indexes.
+(** Relations: mutable sets of tuples under a schema, with composite-key
+    hash indexes and cached per-position statistics.
 
-    A relation enforces the arity of its schema on insertion and
-    maintains secondary indexes (position → value → tuples) so that
-    scans with partial bindings — the workhorse of conjunctive-query
-    evaluation and of the chase — avoid full scans. *)
+    A relation enforces the arity of its schema on insertion.  Exact
+    lookups on any set of positions ({!probe}) go through an index
+    keyed by that position list, built on first use and maintained on
+    insertion, so the workhorse lookups of conjunctive-query evaluation
+    and of the chase never scan.  {!distinct} gives the statistics the
+    join planner estimates result sizes from. *)
 
 type t
 
@@ -34,20 +36,26 @@ val to_list : t -> Tuple.t list
 
 val to_set : t -> Tuple.Set.t
 
-val scan : t -> (int * Value.t) list -> Tuple.t list
-(** [scan r binding] returns the tuples agreeing with all [(pos, v)]
-    pairs of [binding], using the most selective available index.
-    [scan r \[\]] lists all tuples. *)
+val probe : t -> (int * Value.t) list -> Tuple.t list
+(** [probe r binding] returns exactly the tuples agreeing with every
+    [(pos, v)] pair of [binding], through one hash lookup in the index
+    keyed by the binding's position list (built on the first probe of
+    that list, so callers should list positions in one order, e.g.
+    ascending; a binding of every position in order is a membership
+    test and builds none).  [probe r \[\]] lists all tuples in ascending
+    order; a probe bucket is in no particular order. *)
 
-val scan_estimate : t -> (int * Value.t) list -> int
-(** Upper bound on [List.length (scan r binding)] obtained from the
-    index bucket of the first bound position ([cardinal] when the
-    binding is empty) — the selectivity estimate driving join
-    ordering. *)
+val distinct : t -> int -> int
+(** [distinct r pos] is the number of distinct values at position
+    [pos].  Counted in one pass and cached: recounted once the
+    cardinality has doubled or halved since the last count, and
+    dropped, like the indexes, by {!remove} and {!map_values}.
+    Counting builds no index. *)
 
 val map_values : t -> (Value.t -> Value.t) -> unit
-(** Rewrite every value in place through the function (rebuilds
-    indexes); used by EGD enforcement to merge labeled nulls. *)
+(** Rewrite every value in place through the function (drops the
+    indexes and the distinct counts); used by EGD enforcement to merge
+    labeled nulls. *)
 
 val filter : (Tuple.t -> bool) -> t -> t
 (** New relation (same schema) with the matching tuples. *)

@@ -1360,6 +1360,129 @@ let prop_semi_naive_equals_naive =
       let b = Chase.run ~semi_naive:false p inst in
       R.Instance.equal a.Chase.instance b.Chase.instance)
 
+(* Differential planner check: Eval's planned, index-backed join
+   against a nested loop that evaluates the body in source order over
+   every tuple, with no index.  Bodies of 1-6 atoms mix constants,
+   repeated variables and comparisons (sometimes over a variable the
+   body never binds); instances are skewed towards one value so index
+   buckets differ wildly in size, and a random subset of the facts is
+   the semi-naive delta. *)
+
+let skewed_const =
+  QCheck.Gen.(
+    frequency
+      [ (6, return "c0"); (3, return "c1");
+        (2, oneofl [ "c2"; "c3"; "c4"; "c5" ]) ])
+
+let planner_preds = [ ("p", 1); ("q", 2); ("r", 3) ]
+
+let gen_planner_case =
+  QCheck.Gen.(
+    let gen_term =
+      frequency
+        [ (4, map v (oneofl [ "X"; "Y"; "Z"; "W" ])); (1, map s skewed_const) ]
+    in
+    let gen_atom =
+      let* pred, arity = oneofl planner_preds in
+      map (atom pred) (list_repeat arity gen_term)
+    in
+    let gen_cmp =
+      let* op =
+        oneofl Atom.Cmp.[ Eq; Neq; Lt; Le; Gt; Ge ]
+      and* l = map v (oneofl [ "X"; "Y"; "Z"; "W" ])
+      and* r = gen_term in
+      return (Atom.Cmp.make op l r)
+    in
+    let gen_rows arity =
+      list_size (0 -- 14) (list_repeat arity skewed_const)
+    in
+    let* body = list_size (1 -- 6) gen_atom in
+    let* cmps = list_size (0 -- 2) gen_cmp in
+    let* rows =
+      flatten_l
+        (List.map
+           (fun (pred, arity) -> map (fun rs -> (pred, arity, rs)) (gen_rows arity))
+           planner_preds)
+    in
+    let* marks = list_repeat 64 bool in
+    return (body, cmps, rows, marks))
+
+let planner_case_arb =
+  QCheck.make
+    ~print:(fun (body, cmps, rows, _) ->
+      Format.asprintf "@[<v>body: %a@,cmps: %a@,%a@]"
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Atom.pp)
+        body
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Atom.Cmp.pp)
+        cmps
+        (Format.pp_print_list (fun ppf (pred, _, rs) ->
+             Format.fprintf ppf "%s: %s" pred
+               (String.concat " "
+                  (List.map (fun r -> "(" ^ String.concat "," r ^ ")") rs))))
+        rows)
+    gen_planner_case
+
+let nested_loop inst body cmps =
+  let rec go subst = function
+    | [] -> [ subst ]
+    | a :: rest -> (
+      match R.Instance.find inst (Atom.pred a) with
+      | None -> []
+      | Some rel ->
+        List.concat_map
+          (fun t ->
+            match
+              Unify.match_against ~init:subst ~pattern:(Subst.apply_atom subst a)
+                (Atom.of_fact (Atom.pred a) t)
+            with
+            | Some subst' -> go subst' rest
+            | None -> [])
+          (R.Relation.to_list rel))
+  in
+  List.filter
+    (fun subst ->
+      List.for_all
+        (fun c -> Atom.Cmp.eval (Subst.apply_cmp subst c) = Some true)
+        cmps)
+    (go Subst.empty body)
+
+let prop_planner_equals_nested_loop =
+  QCheck.Test.make ~name:"planned join = source-order nested loop" ~count:400
+    planner_case_arb (fun (body, cmps, rows, marks) ->
+      let inst = instance_of rows in
+      (* the delta: every fact whose insertion index is marked *)
+      let delta_tbl = Hashtbl.create 16 in
+      let k = ref 0 in
+      List.iter
+        (fun (pred, _, rs) ->
+          List.iter
+            (fun t ->
+              if List.nth marks (!k mod 64) then Hashtbl.replace delta_tbl (pred, t) ();
+              incr k)
+            (tuples_of_strings rs))
+        rows;
+      let delta pred t = Hashtbl.mem delta_tbl (pred, t) in
+      let delta_tuples pred =
+        Hashtbl.fold (fun (p, t) () acc -> if p = pred then t :: acc else acc)
+          delta_tbl []
+      in
+      let key subst = Subst.to_list subst in
+      let as_set l = List.sort_uniq compare (List.map key l) in
+      let sorted l = List.sort compare (List.map key l) in
+      let reference = nested_loop inst body cmps in
+      let uses_delta subst =
+        List.exists
+          (fun a -> delta (Atom.pred a) (Atom.to_tuple (Subst.apply_atom subst a)))
+          body
+      in
+      let got = Eval.answers ~cmps inst body in
+      let ref_delta = sorted (List.filter uses_delta reference) in
+      as_set got = as_set reference
+      && Eval.exists ~cmps inst body = (got <> [])
+      && sorted (Eval.delta_answers ~cmps inst ~delta ~delta_tuples body)
+         = ref_delta
+      && sorted (Eval.delta_answers ~cmps inst ~delta body) = ref_delta)
+
 let prop_core_sound =
   QCheck.Test.make ~name:"core is a hom-equivalent retract" ~count:80
     program_arb (fun p ->
@@ -1404,6 +1527,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_proof_agrees_with_chase; prop_rewrite_agrees_with_chase;
       prop_chase_idempotent; prop_semi_naive_equals_naive;
+      prop_planner_equals_nested_loop;
       prop_core_sound; prop_goal_directed_same;
       prop_parser_total; prop_parser_pretty_roundtrip ]
 

@@ -100,14 +100,14 @@ let test_rule9_disjunctive_downward () =
   let pu = R.Instance.get r.Chase.instance "patient_unit" in
   (* Elvis Costello only appears via discharge: his unit is a null *)
   let elvis =
-    R.Relation.scan pu [ (2, sym "Elvis Costello") ]
+    R.Relation.probe pu [ (2, sym "Elvis Costello") ]
   in
   Alcotest.(check int) "one tuple for Elvis" 1 (List.length elvis);
   Alcotest.(check bool) "unit is a null" true
     (R.Value.is_null (R.Tuple.get (List.hd elvis) 0));
   (* and the null is linked into institution_unit under H2 *)
   let iu = R.Instance.get r.Chase.instance "institution_unit" in
-  let h2_units = R.Relation.scan iu [ (0, sym "H2") ] in
+  let h2_units = R.Relation.probe iu [ (0, sym "H2") ] in
   Alcotest.(check bool) "null unit under H2" true
     (List.exists (fun t -> R.Value.is_null (R.Tuple.get t 1)) h2_units)
 
@@ -228,6 +228,43 @@ let test_generator_doctor_query () =
        their day-1 measurement qualifies *)
     Alcotest.(check int) "one quality answer" 1 (List.length answers)
 
+(* The join plan keeps the hot quality rule's work per trigger flat as
+   the generator grows: scale 80 has twice the patients and twice the
+   days of scale 40, so a plan that fans out over a patient's days
+   before cutting (the old greedy order) doubles its tuples scanned
+   per trigger.  The hot rule is the one scanning the most tuples. *)
+let scanned_per_trigger n =
+  let module Profile = Mdqa_obs.Profile in
+  let g = Hospital.Gen.scale n in
+  let p = Profile.create () in
+  Profile.install p;
+  Fun.protect ~finally:Profile.uninstall (fun () ->
+      ignore (Context.assess (Hospital.Gen.context g) ~source:(Hospital.Gen.source g)));
+  let snap = Profile.snapshot p in
+  let scanned rule =
+    List.fold_left
+      (fun acc ((r, _, _), (a : Profile.atom_stat)) ->
+        if r = rule then acc + a.Profile.scanned else acc)
+      0 snap.Profile.atoms
+  in
+  let rule, st =
+    List.fold_left
+      (fun best (r, st) ->
+        match best with
+        | Some (b, _) when scanned b >= scanned r -> best
+        | _ -> Some (r, st))
+      None snap.Profile.rules
+    |> Option.get
+  in
+  Alcotest.(check bool) (rule ^ " fired") true (st.Profile.triggers > 0);
+  float_of_int (scanned rule) /. float_of_int st.Profile.triggers
+
+let test_generator_hot_rule_flat () =
+  let at40 = scanned_per_trigger 40 and at80 = scanned_per_trigger 80 in
+  if at80 > 1.25 *. at40 then
+    Alcotest.failf "scanned per trigger grew from %.2f (scale 40) to %.2f (scale 80)"
+      at40 at80
+
 (* Incremental assessment: a new quality measurement arrives. *)
 let test_incremental_assessment () =
   let a0 = Lazy.force assessment in
@@ -300,4 +337,5 @@ let suites =
     ( "hospital.generator",
       [ case "scaled pipeline" test_generator_pipeline;
         case "scaled referential integrity" test_generator_referential_ok;
-        case "scaled doctor query" test_generator_doctor_query ] ) ]
+        case "scaled doctor query" test_generator_doctor_query;
+        case "hot rule cost flat in scale" test_generator_hot_rule_flat ] ) ]

@@ -330,7 +330,8 @@ let profile_snapshot_of ops =
             rule_seconds = float_of_int (n mod 9) }
       | 2 ->
         Profile.with_scope p rname (fun () ->
-            Profile.atom_visit p ~idx:(n mod 2) ~pred:"p"
+            Profile.atom_visit p ~idx:(n mod 2) ~pred:"p" ~step:(n mod 3)
+              ~key:(if n mod 7 < 4 then "scan" else "key=(0)")
               ~scanned:(n mod 11) ~matched:(n mod 4))
       | 3 ->
         Profile.with_round (n mod 4) (fun () ->
@@ -418,12 +419,14 @@ let test_profile_scope_discipline () =
   Alcotest.(check bool) "no scope outside with_scope" true
     (Profile.scoped () = None);
   (* an unscoped visit must attribute nothing *)
-  Profile.atom_visit p ~idx:0 ~pred:"p" ~scanned:5 ~matched:2;
+  Profile.atom_visit p ~idx:0 ~pred:"p" ~step:0 ~key:"scan" ~scanned:5
+    ~matched:2;
   Alcotest.(check int) "unscoped visit dropped" 0
     (List.length (Profile.snapshot p).Profile.atoms);
   Profile.with_scope p "r" (fun () ->
       Alcotest.(check bool) "scoped inside" true (Profile.scoped () <> None);
-      Profile.atom_visit p ~idx:1 ~pred:"q" ~scanned:3 ~matched:3);
+      Profile.atom_visit p ~idx:1 ~pred:"q" ~step:0 ~key:"scan" ~scanned:3
+        ~matched:3);
   Alcotest.(check bool) "scope restored" true (Profile.scoped () = None);
   match Profile.find_atom (Profile.snapshot p) ("r", 1, "q") with
   | Some a ->

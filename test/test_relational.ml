@@ -113,22 +113,104 @@ let test_relation_scan () =
   ignore (Relation.add r (syms [ "x"; "1" ]));
   ignore (Relation.add r (syms [ "x"; "2" ]));
   ignore (Relation.add r (syms [ "y"; "1" ]));
-  Alcotest.(check int) "scan x" 2
-    (List.length (Relation.scan r [ (0, v_sym "x") ]));
-  Alcotest.(check int) "scan x,2" 1
-    (List.length (Relation.scan r [ (0, v_sym "x"); (1, v_sym "2") ]));
-  Alcotest.(check int) "scan none" 0
-    (List.length (Relation.scan r [ (0, v_sym "zz") ]));
-  Alcotest.(check int) "scan all" 3 (List.length (Relation.scan r []))
+  Alcotest.(check int) "probe x" 2
+    (List.length (Relation.probe r [ (0, v_sym "x") ]));
+  Alcotest.(check int) "probe x,2" 1
+    (List.length (Relation.probe r [ (0, v_sym "x"); (1, v_sym "2") ]));
+  Alcotest.(check int) "probe none" 0
+    (List.length (Relation.probe r [ (0, v_sym "zz") ]));
+  Alcotest.(check int) "probe all" 3 (List.length (Relation.probe r []))
 
 let test_relation_scan_after_add () =
-  (* Index maintenance: scans stay correct after further inserts. *)
+  (* Index maintenance: probes stay correct after further inserts. *)
   let r = Relation.create schema_ab in
   ignore (Relation.add r (syms [ "x"; "1" ]));
-  ignore (Relation.scan r [ (0, v_sym "x") ]);
+  ignore (Relation.probe r [ (0, v_sym "x") ]);
   ignore (Relation.add r (syms [ "x"; "2" ]));
-  Alcotest.(check int) "post-insert scan" 2
-    (List.length (Relation.scan r [ (0, v_sym "x") ]))
+  Alcotest.(check int) "post-insert probe" 2
+    (List.length (Relation.probe r [ (0, v_sym "x") ]))
+
+(* --- composite indexes ------------------------------------------------ *)
+
+let schema_abc = Rel_schema.of_names "r3" [ "a"; "b"; "c" ]
+
+let sorted l = List.sort Tuple.compare l
+
+(* The reference answer of a probe: a filter over every tuple. *)
+let filter_ref r binding =
+  List.filter
+    (fun t -> List.for_all (fun (p, v) -> Value.equal (Tuple.get t p) v) binding)
+    (Relation.to_list r)
+
+let rel3 rows =
+  let r = Relation.create schema_abc in
+  List.iter (fun row -> ignore (Relation.add r (syms row))) rows;
+  r
+
+let test_probe_empty_key () =
+  let r = rel3 [ [ "x"; "1"; "p" ]; [ "x"; "2"; "q" ]; [ "y"; "1"; "p" ] ] in
+  Alcotest.(check (list tuple_testable)) "probe [] is every tuple, ascending"
+    (Relation.to_list r) (Relation.probe r [])
+
+let test_probe_composite_exact () =
+  let r =
+    rel3
+      [ [ "x"; "1"; "p" ]; [ "x"; "1"; "q" ]; [ "x"; "2"; "p" ];
+        [ "y"; "1"; "p" ]; [ "y"; "2"; "q" ] ]
+  in
+  let check msg binding =
+    Alcotest.(check (list tuple_testable)) msg
+      (sorted (filter_ref r binding))
+      (sorted (Relation.probe r binding))
+  in
+  check "(0,2) = (x,p)" [ (0, v_sym "x"); (2, v_sym "p") ];
+  check "(0,1) = (x,1)" [ (0, v_sym "x"); (1, v_sym "1") ];
+  check "(1,2) = (2,q)" [ (1, v_sym "2"); (2, v_sym "q") ];
+  check "(0,1,2) exact" [ (0, v_sym "y"); (1, v_sym "2"); (2, v_sym "q") ];
+  check "(0,2) = (y,x) misses" [ (0, v_sym "y"); (2, v_sym "x") ];
+  (* a binding in another position order is just as exact *)
+  check "(2,0) = (p,x)" [ (2, v_sym "p"); (0, v_sym "x") ];
+  Alcotest.(check int) "two-position probe hits" 2
+    (List.length (Relation.probe r [ (0, v_sym "x"); (2, v_sym "p") ]))
+
+(* A composite bucket must follow every mutation: removal and an EGD
+   style value rewrite drop the indexes, insertion extends them. *)
+let test_probe_composite_after_mutation () =
+  let r =
+    rel3 [ [ "x"; "1"; "p" ]; [ "x"; "1"; "q" ]; [ "y"; "1"; "p" ] ]
+  in
+  let key = [ (0, v_sym "x"); (1, v_sym "1") ] in
+  let count msg n binding =
+    Alcotest.(check int) msg n (List.length (Relation.probe r binding));
+    Alcotest.(check (list tuple_testable)) (msg ^ " = filter")
+      (sorted (filter_ref r binding))
+      (sorted (Relation.probe r binding))
+  in
+  count "before" 2 key;
+  Alcotest.(check bool) "remove" true
+    (Relation.remove r (syms [ "x"; "1"; "q" ]));
+  count "after remove" 1 key;
+  Alcotest.(check bool) "add" true (Relation.add r (syms [ "x"; "1"; "z" ]));
+  count "after add" 2 key;
+  (* merge a null into x: the null's row joins the (x,1) bucket *)
+  ignore (Relation.add r (tup [ Value.Null 7; v_sym "1"; v_sym "n" ]));
+  count "null row" 1 [ (0, Value.Null 7); (1, v_sym "1") ];
+  Relation.map_values r (fun v ->
+      if Value.equal v (Value.Null 7) then v_sym "x" else v);
+  count "after map_values" 3 key;
+  count "null gone" 0 [ (0, Value.Null 7); (1, v_sym "1") ];
+  (* the rewrite also invalidates the distinct counts *)
+  Alcotest.(check int) "distinct a after merge" 2 (Relation.distinct r 0)
+
+let test_distinct_counts () =
+  let r = rel3 [ [ "x"; "1"; "p" ]; [ "x"; "2"; "p" ]; [ "y"; "1"; "p" ] ] in
+  Alcotest.(check (list int)) "distinct per position" [ 2; 2; 1 ]
+    (List.map (Relation.distinct r) [ 0; 1; 2 ]);
+  (* cached until the cardinality doubles *)
+  List.iter
+    (fun i -> ignore (Relation.add r (syms [ "z" ^ string_of_int i; "1"; "p" ])))
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "recounted at double" 5 (Relation.distinct r 0)
 
 let test_relation_map_values () =
   let r = Relation.create schema_ab in
@@ -423,6 +505,11 @@ let suites =
         case "arity enforcement" test_relation_arity_check;
         case "indexed scan" test_relation_scan;
         case "scan after insert" test_relation_scan_after_add;
+        case "probe [] lists every tuple" test_probe_empty_key;
+        case "composite probe is exact" test_probe_composite_exact;
+        case "composite index after remove/add/map_values"
+          test_probe_composite_after_mutation;
+        case "distinct counts" test_distinct_counts;
         case "map_values merges nulls" test_relation_map_values;
         case "remove" test_relation_remove ] );
     ( "relational.instance",
