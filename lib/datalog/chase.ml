@@ -252,44 +252,37 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
         end
     in
     if proceed then begin
-      let do_fire () =
-        let head = instantiate_head tgd subst in
-        let new_fact = ref false in
-        let premises =
-          lazy
-            (List.map
-               (fun a ->
-                 let ga = Subst.apply_atom subst a in
-                 (Atom.pred ga, Atom.to_tuple ga))
-               tgd.Tgd.body)
-        in
-        List.iter
-          (fun a ->
-            let t = Atom.to_tuple a in
-            if Instance.add_tuple inst (Atom.pred a) t then begin
-              new_fact := true;
-              incr facts;
-              ck (fun c -> c.on_fact (Atom.pred a) t);
-              (match prov with
-               | Some tbl ->
-                 if not (Hashtbl.mem tbl (Atom.pred a, t)) then
-                   Hashtbl.replace tbl (Atom.pred a, t)
-                     { rule = tgd.Tgd.name; premises = Lazy.force premises }
-               | None -> ());
-              let prev =
-                Option.value ~default:Tuple.Set.empty
-                  (Hashtbl.find_opt added (Atom.pred a))
-              in
-              Hashtbl.replace added (Atom.pred a) (Tuple.Set.add t prev)
-            end)
-          head;
-        if !new_fact then count.fires <- count.fires + 1
+      let head = instantiate_head tgd subst in
+      let new_fact = ref false in
+      let premises =
+        lazy
+          (List.map
+             (fun a ->
+               let ga = Subst.apply_atom subst a in
+               (Atom.pred ga, Atom.to_tuple ga))
+             tgd.Tgd.body)
       in
-      if Trace.active () then
-        Trace.with_span "rule.fire"
-          ~attrs:[ ("rule", tgd.Tgd.name) ]
-          do_fire
-      else do_fire ()
+      List.iter
+        (fun a ->
+          let t = Atom.to_tuple a in
+          if Instance.add_tuple inst (Atom.pred a) t then begin
+            new_fact := true;
+            incr facts;
+            ck (fun c -> c.on_fact (Atom.pred a) t);
+            (match prov with
+             | Some tbl ->
+               if not (Hashtbl.mem tbl (Atom.pred a, t)) then
+                 Hashtbl.replace tbl (Atom.pred a, t)
+                   { rule = tgd.Tgd.name; premises = Lazy.force premises }
+             | None -> ());
+            let prev =
+              Option.value ~default:Tuple.Set.empty
+                (Hashtbl.find_opt added (Atom.pred a))
+            in
+            Hashtbl.replace added (Atom.pred a) (Tuple.Set.add t prev)
+          end)
+        head;
+      if !new_fact then count.fires <- count.fires + 1
     end
   in
 
@@ -416,43 +409,53 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
           (fun (tgd : Tgd.t) ->
             let count = rule_count tgd.Tgd.name in
             let t0 = now () in
-            let enumerate () =
-              if semi_naive && not !first_round then
-                Eval.delta_answers ~guard inst ~delta:delta_mem ~delta_tuples
-                  tgd.Tgd.body
-              else Eval.answers ~guard inst tgd.Tgd.body
+            let apply () =
+              let enumerate () =
+                if semi_naive && not !first_round then
+                  Eval.delta_answers ~guard inst ~delta:delta_mem ~delta_tuples
+                    tgd.Tgd.body
+                else Eval.answers ~guard inst tgd.Tgd.body
+              in
+              (* Atom-level scan/match statistics attribute to this rule
+                 only during its own body enumeration — applicability
+                 probes and EGD checks stay out of the tables. *)
+              let triggers =
+                match prof with
+                | Some p -> Profile.with_scope p tgd.Tgd.name enumerate
+                | None -> enumerate ()
+              in
+              count.matches <- count.matches + List.length triggers;
+              (* For the restricted chase, matches differing only on
+                 head-irrelevant body variables are the same trigger;
+                 dedup on the frontier to avoid redundant head checks.
+                 The oblivious chase fires per full body match. *)
+              let key_vars =
+                match variant with
+                | Restricted -> Tgd.frontier tgd
+                | Oblivious -> Tgd.body_vars tgd
+              in
+              let seen = Hashtbl.create 16 in
+              List.iter
+                (fun s ->
+                  let key =
+                    List.filter_map
+                      (fun v -> Subst.value_of s v)
+                      (Term.Var_set.elements key_vars)
+                  in
+                  if not (Hashtbl.mem seen key) then begin
+                    Hashtbl.add seen key ();
+                    fire_trigger added count tgd s
+                  end)
+                triggers
             in
-            (* Atom-level scan/match statistics attribute to this rule
-               only during its own body enumeration — applicability
-               probes and EGD checks stay out of the tables. *)
-            let triggers =
-              match prof with
-              | Some p -> Profile.with_scope p tgd.Tgd.name enumerate
-              | None -> enumerate ()
-            in
-            count.matches <- count.matches + List.length triggers;
-            (* For the restricted chase, matches differing only on
-               head-irrelevant body variables are the same trigger;
-               dedup on the frontier to avoid redundant head checks.
-               The oblivious chase fires per full body match. *)
-            let key_vars =
-              match variant with
-              | Restricted -> Tgd.frontier tgd
-              | Oblivious -> Tgd.body_vars tgd
-            in
-            let seen = Hashtbl.create 16 in
-            List.iter
-              (fun s ->
-                let key =
-                  List.filter_map
-                    (fun v -> Subst.value_of s v)
-                    (Term.Var_set.elements key_vars)
-                in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
-                  fire_trigger added count tgd s
-                end)
-              triggers;
+            (* One span per rule per round, around its enumeration and
+               firing: a span per trigger would cost more than the
+               tracer's budget on large rounds. *)
+            if Trace.active () then
+              Trace.with_span "rule.fire"
+                ~attrs:[ ("rule", tgd.Tgd.name) ]
+                apply
+            else apply ();
             count.seconds <- count.seconds +. (now () -. t0))
           program.Program.tgds;
         let merged = apply_egds false in

@@ -158,6 +158,8 @@ val run :
     counters of [metrics] (when given) and to the installed
     {!Mdqa_obs.Profile} (when one is).  When a {!Mdqa_obs.Trace} tracer
     is installed, [chase.round], [rule.fire] and [egd.merge] spans are
-    emitted. *)
+    emitted; [rule.fire] covers one rule's enumeration and firing in
+    one round, not one trigger (per-trigger counts stay in [stats] and
+    the profiler). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

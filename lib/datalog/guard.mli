@@ -158,8 +158,8 @@ val count_checkpoint_bytes : t -> int -> unit
     @raise Exhausted past [max_checkpoint_bytes]. *)
 
 val consumption : t -> consumption
-(** Current consumption — usable as per-run stats by the bench
-    harness and the CLI. *)
+(** Current consumption — usable as per-run stats by the server and
+    the tests. *)
 
 val record_metrics : t -> Mdqa_obs.Metrics.t -> unit
 (** Publish the guard's current {!consumption} into a metrics registry

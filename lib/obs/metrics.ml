@@ -258,58 +258,6 @@ let to_prometheus s =
     s.histograms;
   Buffer.contents buf
 
-let json_escape v =
-  let buf = Buffer.create (String.length v + 4) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    v;
-  Buffer.contents buf
-
-let json_key (name, labels) =
-  match labels with
-  | [] -> name
-  | l ->
-    name ^ "{"
-    ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) l)
-    ^ "}"
-
-let json_float v =
-  if Float.is_finite v then float_str v
-  else Printf.sprintf "\"%s\"" (float_str v)
-
-let to_json s =
-  let buf = Buffer.create 512 in
-  Buffer.add_char buf '{';
-  let first = ref true in
-  let field k v =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (json_escape k) v)
-  in
-  List.iter (fun (k, v) -> field (json_key k) (string_of_int v)) s.counters;
-  List.iter (fun (k, v) -> field (json_key k) (json_float v)) s.gauges;
-  List.iter
-    (fun (k, h) ->
-      field (json_key k)
-        (Printf.sprintf "{\"count\":%d,\"sum\":%s,\"buckets\":[%s]}" h.hcount
-           (json_float h.hsum)
-           (String.concat ","
-              (List.map
-                 (fun (e, n) ->
-                   Printf.sprintf "[%s,%d]" (json_float (bucket_upper e)) n)
-                 h.hbuckets))))
-    s.histograms;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
 (* ------------------------------------------------------------- lookups *)
 
 let norm_labels labels =

@@ -71,10 +71,7 @@ val to_prometheus : snapshot -> string
     counters as integers, histograms as cumulative [_bucket{le=...}]
     series with [_sum] and [_count]. *)
 
-val to_json : snapshot -> string
-(** Single-line JSON rendering of the snapshot (for BENCH_*.json). *)
-
-(** {1 Lookup helpers (tests, bench)} *)
+(** {1 Lookup helpers (tests, perfbench)} *)
 
 val find_counter :
   snapshot -> ?labels:(string * string) list -> string -> int option

@@ -1,7 +1,7 @@
 (** ASCII rendering of relations as the paper's numbered tables.
 
-    Used by the bench/report harness to regenerate Tables I–V of the
-    paper and by the examples for readable output. *)
+    Used by the CLI and the benchmark to print query answers and by
+    the examples for readable output. *)
 
 val render : ?title:string -> ?numbered:bool -> Relation.t -> string
 (** Render a relation as an aligned text table.  With [numbered] (the

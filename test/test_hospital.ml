@@ -70,6 +70,19 @@ let test_example5_downward () =
       answers
   | _ -> Alcotest.fail "chase failed"
 
+(* Experiment T4/E2: rule (8) navigates from Mark's Standard-unit
+   schedule down to both Standard wards on Sep/9. *)
+let test_table4_mark_shifts () =
+  let r = Mdqa_multidim.Md_ontology.chase (Hospital.ontology ()) in
+  let shifts = R.Instance.get r.Chase.instance "shifts" in
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) ("Mark has a Sep/9 shift in " ^ w) true
+        (R.Relation.probe shifts
+           [ (0, sym w); (1, sym "Sep/9"); (2, sym "Mark") ]
+        <> []))
+    [ "W1"; "W2" ]
+
 let test_example5_via_proof () =
   let m = Hospital.ontology () in
   let r = Mdqa_multidim.Md_ontology.proof_answers m Hospital.example5_query in
@@ -265,6 +278,69 @@ let test_generator_hot_rule_flat () =
     Alcotest.failf "scanned per trigger grew from %.2f (scale 40) to %.2f (scale 80)"
       at40 at80
 
+(* C3 (§IV: chase and query answering are polynomial in the data) as
+   counts: scale 80 has twice the patients of scale 40 over twice the
+   days, so four times the patient/ward input.  The assessment's chase
+   steps and emitted join rows must grow at most 1.15x as fast. *)
+let guard_work n =
+  let g = Hospital.Gen.scale n in
+  let guard = Guard.unlimited () in
+  ignore
+    (Context.assess ~guard (Hospital.Gen.context g)
+       ~source:(Hospital.Gen.source g));
+  let input =
+    R.Relation.cardinal (R.Instance.get (Hospital.Gen.data g) "patient_ward")
+  in
+  (input, Guard.consumption guard)
+
+let test_generator_work_linear () =
+  let in40, c40 = guard_work 40 and in80, c80 = guard_work 80 in
+  let bound = 1.15 *. float_of_int in80 /. float_of_int in40 in
+  let grows_within what a b =
+    let growth = float_of_int b /. float_of_int a in
+    if a = 0 || growth > bound then
+      Alcotest.failf "%s grew %d -> %d (%.2fx) for %d -> %d input tuples" what
+        a b growth in40 in80
+  in
+  grows_within "steps" c40.Guard.steps c80.Guard.steps;
+  grows_within "rows" c40.Guard.rows c80.Guard.rows
+
+(* C4 (§IV: upward-only ontologies are FO-rewritable): on the rule (7)
+   ontology over the scaled data, FO rewriting, the chase and
+   DeterministicWSQAns give the same answers at every size. *)
+let test_generator_upward_engines_agree () =
+  List.iter
+    (fun n ->
+      let g = Hospital.Gen.scale n in
+      let hosp_inst, time_inst = Hospital.Gen.dim_instances g in
+      let up =
+        Mdqa_multidim.Md_ontology.make ~schema:Hospital.md_schema
+          ~dim_instances:[ hosp_inst; time_inst; Hospital.device_instance ]
+          ~data:(Hospital.Gen.data g) ~rules:[ Hospital.rule7 ] ()
+      in
+      let q =
+        Query.make ~name:"p1_units" ~head:[ v "U"; v "D" ]
+          [ Atom.make "patient_unit"
+              [ v "U"; v "D"; c (Hospital.Gen.patient_name 1) ] ]
+      in
+      let size = Printf.sprintf " (scale %d)" n in
+      let via_chase =
+        match Mdqa_multidim.Md_ontology.certain_answers up q with
+        | Query.Ok l -> l
+        | _ -> Alcotest.fail ("chase did not saturate" ^ size)
+      in
+      Alcotest.(check bool) ("answers exist" ^ size) true (via_chase <> []);
+      (match Mdqa_multidim.Md_ontology.rewrite_answers up q with
+       | Guard.Complete via_rw ->
+         Alcotest.(check (list tuple_testable)) ("rewriting = chase" ^ size)
+           via_chase via_rw
+       | Guard.Degraded _ -> Alcotest.fail ("rewriting degraded" ^ size));
+      let proof = Mdqa_multidim.Md_ontology.proof_answers up q in
+      Alcotest.(check bool) ("proof complete" ^ size) true proof.Proof.complete;
+      Alcotest.(check (list tuple_testable)) ("proof = chase" ^ size) via_chase
+        proof.Proof.answers)
+    [ 20; 40; 80 ]
+
 (* Incremental assessment: a new quality measurement arrives. *)
 let test_incremental_assessment () =
   let a0 = Lazy.force assessment in
@@ -325,6 +401,8 @@ let suites =
         case "query rewriting Q -> Q^q" test_rewrite_query ] );
     ( "hospital.navigation",
       [ case "E5: Mark's dates via chase" test_example5_downward;
+        case "T4: rule (8) gives Mark shifts in W1 and W2"
+          test_table4_mark_shifts;
         case "E5: via DeterministicWSQAns" test_example5_via_proof;
         case "E5: shift value is not certain" test_example5_shift_unknown;
         case "E6: rule (9) null unit" test_rule9_disjunctive_downward;
@@ -338,4 +416,7 @@ let suites =
       [ case "scaled pipeline" test_generator_pipeline;
         case "scaled referential integrity" test_generator_referential_ok;
         case "scaled doctor query" test_generator_doctor_query;
-        case "hot rule cost flat in scale" test_generator_hot_rule_flat ] ) ]
+        case "hot rule cost flat in scale" test_generator_hot_rule_flat;
+        case "C3: chase work linear in the input" test_generator_work_linear;
+        case "C4: rewriting, chase and proof agree in scale"
+          test_generator_upward_engines_agree ] ) ]

@@ -100,7 +100,9 @@ let test_instance_strict_homogeneous () =
   Alcotest.(check bool) "strict" true (Dim_instance.is_strict hinst);
   Alcotest.(check bool) "homogeneous" true (Dim_instance.is_homogeneous hinst);
   Alcotest.(check bool) "time strict" true
-    (Dim_instance.is_strict Hospital.time_instance)
+    (Dim_instance.is_strict Hospital.time_instance);
+  Alcotest.(check bool) "time homogeneous" true
+    (Dim_instance.is_homogeneous Hospital.time_instance)
 
 let test_instance_bad_links () =
   let raises f =
@@ -460,6 +462,8 @@ let test_dim_schema_dot () =
 
 let test_md_schema_dot () =
   let dot = Md_schema.to_dot schema in
+  Alcotest.(check bool) "a Graphviz digraph" true
+    (String.starts_with ~prefix:"digraph" dot);
   Alcotest.(check bool) "one cluster per dimension" true
     (contains ~needle:"cluster_Hospital" dot
     && contains ~needle:"cluster_Time" dot
