@@ -206,18 +206,22 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
               matches = c.matches; rule_seconds = c.seconds })
         rule_counts
   in
-  (* Delta of the previous round, per predicate. *)
-  let delta : (string, Tuple.Set.t) Hashtbl.t = Hashtbl.create 16 in
-  let delta_mem pred t =
-    match Hashtbl.find_opt delta pred with
+  (* Per-predicate tuple sets: a round's additions, which become the
+     next round's delta, and the images of an EGD pass. *)
+  let mem_in tbl pred t =
+    match Hashtbl.find_opt tbl pred with
     | Some s -> Tuple.Set.mem t s
     | None -> false
   in
-  let delta_tuples pred =
-    match Hashtbl.find_opt delta pred with
+  let tuples_in tbl pred =
+    match Hashtbl.find_opt tbl pred with
     | Some s -> Tuple.Set.elements s
     | None -> []
   in
+  let set_of tbl pred =
+    Option.value ~default:Tuple.Set.empty (Hashtbl.find_opt tbl pred)
+  in
+  let delta = ref (Hashtbl.create 16) in
   (* Instantiate the head of [tgd] under [subst], inventing fresh nulls
      for existential variables; returns the ground head atoms. *)
   let instantiate_head (tgd : Tgd.t) subst =
@@ -275,89 +279,126 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
                  Hashtbl.replace tbl (Atom.pred a, t)
                    { rule = tgd.Tgd.name; premises = Lazy.force premises }
              | None -> ());
-            let prev =
-              Option.value ~default:Tuple.Set.empty
-                (Hashtbl.find_opt added (Atom.pred a))
-            in
-            Hashtbl.replace added (Atom.pred a) (Tuple.Set.add t prev)
+            Hashtbl.replace added (Atom.pred a)
+              (Tuple.Set.add t (set_of added (Atom.pred a)))
           end)
         head;
       if !new_fact then count.fires <- count.fires + 1
     end
   in
 
-  (* Enforce EGDs to fixpoint.  Returns true if any value was merged
-     (in which case semi-naive deltas are no longer valid). *)
-  let rec apply_egds merged =
-    let violation =
-      List.find_map
-        (fun (egd : Egd.t) ->
-          List.find_map
-            (fun s ->
-              let a = Subst.apply_term s egd.Egd.lhs
-              and b = Subst.apply_term s egd.Egd.rhs in
-              match a, b with
-              | Term.Const x, Term.Const y when not (Value.equal x y) ->
-                Some (egd, x, y)
-              | _ -> None)
-            (Eval.answers ~guard inst egd.Egd.body))
-        program.Program.egds
-    in
-    match violation with
-    | None -> merged
-    | Some (egd, x, y) ->
-      let replace_work ~from ~into =
-        Instance.map_values inst (fun v ->
-            if Value.equal v from then into else v);
-        ck (fun c -> c.on_merge ~from_:from ~into);
-        (* keep recorded provenance keyed by the merged facts *)
-        match prov with
-        | None -> ()
-        | Some tbl ->
-          let remap_tuple t =
-            Tuple.map (fun v -> if Value.equal v from then into else v) t
+  (* Enforce EGDs to fixpoint, one pass at a time.  A pass searches
+     every EGD body once — in full when [within] is [None] or the chase
+     is naive, otherwise for matches touching a tuple of [within] — and
+     resolves each violation through a union-find over values: a null
+     goes into the other side (lhs into rhs when both are nulls), two
+     constant roots clash.  It then rewrites the instance and the
+     provenance table once, and replaces in [fresh] the tuples it moved
+     by their images.  A violation the rewrite leaves or makes touches
+     an image, so the next pass searches only those. *)
+  let apply_egds ~full fresh =
+    if program.Program.egds <> [] then
+      Profile.with_phase "egd" @@ fun () ->
+      let rec pass within =
+        let parent = Hashtbl.create 16 in
+        let rec find v =
+          match Hashtbl.find_opt parent v with
+          | None -> v
+          | Some p ->
+            let r = find p in
+            Hashtbl.replace parent v r;
+            r
+        in
+        let resolve (egd : Egd.t) s =
+          match (Subst.apply_term s egd.Egd.lhs, Subst.apply_term s egd.Egd.rhs) with
+          | Term.Const x, Term.Const y ->
+            let x = find x and y = find y in
+            if not (Value.equal x y) then begin
+              let from_, into =
+                match (Value.is_null x, Value.is_null y) with
+                | true, _ -> (x, y)
+                | false, true -> (y, x)
+                | false, false ->
+                  raise (Stop (Failed (Egd_clash { egd; left = x; right = y })))
+              in
+              Hashtbl.replace parent from_ into;
+              ck (fun c -> c.on_merge ~from_ ~into);
+              incr merges;
+              Log.debug (fun m ->
+                  m "EGD %s merged %a into %a" egd.Egd.name Value.pp from_
+                    Value.pp into)
+            end
+          | _ -> ()
+        in
+        let rewrite () =
+          let sigma =
+            Hashtbl.fold
+              (fun v _ m -> Value.Map.add v (find v) m)
+              parent Value.Map.empty
           in
-          let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-          Hashtbl.reset tbl;
+          let image =
+            Tuple.map (fun v ->
+                Option.value ~default:v (Value.Map.find_opt v sigma))
+          in
+          let remap (pred, t) = (pred, image t) in
+          Option.iter
+            (fun tbl ->
+              let entries = List.of_seq (Hashtbl.to_seq tbl) in
+              Hashtbl.reset tbl;
+              List.iter
+                (fun (k, d) ->
+                  Hashtbl.replace tbl (remap k)
+                    { d with premises = List.map remap d.premises })
+                entries)
+            prov;
+          let images = Instance.substitute inst sigma in
           List.iter
-            (fun ((pred, t), d) ->
-              Hashtbl.replace tbl
-                (pred, remap_tuple t)
-                { d with
-                  premises =
-                    List.map
-                      (fun (p', t') -> (p', remap_tuple t'))
-                      d.premises })
-            entries
+            (fun (pred, moved) ->
+              let rel = Instance.get inst pred in
+              Hashtbl.replace fresh pred
+                (Tuple.Set.union moved
+                   (Tuple.Set.filter (Relation.mem rel) (set_of fresh pred))))
+            images;
+          Hashtbl.of_seq (List.to_seq images)
+        in
+        let before = !merges in
+        (try
+           List.iter
+             (fun (egd : Egd.t) ->
+               List.iter (resolve egd)
+                 (match within with
+                  | Some d when semi_naive ->
+                    Eval.delta_answers ~guard inst ~delta:(mem_in d)
+                      ~delta_tuples:(tuples_in d) egd.Egd.body
+                  | _ -> Eval.answers ~guard inst egd.Egd.body))
+             program.Program.egds
+         with e ->
+           (* a clash or a trip leaves the instance as journaled *)
+           ignore (rewrite ());
+           raise e);
+        if !merges > before then
+          pass
+            (Some
+               (Trace.with_span "egd.merge"
+                  ~attrs:[ ("merges", string_of_int (!merges - before)) ]
+                  rewrite))
       in
-      let replace ~from ~into =
-        if Trace.active () then
-          Trace.with_span "egd.merge"
-            ~attrs:[ ("egd", egd.Egd.name) ]
-            (fun () -> replace_work ~from ~into)
-        else replace_work ~from ~into
-      in
-      (match Value.is_null x, Value.is_null y with
-       | true, _ -> replace ~from:x ~into:y
-       | false, true -> replace ~from:y ~into:x
-       | false, false ->
-         raise (Stop (Failed (Egd_clash { egd; left = x; right = y }))));
-      incr merges;
-      Log.debug (fun m ->
-          m "EGD %s merged %a into %a" egd.Egd.name Value.pp x Value.pp y);
-      apply_egds true
+      pass (if full then None else Some fresh)
   in
 
   let check_ncs () =
-    List.iter
-      (fun (nc : Nc.t) ->
-        match Eval.first ~guard ~cmps:nc.Nc.cmps inst nc.Nc.body with
-        | Some witness ->
-          Log.info (fun m ->
-              m "constraint %s violated under %a" nc.Nc.name Subst.pp witness);
-          raise (Stop (Failed (Nc_violation { nc; witness })))
-        | None -> ())
-      program.Program.ncs
+    if program.Program.ncs <> [] then
+      Profile.with_phase "nc" @@ fun () ->
+      List.iter
+        (fun (nc : Nc.t) ->
+          match Eval.first ~guard ~cmps:nc.Nc.cmps inst nc.Nc.body with
+          | Some witness ->
+            Log.info (fun m ->
+                m "constraint %s violated under %a" nc.Nc.name Subst.pp
+                  witness);
+            raise (Stop (Failed (Nc_violation { nc; witness })))
+          | None -> ())
+        program.Program.ncs
   in
 
   let outcome =
@@ -367,31 +408,25 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
       (* The durable base image: everything below is journaled as a
          delta against the instance at this point. *)
       ck (fun c -> c.on_start inst);
-      (* EGDs and NCs must hold of the extensional data too. *)
-      let merged0 = apply_egds false in
-      if merged0 then Hashtbl.reset delta;
-      check_ncs ();
-      let continue = ref true in
       let first_round = ref true in
-      (* Incremental mode: seed the delta with the resumed or added
-         facts and start semi-naive immediately.  An initial EGD merge
-         rewrites values the seeded tuples may still mention, so it
-         invalidates the frontier: fall back to a full first round. *)
-      (match seed with
-       | None -> ()
-       | Some new_facts ->
-         let seeded = semi_naive && not merged0 in
-         List.iter
-           (fun (pred, t) ->
+      (* Incremental mode: the resumed or added facts seed the delta
+         and the chase is semi-naive from its first round on. *)
+      let seeded = Hashtbl.create 16 in
+      Option.iter
+        (List.iter (fun (pred, t) ->
              if Instance.add_tuple inst pred t then
                ck (fun c -> c.on_fact pred t);
-             if seeded then
-               Hashtbl.replace delta pred
-                 (Tuple.Set.add t
-                    (Option.value ~default:Tuple.Set.empty
-                       (Hashtbl.find_opt delta pred))))
-           new_facts;
-         if seeded then first_round := false);
+             Hashtbl.replace seeded pred (Tuple.Set.add t (set_of seeded pred))))
+        seed;
+      (* EGDs and NCs must hold of the starting instance too: one full
+         search, after which every EGD search is delta-driven. *)
+      apply_egds ~full:true seeded;
+      check_ncs ();
+      if semi_naive && seed <> None then begin
+        delta := seeded;
+        first_round := false
+      end;
+      let continue = ref true in
       while !continue do
         Mdqa_obs.Failpoint.hit "chase.round";
         incr rounds;
@@ -412,8 +447,8 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
             let apply () =
               let enumerate () =
                 if semi_naive && not !first_round then
-                  Eval.delta_answers ~guard inst ~delta:delta_mem ~delta_tuples
-                    tgd.Tgd.body
+                  Eval.delta_answers ~guard inst ~delta:(mem_in !delta)
+                    ~delta_tuples:(tuples_in !delta) tgd.Tgd.body
                 else Eval.answers ~guard inst tgd.Tgd.body
               in
               (* Atom-level scan/match statistics attribute to this rule
@@ -458,24 +493,17 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
             else apply ();
             count.seconds <- count.seconds +. (now () -. t0))
           program.Program.tgds;
-        let merged = apply_egds false in
+        let before = !merges in
+        apply_egds ~full:false added;
         check_ncs ();
-        let grew = Hashtbl.length added > 0 in
-        if merged then begin
-          (* Null merges invalidate deltas: fall back to full
-             enumeration next round. *)
-          Hashtbl.reset delta;
-          first_round := true;
-          continue := true
-        end
-        else begin
-          Hashtbl.reset delta;
-          Hashtbl.iter (fun k v -> Hashtbl.replace delta k v) added;
-          first_round := false;
-          continue := grew
-        end;
+        (* Semi-naive survives merges: [added] now holds the images. *)
+        let merged = !merges > before in
+        delta := added;
+        first_round := false;
+        continue := Hashtbl.length added > 0;
         (* Round boundary: a durable point.  The frontier is the delta
-           just installed; [None] after a merge, which invalidated it. *)
+           just installed; [None] after a merge, so that a resume (whose
+           journal replay cannot tell images apart) runs a full round. *)
         ck (fun c ->
             let frontier =
               if merged then None
@@ -483,7 +511,7 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
                 Some
                   (Hashtbl.fold
                      (fun pred s acc -> (pred, Tuple.Set.elements s) :: acc)
-                     delta []
+                     !delta []
                   |> List.sort (fun (a, _) (b, _) -> String.compare a b))
             in
             c.on_round ~instance:inst ~frontier (current_stats ()))

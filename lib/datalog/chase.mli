@@ -16,7 +16,11 @@
 
     Trigger enumeration is semi-naive by default: after the first
     round, only matches involving a fact derived in the previous round
-    are considered.
+    are considered.  EGD merges keep it so: the tuples a merge rewrites
+    join the next round's delta.  EGDs are enforced in passes: one
+    search collects every violation (after the first, full check, only
+    those touching a new or rewritten tuple), a union-find resolves
+    them, and the instance is rewritten once per pass.
 
     For weakly-sticky programs over a fixed dimensional structure the
     chase terminates; resource budgets (steps, nulls, wall-clock
@@ -79,14 +83,17 @@ type checkpoint = {
       (** a fact was added ({e after} the instance mutation) *)
   on_merge :
     from_:Mdqa_relational.Value.t -> into:Mdqa_relational.Value.t -> unit;
-      (** an EGD merge rewrote every [from_] to [into] *)
+      (** an EGD pass merged [from_] into [into], both the current
+          representatives of their values; the pass rewrites the
+          instance once, after its last merge *)
   on_round :
     instance:Mdqa_relational.Instance.t ->
     frontier:(string * Mdqa_relational.Tuple.t list) list option ->
     stats ->
     unit;
       (** a round completed; [frontier] is the semi-naive delta for the
-          next round, [None] when an EGD merge invalidated it *)
+          next round, [None] after a round with an EGD merge (a resume
+          from it then runs a full first round) *)
   on_done : instance:Mdqa_relational.Instance.t -> outcome -> stats -> unit;
       (** the run ended (saturated, degraded or failed).  Implementors
           must not raise: exceptions here would mask the outcome. *)
@@ -160,6 +167,8 @@ val run :
     is installed, [chase.round], [rule.fire] and [egd.merge] spans are
     emitted; [rule.fire] covers one rule's enumeration and firing in
     one round, not one trigger (per-trigger counts stay in [stats] and
-    the profiler). *)
+    the profiler), and [egd.merge] one EGD pass's rewrite, with its
+    [merges] count.  The profiler's [egd] and [nc] phases time EGD
+    enforcement and negative-constraint checks. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

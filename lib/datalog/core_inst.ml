@@ -59,8 +59,7 @@ let compute ?(max_folds = 10_000) start =
            List.iter
              (fun v ->
                if (not (Value.equal n v)) && folds_into inst ~n ~v then begin
-                 Instance.map_values inst (fun x ->
-                     if Value.equal x n then v else x);
+                 ignore (Instance.substitute inst (Value.Map.singleton n v));
                  incr folds;
                  progress := true;
                  raise Exit

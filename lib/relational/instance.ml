@@ -47,7 +47,15 @@ let total_tuples i =
 let iter_facts f i =
   List.iter (fun r -> Relation.iter (f (Relation.name r)) r) (relations i)
 
-let map_values i f = Hashtbl.iter (fun _ r -> Relation.map_values r f) i.rels
+let substitute i sigma =
+  if Value.Map.is_empty sigma then []
+  else
+    List.filter_map
+      (fun r ->
+        let images = Relation.substitute r sigma in
+        if Tuple.Set.is_empty images then None
+        else Some (Relation.name r, images))
+      (relations i)
 
 let copy i =
   let j = create () in

@@ -38,8 +38,11 @@ val total_tuples : t -> int
 val iter_facts : (string -> Tuple.t -> unit) -> t -> unit
 (** Iterate over all facts, by relation name then tuple order. *)
 
-val map_values : t -> (Value.t -> Value.t) -> unit
-(** Rewrite every value of every relation (EGD null merging). *)
+val substitute : t -> Value.t Value.Map.t -> (string * Tuple.Set.t) list
+(** [substitute i sigma] applies {!Relation.substitute} to every
+    relation: one simultaneous rewrite of the keys of [sigma] (EGD null
+    merging, journal replay).  Returns the images per relation that
+    moved a tuple, by relation name. *)
 
 val copy : t -> t
 (** Deep copy: relations are independent of the original's. *)

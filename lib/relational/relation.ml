@@ -43,8 +43,8 @@ let build_index r ps =
   idx
 
 (* Indexes and distinct counts describe the tuple set: a removal or a
-   value rewrite drops both (removals are rare, EGD merges rebuild
-   wholesale). *)
+   substitution that moves a tuple drops both (removals are rare; an EGD
+   pass substitutes once, and only relations it touches lose theirs). *)
 let invalidate r =
   r.indexes <- [];
   r.stats <- None
@@ -128,15 +128,22 @@ let distinct r pos =
   in
   s.counts.(pos)
 
-let map_values r f =
-  let tuples' =
-    Tuple.Set.fold
-      (fun t acc -> Tuple.Set.add (Tuple.map f t) acc)
-      r.tuples Tuple.Set.empty
+let substitute r sigma =
+  let moved =
+    Tuple.Set.filter (Tuple.exists (fun v -> Value.Map.mem v sigma)) r.tuples
   in
-  r.tuples <- tuples';
-  r.card <- Tuple.Set.cardinal tuples';
-  invalidate r
+  if not (Tuple.Set.is_empty moved) then begin
+    r.tuples <- Tuple.Set.diff r.tuples moved;
+    r.card <- r.card - Tuple.Set.cardinal moved;
+    invalidate r
+  end;
+  let image v = Option.value ~default:v (Value.Map.find_opt v sigma) in
+  Tuple.Set.map
+    (fun t ->
+      let t = Tuple.map image t in
+      ignore (add r t);
+      t)
+    moved
 
 let filter p r =
   let r' = create r.schema in

@@ -49,13 +49,16 @@ val distinct : t -> int -> int
 (** [distinct r pos] is the number of distinct values at position
     [pos].  Counted in one pass and cached: recounted once the
     cardinality has doubled or halved since the last count, and
-    dropped, like the indexes, by {!remove} and {!map_values}.
+    dropped, like the indexes, by {!remove} and by a {!substitute} that
+    moves a tuple.
     Counting builds no index. *)
 
-val map_values : t -> (Value.t -> Value.t) -> unit
-(** Rewrite every value in place through the function (drops the
-    indexes and the distinct counts); used by EGD enforcement to merge
-    labeled nulls. *)
+val substitute : t -> Value.t Value.Map.t -> Tuple.Set.t
+(** [substitute r sigma] rewrites, in place and simultaneously, every
+    value of [r] that is a key of [sigma] to its binding, and returns
+    the images of the tuples it moved (some may coincide with tuples
+    already present).  Only tuples mentioning a key are touched; a
+    relation with none keeps its indexes and distinct counts. *)
 
 val filter : (Tuple.t -> bool) -> t -> t
 (** New relation (same schema) with the matching tuples. *)

@@ -188,8 +188,7 @@ let apply_replicated t records =
         in
         ignore (R.Relation.add rel tuple)
       | Journal.Merge { from_; into } ->
-        R.Instance.map_values inst (fun v ->
-            if R.Value.equal v from_ then into else v)
+        ignore (R.Instance.substitute inst (R.Value.Map.singleton from_ into))
       | Journal.Round { stats; _ } ->
         t.warm <- { t.warm with Chase.stats })
     records;

@@ -329,8 +329,8 @@ let load_from ~snapshot:spath ~journal:jpath =
                   incr replayed
                 end)
             | Journal.Merge { from_; into } ->
-              Instance.map_values inst (fun v ->
-                  if Value.equal v from_ then into else v);
+              ignore
+                (Instance.substitute inst (Value.Map.singleton from_ into));
               note into;
               segment_merged := true;
               incr replayed

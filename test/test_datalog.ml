@@ -786,6 +786,47 @@ let test_chase_efficiency_guard () =
   Alcotest.(check bool) "triggers linear in input" true
     (r.Chase.stats.Chase.triggers_checked <= 2 * n)
 
+(* The egd-merge shape: [patients] over four days in four wards of two
+   units, each patient discharged on one day.  Rule (9) in form (10)
+   invents the unit of each discharge, rule (7) derives the known one
+   by upward navigation, and "one unit per patient per day" merges the
+   null into it: one null and one merge per patient. *)
+let egd_merge_program ~patients =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  for w = 0 to 3 do add "unit_ward(u%d, w%d).\n" (w / 2) w done;
+  add "institution_unit(h0, u0). institution_unit(h0, u1).\n";
+  for p = 0 to patients - 1 do
+    for d = 0 to 3 do add "patient_ward(w%d, d%d, p%d).\n" (p mod 4) d p done;
+    add "discharge_patients(h0, d%d, p%d).\n" (p mod 4) p
+  done;
+  add
+    "institution_unit(I, U), patient_unit(U, D, P) :- discharge_patients(I, D, P).\n\
+     patient_unit(U, D, P) :- patient_ward(W, D, P), unit_ward(U, W).\n\
+     U1 = U2 :- patient_unit(U1, D, P), patient_unit(U2, D, P).\n";
+  (Parser.parse_string (Buffer.contents b)).Parser.program
+
+(* EGD work grows with the merges, not with merges times the instance:
+   the rows the guard counts may grow at most 1.15 times as fast as the
+   input (here 52 -> 104 rows for 26 -> 46 facts).  One merge at a time,
+   each rescanning every EGD body, is quadratic: 186 -> 548 rows. *)
+let test_egd_merge_rows_scale () =
+  let rows patients =
+    let p = egd_merge_program ~patients in
+    let guard = Guard.unlimited () in
+    let r = Chase.run ~guard p (Program.instance_of_facts p) in
+    Alcotest.(check bool) "saturated" true (r.Chase.outcome = Chase.Saturated);
+    Alcotest.(check int) "one merge per patient" patients
+      r.Chase.stats.Chase.egd_merges;
+    (List.length p.Program.facts, (Guard.consumption guard).Guard.rows)
+  in
+  let small_facts, small = rows 4 and big_facts, big = rows 8 in
+  let input = float big_facts /. float small_facts in
+  Alcotest.(check bool)
+    (Printf.sprintf "rows %d -> %d within 1.15 x input ratio %.2f" small big input)
+    true
+    (float big /. float small <= 1.15 *. input)
+
 (* ------------------------------------------------------------------ *)
 (* Budgets and truncation behaviour *)
 
@@ -1360,6 +1401,253 @@ let prop_semi_naive_equals_naive =
       let b = Chase.run ~semi_naive:false p inst in
       R.Instance.equal a.Chase.instance b.Chase.instance)
 
+(* --- the EGD merge path --------------------------------------------- *)
+
+(* Programs for the merge path.  Existential TGDs invent one null per
+   extensional value in p/q; full TGDs derive s/r from anything; EGDs
+   equate values across two atoms that share a key, merging nulls into
+   constants and into each other, and clashing when two constants meet.
+   Existential bodies are extensional, nothing else writes p/q, and each
+   keeps its frontier at one position, so that position only ever holds
+   constants: whether a trigger fires never depends on when a merge
+   happened, and every saturating path invents and merges the same
+   nulls. *)
+let gen_merge_program =
+  QCheck.Gen.(
+    let const = oneofl [ "c1"; "c2"; "c3"; "c4"; "c5" ] in
+    let edb = oneofl [ "e"; "f" ] in
+    let any = oneofl [ "e"; "f"; "p"; "q"; "s"; "r" ] in
+    let var = oneofl [ "X"; "Y"; "Z" ] in
+    let two flip a b = if flip then [ a; b ] else [ b; a ] in
+    let fact = map3 (fun p c d -> atom p [ s c; s d ]) edb const const in
+    (* p keeps its frontier first, q second *)
+    let existential =
+      let* h, fh = oneofl [ ("p", true); ("q", false) ] and* b = edb
+      and* fb = bool in
+      return
+        ( (h, fh),
+          tgd [ atom b (two fb (v "X") (v "Y")) ] [ atom h (two fh (v "X") (v "N")) ] )
+    in
+    (* mostly a join through an existential head's null, which a merge
+       can turn into a new match; sometimes anything *)
+    let full heads =
+      let* h = oneofl [ "s"; "r" ]
+      and* body =
+        frequency
+          [ ( 2,
+              let* (p, fp), b, fb = triple (oneofl heads) any bool in
+              return
+                [ atom p (two fp (v "X") (v "Y")); atom b (two fb (v "Y") (v "Z")) ] );
+            (1, list_size (1 -- 2) (map3 (fun p x y -> atom p [ v x; v y ]) any var var))
+          ]
+      in
+      let vars = List.concat_map (fun a -> Term.Var_set.elements (Atom.vars a)) body in
+      let* x = oneofl vars and* y = oneofl vars in
+      return (tgd body [ atom h [ v x; v y ] ])
+    in
+    (* mostly keyed on an existential head's frontier, so that its null
+       meets a value; sometimes keyed on the null itself, so that one
+       merge makes the next violation; sometimes anywhere *)
+    let egd heads =
+      let* p1, key_first =
+        frequency
+          [ (3, oneofl heads);
+            (1, map (fun (p, f) -> (p, not f)) (oneofl heads));
+            (1, pair any bool) ]
+      and* p2 = frequency [ (2, edb); (1, any) ] in
+      return
+        (Egd.make
+           ~body:
+             [ atom p1 (two key_first (v "K") (v "A"));
+               atom p2 (two key_first (v "K") (v "B")) ]
+           (v "A") (v "B"))
+    in
+    let* facts = list_size (3 -- 8) fact
+    and* existentials = list_size (1 -- 2) existential in
+    let heads = List.map fst existentials in
+    let* fulls = list_size (0 -- 2) (full heads)
+    and* egds = list_size (1 -- 2) (egd heads) in
+    return
+      (Program.make ~tgds:(List.map snd existentials @ fulls) ~egds ~facts ()))
+
+let outcome_kind = function
+  | Chase.Saturated -> `Saturated
+  | Chase.Failed (Chase.Egd_clash _) -> `Clash
+  | _ -> `Other
+
+(* The merge path before union-find merging, kept as a reference: naive
+   restricted rounds, each followed by EGD enforcement that finds one
+   violation, rewrites the whole instance, and rescans. *)
+let reference_merge_chase (p : Program.t) =
+  let inst = ref (Program.instance_of_facts p) in
+  Program.declare_predicates p !inst;
+  let next_null = ref 0 and merges = ref 0 in
+  let rewrite from into =
+    let out = R.Instance.create () in
+    List.iter
+      (fun r ->
+        let r' = R.Instance.declare out (R.Relation.schema r) in
+        R.Relation.iter
+          (fun t ->
+            ignore
+              (R.Relation.add r'
+                 (R.Tuple.map (fun x -> if R.Value.equal x from then into else x) t)))
+          r)
+      (R.Instance.relations !inst);
+    inst := out;
+    incr merges
+  in
+  let violation (egd : Egd.t) s =
+    match (Subst.apply_term s egd.Egd.lhs, Subst.apply_term s egd.Egd.rhs) with
+    | Term.Const x, Term.Const y when not (R.Value.equal x y) -> Some (x, y)
+    | _ -> None
+  in
+  let rec enforce () =
+    match
+      List.find_map
+        (fun egd -> List.find_map (violation egd) (Eval.answers !inst egd.Egd.body))
+        p.Program.egds
+    with
+    | None -> true
+    | Some (x, y) when R.Value.is_null x -> rewrite x y; enforce ()
+    | Some (x, y) when R.Value.is_null y -> rewrite y x; enforce ()
+    | Some _ -> false
+  in
+  let fire grew (tgd : Tgd.t) s =
+    if not (Eval.exists !inst (List.map (Subst.apply_atom s) tgd.Tgd.head)) then begin
+      let s =
+        Term.Var_set.fold
+          (fun x s ->
+            incr next_null;
+            Subst.bind_exn s x (Term.Const (R.Value.Null !next_null)))
+          (Tgd.existential_vars tgd) s
+      in
+      List.iter
+        (fun a ->
+          if R.Instance.add_tuple !inst (Atom.pred a) (Atom.to_tuple a) then
+            grew := true)
+        (List.map (Subst.apply_atom s) tgd.Tgd.head)
+    end
+  in
+  let rec rounds () =
+    let grew = ref false in
+    List.iter
+      (fun tgd -> List.iter (fire grew tgd) (Eval.answers !inst tgd.Tgd.body))
+      p.Program.tgds;
+    if not (enforce ()) then `Clash else if !grew then rounds () else `Saturated
+  in
+  let kind = if enforce () then rounds () else `Clash in
+  (kind, !merges, !inst)
+
+exception Crash
+
+(* Chase [p] into a fresh store, interrupted, then resume the store to
+   completion; the outcome kind, merge count and instance of the whole
+   run.  [`Steps n]: a guard of [n] steps; the run ends in [on_done],
+   which compacts, so the resume starts from a snapshot.  [`Crash n]:
+   the process dies after [n] journal records (facts and merges), with
+   no [on_done], so the resume replays the journal tail, merge records
+   included.  Replayed merges after the last round boundary are in no
+   stats record, so they are added to the resumed count.  [None] when
+   the run ends before the crash. *)
+let resume_after_interrupt p interrupt =
+  let path = Filename.temp_file "mdqa_merge" ".snap" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ path; path ^ ".journal"; path ^ ".tmp"; path ^ ".1"; path ^ ".2" ])
+  @@ fun () ->
+  let guard =
+    match interrupt with
+    | `Steps n -> Some (Guard.create ~max_steps:n ())
+    | `Crash _ -> None
+  in
+  let store =
+    Mdqa_store.Store.create ?guard ~path
+      ~program_text:(Pretty.program_to_string p) ~variant:Chase.Restricted ()
+  in
+  let inner = Mdqa_store.Store.checkpoint store in
+  let unrounded = ref 0 in
+  let checkpoint =
+    match interrupt with
+    | `Steps _ -> inner
+    | `Crash n ->
+      let seen = ref 0 in
+      let tick () = if !seen >= n then raise Crash else incr seen in
+      { inner with
+        Chase.on_fact = (fun pred t -> tick (); inner.Chase.on_fact pred t);
+        on_merge =
+          (fun ~from_ ~into ->
+            tick ();
+            inner.Chase.on_merge ~from_ ~into;
+            incr unrounded);
+        on_round =
+          (fun ~instance ~frontier stats ->
+            inner.Chase.on_round ~instance ~frontier stats;
+            unrounded := 0);
+        on_done = (fun ~instance:_ _ _ -> ()) }
+  in
+  let crashed =
+    match Chase.run ?guard ~checkpoint p (Program.instance_of_facts p) with
+    | _ -> false
+    | exception Crash -> true
+  in
+  if crashed then Mdqa_store.Store.close store;
+  match interrupt with
+  | `Crash _ when not crashed ->
+    Mdqa_store.Store.close store;
+    None
+  | _ -> (
+    match Mdqa_store.Store.resume ~path () with
+    | Ok (r, _) ->
+      Some
+        ( outcome_kind r.Chase.outcome,
+          r.Chase.stats.Chase.egd_merges + !unrounded,
+          r.Chase.instance )
+    | Error e ->
+      Alcotest.failf "resume: %s"
+        (Format.asprintf "%a" Mdqa_store.Store.pp_load_error e))
+
+(* Outcome kind, merge count and instance (up to hom-equivalence) agree
+   across the chase, semi-naive and naive, the reference, a resume after
+   a guard interrupt at every step count — which includes every round
+   after a merge — and a resume after a crash at every journal record,
+   which replays the merge records written since the last snapshot.
+   Clashing runs agree on the kind only: how many merges land before
+   the clash depends on the search order. *)
+let prop_merge_path_agrees =
+  QCheck.Test.make ~name:"EGD merges: chase = naive = reference = resume"
+    ~count:200
+    (QCheck.make ~print:Pretty.program_to_string gen_merge_program)
+    (fun p ->
+      let inst = Program.instance_of_facts p in
+      let semi = Chase.run p inst in
+      let kind = outcome_kind semi.Chase.outcome in
+      let agrees (k, merges, i) =
+        k = kind
+        && (kind <> `Saturated
+           || (merges = semi.Chase.stats.Chase.egd_merges
+              && Core_inst.hom_equivalent i semi.Chase.instance))
+      in
+      let of_result (r : Chase.result) =
+        (outcome_kind r.Chase.outcome, r.Chase.stats.Chase.egd_merges, r.Chase.instance)
+      in
+      let rec crashes n =
+        match resume_after_interrupt p (`Crash n) with
+        | None -> true
+        | Some r -> agrees r && crashes (n + 1)
+      in
+      kind <> `Other
+      && agrees (of_result (Chase.run ~semi_naive:false p inst))
+      && agrees (reference_merge_chase p)
+      && List.for_all
+           (fun steps ->
+             agrees (Option.get (resume_after_interrupt p (`Steps steps))))
+           (List.init (semi.Chase.stats.Chase.triggers_checked + 1) succ)
+      && crashes 0)
+
 (* Differential planner check: Eval's planned, index-backed join
    against a nested loop that evaluates the body in source order over
    every tuple, with no index.  Bodies of 1-6 atoms mix constants,
@@ -1527,6 +1815,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_proof_agrees_with_chase; prop_rewrite_agrees_with_chase;
       prop_chase_idempotent; prop_semi_naive_equals_naive;
+      prop_merge_path_agrees;
       prop_planner_equals_nested_loop;
       prop_core_sound; prop_goal_directed_same;
       prop_parser_total; prop_parser_pretty_roundtrip ]
@@ -1588,7 +1877,9 @@ let suites =
     ( "datalog.validation",
       [ case "constructor validation" test_constructor_validation;
         case "chase trigger budget" test_chase_trigger_budget;
-        case "chase trigger-count regression guard" test_chase_efficiency_guard
+        case "chase trigger-count regression guard" test_chase_efficiency_guard;
+        case "EGD rows grow with merges, not merges x instance"
+          test_egd_merge_rows_scale
       ] );
     ( "datalog.budgets",
       [ case "proof depth vs step truncation" test_proof_depth_budget;

@@ -637,6 +637,44 @@ let test_counts_resumed () =
   in
   check_counts "resumed" ~prior run
 
+(* EGD enforcement and negative-constraint checks are profiler phases
+   of their own, not chase self time, and each EGD pass is one
+   [egd.merge] span carrying its merge count. *)
+let test_egd_and_nc_phases () =
+  let program =
+    (Mdqa_datalog.Parser.parse_string
+       "emp(a). emp(b). dept(a, sales). boss(b).\n\
+        dept(X, D) :- emp(X).\n\
+        dept(X, hq) :- boss(X).\n\
+        D1 = D2 :- dept(X, D1), dept(X, D2).\n\
+        ! :- dept(X, closed).")
+      .Mdqa_datalog.Parser.program
+  in
+  let p = Profile.create () and tr = Trace.create () in
+  Profile.install p;
+  Trace.install tr;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Profile.uninstall ();
+        Trace.uninstall ())
+      (fun () -> Chase.run program (Mdqa_relational.Instance.create ()))
+  in
+  Alcotest.(check bool) "saturated" true (r.Chase.outcome = Chase.Saturated);
+  Alcotest.(check int) "one null merged" 1 r.Chase.stats.Chase.egd_merges;
+  let snap = Profile.snapshot p in
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool) (phase ^ " phase recorded") true
+        (Profile.find_phase snap phase <> None))
+    [ "chase"; "egd"; "nc" ];
+  let passes =
+    List.filter (fun e -> e.Trace.name = "egd.merge") (Trace.events tr)
+  in
+  Alcotest.(check (list (list (pair string string))))
+    "one egd.merge span per merging pass" [ [ ("merges", "1") ] ]
+    (List.map (fun e -> e.Trace.attrs) passes)
+
 (* ---------------------------------------------------------------------- *)
 
 let case name f = Alcotest.test_case name `Quick f
@@ -674,4 +712,6 @@ let suites =
     ( "obs.counts",
       [ case "two runs share one registry" test_counts_shared_registry;
         case "guard trip in mid-round" test_counts_guard_trip;
-        case "resumed run folds prior stats" test_counts_resumed ] ) ]
+        case "resumed run folds prior stats" test_counts_resumed;
+        case "EGD and NC checks are profiler phases" test_egd_and_nc_phases
+      ] ) ]

@@ -174,7 +174,7 @@ let test_probe_composite_exact () =
     (List.length (Relation.probe r [ (0, v_sym "x"); (2, v_sym "p") ]))
 
 (* A composite bucket must follow every mutation: removal and an EGD
-   style value rewrite drop the indexes, insertion extends them. *)
+   style substitution drop the indexes, insertion extends them. *)
 let test_probe_composite_after_mutation () =
   let r =
     rel3 [ [ "x"; "1"; "p" ]; [ "x"; "1"; "q" ]; [ "y"; "1"; "p" ] ]
@@ -195,9 +195,8 @@ let test_probe_composite_after_mutation () =
   (* merge a null into x: the null's row joins the (x,1) bucket *)
   ignore (Relation.add r (tup [ Value.Null 7; v_sym "1"; v_sym "n" ]));
   count "null row" 1 [ (0, Value.Null 7); (1, v_sym "1") ];
-  Relation.map_values r (fun v ->
-      if Value.equal v (Value.Null 7) then v_sym "x" else v);
-  count "after map_values" 3 key;
+  ignore (Relation.substitute r (Value.Map.singleton (Value.Null 7) (v_sym "x")));
+  count "after substitute" 3 key;
   count "null gone" 0 [ (0, Value.Null 7); (1, v_sym "1") ];
   (* the rewrite also invalidates the distinct counts *)
   Alcotest.(check int) "distinct a after merge" 2 (Relation.distinct r 0)
@@ -212,15 +211,30 @@ let test_distinct_counts () =
     [ 1; 2; 3 ];
   Alcotest.(check int) "recounted at double" 5 (Relation.distinct r 0)
 
-let test_relation_map_values () =
+let test_relation_substitute () =
   let r = Relation.create schema_ab in
   ignore (Relation.add r (tup [ Value.Null 1; v_sym "k" ]));
   ignore (Relation.add r (tup [ v_sym "c"; v_sym "k" ]));
-  Relation.map_values r (fun v ->
-      if Value.equal v (Value.Null 1) then v_sym "c" else v);
-  Alcotest.(check int) "merged" 1 (Relation.cardinal r);
+  ignore (Relation.add r (tup [ Value.Null 2; Value.Null 1 ]));
+  ignore (Relation.add r (tup [ v_sym "d"; v_sym "e" ]));
+  (* simultaneous: ⊥1 ↦ c and ⊥2 ↦ ⊥1 do not chain *)
+  let sigma =
+    Value.Map.(
+      empty
+      |> add (Value.Null 1) (v_sym "c")
+      |> add (Value.Null 2) (Value.Null 1))
+  in
+  let images = Relation.substitute r sigma in
+  Alcotest.(check (list tuple_testable)) "images of the moved tuples"
+    [ syms [ "c"; "k" ]; tup [ Value.Null 1; v_sym "c" ] ]
+    (Tuple.Set.elements images);
+  Alcotest.(check int) "merged" 3 (Relation.cardinal r);
   Alcotest.(check bool) "contains merged" true
-    (Relation.mem r (syms [ "c"; "k" ]))
+    (Relation.mem r (syms [ "c"; "k" ]));
+  Alcotest.(check bool) "untouched tuple kept" true
+    (Relation.mem r (syms [ "d"; "e" ]));
+  Alcotest.(check bool) "nothing moves twice" true
+    (Tuple.Set.is_empty (Relation.substitute r (Value.Map.singleton (Value.Null 2) (v_sym "c"))))
 
 let test_relation_remove () =
   let r = Relation.create schema_ab in
@@ -507,10 +521,10 @@ let suites =
         case "scan after insert" test_relation_scan_after_add;
         case "probe [] lists every tuple" test_probe_empty_key;
         case "composite probe is exact" test_probe_composite_exact;
-        case "composite index after remove/add/map_values"
+        case "composite index after remove/add/substitute"
           test_probe_composite_after_mutation;
         case "distinct counts" test_distinct_counts;
-        case "map_values merges nulls" test_relation_map_values;
+        case "substitute merges nulls" test_relation_substitute;
         case "remove" test_relation_remove ] );
     ( "relational.instance",
       [ case "declare idempotent + clash" test_instance_declare;

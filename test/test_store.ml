@@ -108,9 +108,11 @@ let normalize_nulls inst =
           | _ -> ())
         (R.Tuple.to_list t))
     inst;
-  R.Instance.map_values inst (function
-    | R.Value.Null k -> R.Value.Null (Hashtbl.find mapping k)
-    | v -> v);
+  ignore
+    (R.Instance.substitute inst
+       (Hashtbl.fold
+          (fun k k' m -> R.Value.Map.add (R.Value.Null k) (R.Value.Null k') m)
+          mapping R.Value.Map.empty));
   inst
 
 let equivalent a b =
