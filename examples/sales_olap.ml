@@ -209,8 +209,9 @@ let () =
 
   section "After fixing the classification";
   let fixed = product_instance product_links_fixed in
-  Printf.printf "strict: %b, homogeneous: %b\n"
-    (Dim_instance.is_strict fixed) (Dim_instance.is_homogeneous fixed);
+  let report = Summarizability.diagnose fixed in
+  Printf.printf "strict: %b, homogeneous: %b\n" report.strict
+    report.homogeneous;
   Printf.printf "category totals (correct):\n";
   print_totals (totals_by_category fixed (sales_relation "sales"));
 

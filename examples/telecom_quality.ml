@@ -23,9 +23,9 @@ let () =
     (String.concat "  |  "
        (List.map (String.concat " -> ")
           (Dim_schema.paths Telecom.calendar_dim ~source:"Day" ~target:"Year")));
-  Printf.printf "strict: %b, homogeneous: %b\n"
-    (Dim_instance.is_strict Telecom.calendar_instance)
-    (Dim_instance.is_homogeneous Telecom.calendar_instance);
+  let report = Summarizability.diagnose Telecom.calendar_instance in
+  Printf.printf "strict: %b, homogeneous: %b\n" report.strict
+    report.homogeneous;
 
   section "CDRs under assessment and the inspection log";
   R.Table_fmt.print ~title:"cdr" (R.Instance.get (Telecom.source ()) "cdr");

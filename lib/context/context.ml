@@ -176,6 +176,3 @@ let explain a name tuple =
   match List.assoc_opt name a.context.quality_versions with
   | None -> Error (Printf.sprintf "%s has no declared quality version" name)
   | Some qpred -> Explain.why a.chase qpred tuple
-
-let pp_mapping ppf (m : mapping) =
-  Format.fprintf ppf "%s ↦ %s" m.source m.target

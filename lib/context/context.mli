@@ -144,5 +144,3 @@ val explain :
 (** [explain a s t]: the derivation of tuple [t] of [s]'s quality
     version — why the tuple was deemed up to quality.  Requires the
     assessment to have been run with [~provenance:true]. *)
-
-val pp_mapping : Format.formatter -> mapping -> unit

@@ -102,7 +102,8 @@ let parse_dimension diags st =
          Raw.advance st;
          let parents = comma_list st (fun st -> name_token st "a category") in
          d.cat_edges <-
-           d.cat_edges @ List.map (fun p -> (child, p, pos)) parents
+           List.rev_append (List.map (fun p -> (child, p, pos)) parents)
+             d.cat_edges
        | _ -> d.standalone <- (child, pos) :: d.standalone);
       Raw.expect st Lexer.PERIOD "'.'"
     | Lexer.IDENT "member", pos ->
@@ -120,7 +121,8 @@ let parse_dimension diags st =
        | Lexer.ARROW, _ ->
          Raw.advance st;
          let parents = comma_list st (fun st -> name_token st "a member") in
-         d.links <- d.links @ List.map (fun p -> (m, p, pos)) parents
+         d.links <-
+           List.rev_append (List.map (fun p -> (m, p, pos)) parents) d.links
        | _ -> ());
       Raw.expect st Lexer.PERIOD "'.'"
     | t, _ ->
@@ -145,7 +147,12 @@ let parse_dimension diags st =
       body ()
   in
   body ();
-  Dimension d
+  Dimension
+    { d with
+      cat_edges = List.rev d.cat_edges;
+      standalone = List.rev d.standalone;
+      dmembers = List.rev d.dmembers;
+      links = List.rev d.links }
 
 let parse_relation st kind =
   let start = Raw.pos st in
@@ -236,121 +243,73 @@ let warn diags (pos : Lexer.pos) code fmt =
   Diag.warningf diags ~line:pos.Lexer.line ~col:pos.Lexer.col ~code fmt
 
 let validate_dimension diags (d : dim_decl) =
-  let ok = ref true in
-  let schema =
-    let edges =
-      List.map (fun (c, p, _) -> (c, p)) d.cat_edges
-      @ List.filter_map
-          (fun (c, _) ->
-            if
-              List.exists (fun (a, b, _) -> a = c || b = c) d.cat_edges
-            then None
-            else Some (c, Dim_schema.all))
-          (List.rev d.standalone)
-    in
-    match Dim_schema.make ~name:d.dim_name ~edges with
-    | s -> Some s
-    | exception Invalid_argument m ->
-      err diags d.dim_pos "E014" "%s" m;
-      ok := false;
-      None
+  let edges =
+    List.map (fun (c, p, _) -> (c, p)) d.cat_edges
+    @ List.filter_map
+        (fun (c, _) ->
+          if List.exists (fun (a, b, _) -> a = c || b = c) d.cat_edges then
+            None
+          else Some (c, Dim_schema.all))
+        d.standalone
   in
-  (match schema with
-   | None -> ()
-   | Some schema ->
-     (* members: known categories, no duplicates *)
-     let seen = Hashtbl.create 16 in
-     List.iter
-       (fun (m, cat, pos) ->
-         if not (Dim_schema.mem_category schema cat) then begin
-           err diags pos "E015"
-             "dimension %s has no category %s (member %s)" d.dim_name cat m;
-           ok := false
-         end;
-         (match Hashtbl.find_opt seen m with
-          | Some other_cat ->
-            err diags pos "E016"
-              "member %s already declared in category %s of dimension %s" m
-              other_cat d.dim_name;
-            ok := false
-          | None -> Hashtbl.add seen m cat))
-       (List.rev d.dmembers);
-     (* links: known members, along a schema edge *)
-     List.iter
-       (fun (child, parent, pos) ->
-         match Hashtbl.find_opt seen child, Hashtbl.find_opt seen parent with
-         | None, _ ->
-           err diags pos "E017"
-             "link references unknown member %s of dimension %s" child
-             d.dim_name;
-           ok := false
-         | _, None ->
-           if parent <> "all" then begin
-             err diags pos "E017"
-               "link references unknown member %s of dimension %s" parent
-               d.dim_name;
-             ok := false
-           end
-         | Some cc, Some pc ->
-           if not (List.mem pc (Dim_schema.parents schema cc)) then begin
-             err diags pos "E017"
-               "link %s -> %s does not follow a schema edge (%s -> %s) in \
-                dimension %s"
-               child parent cc pc d.dim_name;
-             ok := false
-           end)
-       d.links);
-  let instance =
-    if not !ok then None
-    else
-      match schema with
-      | None -> None
-      | Some schema -> (
-        let members_by_cat =
-          List.fold_left
-            (fun acc (m, cat, _) ->
-              let cur = Option.value ~default:[] (List.assoc_opt cat acc) in
-              (cat, m :: cur) :: List.remove_assoc cat acc)
-            []
-            d.dmembers
+  match Dim_schema.make ~name:d.dim_name ~edges with
+  | exception Invalid_argument m ->
+    err diags d.dim_pos "E014" "%s" m;
+    (None, None)
+  | schema -> (
+    (* one group per declared member, so a problem's member index is
+       the declaration's index *)
+    let members = List.map (fun (m, cat, _) -> (cat, [ m ])) d.dmembers
+    and links = List.map (fun (c, p, _) -> (c, p)) d.links in
+    let member_pos =
+      Array.of_list (List.map (fun (_, _, pos) -> pos) d.dmembers)
+    and link_pos = Array.of_list (List.map (fun (_, _, pos) -> pos) d.links) in
+    match Dim_instance.problems schema ~members ~links with
+    | _ :: _ as problems ->
+      List.iter
+        (fun p ->
+          let pos, code =
+            match p with
+            | Dim_instance.Unknown_category { member; _ } ->
+              (member_pos.(member), "E015")
+            | Duplicate_member { member; _ } -> (member_pos.(member), "E016")
+            | Unknown_member { link; _ } | Off_schema_link { link; _ } ->
+              (link_pos.(link), "E017")
+          in
+          err diags pos code "%s" (Dim_instance.message schema p))
+        problems;
+      (Some schema, None)
+    | [] ->
+      let instance = Dim_instance.make schema ~members ~links in
+      (* hierarchy quality warnings: strictness and homogeneity *)
+      let pos_of_member m =
+        let name =
+          match m with R.Value.Sym s -> s | v -> R.Value.to_string v
         in
         match
-          Dim_instance.make schema ~members:members_by_cat
-            ~links:(List.rev_map (fun (c, p, _) -> (c, p)) (List.rev d.links))
+          List.find_opt (fun (n, _, _) -> String.equal n name) d.dmembers
         with
-        | i -> Some i
-        | exception Invalid_argument m ->
-          (* pre-empted by the checks above; located safety net *)
-          err diags d.dim_pos "E014" "%s" m;
-          None)
-  in
-  (* hierarchy quality warnings: strictness and homogeneity *)
-  (match instance with
-   | None -> ()
-   | Some i ->
-     let pos_of_member m =
-       match
-         List.find_opt (fun (n, _, _) -> String.equal n m) d.dmembers
-       with
-       | Some (_, _, pos) -> pos
-       | None -> d.dim_pos
-     in
-     List.iter
-       (fun (m, anc, ups) ->
-         warn diags (pos_of_member m) "W043"
-           "dimension %s is not strict: member %s rolls up to %d members of \
-            %s (%s)"
-           d.dim_name m (List.length ups) anc
-           (String.concat ", " (List.map R.Value.to_string ups)))
-       (Dim_instance.strictness_violations i);
-     List.iter
-       (fun (m, pcat) ->
-         warn diags (pos_of_member m) "W044"
-           "dimension %s is not homogeneous: member %s has no parent in \
-            category %s (roll-up is not total)"
-           d.dim_name m pcat)
-       (Dim_instance.homogeneity_violations i));
-  (schema, instance)
+        | Some (_, _, pos) -> (name, pos)
+        | None -> (name, d.dim_pos)
+      in
+      List.iter
+        (function
+          | Summarizability.Non_strict
+              { member; ancestor_category; ancestors; _ } ->
+            let m, pos = pos_of_member member in
+            warn diags pos "W043"
+              "dimension %s is not strict: member %s rolls up to %d members \
+               of %s (%s)"
+              d.dim_name m (List.length ancestors) ancestor_category
+              (String.concat ", " (List.map R.Value.to_string ancestors))
+          | Non_covering { member; parent_category; _ } ->
+            let m, pos = pos_of_member member in
+            warn diags pos "W044"
+              "dimension %s is not homogeneous: member %s has no parent in \
+               category %s (roll-up is not total)"
+              d.dim_name m parent_category)
+        (Summarizability.diagnose instance).violations;
+      (Some schema, Some instance))
 
 (* Classify an [Md_schema] conflict message onto a stable code. *)
 let schema_conflict_code message =

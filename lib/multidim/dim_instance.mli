@@ -4,18 +4,47 @@
     Members are {!Mdqa_relational.Value.t} symbols.  The top category
     [All] always has the single member [all].  Roll-up between
     arbitrary (not just adjacent) categories is the transitive closure
-    of the member links.
-
-    The HM summarizability conditions are exposed:
-    - {e strictness}: every member rolls up to at most one member of
-      each ancestor category;
-    - {e homogeneity} (covering): every member of a category has at
-      least one parent in each immediate parent category. *)
+    of the member links; {!make} builds it once, so {!rollup} is a
+    lookup, and {!drilldown} looks up its inverse, built from it on the
+    first call.  The HM summarizability conditions over it are
+    diagnosed by {!Summarizability.diagnose}. *)
 
 type t
 
 val all_member : Mdqa_relational.Value.t
 (** [Sym "all"], the unique member of category [All]. *)
+
+(** A declared member or link that {!make} rejects.  Members are
+    numbered from 0 in the order they appear in [~members], group by
+    group; links from 0 in the order of [~links].  The member [all] of
+    [All] is declared implicitly. *)
+type problem =
+  | Unknown_category of { member : int; name : string; category : string }
+      (** the member's category is not in the schema *)
+  | Duplicate_member of { member : int; name : string; first : string }
+      (** the member was first declared in category [first] *)
+  | Unknown_member of { link : int; name : string }
+      (** an endpoint of the link is not a declared member *)
+  | Off_schema_link of {
+      link : int;
+      child : string;
+      parent : string;
+      child_category : string;
+      parent_category : string;
+    }
+      (** the link does not follow a schema edge *)
+
+val problems :
+  Dim_schema.t ->
+  members:(string * string list) list ->
+  links:(string * string) list ->
+  problem list
+(** Every problem of the declaration, members first, each in input
+    order.  A link is not checked against the schema when an endpoint
+    is in an unknown category: that member is already reported. *)
+
+val message : Dim_schema.t -> problem -> string
+(** One line naming the problem and the schema's dimension. *)
 
 val make :
   Dim_schema.t ->
@@ -26,9 +55,8 @@ val make :
     names; [links] are (child member, parent member) pairs between
     members of adjacent categories.  Members of maximal proper
     categories are linked to [all] automatically.
-    @raise Invalid_argument on unknown categories, duplicate member
-    names across categories of the same dimension, or links whose
-    endpoints are not members of adjacent categories. *)
+    @raise Invalid_argument with the first of {!problems} when any
+    exist. *)
 
 val schema : t -> Dim_schema.t
 
@@ -41,31 +69,16 @@ val category_of : t -> Mdqa_relational.Value.t -> string option
 val member_parents : t -> Mdqa_relational.Value.t -> Mdqa_relational.Value.t list
 (** Immediate parents of a member (across all parent categories). *)
 
-val member_children : t -> Mdqa_relational.Value.t -> Mdqa_relational.Value.t list
-
 val rollup :
   t -> Mdqa_relational.Value.t -> to_category:string ->
   Mdqa_relational.Value.t list
-(** Ancestors of the member within [to_category] (transitive).  Under
-    strictness this is empty or a singleton. *)
+(** Ancestors of the member within [to_category] (transitive, sorted).
+    Under strictness this is empty or a singleton. *)
 
 val drilldown :
   t -> Mdqa_relational.Value.t -> to_category:string ->
   Mdqa_relational.Value.t list
-(** Descendants of the member within [to_category]. *)
-
-val is_strict : t -> bool
-val is_homogeneous : t -> bool
-
-val strictness_violations :
-  t -> (string * string * Mdqa_relational.Value.t list) list
-(** Witnesses of non-strictness: [(member, ancestor category, the ≥ 2
-    distinct members it rolls up to there)].  Empty iff {!is_strict}. *)
-
-val homogeneity_violations : t -> (string * string) list
-(** Witnesses of non-homogeneity (non-total roll-up): [(member, parent
-    category in which it has no parent member)].  Empty iff
-    {!is_homogeneous}. *)
+(** Descendants of the member within [to_category] (sorted). *)
 
 val size : t -> int
 (** Total number of members, excluding [all]. *)

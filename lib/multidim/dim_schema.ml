@@ -101,7 +101,6 @@ let transitive step t c =
   Sset.elements (go [ c ] Sset.empty)
 
 let ancestors = transitive parents
-let descendants = transitive children
 
 let bottoms t =
   Sset.elements (Sset.filter (fun c -> Sset.is_empty (find_set t.down c)) t.cats)

@@ -43,8 +43,6 @@ val children : t -> string -> string list
 val ancestors : t -> string -> string list
 (** Proper ancestors, transitively (includes [All] except for [All]). *)
 
-val descendants : t -> string -> string list
-
 val bottoms : t -> string list
 (** Categories with no children (base categories). *)
 

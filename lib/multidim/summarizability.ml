@@ -21,40 +21,38 @@ type report = {
 
 let diagnose inst =
   let schema = Dim_instance.schema inst in
-  let violations = ref [] in
-  List.iter
-    (fun cat ->
-      if cat <> Dim_schema.all then
-        List.iter
-          (fun m ->
-            List.iter
-              (fun anc ->
-                let ups = Dim_instance.rollup inst m ~to_category:anc in
-                if List.length ups > 1 then
-                  violations :=
-                    Non_strict
-                      { member = m;
-                        category = cat;
-                        ancestor_category = anc;
-                        ancestors = ups }
-                    :: !violations)
-              (Dim_schema.ancestors schema cat);
-            List.iter
-              (fun pcat ->
-                let covered =
-                  List.exists
-                    (fun p -> Dim_instance.category_of inst p = Some pcat)
-                    (Dim_instance.member_parents inst m)
-                in
-                if not covered then
-                  violations :=
-                    Non_covering
-                      { member = m; category = cat; parent_category = pcat }
-                    :: !violations)
-              (Dim_schema.parents schema cat))
-          (Dim_instance.members inst cat))
-    (Dim_schema.categories schema);
-  let violations = List.rev !violations in
+  let member_violations category =
+    let above = Dim_schema.ancestors schema category
+    and parents = Dim_schema.parents schema category in
+    fun member ->
+      let covered =
+        List.filter_map (Dim_instance.category_of inst)
+          (Dim_instance.member_parents inst member)
+      in
+      List.filter_map
+        (fun ancestor_category ->
+          match
+            Dim_instance.rollup inst member ~to_category:ancestor_category
+          with
+          | _ :: _ :: _ as ancestors ->
+            Some (Non_strict { member; category; ancestor_category; ancestors })
+          | _ -> None)
+        above
+      @ List.filter_map
+          (fun parent_category ->
+            if List.mem parent_category covered then None
+            else Some (Non_covering { member; category; parent_category }))
+          parents
+  in
+  let violations =
+    List.concat_map
+      (fun cat ->
+        if cat = Dim_schema.all then []
+        else
+          List.concat_map (member_violations cat)
+            (Dim_instance.members inst cat))
+      (Dim_schema.categories schema)
+  in
   { strict =
       not (List.exists (function Non_strict _ -> true | _ -> false) violations);
     homogeneous =

@@ -305,6 +305,40 @@ let test_generator_work_linear () =
   grows_within "steps" c40.Guard.steps c80.Guard.steps;
   grows_within "rows" c40.Guard.rows c80.Guard.rows
 
+(* The .mdq front end allocates in proportion to its input: checking
+   the scale-64 text may allocate at most 1.15x as many words per input
+   byte as the scale-32 text.  Allocated words, unlike time, do not
+   depend on the host; 32 -> 64 is the smallest doubling at which a
+   front end that is quadratic in the dimension members breaks the
+   bound. *)
+let check_allocation n =
+  let g = Hospital.Gen.scale n in
+  let text =
+    Md_pretty.context_to_string ~source:(Hospital.Gen.source g) ~queries:[]
+      (Hospital.Gen.context g)
+  in
+  let allocated () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  let checked = Md_parser.check_string text in
+  let words = allocated () -. before in
+  Alcotest.(check bool) "scaled text checks clean" true
+    (checked.Md_parser.parsed <> None);
+  (String.length text, words)
+
+let test_front_end_allocation_linear () =
+  let b32, w32 = check_allocation 32 and b64, w64 = check_allocation 64 in
+  let bound = 1.15 *. float_of_int b64 /. float_of_int b32 in
+  let growth = w64 /. w32 in
+  if growth > bound then
+    Alcotest.failf
+      "check_string allocated %.0f -> %.0f words (%.2fx) for %d -> %d input \
+       bytes (bound %.2fx)"
+      w32 w64 growth b32 b64 bound
+
 (* C4 (§IV: upward-only ontologies are FO-rewritable): on the rule (7)
    ontology over the scaled data, FO rewriting, the chase and
    DeterministicWSQAns give the same answers at every size. *)
@@ -418,5 +452,7 @@ let suites =
         case "scaled doctor query" test_generator_doctor_query;
         case "hot rule cost flat in scale" test_generator_hot_rule_flat;
         case "C3: chase work linear in the input" test_generator_work_linear;
+        case "front end allocation linear in the input"
+          test_front_end_allocation_linear;
         case "C4: rewriting, chase and proof agree in scale"
           test_generator_upward_engines_agree ] ) ]

@@ -97,12 +97,12 @@ let test_instance_drilldown () =
   Alcotest.(check int) "H1 has three wards" 3 (List.length down_h1)
 
 let test_instance_strict_homogeneous () =
-  Alcotest.(check bool) "strict" true (Dim_instance.is_strict hinst);
-  Alcotest.(check bool) "homogeneous" true (Dim_instance.is_homogeneous hinst);
-  Alcotest.(check bool) "time strict" true
-    (Dim_instance.is_strict Hospital.time_instance);
-  Alcotest.(check bool) "time homogeneous" true
-    (Dim_instance.is_homogeneous Hospital.time_instance)
+  let report = Summarizability.diagnose hinst in
+  Alcotest.(check bool) "strict" true report.strict;
+  Alcotest.(check bool) "homogeneous" true report.homogeneous;
+  let time = Summarizability.diagnose Hospital.time_instance in
+  Alcotest.(check bool) "time strict" true time.strict;
+  Alcotest.(check bool) "time homogeneous" true time.homogeneous
 
 let test_instance_bad_links () =
   let raises f =
@@ -125,6 +125,29 @@ let test_instance_bad_links () =
            ~members:[ ("Ward", [ "X" ]); ("Unit", [ "X" ]) ]
            ~links:[]))
 
+(* Every problem at once, each naming the member or link by its index;
+   the link from X (an unknown category) is left to X's own report. *)
+let test_instance_problems () =
+  let problems =
+    Dim_instance.problems hosp
+      ~members:
+        [ ("Ward", [ "W1"; "W2" ]); ("Nowhere", [ "X" ]);
+          ("Unit", [ "W2"; "U1" ]) ]
+      ~links:
+        [ ("W1", "U1"); ("W1", "ghost"); ("W2", "H9"); ("U1", "all");
+          ("X", "U1") ]
+  in
+  Alcotest.(check bool) "all problems, in input order" true
+    (problems
+    = Dim_instance.
+        [ Unknown_category { member = 2; name = "X"; category = "Nowhere" };
+          Duplicate_member { member = 3; name = "W2"; first = "Ward" };
+          Unknown_member { link = 1; name = "ghost" };
+          Unknown_member { link = 2; name = "H9" };
+          Off_schema_link
+            { link = 3; child = "U1"; parent = "all"; child_category = "Unit";
+              parent_category = "All" } ])
+
 (* Non-strict instance: W5 in two units. *)
 let non_strict =
   Dim_instance.make hosp
@@ -133,9 +156,8 @@ let non_strict =
     ~links:[ ("W5", "U1"); ("W5", "U2"); ("U1", "H"); ("U2", "H") ]
 
 let test_summarizability_non_strict () =
-  Alcotest.(check bool) "not strict" false (Dim_instance.is_strict non_strict);
   let report = Summarizability.diagnose non_strict in
-  Alcotest.(check bool) "diagnosed" false report.Summarizability.strict;
+  Alcotest.(check bool) "not strict" false report.Summarizability.strict;
   Alcotest.(check bool) "has violation" true
     (List.exists
        (function Summarizability.Non_strict _ -> true | _ -> false)
@@ -155,8 +177,9 @@ let test_summarizability_non_covering () =
         [ ("Ward", [ "W6" ]); ("Unit", [ "U1" ]); ("Institution", [ "H" ]) ]
       ~links:[ ("U1", "H") ]
   in
-  Alcotest.(check bool) "not homogeneous" false (Dim_instance.is_homogeneous inst);
   let report = Summarizability.diagnose inst in
+  Alcotest.(check bool) "not homogeneous" false
+    report.Summarizability.homogeneous;
   Alcotest.(check bool) "non-covering found" true
     (List.exists
        (function Summarizability.Non_covering _ -> true | _ -> false)
@@ -660,18 +683,139 @@ let prop_rollup_drilldown_galois =
 let prop_strict_singleton_rollup =
   QCheck.Test.make ~name:"strict instances have functional roll-ups"
     ~count:200 instance_arb (fun di ->
-      QCheck.assume (Dim_instance.is_strict di);
+      QCheck.assume (Summarizability.diagnose di).Summarizability.strict;
       List.for_all
         (fun w ->
           List.length (Dim_instance.rollup di w ~to_category:"Institution") <= 1)
         (Dim_instance.members di "Ward"))
 
-let prop_diagnose_consistent =
-  QCheck.Test.make ~name:"summarizability report matches predicates"
-    ~count:200 instance_arb (fun di ->
+(* Random instances over the diamond Day -> Week -> Year,
+   Day -> Month -> Year.  Each member links to 0-2 parents per parent
+   category, so instances are often non-strict and non-covering. *)
+let diamond =
+  Dim_schema.make ~name:"Cal"
+    ~edges:
+      [ ("Day", "Week"); ("Week", "Year"); ("Day", "Month");
+        ("Month", "Year") ]
+
+let gen_diamond_instance =
+  QCheck.Gen.(
+    let* n_days = 1 -- 6 in
+    let* n_weeks = 1 -- 3 in
+    let* n_months = 1 -- 3 in
+    let* n_years = 1 -- 2 in
+    let names prefix n = List.init n (Printf.sprintf "%s%d" prefix) in
+    let links children prefix n =
+      map List.concat
+        (flatten_l
+           (List.map
+              (fun child ->
+                map
+                  (List.map (fun i -> (child, Printf.sprintf "%s%d" prefix i)))
+                  (list_size (0 -- 2) (0 -- (n - 1))))
+              children))
+    in
+    let days = names "d" n_days and weeks = names "w" n_weeks in
+    let months = names "m" n_months in
+    let* day_weeks = links days "w" n_weeks in
+    let* day_months = links days "m" n_months in
+    let* week_years = links weeks "y" n_years in
+    let* month_years = links months "y" n_years in
+    return
+      (Dim_instance.make diamond
+         ~members:
+           [ ("Day", days); ("Week", weeks); ("Month", months);
+             ("Year", names "y" n_years) ]
+         ~links:(day_weeks @ day_months @ week_years @ month_years)))
+
+(* The reference roll-up: breadth-first search over member_parents. *)
+let reference_rollup di m cat =
+  let rec go seen = function
+    | [] -> seen
+    | x :: rest ->
+      if List.mem x seen then go seen rest
+      else go (x :: seen) (rest @ Dim_instance.member_parents di x)
+  in
+  go [] (Dim_instance.member_parents di m)
+  |> List.filter (fun x -> Dim_instance.category_of di x = Some cat)
+  |> List.sort_uniq R.Value.compare
+
+let diamond_members di =
+  List.concat_map (Dim_instance.members di) (Dim_schema.categories diamond)
+
+let prop_diamond_closure =
+  QCheck.Test.make ~name:"diamond roll-up/drill-down match a reference BFS"
+    ~count:200
+    (QCheck.make
+       ~print:(fun i -> Format.asprintf "%a" Dim_instance.pp i)
+       gen_diamond_instance)
+    (fun di ->
+      List.for_all
+        (fun m ->
+          List.for_all
+            (fun cat ->
+              Dim_instance.rollup di m ~to_category:cat
+              = reference_rollup di m cat
+              && Dim_instance.drilldown di m ~to_category:cat
+                 = List.filter
+                     (fun d ->
+                       List.mem m
+                         (reference_rollup di d
+                            (Option.get (Dim_instance.category_of di m))))
+                     (Dim_instance.members di cat))
+            (Dim_schema.categories diamond))
+        (diamond_members di))
+
+let prop_diamond_diagnose =
+  QCheck.Test.make ~name:"diamond diagnose witnesses match the reference"
+    ~count:200
+    (QCheck.make
+       ~print:(fun i -> Format.asprintf "%a" Dim_instance.pp i)
+       gen_diamond_instance)
+    (fun di ->
+      let expected =
+        List.concat_map
+          (fun m ->
+            let cat = Option.get (Dim_instance.category_of di m) in
+            if cat = Dim_schema.all then []
+            else
+              List.filter_map
+                (fun anc ->
+                  let ups = reference_rollup di m anc in
+                  if List.length ups > 1 then
+                    Some
+                      (Summarizability.Non_strict
+                         { member = m; category = cat; ancestor_category = anc;
+                           ancestors = ups })
+                  else None)
+                (Dim_schema.ancestors diamond cat)
+              @ List.filter_map
+                  (fun pcat ->
+                    if
+                      List.exists
+                        (fun p -> Dim_instance.category_of di p = Some pcat)
+                        (Dim_instance.member_parents di m)
+                    then None
+                    else
+                      Some
+                        (Summarizability.Non_covering
+                           { member = m; category = cat;
+                             parent_category = pcat }))
+                  (Dim_schema.parents diamond cat))
+          (diamond_members di)
+      in
       let r = Summarizability.diagnose di in
-      r.Summarizability.strict = Dim_instance.is_strict di
-      && r.Summarizability.homogeneous = Dim_instance.is_homogeneous di)
+      List.sort compare r.violations = List.sort compare expected
+      && r.strict
+         = not
+             (List.exists
+                (function Summarizability.Non_strict _ -> true | _ -> false)
+                expected)
+      && r.homogeneous
+         = not
+             (List.exists
+                (function Summarizability.Non_covering _ -> true | _ -> false)
+                expected))
 
 (* grand-total invariant: when the ward->unit roll-up is summarizable,
    the per-unit sums add up to the plain total *)
@@ -721,7 +865,7 @@ let prop_aggregate_partition =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_rollup_drilldown_galois; prop_strict_singleton_rollup;
-      prop_diagnose_consistent; prop_aggregate_partition ]
+      prop_diamond_closure; prop_diamond_diagnose; prop_aggregate_partition ]
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -738,7 +882,8 @@ let suites =
         case "roll-up" test_instance_rollup;
         case "drill-down" test_instance_drilldown;
         case "strictness/homogeneity" test_instance_strict_homogeneous;
-        case "bad links rejected" test_instance_bad_links ] );
+        case "bad links rejected" test_instance_bad_links;
+        case "problems name their item" test_instance_problems ] );
     ( "multidim.summarizability",
       [ case "non-strict diagnosis" test_summarizability_non_strict;
         case "non-covering diagnosis" test_summarizability_non_covering ] );

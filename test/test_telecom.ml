@@ -21,10 +21,10 @@ let test_calendar_dag_shape () =
   Alcotest.(check int) "Year level" 2 (Dim_schema.level d "Year")
 
 let test_calendar_instance_strict_homogeneous () =
-  Alcotest.(check bool) "strict across both paths" true
-    (Dim_instance.is_strict Telecom.calendar_instance);
+  let report = Summarizability.diagnose Telecom.calendar_instance in
+  Alcotest.(check bool) "strict across both paths" true report.strict;
   Alcotest.(check bool) "every day has a week and a month" true
-    (Dim_instance.is_homogeneous Telecom.calendar_instance)
+    report.homogeneous
 
 let test_calendar_rollups () =
   let up cat m =
