@@ -1710,12 +1710,15 @@ let print_profile_report ~top snap (tgds : Tgd.t list) =
   in
   pf "hot rules (top %d of %d, by attributed time):\n" top
     (List.length hot_rules);
-  pf "  %-32s %8s %10s %10s %12s\n" "rule" "fires" "triggers" "matches"
-    "seconds";
+  pf "  %-32s %8s %10s %10s %12s %10s %10s %10s %10s\n" "rule" "fires"
+    "triggers" "matches" "seconds" "enumerate" "probe" "insert" "other";
   List.iter
     (fun (name, r) ->
-      pf "  %-32s %8d %10d %10d %12.6f\n" name r.Profile.fires
-        r.Profile.triggers r.Profile.matches r.Profile.rule_seconds)
+      pf "  %-32s %8d %10d %10d %12.6f %10.6f %10.6f %10.6f %10.6f\n" name
+        r.Profile.fires r.Profile.triggers r.Profile.matches
+        r.Profile.rule_seconds r.Profile.enumerate_seconds
+        r.Profile.probe_seconds r.Profile.insert_seconds
+        (Profile.bookkeeping_seconds r))
     (take top hot_rules);
   print_newline ();
   let hot_atoms =

@@ -65,21 +65,9 @@ exception Stop of outcome
 (* Largest null label in the instance, so fresh nulls never collide. *)
 let max_null_id inst =
   let m = ref 0 in
-  Instance.iter_facts
-    (fun _ t ->
-      List.iter
-        (function Value.Null k -> m := max !m k | _ -> ())
-        (Tuple.to_list t))
-    inst;
+  let note = function Value.Null k -> m := max !m k; false | _ -> false in
+  Instance.iter_facts (fun _ t -> ignore (Tuple.exists note t)) inst;
   !m
-
-(* A trigger identity for the oblivious chase: rule name plus the image
-   of its body under the match. *)
-let trigger_key (tgd : Tgd.t) subst =
-  ( tgd.Tgd.name,
-    List.map
-      (fun a -> Atom.to_tuple (Subst.apply_atom subst a))
-      tgd.Tgd.body )
 
 type start =
   | Resume of {
@@ -89,15 +77,63 @@ type start =
     }
   | Extend of { prior : result; facts : (string * Tuple.t) list }
 
-(* What one run did to one rule: the only place chase work is counted.
-   [stats], the metrics registry and an installed profiler are all
-   written from these. *)
-type rule_count = {
+module Tuple_tbl = Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let equal = Tuple.equal
+  let hash = Tuple.hash
+end)
+
+(* An argument of an atom over a rule's match: a constant, a body slot
+   (see {!Eval.slot_vars}), or the index of an existential variable. *)
+type arg = Const of Value.t | Slot of int | Exist of int
+
+(* A TGD compiled once per run, and what the run did with it: the only
+   place chase work is counted ([stats], the metrics registry and an
+   installed profiler are all written from these; [times], read off the
+   profiler's clock only, are enumerate, head probe, insert and the
+   rule's total).  [key] are the slots of the frontier variables
+   [frontier]; [fired] holds the oblivious chase's fired matches.
+   [mark] is the stamp clock when the rule's last enumeration began
+   (-1: never), so its delta is every fact stamped since. *)
+type rule = {
+  tgd : Tgd.t;
+  key : int array;
+  frontier : string array;
+  exist : int;
+  heads : (Relation.t * arg array) list;
+  body : (string * arg array) list;
+  fired : unit Tuple_tbl.t;
+  mutable mark : int;
   mutable fires : int;
   mutable triggers : int;
   mutable matches : int;
-  mutable seconds : float;
+  times : float array;
 }
+
+let slot_of vars v =
+  let rec go i = if vars.(i) = v then i else go (i + 1) in
+  go 0
+
+let compile inst (tgd : Tgd.t) =
+  let vars = Eval.slot_vars tgd.Tgd.body in
+  let slot = slot_of vars in
+  let exist = Term.Var_set.elements (Tgd.existential_vars tgd) in
+  let arg = function
+    | Term.Const c -> Const c
+    | Term.Var v when Array.mem v vars -> Slot (slot v)
+    | Term.Var v -> Exist (List.length (List.filter (fun x -> x < v) exist))
+  in
+  let atoms =
+    List.map (fun (a : Atom.t) -> (Atom.pred a, Array.map arg a.Atom.args))
+  in
+  let frontier = Array.of_list (Term.Var_set.elements (Tgd.frontier tgd)) in
+  { tgd; key = Array.map slot frontier; frontier;
+    exist = List.length exist;
+    heads =
+      List.map (fun (p, a) -> (Instance.get inst p, a)) (atoms tgd.Tgd.head);
+    body = atoms tgd.Tgd.body; fired = Tuple_tbl.create 16; mark = -1;
+    fires = 0; triggers = 0; matches = 0; times = Array.make 4 0. }
 
 let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
     ?guard ?checkpoint ?metrics ?start program instance =
@@ -147,22 +183,13 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
     Value.Fresh.create ~start:(max (max_null_id inst + 1) null_base) ()
   in
   let ck f = match checkpoint with Some c -> f c | None -> () in
-  let fired : (string * Tuple.t list, unit) Hashtbl.t = Hashtbl.create 256 in
   let rounds = ref 0 and merges = ref 0 and facts = ref 0 in
-  let rule_counts : (string, rule_count) Hashtbl.t = Hashtbl.create 16 in
-  let rule_count name =
-    match Hashtbl.find_opt rule_counts name with
-    | Some c -> c
-    | None ->
-      let c = { fires = 0; triggers = 0; matches = 0; seconds = 0. } in
-      Hashtbl.add rule_counts name c;
-      c
-  in
-  let sum f = Hashtbl.fold (fun _ c acc -> acc + f c) rule_counts 0 in
+  let rules = List.map (compile inst) program.Program.tgds in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rules in
   let current_stats () =
     { rounds = prior.rounds + !rounds;
-      tgd_fires = prior.tgd_fires + sum (fun c -> c.fires);
-      triggers_checked = prior.triggers_checked + sum (fun c -> c.triggers);
+      tgd_fires = prior.tgd_fires + sum (fun r -> r.fires);
+      triggers_checked = prior.triggers_checked + sum (fun r -> r.triggers);
       nulls_created = prior.nulls_created + Value.Fresh.count fresh;
       egd_merges = prior.egd_merges + !merges }
   in
@@ -173,6 +200,15 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
   let now =
     match prof with Some p -> fun () -> Profile.now p | None -> fun () -> 0.
   in
+  (* Add the time since [t0] to [r]'s part [i]; the clock reading. *)
+  let lap r i t0 =
+    match prof with
+    | None -> 0.
+    | Some _ ->
+      let t = now () in
+      r.times.(i) <- r.times.(i) +. (t -. t0);
+      t
+  in
   (* Publish this run's counts to the registry and the profiler. *)
   let record () =
     (match metrics with
@@ -181,125 +217,206 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
        let add name help n = Metrics.add (Metrics.counter m ~help name) n in
        add "mdqa_chase_rounds_total" "chase rounds completed" !rounds;
        add "mdqa_chase_triggers_total" "chase triggers checked"
-         (sum (fun c -> c.triggers));
+         (sum (fun r -> r.triggers));
        add "mdqa_chase_tgd_fires_total" "TGD firings that derived a new fact"
-         (sum (fun c -> c.fires));
+         (sum (fun r -> r.fires));
        add "mdqa_chase_nulls_total" "labelled nulls minted"
          (Value.Fresh.count fresh);
        add "mdqa_chase_egd_merges_total" "EGD null merges applied" !merges;
        add "mdqa_chase_facts_total" "facts derived by TGD heads" !facts;
-       Hashtbl.iter
-         (fun rule c ->
-           if c.fires > 0 then
+       List.iter
+         (fun r ->
+           if r.fires > 0 then
              Metrics.add
                (Metrics.counter m ~help:"TGD firings per rule"
-                  ~labels:[ ("rule", rule) ] "mdqa_chase_rule_fires_total")
-               c.fires)
-         rule_counts);
+                  ~labels:[ ("rule", r.tgd.Tgd.name) ]
+                  "mdqa_chase_rule_fires_total")
+               r.fires)
+         rules);
     match prof with
     | None -> ()
     | Some p ->
-      Hashtbl.iter
-        (fun rule c ->
-          Profile.add_rule p rule
-            { Profile.fires = c.fires; triggers = c.triggers;
-              matches = c.matches; rule_seconds = c.seconds })
-        rule_counts
-  in
-  (* Per-predicate tuple sets: a round's additions, which become the
-     next round's delta, and the images of an EGD pass. *)
-  let mem_in tbl pred t =
-    match Hashtbl.find_opt tbl pred with
-    | Some s -> Tuple.Set.mem t s
-    | None -> false
-  in
-  let tuples_in tbl pred =
-    match Hashtbl.find_opt tbl pred with
-    | Some s -> Tuple.Set.elements s
-    | None -> []
-  in
-  let set_of tbl pred =
-    Option.value ~default:Tuple.Set.empty (Hashtbl.find_opt tbl pred)
-  in
-  let delta = ref (Hashtbl.create 16) in
-  (* Instantiate the head of [tgd] under [subst], inventing fresh nulls
-     for existential variables; returns the ground head atoms. *)
-  let instantiate_head (tgd : Tgd.t) subst =
-    let subst =
-      Term.Var_set.fold
-        (fun v s ->
-          Guard.count_null guard;
-          Subst.bind_exn s v (Term.Const (Value.Fresh.next fresh)))
-        (Tgd.existential_vars tgd) subst
-    in
-    List.map (Subst.apply_atom subst) tgd.Tgd.head
-  in
-
-  (* Restricted-chase applicability: is there an extension of the match
-     sending every head atom into the instance? *)
-  let head_satisfied (tgd : Tgd.t) subst =
-    Eval.exists ~guard inst (List.map (Subst.apply_atom subst) tgd.Tgd.head)
-  in
-
-  let fire_trigger added count (tgd : Tgd.t) subst =
-    count.triggers <- count.triggers + 1;
-    Guard.count_step guard;
-    let proceed =
-      match variant with
-      | Restricted -> not (head_satisfied tgd subst)
-      | Oblivious ->
-        let key = trigger_key tgd subst in
-        if Hashtbl.mem fired key then false
-        else begin
-          Hashtbl.add fired key ();
-          true
-        end
-    in
-    if proceed then begin
-      let head = instantiate_head tgd subst in
-      let new_fact = ref false in
-      let premises =
-        lazy
-          (List.map
-             (fun a ->
-               let ga = Subst.apply_atom subst a in
-               (Atom.pred ga, Atom.to_tuple ga))
-             tgd.Tgd.body)
-      in
       List.iter
-        (fun a ->
-          let t = Atom.to_tuple a in
-          if Instance.add_tuple inst (Atom.pred a) t then begin
-            new_fact := true;
-            incr facts;
-            ck (fun c -> c.on_fact (Atom.pred a) t);
-            (match prov with
-             | Some tbl ->
-               if not (Hashtbl.mem tbl (Atom.pred a, t)) then
-                 Hashtbl.replace tbl (Atom.pred a, t)
-                   { rule = tgd.Tgd.name; premises = Lazy.force premises }
-             | None -> ());
-            Hashtbl.replace added (Atom.pred a)
-              (Tuple.Set.add t (set_of added (Atom.pred a)))
-          end)
-        head;
-      if !new_fact then count.fires <- count.fires + 1
-    end
+        (fun r ->
+          Profile.add_rule p r.tgd.Tgd.name
+            { Profile.fires = r.fires; triggers = r.triggers;
+              matches = r.matches; rule_seconds = r.times.(3);
+              enumerate_seconds = r.times.(0); probe_seconds = r.times.(1);
+              insert_seconds = r.times.(2) })
+        rules
+  in
+  (* The stamp log: every fact the run adds, seeds and EGD images
+     included, per predicate and newest first, each with its stamp from
+     one run-wide [clock]. *)
+  let logs = Hashtbl.create 16 and clock = ref 0 in
+  let stamp pred t =
+    (match Hashtbl.find_opt logs pred with
+     | Some l -> l := (!clock, t) :: !l
+     | None -> Hashtbl.add logs pred (ref [ (!clock, t) ]));
+    incr clock
+  in
+  (* The facts of [preds] stamped at or after [mark] and still present
+     (an EGD rewrite moves facts away): per predicate, sorted by name,
+     in ascending order and each once. *)
+  let window mark preds =
+    List.filter_map
+      (fun pred ->
+        let rel = Instance.get inst pred in
+        let rec live acc = function
+          | (s, t) :: rest when s >= mark ->
+            live (if Relation.mem rel t then t :: acc else acc) rest
+          | _ -> acc
+        in
+        let log = try !(Hashtbl.find logs pred) with Not_found -> [] in
+        match live [] log with
+        | [] -> None
+        | ts -> Some (pred, List.sort_uniq Tuple.compare ts))
+      (List.sort_uniq String.compare preds)
+  in
+  (* Enumerate [body] for an EGD or rule whose last search began at
+     [mark]: in full the first time or when the chase is naive,
+     otherwise only the matches using a fact stamped since. *)
+  let enumerate mark body emit =
+    if semi_naive && mark >= 0 then
+      let w = window mark (List.map Atom.pred body) in
+      Eval.iter_matches ~guard inst
+        ~delta:(fun p -> Option.value ~default:[] (List.assoc_opt p w))
+        body emit
+    else Eval.iter_matches ~guard inst body emit
+  in
+
+  (* One run of a rule: enumerate its delta (or its whole body), keeping
+     a copy of the slots of each new trigger, then fire the triggers in
+     enumeration order against the instance as it grows. *)
+  let run_rule r =
+    let t0 = now () and mark = r.mark and triggers = ref [] in
+    r.mark <- !clock;
+    let seen = Tuple_tbl.create 16 in
+    let on_match slots =
+      r.matches <- r.matches + 1;
+      (* The restricted chase dedups matches differing only off the
+         frontier.  The oblivious chase enumerates each body match once;
+         [fired] rejects those fired before. *)
+      if variant = Oblivious
+         ||
+         let key = Tuple.unsafe_of_array (Array.map (Array.get slots) r.key) in
+         (not (Tuple_tbl.mem seen key)) && (Tuple_tbl.add seen key (); true)
+      then triggers := Array.copy slots :: !triggers
+    in
+    (* Atom-level scan/match statistics attribute to this rule only
+       during its own body enumeration — head probes and EGD checks
+       stay out of the tables. *)
+    (match prof with
+     | Some p ->
+       Profile.with_scope p r.tgd.Tgd.name (fun () ->
+           enumerate mark r.tgd.Tgd.body on_match)
+     | None -> enumerate mark r.tgd.Tgd.body on_match);
+    (* the clock at the end of the last timed part: a trigger's probe
+       starts where the previous trigger ended *)
+    let last = ref (lap r 0 t0) in
+    let head_probe =
+      if r.exist = 0 then None
+      else Some (Eval.prober ~guard inst ~bound:r.frontier r.tgd.Tgd.head)
+    in
+    let fire slots =
+      r.triggers <- r.triggers + 1;
+      Guard.count_step guard;
+      let build nulls args =
+        Tuple.unsafe_of_array
+          (Array.map
+             (function
+               | Const c -> c | Slot s -> slots.(s) | Exist e -> nulls.(e))
+             args)
+      in
+      (* Restricted-chase applicability: is there an extension of the
+         match sending every head atom into the instance?  A ground head
+         is a membership test per atom, and its tuples are the ones
+         inserted. *)
+      let ground =
+        if r.exist > 0 then []
+        else List.map (fun (rel, a) -> (rel, build [||] a)) r.heads
+      in
+      let proceed =
+        match (variant, head_probe) with
+        | Oblivious, _ ->
+          let key = Tuple.unsafe_of_array slots in
+          (not (Tuple_tbl.mem r.fired key))
+          && (Tuple_tbl.add r.fired key (); true)
+        | Restricted, Some probe ->
+          not (probe (Array.map (Array.get slots) r.key))
+        | Restricted, None ->
+          let present =
+            List.for_all
+              (fun (rel, t) -> Relation.mem rel t && (Guard.tick guard; true))
+              ground
+          in
+          if present then Guard.count_row guard;
+          not present
+      in
+      last := lap r 1 !last;
+      if proceed then begin
+        let tuples =
+          if r.exist = 0 then ground
+          else
+            let nulls =
+              Array.init r.exist (fun _ ->
+                  Guard.count_null guard;
+                  Value.Fresh.next fresh)
+            in
+            List.map (fun (rel, a) -> (rel, build nulls a)) r.heads
+        in
+        let before = !facts in
+        List.iter
+          (fun (rel, t) ->
+            if Relation.add rel t then begin
+              incr facts;
+              let pred = Relation.name rel in
+              stamp pred t;
+              ck (fun c -> c.on_fact pred t);
+              match prov with
+              | Some tbl when not (Hashtbl.mem tbl (pred, t)) ->
+                Hashtbl.replace tbl (pred, t)
+                  { rule = r.tgd.Tgd.name;
+                    premises =
+                      List.map (fun (p, a) -> (p, build [||] a)) r.body }
+              | _ -> ()
+            end)
+          tuples;
+        if !facts > before then r.fires <- r.fires + 1;
+        last := lap r 2 !last
+      end
+    in
+    List.iter fire (List.rev !triggers);
+    ignore (lap r 3 t0)
   in
 
   (* Enforce EGDs to fixpoint, one pass at a time.  A pass searches
-     every EGD body once — in full when [within] is [None] or the chase
-     is naive, otherwise for matches touching a tuple of [within] — and
-     resolves each violation through a union-find over values: a null
-     goes into the other side (lhs into rhs when both are nulls), two
-     constant roots clash.  It then rewrites the instance and the
-     provenance table once, and replaces in [fresh] the tuples it moved
-     by their images.  A violation the rewrite leaves or makes touches
-     an image, so the next pass searches only those. *)
-  let apply_egds ~full fresh =
-    if program.Program.egds <> [] then
+     every EGD body once — in full the first time or when the chase is
+     naive, otherwise for matches touching a fact stamped since that
+     EGD's last search began — and resolves each violation through a
+     union-find over values: a null goes into the other side (lhs into
+     rhs when both are nulls), two constant roots clash.  It then
+     rewrites the instance and the provenance table once and stamps the
+     images of the tuples it moved, so the next pass (and every rule)
+     sees them as new: a violation the rewrite leaves or makes touches
+     an image. *)
+  let egds =
+    List.map
+      (fun (egd : Egd.t) ->
+        let vars = Eval.slot_vars egd.Egd.body in
+        let side = function
+          | Term.Const c -> Fun.const c
+          | Term.Var v ->
+            let s = slot_of vars v in
+            fun slots -> slots.(s)
+        in
+        (egd, side egd.Egd.lhs, side egd.Egd.rhs, ref (-1)))
+      program.Program.egds
+  in
+  let apply_egds () =
+    if egds <> [] then
       Profile.with_phase "egd" @@ fun () ->
-      let rec pass within =
+      let rec pass () =
         let parent = Hashtbl.create 16 in
         let rec find v =
           match Hashtbl.find_opt parent v with
@@ -309,26 +426,23 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
             Hashtbl.replace parent v r;
             r
         in
-        let resolve (egd : Egd.t) s =
-          match (Subst.apply_term s egd.Egd.lhs, Subst.apply_term s egd.Egd.rhs) with
-          | Term.Const x, Term.Const y ->
-            let x = find x and y = find y in
-            if not (Value.equal x y) then begin
-              let from_, into =
-                match (Value.is_null x, Value.is_null y) with
-                | true, _ -> (x, y)
-                | false, true -> (y, x)
-                | false, false ->
-                  raise (Stop (Failed (Egd_clash { egd; left = x; right = y })))
-              in
-              Hashtbl.replace parent from_ into;
-              ck (fun c -> c.on_merge ~from_ ~into);
-              incr merges;
-              Log.debug (fun m ->
-                  m "EGD %s merged %a into %a" egd.Egd.name Value.pp from_
-                    Value.pp into)
-            end
-          | _ -> ()
+        let resolve (egd, lhs, rhs, _) slots =
+          let x = find (lhs slots) and y = find (rhs slots) in
+          if not (Value.equal x y) then begin
+            let from_, into =
+              match (Value.is_null x, Value.is_null y) with
+              | true, _ -> (x, y)
+              | false, true -> (y, x)
+              | false, false ->
+                raise (Stop (Failed (Egd_clash { egd; left = x; right = y })))
+            in
+            Hashtbl.replace parent from_ into;
+            ck (fun c -> c.on_merge ~from_ ~into);
+            incr merges;
+            Log.debug (fun m ->
+                m "EGD %s merged %a into %a" egd.Egd.name Value.pp from_
+                  Value.pp into)
+          end
         in
         let rewrite () =
           let sigma =
@@ -351,39 +465,31 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
                     { d with premises = List.map remap d.premises })
                 entries)
             prov;
-          let images = Instance.substitute inst sigma in
           List.iter
             (fun (pred, moved) ->
-              let rel = Instance.get inst pred in
-              Hashtbl.replace fresh pred
-                (Tuple.Set.union moved
-                   (Tuple.Set.filter (Relation.mem rel) (set_of fresh pred))))
-            images;
-          Hashtbl.of_seq (List.to_seq images)
+              Tuple.Set.iter (stamp pred) moved)
+            (Instance.substitute inst sigma)
         in
         let before = !merges in
         (try
            List.iter
-             (fun (egd : Egd.t) ->
-               List.iter (resolve egd)
-                 (match within with
-                  | Some d when semi_naive ->
-                    Eval.delta_answers ~guard inst ~delta:(mem_in d)
-                      ~delta_tuples:(tuples_in d) egd.Egd.body
-                  | _ -> Eval.answers ~guard inst egd.Egd.body))
-             program.Program.egds
+             (fun ((egd : Egd.t), _, _, mark as e) ->
+               let m = !mark in
+               mark := !clock;
+               enumerate m egd.Egd.body (resolve e))
+             egds
          with e ->
            (* a clash or a trip leaves the instance as journaled *)
-           ignore (rewrite ());
+           rewrite ();
            raise e);
-        if !merges > before then
-          pass
-            (Some
-               (Trace.with_span "egd.merge"
-                  ~attrs:[ ("merges", string_of_int (!merges - before)) ]
-                  rewrite))
+        if !merges > before then begin
+          Trace.with_span "egd.merge"
+            ~attrs:[ ("merges", string_of_int (!merges - before)) ]
+            rewrite;
+          pass ()
+        end
       in
-      pass (if full then None else Some fresh)
+      pass ()
   in
 
   let check_ncs () =
@@ -408,29 +514,24 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
       (* The durable base image: everything below is journaled as a
          delta against the instance at this point. *)
       ck (fun c -> c.on_start inst);
-      let first_round = ref true in
-      (* Incremental mode: the resumed or added facts seed the delta
-         and the chase is semi-naive from its first round on. *)
-      let seeded = Hashtbl.create 16 in
+      (* Incremental mode: the resumed or added facts are stamped first,
+         and every rule's first enumeration is their delta. *)
       Option.iter
         (List.iter (fun (pred, t) ->
              if Instance.add_tuple inst pred t then
                ck (fun c -> c.on_fact pred t);
-             Hashtbl.replace seeded pred (Tuple.Set.add t (set_of seeded pred))))
+             stamp pred t))
         seed;
+      if seed <> None then List.iter (fun r -> r.mark <- 0) rules;
       (* EGDs and NCs must hold of the starting instance too: one full
          search, after which every EGD search is delta-driven. *)
-      apply_egds ~full:true seeded;
+      apply_egds ();
       check_ncs ();
-      if semi_naive && seed <> None then begin
-        delta := seeded;
-        first_round := false
-      end;
       let continue = ref true in
       while !continue do
         Mdqa_obs.Failpoint.hit "chase.round";
         incr rounds;
-        let round_no = !rounds in
+        let round_no = !rounds and round_start = !clock in
         Log.debug (fun m ->
             m "round %d (%d facts so far)" round_no
               (Instance.total_tuples inst));
@@ -439,80 +540,33 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
         @@ fun () ->
         Profile.with_round round_no
         @@ fun () ->
-        let added : (string, Tuple.Set.t) Hashtbl.t = Hashtbl.create 16 in
         List.iter
-          (fun (tgd : Tgd.t) ->
-            let count = rule_count tgd.Tgd.name in
-            let t0 = now () in
-            let apply () =
-              let enumerate () =
-                if semi_naive && not !first_round then
-                  Eval.delta_answers ~guard inst ~delta:(mem_in !delta)
-                    ~delta_tuples:(tuples_in !delta) tgd.Tgd.body
-                else Eval.answers ~guard inst tgd.Tgd.body
-              in
-              (* Atom-level scan/match statistics attribute to this rule
-                 only during its own body enumeration — applicability
-                 probes and EGD checks stay out of the tables. *)
-              let triggers =
-                match prof with
-                | Some p -> Profile.with_scope p tgd.Tgd.name enumerate
-                | None -> enumerate ()
-              in
-              count.matches <- count.matches + List.length triggers;
-              (* For the restricted chase, matches differing only on
-                 head-irrelevant body variables are the same trigger;
-                 dedup on the frontier to avoid redundant head checks.
-                 The oblivious chase fires per full body match. *)
-              let key_vars =
-                match variant with
-                | Restricted -> Tgd.frontier tgd
-                | Oblivious -> Tgd.body_vars tgd
-              in
-              let seen = Hashtbl.create 16 in
-              List.iter
-                (fun s ->
-                  let key =
-                    List.filter_map
-                      (fun v -> Subst.value_of s v)
-                      (Term.Var_set.elements key_vars)
-                  in
-                  if not (Hashtbl.mem seen key) then begin
-                    Hashtbl.add seen key ();
-                    fire_trigger added count tgd s
-                  end)
-                triggers
-            in
+          (fun r ->
             (* One span per rule per round, around its enumeration and
                firing: a span per trigger would cost more than the
                tracer's budget on large rounds. *)
             if Trace.active () then
               Trace.with_span "rule.fire"
-                ~attrs:[ ("rule", tgd.Tgd.name) ]
-                apply
-            else apply ();
-            count.seconds <- count.seconds +. (now () -. t0))
-          program.Program.tgds;
+                ~attrs:[ ("rule", r.tgd.Tgd.name) ]
+                (fun () -> run_rule r)
+            else run_rule r)
+          rules;
         let before = !merges in
-        apply_egds ~full:false added;
+        apply_egds ();
         check_ncs ();
-        (* Semi-naive survives merges: [added] now holds the images. *)
         let merged = !merges > before in
-        delta := added;
-        first_round := false;
-        continue := Hashtbl.length added > 0;
-        (* Round boundary: a durable point.  The frontier is the delta
-           just installed; [None] after a merge, so that a resume (whose
-           journal replay cannot tell images apart) runs a full round. *)
+        continue := !clock > round_start;
+        (* Round boundary: a durable point.  The frontier is every fact
+           stamped this round, which covers every rule's pending delta;
+           [None] after a merge, so that a resume (whose journal replay
+           cannot tell images apart) runs a full round. *)
         ck (fun c ->
             let frontier =
               if merged then None
               else
                 Some
-                  (Hashtbl.fold
-                     (fun pred s acc -> (pred, Tuple.Set.elements s) :: acc)
-                     !delta []
-                  |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+                  (window round_start
+                     (List.of_seq (Hashtbl.to_seq_keys logs)))
             in
             c.on_round ~instance:inst ~frontier (current_stats ()))
       done;

@@ -14,13 +14,14 @@
       regardless of head satisfaction (kept for the ablation benchmark:
       it invents many more nulls).
 
-    Trigger enumeration is semi-naive by default: after the first
-    round, only matches involving a fact derived in the previous round
-    are considered.  EGD merges keep it so: the tuples a merge rewrites
-    join the next round's delta.  EGDs are enforced in passes: one
-    search collects every violation (after the first, full check, only
-    those touching a new or rewritten tuple), a union-find resolves
-    them, and the instance is rewritten once per pass.
+    Trigger enumeration is semi-naive by default, per rule: after a
+    rule's first enumeration, only matches involving a fact added since
+    its previous enumeration began are considered.  EGD merges keep it
+    so: the tuples a merge rewrites count as added.  EGDs are enforced
+    in passes: one search collects every violation (after the first,
+    full check, only those touching a new or rewritten tuple), a
+    union-find resolves them, and the instance is rewritten once per
+    pass.
 
     For weakly-sticky programs over a fixed dimensional structure the
     chase terminates; resource budgets (steps, nulls, wall-clock
@@ -91,9 +92,10 @@ type checkpoint = {
     frontier:(string * Mdqa_relational.Tuple.t list) list option ->
     stats ->
     unit;
-      (** a round completed; [frontier] is the semi-naive delta for the
-          next round, [None] after a round with an EGD merge (a resume
-          from it then runs a full first round) *)
+      (** a round completed; [frontier] is every fact the round added,
+          which covers every rule's pending delta, [None] after a round
+          with an EGD merge (a resume from it then runs a full first
+          round) *)
   on_done : instance:Mdqa_relational.Instance.t -> outcome -> stats -> unit;
       (** the run ended (saturated, degraded or failed).  Implementors
           must not raise: exceptions here would mask the outcome. *)

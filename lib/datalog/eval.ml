@@ -22,8 +22,9 @@ type source = Val of Value.t | Slot of int
 type access =
   | Scan  (* every tuple of the relation *)
   | Delta of Tuple.t list  (* the semi-naive delta list *)
-  | Probe of (int * source) list
-      (* exact composite key over every bound position *)
+  | Probe of (Tuple.t -> Tuple.t list) * source array * Value.t array
+      (* exact composite key over every bound position: the index
+         lookup, the key's sources and the buffer visits fill them in *)
 
 (* One step of a compiled plan.  For each candidate tuple of [access],
    a step applies [keep], stores the variables it binds first, then
@@ -40,6 +41,8 @@ type step = {
   binds : (int * int) list;  (* tuple position -> variable slot *)
   checks : (int * source) list;
   cmps : (Atom.Cmp.op * source * source) list;
+  mutable scanned : int;  (* the current visit's counts, for the profiler *)
+  mutable matched : int;
 }
 
 type plan = { vars : string array; steps : step array }
@@ -49,9 +52,15 @@ type plan = { vars : string array; steps : step array }
    the same estimates. *)
 let dp_limit = 8
 
-(* Number the variables of the body by first occurrence. *)
-let slot_table atoms =
+(* Number the variables of the body by first occurrence, after the
+   pre-bound ones. *)
+let slot_table ?(bound = [||]) atoms =
   let tbl = Hashtbl.create 16 and names = ref [] in
+  Array.iteri
+    (fun i v ->
+      Hashtbl.add tbl v i;
+      names := v :: !names)
+    bound;
   List.iter
     (fun (tg : tagged) ->
       List.iter
@@ -161,10 +170,11 @@ let estimator rels (atoms : tagged array) args =
 (* Compile a body into a plan, or [None] when it has no match whatever
    the bindings: a predicate absent, empty or of another arity, a
    ground comparison that fails, or a comparison over a variable the
-   body never binds. *)
-let plan inst (atoms : tagged list) cmps =
+   body never binds.  The variables of [bound] take the first slots and
+   are bound before the first step. *)
+let plan ?(bound = [||]) inst (atoms : tagged list) cmps =
   let atoms = Array.of_list atoms in
-  let n = Array.length atoms in
+  let n = Array.length atoms and pre = Array.length bound in
   let rels =
     Array.map
       (fun tg ->
@@ -176,7 +186,7 @@ let plan inst (atoms : tagged list) cmps =
         | _ -> None)
       atoms
   in
-  let slots, vars = slot_table (Array.to_list atoms) in
+  let slots, vars = slot_table ~bound (Array.to_list atoms) in
   let known = function
     | Term.Var v -> Hashtbl.mem slots v
     | Term.Const _ -> true
@@ -203,7 +213,8 @@ let plan inst (atoms : tagged list) cmps =
     let order =
       if n <= 1 then List.init n Fun.id
       else
-        let estimate = estimator rels atoms args in
+        let est = estimator rels atoms args in
+        let estimate i bound = est i (fun s -> s < pre || bound s) in
         if n <= dp_limit then begin
           let occ = Array.make (Array.length vars) 0 in
           Array.iteri
@@ -216,7 +227,7 @@ let plan inst (atoms : tagged list) cmps =
         end
         else order_greedy n (Array.length vars) args estimate
     in
-    let bound = Array.make (Array.length vars) false
+    let bound = Array.init (Array.length vars) (fun s -> s < pre)
     and pending = ref cmps in
     let ground = function Val _ -> true | Slot s -> bound.(s) in
     let step i =
@@ -238,7 +249,13 @@ let plan inst (atoms : tagged list) cmps =
           when List.for_all (function _, Val _ -> true | _ -> false) key ->
           (Delta l, "delta", key @ checks)
         | _ when key = [] -> (Scan, "scan", checks)
-        | _ -> (Probe key, key_label key, checks)
+        | _ ->
+          let srcs = Array.of_list (List.map snd key) in
+          ( Probe
+              ( Relation.index rels.(i) (List.map fst key),
+                srcs,
+                Array.make (Array.length srcs) (Value.Int 0) ),
+            key_label key, checks )
       in
       List.iter (fun (_, s) -> bound.(s) <- true) !binds;
       let ready, rest =
@@ -246,7 +263,8 @@ let plan inst (atoms : tagged list) cmps =
       in
       pending := rest;
       { idx = i; pred = Atom.pred tg.atom; rel = rels.(i); access; label;
-        keep = tg.keep; binds = List.rev !binds; checks; cmps = ready }
+        keep = tg.keep; binds = List.rev !binds; checks; cmps = ready;
+        scanned = 0; matched = 0 }
     in
     let steps = Array.of_list (List.map step order) in
     (* every comparison mentions only body variables, all bound by the
@@ -254,12 +272,32 @@ let plan inst (atoms : tagged list) cmps =
     assert (!pending = []);
     Some { vars; steps }
 
-(* Run a plan: a backtracking loop over the steps, variables in slots,
-   a [Subst.t] built only for a complete match.  With a guard, every
-   emitted match consumes a row and every candidate tuple ticks the
-   cooperative deadline / memory / cancellation check, so a join
-   explosion trips the guard instead of exhausting time or memory. *)
-let execute ?guard { vars; steps } ~emit =
+let value slots = function Val v -> v | Slot s -> slots.(s)
+
+let rec bind slots t = function
+  | [] -> ()
+  | (p, s) :: rest ->
+    slots.(s) <- Tuple.get t p;
+    bind slots t rest
+
+let rec agree slots t = function
+  | [] -> true
+  | (p, src) :: rest ->
+    Value.equal (Tuple.get t p) (value slots src) && agree slots t rest
+
+let rec holds slots = function
+  | [] -> true
+  | (op, l, r) :: rest ->
+    Atom.Cmp.holds op (value slots l) (value slots r) && holds slots rest
+
+(* Run a plan over [slots] (the pre-bound ones already set): a
+   backtracking loop over the steps that hands [emit] the slots of each
+   complete match.  With a guard, every emitted match consumes a row
+   and every candidate tuple ticks the cooperative deadline / memory /
+   cancellation check, so a join explosion trips the guard instead of
+   exhausting time or memory.  A visit allocates nothing but its
+   closure over a scanned relation. *)
+let execute ?guard { steps; _ } slots ~emit =
   let tick, count_row =
     match guard with
     | Some g -> ((fun () -> Guard.tick g), fun () -> Guard.count_row g)
@@ -268,94 +306,138 @@ let execute ?guard { vars; steps } ~emit =
   (* With an attribution scope open (chase rule body or named query),
      every visit of a step is credited to its atom. *)
   let prof = Mdqa_obs.Profile.scoped () in
-  let slots = Array.make (Array.length vars) (Value.Int 0) in
-  let value = function Val v -> v | Slot s -> slots.(s) in
   let n = Array.length steps in
+  let cells = Array.make (if Option.is_none prof then 0 else n) None in
   let rec go k =
     if k = n then begin
       count_row ();
-      emit
-        (Subst.of_list
-           (Array.to_list
-              (Array.mapi (fun s v -> (v, Term.Const slots.(s))) vars)))
+      emit slots
     end
     else begin
       let st = steps.(k) in
-      let candidates =
-        match st.access with
-        | Scan -> Relation.to_list st.rel
-        | Delta l -> l
-        | Probe key ->
-          Relation.probe st.rel (List.map (fun (p, src) -> (p, value src)) key)
-      in
-      let accept t =
-        st.keep t
-        && begin
-          List.iter (fun (p, s) -> slots.(s) <- Tuple.get t p) st.binds;
-          List.for_all
-            (fun (p, src) -> Value.equal (Tuple.get t p) (value src))
-            st.checks
-          && List.for_all
-               (fun (op, l, r) -> Atom.Cmp.holds op (value l) (value r))
-               st.cmps
-        end
-      in
-      let rec loop scanned matched = function
-        | [] -> (scanned, matched)
-        | t :: tl ->
-          tick ();
-          if accept t then begin
-            go (k + 1);
-            loop (scanned + 1) (matched + 1) tl
-          end
-          else loop (scanned + 1) matched tl
-      in
-      let scanned, matched = loop 0 0 candidates in
+      st.scanned <- 0;
+      st.matched <- 0;
+      (match st.access with
+       | Scan -> Relation.iter (visit k st) st.rel
+       | Delta l -> walk k st l
+       | Probe (h, srcs, key) ->
+         for i = 0 to Array.length srcs - 1 do
+           key.(i) <- value slots srcs.(i)
+         done;
+         walk k st (h (Tuple.unsafe_of_array key)));
       match prof with
       | None -> ()
       | Some p ->
-        Mdqa_obs.Profile.atom_visit p ~idx:st.idx ~pred:st.pred ~step:k
-          ~key:st.label ~scanned ~matched
+        if Option.is_none cells.(k) then
+          cells.(k) <-
+            Mdqa_obs.Profile.atom_cell p ~idx:st.idx ~pred:st.pred ~step:k
+              ~key:st.label;
+        Option.iter
+          (Mdqa_obs.Profile.count_visit ~scanned:st.scanned ~matched:st.matched)
+          cells.(k)
     end
+  (* a step's counters are its own: deeper steps never reenter it *)
+  and visit k st t =
+    tick ();
+    st.scanned <- st.scanned + 1;
+    if st.keep t then begin
+      bind slots t st.binds;
+      if agree slots t st.checks && holds slots st.cmps then begin
+        st.matched <- st.matched + 1;
+        go (k + 1)
+      end
+    end
+  and walk k st = function
+    | [] -> ()
+    | t :: rest ->
+      visit k st t;
+      walk k st rest
   in
   go 0
 
-(* Plan once at entry, then run. *)
-let search ?guard ?(cmps = []) inst atoms ~emit =
-  match plan inst atoms cmps with
-  | None -> ()
-  | Some p -> execute ?guard p ~emit
+let plain a = { atom = a; keep = (fun _ -> true); delta = None; kept = Fun.id }
 
-let no_filter _ = true
+let slot_vars atoms = snd (slot_table (List.map plain atoms))
 
-let plain a = { atom = a; keep = no_filter; delta = None; kept = Fun.id }
+let new_slots p = Array.make (Array.length p.vars) (Value.Int 0)
 
-let answers ?guard ?cmps inst atoms =
-  let out = ref [] in
-  search ?guard ?cmps inst (List.map plain atoms)
-    ~emit:(fun s -> out := s :: !out);
-  List.rev !out
+(* Semi-naive enumeration: exactly the matches using at least one
+   delta fact, partitioned so no match is produced twice: for each atom
+   index i, atom i matches delta facts only, atoms before i old facts
+   only, atoms after i are unrestricted.  Each partition is planned on
+   its own; one whose delta atom has no delta facts has no matches and
+   is skipped.  Every partition numbers the slots alike. *)
+let search ?guard ?(cmps = []) ?delta inst atoms emit =
+  let search tagged =
+    Option.iter
+      (fun p -> execute ?guard p (new_slots p) ~emit:(emit p.vars))
+      (plan inst tagged cmps)
+  in
+  match delta with
+  | None -> search (List.map plain atoms)
+  | Some delta ->
+    let lists = Hashtbl.create 8 in
+    let delta_of pred =
+      try Hashtbl.find lists pred
+      with Not_found ->
+        let l = delta pred in
+        let d = (List.length l, l, Tuple.Set.of_list l) in
+        Hashtbl.add lists pred d;
+        d
+    in
+    List.iteri
+      (fun i a_i ->
+        let len, l, _ = delta_of (Atom.pred a_i) in
+        if len > 0 then
+          search
+            (List.mapi
+               (fun j a ->
+                 let n, _, set = delta_of (Atom.pred a) in
+                 if j = i then
+                   { atom = a; keep = (fun t -> Tuple.Set.mem t set);
+                     delta = Some l; kept = Fun.const len }
+                 else if j < i then
+                   { atom = a; keep = (fun t -> not (Tuple.Set.mem t set));
+                     delta = None; kept = (fun card -> max 0 (card - n)) }
+                 else plain a)
+               atoms))
+      atoms
+
+let iter_matches ?guard ?cmps ?delta inst atoms emit =
+  search ?guard ?cmps ?delta inst atoms (fun _ slots -> emit slots)
+
+let subst_of vars slots =
+  Subst.of_list
+    (Array.to_list (Array.mapi (fun s v -> (v, Term.Const slots.(s))) vars))
 
 let answers_guarded ?guard ?cmps inst atoms =
   let out = ref [] in
   match
-    search ?guard ?cmps inst (List.map plain atoms)
-      ~emit:(fun s -> out := s :: !out)
+    search ?guard ?cmps inst atoms (fun vars s ->
+        out := subst_of vars s :: !out)
   with
   | () -> Guard.Complete (List.rev !out)
   | exception Guard.Exhausted e -> Guard.Degraded (List.rev !out, e)
 
+let answers ?guard ?cmps inst atoms =
+  match answers_guarded ?guard ?cmps inst atoms with
+  | Guard.Complete l -> l
+  | Guard.Degraded (_, e) -> raise (Guard.Exhausted e)
+
 exception Found of Subst.t
 
 let first ?guard ?cmps inst atoms =
-  try
-    search ?guard ?cmps inst (List.map plain atoms)
-      ~emit:(fun s -> raise (Found s));
-    None
-  with Found s -> Some s
+  match
+    search ?guard ?cmps inst atoms (fun vars s ->
+        raise (Found (subst_of vars s)))
+  with
+  | () -> None
+  | exception Found s -> Some s
 
 let exists ?guard ?cmps inst atoms =
-  Option.is_some (first ?guard ?cmps inst atoms)
+  match iter_matches ?guard ?cmps inst atoms (fun _ -> raise Exit) with
+  | () -> false
+  | exception Exit -> true
 
 let holds_fact inst a =
   if not (Atom.is_ground a) then
@@ -364,53 +446,20 @@ let holds_fact inst a =
   | None -> false
   | Some r -> Relation.mem r (Atom.to_tuple a)
 
-(* Semi-naive enumeration: exactly the matches using at least one
-   delta fact, partitioned so no match is produced twice: for each atom
-   index i, atom i matches delta facts only, atoms before i old facts
-   only, atoms after i are unrestricted.  Each partition is planned on
-   its own; one whose delta atom has no delta tuples has no matches
-   and is skipped. *)
-let delta_answers ?guard ?cmps inst ~delta ?delta_tuples atoms =
-  let lists = Hashtbl.create 8 in
-  let delta_list pred =
-    Option.map
-      (fun f ->
-        match Hashtbl.find_opt lists pred with
-        | Some l -> l
-        | None ->
-          let l = f pred in
-          let l = (List.length l, l) in
-          Hashtbl.add lists pred l;
-          l)
-      delta_tuples
-  in
-  let out = ref [] in
-  List.iteri
-    (fun i a_i ->
-      match delta_list (Atom.pred a_i) with
-      | Some (0, _) -> ()
-      | own ->
-        let tagged =
-          List.mapi
-            (fun j a ->
-              let pred = Atom.pred a in
-              if j = i then
-                { atom = a;
-                  keep = delta pred;
-                  delta = Option.map snd own;
-                  kept =
-                    (match own with Some (len, _) -> Fun.const len | None -> Fun.id) }
-              else if j < i then
-                { atom = a;
-                  keep = (fun t -> not (delta pred t));
-                  delta = None;
-                  kept =
-                    (match delta_list pred with
-                     | Some (len, _) -> fun card -> max 0 (card - len)
-                     | None -> Fun.id) }
-              else plain a)
-            atoms
-        in
-        search ?guard ?cmps inst tagged ~emit:(fun s -> out := s :: !out))
-    atoms;
-  List.rev !out
+(* Planned on the first probe at which every relation is non-empty
+   (before that nothing can match), then reused. *)
+let prober ?guard inst ~bound atoms =
+  let compiled = ref None in
+  fun values ->
+    if Option.is_none !compiled then
+      compiled :=
+        Option.map
+          (fun p -> (p, new_slots p))
+          (plan ~bound inst (List.map plain atoms) []);
+    match !compiled with
+    | None -> false
+    | Some (p, slots) -> (
+      Array.blit values 0 slots 0 (Array.length bound);
+      match execute ?guard p slots ~emit:(fun _ -> raise Exit) with
+      | () -> false
+      | exception Exit -> true)

@@ -6,7 +6,7 @@
     by θ, is a fact of the instance, and every comparison holds.
 
     Each call plans its body once, on entry (once per delta position
-    for {!delta_answers}), and then runs the plan as a backtracking
+    for a semi-naive {!iter_matches}), and then runs the plan as a backtracking
     loop; nothing is re-planned during the search.  The plan is a
     left-deep join order chosen by a DP over atom subsets that
     minimises the summed estimated tuples walked per step, estimated
@@ -16,11 +16,12 @@
     estimates to one tuple per probe on [Time] without the evaluator
     knowing about dimensions.  Each step reads its atom by a full scan,
     the semi-naive delta list, or an exact
-    {!Mdqa_relational.Relation.probe} on a composite key over all of
-    its bound positions; it keeps variables in slots (a [Subst.t] is
-    built only for a complete match) and checks repeated variables and
-    every comparison at the first step where it is ground.  A
-    single-atom body is a single probe, with no planning.
+    {!Mdqa_relational.Relation.index} lookup (resolved once per plan,
+    its key buffer reused) on a composite key over all of its bound
+    positions.  It keeps variables in slots and checks repeated
+    variables and every comparison at the first step where it is
+    ground; the [Subst.t] entry points build one per match from the
+    slots.
 
     Every entry point takes an optional {!Guard.t}: each emitted match
     consumes one row of the guard's row budget and every candidate
@@ -30,6 +31,40 @@
     Under an open {!Mdqa_obs.Profile} scope each visit of a step is
     credited to its atom's source position, with the step's position
     in the plan and its access path. *)
+
+val slot_vars : Atom.t list -> string array
+(** A body's variables by first occurrence (atoms in source order): the
+    slot numbering of every plan of the body. *)
+
+val iter_matches :
+  ?guard:Guard.t ->
+  ?cmps:Atom.Cmp.t list ->
+  ?delta:(string -> Mdqa_relational.Tuple.t list) ->
+  Mdqa_relational.Instance.t ->
+  Atom.t list ->
+  (Mdqa_relational.Value.t array -> unit) ->
+  unit
+(** [iter_matches inst body f] calls [f] on each match, in {!answers}'
+    order, as the values of [slot_vars body] in an array the search
+    overwrites after [f] returns.  With [delta] (the delta facts of
+    each predicate, each once), only the matches instantiating some
+    atom to a delta fact: the chase's semi-naive restriction.  A delta
+    position with none of its variables bound walks the delta list,
+    not the relation, and the list sizes feed the estimates.
+    @raise Guard.Exhausted when the guard trips. *)
+
+val prober :
+  ?guard:Guard.t ->
+  Mdqa_relational.Instance.t ->
+  bound:string array ->
+  Atom.t list ->
+  Mdqa_relational.Value.t array ->
+  bool
+(** [prober inst ~bound atoms values]: do [atoms] have a match
+    extending [values] of the variables [bound]?  Planned once, with
+    [bound] bound before the first step, at the first call at which
+    every relation read is non-empty; later calls reuse the plan.
+    Guard accounting is {!exists}'. *)
 
 val answers :
   ?guard:Guard.t ->
@@ -75,21 +110,3 @@ val first :
 
 val holds_fact : Mdqa_relational.Instance.t -> Atom.t -> bool
 (** Ground-atom membership. @raise Invalid_argument on non-ground. *)
-
-val delta_answers :
-  ?guard:Guard.t ->
-  ?cmps:Atom.Cmp.t list ->
-  Mdqa_relational.Instance.t ->
-  delta:(string -> Mdqa_relational.Tuple.t -> bool) ->
-  ?delta_tuples:(string -> Mdqa_relational.Tuple.t list) ->
-  Atom.t list ->
-  Subst.t list
-(** Like {!answers} but keeps only matches in which at least one body
-    atom is instantiated to a fact satisfying [delta] — the semi-naive
-    restriction used by the chase to enumerate only new triggers.  When
-    [delta_tuples] lists the delta per predicate, the plan of each delta
-    position may walk that list instead of the relation (it does when
-    no variable of the delta atom is bound yet), making small-delta
-    rounds proportional to the delta, and the list sizes feed the
-    estimates.
-    @raise Guard.Exhausted when the guard trips. *)

@@ -75,22 +75,18 @@ type atom_cost = { atom : Atom.t; atom_idx : int; stat : Profile.atom_stat }
 
 type rule_cost = {
   rule_name : string;
-  fires : int;
-  triggers : int;
-  matches : int;
-  seconds : float;
+  rule : Profile.rule_stat;
   body : atom_cost list;
 }
 
 let cost snap (tgds : Tgd.t list) =
   let of_tgd (tgd : Tgd.t) =
     let name = tgd.Tgd.name in
-    let fires, triggers, matches, seconds =
-      match Profile.find_rule snap name with
-      | Some r ->
-        ( r.Profile.fires, r.Profile.triggers, r.Profile.matches,
-          r.Profile.rule_seconds )
-      | None -> (0, 0, 0, 0.)
+    let rule =
+      Option.value (Profile.find_rule snap name)
+        ~default:
+          { Profile.fires = 0; triggers = 0; matches = 0; rule_seconds = 0.;
+            enumerate_seconds = 0.; probe_seconds = 0.; insert_seconds = 0. }
     in
     let body =
       List.mapi
@@ -105,14 +101,21 @@ let cost snap (tgds : Tgd.t list) =
           { atom = a; atom_idx = i; stat })
         tgd.Tgd.body
     in
-    { rule_name = name; fires; triggers; matches; seconds; body }
+    { rule_name = name; rule; body }
   in
+  let seconds rc = rc.rule.Profile.rule_seconds in
   List.map of_tgd tgds
-  |> List.sort (fun a b -> compare (b.seconds, b.rule_name) (a.seconds, a.rule_name))
+  |> List.sort (fun a b ->
+         compare (seconds b, b.rule_name) (seconds a, a.rule_name))
 
 let pp_rule_cost ppf rc =
-  Format.fprintf ppf "@[<v>%s  fires=%d triggers=%d matches=%d time=%.6fs@,"
-    rc.rule_name rc.fires rc.triggers rc.matches rc.seconds;
+  let r = rc.rule in
+  Format.fprintf ppf
+    "@[<v>%s  fires=%d triggers=%d matches=%d time=%.6fs (enumerate=%.6fs \
+     probe=%.6fs insert=%.6fs other=%.6fs)@,"
+    rc.rule_name r.Profile.fires r.Profile.triggers r.Profile.matches
+    r.Profile.rule_seconds r.Profile.enumerate_seconds r.Profile.probe_seconds
+    r.Profile.insert_seconds (Profile.bookkeeping_seconds r);
   let executed =
     List.stable_sort
       (fun a b -> Int.compare a.stat.Profile.step b.stat.Profile.step)

@@ -46,10 +46,7 @@ type atom_cost = {
 
 type rule_cost = {
   rule_name : string;
-  fires : int;
-  triggers : int;
-  matches : int;
-  seconds : float;
+  rule : Mdqa_obs.Profile.rule_stat;  (** counts and the time split *)
   body : atom_cost list;
       (** in body order; {!pp_rule_cost} prints them in executed order *)
 }
@@ -64,7 +61,8 @@ val pp_cost : Format.formatter -> rule_cost list -> unit
     them (by {!Mdqa_obs.Profile.atom_stat.step}; [[i]] is still the
     source position), each with the access path its step used:
     {v
-    measurements_q/3  fires=2120 triggers=4240 matches=4240 time=0.072863s
+    measurements_q/3  fires=2120 triggers=2120 matches=2120 time=0.022677s
+      (enumerate=0.019274s probe=0.000700s insert=0.002478s other=0.000225s)
       [3] std_unit(U)  scan visits=2 scanned=2 matched=2 fan-out=1.000 ...
       [4] working_schedules(U, D, N, cert.)  key=(0,3) visits=2 scanned=80
         matched=80 fan-out=40.000 selectivity=1.000

@@ -49,11 +49,6 @@ let is_ground_on s vars =
     (fun v -> match walk s (Term.Var v) with Term.Const _ -> true | _ -> false)
     vars
 
-let value_of s v =
-  match walk s (Term.Var v) with
-  | Term.Const c -> Some c
-  | Term.Var _ -> None
-
 let restrict s vars = Term.Var_map.filter (fun v _ -> Term.Var_set.mem v vars) s
 
 let equal a b =

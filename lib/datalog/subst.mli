@@ -38,9 +38,6 @@ val domain : t -> Term.Var_set.t
 val is_ground_on : t -> Term.Var_set.t -> bool
 (** All the given variables are bound to constants. *)
 
-val value_of : t -> string -> Mdqa_relational.Value.t option
-(** The constant bound to a variable, if it is bound to one. *)
-
 val restrict : t -> Term.Var_set.t -> t
 
 val equal : t -> t -> bool

@@ -9,13 +9,24 @@ type rule_stat = {
   triggers : int;
   matches : int;
   rule_seconds : float;
+  enumerate_seconds : float;
+  probe_seconds : float;
+  insert_seconds : float;
 }
 
 let add_rule_stats x y =
   { fires = x.fires + y.fires;
     triggers = x.triggers + y.triggers;
     matches = x.matches + y.matches;
-    rule_seconds = x.rule_seconds +. y.rule_seconds }
+    rule_seconds = x.rule_seconds +. y.rule_seconds;
+    enumerate_seconds = x.enumerate_seconds +. y.enumerate_seconds;
+    probe_seconds = x.probe_seconds +. y.probe_seconds;
+    insert_seconds = x.insert_seconds +. y.insert_seconds }
+
+let bookkeeping_seconds r =
+  Float.max 0.
+    (r.rule_seconds -. r.enumerate_seconds -. r.probe_seconds
+   -. r.insert_seconds)
 
 type atom_cell = {
   mutable a_visits : int;
@@ -112,28 +123,31 @@ let scoped () =
   | Some t when t.scope <> None -> Some t
   | _ -> None
 
-let atom_visit t ~idx ~pred ~step ~key ~scanned ~matched =
-  match t.scope with
-  | None -> ()
-  | Some scope ->
-    let cell =
+let atom_cell t ~idx ~pred ~step ~key =
+  Option.map
+    (fun scope ->
       let id = (scope, idx, pred) in
-      match Hashtbl.find_opt t.atoms id with
-      | Some c -> c
-      | None ->
-        let c =
-          { a_visits = 0; a_scanned = 0; a_matched = 0; a_keys = [ key ];
-            a_step = step }
-        in
-        Hashtbl.add t.atoms id c;
-        c
-    in
-    cell.a_visits <- cell.a_visits + 1;
-    cell.a_scanned <- cell.a_scanned + scanned;
-    cell.a_matched <- cell.a_matched + matched;
-    if not (List.exists (String.equal key) cell.a_keys) then
-      cell.a_keys <- key :: cell.a_keys;
-    if step < cell.a_step then cell.a_step <- step
+      let cell =
+        match Hashtbl.find_opt t.atoms id with
+        | Some c -> c
+        | None ->
+          let c =
+            { a_visits = 0; a_scanned = 0; a_matched = 0; a_keys = [ key ];
+              a_step = step }
+          in
+          Hashtbl.add t.atoms id c;
+          c
+      in
+      if not (List.exists (String.equal key) cell.a_keys) then
+        cell.a_keys <- key :: cell.a_keys;
+      if step < cell.a_step then cell.a_step <- step;
+      cell)
+    t.scope
+
+let count_visit cell ~scanned ~matched =
+  cell.a_visits <- cell.a_visits + 1;
+  cell.a_scanned <- cell.a_scanned + scanned;
+  cell.a_matched <- cell.a_matched + matched
 
 let with_round n f =
   match !current with
@@ -356,9 +370,13 @@ let to_json s =
   let rules =
     arr s.rules (fun (name, r) ->
         Printf.sprintf
-          "{\"rule\":\"%s\",\"fires\":%d,\"triggers\":%d,\"matches\":%d,\"seconds\":%s}"
+          "{\"rule\":\"%s\",\"fires\":%d,\"triggers\":%d,\"matches\":%d,\"seconds\":%s,\"enumerate_seconds\":%s,\"probe_seconds\":%s,\"insert_seconds\":%s,\"bookkeeping_seconds\":%s}"
           (json_escape name) r.fires r.triggers r.matches
-          (json_float r.rule_seconds))
+          (json_float r.rule_seconds)
+          (json_float r.enumerate_seconds)
+          (json_float r.probe_seconds)
+          (json_float r.insert_seconds)
+          (json_float (bookkeeping_seconds r)))
   and atoms =
     arr s.atoms (fun ((scope, idx, pred), a) ->
         Printf.sprintf

@@ -31,8 +31,15 @@ type rule_stat = {
   triggers : int;  (** deduplicated triggers checked *)
   matches : int;  (** body matches enumerated (before trigger dedup) *)
   rule_seconds : float;
-      (** wall time attributed to the rule: trigger enumeration,
-          applicability checks and head instantiation *)
+      (** wall time attributed to the rule: the three parts below plus
+          {!bookkeeping_seconds} *)
+  enumerate_seconds : float;  (** body enumeration and trigger dedup *)
+  probe_seconds : float;
+      (** restricted-chase head probes (the oblivious chase's
+          fired-trigger test) *)
+  insert_seconds : float;
+      (** null minting, head instantiation, insertion with index
+          maintenance, the stamp log and the checkpoint hook *)
 }
 
 type atom_stat = {
@@ -116,19 +123,18 @@ val scoped : unit -> t option
     attribution scope (EGD checks, applicability probes) reports
     nothing. *)
 
-val atom_visit :
-  t ->
-  idx:int ->
-  pred:string ->
-  step:int ->
-  key:string ->
-  scanned:int ->
-  matched:int ->
-  unit
-(** Credit one visit of body atom [idx] ([pred]), run as step [step]
-    of its plan through access path [key], under the current scope —
-    one substitution arriving, [scanned] tuples walked, [matched]
-    substitutions passed on; no-op when no scope is active. *)
+type atom_cell
+
+val atom_cell :
+  t -> idx:int -> pred:string -> step:int -> key:string -> atom_cell option
+(** The current scope's counters of body atom [idx] ([pred]), run as
+    step [step] of its plan through access path [key], created on first
+    use; [None] when no scope is active.  A plan resolves one per step
+    at its first visit and credits every visit to it. *)
+
+val count_visit : atom_cell -> scanned:int -> matched:int -> unit
+(** Credit one visit: one substitution arriving, [scanned] tuples
+    walked, [matched] substitutions passed on. *)
 
 val with_round : int -> (unit -> 'a) -> 'a
 (** Time a chase round and sample [Gc.quick_stat] deltas at its
@@ -169,6 +175,10 @@ val fan_out : atom_stat -> float
 (** [matched / visits]: substitutions passed on per substitution
     arriving ([0.] when never visited).  Above [1.] the atom multiplies
     the partial matches, below [1.] it cuts them. *)
+
+val bookkeeping_seconds : rule_stat -> float
+(** The rule's time outside the three timed parts: per-run setup and
+    the trigger loop itself. *)
 
 val total_rule_seconds : snapshot -> float
 val total_query_seconds : snapshot -> float

@@ -57,9 +57,11 @@ let check_arity r t =
 
 let add r t =
   check_arity r t;
-  if Tuple.Set.mem t r.tuples then false
+  let tuples = Tuple.Set.add t r.tuples in
+  (* [Set.add] returns the set itself when [t] is present *)
+  if tuples == r.tuples then false
   else begin
-    r.tuples <- Tuple.Set.add t r.tuples;
+    r.tuples <- tuples;
     r.card <- r.card + 1;
     List.iter (fun (ps, idx) -> index_insert idx ps t) r.indexes;
     true
@@ -90,22 +92,33 @@ let rec ascending_from i = function
   | [] -> true
   | p :: rest -> p = i && ascending_from (i + 1) rest
 
+let unresolved : index = Key_tbl.create 1
+let stale = [ ([], unresolved) ]  (* never a relation's index list *)
+
+(* The index is fetched again whenever the relation's index list is no
+   longer the one it was found in ([invalidate] drops the list), so the
+   lookup outlives any rewrite. *)
+let index r ps =
+  if List.length ps = arity r && ascending_from 0 ps then fun key ->
+    match Tuple.Set.find key r.tuples with
+    | t -> [ t ]
+    | exception Not_found -> []
+  else
+    let idx = ref unresolved and seen = ref stale in
+    fun key ->
+      if !seen != r.indexes then begin
+        idx :=
+          (match List.assoc_opt ps r.indexes with
+           | Some i -> i
+           | None -> build_index r ps);
+        seen := r.indexes
+      end;
+      match Key_tbl.find !idx key with l -> l | exception Not_found -> []
+
 let probe r binding =
   match binding with
   | [] -> to_list r
-  | _ ->
-    let ps = List.map fst binding
-    and key = Tuple.of_list (List.map snd binding) in
-    if List.length ps = arity r && ascending_from 0 ps then
-      (* every position bound: a membership test, no index *)
-      if mem r key then [ key ] else []
-    else
-      let idx =
-        match List.assoc_opt ps r.indexes with
-        | Some idx -> idx
-        | None -> build_index r ps
-      in
-      Option.value ~default:[] (Key_tbl.find_opt idx key)
+  | _ -> index r (List.map fst binding) (Tuple.of_list (List.map snd binding))
 
 (* One pass over the tuples with throwaway per-position sets: the
    counts outlive them, so no index is kept alive for estimation. *)

@@ -45,6 +45,13 @@ val probe : t -> (int * Value.t) list -> Tuple.t list
     test and builds none).  [probe r \[\]] lists all tuples in ascending
     order; a probe bucket is in no particular order. *)
 
+val index : t -> int list -> Tuple.t -> Tuple.t list
+(** [index r ps] is {!probe} on the positions [ps] as a function of the
+    key values (in the order of [ps]), resolving the index once for
+    every call (it is refetched only after a {!remove} or {!substitute}
+    dropped it).  The key is only read, so a caller may reuse one
+    buffer for every lookup. *)
+
 val distinct : t -> int -> int
 (** [distinct r pos] is the number of distinct values at position
     [pos].  Counted in one pass and cached: recounted once the

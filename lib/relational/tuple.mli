@@ -9,6 +9,10 @@ val of_list : Value.t list -> t
 val of_array : Value.t array -> t
 (** The array is copied. *)
 
+val unsafe_of_array : Value.t array -> t
+(** The tuple shares the array, uncopied: writing the array changes the
+    tuple.  For freshly built arrays and for reused lookup keys. *)
+
 val to_list : t -> Value.t list
 val arity : t -> int
 

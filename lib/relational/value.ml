@@ -34,7 +34,9 @@ let int i = Int i
 let real r = Real r
 
 (* A symbol needs quoting when it could be mistaken for another lexical
-   class: numbers, nulls, or anything with spaces/punctuation. *)
+   class: numbers (including the letter-led spellings [of_string] reads
+   as floats, such as [inf] and [nan]), nulls, or anything with
+   spaces/punctuation. *)
 let bare_symbol s =
   s <> ""
   && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false)
@@ -44,6 +46,7 @@ let bare_symbol s =
            true
          | _ -> false)
        s
+  && Option.is_none (float_of_string_opt s)
 
 let pp ppf = function
   | Sym s -> if bare_symbol s then Format.pp_print_string ppf s

@@ -297,6 +297,9 @@ let load_from ~snapshot:spath ~journal:jpath =
       let segment = ref [] in
       let segment_merged = ref false in
       let stats = ref snap.Snapshot.stats in
+      (* merges replayed since the last [Round], which no stats record
+         counts yet *)
+      let tail_merges = ref 0 in
       let replayed = ref 0 in
       let stopped = ref false in
       let stop offset reason =
@@ -333,9 +336,11 @@ let load_from ~snapshot:spath ~journal:jpath =
                 (Instance.substitute inst (Value.Map.singleton from_ into));
               note into;
               segment_merged := true;
+              incr tail_merges;
               incr replayed
             | Journal.Round { merged; stats = s } ->
               stats := s;
+              tail_merges := 0;
               frontier :=
                 (if merged || !segment_merged then None
                  else Some (List.rev !segment));
@@ -359,7 +364,9 @@ let load_from ~snapshot:spath ~journal:jpath =
           instance = inst;
           frontier;
           null_base = !max_null + 1;
-          stats = !stats;
+          stats =
+            { !stats with
+              Chase.egd_merges = !stats.Chase.egd_merges + !tail_merges };
           replayed = !replayed;
           journal_truncation = !truncation }
 

@@ -120,7 +120,8 @@ type recovery = {
           full (always sound) first round *)
   null_base : int;  (** safe lower bound for fresh null labels *)
   stats : Mdqa_datalog.Chase.stats;
-      (** cumulative stats at the last durable round boundary *)
+      (** cumulative stats at the last durable round boundary, plus the
+          EGD merges replayed after it *)
   replayed : int;  (** journal records applied *)
   journal_truncation : Journal.truncation option;
       (** where and why journal replay stopped early, if it did *)

@@ -278,6 +278,35 @@ let test_generator_hot_rule_flat () =
     Alcotest.failf "scanned per trigger grew from %.2f (scale 40) to %.2f (scale 80)"
       at40 at80
 
+(* Per-rule semi-naive marks: a rule's delta is every fact stamped since
+   its own last enumeration began, so on scale 40 the quality rule
+   checks one trigger per fire.  A delta per round would check 260
+   triggers for its 130 fires, re-enumerating in round 2 what round 1
+   fired.  Two rounds and 45 nulls, and the fixpoint is the naive
+   chase's up to null labels. *)
+let test_generator_trigger_per_fire () =
+  let module Profile = Mdqa_obs.Profile in
+  let g = Hospital.Gen.scale 40 in
+  let ctx = Hospital.Gen.context g and source = Hospital.Gen.source g in
+  let p = Profile.create () in
+  Profile.install p;
+  let a =
+    Fun.protect ~finally:Profile.uninstall (fun () -> Context.assess ctx ~source)
+  in
+  let st = a.Context.chase.Chase.stats in
+  let q =
+    Option.get (Profile.find_rule (Profile.snapshot p) "measurements_q_gen")
+  in
+  Alcotest.(check int) "quality rule fires" 130 q.Profile.fires;
+  Alcotest.(check int) "one trigger per fire" q.Profile.fires q.Profile.triggers;
+  Alcotest.(check int) "rounds" 2 st.Chase.rounds;
+  Alcotest.(check int) "nulls" 45 st.Chase.nulls_created;
+  let naive =
+    Chase.run ~semi_naive:false (Context.program ctx) (Context.prepare ctx ~source)
+  in
+  Alcotest.(check bool) "fixpoint = naive chase" true
+    (Core_inst.hom_equivalent a.Context.chase.Chase.instance naive.Chase.instance)
+
 (* C3 (§IV: chase and query answering are polynomial in the data) as
    counts: scale 80 has twice the patients of scale 40 over twice the
    days, so four times the patient/ward input.  The assessment's chase
@@ -452,6 +481,7 @@ let suites =
         case "scaled doctor query" test_generator_doctor_query;
         case "hot rule cost flat in scale" test_generator_hot_rule_flat;
         case "C3: chase work linear in the input" test_generator_work_linear;
+        case "one trigger per fire of the quality rule" test_generator_trigger_per_fire;
         case "front end allocation linear in the input"
           test_front_end_allocation_linear;
         case "C4: rewriting, chase and proof agree in scale"

@@ -314,6 +314,12 @@ module Profile = Mdqa_obs.Profile
    float and merge algebra can be checked with [=].  The ops exercise
    every table: per-rule totals, scoped atom visits, rounds, queries and
    phases. *)
+(* Credit one visit of an atom under the current scope. *)
+let atom_visit p ~idx ~pred ~step ~key ~scanned ~matched =
+  Option.iter
+    (Profile.count_visit ~scanned ~matched)
+    (Profile.atom_cell p ~idx ~pred ~step ~key)
+
 let profile_snapshot_of ops =
   let tick = ref 0. in
   let clock () = !tick in
@@ -327,10 +333,13 @@ let profile_snapshot_of ops =
       | 0 | 1 ->
         Profile.add_rule p rname
           { Profile.fires = n mod 2; triggers = n mod 3; matches = n mod 5;
-            rule_seconds = float_of_int (n mod 9) }
+            rule_seconds = float_of_int (n mod 9);
+            enumerate_seconds = float_of_int (n mod 4);
+            probe_seconds = float_of_int (n mod 2);
+            insert_seconds = float_of_int (n mod 3) }
       | 2 ->
         Profile.with_scope p rname (fun () ->
-            Profile.atom_visit p ~idx:(n mod 2) ~pred:"p" ~step:(n mod 3)
+            atom_visit p ~idx:(n mod 2) ~pred:"p" ~step:(n mod 3)
               ~key:(if n mod 7 < 4 then "scan" else "key=(0)")
               ~scanned:(n mod 11) ~matched:(n mod 4))
       | 3 ->
@@ -419,13 +428,13 @@ let test_profile_scope_discipline () =
   Alcotest.(check bool) "no scope outside with_scope" true
     (Profile.scoped () = None);
   (* an unscoped visit must attribute nothing *)
-  Profile.atom_visit p ~idx:0 ~pred:"p" ~step:0 ~key:"scan" ~scanned:5
+  atom_visit p ~idx:0 ~pred:"p" ~step:0 ~key:"scan" ~scanned:5
     ~matched:2;
   Alcotest.(check int) "unscoped visit dropped" 0
     (List.length (Profile.snapshot p).Profile.atoms);
   Profile.with_scope p "r" (fun () ->
       Alcotest.(check bool) "scoped inside" true (Profile.scoped () <> None);
-      Profile.atom_visit p ~idx:1 ~pred:"q" ~step:0 ~key:"scan" ~scanned:3
+      atom_visit p ~idx:1 ~pred:"q" ~step:0 ~key:"scan" ~scanned:3
         ~matched:3);
   Alcotest.(check bool) "scope restored" true (Profile.scoped () = None);
   match Profile.find_atom (Profile.snapshot p) ("r", 1, "q") with

@@ -44,6 +44,16 @@ let test_value_string_roundtrip () =
         (Value.of_string (Value.to_string v)))
     cases
 
+(* Letter-led spellings that [float_of_string] reads as numbers. *)
+let numeric_spellings = [ "inf"; "nan"; "infinity"; "Inf"; "NaN" ]
+
+let test_value_numeric_symbols () =
+  List.iter
+    (fun s ->
+      Alcotest.check value_testable ("symbol " ^ s) (v_sym s)
+        (Value.of_string (Value.to_string (v_sym s))))
+    numeric_spellings
+
 let test_value_of_string_forms () =
   Alcotest.check value_testable "underscore null" (Value.Null 7)
     (Value.of_string "_:7");
@@ -387,6 +397,16 @@ let test_csv_roundtrip () =
   Alcotest.(check bool) "tuples preserved" true
     (Tuple.Set.equal (Relation.to_set r) (Relation.to_set r'))
 
+let test_csv_numeric_symbols () =
+  let schema = Rel_schema.of_names "m" [ "a"; "b" ] in
+  let r =
+    Relation.of_tuples schema
+      (List.map (fun s -> tup [ v_sym s; Value.Null 1 ]) numeric_spellings)
+  in
+  let r' = parse_csv_exn ~name:"m" (Csv_io.relation_to_string r) in
+  Alcotest.(check bool) "symbols stay symbols" true
+    (Tuple.Set.equal (Relation.to_set r) (Relation.to_set r'))
+
 let test_csv_quoting () =
   let cell = Csv_io.cell_of_value (v_sym "a,b") in
   Alcotest.(check bool) "comma quoted" true (cell.[0] = '"');
@@ -508,6 +528,7 @@ let suites =
         case "null predicates" test_value_null_predicates;
         case "string roundtrip" test_value_string_roundtrip;
         case "of_string surface forms" test_value_of_string_forms;
+        case "numeric spellings stay symbols" test_value_numeric_symbols;
         case "fresh null generator" test_fresh_gen ] );
     ( "relational.tuple",
       [ case "basic access and update" test_tuple_basic;
@@ -544,5 +565,6 @@ let suites =
         case "csv roundtrip" test_csv_roundtrip;
         case "csv file roundtrip" test_csv_file_roundtrip;
         case "csv malformed input" test_csv_malformed;
-        case "csv quoting" test_csv_quoting ] );
+        case "csv quoting" test_csv_quoting;
+        case "csv numeric-looking symbols" test_csv_numeric_symbols ] );
     ("relational.properties", qcheck_cases) ]
