@@ -45,7 +45,7 @@ module Server = Mdqa_server.Server
 module Service = Mdqa_server.Service
 module Client = Mdqa_server.Client
 module Sproto = Mdqa_server.Protocol
-module Jsonl = Mdqa_server.Jsonl
+module Jsonl = Mdqa_obs.Jsonl
 module Backoff = Mdqa_server.Backoff
 module Fdio = Mdqa_server.Fdio
 module Replication = Mdqa_server.Replication
@@ -432,7 +432,7 @@ let resume_cmd =
 (* --- store: inspection of checkpoint stores -------------------------- *)
 
 let emit_fsck_report json report =
-  if json then print_endline (Fsck.to_json report)
+  if json then print_endline (Jsonl.to_string (Fsck.to_json report))
   else Fsck.print_text report;
   Fsck.exit_code report
 
@@ -785,7 +785,7 @@ let run_diag_check file json =
       (Mdqa_context.Md_parser.check_file file).Mdqa_context.Md_parser.diags
     else (Validate.check_file file).Validate.diags
   in
-  if json then print_endline (Diag.to_json ~file diags)
+  if json then print_endline (Jsonl.to_string (Diag.to_json ~file diags))
   else begin
     List.iter (fun d -> Format.printf "%a@." Diag.pp d) diags;
     Format.printf "%a@." Diag.pp_summary diags
@@ -1767,7 +1767,7 @@ let print_profile_report ~top snap (tgds : Tgd.t list) =
   end
 
 let profile_finish ~json ~top snap tgds exit_code =
-  if json then print_endline (Profile.to_json snap)
+  if json then print_endline (Jsonl.to_string (Profile.to_json snap))
   else print_profile_report ~top snap tgds;
   exit_code
 

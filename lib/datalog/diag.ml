@@ -113,11 +113,8 @@ let hintf c ?file ?line ?col ~code fmt =
 
 let to_list c = List.sort_uniq compare (List.rev c.rev)
 
-let count sev c =
-  List.length (List.filter (fun d -> d.severity = sev) (to_list c))
-
-let error_count = count Error
-let warning_count = count Warning
+let error_count c =
+  List.length (List.filter (fun d -> d.severity = Error) (to_list c))
 let has_errors c = List.exists (fun d -> d.severity = Error) c.rev
 
 let exit_code ds =
@@ -158,54 +155,20 @@ let pp_summary ppf ds =
     Format.fprintf ppf "%s" (String.concat ", " parts)
   end
 
-(* Minimal JSON emission — no external dependency. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?file ds =
-  let buf = Buffer.create 512 in
-  let n sev = List.length (List.filter (fun d -> d.severity = sev) ds) in
-  Buffer.add_char buf '{';
-  (match file with
-   | Some f -> Buffer.add_string buf (Printf.sprintf "\"file\":\"%s\"," (json_escape f))
-   | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf "\"errors\":%d,\"warnings\":%d,\"hints\":%d,"
-       (n Error) (n Warning) (n Hint));
-  Buffer.add_string buf "\"diagnostics\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '{';
-      Buffer.add_string buf
-        (Printf.sprintf "\"severity\":\"%s\",\"code\":\"%s\","
-           (severity_to_string d.severity) (json_escape d.code));
-      (match describe d.code with
-       | Some m ->
-         Buffer.add_string buf
-           (Printf.sprintf "\"mnemonic\":\"%s\"," (json_escape m))
-       | None -> ());
-      (match d.span.file with
-       | Some f ->
-         Buffer.add_string buf
-           (Printf.sprintf "\"file\":\"%s\"," (json_escape f))
-       | None -> ());
-      Buffer.add_string buf
-        (Printf.sprintf "\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
-           d.span.line d.span.col (json_escape d.message)))
-    ds;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Mdqa_obs.Jsonl in
+  let int i = Num (float_of_int i) in
+  let opt key = function Some v -> [ (key, Str v) ] | None -> [] in
+  let n sev = int (List.length (List.filter (fun d -> d.severity = sev) ds)) in
+  let diag d =
+    Obj
+      ([ ("severity", Str (severity_to_string d.severity)); ("code", Str d.code) ]
+      @ opt "mnemonic" (describe d.code)
+      @ opt "file" d.span.file
+      @ [ ("line", int d.span.line); ("col", int d.span.col);
+          ("message", Str d.message) ])
+  in
+  Obj
+    (opt "file" file
+    @ [ ("errors", n Error); ("warnings", n Warning); ("hints", n Hint);
+        ("diagnostics", List (List.map diag ds)) ])

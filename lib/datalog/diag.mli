@@ -112,7 +112,6 @@ val to_list : collector -> t list
     deduplicated. *)
 
 val error_count : collector -> int
-val warning_count : collector -> int
 val has_errors : collector -> bool
 
 (** {1 Presentation} *)
@@ -128,7 +127,7 @@ val pp : Format.formatter -> t -> unit
 val pp_summary : Format.formatter -> t list -> unit
 (** ["3 errors, 1 warning"]-style one-line summary. *)
 
-val to_json : ?file:string -> t list -> string
+val to_json : ?file:string -> t list -> Mdqa_obs.Jsonl.t
 (** The whole report as one JSON object:
     [{"file": ..., "errors": N, "warnings": N, "hints": N,
       "diagnostics": [{"severity": "error", "code": "E012",

@@ -32,16 +32,7 @@ type 'a outcome =
 
 exception Exhausted of exhaustion
 
-module Clock = struct
-  (* The system wall clock can step backwards (NTP); deadline checks
-     and benchmark timings need a non-decreasing view of it. *)
-  let last = ref 0.
-
-  let now () =
-    let t = Unix.gettimeofday () in
-    if t > !last then last := t;
-    !last
-end
+module Clock = Mdqa_obs.Clock
 
 let word_bytes = float_of_int (Sys.word_size / 8)
 
@@ -305,8 +296,6 @@ let resource_name = function
   | Memory -> "memory"
   | Cancelled -> "cancelled"
 
-let pp_resource ppf r = Format.pp_print_string ppf (resource_name r)
-
 let pp_exhaustion ppf e =
   match e.resource with
   | Cancelled -> Format.pp_print_string ppf "cancelled"
@@ -320,9 +309,3 @@ let pp_exhaustion ppf e =
     Format.fprintf ppf "%s budget exhausted (%.0f used, limit %.0f)"
       (resource_name r) e.used e.limit
 
-let pp_consumption ppf (c : consumption) =
-  Format.fprintf ppf
-    "steps %d, nulls %d, rows %d, cqs %d, repair branches %d, checkpoint \
-     bytes %d, %.3fs, %.1f MiB"
-    c.steps c.nulls c.rows c.cqs c.repair_branches c.checkpoint_bytes
-    c.elapsed c.heap_mb

@@ -62,12 +62,9 @@ type t
 
 exception Exhausted of exhaustion
 
-(** Monotonic wall-clock time in seconds.  The system clock is wrapped
-    so the reported time never decreases, making deadline checks (and
-    benchmark timings) robust to clock steps. *)
-module Clock : sig
-  val now : unit -> float
-end
+(** The non-decreasing wall clock of {!Mdqa_obs.Clock}, which deadline
+    checks (and benchmark timings) read. *)
+module Clock = Mdqa_obs.Clock
 
 val create :
   ?max_steps:int ->
@@ -181,6 +178,4 @@ val degraded : 'a outcome -> exhaustion option
 val map : ('a -> 'b) -> 'a outcome -> 'b outcome
 
 val resource_name : resource -> string
-val pp_resource : Format.formatter -> resource -> unit
 val pp_exhaustion : Format.formatter -> exhaustion -> unit
-val pp_consumption : Format.formatter -> consumption -> unit

@@ -51,13 +51,6 @@ let positions p =
 let idb_predicates p =
   List.sort_uniq String.compare (List.concat_map Tgd.head_preds p.tgds)
 
-let edb_predicates p =
-  let idb = idb_predicates p in
-  List.filter
-    (fun (pred, _) -> not (List.mem pred idb))
-    (predicates p)
-  |> List.map fst
-
 let tgds_with_head p pred =
   List.filter (fun t -> List.mem pred (Tgd.head_preds t)) p.tgds
 
@@ -122,12 +115,6 @@ let relevant_tgds p ~goals =
 
 let restrict_to_goals p ~goals =
   { p with tgds = relevant_tgds p ~goals }
-
-let schema_for p pred =
-  Option.map
-    (fun n ->
-      Rel_schema.of_names pred (List.init n (Printf.sprintf "c%d")))
-    (arity_of p pred)
 
 let declare_predicates p inst =
   List.iter

@@ -34,9 +34,6 @@ val positions : t -> (string * int) list
 val idb_predicates : t -> string list
 (** Predicates occurring in some TGD head. *)
 
-val edb_predicates : t -> string list
-(** Predicates never occurring in a TGD head. *)
-
 val tgds_with_head : t -> string -> Tgd.t list
 
 val predicate_graph : t -> (string * string) list
@@ -64,7 +61,5 @@ val declare_predicates : t -> Mdqa_relational.Instance.t -> unit
 (** Declare every program predicate in an existing instance, so the
     chase can write to them.  Existing relations are kept; a predicate
     already present with a different arity raises [Invalid_argument]. *)
-
-val schema_for : t -> string -> Mdqa_relational.Rel_schema.t option
 
 val pp : Format.formatter -> t -> unit

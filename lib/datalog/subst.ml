@@ -44,11 +44,6 @@ let domain s =
   Term.Var_map.fold (fun v _ acc -> Term.Var_set.add v acc) s
     Term.Var_set.empty
 
-let is_ground_on s vars =
-  Term.Var_set.for_all
-    (fun v -> match walk s (Term.Var v) with Term.Const _ -> true | _ -> false)
-    vars
-
 let restrict s vars = Term.Var_map.filter (fun v _ -> Term.Var_set.mem v vars) s
 
 let equal a b =

@@ -35,9 +35,6 @@ val apply_cmp : t -> Atom.Cmp.t -> Atom.Cmp.t
 
 val domain : t -> Term.Var_set.t
 
-val is_ground_on : t -> Term.Var_set.t -> bool
-(** All the given variables are bound to constants. *)
-
 val restrict : t -> Term.Var_set.t -> t
 
 val equal : t -> t -> bool

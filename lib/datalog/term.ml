@@ -9,11 +9,7 @@ let const c = Const c
 let sym s = Const (Value.sym s)
 let int i = Const (Value.int i)
 
-let is_var = function Var _ -> true | Const _ -> false
 let is_const = function Const _ -> true | Var _ -> false
-
-let as_var = function Var v -> Some v | Const _ -> None
-let as_const = function Const c -> Some c | Var _ -> None
 
 let compare a b =
   match a, b with

@@ -15,11 +15,7 @@ val sym : string -> t
 
 val int : int -> t
 
-val is_var : t -> bool
 val is_const : t -> bool
-
-val as_var : t -> string option
-val as_const : t -> Mdqa_relational.Value.t option
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -29,8 +29,6 @@ let head_vars t = vars_of_atoms t.head
 let existential_vars t = Term.Var_set.diff (head_vars t) (body_vars t)
 let frontier t = Term.Var_set.inter (head_vars t) (body_vars t)
 
-let is_full t = Term.Var_set.is_empty (existential_vars t)
-
 let repeated_body_vars t =
   let counts = Hashtbl.create 16 in
   List.iter

@@ -26,9 +26,6 @@ val existential_vars : t -> Term.Var_set.t
 val frontier : t -> Term.Var_set.t
 (** Body variables occurring in the head ([x̄]). *)
 
-val is_full : t -> bool
-(** No existential variables. *)
-
 val repeated_body_vars : t -> Term.Var_set.t
 (** Variables with ≥ 2 occurrences in the body (counting occurrences,
     not atoms). *)

@@ -1,15 +1,20 @@
-(** Minimal JSON values for the line-delimited server protocol.
+(** Minimal JSON values: the one codec for every JSON the system emits
+    or reads.
 
-    The wire format of [mdqa serve] is one JSON object per line
-    (JSONL); this module is the whole codec — no external dependency,
-    total parsing (malformed input is an [Error], never an exception),
-    and printing that never emits a newline (so one value always stays
-    one frame). *)
+    The [mdqa serve] wire format (one JSON object per line), the
+    profile, trace, log, check and fsck reports are all values of {!t}
+    printed by {!to_string}.  No external dependency, total parsing
+    (malformed input is an [Error], never an exception), and printing
+    that never emits a newline (so one value always stays one frame). *)
 
 type t =
   | Null
   | Bool of bool
   | Num of float
+      (** printed as an integer when integral (below 1e15) *)
+  | Float of float
+      (** printed always with a fraction or an exponent ([0.0], not
+          [0]); reads back as [Num] *)
   | Str of string
   | List of t list
   | Obj of (string * t) list
@@ -20,7 +25,8 @@ val parse : string -> (t, string) result
     other malformation come back as [Error msg]. *)
 
 val to_string : t -> string
-(** Compact one-line rendering (no newlines, strings escaped). *)
+(** Compact one-line rendering (no newlines, strings escaped, a
+    non-finite number as [null]). *)
 
 (** {1 Accessors} — total, [None] on shape mismatch. *)
 

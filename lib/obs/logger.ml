@@ -41,29 +41,12 @@ let timestamp now =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec (max 0 ms)
 
-let json_escape v =
-  let buf = Buffer.create (String.length v + 4) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    v;
-  Buffer.contents buf
-
-let field_json = function
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Int i -> string_of_int i
-  | Float f ->
-    if Float.is_finite f then Printf.sprintf "%.9g" f
-    else Printf.sprintf "\"%h\"" f
-  | Bool b -> string_of_bool b
+let field_value = function
+  | Str s -> Jsonl.Str s
+  | Int i -> Jsonl.Num (float_of_int i)
+  | Float f when Float.is_finite f -> Jsonl.Num f
+  | Float f -> Jsonl.Str (Printf.sprintf "%h" f)
+  | Bool b -> Jsonl.Bool b
 
 let field_text = function
   | Str s ->
@@ -75,19 +58,12 @@ let field_text = function
   | Bool b -> string_of_bool b
 
 let render lvl ts msg fields =
-  if !json_mode then begin
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\"ts\":\"%s\",\"level\":\"%s\",\"msg\":\"%s\"" ts
-         (level_name lvl) (json_escape msg));
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf ",\"%s\":%s" (json_escape k) (field_json v)))
-      fields;
-    Buffer.add_char buf '}';
-    Buffer.contents buf
-  end
+  if !json_mode then
+    Jsonl.to_string
+      (Jsonl.Obj
+         (("ts", Jsonl.Str ts) :: ("level", Jsonl.Str (level_name lvl))
+         :: ("msg", Jsonl.Str msg)
+         :: List.map (fun (k, v) -> (k, field_value v)) fields))
   else begin
     let buf = Buffer.create 128 in
     Buffer.add_string buf

@@ -78,7 +78,6 @@ let add c n =
 
 let counter_value c = c.c
 let set g v = g.g <- v
-let gauge_value g = g.g
 
 (* Bucket index for [v]: the exponent [e] with 2^(e-1) <= v < 2^e
    (frexp gives v = m * 2^e with m in [0.5, 1)).  Non-positive and
@@ -262,9 +261,6 @@ let to_prometheus s =
 
 let norm_labels labels =
   List.sort (fun (a, _) (b, _) -> String.compare a b) labels
-
-let find_counter s ?(labels = []) name =
-  List.assoc_opt (name, norm_labels labels) s.counters
 
 let counter_total s name =
   List.fold_left

@@ -38,7 +38,6 @@ val add : counter -> int -> unit
 
 val counter_value : counter -> int
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 
 (** {1 Snapshots} *)
@@ -72,9 +71,6 @@ val to_prometheus : snapshot -> string
     series with [_sum] and [_count]. *)
 
 (** {1 Lookup helpers (tests, perfbench)} *)
-
-val find_counter :
-  snapshot -> ?labels:(string * string) list -> string -> int option
 
 val counter_total : snapshot -> string -> int
 (** Sum of a counter family across all label sets (0 if absent). *)

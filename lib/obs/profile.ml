@@ -68,15 +68,7 @@ type t = {
   mutable scope : string option;
 }
 
-let monotonic () =
-  let last = ref 0. in
-  fun () ->
-    let t = Unix.gettimeofday () in
-    if t > !last then last := t;
-    !last
-
-let create ?clock () =
-  let clock = match clock with Some c -> c | None -> monotonic () in
+let create ?(clock = Clock.now) () =
   {
     clock;
     rules = Hashtbl.create 16;
@@ -327,7 +319,6 @@ let merge a b =
 
 let find_rule s name = List.assoc_opt name s.rules
 let find_atom s key = List.assoc_opt key s.atoms
-let find_query s name = List.assoc_opt name s.queries
 let find_phase s name = List.assoc_opt name s.phases
 
 let selectivity a =
@@ -344,65 +335,45 @@ let total_query_seconds s =
 
 (* ------------------------------------------------------------ export *)
 
-let json_escape v =
-  let buf = Buffer.create (String.length v + 4) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    v;
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
-
 let to_json s =
-  let arr l f = "[" ^ String.concat "," (List.map f l) ^ "]" in
-  let rules =
-    arr s.rules (fun (name, r) ->
-        Printf.sprintf
-          "{\"rule\":\"%s\",\"fires\":%d,\"triggers\":%d,\"matches\":%d,\"seconds\":%s,\"enumerate_seconds\":%s,\"probe_seconds\":%s,\"insert_seconds\":%s,\"bookkeeping_seconds\":%s}"
-          (json_escape name) r.fires r.triggers r.matches
-          (json_float r.rule_seconds)
-          (json_float r.enumerate_seconds)
-          (json_float r.probe_seconds)
-          (json_float r.insert_seconds)
-          (json_float (bookkeeping_seconds r)))
-  and atoms =
-    arr s.atoms (fun ((scope, idx, pred), a) ->
-        Printf.sprintf
-          "{\"rule\":\"%s\",\"atom\":%d,\"pred\":\"%s\",\"step\":%d,\"key\":\"%s\",\"visits\":%d,\"scanned\":%d,\"matched\":%d,\"selectivity\":%s,\"fan_out\":%s}"
-          (json_escape scope) idx (json_escape pred) a.step (json_escape a.key)
-          a.visits a.scanned a.matched
-          (json_float (selectivity a))
-          (json_float (fan_out a)))
-  and rounds =
-    arr s.rounds (fun (n, r) ->
-        Printf.sprintf
-          "{\"round\":%d,\"count\":%d,\"seconds\":%s,\"minor_collections\":%d,\"major_collections\":%d,\"heap_words\":%d}"
-          n r.round_count
-          (json_float r.round_seconds)
-          r.minor_collections r.major_collections r.heap_words)
-  and queries =
-    arr s.queries (fun (name, q) ->
-        Printf.sprintf "{\"query\":\"%s\",\"evals\":%d,\"seconds\":%s}"
-          (json_escape name) q.evals
-          (json_float q.query_seconds))
-  and phases =
-    arr s.phases (fun (name, p) ->
-        Printf.sprintf "{\"phase\":\"%s\",\"calls\":%d,\"seconds\":%s}"
-          (json_escape name) p.calls
-          (json_float p.phase_seconds))
-  in
-  Printf.sprintf
-    "{\"rules\":%s,\"atoms\":%s,\"rounds\":%s,\"queries\":%s,\"phases\":%s}"
-    rules atoms rounds queries phases
+  let open Jsonl in
+  let int i = Num (float_of_int i) in
+  let rows l f = List (List.map f l) in
+  Obj
+    [ ("rules",
+       rows s.rules (fun (name, r) ->
+           Obj
+             [ ("rule", Str name); ("fires", int r.fires);
+               ("triggers", int r.triggers); ("matches", int r.matches);
+               ("seconds", Float r.rule_seconds);
+               ("enumerate_seconds", Float r.enumerate_seconds);
+               ("probe_seconds", Float r.probe_seconds);
+               ("insert_seconds", Float r.insert_seconds);
+               ("bookkeeping_seconds", Float (bookkeeping_seconds r)) ]));
+      ("atoms",
+       rows s.atoms (fun ((scope, idx, pred), a) ->
+           Obj
+             [ ("rule", Str scope); ("atom", int idx); ("pred", Str pred);
+               ("step", int a.step); ("key", Str a.key);
+               ("visits", int a.visits); ("scanned", int a.scanned);
+               ("matched", int a.matched);
+               ("selectivity", Float (selectivity a));
+               ("fan_out", Float (fan_out a)) ]));
+      ("rounds",
+       rows s.rounds (fun (n, r) ->
+           Obj
+             [ ("round", int n); ("count", int r.round_count);
+               ("seconds", Float r.round_seconds);
+               ("minor_collections", int r.minor_collections);
+               ("major_collections", int r.major_collections);
+               ("heap_words", int r.heap_words) ]));
+      ("queries",
+       rows s.queries (fun (name, q) ->
+           Obj
+             [ ("query", Str name); ("evals", int q.evals);
+               ("seconds", Float q.query_seconds) ]));
+      ("phases",
+       rows s.phases (fun (name, p) ->
+           Obj
+             [ ("phase", Str name); ("calls", int p.calls);
+               ("seconds", Float p.phase_seconds) ])) ]

@@ -89,8 +89,8 @@ type snapshot = {
 (** {1 Collector lifecycle} *)
 
 val create : ?clock:(unit -> float) -> unit -> t
-(** [clock] defaults to a monotonic wall clock (non-decreasing wrapper
-    over [Unix.gettimeofday]); inject a fake for deterministic tests. *)
+(** [clock] defaults to {!Clock.now}; inject a fake for deterministic
+    tests. *)
 
 val install : t -> unit
 val uninstall : unit -> unit
@@ -161,7 +161,6 @@ val empty : snapshot
 
 val find_rule : snapshot -> string -> rule_stat option
 val find_atom : snapshot -> string * int * string -> atom_stat option
-val find_query : snapshot -> string -> query_stat option
 val find_phase : snapshot -> string -> phase_stat option
 
 val selectivity : atom_stat -> float
@@ -183,9 +182,9 @@ val bookkeeping_seconds : rule_stat -> float
 val total_rule_seconds : snapshot -> float
 val total_query_seconds : snapshot -> float
 
-val to_json : snapshot -> string
+val to_json : snapshot -> Jsonl.t
 (** Self-contained JSON object with ["rules"], ["atoms"] (each row
     carrying its ["step"] and ["key"] and the derived ["selectivity"]
-    and ["fan_out"]), ["rounds"],
-    ["queries"] and
-    ["phases"] arrays, each sorted by key. *)
+    and ["fan_out"]), ["rounds"], ["queries"] and ["phases"] arrays,
+    each sorted by key.  Seconds and ratios are {!Jsonl.Float}s, so
+    they print as JSON floats even when integral. *)

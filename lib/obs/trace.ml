@@ -1,6 +1,6 @@
-(* Ring-buffered span tracer.  The design mirrors Guard's clock: a
-   monotonic wrapper over [Unix.gettimeofday] by default, injectable
-   for tests, so traces are deterministic under a fake clock. *)
+(* Ring-buffered span tracer.  The clock is {!Clock.now} by default,
+   injectable for tests, so traces are deterministic under a fake
+   clock. *)
 
 type event = {
   name : string;
@@ -26,16 +26,8 @@ type t = {
   mutable open_depth : int;
 }
 
-let monotonic () =
-  let last = ref 0. in
-  fun () ->
-    let t = Unix.gettimeofday () in
-    if t > !last then last := t;
-    !last
-
-let create ?(capacity = 65536) ?clock () =
+let create ?(capacity = 65536) ?(clock = Clock.now) () =
   let capacity = max 1 capacity in
-  let clock = match clock with Some c -> c | None -> monotonic () in
   {
     clock;
     epoch = clock ();
@@ -111,53 +103,32 @@ let clear t =
   t.written <- 0;
   t.open_depth <- 0
 
-let micros s = s *. 1e6
-
-let json_escape v =
-  let buf = Buffer.create (String.length v + 4) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    v;
-  Buffer.contents buf
-
-let event_json ev =
-  let args =
-    String.concat ","
-      (Printf.sprintf "\"depth\":%d" ev.depth
-      :: List.map
-           (fun (k, v) ->
-             Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-           ev.attrs)
-  in
-  if ev.dur = 0. && ev.depth = 0 then
-    Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"mdqa\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\"args\":{%s}}"
-      (json_escape ev.name) (micros ev.ts) args
-  else
-    Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"mdqa\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{%s}}"
-      (json_escape ev.name) (micros ev.ts) (micros ev.dur) args
-
 let export_json t =
-  let evs = events t in
-  Printf.sprintf
-    "{\"traceEvents\":[%s],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"%d\"}}"
-    (String.concat "," (List.map event_json evs))
-    (dropped t)
+  let open Jsonl in
+  let micros s = Float (s *. 1e6) in
+  let event ev =
+    let timing =
+      if ev.dur = 0. && ev.depth = 0 then
+        [ ("ph", Str "i"); ("s", Str "t"); ("ts", micros ev.ts) ]
+      else [ ("ph", Str "X"); ("ts", micros ev.ts); ("dur", micros ev.dur) ]
+    in
+    let args =
+      ("depth", Num (float_of_int ev.depth))
+      :: List.map (fun (k, v) -> (k, Str v)) ev.attrs
+    in
+    Obj
+      ((("name", Str ev.name) :: ("cat", Str "mdqa") :: timing)
+      @ [ ("pid", Num 1.); ("tid", Num 1.); ("args", Obj args) ])
+  in
+  Obj
+    [ ("traceEvents", List (List.map event (events t)));
+      ("displayTimeUnit", Str "ms");
+      ("otherData", Obj [ ("dropped", Str (string_of_int (dropped t))) ]) ]
 
 let export_file t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (export_json t);
+      output_string oc (Jsonl.to_string (export_json t));
       output_char oc '\n')

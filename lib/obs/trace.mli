@@ -22,8 +22,8 @@ type event = {
 
 val create : ?capacity:int -> ?clock:(unit -> float) -> unit -> t
 (** [capacity] bounds the ring buffer (default 65536 events; older
-    events are dropped and counted).  [clock] defaults to a monotonic
-    wall clock (non-decreasing wrapper over [Unix.gettimeofday]). *)
+    events are dropped and counted).  [clock] defaults to
+    {!Clock.now}. *)
 
 val install : t -> unit
 val uninstall : unit -> unit
@@ -59,10 +59,10 @@ val depth : t -> int
 
 val clear : t -> unit
 
-val export_json : t -> string
+val export_json : t -> Jsonl.t
 (** Chrome trace-event JSON ([{"traceEvents":[...]}], `ph:"X"`
     complete events, timestamps in microseconds) — loadable by
     chrome://tracing and Perfetto. *)
 
 val export_file : t -> string -> unit
-(** [export_file t path] writes [export_json t] to [path]. *)
+(** [export_file t path] writes [export_json t] to [path], one line. *)

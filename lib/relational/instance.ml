@@ -39,8 +39,6 @@ let relations i =
   Hashtbl.fold (fun _ r acc -> r :: acc) i.rels []
   |> List.sort (fun a b -> String.compare (Relation.name a) (Relation.name b))
 
-let predicate_names i = List.map Relation.name (relations i)
-
 let total_tuples i =
   Hashtbl.fold (fun _ r acc -> acc + Relation.cardinal r) i.rels 0
 

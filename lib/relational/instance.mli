@@ -31,8 +31,6 @@ val add_tuple : t -> string -> Tuple.t -> bool
 val relations : t -> Relation.t list
 (** All relations, sorted by name (deterministic). *)
 
-val predicate_names : t -> string list
-
 val total_tuples : t -> int
 
 val iter_facts : (string -> Tuple.t -> unit) -> t -> unit

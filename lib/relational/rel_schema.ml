@@ -34,15 +34,14 @@ let position_of s attr_name =
   in
   find 0
 
-let positions_where pred s =
+let categorical_positions s =
   let rec collect i acc =
     if i < 0 then acc
-    else collect (i - 1) (if pred s.attrs.(i) then i :: acc else acc)
+    else
+      collect (i - 1)
+        (if Attribute.is_categorical s.attrs.(i) then i :: acc else acc)
   in
   collect (Array.length s.attrs - 1) []
-
-let categorical_positions = positions_where Attribute.is_categorical
-let plain_positions = positions_where (fun a -> not (Attribute.is_categorical a))
 
 let compare a b =
   let c = String.compare a.name b.name in

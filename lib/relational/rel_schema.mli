@@ -26,9 +26,6 @@ val position_of : t -> string -> int option
 val categorical_positions : t -> int list
 (** Positions of categorical attributes, ascending. *)
 
-val plain_positions : t -> int list
-(** Positions of plain (non-categorical) attributes, ascending. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

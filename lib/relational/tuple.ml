@@ -1,7 +1,6 @@
 type t = Value.t array
 
 let of_list = Array.of_list
-let of_array a = Array.copy a
 let unsafe_of_array a = a
 let to_list = Array.to_list
 let arity = Array.length

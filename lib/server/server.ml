@@ -299,10 +299,7 @@ let spans_json () =
 let profile_json () =
   match Mdqa_obs.Profile.installed () with
   | None -> Jsonl.Obj []
-  | Some p -> (
-    match Jsonl.parse (Mdqa_obs.Profile.to_json (Mdqa_obs.Profile.snapshot p)) with
-    | Ok j -> j
-    | Error _ -> Jsonl.Obj [])
+  | Some p -> Mdqa_obs.Profile.to_json (Mdqa_obs.Profile.snapshot p)
 
 let answer st conn req =
   let id = Protocol.request_id req in

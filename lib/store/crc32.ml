@@ -13,22 +13,6 @@ let table =
 
 let mask = 0xFFFFFFFF
 
-let run get ?(pos = 0) ?len data total =
-  let len = Option.value ~default:(total - pos) len in
-  if pos < 0 || len < 0 || pos + len > total then
-    invalid_arg "Crc32.digest: out of bounds";
-  let t = Lazy.force table in
-  let c = ref mask in
-  for i = pos to pos + len - 1 do
-    c := t.((!c lxor Char.code (get data i)) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor mask
-
-let digest ?pos ?len s = run String.unsafe_get ?pos ?len s (String.length s)
-
-let digest_bytes ?pos ?len b =
-  run Bytes.unsafe_get ?pos ?len b (Bytes.length b)
-
 (* Streaming form, for walkers that cannot hold the whole file (the
    online scrubber checks a snapshot a few KiB per select-loop tick).
    The running value carries the un-finalized register; feed in chunks,
@@ -51,3 +35,7 @@ let feed c b ~pos ~len =
   !c
 
 let finish c = c lxor mask
+
+let digest ?(pos = 0) ?len s =
+  let len = Option.value ~default:(String.length s - pos) len in
+  finish (feed start (Bytes.unsafe_of_string s) ~pos ~len)

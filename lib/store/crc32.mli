@@ -10,11 +10,10 @@ val digest : ?pos:int -> ?len:int -> string -> int
 (** CRC-32 of [len] bytes of [s] starting at [pos] (defaults: the whole
     string).  Result is in [\[0, 0xFFFF_FFFF\]]. *)
 
-val digest_bytes : ?pos:int -> ?len:int -> bytes -> int
-
 (** {1 Streaming} — for incremental walkers ({!Scrub}) that checksum a
     file a bounded number of bytes per tick instead of in one pass.
-    [finish (feed start b)] equals [digest_bytes b]. *)
+    [finish (feed start b ~pos ~len)] equals
+    [digest ~pos ~len (Bytes.to_string b)]. *)
 
 type running
 (** An in-progress CRC register (not yet final-xored). *)

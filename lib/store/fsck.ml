@@ -505,62 +505,24 @@ let repair ?resync ~path () =
 
 (* --- rendering -------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s;
-  Buffer.contents buf
-
 let to_json r =
-  let buf = Buffer.create 512 in
-  let str s = Printf.sprintf "\"%s\"" (json_escape s) in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"path\":%s,\"status\":%s,\"repaired\":%b,"
-       (str r.path)
-       (str (status_name r.status))
-       r.repaired);
-  Buffer.add_string buf
-    (Printf.sprintf "\"generations\":%d,\"plan\":%s," r.generations
-       (match r.plan with Some p -> str p | None -> "null"));
-  Buffer.add_string buf "\"damage\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"file\":%s,\"kind\":%s,\"offset\":%d,\"reason\":%s}"
-           (str d.file)
-           (str (kind_name d.kind))
-           d.offset (str d.reason)))
-    r.damage;
-  Buffer.add_string buf "],\"quarantined\":[";
-  List.iteri
-    (fun i q ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (str q))
-    r.quarantined;
-  Buffer.add_string buf "],\"info\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (str l))
-    r.infos;
-  (* the diagnostics ride as the same object `mdqa check --json` emits,
-     so downstream tooling shares one parser *)
-  Buffer.add_string buf "],\"report\":";
-  Buffer.add_string buf (Diag.to_json ~file:r.path r.diags);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let open Mdqa_obs.Jsonl in
+  let strs l = List (List.map (fun s -> Str s) l) in
+  let damage d =
+    Obj
+      [ ("file", Str d.file); ("kind", Str (kind_name d.kind));
+        ("offset", Num (float_of_int d.offset)); ("reason", Str d.reason) ]
+  in
+  Obj
+    [ ("path", Str r.path); ("status", Str (status_name r.status));
+      ("repaired", Bool r.repaired);
+      ("generations", Num (float_of_int r.generations));
+      ("plan", match r.plan with Some p -> Str p | None -> Null);
+      ("damage", List (List.map damage r.damage));
+      ("quarantined", strs r.quarantined); ("info", strs r.infos);
+      (* the diagnostics ride as the same object `mdqa check --json`
+         emits, so downstream tooling shares one parser *)
+      ("report", Diag.to_json ~file:r.path r.diags) ]
 
 let print_text r =
   List.iter print_endline r.infos;

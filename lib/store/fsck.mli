@@ -96,7 +96,7 @@ val kind_name : damage_kind -> string
 
 val status_name : status -> string
 
-val to_json : report -> string
+val to_json : report -> Mdqa_obs.Jsonl.t
 (** One JSON object: path, status, repaired, generations, plan, damage,
     quarantined files, info lines, and the diagnostics as the same
     ["report"] object [mdqa check --json] emits. *)

@@ -363,7 +363,7 @@ let test_never_located_at_zero () =
 let test_json_report () =
   let text = read_file (Filename.concat corpus_dir "syntax_multi.mdq") in
   let diags = (Md_parser.check_string ~file:"f.mdq" text).Md_parser.diags in
-  let json = Diag.to_json ~file:"f.mdq" diags in
+  let json = Mdqa_obs.Jsonl.to_string (Diag.to_json ~file:"f.mdq" diags) in
   let contains sub =
     let n = String.length sub and m = String.length json in
     let rec go i =

@@ -12,7 +12,7 @@
 module Metrics = Mdqa_obs.Metrics
 module Trace = Mdqa_obs.Trace
 module Logger = Mdqa_obs.Logger
-module Jsonl = Mdqa_server.Jsonl
+module Jsonl = Mdqa_obs.Jsonl
 
 (* --- histogram properties -------------------------------------------- *)
 
@@ -168,7 +168,7 @@ let test_export_is_valid_json () =
       Trace.with_span "outer" ~attrs:[ ("k", "v \"quoted\"") ] (fun () ->
           Trace.with_span "inner" (fun () -> ());
           Trace.instant "mark"));
-  match Jsonl.parse (Trace.export_json tr) with
+  match Jsonl.parse (Jsonl.to_string (Trace.export_json tr)) with
   | Error e -> Alcotest.failf "export does not parse: %s" e
   | Ok json ->
     let events =
@@ -414,12 +414,43 @@ let prop_profile_json_parses =
   QCheck.Test.make ~name:"to_json is valid JSON with all sections"
     ~count:100 obs_list_arb (fun a ->
       let s = profile_snapshot_of a in
-      match Jsonl.parse (Profile.to_json s) with
+      match Jsonl.parse (Jsonl.to_string (Profile.to_json s)) with
       | Error _ -> false
       | Ok json ->
         List.for_all
           (fun k -> Jsonl.member k json <> None)
           [ "rules"; "atoms"; "rounds"; "queries"; "phases" ])
+
+(* Every *_seconds field prints as a JSON float, even when the time is
+   integral: a rule with no triggers probes for 0.0 s, and a fake clock
+   makes every phase, round and query time a whole number. *)
+let test_profile_json_seconds_are_floats () =
+  let tick = ref 0. in
+  let p = Profile.create ~clock:(fun () -> tick := !tick +. 1.; !tick) () in
+  Profile.install p;
+  Fun.protect ~finally:Profile.uninstall (fun () ->
+      Profile.add_rule p "idle"
+        { Profile.fires = 0; triggers = 0; matches = 0; rule_seconds = 2.;
+          enumerate_seconds = 1.; probe_seconds = 0.; insert_seconds = 0. };
+      Profile.with_phase "chase" (fun () ->
+          Profile.with_round 1 (fun () -> Profile.with_query "q" ignore)));
+  let text = Jsonl.to_string (Profile.to_json (Profile.snapshot p)) in
+  let key = "seconds\":" in
+  let n = String.length text and k = String.length key in
+  let rec scan i seen =
+    if i + k > n then seen
+    else if String.sub text i k <> key then scan (i + 1) seen
+    else begin
+      let j = ref (i + k) in
+      while !j < n && not (String.contains ",}" text.[!j]) do incr j done;
+      let literal = String.sub text (i + k) (!j - i - k) in
+      if not (String.exists (fun c -> c = '.' || c = 'e') literal) then
+        Alcotest.failf "a seconds field printed as %s in %s" literal text;
+      scan !j (seen + 1)
+    end
+  in
+  (* five per rule, one each for the round, the query and the phase *)
+  Alcotest.(check int) "seconds fields checked" 8 (scan 0 0)
 
 let test_profile_scope_discipline () =
   let p = Profile.create ~clock:(fun () -> 0.) () in
@@ -717,7 +748,9 @@ let suites =
           case "hospital assessment attributes every used rule"
             test_profile_attributes_hospital_rules;
           case "visits count bucket misses"
-            test_profile_visits_count_bucket_misses ] );
+            test_profile_visits_count_bucket_misses;
+          case "to_json prints every seconds field as a float"
+            test_profile_json_seconds_are_floats ] );
     ( "obs.counts",
       [ case "two runs share one registry" test_counts_shared_registry;
         case "guard trip in mid-round" test_counts_guard_trip;

@@ -15,7 +15,7 @@ module Crc32 = Mdqa_store.Crc32
 module Snapshot = Mdqa_store.Snapshot
 module Journal = Mdqa_store.Journal
 module Store = Mdqa_store.Store
-module Jsonl = Mdqa_server.Jsonl
+module Jsonl = Mdqa_obs.Jsonl
 module Backoff = Mdqa_server.Backoff
 module Client = Mdqa_server.Client
 module Sproto = Mdqa_server.Protocol

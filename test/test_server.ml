@@ -6,6 +6,7 @@
    test/chaos_serve.sh. *)
 
 open Mdqa_server
+module Jsonl = Mdqa_obs.Jsonl
 module Guard = Mdqa_datalog.Guard
 
 (* --- backoff: full-jitter properties --------------------------------- *)
@@ -161,15 +162,22 @@ let test_admission_fifo_and_shed () =
 
 (* --- jsonl codec ------------------------------------------------------ *)
 
+(* Strings span all of ASCII, so control bytes, quotes and backslashes
+   go through the escaper; [Float]s span every finite magnitude,
+   integral ones included. *)
 let jsonl_arb =
   let open QCheck.Gen in
+  let ascii = string_size ~gen:(map Char.chr (int_range 0 0x7f)) in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.) float in
   let scalar =
     oneof
       [ return Jsonl.Null;
         map (fun b -> Jsonl.Bool b) bool;
         map (fun n -> Jsonl.Num (float_of_int n)) (int_range (-1000) 1000);
         map (fun f -> Jsonl.Num f) (float_range (-1e6) 1e6);
-        map (fun s -> Jsonl.Str s) (string_size ~gen:printable (int_range 0 12))
+        map (fun n -> Jsonl.Float (float_of_int n)) (int_range (-1000) 1000);
+        map (fun f -> Jsonl.Float f) finite;
+        map (fun s -> Jsonl.Str s) (ascii (int_range 0 12))
       ]
   in
   let value =
@@ -185,17 +193,30 @@ let jsonl_arb =
                   (1,
                    map (fun kvs -> Jsonl.Obj kvs)
                      (list_size (int_range 0 4)
-                        (pair
-                           (string_size ~gen:(char_range 'a' 'z')
-                              (int_range 1 6))
-                           (self (n / 2))))) ])
+                        (pair (ascii (int_range 1 6)) (self (n / 2))))) ])
           (min n 8))
   in
   QCheck.make ~print:Jsonl.to_string value
 
+(* A [Float f] reads back as [Num f], and its literal always carries a
+   fraction or an exponent. *)
 let prop_jsonl_roundtrip =
   QCheck.Test.make ~name:"jsonl: parse (to_string v) = v" ~count:500 jsonl_arb
-    (fun v -> Jsonl.parse (Jsonl.to_string v) = Ok v)
+    (fun v ->
+      let rec read = function
+        | Jsonl.Float f -> Jsonl.Num f
+        | Jsonl.List l -> Jsonl.List (List.map read l)
+        | Jsonl.Obj kvs -> Jsonl.Obj (List.map (fun (k, x) -> (k, read x)) kvs)
+        | x -> x
+      in
+      let rec floats_marked = function
+        | Jsonl.Float _ as x ->
+          String.exists (fun c -> c = '.' || c = 'e') (Jsonl.to_string x)
+        | Jsonl.List l -> List.for_all floats_marked l
+        | Jsonl.Obj kvs -> List.for_all (fun (_, x) -> floats_marked x) kvs
+        | _ -> true
+      in
+      Jsonl.parse (Jsonl.to_string v) = Ok (read v) && floats_marked v)
 
 let prop_jsonl_total =
   QCheck.Test.make ~name:"jsonl: parse never raises on arbitrary bytes"

@@ -17,6 +17,7 @@ module Journal = Mdqa_store.Journal
 module Store = Mdqa_store.Store
 module Fsck = Mdqa_store.Fsck
 module Scrub = Mdqa_store.Scrub
+module Jsonl = Mdqa_obs.Jsonl
 
 (* --- helpers --------------------------------------------------------- *)
 
@@ -772,6 +773,25 @@ let test_fsck_bitflip_repair_sweep () =
   done;
   restore ()
 
+(* `mdqa store fsck --json` is one value: it parses, and its "report"
+   member is exactly the object `mdqa check --json` prints for the same
+   diagnostics. *)
+let test_fsck_json_embeds_check_report () =
+  let path, _ = completed_store () in
+  Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
+  flip_byte path (String.length (read_file path) - 5);
+  let rep = Fsck.check ~path in
+  Alcotest.(check bool) "damage reported" true (rep.Fsck.diags <> []);
+  match Jsonl.parse (Jsonl.to_string (Fsck.to_json rep)) with
+  | Error e -> Alcotest.failf "fsck JSON does not parse: %s" e
+  | Ok json ->
+    Alcotest.(check (option string)) "status"
+      (Some (Fsck.status_name rep.Fsck.status))
+      (Jsonl.str_field "status" json);
+    Alcotest.(check bool) "report is the check --json object" true
+      (Jsonl.member "report" json
+       = Some (Diag.to_json ~file:path rep.Fsck.diags))
+
 let test_fsck_unrepairable_untouched () =
   let path, _ = completed_store () in
   Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
@@ -1026,7 +1046,9 @@ let suites =
           test_scrub_clean_then_corrupt;
         Alcotest.test_case "scrub: close mid-walk restarts cleanly" `Quick
           test_scrub_close_mid_walk_restarts ]
-      @ qcheck [ test_fsck_repair_idempotent ] );
+      @ qcheck [ test_fsck_repair_idempotent ]
+      @ [ Alcotest.test_case "fsck --json embeds the check report" `Quick
+            test_fsck_json_embeds_check_report ] );
     ( "store.guard",
       [ Alcotest.test_case "checkpoint bytes are accounted" `Quick
           test_checkpoint_bytes_accounted;
