@@ -1026,9 +1026,10 @@ let serve_store_arg =
     & info [ "store" ] ~docv:"STORE"
         ~doc:
           "Crash-safe checkpoint store.  An existing snapshot warm-starts \
-           the service; the warm fixpoint is re-snapshotted periodically \
-           and on drain, through a circuit breaker that keeps the service \
-           answering from memory when the disk misbehaves.")
+           the service; the warm fixpoint is snapshotted once, re-written \
+           when the image goes missing or a write fails, and on drain, \
+           through a circuit breaker that keeps the service answering \
+           from memory when the disk misbehaves.")
 
 let max_queue_arg =
   Arg.(
@@ -1077,8 +1078,9 @@ let checkpoint_every_arg =
   Arg.(
     value & opt int 64
     & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:"Re-snapshot the warm fixpoint every $(docv) requests \
-              (0 disables periodic checkpoints).")
+        ~doc:"Check the snapshot every $(docv) requests and rewrite it \
+              only when the image is missing, replaced or failing (0 \
+              disables the check).")
 
 let drain_grace_arg =
   Arg.(
@@ -1573,10 +1575,10 @@ let promote_cmd =
     (Cmd.info "promote"
        ~doc:
          "Promote a running $(b,mdqa serve) standby to primary: it stops \
-          following, takes ownership of its store (periodic checkpoints \
-          resume, one forced immediately) and starts answering without \
-          the stale-read tag.  Idempotent: promoting a primary reports \
-          promoted:false and exits 0.")
+          following, takes ownership of its store (periodic store \
+          checks start, one checkpoint forced immediately) and starts \
+          answering without the stale-read tag.  Idempotent: promoting \
+          a primary reports promoted:false and exits 0.")
     Cterm.(
       const run_promote $ promote_remote_arg $ retry_attempts_arg
       $ retry_budget_arg)

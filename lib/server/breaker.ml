@@ -15,8 +15,6 @@ type t = {
   mutable probe_taken : bool;  (** the single [Half_open] probe is out *)
 }
 
-let default_clock () = Unix.gettimeofday ()
-
 let create ?(threshold = 3) ?(cooldown = 1.0) ?(cooldown_cap = 60.0) ?clock ()
     =
   if threshold < 1 then invalid_arg "Breaker.create: threshold < 1";
@@ -26,7 +24,7 @@ let create ?(threshold = 3) ?(cooldown = 1.0) ?(cooldown_cap = 60.0) ?clock ()
   { threshold;
     cooldown;
     cooldown_cap;
-    clock = Option.value ~default:default_clock clock;
+    clock = Option.value ~default:Mdqa_obs.Clock.now clock;
     state = Closed;
     failures = 0;
     trips = 0;
@@ -86,6 +84,9 @@ let consecutive_failures t = t.failures
 let trips t = t.trips
 
 let retry_at t = match t.state with Open { until } -> Some until | _ -> None
+
+let retry_in t =
+  Option.map (fun until -> Float.max 0. (until -. t.clock ())) (retry_at t)
 
 let state_name t =
   match t.state with

@@ -30,7 +30,8 @@ val create :
   t
 (** [threshold] consecutive failures trip the breaker (default 3);
     the first open lasts [cooldown] seconds (default 1.0), doubling on
-    every re-open up to [cooldown_cap] (default 60.0). *)
+    every re-open up to [cooldown_cap] (default 60.0).  [clock]
+    defaults to {!Mdqa_obs.Clock.now}, the one non-decreasing clock. *)
 
 val allow : t -> bool
 (** Should the protected operation run now?  [Closed] and [Half_open]
@@ -62,6 +63,10 @@ val trips : t -> int
 val retry_at : t -> float option
 (** When an open breaker will next half-open (absolute clock time);
     [None] unless open. *)
+
+val retry_in : t -> float option
+(** Seconds until an open breaker half-opens, on the breaker's own
+    clock and never negative; [None] unless open. *)
 
 val state_name : t -> string
 (** ["closed"], ["open"] or ["half-open"] — for health reports. *)

@@ -61,8 +61,7 @@ module Source = struct
     epoch : int;  (** CRC-32 of the whole image: the ship identity *)
     image : string;
     sections : (char * int) list;
-    mtime : float;
-    size : int;
+    id : Store.image_id option;  (** the file the image was read from *)
   }
 
   type t = {
@@ -79,22 +78,16 @@ module Source = struct
   let refused message = Error (Diag.make Diag.Error ~code:"E031" message)
 
   (* (Re)load the snapshot image when the file changed underneath the
-     cache.  mtime+size is advisory only — a same-second rewrite of the
-     same fixpoint produces byte-identical images, so a stale hit is
-     content-identical; anything else changes the size. *)
+     cache: any rewrite or rename-into-place gives the path a new
+     [Store.image_id], whatever its size. *)
   let refresh t =
     match t.store_path with
     | None -> refused "this server has no --store: nothing to replicate"
     | Some path -> (
-      let stat =
-        match Unix.stat path with
-        | s -> Some (s.Unix.st_mtime, s.Unix.st_size)
-        | exception Unix.Unix_error _ -> None
-      in
-      match (t.cache, stat) with
-      | Some c, Some (mtime, size) when c.mtime = mtime && c.size = size ->
-        Ok c
-      | _, _ -> (
+      let id = Store.image_id ~path in
+      match t.cache with
+      | Some c when id <> None && c.id = id -> Ok c
+      | _ -> (
         match Store.read_image ~path with
         | Error e -> refused (Printf.sprintf "cannot ship snapshot: %s" e)
         | Ok image -> (
@@ -104,14 +97,7 @@ module Source = struct
               (Format.asprintf "local snapshot unreadable: %a"
                  Snapshot.pp_corruption c)
           | Ok sections ->
-            let mtime, size =
-              match stat with
-              | Some s -> s
-              | None -> (0., String.length image)
-            in
-            let c =
-              { epoch = Crc32.digest image; image; sections; mtime; size }
-            in
+            let c = { epoch = Crc32.digest image; image; sections; id } in
             t.cache <- Some c;
             Ok c)))
 

@@ -153,8 +153,8 @@ let count_shed st =
 let worker_defaults cfg =
   { Worker.timeout = cfg.request_timeout; max_steps = cfg.request_max_steps }
 
-(* Promotion: stop following, take ownership of the store (periodic
-   checkpoints back on, one forced immediately so the new primary's
+(* Promotion: stop following, take ownership of the store
+   ([Service.promote] forces one checkpoint so the new primary's
    authority over the bytes is durable).  The [repl.promote] failpoint
    fires first, so fault injection can kill the promotion path before
    any state changes — retrying is then safe. *)
@@ -163,8 +163,7 @@ let promote st ~reason =
   | Some f when not (Replication.Follower.promoted f) ->
     Failpoint.hit "repl.promote";
     Replication.Follower.mark_promoted f;
-    Service.enable_periodic_checkpoints st.svc;
-    ignore (Service.checkpoint st.svc ~force:true);
+    Service.promote st.svc;
     Logger.info
       ~fields:
         [ ("reason", Logger.Str reason);

@@ -81,8 +81,8 @@ val run : ?follower:Replication.Follower.t -> config -> Service.t -> int
     read-only with a W050 stale-read tag, refuses [repl.fetch] (E031)
     and never writes the store — its on-disk bytes stay byte-identical
     to the primary's.  A [promote] request, or [promote_after]
-    consecutive missed heartbeats, promotes it: following stops,
-    periodic checkpoints resume, and one forced checkpoint makes the
+    consecutive missed heartbeats, promotes it: following stops, the
+    periodic store check starts, and one forced checkpoint makes the
     new primary's authority durable (H055).
 
     Never raises out of the loop; setup errors (socket in use,

@@ -13,37 +13,36 @@ type t = {
   store : Store.t option;
   breaker : Breaker.t;
   metrics : Metrics.t;  (** service-lifetime registry *)
-  mutable checkpoint_every : int;  (** 0 in worker children: the parent owns the disk *)
-  mutable saved_checkpoint_every : int;
-      (** what {!disable_periodic_checkpoints} hid, for a promoted
-          standby to restore *)
+  checkpoint_every : int;  (** 0 disables the periodic check *)
+  mutable standby : bool;  (** the primary owns the bytes: never write *)
   mutable fixpoint_at : float;  (** Guard.Clock time of materialization *)
   mutable requests : int;
   mutable last_checkpoint_error : string option;
-  mutable persisted : bool;  (** the current fixpoint reached the disk *)
+  mutable image : Store.image_id option;
+      (** the file holding the current fixpoint; [None] until it
+          reaches the disk *)
 }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let mk ~program ~base ~warm ~guard ~store ~breaker ~metrics ~checkpoint_every
     =
-  { program;
-    base;
-    warm;
-    guard;
-    store;
-    breaker;
-    metrics;
-    checkpoint_every;
-    saved_checkpoint_every = 0;
-    fixpoint_at = Guard.Clock.now ();
-    requests = 0;
-    last_checkpoint_error = None;
-    persisted = false }
+  { program; base; warm; guard; store; breaker; metrics; checkpoint_every;
+    standby = false; fixpoint_at = Guard.Clock.now (); requests = 0;
+    last_checkpoint_error = None; image = None }
+
+let on_disk st = Store.image_id ~path:(Store.path st)
+
+(* The fixpoint is on disk: remember which file holds it, so the
+   periodic check can tell it is still there with one [stat]. *)
+let persisted t = t.image <- Option.bind t.store on_disk
+
+(* The program a store was written from, re-parsed for the proof and
+   rewrite engines, and its extensional facts. *)
+let program_of_text text =
+  let program = (Parser.parse_string text).Parser.program in
+  (program, Program.instance_of_facts program)
+
+let saturated instance stats =
+  { Chase.instance; outcome = Chase.Saturated; stats; provenance = None }
 
 let diag_of_store_error path e =
   [ Diag.make ~file:path Diag.Error ~code:"E023"
@@ -51,20 +50,15 @@ let diag_of_store_error path e =
 
 let load ?guard ?breaker ?store ?metrics ?(checkpoint_every = 64)
     ?keep_generations ?program_file () =
-  let guard = match guard with Some g -> g | None -> Guard.unlimited () in
-  let breaker = match breaker with Some b -> b | None -> Breaker.create () in
-  let metrics =
-    match metrics with Some m -> m | None -> Metrics.create ()
-  in
+  let guard = Option.value guard ~default:(Guard.unlimited ()) in
+  let breaker = Option.value breaker ~default:(Breaker.create ()) in
+  let metrics = Option.value metrics ~default:(Metrics.create ()) in
   let warm_start path =
     match Store.resume ~guard ~metrics ~path () with
     | Error e -> Error (diag_of_store_error path e)
     | Ok (warm, recovery) ->
-      (* Re-parse the stored program for the proof/rewrite engines and
-         open a fresh handle for the service's own checkpoints. *)
-      let parsed = Parser.parse_string recovery.Store.program_text in
-      let program = parsed.Parser.program in
-      let base = Program.instance_of_facts program in
+      (* a fresh handle for the service's own checkpoints *)
+      let program, base = program_of_text recovery.Store.program_text in
       let st =
         Store.create ~guard ~metrics ?keep_generations ~path
           ~program_text:recovery.Store.program_text
@@ -85,7 +79,8 @@ let load ?guard ?breaker ?store ?metrics ?(checkpoint_every = 64)
         Option.map
           (fun path ->
             Store.create ~guard ~metrics ?keep_generations ~path
-              ~program_text:(read_file file) ~variant:Chase.Restricted ())
+              ~program_text:(In_channel.with_open_bin file In_channel.input_all)
+              ~variant:Chase.Restricted ())
           store
       in
       let warm =
@@ -98,7 +93,7 @@ let load ?guard ?breaker ?store ?metrics ?(checkpoint_every = 64)
           ~checkpoint_every
       in
       (match Option.bind st Store.write_error with
-       | None -> svc.persisted <- st <> None
+       | None -> persisted svc
        | Some e ->
          Breaker.record_failure breaker;
          svc.last_checkpoint_error <- Some (Printexc.to_string e));
@@ -121,23 +116,14 @@ let load ?guard ?breaker ?store ?metrics ?(checkpoint_every = 64)
    inert store handle exists so a promotion can start checkpointing. *)
 let load_replica ?guard ?breaker ?metrics ?(checkpoint_every = 64)
     ?keep_generations ~store:path () =
-  let guard = match guard with Some g -> g | None -> Guard.unlimited () in
-  let breaker = match breaker with Some b -> b | None -> Breaker.create () in
-  let metrics =
-    match metrics with Some m -> m | None -> Metrics.create ()
-  in
+  let guard = Option.value guard ~default:(Guard.unlimited ()) in
+  let breaker = Option.value breaker ~default:(Breaker.create ()) in
+  let metrics = Option.value metrics ~default:(Metrics.create ()) in
   match Store.load ~path with
   | Error e -> Error (diag_of_store_error path e)
   | Ok r ->
-    let parsed = Parser.parse_string r.Store.program_text in
-    let program = parsed.Parser.program in
-    let base = Program.instance_of_facts program in
-    let warm =
-      { Chase.instance = r.Store.instance;
-        outcome = Chase.Saturated;
-        stats = r.Store.stats;
-        provenance = None }
-    in
+    let program, base = program_of_text r.Store.program_text in
+    let warm = saturated r.Store.instance r.Store.stats in
     let st =
       Store.create ~guard ~metrics ?keep_generations ~path
         ~program_text:r.Store.program_text ~variant:r.Store.variant ()
@@ -146,11 +132,10 @@ let load_replica ?guard ?breaker ?metrics ?(checkpoint_every = 64)
       mk ~program ~base ~warm ~guard ~store:(Some st) ~breaker ~metrics
         ~checkpoint_every
     in
-    svc.persisted <- true;
-    (* exactly one process writes the store: the primary.  A promotion
-       calls [enable_periodic_checkpoints] to take ownership. *)
-    svc.saved_checkpoint_every <- svc.checkpoint_every;
-    svc.checkpoint_every <- 0;
+    persisted svc;
+    (* exactly one process writes the store: the primary, until
+       [promote] hands ownership over *)
+    svc.standby <- true;
     Ok svc
 
 let store_path t = Option.map Store.path t.store
@@ -158,13 +143,9 @@ let store_path t = Option.map Store.path t.store
 (* Replace the warm fixpoint with a snapshot the replication layer just
    installed (a standby following an epoch change). *)
 let install_snapshot t (snap : Snapshot.t) =
-  t.warm <-
-    { Chase.instance = snap.Snapshot.instance;
-      outcome = Chase.Saturated;
-      stats = snap.Snapshot.stats;
-      provenance = None };
+  t.warm <- saturated snap.Snapshot.instance snap.Snapshot.stats;
   t.fixpoint_at <- Guard.Clock.now ();
-  t.persisted <- true
+  persisted t
 
 (* Replay freshly shipped journal records into the warm instance — the
    in-memory mirror of what [Store.load] does on disk.  [Fact] for a
@@ -212,13 +193,13 @@ let checkpoint t ~force =
         Breaker.record_success t.breaker;
         Store.clear_write_error st;
         t.last_checkpoint_error <- None;
-        t.persisted <- true;
+        persisted t;
         `Written bytes
       | Error e ->
         Breaker.record_failure t.breaker;
         let msg = Printexc.to_string e in
         t.last_checkpoint_error <- Some msg;
-        t.persisted <- false;
+        t.image <- None;
         `Failed msg
       | exception Guard.Exhausted e ->
         (* the server's own checkpoint-byte budget: not an I/O fault *)
@@ -226,21 +207,31 @@ let checkpoint t ~force =
           Some (Format.asprintf "%a" Guard.pp_exhaustion e);
         `Failed (Format.asprintf "%a" Guard.pp_exhaustion e))
 
-let disable_periodic_checkpoints t =
-  if t.checkpoint_every > 0 then t.saved_checkpoint_every <- t.checkpoint_every;
-  t.checkpoint_every <- 0
+let promote t =
+  t.standby <- false;
+  ignore (checkpoint t ~force:true)
 
-let enable_periodic_checkpoints t =
-  if t.checkpoint_every = 0 && t.saved_checkpoint_every > 0 then
-    t.checkpoint_every <- t.saved_checkpoint_every
+(* No request changes a primary's warm fixpoint, so the periodic
+   rewrite is owed only when the disk may lack it: never persisted,
+   the breaker not [Closed] (a failed write or an out-of-band trip
+   awaits its probe), or the file at the path is not the one last
+   written (unlinked, replaced, rewritten by someone else). *)
+let image_current t st =
+  match t.image with
+  | None -> false
+  | Some id ->
+    Breaker.state t.breaker = Breaker.Closed
+    && on_disk st = Some id
 
 let request_served t =
   t.requests <- t.requests + 1;
-  if
-    t.checkpoint_every > 0
-    && t.store <> None
-    && t.requests mod t.checkpoint_every = 0
-  then ignore (checkpoint t ~force:false)
+  match t.store with
+  | Some st
+    when (not t.standby) && t.checkpoint_every > 0
+         && t.requests mod t.checkpoint_every = 0
+         && not (image_current t st) ->
+    ignore (checkpoint t ~force:false)
+  | _ -> ()
 
 (* --- query answering -------------------------------------------------- *)
 
@@ -339,10 +330,8 @@ let health_fields t =
       ("consecutive_failures",
        Jsonl.Num (float_of_int (Breaker.consecutive_failures t.breaker)));
       ("trips", Jsonl.Num (float_of_int (Breaker.trips t.breaker))) ]
-    @ (match Breaker.retry_at t.breaker with
-       | Some at ->
-         [ ("retry_in",
-            Jsonl.Num (Float.max 0. (at -. Unix.gettimeofday ()))) ]
+    @ (match Breaker.retry_in t.breaker with
+       | Some s -> [ ("retry_in", Jsonl.Num s) ]
        | None -> [])
     @
     match t.last_checkpoint_error with
@@ -356,7 +345,7 @@ let health_fields t =
          ("facts",
           Jsonl.Num
             (float_of_int (R.Instance.total_tuples t.warm.Chase.instance)));
-         ("persisted", Jsonl.Bool t.persisted) ]);
+         ("persisted", Jsonl.Bool (t.image <> None)) ]);
     ("guard",
      Jsonl.Obj
        [ ("steps", Jsonl.Num (float_of_int cons.Guard.steps));
@@ -371,7 +360,6 @@ let health_fields t =
     ("requests", Jsonl.Num (float_of_int t.requests)) ]
 
 let requests t = t.requests
-let guard t = t.guard
 let breaker t = t.breaker
 let metrics t = t.metrics
 
@@ -385,10 +373,8 @@ let record_metrics t =
   Guard.record_metrics t.guard m;
   set "mdqa_server_breaker_state"
     "checkpoint breaker state (0=closed, 1=open, 2=half-open)"
-    (match Breaker.state_name t.breaker with
-    | "open" -> 1.
-    | "half-open" -> 2.
-    | _ -> 0.);
+    (match Breaker.state t.breaker with
+    | Breaker.Closed -> 0. | Open _ -> 1. | Half_open -> 2.);
   set "mdqa_server_breaker_trips" "times the checkpoint breaker opened"
     (float_of_int (Breaker.trips t.breaker));
   set "mdqa_server_breaker_consecutive_failures"
@@ -403,6 +389,6 @@ let record_metrics t =
     (Guard.Clock.now () -. t.fixpoint_at);
   set "mdqa_server_fixpoint_persisted"
     "1 when the current fixpoint reached the disk"
-    (if t.persisted then 1. else 0.)
+    (if t.image <> None then 1. else 0.)
 
 let close t = match t.store with Some st -> Store.close st | None -> ()

@@ -35,9 +35,10 @@ val load :
     fixpoint) and [program_file] is not read; otherwise [program_file]
     is validated, chased (checkpointing into [store] when given), and
     served.  Validation or recovery failure is the returned diagnostic
-    list.  [checkpoint_every] (default 64, [0] disables) re-snapshots
-    the fixpoint every that many requests — self-healing if the on-disk
-    image is lost or the disk recovers after failures. *)
+    list.  [checkpoint_every] (default 64, [0] disables) is the cadence,
+    in requests, of {!request_served}'s check that the disk still holds
+    the fixpoint — self-healing if the on-disk image is lost or the
+    disk recovers after failures. *)
 
 val load_replica :
   ?guard:Mdqa_datalog.Guard.t ->
@@ -52,9 +53,8 @@ val load_replica :
     just installed.  Unlike {!load}, nothing is re-chased and nothing
     is written — [Store.resume] would compact the journal and rewrite
     the snapshot, destroying the byte-identity with the primary that
-    replication maintains.  Periodic checkpoints start disabled (the
-    primary owns the bytes); a promotion re-enables them via
-    {!enable_periodic_checkpoints}. *)
+    replication maintains.  The service is a standby: it never writes
+    the store (the primary owns the bytes) until {!promote}. *)
 
 val store_path : t -> string option
 (** The snapshot path of the attached store, if any — what the
@@ -68,10 +68,10 @@ val apply_replicated : t -> Mdqa_store.Journal.record list -> unit
 (** Replay freshly shipped journal records into the warm instance —
     the in-memory mirror of on-disk journal replay. *)
 
-val enable_periodic_checkpoints : t -> unit
-(** Undo {!disable_periodic_checkpoints}: restore the cadence it
-    saved.  A standby calls this at promotion, taking ownership of the
-    store file.  No-op if checkpoints were never disabled. *)
+val promote : t -> unit
+(** A standby takes ownership of the store file: periodic checks start
+    and one checkpoint is forced at once, so the new primary's
+    authority over the bytes is durable. *)
 
 type query_outcome =
   | Answers of Mdqa_relational.Tuple.t list  (** complete *)
@@ -94,14 +94,15 @@ val query :
     into the server guard afterwards.  Never raises. *)
 
 val request_served : t -> unit
-(** Count one served request; every [checkpoint_every]-th triggers a
-    breaker-guarded {!checkpoint}. *)
-
-val disable_periodic_checkpoints : t -> unit
-(** Stop {!request_served} from ever checkpointing.  Forked worker
-    children call this right after the fork: exactly one process — the
-    supervisor parent — may own the store file, or two writers race on
-    the same temp path. *)
+(** Count one served request.  Every [checkpoint_every]-th one checks
+    the disk: no request changes the warm fixpoint, so the snapshot is
+    rewritten (a breaker-guarded {!checkpoint}) only when it may be
+    missing — the fixpoint never persisted, the breaker not closed, or
+    the file at the store path not the one last written
+    ({!Mdqa_store.Store.image_id}: unlinked, replaced, rewritten).
+    Otherwise the check is one [stat].  Standbys never write.  Only the
+    process that owns the store calls this: forked workers answer with
+    {!query} alone. *)
 
 val checkpoint :
   t ->
@@ -124,7 +125,6 @@ val ready : t -> bool * string
     with a reason (inconsistent ontology, degraded fixpoint). *)
 
 val requests : t -> int
-val guard : t -> Mdqa_datalog.Guard.t
 val breaker : t -> Breaker.t
 
 val metrics : t -> Mdqa_obs.Metrics.t

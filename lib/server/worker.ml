@@ -255,9 +255,7 @@ let spawn ~svc ~defaults ~recycle ~on_child () =
           try Sys.set_signal s Sys.Signal_default
           with Invalid_argument _ | Sys_error _ -> ())
         [ Sys.sigterm; Sys.sigint; Sys.sigchld ];
-      Fdio.ignore_sigpipe ();
-      (* exactly one process may own the store file *)
-      Service.disable_periodic_checkpoints svc
+      Fdio.ignore_sigpipe ()
     in
     match setup () with
     | () -> child_loop ~svc ~defaults ~recycle child_end

@@ -88,9 +88,9 @@ val spawn :
 (** Fork one worker.  [on_child] runs first in the child and must
     close every fd the worker has no business holding (listener,
     client conns, self-pipe, sibling worker ends); then signal
-    dispositions reset, periodic checkpoints are disabled, and the
-    child enters its read-answer loop.  The returned parent end is
-    nonblocking. *)
+    dispositions reset and the child enters its read-answer loop,
+    which only calls {!Service.query}: the parent alone writes the
+    store.  The returned parent end is nonblocking. *)
 
 val dispatch :
   t -> write_deadline:float -> string -> (unit, string) result

@@ -409,6 +409,14 @@ let resume ?guard ?compact_bytes ?metrics ~path () =
 
 let path st = st.path
 
+type image_id = { dev : int; ino : int; size : int; mtime : float }
+
+let image_id ~path =
+  match Unix.stat path with
+  | { Unix.st_dev = dev; st_ino = ino; st_size = size; st_mtime = mtime; _ } ->
+    Some { dev; ino; size; mtime }
+  | exception Unix.Unix_error _ -> None
+
 let read_file_string p =
   match
     let ic = open_in_bin p in

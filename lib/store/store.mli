@@ -174,6 +174,15 @@ val resume :
 val path : t -> string
 (** The snapshot path this store writes. *)
 
+type image_id
+(** Which file holds the snapshot image: device, inode, size and
+    mtime.  Two equal ([=]) ids name the same unmodified file; a
+    rewrite, a rename over it (even of a same-size copy) or an unlink
+    changes or removes it. *)
+
+val image_id : path:string -> image_id option
+(** One [stat] of [path]; [None] when nothing is there.  Never raises. *)
+
 val read_image : path:string -> (string, string) result
 (** The raw snapshot image at [path], for shipping.  [Error] for a
     missing or unreadable file; never raises. *)

@@ -206,6 +206,40 @@ let test_source_stale_epoch_restart () =
     Alcotest.(check int) "carries the new epoch" (Crc32.digest image)
       (num_field "epoch" fields)
 
+(* A different image of the same size, renamed into place with the same
+   mtime: only the inode tells the files apart, and the shipped-image
+   cache must notice. *)
+let test_source_same_size_replacement () =
+  let path = tmp_store () in
+  Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
+  ignore (write_primary path);
+  Unix.utimes path 1e9 1e9;
+  let src =
+    Replication.Source.create ~metrics:(Metrics.create ())
+      ~store_path:(Some path)
+  in
+  let epoch () =
+    match
+      Replication.Source.fetch src ~what:`Snapshot ~offset:0 ~len:7 ~epoch:0
+    with
+    | Ok fields -> num_field "epoch" fields
+    | Error d -> Alcotest.failf "fetch failed: %s" d.Diag.message
+  in
+  let first = epoch () in
+  let next = path ^ ".next" in
+  ignore
+    (Snapshot.write ~path:next
+       { (primary_snapshot ()) with stats = stats_of (1, 2, 3, 4, 6) });
+  Alcotest.(check int) "same size" (Unix.stat path).Unix.st_size
+    (Unix.stat next).Unix.st_size;
+  Unix.utimes next 1e9 1e9;
+  Unix.rename next path;
+  let image = read_file path in
+  Alcotest.(check bool) "a different image" true
+    (Crc32.digest image <> first);
+  Alcotest.(check int) "epoch follows the new image" (Crc32.digest image)
+    (epoch ())
+
 let test_source_no_store_refuses () =
   let src =
     Replication.Source.create ~metrics:(Metrics.create ()) ~store_path:None
@@ -510,7 +544,9 @@ let suites =
         Alcotest.test_case "stale epoch answers restart" `Quick
           test_source_stale_epoch_restart;
         Alcotest.test_case "store-less source refuses (E031)" `Quick
-          test_source_no_store_refuses ] );
+          test_source_no_store_refuses;
+        Alcotest.test_case "same-size image renamed in place re-ships"
+          `Quick test_source_same_size_replacement ] );
     ( "replication.stream",
       [ Alcotest.test_case "shipped snapshot truncation sweep" `Quick
           test_ship_snapshot_truncation_sweep;

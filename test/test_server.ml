@@ -141,6 +141,25 @@ let test_breaker_cooldown_cap () =
   fail_probe 4.;
   fail_probe 4.
 
+(* [retry_in] reads the breaker's own (here injected) clock, not the
+   wall clock: it is exactly the cooldown still to run. *)
+let test_breaker_retry_in () =
+  let now = ref 100. in
+  let b =
+    Breaker.create ~threshold:1 ~cooldown:2.0 ~clock:(fun () -> !now) ()
+  in
+  Alcotest.(check (option (float 1e-9))) "closed: none" None
+    (Breaker.retry_in b);
+  Breaker.record_failure b;
+  Alcotest.(check (option (float 1e-9))) "full cooldown" (Some 2.0)
+    (Breaker.retry_in b);
+  now := 101.25;
+  Alcotest.(check (option (float 1e-9))) "remaining cooldown" (Some 0.75)
+    (Breaker.retry_in b);
+  now := 105.;
+  Alcotest.(check (option (float 1e-9))) "elapsed: zero, never negative"
+    (Some 0.) (Breaker.retry_in b)
+
 (* --- admission queue -------------------------------------------------- *)
 
 let test_admission_fifo_and_shed () =
@@ -1057,6 +1076,102 @@ let prop_sup_single_reply =
       sim_cleanup sup s;
       ok && !n_replies = 1)
 
+(* --- service: the periodic check over a persisted fixpoint ----------- *)
+
+let every = 4
+
+(* A service cold-started from examples/hospital.dl into a store in a
+   fresh directory, with an injected breaker clock; [f] gets the
+   service, the snapshot path, the clock and a checkpoint counter. *)
+let with_service f =
+  let dir = Filename.temp_file "mdqa_service" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let rec rm_rf p =
+    if Sys.is_directory p then (
+      Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
+      Unix.rmdir p)
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let store = Filename.concat dir "store.snap" in
+  let now = ref 0. in
+  let metrics = Mdqa_obs.Metrics.create () in
+  let svc =
+    match
+      Service.load ~store ~metrics ~checkpoint_every:every
+        ~breaker:(Breaker.create ~clock:(fun () -> !now) ())
+        ~program_file:"../examples/hospital.dl" ()
+    with
+    | Ok svc -> svc
+    | Error _ -> Alcotest.fail "Service.load failed"
+  in
+  Fun.protect ~finally:(fun () -> Service.close svc) @@ fun () ->
+  let checkpoints () =
+    Mdqa_obs.Metrics.counter_total
+      (Mdqa_obs.Metrics.snapshot metrics)
+      "mdqa_store_checkpoint_total"
+  in
+  f svc store now checkpoints
+
+let ticks svc n =
+  for _ = 1 to n * every do
+    Service.request_served svc
+  done
+
+let closed svc = Breaker.state (Service.breaker svc) = Breaker.Closed
+
+let test_service_quiet_when_persisted () =
+  with_service @@ fun svc _ _ checkpoints ->
+  let before = checkpoints () in
+  ticks svc 10;
+  Alcotest.(check int) "ten cadence ticks write nothing" before
+    (checkpoints ());
+  Alcotest.(check int) "every request counted" (10 * every)
+    (Service.requests svc)
+
+let test_service_rewrites_lost_image () =
+  with_service @@ fun svc store _ checkpoints ->
+  let before = checkpoints () in
+  Sys.remove store;
+  ticks svc 1;
+  Alcotest.(check bool) "unlinked image rewritten" true
+    (Sys.file_exists store);
+  Alcotest.(check int) "one write" (before + 1) (checkpoints ());
+  (* a same-size, same-mtime copy renamed into place: only the inode
+     tells it apart *)
+  let st = Unix.stat store in
+  let copy = store ^ ".copy" in
+  let ic = open_in_bin store and oc = open_out_bin copy in
+  output_string oc (really_input_string ic (in_channel_length ic));
+  close_in ic;
+  close_out oc;
+  Unix.utimes copy st.Unix.st_atime st.Unix.st_mtime;
+  Unix.rename copy store;
+  ticks svc 1;
+  Alcotest.(check int) "replaced image rewritten" (before + 2)
+    (checkpoints ());
+  ticks svc 3;
+  Alcotest.(check int) "then quiet again" (before + 2) (checkpoints ());
+  Alcotest.(check bool) "breaker stays closed" true (closed svc)
+
+(* An out-of-band trip (what the scrubber does) leaves the file
+   untouched; the check must still let the half-open probe write, or
+   the breaker would never close. *)
+let test_service_trip_heals () =
+  with_service @@ fun svc _ now checkpoints ->
+  let before = checkpoints () in
+  Breaker.trip (Service.breaker svc);
+  ticks svc 1;
+  Alcotest.(check int) "open: no write during the cooldown" before
+    (checkpoints ());
+  now := !now +. 1.5;
+  ticks svc 1;
+  Alcotest.(check int) "probe writes" (before + 1) (checkpoints ());
+  Alcotest.(check bool) "probe closes the breaker" true (closed svc);
+  ticks svc 2;
+  Alcotest.(check int) "then quiet again" (before + 1) (checkpoints ())
+
 (* --- suites ----------------------------------------------------------- *)
 
 let case name f = Alcotest.test_case name `Quick f
@@ -1073,8 +1188,17 @@ let suites =
           test_breaker_trip_and_recover;
         case "breaker: cooldown doubles up to the cap"
           test_breaker_cooldown_cap;
+        case "breaker: retry_in is the remaining cooldown on its clock"
+          test_breaker_retry_in;
         case "admission: fifo order and shed accounting"
           test_admission_fifo_and_shed ] );
+    ( "server.service",
+      [ case "persisted fixpoint: cadence ticks write nothing"
+          test_service_quiet_when_persisted;
+        case "unlinked or replaced image is rewritten"
+          test_service_rewrites_lost_image;
+        case "out-of-band trip: probe writes and closes"
+          test_service_trip_heals ] );
     ( "server.protocol",
       [ case "jsonl: unicode escapes and trailing bytes" test_jsonl_unicode;
         case "jsonl: nesting depth limit" test_jsonl_depth_limit;
