@@ -12,29 +12,19 @@ type t = {
   quality_versions : (string * string) list;
 }
 
-let duplicates what names =
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun n ->
-      if Hashtbl.mem seen n then
-        Some (Printf.sprintf "Context: duplicate %s %s" what n)
-      else begin
-        Hashtbl.add seen n ();
-        None
-      end)
-    names
-
-(* Every wiring problem, in declaration order — the non-raising
-   substrate of [make], also consumed by the semantic validator. *)
-let problems ?(mappings = []) ?(quality_versions = []) () =
-  duplicates "mapping source" (List.map (fun m -> m.source) mappings)
-  @ duplicates "quality version" (List.map fst quality_versions)
-
 let make ~ontology ?(mappings = []) ?(rules = []) ?(externals = [])
     ?(quality_versions = []) () =
-  (match problems ~mappings ~quality_versions () with
-   | [] -> ()
-   | m :: _ -> invalid_arg m);
+  let unique what names =
+    let seen = Hashtbl.create 8 in
+    List.iter
+      (fun n ->
+        if Hashtbl.mem seen n then
+          invalid_arg (Printf.sprintf "Context: duplicate %s %s" what n);
+        Hashtbl.add seen n ())
+      names
+  in
+  unique "mapping source" (List.map (fun m -> m.source) mappings);
+  unique "quality version" (List.map fst quality_versions);
   { ontology; mappings; rules; externals; quality_versions }
 
 type assessment = {

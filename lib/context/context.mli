@@ -34,15 +34,6 @@ type t = private {
       (** (original relation, its quality-version predicate) *)
 }
 
-val problems :
-  ?mappings:mapping list ->
-  ?quality_versions:(string * string) list ->
-  unit ->
-  string list
-(** Every wiring problem (duplicate mapping sources, duplicate
-    quality-version entries), in declaration order.  Empty iff {!make}
-    succeeds. *)
-
 val make :
   ontology:Mdqa_multidim.Md_ontology.t ->
   ?mappings:mapping list ->
@@ -51,8 +42,8 @@ val make :
   ?quality_versions:(string * string) list ->
   unit ->
   t
-(** @raise Invalid_argument with the first of {!problems} when any
-    exist. *)
+(** @raise Invalid_argument on the first duplicate mapping source or
+    quality-version entry, in declaration order. *)
 
 val program : t -> Mdqa_datalog.Program.t
 (** M's rules plus the contextual rules (no facts). *)

@@ -264,8 +264,8 @@ let validate_dimension diags (d : dim_decl) =
     let member_pos =
       Array.of_list (List.map (fun (_, _, pos) -> pos) d.dmembers)
     and link_pos = Array.of_list (List.map (fun (_, _, pos) -> pos) d.links) in
-    match Dim_instance.problems schema ~members ~links with
-    | _ :: _ as problems ->
+    match Dim_instance.check schema ~members ~links with
+    | Error problems ->
       List.iter
         (fun p ->
           let pos, code =
@@ -279,18 +279,25 @@ let validate_dimension diags (d : dim_decl) =
           err diags pos code "%s" (Dim_instance.message schema p))
         problems;
       (Some schema, None)
-    | [] ->
-      let instance = Dim_instance.make schema ~members ~links in
-      (* hierarchy quality warnings: strictness and homogeneity *)
+    | Ok instance ->
+      (* hierarchy quality warnings: strictness and homogeneity, each at
+         its member's first declaration *)
+      let first_pos =
+        lazy
+          (let tbl = Hashtbl.create (List.length d.dmembers) in
+           List.iter
+             (fun (n, _, pos) ->
+               if not (Hashtbl.mem tbl n) then Hashtbl.add tbl n pos)
+             d.dmembers;
+           tbl)
+      in
       let pos_of_member m =
         let name =
           match m with R.Value.Sym s -> s | v -> R.Value.to_string v
         in
-        match
-          List.find_opt (fun (n, _, _) -> String.equal n name) d.dmembers
-        with
-        | Some (_, _, pos) -> (name, pos)
-        | None -> (name, d.dim_pos)
+        ( name,
+          Option.value ~default:d.dim_pos
+            (Hashtbl.find_opt (Lazy.force first_pos) name) )
       in
       List.iter
         (function
@@ -310,17 +317,6 @@ let validate_dimension diags (d : dim_decl) =
               d.dim_name m parent_category)
         (Summarizability.diagnose instance).violations;
       (Some schema, Some instance))
-
-(* Classify an [Md_schema] conflict message onto a stable code. *)
-let schema_conflict_code message =
-  let contains sub =
-    let n = String.length sub and m = String.length message in
-    let rec go i = i + n <= m && (String.sub message i n = sub || go (i + 1)) in
-    go 0
-  in
-  if contains "unknown dimension" then "E018"
-  else if contains "unknown category" then "E015"
-  else "E010"
 
 let validate diags decls statements =
   (* 1. dimensions *)
@@ -373,33 +369,34 @@ let validate diags decls statements =
       (function Schema (Relation, s), _ -> Some s | _ -> None)
       decls
   in
-  let conflicts =
-    Md_schema.conflicts ~dimensions:dims_in_order ~relations
-  in
-  List.iter
-    (fun { Md_schema.subject; message } ->
-      let pos =
-        match Hashtbl.find_opt schemas subject with
-        | Some (_, _, pos) -> pos
-        | None -> (
-          match
-            List.find_opt
-              (fun (d : dim_decl) -> String.equal d.dim_name subject)
-              dims
-          with
-          | Some d -> d.dim_pos
-          | None -> { Lexer.line = 1; col = 0 })
-      in
-      err diags pos (schema_conflict_code message) "%s" message)
-    conflicts;
   let md_schema =
-    if conflicts = [] && List.length dims_in_order = List.length dims then
-      match Md_schema.make ~dimensions:dims_in_order ~relations with
-      | s -> Some s
-      | exception Invalid_argument m ->
-        err diags { Lexer.line = 1; col = 0 } "E014" "%s" m;
-        None
-    else None
+    match Md_schema.check ~dimensions:dims_in_order ~relations with
+    | Ok s when List.length dims_in_order = List.length dims -> Some s
+    | Ok _ -> None
+    | Error conflicts ->
+      List.iter
+        (fun { Md_schema.kind; subject; message } ->
+          let pos =
+            match Hashtbl.find_opt schemas subject with
+            | Some (_, _, pos) -> pos
+            | None -> (
+              match
+                List.find_opt
+                  (fun (d : dim_decl) -> String.equal d.dim_name subject)
+                  dims
+              with
+              | Some d -> d.dim_pos
+              | None -> { Lexer.line = 1; col = 0 })
+          in
+          let code =
+            match kind with
+            | Md_schema.Unknown_dimension -> "E018"
+            | Unknown_category -> "E015"
+            | Name_clash -> "E010"
+          in
+          err diags pos code "%s" message)
+        conflicts;
+      None
   in
   (* 4. facts: declared predicates only *)
   List.iter
@@ -652,17 +649,34 @@ let build decls statements (arts : artifacts) =
    the closed-world referential check, as warnings/hints. *)
 let advisory diags statements (p : parsed) =
   Validate.check_certificate diags statements (Context.program p.context);
+  (* each fact's first position by predicate, built on the first
+     violation *)
+  let first_pos =
+    lazy
+      (let by_pred = Hashtbl.create 64 in
+       List.iter
+         (function
+           | { Parser.stmt = Raw.S_fact f; pos } ->
+             let tbl =
+               match Hashtbl.find_opt by_pred (Atom.pred f) with
+               | Some tbl -> tbl
+               | None ->
+                 let tbl = R.Tuple.Tbl.create 64 in
+                 Hashtbl.add by_pred (Atom.pred f) tbl;
+                 tbl
+             in
+             let key = Atom.to_tuple f in
+             if not (R.Tuple.Tbl.mem tbl key) then R.Tuple.Tbl.add tbl key pos
+           | _ -> ())
+         statements;
+       by_pred)
+  in
   List.iter
     (fun (v : Md_ontology.referential_violation) ->
       let pos =
-        List.find_map
-          (function
-            | { Parser.stmt = Raw.S_fact f; pos }
-              when String.equal (Atom.pred f) v.Md_ontology.relation
-                   && R.Tuple.equal (Atom.to_tuple f) v.Md_ontology.tuple ->
-              Some pos
-            | _ -> None)
-          statements
+        Option.bind
+          (Hashtbl.find_opt (Lazy.force first_pos) v.Md_ontology.relation)
+          (fun tbl -> R.Tuple.Tbl.find_opt tbl v.Md_ontology.tuple)
       in
       let line = Option.map (fun p -> p.Lexer.line) pos in
       let col = Option.map (fun p -> p.Lexer.col) pos in
@@ -671,16 +685,26 @@ let advisory diags statements (p : parsed) =
            v))
     (Md_ontology.referential_violations p.ontology)
 
+(* One front-end pass, as a profiler phase and a trace span. *)
+let phase name f =
+  Mdqa_obs.Profile.with_phase name (fun () -> Mdqa_obs.Trace.with_span name f)
+
 let check_string ?file input =
   let diags = Diag.collector ?file () in
-  let decls, statements = collect diags input in
-  let arts = validate diags decls statements in
+  let decls, statements =
+    phase "md_parser.collect" (fun () -> collect diags input)
+  in
+  let arts =
+    phase "md_parser.validate" (fun () -> validate diags decls statements)
+  in
   let parsed =
     if Diag.has_errors diags then None
     else
-      match build decls statements arts with
+      match
+        phase "md_parser.build" (fun () -> build decls statements arts)
+      with
       | p ->
-        advisory diags statements p;
+        phase "md_parser.advisory" (fun () -> advisory diags statements p);
         Some p
       | exception Invalid_argument m ->
         (* validation pre-empts every assembly failure; located net *)

@@ -83,7 +83,9 @@ val check_string : ?file:string -> string -> checked
     hierarchy quality ([W043]/[W044]), closed-world referential
     violations ([W045]), empty quality versions ([W042]), unused
     mapped copies ([H051]) and the weak-stickiness certificate
-    ([W041]/[H050]). *)
+    ([W041]/[H050]).  Its four passes are profiler phases and trace
+    spans: [md_parser.collect], [md_parser.validate],
+    [md_parser.build] and [md_parser.advisory]. *)
 
 val check_file : string -> checked
 (** @raise Sys_error on I/O failure only. *)

@@ -77,13 +77,6 @@ type start =
     }
   | Extend of { prior : result; facts : (string * Tuple.t) list }
 
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
 (* An argument of an atom over a rule's match: a constant, a body slot
    (see {!Eval.slot_vars}), or the index of an existential variable. *)
 type arg = Const of Value.t | Slot of int | Exist of int
@@ -103,7 +96,7 @@ type rule = {
   exist : int;
   heads : (Relation.t * arg array) list;
   body : (string * arg array) list;
-  fired : unit Tuple_tbl.t;
+  fired : unit Tuple.Tbl.t;
   mutable mark : int;
   mutable fires : int;
   mutable triggers : int;
@@ -132,7 +125,7 @@ let compile inst (tgd : Tgd.t) =
     exist = List.length exist;
     heads =
       List.map (fun (p, a) -> (Instance.get inst p, a)) (atoms tgd.Tgd.head);
-    body = atoms tgd.Tgd.body; fired = Tuple_tbl.create 16; mark = -1;
+    body = atoms tgd.Tgd.body; fired = Tuple.Tbl.create 16; mark = -1;
     fires = 0; triggers = 0; matches = 0; times = Array.make 4 0. }
 
 let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
@@ -291,7 +284,7 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
   let run_rule r =
     let t0 = now () and mark = r.mark and triggers = ref [] in
     r.mark <- !clock;
-    let seen = Tuple_tbl.create 16 in
+    let seen = Tuple.Tbl.create 16 in
     let on_match slots =
       r.matches <- r.matches + 1;
       (* The restricted chase dedups matches differing only off the
@@ -300,7 +293,7 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
       if variant = Oblivious
          ||
          let key = Tuple.unsafe_of_array (Array.map (Array.get slots) r.key) in
-         (not (Tuple_tbl.mem seen key)) && (Tuple_tbl.add seen key (); true)
+         (not (Tuple.Tbl.mem seen key)) && (Tuple.Tbl.add seen key (); true)
       then triggers := Array.copy slots :: !triggers
     in
     (* Atom-level scan/match statistics attribute to this rule only
@@ -340,8 +333,8 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
         match (variant, head_probe) with
         | Oblivious, _ ->
           let key = Tuple.unsafe_of_array slots in
-          (not (Tuple_tbl.mem r.fired key))
-          && (Tuple_tbl.add r.fired key (); true)
+          (not (Tuple.Tbl.mem r.fired key))
+          && (Tuple.Tbl.add r.fired key (); true)
         | Restricted, Some probe ->
           not (probe (Array.map (Array.get slots) r.key))
         | Restricted, None ->

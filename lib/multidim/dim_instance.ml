@@ -80,10 +80,6 @@ let declare schema ~members ~links =
     category_of;
   (List.rev !problems, category_of, parents)
 
-let problems schema ~members ~links =
-  let problems, _, _ = declare schema ~members ~links in
-  problems
-
 let message schema p =
   let dim = Dim_schema.name schema in
   match p with
@@ -114,11 +110,8 @@ let union a b =
           :: List.remove_assoc c acc)
       a b
 
-let make schema ~members ~links =
-  let problems, category_of, parents = declare schema ~members ~links in
-  (match problems with
-   | p :: _ -> invalid_arg (message schema p)
-   | [] -> ());
+(* The roll-up closure of a declaration [declare] found no problem in. *)
+let build schema category_of parents =
   let by_category =
     Hashtbl.fold
       (fun m cat bc ->
@@ -172,6 +165,16 @@ let make schema ~members ~links =
        down)
   in
   { schema; by_category; nodes; drilldowns }
+
+let check schema ~members ~links =
+  match declare schema ~members ~links with
+  | [], category_of, parents -> Ok (build schema category_of parents)
+  | problems, _, _ -> Error problems
+
+let make schema ~members ~links =
+  match check schema ~members ~links with
+  | Ok t -> t
+  | Error ps -> invalid_arg (message schema (List.hd ps))
 
 let schema t = t.schema
 

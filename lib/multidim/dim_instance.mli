@@ -4,7 +4,7 @@
     Members are {!Mdqa_relational.Value.t} symbols.  The top category
     [All] always has the single member [all].  Roll-up between
     arbitrary (not just adjacent) categories is the transitive closure
-    of the member links; {!make} builds it once, so {!rollup} is a
+    of the member links; {!check} builds it once, so {!rollup} is a
     lookup, and {!drilldown} looks up its inverse, built from it on the
     first call.  The HM summarizability conditions over it are
     diagnosed by {!Summarizability.diagnose}. *)
@@ -14,7 +14,7 @@ type t
 val all_member : Mdqa_relational.Value.t
 (** [Sym "all"], the unique member of category [All]. *)
 
-(** A declared member or link that {!make} rejects.  Members are
+(** A declared member or link that {!check} rejects.  Members are
     numbered from 0 in the order they appear in [~members], group by
     group; links from 0 in the order of [~links].  The member [all] of
     [All] is declared implicitly. *)
@@ -34,29 +34,31 @@ type problem =
     }
       (** the link does not follow a schema edge *)
 
-val problems :
+val check :
   Dim_schema.t ->
   members:(string * string list) list ->
   links:(string * string) list ->
-  problem list
-(** Every problem of the declaration, members first, each in input
-    order.  A link is not checked against the schema when an endpoint
-    is in an unknown category: that member is already reported. *)
-
-val message : Dim_schema.t -> problem -> string
-(** One line naming the problem and the schema's dimension. *)
+  (t, problem list) result
+(** [check schema ~members ~links]: [members] maps categories to member
+    names; [links] are (child member, parent member) pairs between
+    members of adjacent categories.  Members of maximal proper
+    categories are linked to [all] automatically.  One pass over the
+    declaration finds every problem, members first, each in input
+    order; the roll-up closure is built only when there is none.  A
+    link is not checked against the schema when an endpoint is in an
+    unknown category: that member is already reported. *)
 
 val make :
   Dim_schema.t ->
   members:(string * string list) list ->
   links:(string * string) list ->
   t
-(** [make schema ~members ~links]: [members] maps categories to member
-    names; [links] are (child member, parent member) pairs between
-    members of adjacent categories.  Members of maximal proper
-    categories are linked to [all] automatically.
-    @raise Invalid_argument with the first of {!problems} when any
-    exist. *)
+(** {!check}, for declarations known to be well formed.
+    @raise Invalid_argument with the {!message} of the first problem
+    when there is one. *)
+
+val message : Dim_schema.t -> problem -> string
+(** One line naming the problem and the schema's dimension. *)
 
 val schema : t -> Dim_schema.t
 

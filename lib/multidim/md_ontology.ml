@@ -11,82 +11,47 @@ type t = {
   ncs : Nc.t list;
 }
 
-(* Every well-formedness problem of a prospective ontology, in
-   detection order — the non-raising substrate of [make], also consumed
-   by the semantic validator for multi-error reports. *)
-let problems ~schema ~dim_instances ?data ?(rules = []) () =
-  let out = ref [] in
-  let push m = out := m :: !out in
+let make ~schema ~dim_instances ?data ?(rules = []) ?(egds = []) ?(ncs = [])
+    () =
+  let fail fmt = Printf.ksprintf invalid_arg ("Md_ontology: " ^^ fmt) in
   (* Exactly one instance per dimension. *)
   let dims = Md_schema.dimensions schema in
+  let has_dimension n =
+    List.exists (fun d -> String.equal (Dim_schema.name d) n) dims
+  and instance_name i = Dim_schema.name (Dim_instance.schema i) in
   List.iter
     (fun d ->
       let n = Dim_schema.name d in
       match
-        List.filter
-          (fun i -> String.equal (Dim_schema.name (Dim_instance.schema i)) n)
-          dim_instances
+        List.filter (fun i -> String.equal (instance_name i) n) dim_instances
       with
       | [ _ ] -> ()
-      | [] ->
-        push (Printf.sprintf "Md_ontology: no instance for dimension %s" n)
-      | _ ->
-        push
-          (Printf.sprintf "Md_ontology: several instances for dimension %s" n))
+      | [] -> fail "no instance for dimension %s" n
+      | _ -> fail "several instances for dimension %s" n)
     dims;
   List.iter
     (fun i ->
-      let n = Dim_schema.name (Dim_instance.schema i) in
-      if
-        not
-          (List.exists (fun d -> String.equal (Dim_schema.name d) n) dims)
-      then
-        push
-          (Printf.sprintf
-             "Md_ontology: instance for an undeclared dimension %s" n))
+      let n = instance_name i in
+      if not (has_dimension n) then
+        fail "instance for an undeclared dimension %s" n)
     dim_instances;
   (* Data relations must match declared schemas. *)
-  (match data with
-   | None -> ()
-   | Some data ->
-     List.iter
-       (fun r ->
-         match Md_schema.relation schema (R.Relation.name r) with
-         | Some declared ->
-           if R.Rel_schema.arity declared <> R.Relation.arity r then
-             push
-               (Printf.sprintf "Md_ontology: arity mismatch for relation %s"
-                  (R.Relation.name r))
-         | None ->
-           push
-             (Printf.sprintf "Md_ontology: undeclared relation %s in data"
-                (R.Relation.name r)))
-       (R.Instance.relations data));
+  let data = match data with Some d -> d | None -> R.Instance.create () in
   List.iter
-    (fun (tgd : Tgd.t) ->
-      match Dim_rule.analyze schema tgd with
-      | Ok _ -> ()
-      | Error e ->
-        push (Printf.sprintf "Md_ontology: rule %s: %s" tgd.Tgd.name e))
-    rules;
-  List.rev !out
-
-let make ~schema ~dim_instances ?data ?(rules = []) ?(egds = []) ?(ncs = [])
-    () =
-  (match problems ~schema ~dim_instances ?data ~rules () with
-   | [] -> ()
-   | m :: _ -> invalid_arg m);
-  let data =
-    match data with Some d -> d | None -> R.Instance.create ()
-  in
+    (fun r ->
+      let n = R.Relation.name r in
+      match Md_schema.relation schema n with
+      | Some declared ->
+        if R.Rel_schema.arity declared <> R.Relation.arity r then
+          fail "arity mismatch for relation %s" n
+      | None -> fail "undeclared relation %s in data" n)
+    (R.Instance.relations data);
   let rule_infos =
     List.map
-      (fun tgd ->
+      (fun (tgd : Tgd.t) ->
         match Dim_rule.analyze schema tgd with
         | Ok info -> info
-        | Error e ->
-          invalid_arg
-            (Printf.sprintf "Md_ontology: rule %s: %s" tgd.Tgd.name e))
+        | Error e -> fail "rule %s: %s" tgd.Tgd.name e)
       rules
   in
   { schema; dim_instances; data; rules; rule_infos; egds; ncs }

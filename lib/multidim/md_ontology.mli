@@ -31,19 +31,6 @@ type t = private {
   ncs : Mdqa_datalog.Nc.t list;
 }
 
-val problems :
-  schema:Md_schema.t ->
-  dim_instances:Dim_instance.t list ->
-  ?data:Mdqa_relational.Instance.t ->
-  ?rules:Mdqa_datalog.Tgd.t list ->
-  unit ->
-  string list
-(** Every well-formedness problem of a prospective ontology, in
-    detection order: dimensions lacking an instance (or with several),
-    instances for undeclared dimensions, data relations undeclared or
-    with mismatched arity, rules failing {!Dim_rule.analyze}.  Empty
-    iff {!make} succeeds. *)
-
 val make :
   schema:Md_schema.t ->
   dim_instances:Dim_instance.t list ->
@@ -53,8 +40,12 @@ val make :
   ?ncs:Mdqa_datalog.Nc.t list ->
   unit ->
   t
-(** @raise Invalid_argument with the first of {!problems} when any
-    exist. *)
+(** Checks, in this order: every declared dimension has exactly one
+    instance, every instance has a declared dimension, every data
+    relation is declared with its arity, and every rule passes
+    {!Dim_rule.analyze}, which runs once per rule and fills
+    [rule_infos].
+    @raise Invalid_argument at the first failure. *)
 
 val program : t -> Mdqa_datalog.Program.t
 (** ΣM as a Datalog± program (rules, EGDs, NCs — no facts). *)

@@ -33,34 +33,32 @@ let proper_categories d =
 let proper_edges d =
   List.filter (fun (_, p) -> p <> Dim_schema.all) (Dim_schema.edges d)
 
-type conflict = {
-  subject : string;  (** the dimension / relation declaration at fault *)
-  message : string;
-}
+type conflict_kind = Name_clash | Unknown_dimension | Unknown_category
 
-(* All schema-level conflicts, in declaration order — the non-raising
-   substrate of [make], also consumed by the semantic validator so one
-   pass reports every clash with its declaration's location. *)
-let conflicts ~dimensions ~relations =
+type conflict = { kind : conflict_kind; subject : string; message : string }
+
+let check ~dimensions ~relations =
   let out = ref [] in
-  let push subject message = out := { subject; message } :: !out in
+  let push kind subject fmt =
+    Printf.ksprintf
+      (fun m -> out := { kind; subject; message = "Md_schema: " ^ m } :: !out)
+      fmt
+  in
   (* Unique dimension names and globally unique category names. *)
   let seen_dim = Hashtbl.create 8 and seen_cat = Hashtbl.create 16 in
   List.iter
     (fun d ->
       let n = Dim_schema.name d in
       if Hashtbl.mem seen_dim n then
-        push n (Printf.sprintf "Md_schema: duplicate dimension %s" n)
+        push Name_clash n "duplicate dimension %s" n
       else begin
         Hashtbl.add seen_dim n ();
         List.iter
           (fun c ->
             match Hashtbl.find_opt seen_cat c with
             | Some other ->
-              push n
-                (Printf.sprintf
-                   "Md_schema: category %s appears in dimensions %s and %s" c
-                   other n)
+              push Name_clash n "category %s appears in dimensions %s and %s"
+                c other n
             | None -> Hashtbl.add seen_cat c n)
           (proper_categories d)
       end)
@@ -76,9 +74,7 @@ let conflicts ~dimensions ~relations =
         (fun (child, parent) ->
           let pred = parent_child_pred ~parent ~child in
           if Hashtbl.mem cat_preds pred || Hashtbl.mem pc_preds pred then
-            push dim
-              (Printf.sprintf "Md_schema: generated predicate %s is ambiguous"
-                 pred)
+            push Name_clash dim "generated predicate %s is ambiguous" pred
           else Hashtbl.replace pc_preds pred (dim, parent, child))
         (proper_edges d))
     dimensions;
@@ -88,12 +84,10 @@ let conflicts ~dimensions ~relations =
     (fun r ->
       let n = Rel_schema.name r in
       if Hashtbl.mem seen_rel n then
-        push n (Printf.sprintf "Md_schema: duplicate relation %s" n);
+        push Name_clash n "duplicate relation %s" n;
       Hashtbl.add seen_rel n ();
       if Hashtbl.mem cat_preds n || Hashtbl.mem pc_preds n then
-        push n
-          (Printf.sprintf
-             "Md_schema: relation %s collides with a generated predicate" n);
+        push Name_clash n "relation %s collides with a generated predicate" n;
       List.iter
         (fun a ->
           match Attribute.kind a with
@@ -105,43 +99,26 @@ let conflicts ~dimensions ~relations =
                 dimensions
             with
             | None ->
-              push n
-                (Printf.sprintf
-                   "Md_schema: relation %s references unknown dimension %s" n
-                   dimension)
+              push Unknown_dimension n
+                "relation %s references unknown dimension %s" n dimension
             | Some d ->
               if
                 (not (Dim_schema.mem_category d category))
                 || String.equal category Dim_schema.all
               then
-                push n
-                  (Printf.sprintf
-                     "Md_schema: relation %s references unknown category \
-                      %s.%s"
-                     n dimension category)))
+                push Unknown_category n
+                  "relation %s references unknown category %s.%s" n
+                  dimension category))
         (Rel_schema.attributes r))
     relations;
-  List.rev !out
+  match !out with
+  | [] -> Ok { dimensions; relations; cat_preds; pc_preds }
+  | conflicts -> Error (List.rev conflicts)
 
 let make ~dimensions ~relations =
-  (match conflicts ~dimensions ~relations with
-   | [] -> ()
-   | c :: _ -> invalid_arg c.message);
-  let cat_preds = Hashtbl.create 16 and pc_preds = Hashtbl.create 16 in
-  List.iter
-    (fun d ->
-      let dim = Dim_schema.name d in
-      List.iter
-        (fun c -> Hashtbl.replace cat_preds (category_pred c) (dim, c))
-        (proper_categories d);
-      List.iter
-        (fun (child, parent) ->
-          Hashtbl.replace pc_preds
-            (parent_child_pred ~parent ~child)
-            (dim, parent, child))
-        (proper_edges d))
-    dimensions;
-  { dimensions; relations; cat_preds; pc_preds }
+  match check ~dimensions ~relations with
+  | Ok t -> t
+  | Error cs -> invalid_arg (List.hd cs).message
 
 let dimensions t = t.dimensions
 

@@ -18,30 +18,42 @@
 
 type t
 
+(** What a schema-level conflict is about. *)
+type conflict_kind =
+  | Name_clash
+      (** two declarations claim one name: duplicate dimension or
+          relation names, a category shared by two dimensions, an
+          ambiguous generated predicate, a relation named like a
+          generated K/O predicate *)
+  | Unknown_dimension
+      (** a categorical attribute names an undeclared dimension *)
+  | Unknown_category
+      (** a categorical attribute names a category its dimension lacks
+          (or [All]) *)
+
 type conflict = {
+  kind : conflict_kind;
   subject : string;
       (** the name of the dimension or relation declaration at fault,
           so callers can attach a source location *)
   message : string;
 }
 
-val conflicts :
+val check :
   dimensions:Dim_schema.t list ->
   relations:Mdqa_relational.Rel_schema.t list ->
-  conflict list
-(** Every schema-level conflict, in declaration order: duplicate
-    dimension names, category names shared by two dimensions, ambiguous
-    generated predicates, duplicate relation names, categorical
-    attributes referencing unknown dimensions/categories, relation
-    names colliding with generated K/O predicates.  Empty iff {!make}
-    succeeds. *)
+  (t, conflict list) result
+(** The schema, or every conflict in declaration order.  One pass
+    checks the declarations and builds the inverse tables of
+    {!category_of_pred} and {!parent_child_of_pred}. *)
 
 val make :
   dimensions:Dim_schema.t list ->
   relations:Mdqa_relational.Rel_schema.t list ->
   t
-(** @raise Invalid_argument with the first of {!conflicts} when any
-    exist. *)
+(** {!check}, for declarations known to be well formed.
+    @raise Invalid_argument with the first conflict's message when
+    there is one. *)
 
 val dimensions : t -> Dim_schema.t list
 val dimension : t -> string -> Dim_schema.t option

@@ -1,13 +1,6 @@
 (* Composite-key indexes: the key of a tuple under an index over
    positions [ps] is [Tuple.project t ps]. *)
-module Key_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
-type index = Tuple.t list Key_tbl.t
+type index = Tuple.t list Tuple.Tbl.t
 
 (* Per-position distinct counts and the cardinality they were taken at. *)
 type stats = { counts : int array; at : int }
@@ -32,12 +25,12 @@ let is_empty r = r.card = 0
 
 let index_insert (idx : index) ps t =
   let key = Tuple.project t ps in
-  match Key_tbl.find_opt idx key with
-  | Some items -> Key_tbl.replace idx key (t :: items)
-  | None -> Key_tbl.add idx key [ t ]
+  match Tuple.Tbl.find_opt idx key with
+  | Some items -> Tuple.Tbl.replace idx key (t :: items)
+  | None -> Tuple.Tbl.add idx key [ t ]
 
 let build_index r ps =
-  let idx : index = Key_tbl.create (max 16 r.card) in
+  let idx : index = Tuple.Tbl.create (max 16 r.card) in
   Tuple.Set.iter (index_insert idx ps) r.tuples;
   r.indexes <- (ps, idx) :: r.indexes;
   idx
@@ -92,7 +85,7 @@ let rec ascending_from i = function
   | [] -> true
   | p :: rest -> p = i && ascending_from (i + 1) rest
 
-let unresolved : index = Key_tbl.create 1
+let unresolved : index = Tuple.Tbl.create 1
 let stale = [ ([], unresolved) ]  (* never a relation's index list *)
 
 (* The index is fetched again whenever the relation's index list is no
@@ -113,7 +106,7 @@ let index r ps =
            | None -> build_index r ps);
         seen := r.indexes
       end;
-      match Key_tbl.find !idx key with l -> l | exception Not_found -> []
+      match Tuple.Tbl.find !idx key with l -> l | exception Not_found -> []
 
 let probe r binding =
   match binding with

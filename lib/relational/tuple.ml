@@ -55,3 +55,9 @@ end
 
 module Set = Set.Make (Ordered)
 module Map = Map.Make (Ordered)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+  let equal = equal
+  let hash = hash
+end)

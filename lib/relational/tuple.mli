@@ -40,3 +40,4 @@ val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+module Tbl : Hashtbl.S with type key = t

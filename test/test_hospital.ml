@@ -340,12 +340,12 @@ let test_generator_work_linear () =
    depend on the host; 32 -> 64 is the smallest doubling at which a
    front end that is quadratic in the dimension members breaks the
    bound. *)
-let check_allocation n =
+let scaled_text n =
   let g = Hospital.Gen.scale n in
-  let text =
-    Md_pretty.context_to_string ~source:(Hospital.Gen.source g) ~queries:[]
-      (Hospital.Gen.context g)
-  in
+  Md_pretty.context_to_string ~source:(Hospital.Gen.source g) ~queries:[]
+    (Hospital.Gen.context g)
+
+let check_allocation text =
   let allocated () =
     Gc.minor ();
     let minor, promoted, major = Gc.counters () in
@@ -354,19 +354,48 @@ let check_allocation n =
   let before = allocated () in
   let checked = Md_parser.check_string text in
   let words = allocated () -. before in
-  Alcotest.(check bool) "scaled text checks clean" true
+  Alcotest.(check bool) "scaled text checks" true
     (checked.Md_parser.parsed <> None);
-  (String.length text, words)
+  (checked.Md_parser.diags, String.length text, words)
 
-let test_front_end_allocation_linear () =
-  let b32, w32 = check_allocation 32 and b64, w64 = check_allocation 64 in
+let allocation_linear text_of =
+  let d32, b32, w32 = check_allocation (text_of 32)
+  and _, b64, w64 = check_allocation (text_of 64) in
   let bound = 1.15 *. float_of_int b64 /. float_of_int b32 in
   let growth = w64 /. w32 in
   if growth > bound then
     Alcotest.failf
       "check_string allocated %.0f -> %.0f words (%.2fx) for %d -> %d input \
        bytes (bound %.2fx)"
-      w32 w64 growth b32 b64 bound
+      w32 w64 growth b32 b64 bound;
+  d32
+
+let test_front_end_allocation_linear () =
+  ignore (allocation_linear scaled_text)
+
+(* The same bound on a dirty text, whose warnings are located by
+   lookup: every patient_ward fact names an undeclared ward (W045) and
+   no Time member is linked to its day (W044). *)
+let dirty_text n =
+  String.split_on_char '\n' (scaled_text n)
+  |> List.map (fun line ->
+         let ward = "patient_ward(\"W" in
+         match String.split_on_char ' ' line with
+         | [ ""; ""; "member"; m; "in"; "Time"; "->"; _ ] ->
+           Printf.sprintf "  member %s in Time." m
+         | _ when String.starts_with ~prefix:ward line ->
+           let n = String.length ward in
+           "patient_ward(\"X" ^ String.sub line n (String.length line - n)
+         | _ -> line)
+  |> String.concat "\n"
+
+let test_front_end_allocation_linear_dirty () =
+  let diags = allocation_linear dirty_text in
+  List.iter
+    (fun code ->
+      Alcotest.(check bool) (code ^ " reported") true
+        (List.exists (fun (d : Diag.t) -> d.Diag.code = code) diags))
+    [ "W044"; "W045" ]
 
 (* C4 (§IV: upward-only ontologies are FO-rewritable): on the rule (7)
    ontology over the scaled data, FO rewriting, the chase and
@@ -484,5 +513,7 @@ let suites =
         case "one trigger per fire of the quality rule" test_generator_trigger_per_fire;
         case "front end allocation linear in the input"
           test_front_end_allocation_linear;
+        case "front end allocation linear in a dirty input"
+          test_front_end_allocation_linear_dirty;
         case "C4: rewriting, chase and proof agree in scale"
           test_generator_upward_engines_agree ] ) ]

@@ -128,8 +128,8 @@ let test_instance_bad_links () =
 (* Every problem at once, each naming the member or link by its index;
    the link from X (an unknown category) is left to X's own report. *)
 let test_instance_problems () =
-  let problems =
-    Dim_instance.problems hosp
+  let checked =
+    Dim_instance.check hosp
       ~members:
         [ ("Ward", [ "W1"; "W2" ]); ("Nowhere", [ "X" ]);
           ("Unit", [ "W2"; "U1" ]) ]
@@ -138,15 +138,26 @@ let test_instance_problems () =
           ("X", "U1") ]
   in
   Alcotest.(check bool) "all problems, in input order" true
-    (problems
-    = Dim_instance.
-        [ Unknown_category { member = 2; name = "X"; category = "Nowhere" };
-          Duplicate_member { member = 3; name = "W2"; first = "Ward" };
-          Unknown_member { link = 1; name = "ghost" };
-          Unknown_member { link = 2; name = "H9" };
-          Off_schema_link
-            { link = 3; child = "U1"; parent = "all"; child_category = "Unit";
-              parent_category = "All" } ])
+    (match checked with
+     | Ok _ -> false
+     | Error problems ->
+       problems
+       = Dim_instance.
+           [ Unknown_category { member = 2; name = "X"; category = "Nowhere" };
+             Duplicate_member { member = 3; name = "W2"; first = "Ward" };
+             Unknown_member { link = 1; name = "ghost" };
+             Unknown_member { link = 2; name = "H9" };
+             Off_schema_link
+               { link = 3; child = "U1"; parent = "all";
+                 child_category = "Unit"; parent_category = "All" } ]);
+  Alcotest.(check bool) "a well-formed declaration is Ok" true
+    (match
+       Dim_instance.check hosp
+         ~members:[ ("Ward", [ "W1" ]); ("Unit", [ "U1" ]) ]
+         ~links:[ ("W1", "U1") ]
+     with
+     | Ok _ -> true
+     | Error _ -> false)
 
 (* Non-strict instance: W5 in two units. *)
 let non_strict =
@@ -246,6 +257,60 @@ let test_md_schema_validation () =
            ~dimensions:
              [ hosp; Dim_schema.linear ~name:"Other" [ "Ward"; "Zone" ] ]
            ~relations:[]))
+
+let kind_name = function
+  | Md_schema.Name_clash -> "name clash"
+  | Unknown_dimension -> "unknown dimension"
+  | Unknown_category -> "unknown category"
+
+let conflicts checked =
+  match checked with
+  | Ok _ -> Alcotest.fail "conflicts expected"
+  | Error cs ->
+    List.map (fun (c : Md_schema.conflict) -> (kind_name c.kind, c.subject)) cs
+
+(* Every conflict at once, in declaration order, each with its kind and
+   the declaration at fault. *)
+let test_md_schema_conflict_kinds () =
+  let rel name dimension category =
+    R.Rel_schema.make name [ R.Attribute.categorical "x" ~dimension ~category ]
+  in
+  Alcotest.(check (list (pair string string))) "kinds and subjects"
+    [ ("name clash", "Hospital"); ("unknown dimension", "r");
+      ("unknown category", "s"); ("name clash", "s");
+      ("unknown category", "s"); ("name clash", "ward") ]
+    (conflicts
+       (Md_schema.check
+          ~dimensions:[ hosp; Dim_schema.linear ~name:"Hospital" [ "Zone" ] ]
+          ~relations:
+            [ rel "r" "Nope" "Ward"; rel "s" "Hospital" "Zone";
+              rel "s" "Hospital" "All"; rel "ward" "Hospital" "Ward" ]))
+
+(* The kind does not depend on the names in the message: a category
+   shared by two dimensions is a name clash even when it is called
+   "unknown category". *)
+let test_md_schema_kind_not_from_text () =
+  let shared name = Dim_schema.linear ~name [ "unknown category" ] in
+  Alcotest.(check (list (pair string string))) "shared category"
+    [ ("name clash", "B") ]
+    (conflicts
+       (Md_schema.check ~dimensions:[ shared "A"; shared "B" ] ~relations:[]))
+
+(* [check]'s schema answers the inverse predicate lookups. *)
+let test_md_schema_check_tables () =
+  match
+    Md_schema.check ~dimensions:(Md_schema.dimensions schema)
+      ~relations:(Md_schema.relations schema)
+  with
+  | Error _ -> Alcotest.fail "the hospital schema was rejected"
+  | Ok s ->
+    Alcotest.(check (option (pair string string))) "ward"
+      (Some ("Hospital", "Ward")) (Md_schema.category_of_pred s "ward");
+    Alcotest.(check bool) "unit_ward" true
+      (Md_schema.parent_child_of_pred s "unit_ward"
+       = Some ("Hospital", "Unit", "Ward"));
+    Alcotest.(check (option (pair string string))) "relations are not K"
+      None (Md_schema.category_of_pred s "patient_ward")
 
 (* ------------------------------------------------------------------ *)
 (* Dim_rule *)
@@ -536,6 +601,33 @@ let test_ontology_validation () =
                  ~head:[ Atom.make "patient_unit" [ v "U"; v "D"; v "X" ] ]
                  () ]
            ()))
+
+(* The first fault raises, and its message names it. *)
+let test_ontology_validation_messages () =
+  let message f =
+    match f () with exception Invalid_argument m -> m | _ -> "accepted"
+  in
+  let dims =
+    [ Hospital.hospital_instance; Hospital.time_instance;
+      Hospital.device_instance ]
+  in
+  let other =
+    Dim_instance.make
+      (Dim_schema.linear ~name:"Other" [ "Zone" ])
+      ~members:[ ("Zone", [ "z" ]) ]
+      ~links:[]
+  in
+  Alcotest.(check string) "stray instance"
+    "Md_ontology: instance for an undeclared dimension Other"
+    (message (fun () ->
+         Md_ontology.make ~schema ~dim_instances:(dims @ [ other ]) ()));
+  let short = R.Instance.create () in
+  ignore
+    (R.Instance.declare short (R.Rel_schema.of_names "patient_ward" [ "x" ]));
+  Alcotest.(check string) "arity mismatch"
+    "Md_ontology: arity mismatch for relation patient_ward"
+    (message (fun () ->
+         Md_ontology.make ~schema ~dim_instances:dims ~data:short ()))
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate *)
@@ -891,7 +983,11 @@ let suites =
       [ case "predicate naming" test_md_schema_naming;
         case "position kinds" test_md_schema_position_kinds;
         case "categorical positions" test_md_schema_categorical_positions;
-        case "validation" test_md_schema_validation ] );
+        case "validation" test_md_schema_validation;
+        case "conflicts carry their kind" test_md_schema_conflict_kinds;
+        case "kind ignores names in the text" test_md_schema_kind_not_from_text;
+        case "check builds the predicate inverses" test_md_schema_check_tables
+      ] );
     ( "multidim.dim_rule",
       [ case "rule (7): form 4 upward" test_rule7_analysis;
         case "rule (8): form 4 downward" test_rule8_analysis;
@@ -915,7 +1011,9 @@ let suites =
       [ case "dimension DAG export" test_dim_schema_dot;
         case "Figure 1 export" test_md_schema_dot ] );
     ( "multidim.validation",
-      [ case "ontology constructor errors" test_ontology_validation ] );
+      [ case "ontology constructor errors" test_ontology_validation;
+        case "ontology errors name their fault"
+          test_ontology_validation_messages ] );
     ( "multidim.aggregate",
       [ case "sum by unit" test_aggregate_sum;
         case "count/avg/min/max" test_aggregate_ops;

@@ -715,6 +715,42 @@ let test_egd_and_nc_phases () =
     "one egd.merge span per merging pass" [ [ ("merges", "1") ] ]
     (List.map (fun e -> e.Trace.attrs) passes)
 
+(* The .mdq front end's four passes are profiler phases and trace
+   spans, nested in the caller's parse, so their times sum to at most
+   the whole check. *)
+let test_md_parser_phases () =
+  let p = Profile.create () and tr = Trace.create () in
+  Profile.install p;
+  Trace.install tr;
+  let checked =
+    Fun.protect
+      ~finally:(fun () ->
+        Profile.uninstall ();
+        Trace.uninstall ())
+      (fun () ->
+        Profile.with_phase "parse" (fun () ->
+            Mdqa_context.Md_parser.check_file "../examples/hospital.mdq"))
+  in
+  Alcotest.(check bool) "parsed" true
+    (checked.Mdqa_context.Md_parser.parsed <> None);
+  let snap = Profile.snapshot p in
+  let seconds phase =
+    match Profile.find_phase snap phase with
+    | Some s -> s.Profile.phase_seconds
+    | None -> Alcotest.failf "no %s phase" phase
+  in
+  let names = List.map (fun e -> e.Trace.name) (Trace.events tr) in
+  let passes =
+    List.map (( ^ ) "md_parser.") [ "collect"; "validate"; "build"; "advisory" ]
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " span") true (List.mem name names))
+    passes;
+  Alcotest.(check bool) "passes within the parse phase" true
+    (List.fold_left (fun acc ph -> acc +. seconds ph) 0. passes
+    <= seconds "parse")
+
 (* ---------------------------------------------------------------------- *)
 
 let case name f = Alcotest.test_case name `Quick f
@@ -750,7 +786,9 @@ let suites =
           case "visits count bucket misses"
             test_profile_visits_count_bucket_misses;
           case "to_json prints every seconds field as a float"
-            test_profile_json_seconds_are_floats ] );
+            test_profile_json_seconds_are_floats;
+          case ".mdq front-end passes are phases and spans"
+            test_md_parser_phases ] );
     ( "obs.counts",
       [ case "two runs share one registry" test_counts_shared_registry;
         case "guard trip in mid-round" test_counts_guard_trip;

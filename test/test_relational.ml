@@ -1,5 +1,5 @@
 (* Tests for the relational substrate: values, tuples, relations,
-   instances, algebra, table formatting, CSV round-trips. *)
+   instances, table formatting, CSV round-trips. *)
 
 open Mdqa_relational
 
@@ -290,7 +290,7 @@ let test_instance_merge () =
   Alcotest.(check int) "total" 3 (Instance.total_tuples i)
 
 (* ------------------------------------------------------------------ *)
-(* Algebra *)
+(* Table_fmt / Csv_io *)
 
 let rel name rows =
   let arity = match rows with [] -> 0 | r :: _ -> List.length r in
@@ -298,69 +298,6 @@ let rel name rows =
     Rel_schema.of_names name (List.init arity (Printf.sprintf "c%d"))
   in
   Relation.of_tuples schema (List.map syms rows)
-
-let sorted_rows r =
-  List.map
-    (fun t -> List.map Value.to_string (Tuple.to_list t))
-    (Relation.to_list r)
-
-let rows_testable = Alcotest.(list (list string))
-
-let test_algebra_select_project () =
-  let r = rel "r" [ [ "a"; "p" ]; [ "b"; "q" ]; [ "a"; "r" ] ] in
-  let sel = Algebra.select_eq 0 (v_sym "a") r in
-  Alcotest.check rows_testable "select" [ [ "a"; "p" ]; [ "a"; "r" ] ]
-    (sorted_rows sel);
-  let proj = Algebra.project [ 0 ] r in
-  Alcotest.check rows_testable "project dedups" [ [ "a" ]; [ "b" ] ]
-    (sorted_rows proj)
-
-let test_algebra_union_diff_intersect () =
-  let r = rel "r" [ [ "a" ]; [ "b" ] ] and s = rel "s" [ [ "b" ]; [ "c" ] ] in
-  Alcotest.check rows_testable "union" [ [ "a" ]; [ "b" ]; [ "c" ] ]
-    (sorted_rows (Algebra.union r s));
-  Alcotest.check rows_testable "diff" [ [ "a" ] ]
-    (sorted_rows (Algebra.diff r s));
-  Alcotest.check rows_testable "intersect" [ [ "b" ] ]
-    (sorted_rows (Algebra.intersect r s))
-
-let test_algebra_join () =
-  let r = rel "r" [ [ "a"; "p" ]; [ "b"; "q" ] ] in
-  let s = rel "s" [ [ "p"; "x" ]; [ "p"; "y" ]; [ "r"; "z" ] ] in
-  let j = Algebra.join [ (1, 0) ] r s in
-  Alcotest.check rows_testable "join"
-    [ [ "a"; "p"; "p"; "x" ]; [ "a"; "p"; "p"; "y" ] ]
-    (sorted_rows j)
-
-let test_algebra_natural_join () =
-  let rs = Rel_schema.of_names "r" [ "w"; "p" ] in
-  let ss = Rel_schema.of_names "s" [ "u"; "w" ] in
-  let r =
-    Relation.of_tuples rs [ syms [ "W1"; "tom" ]; syms [ "W3"; "lou" ] ]
-  in
-  let s =
-    Relation.of_tuples ss [ syms [ "Std"; "W1" ]; syms [ "Std"; "W2" ] ]
-  in
-  let j = Algebra.natural_join r s in
-  Alcotest.(check int) "one match" 1 (Relation.cardinal j);
-  Alcotest.(check int) "common attr kept once" 3 (Relation.arity j);
-  Alcotest.check rows_testable "content" [ [ "W1"; "tom"; "Std" ] ]
-    (sorted_rows j)
-
-let test_algebra_product () =
-  let r = rel "r" [ [ "a" ]; [ "b" ] ] and s = rel "s" [ [ "x" ] ] in
-  Alcotest.(check int) "product size" 2
-    (Relation.cardinal (Algebra.product r s))
-
-let test_algebra_inputs_unchanged () =
-  let r = rel "r" [ [ "a"; "p" ] ] in
-  ignore (Algebra.project [ 0 ] r);
-  ignore (Algebra.select_eq 0 (v_sym "a") r);
-  Alcotest.(check int) "input intact" 1 (Relation.cardinal r);
-  Alcotest.(check int) "input arity intact" 2 (Relation.arity r)
-
-(* ------------------------------------------------------------------ *)
-(* Table_fmt / Csv_io *)
 
 let test_table_render () =
   let r = rel "t" [ [ "a"; "p" ] ] in
@@ -501,24 +438,10 @@ let prop_csv_roundtrip =
       | Error _ -> false
       | Ok r' -> Tuple.Set.equal (Relation.to_set r) (Relation.to_set r'))
 
-let prop_union_commutes =
-  let mk rows =
-    Relation.of_tuples
-      (Rel_schema.of_names "p" [ "a" ])
-      (List.map (fun v -> tup [ v ]) rows)
-  in
-  QCheck.Test.make ~name:"Algebra.union commutes on tuple sets" ~count:150
-    (QCheck.pair (QCheck.small_list value_arb) (QCheck.small_list value_arb))
-    (fun (xs, ys) ->
-      let a = mk xs and b = mk ys in
-      Tuple.Set.equal
-        (Relation.to_set (Algebra.union a b))
-        (Relation.to_set (Algebra.union b a)))
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_value_compare_total; prop_value_roundtrip; prop_tuple_project_id;
-      prop_relation_add_idempotent; prop_csv_roundtrip; prop_union_commutes ]
+      prop_relation_add_idempotent; prop_csv_roundtrip ]
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -551,14 +474,6 @@ let suites =
       [ case "declare idempotent + clash" test_instance_declare;
         case "copy independence" test_instance_copy_independent;
         case "merge_into" test_instance_merge ] );
-    ( "relational.algebra",
-      [ case "select/project" test_algebra_select_project;
-        case "union/diff/intersect" test_algebra_union_diff_intersect;
-        case "equi-join" test_algebra_join;
-        case "natural join" test_algebra_natural_join;
-        case "product" test_algebra_product;
-        case "operators leave inputs unchanged" test_algebra_inputs_unchanged
-      ] );
     ( "relational.io",
       [ case "table render" test_table_render;
         case "table ragged rejected" test_table_render_ragged_rejected;

@@ -141,9 +141,32 @@ let test_tutorial_rule_analysis () =
       info.Dim_rule.dimensions
   | Error e -> Alcotest.fail e
 
+(* Two mappings from one source, or two quality versions of one
+   relation, are rejected with the name at fault. *)
+let test_context_duplicates () =
+  let message f =
+    match f () with exception Invalid_argument m -> m | _ -> "accepted"
+  in
+  Alcotest.(check string) "mapping source"
+    "Context: duplicate mapping source scans"
+    (message (fun () ->
+         Context.make ~ontology:(ontology ())
+           ~mappings:
+             [ { Context.source = "scans"; target = "scans_c" };
+               { Context.source = "scans"; target = "scans_d" } ]
+           ()));
+  Alcotest.(check string) "quality version"
+    "Context: duplicate quality version scans"
+    (message (fun () ->
+         Context.make ~ontology:(ontology ())
+           ~quality_versions:[ ("scans", "scans_q"); ("scans", "scans_r") ]
+           ()))
+
 let suites =
   [ ( "tutorial.depot",
       [ Alcotest.test_case "pipeline as documented" `Quick
           test_tutorial_pipeline;
         Alcotest.test_case "rule analysis as documented" `Quick
-          test_tutorial_rule_analysis ] ) ]
+          test_tutorial_rule_analysis;
+        Alcotest.test_case "duplicate wiring rejected" `Quick
+          test_context_duplicates ] ) ]
