@@ -41,13 +41,12 @@ let program t =
 
 let prepare t ~source =
   let inst = Md_ontology.instance t.ontology in
-  (* Externals. *)
+  (* Externals and the mapped copies of the original relations share
+     their source's tuple set: nothing is copied. *)
   List.iter
     (fun e ->
-      let r = R.Instance.declare inst (R.Relation.schema e) in
-      R.Relation.iter (fun tup -> ignore (R.Relation.add r tup)) e)
+      R.Relation.union (R.Instance.declare inst (R.Relation.schema e)) e)
     t.externals;
-  (* Mapped copies of the original relations. *)
   List.iter
     (fun { source = s; target } ->
       match R.Instance.find source s with
@@ -57,8 +56,7 @@ let prepare t ~source =
           R.Rel_schema.make target
             (R.Rel_schema.attributes (R.Relation.schema rel))
         in
-        let copy = R.Instance.declare inst schema in
-        R.Relation.iter (fun tup -> ignore (R.Relation.add copy tup)) rel)
+        R.Relation.union (R.Instance.declare inst schema) rel)
     t.mappings;
   inst
 

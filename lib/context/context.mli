@@ -51,7 +51,11 @@ val program : t -> Mdqa_datalog.Program.t
 val prepare : t -> source:Mdqa_relational.Instance.t -> Mdqa_relational.Instance.t
 (** The combined pre-chase contextual instance: M's compiled instance,
     the external sources and the mapped copies of [source].  This is
-    what {!assess} chases; exposed so repairs can edit it first. *)
+    what {!assess} chases; exposed so repairs can edit it first.
+    Externals and mapped copies take their source relation's tuple set
+    as it is ({!Mdqa_relational.Relation.union}), so preparing copies
+    no tuple, and what the chase or a repair changes in the result
+    never reaches [source] or the context. *)
 
 type assessment = {
   context : t;

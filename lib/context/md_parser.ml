@@ -1,7 +1,7 @@
 open Mdqa_datalog
 open Mdqa_multidim
 module R = Mdqa_relational
-module Raw = Parser.Raw
+module Facts = Parser.Facts
 
 type parsed = {
   ontology : Md_ontology.t;
@@ -42,13 +42,13 @@ type decl =
   | Map of string * string  (* source relation, contextual copy *)
   | Quality of string * string  (* source relation, quality version *)
 
-let fail st message = Raw.error st message
+let fail st message = Parser.error st message
 
 (* a name usable as a category / member / dimension *)
 let name_token st what =
-  match Raw.peek st with
+  match Parser.peek st with
   | Lexer.VAR s, _ | Lexer.IDENT s, _ | Lexer.STRING s, _ ->
-    Raw.advance st;
+    Parser.advance st;
     s
   | t, _ ->
     fail st
@@ -65,9 +65,9 @@ let dotted_category st =
 let comma_list st parse_one =
   let rec go acc =
     let x = parse_one st in
-    match Raw.peek st with
+    match Parser.peek st with
     | Lexer.COMMA, _ ->
-      Raw.advance st;
+      Parser.advance st;
       go (x :: acc)
     | _ -> List.rev (x :: acc)
   in
@@ -79,52 +79,52 @@ let keyword st = function
     | "dimension" | "relation" | "source" | "external" | "map" | "quality"
     | "category" | "member" ->
       (* a declaration only when not immediately a predicate call *)
-      (match Raw.peek2 st with Lexer.LPAREN -> None | _ -> Some k)
+      (match Parser.peek2 st with Lexer.LPAREN -> None | _ -> Some k)
     | _ -> None)
   | _ -> None
 
 let parse_dimension diags st =
-  let dim_pos = Raw.pos st in
-  Raw.advance st (* 'dimension' *);
+  let dim_pos = Parser.pos st in
+  Parser.advance st (* 'dimension' *);
   let dim_name = name_token st "a dimension name" in
-  Raw.expect st Lexer.LBRACE "'{'";
+  Parser.expect st Lexer.LBRACE "'{'";
   let d =
     { dim_name; dim_pos; cat_edges = []; standalone = []; dmembers = [];
       links = [] }
   in
   let item () =
-    match Raw.peek st with
+    match Parser.peek st with
     | Lexer.IDENT "category", pos ->
-      Raw.advance st;
+      Parser.advance st;
       let child = name_token st "a category name" in
-      (match Raw.peek st with
+      (match Parser.peek st with
        | Lexer.ARROW, _ ->
-         Raw.advance st;
+         Parser.advance st;
          let parents = comma_list st (fun st -> name_token st "a category") in
          d.cat_edges <-
            List.rev_append (List.map (fun p -> (child, p, pos)) parents)
              d.cat_edges
        | _ -> d.standalone <- (child, pos) :: d.standalone);
-      Raw.expect st Lexer.PERIOD "'.'"
+      Parser.expect st Lexer.PERIOD "'.'"
     | Lexer.IDENT "member", pos ->
-      Raw.advance st;
+      Parser.advance st;
       let m = name_token st "a member name" in
-      (match Raw.peek st with
-       | Lexer.IDENT "in", _ -> Raw.advance st
+      (match Parser.peek st with
+       | Lexer.IDENT "in", _ -> Parser.advance st
        | t, _ ->
          fail st
            (Printf.sprintf "expected 'in', found %s"
               (Lexer.token_to_string t)));
       let cat = name_token st "a category" in
       d.dmembers <- (m, cat, pos) :: d.dmembers;
-      (match Raw.peek st with
+      (match Parser.peek st with
        | Lexer.ARROW, _ ->
-         Raw.advance st;
+         Parser.advance st;
          let parents = comma_list st (fun st -> name_token st "a member") in
          d.links <-
            List.rev_append (List.map (fun p -> (m, p, pos)) parents) d.links
        | _ -> ());
-      Raw.expect st Lexer.PERIOD "'.'"
+      Parser.expect st Lexer.PERIOD "'.'"
     | t, _ ->
       fail st
         (Printf.sprintf
@@ -134,16 +134,16 @@ let parse_dimension diags st =
   (* Per-item recovery: one bad category/member line is reported and
      skipped; the rest of the dimension body still parses. *)
   let rec body () =
-    match Raw.peek st with
-    | Lexer.RBRACE, _ -> Raw.advance st
+    match Parser.peek st with
+    | Lexer.RBRACE, _ -> Parser.advance st
     | Lexer.EOF, _ -> fail st "unexpected end of input in dimension body"
     | _ ->
-      let before = Raw.pos st in
+      let before = Parser.pos st in
       (try item ()
        with Parser.Error { line; col; code; message } ->
          Diag.error diags ~line ~col ~code message;
-         if Raw.pos st = before then Raw.advance st;
-         Raw.recover st);
+         if Parser.pos st = before then Parser.advance st;
+         Parser.recover st);
       body ()
   in
   body ();
@@ -155,26 +155,26 @@ let parse_dimension diags st =
       links = List.rev d.links }
 
 let parse_relation st kind =
-  let start = Raw.pos st in
-  Raw.advance st (* 'relation' | 'source' | 'external' *);
+  let start = Parser.pos st in
+  Parser.advance st (* 'relation' | 'source' | 'external' *);
   let name =
-    match Raw.peek st with
+    match Parser.peek st with
     | Lexer.IDENT n, _ ->
-      Raw.advance st;
+      Parser.advance st;
       n
     | t, _ ->
       fail st
         (Printf.sprintf "expected a relation name, found %s"
            (Lexer.token_to_string t))
   in
-  Raw.expect st Lexer.LPAREN "'('";
+  Parser.expect st Lexer.LPAREN "'('";
   let parse_attr st =
-    match Raw.peek st with
+    match Parser.peek st with
     | Lexer.IDENT a, _ ->
-      Raw.advance st;
-      (match Raw.peek st with
+      Parser.advance st;
+      (match Parser.peek st with
        | Lexer.IDENT "in", _ ->
-         Raw.advance st;
+         Parser.advance st;
          let dimension, category = dotted_category st in
          R.Attribute.categorical a ~dimension ~category
        | _ -> R.Attribute.plain a)
@@ -184,8 +184,8 @@ let parse_relation st kind =
            (Lexer.token_to_string t))
   in
   let attrs = comma_list st parse_attr in
-  Raw.expect st Lexer.RPAREN "')'";
-  Raw.expect st Lexer.PERIOD "'.'";
+  Parser.expect st Lexer.RPAREN "')'";
+  Parser.expect st Lexer.PERIOD "'.'";
   match R.Rel_schema.make name attrs with
   | schema -> Schema (kind, schema)
   | exception Invalid_argument message ->
@@ -195,33 +195,37 @@ let parse_relation st kind =
            message })
 
 let parse_wiring st ~quality =
-  Raw.advance st (* 'map' | 'quality' *);
+  Parser.advance st (* 'map' | 'quality' *);
   let from = name_token st "a relation name" in
-  Raw.expect st Lexer.ARROW "'->'";
+  Parser.expect st Lexer.ARROW "'->'";
   let target = name_token st "a predicate name" in
-  Raw.expect st Lexer.PERIOD "'.'";
+  Parser.expect st Lexer.PERIOD "'.'";
   if quality then Quality (from, target) else Map (from, target)
 
 (* The declarations and the Datalog± statements of an input, each in
-   source order: to the shared recovering loop a declaration is one
-   more kind of statement. *)
+   source order, and its facts: to the shared recovering loop a
+   declaration is one more kind of item. *)
 let collect diags input =
-  let decls = ref [] and statements = ref [] in
-  Raw.items diags (Raw.init diags input) (fun st ->
-      let pos = Raw.pos st in
-      let decl d = decls := (d, pos) :: !decls in
-      match keyword st (fst (Raw.peek st)) with
-      | Some "dimension" -> decl (parse_dimension diags st)
-      | Some "relation" -> decl (parse_relation st Relation)
-      | Some "source" -> decl (parse_relation st Source)
-      | Some "external" -> decl (parse_relation st External)
-      | Some "map" -> decl (parse_wiring st ~quality:false)
-      | Some "quality" -> decl (parse_wiring st ~quality:true)
-      | Some k ->
-        fail st (Printf.sprintf "'%s' is only allowed inside a dimension" k)
-      | None ->
-        statements := { Parser.stmt = Raw.statement st; pos } :: !statements);
-  (List.rev !decls, List.rev !statements)
+  let decls = ref [] in
+  let statements, facts =
+    Parser.parse_items diags input (fun st ->
+        let pos = Parser.pos st in
+        let decl d =
+          decls := (d, pos) :: !decls;
+          true
+        in
+        match keyword st (fst (Parser.peek st)) with
+        | Some "dimension" -> decl (parse_dimension diags st)
+        | Some "relation" -> decl (parse_relation st Relation)
+        | Some "source" -> decl (parse_relation st Source)
+        | Some "external" -> decl (parse_relation st External)
+        | Some "map" -> decl (parse_wiring st ~quality:false)
+        | Some "quality" -> decl (parse_wiring st ~quality:true)
+        | Some k ->
+          fail st (Printf.sprintf "'%s' is only allowed inside a dimension" k)
+        | None -> false)
+  in
+  (List.rev !decls, statements, facts)
 
 (* --- semantic validation ------------------------------------------- *)
 
@@ -318,26 +322,31 @@ let validate_dimension diags (d : dim_decl) =
         (Summarizability.diagnose instance).violations;
       (Some schema, Some instance))
 
-let validate diags decls statements =
+(* One front-end pass, as a profiler phase and a trace span. *)
+let phase name f =
+  Mdqa_obs.Profile.with_phase name (fun () -> Mdqa_obs.Trace.with_span name f)
+
+let validate diags decls statements facts =
   (* 1. dimensions *)
   let dims =
     List.filter_map (function Dimension d, _ -> Some d | _ -> None) decls
   in
   let dim_schemas = ref Smap.empty and dim_instances = ref Smap.empty in
-  List.iter
-    (fun (d : dim_decl) ->
-      if Smap.mem d.dim_name !dim_schemas then
-        err diags d.dim_pos "E010" "duplicate dimension %s" d.dim_name
-      else begin
-        let schema, instance = validate_dimension diags d in
-        (match schema with
-         | Some s -> dim_schemas := Smap.add d.dim_name s !dim_schemas
-         | None -> ());
-        match instance with
-        | Some i -> dim_instances := Smap.add d.dim_name i !dim_instances
-        | None -> ()
-      end)
-    dims;
+  phase "md_parser.dimensions" (fun () ->
+      List.iter
+        (fun (d : dim_decl) ->
+          if Smap.mem d.dim_name !dim_schemas then
+            err diags d.dim_pos "E010" "duplicate dimension %s" d.dim_name
+          else begin
+            let schema, instance = validate_dimension diags d in
+            (match schema with
+             | Some s -> dim_schemas := Smap.add d.dim_name s !dim_schemas
+             | None -> ());
+            match instance with
+            | Some i -> dim_instances := Smap.add d.dim_name i !dim_instances
+            | None -> ()
+          end)
+        dims);
   (* 2. relation / source / external namespaces are disjoint *)
   let schemas = Hashtbl.create 16 in
   List.iter
@@ -399,18 +408,20 @@ let validate diags decls statements =
       None
   in
   (* 4. facts: declared predicates only *)
-  List.iter
-    (function
-      | { Parser.stmt = Raw.S_fact f; pos }
-        when not (Hashtbl.mem schemas (Atom.pred f)) ->
-        err diags pos "E013"
-          "fact over undeclared predicate %s (declare it with 'relation', \
-           'source' or 'external')"
-          (Atom.pred f)
-      | _ -> ())
-    statements;
+  let undeclared =
+    List.filter (fun p -> not (Hashtbl.mem schemas p)) (Facts.preds facts)
+  in
+  if undeclared <> [] then
+    Facts.iter
+      (fun p _ loc ->
+        if List.mem p undeclared then
+          err diags (Facts.pos loc) "E013"
+            "fact over undeclared predicate %s (declare it with 'relation', \
+             'source' or 'external')"
+            p)
+      facts;
   (* 5. global arity consistency: the MD schema's predicates, then the
-     declarations, then every statement *)
+     declarations, then every fact and statement *)
   let md_preds =
     match md_schema with
     | None -> []
@@ -430,7 +441,7 @@ let validate diags decls statements =
               (Dim_schema.edges d))
         (Md_schema.dimensions s)
   in
-  Parser.check_arities diags statements
+  Parser.check_arities diags statements facts
     ~declared:
       (md_preds
       @ List.filter_map
@@ -441,13 +452,14 @@ let validate diags decls statements =
           decls);
   let tgds =
     List.filter_map
-      (function { Parser.stmt = Raw.S_tgd t; pos } -> Some (t, pos) | _ -> None)
+      (function
+        | { Parser.stmt = Parser.S_tgd t; pos } -> Some (t, pos) | _ -> None)
       statements
   in
   let queries =
     List.filter_map
       (function
-        | { Parser.stmt = Raw.S_query q; pos } -> Some (q, pos) | _ -> None)
+        | { Parser.stmt = Parser.S_query q; pos } -> Some (q, pos) | _ -> None)
       statements
   in
   (* 6. rules and constraints against the MD schema *)
@@ -480,9 +492,9 @@ let validate diags decls statements =
       in
       List.iter
         (function
-          | { Parser.stmt = Raw.S_egd e; pos } ->
+          | { Parser.stmt = Parser.S_egd e; pos } ->
             md_body "EGD" e.Egd.name e.Egd.body pos
-          | { Parser.stmt = Raw.S_nc n; pos } ->
+          | { Parser.stmt = Parser.S_nc n; pos } ->
             md_body "constraint" n.Nc.name n.Nc.body pos
           | _ -> ())
         statements;
@@ -495,11 +507,11 @@ let validate diags decls statements =
         decls;
       List.iter
         (function
-          | { Parser.stmt = Raw.S_tgd t; _ } ->
+          | { Parser.stmt = Parser.S_tgd t; _ } ->
             List.iter know (Tgd.head_preds t)
-          | { Parser.stmt = Raw.S_fact f; _ } -> know (Atom.pred f)
           | _ -> ())
         statements;
+      List.iter know (Facts.preds facts);
       let check_known what name preds pos =
         List.iter
           (fun p ->
@@ -579,7 +591,7 @@ let validate diags decls statements =
 
 (* --- assembly (validated declarations only) ------------------------- *)
 
-let build decls statements (arts : artifacts) =
+let build decls statements facts (arts : artifacts) =
   let md_schema =
     match arts.md_schema with
     | Some s -> s
@@ -602,26 +614,24 @@ let build decls statements (arts : artifacts) =
       | Schema (External, s), _ -> ignore (R.Instance.declare externals s)
       | _ -> ())
     decls;
+  let rel p =
+    match Hashtbl.find_opt arts.schemas p with
+    | Some (Relation, schema, _) -> R.Instance.declare data schema
+    | Some (Source, _, _) -> R.Instance.get source p
+    | Some (External, _, _) -> R.Instance.get externals p
+    | None -> invalid_arg ("fact over undeclared predicate " ^ p)
+  in
+  (* facts over one predicate share its name *)
+  let rels = List.map (fun p -> (p, rel p)) (Facts.preds facts) in
+  Facts.iter (fun p t _ -> ignore (R.Relation.add (List.assq p rels) t)) facts;
   let egds = ref [] and ncs = ref [] and queries = ref [] in
   List.iter
     (fun { Parser.stmt; _ } ->
       match stmt with
-      | Raw.S_fact f -> (
-        let p = Atom.pred f in
-        match Hashtbl.find_opt arts.schemas p with
-        | Some (Relation, schema, _) ->
-          ignore (R.Instance.declare data schema);
-          ignore (R.Instance.add_tuple data p (Atom.to_tuple f))
-        | Some (Source, _, _) ->
-          ignore (R.Instance.add_tuple source p (Atom.to_tuple f))
-        | Some (External, _, _) ->
-          ignore (R.Instance.add_tuple externals p (Atom.to_tuple f))
-        | None ->
-          invalid_arg (Printf.sprintf "fact over undeclared predicate %s" p))
-      | Raw.S_tgd _ -> ()
-      | Raw.S_egd e -> egds := e :: !egds
-      | Raw.S_nc n -> ncs := n :: !ncs
-      | Raw.S_query q -> queries := q :: !queries)
+      | Parser.S_egd e -> egds := e :: !egds
+      | Parser.S_nc n -> ncs := n :: !ncs
+      | Parser.S_query q -> queries := q :: !queries
+      | Parser.S_fact _ | Parser.S_tgd _ -> ())
     statements;
   let ontology =
     Md_ontology.make ~schema:md_schema ~dim_instances ~data
@@ -647,36 +657,32 @@ let build decls statements (arts : artifacts) =
 
 (* Post-build advisory analyses: the weak-stickiness certificate and
    the closed-world referential check, as warnings/hints. *)
-let advisory diags statements (p : parsed) =
+let advisory diags statements facts (p : parsed) =
   Validate.check_certificate diags statements (Context.program p.context);
-  (* each fact's first position by predicate, built on the first
-     violation *)
-  let first_pos =
-    lazy
-      (let by_pred = Hashtbl.create 64 in
-       List.iter
-         (function
-           | { Parser.stmt = Raw.S_fact f; pos } ->
-             let tbl =
-               match Hashtbl.find_opt by_pred (Atom.pred f) with
-               | Some tbl -> tbl
-               | None ->
-                 let tbl = R.Tuple.Tbl.create 64 in
-                 Hashtbl.add by_pred (Atom.pred f) tbl;
-                 tbl
-             in
-             let key = Atom.to_tuple f in
-             if not (R.Tuple.Tbl.mem tbl key) then R.Tuple.Tbl.add tbl key pos
-           | _ -> ())
-         statements;
-       by_pred)
+  (* each fact's first position, per predicate, built on the first
+     violation over that predicate *)
+  let tables = Hashtbl.create 8 in
+  let first_loc pred tuple =
+    let tbl =
+      match Hashtbl.find_opt tables pred with
+      | Some tbl -> tbl
+      | None ->
+        let tbl = R.Tuple.Tbl.create 64 in
+        (* newest first: the earliest position is written last *)
+        Facts.iter
+          (fun p t loc ->
+            if String.equal p pred then R.Tuple.Tbl.replace tbl t loc)
+          facts;
+        Hashtbl.add tables pred tbl;
+        tbl
+    in
+    R.Tuple.Tbl.find_opt tbl tuple
   in
   List.iter
     (fun (v : Md_ontology.referential_violation) ->
       let pos =
-        Option.bind
-          (Hashtbl.find_opt (Lazy.force first_pos) v.Md_ontology.relation)
-          (fun tbl -> R.Tuple.Tbl.find_opt tbl v.Md_ontology.tuple)
+        Option.map Facts.pos
+          (first_loc v.Md_ontology.relation v.Md_ontology.tuple)
       in
       let line = Option.map (fun p -> p.Lexer.line) pos in
       let col = Option.map (fun p -> p.Lexer.col) pos in
@@ -685,26 +691,24 @@ let advisory diags statements (p : parsed) =
            v))
     (Md_ontology.referential_violations p.ontology)
 
-(* One front-end pass, as a profiler phase and a trace span. *)
-let phase name f =
-  Mdqa_obs.Profile.with_phase name (fun () -> Mdqa_obs.Trace.with_span name f)
-
 let check_string ?file input =
   let diags = Diag.collector ?file () in
-  let decls, statements =
+  let decls, statements, facts =
     phase "md_parser.collect" (fun () -> collect diags input)
   in
   let arts =
-    phase "md_parser.validate" (fun () -> validate diags decls statements)
+    phase "md_parser.validate" (fun () ->
+        validate diags decls statements facts)
   in
   let parsed =
     if Diag.has_errors diags then None
     else
       match
-        phase "md_parser.build" (fun () -> build decls statements arts)
+        phase "md_parser.build" (fun () -> build decls statements facts arts)
       with
       | p ->
-        phase "md_parser.advisory" (fun () -> advisory diags statements p);
+        phase "md_parser.advisory" (fun () ->
+            advisory diags statements facts p);
         Some p
       | exception Invalid_argument m ->
         (* validation pre-empts every assembly failure; located net *)

@@ -85,7 +85,16 @@ val check_string : ?file:string -> string -> checked
     mapped copies ([H051]) and the weak-stickiness certificate
     ([W041]/[H050]).  Its four passes are profiler phases and trace
     spans: [md_parser.collect], [md_parser.validate],
-    [md_parser.build] and [md_parser.advisory]. *)
+    [md_parser.build] and [md_parser.advisory]; the dimension checks
+    inside [validate] are one more, [md_parser.dimensions].
+
+    Facts never become statement ASTs: [collect] reads each ground
+    fact straight into a tuple in one {!Mdqa_datalog.Parser.Facts}
+    buffer, [validate] checks them once per predicate ([E013],
+    [E011]), [build] inserts the buffered tuples into their relations
+    and [W045] locates a fact through a table keyed on the buffered
+    tuples, built on the first violation.  The buffer is garbage once
+    the check returns: [parsed] holds only relations. *)
 
 val check_file : string -> checked
 (** @raise Sys_error on I/O failure only. *)

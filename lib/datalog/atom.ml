@@ -39,18 +39,20 @@ let const_args a =
 let is_ground a = Array.for_all Term.is_const a.args
 
 let to_tuple a =
-  Tuple.of_list
-    (List.map
-       (fun t ->
-         match t with
+  Tuple.unsafe_of_array
+    (Array.map
+       (function
          | Term.Const c -> c
          | Term.Var v ->
            invalid_arg
              (Printf.sprintf "Atom.to_tuple: %s contains variable %s" a.pred v))
-       (args a))
+       a.args)
 
 let of_fact pred tuple =
-  make pred (List.map Term.const (Tuple.to_list tuple))
+  { pred;
+    args =
+      Array.init (Tuple.arity tuple) (fun i -> Term.Const (Tuple.get tuple i))
+  }
 
 let rename_vars f a =
   { a with

@@ -17,7 +17,7 @@
     Constants are lowercase identifiers, quoted strings or numbers;
     variables start with an uppercase letter or [_].
 
-    There is one parsing loop ({!Raw.items}): it resynchronizes on
+    There is one parsing loop ({!parse_items}): it resynchronizes on
     ['.'] after an error and accumulates every problem in a
     {!Diag.collector} — the substrate of [mdqa check], for plain
     programs ({!parse_statements}) and for [.mdq] contexts alike.
@@ -49,86 +49,115 @@ val parse_query : string -> Query.t
 (** Parse a single query statement (with or without the leading [?]).
     @raise Error if the input is not exactly one query. *)
 
-(** Lower-level parsing toolkit, for layers that extend the surface
-    syntax with their own declarations (e.g. the multidimensional
-    context format of [Mdqa_context.Md_parser]) while reusing the
-    statement grammar above. *)
-module Raw : sig
-  type state
+(** {1 Parsing toolkit}
 
-  val init : Diag.collector -> string -> state
-  (** Start parsing an input.  Tokens are read on demand; lexical
-      errors are collected and skipped (see {!Lexer.stream}). *)
+    For layers that extend the surface syntax with their own
+    declarations (e.g. the multidimensional context format of
+    [Mdqa_context.Md_parser]) while reusing the statement grammar
+    above. *)
 
-  val peek : state -> Lexer.token * Lexer.pos
-  (** Current token and its position, without consuming. *)
+type state
 
-  val peek2 : state -> Lexer.token
-  (** One token of extra lookahead. *)
+val peek : state -> Lexer.token * Lexer.pos
+(** Current token and its position, without consuming. *)
 
-  val pos : state -> Lexer.pos
-  (** Position of the current token. *)
+val peek2 : state -> Lexer.token
+(** One token of extra lookahead. *)
 
-  val advance : state -> unit
-  val expect : state -> Lexer.token -> string -> unit
+val pos : state -> Lexer.pos
+(** Position of the current token. *)
 
-  val recover : state -> unit
-  (** Skip to the next statement boundary: consume up to and including
-      the next ['.'], stopping (without consuming) at ['}'] or EOF. *)
+val advance : state -> unit
+val expect : state -> Lexer.token -> string -> unit
 
-  val error : state -> string -> 'a
-  (** @raise Error at the current position. *)
+val recover : state -> unit
+(** Skip to the next statement boundary: consume up to and including
+    the next ['.'], stopping (without consuming) at ['}'] or EOF. *)
 
-  val items : Diag.collector -> state -> (state -> unit) -> unit
-  (** [items diags st item] runs [item] on each statement, in source
-      order, up to EOF.  An {!Error} raised by [item] is recorded in
-      [diags]; parsing then resumes at the next statement: after the
-      next ['.'] ({!recover}, then one stray ['}'] is skipped) —
-      unless the failed statement's ['.'] was already consumed.  At
-      least one token is consumed per failed statement, so the loop
-      terminates.  Never raises {!Error}. *)
+val error : state -> string -> 'a
+(** @raise Error at the current position. *)
 
-  type statement =
-    | S_fact of Atom.t
-    | S_tgd of Tgd.t
-    | S_egd of Egd.t
-    | S_nc of Nc.t
-    | S_query of Query.t
-
-  val statement : state -> statement
-  (** Parse one datalog statement (as documented above).
-      @raise Error on syntax errors. *)
-end
+type statement =
+  | S_fact of string * Mdqa_relational.Tuple.t
+      (** a ground atom, parsed straight into a tuple: its predicate
+          and its arguments *)
+  | S_tgd of Tgd.t
+  | S_egd of Egd.t
+  | S_nc of Nc.t
+  | S_query of Query.t
 
 (** {1 Recovering entry points} *)
 
+(** Ground facts never become statement ASTs: the statement loop hands
+    each {!S_fact} to one buffer of tuples, from which a front end
+    fills its relations (or {!program_of_statements} its
+    [Program.facts]).  The buffer keeps each fact's position, packed in
+    one int, for the diagnostics that locate a fact, and per predicate
+    its first fact and whether every fact has that one's arity. *)
+module Facts : sig
+  type t
+
+  type loc = private int
+  (** A fact's position, packed. *)
+
+  val preds : t -> string list
+  (** The predicates with facts, in the order of their first facts. *)
+
+  val iter :
+    (string -> Mdqa_relational.Tuple.t -> loc -> unit) -> t -> unit
+  (** Every fact, duplicates included, newest first.  Facts over one
+      predicate share one predicate string. *)
+
+  val pos : loc -> Lexer.pos
+end
+
 type located_statement = {
-  stmt : Raw.statement;
+  stmt : statement;  (** never an [S_fact]: facts are buffered *)
   pos : Lexer.pos;  (** position of the statement's first token *)
 }
 
-val parse_statements : Diag.collector -> string -> located_statement list
-(** Parse a whole input with {!Raw.items}, accumulating every lexical
-    and syntax error in the collector instead of raising.  Returns the
-    statements that did parse, each with its source position. *)
+val parse_items :
+  Diag.collector ->
+  string ->
+  (state -> bool) ->
+  located_statement list * Facts.t
+(** The one recovering loop over a whole input.  At each item,
+    [parse_items diags input extra] first lets [extra] parse one of the
+    caller's own declarations (returning [true]); otherwise it parses a
+    statement.  Every lexical and syntax error goes to the collector
+    instead of raising: an {!Error} raised by [extra] or the statement
+    is recorded, and parsing resumes at the next item, after the next
+    ['.'] ({!recover}, then one stray ['}'] is skipped) — unless the
+    failed item's ['.'] was already consumed.  At least one token is
+    consumed per failed item, so the loop terminates.  Returns the
+    rules, constraints and queries that did parse, each with its source
+    position, and the facts that did. *)
+
+val parse_statements :
+  Diag.collector -> string -> located_statement list * Facts.t
+(** {!parse_items} with no declarations of its own: a plain program. *)
 
 val check_arities :
   declared:(string * int * Lexer.pos) list ->
   Diag.collector ->
   located_statement list ->
+  Facts.t ->
   unit
 (** One arity table over [declared] [(predicate, arity, position)]
-    entries, then over every atom of [statements]: the first use of a
-    predicate fixes its arity, and each later use with another arity
-    is an [E011] at its statement.  [.mdq] contexts seed [declared]
-    with their category/roll-up predicates and relation declarations;
-    plain programs pass [[]]. *)
+    entries, then over every atom of [statements] and every fact, in
+    source order: the first use of a predicate fixes its arity, and
+    each later use with another arity is an [E011] at its statement or
+    fact.  A buffer whose facts all have the table's arity is checked
+    in one comparison.  [.mdq] contexts seed [declared] with their
+    category/roll-up predicates and relation declarations; plain
+    programs pass [[]]. *)
 
 val program_of_statements :
-  Diag.collector -> located_statement list -> parsed option
-(** Assemble parsed statements into a program.  [None] (with a
-    diagnostic) if assembly fails — e.g. inconsistent arities not
-    caught earlier. *)
+  Diag.collector -> located_statement list -> Facts.t -> parsed option
+(** Assemble parsed statements and facts into a program, the facts
+    grouped by predicate, each predicate's in source order.  [None]
+    (with a diagnostic) if assembly fails — e.g. inconsistent arities
+    not caught earlier. *)
 
 val fail_fast : 'a option -> Diag.t list -> 'a
 (** [fail_fast parsed diags] is the value of [parsed], or, when it is

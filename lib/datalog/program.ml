@@ -39,8 +39,6 @@ let make ?(tgds = []) ?(egds = []) ?(ncs = []) ?(facts = []) () =
   ignore (arities p);
   p
 
-let arity_of p pred = Smap.find_opt pred (arities p)
-
 let predicates p = Smap.bindings (arities p)
 
 let positions p =

@@ -23,8 +23,6 @@ val make :
 (** @raise Invalid_argument if a predicate is used with two different
     arities or a listed fact is not ground. *)
 
-val arity_of : t -> string -> int option
-
 val predicates : t -> (string * int) list
 (** All predicates with arities, sorted by name. *)
 

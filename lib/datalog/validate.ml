@@ -7,28 +7,28 @@ type checked = {
 
 (* A body/query predicate with no facts and no defining rule has a
    forever-empty extension: legal, but almost always a typo. *)
-let check_undefined diags statements =
+let check_undefined diags statements facts =
   let defined =
     List.fold_left
       (fun s { Parser.stmt; _ } ->
         match stmt with
-        | Parser.Raw.S_fact f -> Smap.add (Atom.pred f) () s
-        | Parser.Raw.S_tgd t ->
+        | Parser.S_tgd t ->
           List.fold_left
             (fun s a -> Smap.add (Atom.pred a) () s)
             s t.Tgd.head
         | _ -> s)
-      Smap.empty statements
+      (Smap.of_list (List.map (fun p -> (p, ())) (Parser.Facts.preds facts)))
+      statements
   in
   List.iter
     (fun { Parser.stmt; pos } ->
       let used =
         match stmt with
-        | Parser.Raw.S_fact _ -> []
-        | Parser.Raw.S_tgd t -> t.Tgd.body
-        | Parser.Raw.S_egd e -> e.Egd.body
-        | Parser.Raw.S_nc n -> n.Nc.body
-        | Parser.Raw.S_query q -> q.Query.body
+        | Parser.S_fact _ -> []
+        | Parser.S_tgd t -> t.Tgd.body
+        | Parser.S_egd e -> e.Egd.body
+        | Parser.S_nc n -> n.Nc.body
+        | Parser.S_query q -> q.Query.body
       in
       List.iter
         (fun a ->
@@ -49,7 +49,7 @@ let check_certificate diags statements (program : Program.t) =
       List.find_map
         (fun { Parser.stmt; pos } ->
           match stmt with
-          | Parser.Raw.S_tgd t when String.equal t.Tgd.name name -> Some pos
+          | Parser.S_tgd t when String.equal t.Tgd.name name -> Some pos
           | _ -> None)
         statements
     in
@@ -73,12 +73,12 @@ let check_certificate diags statements (program : Program.t) =
 let check_string ?file input =
   Mdqa_obs.Trace.with_span "validate" @@ fun () ->
   let diags = Diag.collector ?file () in
-  let statements = Parser.parse_statements diags input in
-  Parser.check_arities ~declared:[] diags statements;
-  check_undefined diags statements;
+  let statements, facts = Parser.parse_statements diags input in
+  Parser.check_arities ~declared:[] diags statements facts;
+  check_undefined diags statements facts;
   let parsed =
     if Diag.has_errors diags then None
-    else Parser.program_of_statements diags statements
+    else Parser.program_of_statements diags statements facts
   in
   (match parsed with
    | Some { Parser.program; _ } -> check_certificate diags statements program

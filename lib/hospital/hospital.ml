@@ -244,17 +244,11 @@ let ncs_intensive_closed =
 (* Ontology *)
 
 let data_instance ~raw_patient_ward ~include_rule9 =
-  let inst = R.Instance.create () in
-  let add rel =
-    let r = R.Instance.declare inst (R.Relation.schema rel) in
-    R.Relation.iter (fun t -> ignore (R.Relation.add r t)) rel
-  in
-  add (if raw_patient_ward then patient_ward_raw else patient_ward);
-  add working_schedules;
-  add shifts;
-  add thermometer;
-  if include_rule9 then add discharge_patients;
-  inst
+  R.Instance.of_relations
+    (List.map R.Relation.copy
+       ((if raw_patient_ward then patient_ward_raw else patient_ward)
+       :: working_schedules :: shifts :: thermometer
+       :: (if include_rule9 then [ discharge_patients ] else [])))
 
 let ontology ?(raw_patient_ward = false) ?(include_rule9 = true) () =
   Md_ontology.make ~schema:md_schema
@@ -264,21 +258,12 @@ let ontology ?(raw_patient_ward = false) ?(include_rule9 = true) () =
     ~egds:[ egd_thermometer ] ~ncs:ncs_intensive_closed ()
 
 let upward_ontology () =
-  let inst = R.Instance.create () in
-  let add rel =
-    let r = R.Instance.declare inst (R.Relation.schema rel) in
-    R.Relation.iter (fun t -> ignore (R.Relation.add r t)) rel
-  in
-  add patient_ward;
+  let inst = R.Instance.of_relations [ R.Relation.copy patient_ward ] in
   Md_ontology.make ~schema:md_schema
     ~dim_instances:[ hospital_instance; time_instance; device_instance ]
     ~data:inst ~rules:[ rule7 ] ()
 
-let source () =
-  let inst = R.Instance.create () in
-  let r = R.Instance.declare inst measurements_schema in
-  R.Relation.iter (fun t -> ignore (R.Relation.add r t)) measurements;
-  inst
+let source () = R.Instance.of_relations [ R.Relation.copy measurements ]
 
 (* ------------------------------------------------------------------ *)
 (* The quality context (§V, Example 7) *)

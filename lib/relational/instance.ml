@@ -71,9 +71,7 @@ let equal a b =
 
 let merge_into ~dst ~src =
   List.iter
-    (fun r ->
-      let d = declare dst (Relation.schema r) in
-      Relation.iter (fun t -> ignore (Relation.add d t)) r)
+    (fun r -> Relation.union (declare dst (Relation.schema r)) r)
     (relations src)
 
 let pp ppf i =

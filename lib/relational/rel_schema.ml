@@ -26,14 +26,6 @@ let attribute s i =
          i s.name);
   s.attrs.(i)
 
-let position_of s attr_name =
-  let rec find i =
-    if i >= Array.length s.attrs then None
-    else if String.equal (Attribute.name s.attrs.(i)) attr_name then Some i
-    else find (i + 1)
-  in
-  find 0
-
 let categorical_positions s =
   let rec collect i acc =
     if i < 0 then acc

@@ -20,9 +20,6 @@ val arity : t -> int
 val attribute : t -> int -> Attribute.t
 (** @raise Invalid_argument if the position is out of range. *)
 
-val position_of : t -> string -> int option
-(** Position of the attribute with the given name, if any. *)
-
 val categorical_positions : t -> int list
 (** Positions of categorical attributes, ascending. *)
 

@@ -60,6 +60,20 @@ let add r t =
     true
   end
 
+let union r s =
+  if arity s <> arity r then
+    invalid_arg
+      (Printf.sprintf "Relation.union: %s has arity %d, %s has %d" (name r)
+         (arity r) (name s) (arity s));
+  if r.card = 0 then begin
+    (* sets are persistent: sharing one is safe, whoever changes next *)
+    r.tuples <- s.tuples;
+    r.card <- s.card;
+    r.indexes <- [];
+    r.stats <- s.stats
+  end
+  else Tuple.Set.iter (fun t -> ignore (add r t)) s.tuples
+
 let of_tuples schema ts =
   let r = create schema in
   List.iter (fun t -> ignore (add r t)) ts;
@@ -157,8 +171,9 @@ let filter p r =
   r'
 
 let copy r =
-  { schema = r.schema; tuples = r.tuples; card = r.card; indexes = [];
-    stats = r.stats }
+  let c = create r.schema in
+  union c r;
+  c
 
 let equal a b =
   Rel_schema.equal a.schema b.schema && Tuple.Set.equal a.tuples b.tuples

@@ -25,6 +25,14 @@ val add : t -> Tuple.t -> bool
 (** [add r t] inserts [t]; returns [true] iff [t] was not present.
     @raise Invalid_argument on arity mismatch. *)
 
+val union : t -> t -> unit
+(** [union r s] adds every tuple of [s] to [r].  Into an empty [r] it
+    is O(1): [r] takes [s]'s persistent tuple set as it is (and its
+    distinct counts), so the two share one set until either changes;
+    {!add}, {!remove} and {!substitute} on one leave the other as it
+    was.  Into a non-empty [r] it is one {!add} per tuple of [s].
+    @raise Invalid_argument if the arities differ. *)
+
 val mem : t -> Tuple.t -> bool
 val remove : t -> Tuple.t -> bool
 (** Returns [true] iff the tuple was present. *)
@@ -71,6 +79,9 @@ val filter : (Tuple.t -> bool) -> t -> t
 (** New relation (same schema) with the matching tuples. *)
 
 val copy : t -> t
+(** [copy r] is a fresh relation sharing [r]'s tuple set ({!union}
+    into an empty relation): O(1), and independent of [r] from then
+    on. *)
 
 val equal : t -> t -> bool
 (** Same schema and same tuple set. *)

@@ -55,7 +55,12 @@ let pp ppf = function
   | Real r -> Format.fprintf ppf "%g" r
   | Null n -> Format.fprintf ppf "\xe2\x8a\xa5%d" n
 
-let to_string v = Format.asprintf "%a" pp v
+(* [pp] without a formatter: table cells are printed in bulk *)
+let to_string = function
+  | Sym s -> if bare_symbol s then s else "\"" ^ String.escaped s ^ "\""
+  | Int i -> string_of_int i
+  | Real r -> Printf.sprintf "%g" r
+  | Null n -> "\xe2\x8a\xa5" ^ string_of_int n
 
 let of_string s =
   let n = String.length s in

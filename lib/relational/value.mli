@@ -34,6 +34,7 @@ val pp : Format.formatter -> t -> unit
     spaces or punctuation); numbers print canonically. *)
 
 val to_string : t -> string
+(** What {!pp} prints, built without a formatter. *)
 
 val of_string : string -> t
 (** Parse a value from its surface form: [⊥k] or [_:k] as nulls,

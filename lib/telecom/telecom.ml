@@ -156,9 +156,7 @@ let nc_south_decommissioned =
 
 let ontology ?(bad_region = false) () =
   ignore bad_region;
-  let data = R.Instance.create () in
-  let r = R.Instance.declare data tower_checked_schema in
-  R.Relation.iter (fun t -> ignore (R.Relation.add r t)) tower_checked;
+  let data = R.Instance.of_relations [ R.Relation.copy tower_checked ] in
   Md_ontology.make ~schema:md_schema
     ~dim_instances:[ network_instance; calendar_instance ]
     ~data
@@ -168,12 +166,8 @@ let ontology ?(bad_region = false) () =
     ()
 
 let source ?(bad_region = false) () =
-  let inst = R.Instance.create () in
-  let r = R.Instance.declare inst cdr_schema in
-  R.Relation.iter
-    (fun t -> ignore (R.Relation.add r t))
-    (if bad_region then cdr_bad_region else cdr);
-  inst
+  R.Instance.of_relations
+    [ R.Relation.copy (if bad_region then cdr_bad_region else cdr) ]
 
 let context ?bad_region () =
   Mdqa_context.Context.make

@@ -373,6 +373,81 @@ let test_mdq_external_sources () =
   Alcotest.(check int) "external survives round-trip" 1
     (List.length p2.Md_parser.context.Context.externals)
 
+(* [Context.prepare] shares the tuple sets of the sources and externals
+   instead of copying them; the chase then derives into both the mapped
+   copy and the external, and neither the sources, the context's
+   externals nor the ontology's data may see it. *)
+let test_prepare_shares_without_aliasing () =
+  let text =
+    {|
+      dimension Loc {
+        category Sensor -> Station.
+        member "s1" in Sensor -> "st1".
+        member "s2" in Sensor -> "st2".
+        member "st1" in Station.
+        member "st2" in Station.
+      }
+      relation calib(station in Loc.Station, tech).
+      source readings(sensor, value).
+      external certified(tech).
+      map readings -> readings_c.
+      quality readings -> readings_q.
+
+      calib("st1", "carol").
+      calib("st2", "mallory").
+      certified("carol").
+      readings("s1", 17).
+      readings("s2", 9).
+
+      certified(T) :- calib(ST, T).
+      readings_c(S, 0) :- calib(ST, T), station_sensor(ST, S).
+      readings_q(S, V) :- readings_c(S, V), certified(T).
+    |}
+  in
+  let p = Md_parser.parse_string text in
+  let ctx = p.Md_parser.context and source = p.Md_parser.source in
+  (* snapshots as tuple lists: a copy would share what it checks *)
+  let rels = List.map (fun r -> (R.Relation.name r, R.Relation.to_list r)) in
+  let snapshot i = rels (R.Instance.relations i) in
+  let source_before = snapshot source in
+  let externals_before = rels ctx.Context.externals in
+  let data () =
+    snapshot (Mdqa_multidim.Md_ontology.instance p.Md_parser.ontology)
+  in
+  let data_before = data () in
+  let prepared = Context.prepare ctx ~source in
+  let prepared_before = snapshot prepared in
+  let a = Context.assess_prepared ctx ~source ~prepared in
+  Alcotest.(check bool) "saturated" true
+    (a.Context.chase.Chase.outcome = Chase.Saturated);
+  let derived pred =
+    R.Relation.cardinal (R.Instance.get a.Context.chase.Chase.instance pred)
+  in
+  Alcotest.(check int) "derived into the mapped copy" 4 (derived "readings_c");
+  Alcotest.(check int) "derived into the external" 2 (derived "certified");
+  (* a repair edits the prepared instance in place *)
+  let edit pred t =
+    let r = R.Instance.get prepared pred in
+    ignore (R.Relation.add r (R.Tuple.of_list t));
+    ignore (R.Relation.remove r (List.hd (R.Relation.to_list r)))
+  in
+  edit "readings_c" [ sym "s3"; R.Value.int 1 ];
+  edit "certified" [ sym "dave" ];
+  Alcotest.(check bool) "source unchanged" true
+    (source_before = snapshot source);
+  Alcotest.(check bool) "externals unchanged" true
+    (externals_before = rels ctx.Context.externals);
+  Alcotest.(check bool) "ontology data unchanged" true (data_before = data ());
+  Alcotest.(check bool) "a second prepare returns the first's relations" true
+    (prepared_before = snapshot (Context.prepare ctx ~source));
+  Alcotest.(check bool) "the edits stay in the prepared instance" false
+    (prepared_before = snapshot prepared);
+  (* and the whole pipeline again gives the same chase *)
+  let b = Context.assess ctx ~source in
+  Alcotest.(check bool) "same fixpoint twice" true
+    (snapshot a.Context.chase.Chase.instance
+    = snapshot b.Context.chase.Chase.instance)
+
 let test_mdq_telecom_file () =
   (* the shipped, serializer-generated telecom file reproduces the
      fixture's quality pipeline, DAG dimension included *)
@@ -774,6 +849,8 @@ let suites =
           test_mdq_hospital_file;
         case "error reporting" test_mdq_errors;
         case "external sources (Fig. 2 E_i)" test_mdq_external_sources;
+        case "prepare shares tuple sets without aliasing"
+          test_prepare_shares_without_aliasing;
         case "shipped telecom.mdq (DAG dimension)" test_mdq_telecom_file;
         case "pretty round-trip (sensors)" test_md_pretty_roundtrip_simple;
         case "pretty round-trip (hospital)" test_md_pretty_roundtrip_hospital;

@@ -717,7 +717,8 @@ let test_egd_and_nc_phases () =
 
 (* The .mdq front end's four passes are profiler phases and trace
    spans, nested in the caller's parse, so their times sum to at most
-   the whole check. *)
+   the whole check; the dimension checks are one more, inside
+   validate. *)
 let test_md_parser_phases () =
   let p = Profile.create () and tr = Trace.create () in
   Profile.install p;
@@ -749,7 +750,11 @@ let test_md_parser_phases () =
     passes;
   Alcotest.(check bool) "passes within the parse phase" true
     (List.fold_left (fun acc ph -> acc +. seconds ph) 0. passes
-    <= seconds "parse")
+    <= seconds "parse");
+  Alcotest.(check bool) "md_parser.dimensions span" true
+    (List.mem "md_parser.dimensions" names);
+  Alcotest.(check bool) "dimensions within validate" true
+    (seconds "md_parser.dimensions" <= seconds "md_parser.validate")
 
 (* ---------------------------------------------------------------------- *)
 

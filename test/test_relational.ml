@@ -54,6 +54,19 @@ let test_value_numeric_symbols () =
         (Value.of_string (Value.to_string (v_sym s))))
     numeric_spellings
 
+(* [to_string] prints without a formatter; it must print what [pp]
+   does, quoting rule included. *)
+let test_value_to_string_is_pp () =
+  List.iter
+    (fun v ->
+      let want = Format.asprintf "%a" Value.pp v in
+      Alcotest.(check string) want want (Value.to_string v))
+    [ v_sym "inf"; v_sym "nan"; v_sym "1e5"; v_sym ""; v_sym "Tom Waits";
+      v_sym "W1"; v_sym "Sep/5-12:10"; v_sym "a\"b\\c\n"; v_sym "caf\xc3\xa9";
+      v_sym "_x"; v_int 0; v_int (-7); v_int min_int; Value.real 37.5;
+      Value.real (-0.001); Value.real 1e21; Value.real Float.nan;
+      Value.real Float.neg_infinity; Value.Null 1; Value.Null 12 ]
+
 let test_value_of_string_forms () =
   Alcotest.check value_testable "underscore null" (Value.Null 7)
     (Value.of_string "_:7");
@@ -254,6 +267,51 @@ let test_relation_remove () =
     (Relation.remove r (syms [ "x"; "1" ]));
   Alcotest.(check int) "empty" 0 (Relation.cardinal r)
 
+(* [union] into an empty relation shares the source's tuple set: a
+   change to either side afterwards must not show in the other. *)
+let test_relation_union_shares () =
+  let contents r = List.map Tuple.to_list (Relation.to_list r) in
+  let source = Relation.create schema_ab in
+  List.iter
+    (fun t -> ignore (Relation.add source t))
+    [ syms [ "x"; "1" ]; syms [ "y"; "2" ]; tup [ Value.Null 1; v_sym "3" ] ];
+  let before = contents source in
+  (* an index built before the union must not be shared either *)
+  ignore (Relation.probe source [ (0, v_sym "z") ]);
+  let shared = Relation.create schema_ab in
+  ignore (Relation.probe shared [ (0, v_sym "z") ]);
+  Relation.union shared source;
+  Alcotest.(check bool) "same tuples" true (Relation.equal shared source);
+  Alcotest.(check int) "cardinal taken" 3 (Relation.cardinal shared);
+  ignore (Relation.add shared (syms [ "z"; "9" ]));
+  ignore (Relation.remove shared (syms [ "x"; "1" ]));
+  ignore
+    (Relation.substitute shared
+       (Value.Map.singleton (Value.Null 1) (v_sym "w")));
+  Alcotest.(check (list (list value_testable)))
+    "source unchanged by add/remove/substitute on the sharer" before
+    (contents source);
+  Alcotest.(check int) "source cardinal" 3 (Relation.cardinal source);
+  Alcotest.(check (list tuple_testable)) "source probe unchanged" []
+    (Relation.probe source [ (0, v_sym "z") ]);
+  let after = contents shared in
+  ignore (Relation.add source (syms [ "v"; "0" ]));
+  ignore (Relation.remove source (syms [ "y"; "2" ]));
+  ignore
+    (Relation.substitute source
+       (Value.Map.singleton (Value.Null 1) (v_sym "u")));
+  Alcotest.(check (list (list value_testable)))
+    "sharer unchanged by add/remove/substitute on the source" after
+    (contents shared);
+  (* into a non-empty relation: a plain union *)
+  Relation.union shared source;
+  Alcotest.(check int) "union into non-empty" 6 (Relation.cardinal shared);
+  Alcotest.(check bool) "probe sees the union" true
+    (Relation.probe shared [ (0, v_sym "v") ] = [ syms [ "v"; "0" ] ]);
+  Alcotest.check_raises "arity mismatch"
+    (Invalid_argument "Relation.union: r has arity 2, s has 1") (fun () ->
+      Relation.union shared (Relation.create (Rel_schema.of_names "s" [ "a" ])))
+
 let test_instance_declare () =
   let i = Instance.create () in
   let r = Instance.declare i schema_ab in
@@ -451,6 +509,7 @@ let suites =
         case "null predicates" test_value_null_predicates;
         case "string roundtrip" test_value_string_roundtrip;
         case "of_string surface forms" test_value_of_string_forms;
+        case "to_string prints as pp" test_value_to_string_is_pp;
         case "numeric spellings stay symbols" test_value_numeric_symbols;
         case "fresh null generator" test_fresh_gen ] );
     ( "relational.tuple",
@@ -469,7 +528,9 @@ let suites =
           test_probe_composite_after_mutation;
         case "distinct counts" test_distinct_counts;
         case "substitute merges nulls" test_relation_substitute;
-        case "remove" test_relation_remove ] );
+        case "remove" test_relation_remove;
+        case "union shares sets without aliasing" test_relation_union_shares
+      ] );
     ( "relational.instance",
       [ case "declare idempotent + clash" test_instance_declare;
         case "copy independence" test_instance_copy_independent;
