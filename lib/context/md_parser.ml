@@ -621,9 +621,8 @@ let build decls statements facts (arts : artifacts) =
     | Some (External, _, _) -> R.Instance.get externals p
     | None -> invalid_arg ("fact over undeclared predicate " ^ p)
   in
-  (* facts over one predicate share its name *)
-  let rels = List.map (fun p -> (p, rel p)) (Facts.preds facts) in
-  Facts.iter (fun p t _ -> ignore (R.Relation.add (List.assq p rels) t)) facts;
+  Program.load (fun p _ -> rel p) (fun add ->
+      Facts.iter (fun p t _ -> add p t) facts);
   let egds = ref [] and ncs = ref [] and queries = ref [] in
   List.iter
     (fun { Parser.stmt; _ } ->

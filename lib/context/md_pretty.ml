@@ -98,8 +98,7 @@ let facts_of_instance buf inst =
       R.Relation.iter
         (fun t ->
           Buffer.add_string buf
-            (Format.asprintf "%a.\n" Pretty.atom
-               (Atom.of_fact (R.Relation.name rel) t)))
+            (Format.asprintf "%a\n" Pretty.fact (R.Relation.name rel, t)))
         rel)
     (R.Instance.relations inst)
 
@@ -168,8 +167,8 @@ let context_to_string ?source ?(queries = []) (ctx : Context.t) =
       R.Relation.iter
         (fun t ->
           Buffer.add_string buf
-            (Format.asprintf "%a.\n" Mdqa_datalog.Pretty.atom
-               (Mdqa_datalog.Atom.of_fact (R.Relation.name rel) t)))
+            (Format.asprintf "%a\n" Mdqa_datalog.Pretty.fact
+               (R.Relation.name rel, t)))
         rel)
     ctx.Context.externals;
   Buffer.add_string buf "\n";

@@ -166,9 +166,6 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
     | None -> if provenance then Some (Hashtbl.create 256) else None
   in
   Program.declare_predicates program inst;
-  List.iter
-    (fun f -> ignore (Instance.add_tuple inst (Atom.pred f) (Atom.to_tuple f)))
-    program.Program.facts;
   (* Fresh nulls must dodge both the nulls visible in the instance and
      (on resume) every null the prior run ever invented — a persisted
      [null_base] covers nulls that were merged away. *)

@@ -78,8 +78,8 @@ type result = {
 type checkpoint = {
   on_start : Mdqa_relational.Instance.t -> unit;
       (** called once, before the first round, with the fully
-          initialized working instance (program facts merged, all
-          predicates declared): the durable base image *)
+          initialized working instance (all program predicates
+          declared): the durable base image *)
   on_fact : string -> Mdqa_relational.Tuple.t -> unit;
       (** a fact was added ({e after} the instance mutation) *)
   on_merge :
@@ -146,12 +146,13 @@ val run :
   Program.t ->
   Mdqa_relational.Instance.t ->
   result
-(** [run program instance] chases a {e copy} of [instance] (merged with
-    the program's bundled facts); neither the input instance nor a
-    prior provenance table is ever mutated.  Defaults: [Restricted],
-    semi-naive on, no provenance, a fresh start.  A resumed run reaches
-    the same fixpoint an uninterrupted run reaches — same facts up to
-    the labels of nulls invented after the interruption, same outcome.
+(** [run program instance] chases a {e copy} of [instance], the only
+    extensional data ({!Program.instance_of_facts} for the program's
+    own); neither it nor a prior provenance table is ever mutated.
+    Defaults: [Restricted], semi-naive on, no provenance, a fresh
+    start.  A resumed run reaches the same fixpoint an uninterrupted run
+    reaches — same facts up to the labels of nulls invented after the
+    interruption, same outcome.
 
     Resource governance: [guard] is consumed for every trigger (a
     step), invented null, and join row, and its deadline / memory /

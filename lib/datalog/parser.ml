@@ -447,12 +447,9 @@ let program_of_statements diags statements facts =
       | S_query q -> queries := q :: !queries
       | S_fact _ -> ())
     statements;
-  (* newest first: consing restores source order *)
-  let atoms = ref [] in
-  Facts.iter (fun p t _ -> atoms := Atom.of_fact p t :: !atoms) facts;
   match
-    Program.make ~tgds:(List.rev !tgds) ~egds:(List.rev !egds)
-      ~ncs:(List.rev !ncs) ~facts:!atoms ()
+    Program.of_facts ~tgds:(List.rev !tgds) ~egds:(List.rev !egds)
+      ~ncs:(List.rev !ncs) (fun add -> Facts.iter (fun p t _ -> add p t) facts)
   with
   | p -> Some { program = p; queries = List.rev !queries }
   | exception Invalid_argument m ->
@@ -498,8 +495,8 @@ let parse_query input =
     else input ^ "."
   in
   match parse_string input with
-  | { queries = [ q ]; program }
-    when program.Program.tgds = [] && program.Program.facts = [] ->
+  | { queries = [ q ];
+      program = { Program.tgds = []; egds = []; ncs = []; facts = [] } } ->
     q
   | _ ->
     raise

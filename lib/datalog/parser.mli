@@ -47,7 +47,7 @@ val parse_file : string -> parsed
 
 val parse_query : string -> Query.t
 (** Parse a single query statement (with or without the leading [?]).
-    @raise Error if the input is not exactly one query. *)
+    @raise Error ([E002]) if the input is anything but one query. *)
 
 (** {1 Parsing toolkit}
 
@@ -89,11 +89,11 @@ type statement =
 (** {1 Recovering entry points} *)
 
 (** Ground facts never become statement ASTs: the statement loop hands
-    each {!S_fact} to one buffer of tuples, from which a front end
-    fills its relations (or {!program_of_statements} its
-    [Program.facts]).  The buffer keeps each fact's position, packed in
-    one int, for the diagnostics that locate a fact, and per predicate
-    its first fact and whether every fact has that one's arity. *)
+    each {!S_fact} to one buffer of tuples, from which both front ends
+    fill relations with {!Program.load}.  The buffer keeps each fact's
+    position, packed in one int, for the diagnostics that locate a
+    fact, and per predicate its first fact and whether every fact has
+    that one's arity. *)
 module Facts : sig
   type t
 
@@ -155,9 +155,9 @@ val check_arities :
 val program_of_statements :
   Diag.collector -> located_statement list -> Facts.t -> parsed option
 (** Assemble parsed statements and facts into a program, the facts
-    grouped by predicate, each predicate's in source order.  [None]
-    (with a diagnostic) if assembly fails — e.g. inconsistent arities
-    not caught earlier. *)
+    loaded straight from the buffer into one relation per predicate
+    ({!Program.of_facts}).  [None] (with a diagnostic) if assembly
+    fails — e.g. inconsistent arities not caught earlier. *)
 
 val fail_fast : 'a option -> Diag.t list -> 'a
 (** [fail_fast parsed diags] is the value of [parsed], or, when it is

@@ -1,3 +1,5 @@
+module Relation = Mdqa_relational.Relation
+module Tuple = Mdqa_relational.Tuple
 module Value = Mdqa_relational.Value
 
 (* Symbols must re-lex as IDENT (lowercase start, identifier chars, no
@@ -81,14 +83,16 @@ let query ppf (q : Query.t) =
       q.Query.head body
       (q.Query.body, q.Query.cmps)
 
-let fact ppf (f : Atom.t) = Format.fprintf ppf "%a." atom f
+let fact ppf (pred, t) =
+  Format.fprintf ppf "%s(%a)." pred (comma_sep value) (Tuple.to_list t)
 
 let program ppf (p : Program.t) =
   let pr pp_item items =
     List.iter (fun x -> Format.fprintf ppf "%a@," pp_item x) items
   in
   Format.fprintf ppf "@[<v>";
-  pr fact p.Program.facts;
+  let tuple r t = Format.fprintf ppf "%a@," fact (Relation.name r, t) in
+  List.iter (fun r -> Relation.iter (tuple r) r) p.Program.facts;
   pr tgd p.Program.tgds;
   pr egd p.Program.egds;
   pr nc p.Program.ncs;

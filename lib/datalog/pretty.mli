@@ -10,6 +10,9 @@ val tgd : Format.formatter -> Tgd.t -> unit
 val egd : Format.formatter -> Egd.t -> unit
 val nc : Format.formatter -> Nc.t -> unit
 val query : Format.formatter -> Query.t -> unit
+val fact : Format.formatter -> string * Mdqa_relational.Tuple.t -> unit
+(** [pred(v1, ..., vn).] *)
+
 val program : Format.formatter -> Program.t -> unit
 
 val program_to_string : Program.t -> string

@@ -1,43 +1,63 @@
 module Instance = Mdqa_relational.Instance
+module Relation = Mdqa_relational.Relation
 module Rel_schema = Mdqa_relational.Rel_schema
+module Tuple = Mdqa_relational.Tuple
 
 type t = {
   tgds : Tgd.t list;
   egds : Egd.t list;
   ncs : Nc.t list;
-  facts : Atom.t list;
+  facts : Relation.t list;
 }
 
 module Smap = Map.Make (String)
 
-let atoms_of p =
-  List.concat_map (fun (t : Tgd.t) -> t.body @ t.head) p.tgds
-  @ List.concat_map (fun (e : Egd.t) -> e.body) p.egds
-  @ List.concat_map (fun (n : Nc.t) -> n.body) p.ncs
-  @ p.facts
+(* every predicate use with its arity: each rule atom, then each fact
+   relation once *)
+let uses p =
+  let atom a = (Atom.pred a, Atom.arity a) in
+  List.concat_map (fun (t : Tgd.t) -> List.map atom (t.body @ t.head)) p.tgds
+  @ List.concat_map (fun (e : Egd.t) -> List.map atom e.body) p.egds
+  @ List.concat_map (fun (n : Nc.t) -> List.map atom n.body) p.ncs
+  @ List.map (fun r -> (Relation.name r, Relation.arity r)) p.facts
 
 let arities p =
   List.fold_left
-    (fun acc a ->
-      let pred = Atom.pred a and n = Atom.arity a in
+    (fun acc (pred, n) ->
       match Smap.find_opt pred acc with
       | Some n' when n' <> n ->
         invalid_arg
           (Printf.sprintf
              "Program: predicate %s used with arities %d and %d" pred n' n)
       | _ -> Smap.add pred n acc)
-    Smap.empty (atoms_of p)
+    Smap.empty (uses p)
 
-let make ?(tgds = []) ?(egds = []) ?(ncs = []) ?(facts = []) () =
-  List.iter
-    (fun f ->
-      if not (Atom.is_ground f) then
-        invalid_arg
-          (Format.asprintf "Program: fact %a is not ground" Atom.pp f))
-    facts;
-  let p = { tgds; egds; ncs; facts } in
+let schema pred n =
+  Rel_schema.of_names pred (List.init n (Printf.sprintf "c%d"))
+
+let load rel iter =
+  let rels = Hashtbl.create 16 in
+  iter (fun pred tuple ->
+      let r =
+        match Hashtbl.find_opt rels pred with
+        | Some r -> r
+        | None ->
+          let r = rel pred (Tuple.arity tuple) in
+          Hashtbl.add rels pred r;
+          r
+      in
+      ignore (Relation.add r tuple))
+
+let of_facts ~tgds ~egds ~ncs iter =
+  let inst = Instance.create () in
+  load (fun pred n -> Instance.declare inst (schema pred n)) iter;
+  let p = { tgds; egds; ncs; facts = Instance.relations inst } in
   ignore (arities p);
   p
+
+let make ?(tgds = []) ?(egds = []) ?(ncs = []) ?(facts = []) () =
+  of_facts ~tgds ~egds ~ncs (fun add ->
+      List.iter (fun f -> add (Atom.pred f) (Atom.to_tuple f)) facts)
 
 let predicates p = Smap.bindings (arities p)
 
@@ -119,38 +139,19 @@ let declare_predicates p inst =
     (fun (pred, n) ->
       match Instance.find inst pred with
       | Some r ->
-        if Mdqa_relational.Relation.arity r <> n then
+        if Relation.arity r <> n then
           invalid_arg
             (Printf.sprintf
                "Program.declare_predicates: %s has arity %d in instance, %d \
                 in program"
-               pred
-               (Mdqa_relational.Relation.arity r)
-               n)
-      | None ->
-        ignore
-          (Instance.declare inst
-             (Rel_schema.of_names pred (List.init n (Printf.sprintf "c%d")))))
+               pred (Relation.arity r) n)
+      | None -> ignore (Instance.declare inst (schema pred n)))
     (predicates p)
 
 let instance_of_facts p =
   let inst = Instance.create () in
   declare_predicates p inst;
   List.iter
-    (fun f -> ignore (Instance.add_tuple inst (Atom.pred f) (Atom.to_tuple f)))
+    (fun r -> Relation.union (Instance.get inst (Relation.name r)) r)
     p.facts;
   inst
-
-let pp ppf p =
-  let sep ppf () = Format.pp_print_cut ppf () in
-  Format.fprintf ppf "@[<v>%a%a%a%a@]"
-    (Format.pp_print_list ~pp_sep:sep (fun ppf t ->
-         Format.fprintf ppf "%a." Tgd.pp t))
-    p.tgds
-    (fun ppf l ->
-      List.iter (fun e -> Format.fprintf ppf "@,%a." Egd.pp e) l)
-    p.egds
-    (fun ppf l -> List.iter (fun n -> Format.fprintf ppf "@,%a." Nc.pp n) l)
-    p.ncs
-    (fun ppf l -> List.iter (fun f -> Format.fprintf ppf "@,%a." Atom.pp f) l)
-    p.facts

@@ -1,17 +1,35 @@
-(** Datalog± programs: dependencies plus an extensional database.
-
-    A program bundles the rule sets ΣM (TGDs, EGDs, negative
-    constraints) with the predicate inventory.  Arities are inferred
-    from all rule atoms and validated for consistency.  The extensional
-    data itself lives in a {!Mdqa_relational.Instance.t} supplied to
-    the chase / query answering entry points. *)
+(** Datalog± programs: the rule sets ΣM (TGDs, EGDs, negative
+    constraints) and the ground facts of their text, one relation per
+    predicate.  Arities are inferred from rule atoms and fact relations
+    and validated for consistency.  The chase reads extensional data
+    only from the instance it is given ({!instance_of_facts}). *)
 
 type t = private {
   tgds : Tgd.t list;
   egds : Egd.t list;
   ncs : Nc.t list;
-  facts : Atom.t list;  (** ground facts bundled with the program text *)
+  facts : Mdqa_relational.Relation.t list;
+      (** one relation per predicate with facts, by name, attributes
+          [c0..cn]; shared by {!instance_of_facts}, never mutated *)
 }
+
+val load :
+  (string -> int -> Mdqa_relational.Relation.t) ->
+  ((string -> Mdqa_relational.Tuple.t -> unit) -> unit) ->
+  unit
+(** The one fact loader of both front ends: [load rel iter] adds each
+    fact [(pred, tuple)] that [iter] hands out to [rel pred arity],
+    asked for once per predicate.
+    @raise Invalid_argument if a fact's arity is not its relation's. *)
+
+val of_facts :
+  tgds:Tgd.t list ->
+  egds:Egd.t list ->
+  ncs:Nc.t list ->
+  ((string -> Mdqa_relational.Tuple.t -> unit) -> unit) ->
+  t
+(** The program whose facts [iter] hands out, {!load}ed into fresh
+    relations.  @raise Invalid_argument as {!make}. *)
 
 val make :
   ?tgds:Tgd.t list ->
@@ -20,7 +38,8 @@ val make :
   ?facts:Atom.t list ->
   unit ->
   t
-(** @raise Invalid_argument if a predicate is used with two different
+(** {!of_facts} over ground atoms.
+    @raise Invalid_argument if a predicate is used with two different
     arities or a listed fact is not ground. *)
 
 val predicates : t -> (string * int) list
@@ -34,30 +53,23 @@ val idb_predicates : t -> string list
 
 val tgds_with_head : t -> string -> Tgd.t list
 
-val predicate_graph : t -> (string * string) list
-(** Edges body-pred → head-pred over all TGDs (deduplicated). *)
-
 val predicate_graph_acyclic : t -> bool
-(** No directed cycle in {!predicate_graph}: unfolding-based rewriting
-    terminates. *)
-
-val relevant_tgds : t -> goals:string list -> Tgd.t list
-(** The TGDs that can contribute to deriving facts over the [goals]
-    predicates, over the EGD/NC body predicates (their enforcement
-    needs those facts), transitively through the predicate graph.
-    Sound for goal-directed chasing: dropping the others cannot change
-    certain answers over [goals]. *)
+(** No directed cycle in the body-predicate → head-predicate graph of
+    the TGDs: unfolding-based rewriting terminates. *)
 
 val restrict_to_goals : t -> goals:string list -> t
-(** The program with only {!relevant_tgds} (EGDs, NCs and facts kept). *)
+(** The program with only the TGDs that can contribute to deriving
+    facts over the [goals] predicates or over the EGD/NC body
+    predicates, transitively through the predicate graph (EGDs, NCs
+    and facts kept).  Sound for goal-directed chasing: dropping the
+    others cannot change certain answers over [goals]. *)
 
 val instance_of_facts : t -> Mdqa_relational.Instance.t
-(** Fresh instance holding the program's bundled facts, with all
-    program predicates declared (plain attribute names [c0..cn]). *)
+(** Fresh instance holding the program's facts, with all program
+    predicates declared (plain attribute names [c0..cn]).  Each fact
+    relation's tuple set is shared, not copied: O(1) per predicate. *)
 
 val declare_predicates : t -> Mdqa_relational.Instance.t -> unit
 (** Declare every program predicate in an existing instance, so the
     chase can write to them.  Existing relations are kept; a predicate
     already present with a different arity raises [Invalid_argument]. *)
-
-val pp : Format.formatter -> t -> unit

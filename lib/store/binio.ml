@@ -82,6 +82,22 @@ let instance b i =
   u32 b (List.length rels);
   List.iter (relation b) rels
 
+(* --- file output ----------------------------------------------------- *)
+
+let write_all fd s =
+  let n = String.length s in
+  let rec go off =
+    if off < n then
+      match Unix.write_substring fd s off (n - off) with
+      | written -> go (off + written)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0
+
+let rec fsync_retry fd =
+  try Unix.fsync fd
+  with Unix.Unix_error (Unix.EINTR, _, _) -> fsync_retry fd
+
 (* --- reading --------------------------------------------------------- *)
 
 type reader = { data : string; mutable p : int; base : int }

@@ -35,6 +35,16 @@ val schema : Buffer.t -> Mdqa_relational.Rel_schema.t -> unit
 val relation : Buffer.t -> Mdqa_relational.Relation.t -> unit
 val instance : Buffer.t -> Mdqa_relational.Instance.t -> unit
 
+(** {1 File output} *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Every byte, resuming after partial writes and [EINTR]: a signal
+    mid-write (server drain, harness SIGCHLD) must not tear an image or
+    a journal record. *)
+
+val fsync_retry : Unix.file_descr -> unit
+(** [Unix.fsync], retried on [EINTR]. *)
+
 (** {1 Reading} *)
 
 type reader

@@ -62,22 +62,6 @@ let decode_payload r =
 
 type writer = { fd : Unix.file_descr; mutable closed : bool }
 
-(* EINTR-safe: a signal landing mid-write (SIGTERM starting a server
-   drain, SIGCHLD from a harness) must not truncate a record. *)
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | written -> go (off + written)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-let rec fsync_retry fd =
-  try Unix.fsync fd
-  with Unix.Unix_error (Unix.EINTR, _, _) -> fsync_retry fd
-
 let create ~path =
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
@@ -85,8 +69,8 @@ let create ~path =
   let b = Buffer.create 16 in
   Buffer.add_string b magic;
   Binio.u32 b version;
-  write_all fd (Buffer.contents b);
-  fsync_retry fd;
+  Binio.write_all fd (Buffer.contents b);
+  Binio.fsync_retry fd;
   { fd; closed = false }
 
 let append w record =
@@ -99,14 +83,14 @@ let append w record =
   Binio.u32 frame (Crc32.digest payload);
   Buffer.add_string frame payload;
   let frame = Buffer.contents frame in
-  write_all w.fd frame;
+  Binio.write_all w.fd frame;
   String.length frame
 
-let sync w = if not w.closed then fsync_retry w.fd
+let sync w = if not w.closed then Binio.fsync_retry w.fd
 
 let close w =
   if not w.closed then begin
-    (try fsync_retry w.fd with Unix.Unix_error _ -> ());
+    (try Binio.fsync_retry w.fd with Unix.Unix_error _ -> ());
     Unix.close w.fd;
     w.closed <- true
   end

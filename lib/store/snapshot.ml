@@ -75,22 +75,6 @@ let fsync_dir dir =
     Unix.close fd
   | exception Unix.Unix_error _ -> ()
 
-(* EINTR-safe and partial-write-safe: a signal mid-write (server drain,
-   harness SIGCHLD) must not tear the temp image or skip the fsync. *)
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | written -> go (off + written)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-let rec fsync_retry fd =
-  try Unix.fsync fd
-  with Unix.Unix_error (Unix.EINTR, _, _) -> fsync_retry fd
-
 (* A pre-encoded image lands with the same tmp/fsync/rename discipline
    as a fresh one: replication installs shipped bytes verbatim, so a
    standby's snapshot is byte-identical to its primary's. *)
@@ -102,8 +86,8 @@ let write_raw ~path image =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      write_all fd image;
-      fsync_retry fd);
+      Binio.write_all fd image;
+      Binio.fsync_retry fd);
   Unix.rename tmp path;
   fsync_dir (Filename.dirname path);
   String.length image

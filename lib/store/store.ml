@@ -461,21 +461,6 @@ let read_journal_slice ~path ~offset ~len =
           | r -> Ok r
           | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
 
-(* EINTR-safe raw write used for installed journal bytes. *)
-let write_string_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | written -> go (off + written)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-let rec fsync_retry fd =
-  try Unix.fsync fd
-  with Unix.Unix_error (Unix.EINTR, _, _) -> fsync_retry fd
-
 let install_stream ~path ~snapshot ~journal =
   match Snapshot.of_string snapshot with
   | Error c ->
@@ -504,8 +489,8 @@ let install_stream ~path ~snapshot ~journal =
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
-            write_string_all fd journal;
-            fsync_retry fd);
+            Binio.write_all fd journal;
+            Binio.fsync_retry fd);
         Unix.rename (jpath ^ ".tmp") jpath;
         Snapshot.fsync_dir (Filename.dirname jpath)
       end
@@ -528,8 +513,8 @@ let append_journal_bytes ~path bytes =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           match
-            write_string_all fd bytes;
-            fsync_retry fd
+            Binio.write_all fd bytes;
+            Binio.fsync_retry fd
           with
           | () -> Ok ()
           | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))

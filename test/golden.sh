@@ -1,7 +1,9 @@
 #!/bin/sh
 # Golden-output battery: `mdqa check --json` on every corpus file and
-# every example program, and `mdqa context` stdout on every example
-# .mdq, must equal the committed files under golden/ byte for byte.
+# every example program, `mdqa context` stdout on every example .mdq,
+# and `mdqa chase` stdout on every example .dl and on the corpus's
+# interleaved-facts program, must equal the committed files under
+# golden/ byte for byte.
 # Front-end and rendering changes that promise identical output are
 # held to it.
 #
@@ -34,6 +36,9 @@ for f in corpus/* ../examples/*.mdq ../examples/*.dl; do
 done
 for f in ../examples/*.mdq; do
   check "golden/context/$(basename "$f").out" "$exe" context "$f"
+done
+for f in ../examples/*.dl corpus/interleaved_facts.dl; do
+  check "golden/chase/$(basename "$f").out" "$exe" chase "$f"
 done
 
 [ "$status" -eq 0 ] && echo "golden: all outputs match"

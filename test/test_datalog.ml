@@ -835,7 +835,8 @@ let test_egd_merge_rows_scale () =
     Alcotest.(check bool) "saturated" true (r.Chase.outcome = Chase.Saturated);
     Alcotest.(check int) "one merge per patient" patients
       r.Chase.stats.Chase.egd_merges;
-    (List.length p.Program.facts, (Guard.consumption guard).Guard.rows)
+    ( R.Instance.total_tuples (Program.instance_of_facts p),
+      (Guard.consumption guard).Guard.rows )
   in
   let small_facts, small = rows 4 and big_facts, big = rows 8 in
   let input = float big_facts /. float small_facts in
@@ -925,7 +926,7 @@ let test_explain_pp_smoke () =
       ~facts:[ atom "a" [ s "k" ] ]
       ()
   in
-  let r = Chase.run ~provenance:true p (R.Instance.create ()) in
+  let r = Chase.run ~provenance:true p (Program.instance_of_facts p) in
   let contains ~needle hay =
     let n = String.length needle and h = String.length hay in
     let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
@@ -1246,7 +1247,8 @@ let test_parse_program () =
     |}
   in
   let { Parser.program; queries } = Parser.parse_string text in
-  Alcotest.(check int) "facts" 3 (List.length program.Program.facts);
+  Alcotest.(check int) "facts" 3
+    (R.Instance.total_tuples (Program.instance_of_facts program));
   Alcotest.(check int) "tgds" 1 (List.length program.Program.tgds);
   Alcotest.(check int) "egds" 1 (List.length program.Program.egds);
   Alcotest.(check int) "ncs" 1 (List.length program.Program.ncs);
@@ -1308,6 +1310,20 @@ let test_parse_comparisons () =
 let test_parse_query_helper () =
   let q = Parser.parse_query "q(X) :- e(X, Y)" in
   Alcotest.(check int) "one head var" 1 (List.length q.Query.head)
+
+(* A statement after the query is never dropped: a trailing
+   constraint or EGD is E002, like a trailing fact or rule. *)
+let test_parse_query_rejects_tail () =
+  List.iter
+    (fun input ->
+      match Parser.parse_query input with
+      | exception Parser.Error { code; _ } ->
+        Alcotest.(check string) input "E002" code
+      | _ -> Alcotest.failf "accepted %S" input)
+    [ "q(W) :- patient_ward(W, D, P). ! :- patient_ward(W, D, P)";
+      "q(W) :- patient_ward(W, D, P). X = Y :- patient_ward(W, X, Y)";
+      "q(W) :- e(W). e(a)";
+      "q(W) :- e(W). f(X) :- e(X)" ]
 
 let test_pretty_roundtrip_fixed () =
   let text =
@@ -1466,17 +1482,21 @@ let prop_existential_paths_agree =
       in
       let inst = Program.instance_of_facts p in
       let semi = run p inst in
+      let facts = ref [] in
+      R.Instance.iter_facts (fun pred t -> facts := (pred, t) :: !facts) inst;
       let first, rest =
         List.partition snd
-          (List.mapi (fun i f -> (f, List.nth marks i)) p.Program.facts)
+          (List.mapi (fun i f -> (f, List.nth marks i)) (List.rev !facts))
       in
       let part =
-        Program.make ~tgds:p.Program.tgds ~facts:(List.map fst first) ()
+        Program.make ~tgds:p.Program.tgds
+          ~facts:(List.map (fun ((pred, t), _) -> Atom.of_fact pred t) first)
+          ()
       in
       let part_inst = Program.instance_of_facts part in
       Program.declare_predicates p part_inst;
       let prior = run part part_inst in
-      let facts = List.map (fun (f, _) -> (Atom.pred f, Atom.to_tuple f)) rest in
+      let facts = List.map fst rest in
       agree semi (run ~semi_naive:false p inst)
       && agree semi
            (run ~start:(Chase.Extend { prior; facts }) part prior.Chase.instance)
@@ -1881,6 +1901,17 @@ let prop_parser_pretty_roundtrip =
       let reparsed = (Parser.parse_string printed).Parser.program in
       String.equal printed (Pretty.program_to_string reparsed))
 
+(* The printed facts read back to the same relations: what the parser
+   loads from its buffer is what [make] loads from an atom list. *)
+let prop_facts_roundtrip =
+  QCheck.Test.make ~name:"printed facts reparse to the same instance"
+    ~count:150 program_arb (fun p ->
+      let printed = Pretty.program_to_string p in
+      let reparsed = (Parser.parse_string printed).Parser.program in
+      R.Instance.equal
+        (Program.instance_of_facts reparsed)
+        (Program.instance_of_facts p))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_proof_agrees_with_chase; prop_rewrite_agrees_with_chase;
@@ -1889,7 +1920,7 @@ let qcheck_cases =
       prop_merge_path_agrees;
       prop_planner_equals_nested_loop;
       prop_core_sound; prop_goal_directed_same;
-      prop_parser_total; prop_parser_pretty_roundtrip ]
+      prop_parser_total; prop_parser_pretty_roundtrip; prop_facts_roundtrip ]
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -1991,5 +2022,7 @@ let suites =
         case "error reporting" test_parse_errors;
         case "comparisons in queries" test_parse_comparisons;
         case "parse_query helper" test_parse_query_helper;
-        case "pretty round-trip" test_pretty_roundtrip_fixed ] );
+        case "pretty round-trip" test_pretty_roundtrip_fixed;
+        case "parse_query rejects a trailing statement"
+          test_parse_query_rejects_tail ] );
     ("datalog.properties", qcheck_cases) ]

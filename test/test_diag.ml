@@ -295,12 +295,18 @@ q(X) :- p(X).
 p(a).
 ?late(X) :- p(X).
 p(b).
+p(c).
 r(X) :- q(X).
 |}
   in
-  Alcotest.(check (list string)) "facts in source order"
-    [ "p(c)"; "p(a)"; "p(b)" ]
-    (List.map (Format.asprintf "%a" Atom.pp) program.Program.facts);
+  Alcotest.(check (list string)) "facts as a set"
+    [ "p(a)."; "p(b)."; "p(c)." ]
+    (List.concat_map
+       (fun r ->
+         List.map
+           (fun t -> Format.asprintf "%a" Pretty.fact (R.Relation.name r, t))
+           (R.Relation.to_list r))
+       program.Program.facts);
   Alcotest.(check (list string)) "rules in source order" [ "q"; "r" ]
     (heads program.Program.tgds);
   Alcotest.(check (list string)) "queries in source order" [ "early"; "late" ]

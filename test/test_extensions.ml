@@ -733,7 +733,7 @@ let test_provenance_simple_chain () =
       ()
   in
   ignore tgd;
-  let r = Chase.run ~provenance:true p (R.Instance.create ()) in
+  let r = Chase.run ~provenance:true p (Program.instance_of_facts p) in
   match Explain.why r "c" (R.Tuple.of_list [ sym "k" ]) with
   | Error e -> Alcotest.fail e
   | Ok tree ->
@@ -747,7 +747,7 @@ let test_provenance_simple_chain () =
 
 let test_provenance_extensional_fact () =
   let p = Program.make ~facts:[ atom "a" [ s "k" ] ] () in
-  let r = Chase.run ~provenance:true p (R.Instance.create ()) in
+  let r = Chase.run ~provenance:true p (Program.instance_of_facts p) in
   match Explain.why r "a" (R.Tuple.of_list [ sym "k" ]) with
   | Ok tree ->
     Alcotest.(check int) "depth 0" 0 (Explain.depth tree);
@@ -756,7 +756,7 @@ let test_provenance_extensional_fact () =
 
 let test_provenance_missing_fact () =
   let p = Program.make ~facts:[ atom "a" [ s "k" ] ] () in
-  let r = Chase.run ~provenance:true p (R.Instance.create ()) in
+  let r = Chase.run ~provenance:true p (Program.instance_of_facts p) in
   (match Explain.why r "a" (R.Tuple.of_list [ sym "zz" ]) with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "expected error for absent fact")
@@ -777,7 +777,10 @@ let test_provenance_egd_remap () =
       ~facts:[ atom "emp" [ s "ann" ]; atom "dept" [ s "ann"; s "hr" ] ]
       ()
   in
-  let r = Chase.run ~variant:Chase.Oblivious ~provenance:true p (R.Instance.create ()) in
+  let r =
+    Chase.run ~variant:Chase.Oblivious ~provenance:true p
+      (Program.instance_of_facts p)
+  in
   Alcotest.(check bool) "saturated" true (r.Chase.outcome = Chase.Saturated);
   (* after merging, dept(ann,hr) exists; its recorded derivation (if
      the invented fact merged into it) must reference remapped facts *)

@@ -618,7 +618,7 @@ let counted_run ?guard ?start m =
   let r =
     Fun.protect ~finally:Profile.uninstall (fun () ->
         Chase.run ?guard ?start ~metrics:m counts_program
-          (Mdqa_relational.Instance.create ()))
+          (Mdqa_datalog.Program.instance_of_facts counts_program))
   in
   let delta = List.map2 ( - ) (registry_counts m) before in
   let rules = (Profile.snapshot p).Profile.rules in
@@ -698,7 +698,8 @@ let test_egd_and_nc_phases () =
       ~finally:(fun () ->
         Profile.uninstall ();
         Trace.uninstall ())
-      (fun () -> Chase.run program (Mdqa_relational.Instance.create ()))
+      (fun () ->
+        Chase.run program (Mdqa_datalog.Program.instance_of_facts program))
   in
   Alcotest.(check bool) "saturated" true (r.Chase.outcome = Chase.Saturated);
   Alcotest.(check int) "one null merged" 1 r.Chase.stats.Chase.egd_merges;

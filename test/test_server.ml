@@ -1121,6 +1121,19 @@ let ticks svc n =
 
 let closed svc = Breaker.state (Service.breaker svc) = Breaker.Closed
 
+(* A served query with a constraint or EGD after it is refused, not
+   answered without its tail. *)
+let test_service_rejects_query_tail () =
+  with_service @@ fun svc _ _ _ ->
+  List.iter
+    (fun q ->
+      match Service.query svc ~engine:Protocol.Chase q with
+      | Service.Bad_query d ->
+        Alcotest.(check string) q "E002" d.Mdqa_datalog.Diag.code
+      | _ -> Alcotest.failf "answered %S" q)
+    [ "q(W) :- patient_ward(W, D, P). ! :- patient_ward(W, D, P)";
+      "q(W) :- patient_ward(W, D, P). X = Y :- patient_ward(W, X, Y)" ]
+
 let test_service_quiet_when_persisted () =
   with_service @@ fun svc _ _ checkpoints ->
   let before = checkpoints () in
@@ -1198,7 +1211,9 @@ let suites =
         case "unlinked or replaced image is rewritten"
           test_service_rewrites_lost_image;
         case "out-of-band trip: probe writes and closes"
-          test_service_trip_heals ] );
+          test_service_trip_heals;
+        case "a query with a trailing NC or EGD is E002"
+          test_service_rejects_query_tail ] );
     ( "server.protocol",
       [ case "jsonl: unicode escapes and trailing bytes" test_jsonl_unicode;
         case "jsonl: nesting depth limit" test_jsonl_depth_limit;
