@@ -630,7 +630,7 @@ let build decls statements facts (arts : artifacts) =
       | Parser.S_egd e -> egds := e :: !egds
       | Parser.S_nc n -> ncs := n :: !ncs
       | Parser.S_query q -> queries := q :: !queries
-      | Parser.S_fact _ | Parser.S_tgd _ -> ())
+      | Parser.S_tgd _ -> ())
     statements;
   let ontology =
     Md_ontology.make ~schema:md_schema ~dim_instances ~data

@@ -104,6 +104,11 @@ type rule = {
   times : float array;
 }
 
+(* A predicate's stamp log, newest first, and the stamp of its newest
+   seed or EGD image (-1: none): the only entries that may repeat a
+   fact or outlive it. *)
+type log = { mutable stamps : (int * Tuple.t) list; mutable reused : int }
+
 let slot_of vars v =
   let rec go i = if vars.(i) = v then i else go (i + 1) in
   go 0
@@ -235,32 +240,43 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
               insert_seconds = r.times.(2) })
         rules
   in
-  (* The stamp log: every fact the run adds, seeds and EGD images
-     included, per predicate and newest first, each with its stamp from
-     one run-wide [clock]. *)
+  (* The stamp logs: every fact the run adds, seeds and EGD images
+     included, each with its stamp from one run-wide [clock]; [added]
+     says the stamp is the fact's insertion. *)
   let logs = Hashtbl.create 16 and clock = ref 0 in
-  let stamp pred t =
-    (match Hashtbl.find_opt logs pred with
-     | Some l -> l := (!clock, t) :: !l
-     | None -> Hashtbl.add logs pred (ref [ (!clock, t) ]));
+  let log_of pred =
+    try Hashtbl.find logs pred
+    with Not_found -> { stamps = []; reused = -1 }
+  in
+  let stamp added pred t =
+    let l = log_of pred in
+    if l.stamps == [] then Hashtbl.add logs pred l;
+    l.stamps <- (!clock, t) :: l.stamps;
+    if not added then l.reused <- !clock;
     incr clock
   in
   (* The facts of [preds] stamped at or after [mark] and still present
      (an EGD rewrite moves facts away): per predicate, sorted by name,
-     in ascending order and each once. *)
+     in ascending order and each once.  When no stamp since [mark] is a
+     seed or an image (a rewrite stamps the image of each fact it
+     moves), those stamps inserted distinct facts still present, and as
+     many as the relation holds means all of it. *)
   let window mark preds =
     List.filter_map
       (fun pred ->
-        let rel = Instance.get inst pred in
-        let rec live acc = function
-          | (s, t) :: rest when s >= mark ->
-            live (if Relation.mem rel t then t :: acc else acc) rest
+        let rel = Instance.get inst pred and l = log_of pred in
+        let rec since acc = function
+          | (s, t) :: rest when s >= mark -> since (t :: acc) rest
           | _ -> acc
         in
-        let log = try !(Hashtbl.find logs pred) with Not_found -> [] in
-        match live [] log with
+        let ts = since [] l.stamps in
+        match
+          if l.reused < mark && List.length ts = Relation.cardinal rel then
+            Relation.to_list rel
+          else List.sort_uniq Tuple.compare (List.filter (Relation.mem rel) ts)
+        with
         | [] -> None
-        | ts -> Some (pred, List.sort_uniq Tuple.compare ts))
+        | ts -> Some (pred, ts))
       (List.sort_uniq String.compare preds)
   in
   (* Enumerate [body] for an EGD or rule whose last search began at
@@ -320,12 +336,8 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
       in
       (* Restricted-chase applicability: is there an extension of the
          match sending every head atom into the instance?  A ground head
-         is a membership test per atom, and its tuples are the ones
-         inserted. *)
-      let ground =
-        if r.exist > 0 then []
-        else List.map (fun (rel, a) -> (rel, build [||] a)) r.heads
-      in
+         has just one, so its inserts are the test: a trigger that adds
+         nothing counts one row, as a probe that finds the head does. *)
       let proceed =
         match (variant, head_probe) with
         | Oblivious, _ ->
@@ -334,34 +346,23 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
           && (Tuple.Tbl.add r.fired key (); true)
         | Restricted, Some probe ->
           not (probe (Array.map (Array.get slots) r.key))
-        | Restricted, None ->
-          let present =
-            List.for_all
-              (fun (rel, t) -> Relation.mem rel t && (Guard.tick guard; true))
-              ground
-          in
-          if present then Guard.count_row guard;
-          not present
+        | Restricted, None -> true
       in
       last := lap r 1 !last;
       if proceed then begin
-        let tuples =
-          if r.exist = 0 then ground
-          else
-            let nulls =
-              Array.init r.exist (fun _ ->
-                  Guard.count_null guard;
-                  Value.Fresh.next fresh)
-            in
-            List.map (fun (rel, a) -> (rel, build nulls a)) r.heads
+        let nulls =
+          Array.init r.exist (fun _ ->
+              Guard.count_null guard;
+              Value.Fresh.next fresh)
         in
         let before = !facts in
         List.iter
-          (fun (rel, t) ->
+          (fun (rel, a) ->
+            let t = build nulls a in
             if Relation.add rel t then begin
               incr facts;
               let pred = Relation.name rel in
-              stamp pred t;
+              stamp true pred t;
               ck (fun c -> c.on_fact pred t);
               match prov with
               | Some tbl when not (Hashtbl.mem tbl (pred, t)) ->
@@ -371,8 +372,9 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
                       List.map (fun (p, a) -> (p, build [||] a)) r.body }
               | _ -> ()
             end)
-          tuples;
-        if !facts > before then r.fires <- r.fires + 1;
+          r.heads;
+        if !facts > before then r.fires <- r.fires + 1
+        else if variant = Restricted then Guard.count_row guard;
         last := lap r 2 !last
       end
     in
@@ -457,7 +459,7 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
             prov;
           List.iter
             (fun (pred, moved) ->
-              Tuple.Set.iter (stamp pred) moved)
+              Tuple.Set.iter (stamp false pred) moved)
             (Instance.substitute inst sigma)
         in
         let before = !merges in
@@ -508,9 +510,9 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
          and every rule's first enumeration is their delta. *)
       Option.iter
         (List.iter (fun (pred, t) ->
-             if Instance.add_tuple inst pred t then
-               ck (fun c -> c.on_fact pred t);
-             stamp pred t))
+             let added = Instance.add_tuple inst pred t in
+             if added then ck (fun c -> c.on_fact pred t);
+             stamp added pred t))
         seed;
       if seed <> None then List.iter (fun r -> r.mark <- 0) rules;
       (* EGDs and NCs must hold of the starting instance too: one full

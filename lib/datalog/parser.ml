@@ -149,132 +149,6 @@ let parse_body st =
   in
   go [] []
 
-type statement =
-  | S_fact of string * Tuple.t
-  | S_tgd of Tgd.t
-  | S_egd of Egd.t
-  | S_nc of Nc.t
-  | S_query of Query.t
-
-(* Construction-time failures (non-ground facts, unsafe queries, empty
-   bodies) are statement-level semantic errors: code E003, located at
-   the statement's first token. *)
-let wrap_invalid pos f =
-  try f () with Invalid_argument m -> fail_at ~code:"E003" pos m
-
-(* Parsed rules are named after their head predicate (for readable
-   diagnostics and provenance), suffixed for uniqueness. *)
-let rule_counter = ref 0
-
-let rule_name head =
-  incr rule_counter;
-  match head with
-  | a :: _ -> Printf.sprintf "%s/%d" (Atom.pred a) !rule_counter
-  | [] -> Printf.sprintf "rule/%d" !rule_counter
-
-(* statement :=
-   | '!' ':-' body '.'
-   | '?' [atom] ':-' body '.'  |  '?' atom-with-head-vars ':-' body '.'
-   | VAR '=' term ':-' body '.'
-   | atoms '.'                        (fact, single ground atom)
-   | atoms ':-' body '.'              (TGD, multi-atom head) *)
-let statement st =
-  let t, pos = peek st in
-  match t with
-  | Lexer.BANG ->
-    advance st;
-    expect st Lexer.TURNSTILE "':-'";
-    let atoms, cmps = parse_body st in
-    expect st Lexer.PERIOD "'.'";
-    if atoms = [] then
-      fail_at ~code:"E003" pos "constraint body needs at least one atom";
-    wrap_invalid pos (fun () -> S_nc (Nc.make ~cmps atoms))
-  | Lexer.QMARK ->
-    advance st;
-    let name, head =
-      match peek st with
-      | Lexer.TURNSTILE, _ -> (None, [])
-      | Lexer.IDENT _, _ ->
-        let a = parse_atom st in
-        (Some (Atom.pred a), Atom.args a)
-      | other, p ->
-        fail_at p
-          (Printf.sprintf "expected query head or ':-', found %s"
-             (Lexer.token_to_string other))
-    in
-    expect st Lexer.TURNSTILE "':-'";
-    let atoms, cmps = parse_body st in
-    expect st Lexer.PERIOD "'.'";
-    if atoms = [] then
-      fail_at ~code:"E003" pos "query body needs at least one atom";
-    wrap_invalid pos (fun () -> S_query (Query.make ?name ~cmps ~head atoms))
-  | Lexer.VAR v ->
-    advance st;
-    expect st Lexer.EQ "'='";
-    let rhs = parse_term st in
-    expect st Lexer.TURNSTILE "':-'";
-    let atoms, cmps = parse_body st in
-    expect st Lexer.PERIOD "'.'";
-    if cmps <> [] then
-      fail_at ~code:"E003" pos "EGD bodies cannot contain comparisons";
-    wrap_invalid pos (fun () -> S_egd (Egd.make ~body:atoms (Term.Var v) rhs))
-  | Lexer.IDENT _ -> (
-    match parse_ground_or_atom st with
-    | Ground (pred, tuple) when fst (peek st) = Lexer.PERIOD ->
-      advance st;
-      S_fact (pred, tuple)
-    | first -> (
-      let rec more acc =
-        if comma st then more (parse_atom st :: acc) else List.rev acc
-      in
-      let head = to_atom first :: more [] in
-      match peek st with
-      | Lexer.PERIOD, _ ->
-        advance st;
-        (match head with
-         | [ _ ] -> fail_at ~code:"E003" pos "facts must be ground"
-         | _ -> fail_at ~code:"E003" pos "a fact is a single ground atom")
-      | Lexer.TURNSTILE, _ ->
-        advance st;
-        let atoms, cmps = parse_body st in
-        expect st Lexer.PERIOD "'.'";
-        if cmps <> [] then
-          fail_at ~code:"E003" pos "TGD bodies cannot contain comparisons";
-        if atoms = [] then
-          fail_at ~code:"E003" pos "TGD body needs at least one atom";
-        wrap_invalid pos (fun () ->
-            S_tgd (Tgd.make ~name:(rule_name head) ~body:atoms ~head ()))
-      | other, p ->
-        fail_at p
-          (Printf.sprintf "expected '.' or ':-', found %s"
-             (Lexer.token_to_string other))))
-  | other ->
-    fail_at pos
-      (Printf.sprintf "expected a statement but found %s"
-         (Lexer.token_to_string other))
-
-(* Resynchronization point for error recovery: consume tokens up to
-   and including the next '.', but stop (without consuming) at '}' or
-   EOF so enclosing parsers — e.g. a dimension body — can close. *)
-let recover st =
-  let rec go () =
-    match peek st with
-    | Lexer.EOF, _ | Lexer.RBRACE, _ -> ()
-    | Lexer.PERIOD, _ -> advance st
-    | _ ->
-      advance st;
-      go ()
-  in
-  go ()
-
-let init diags input =
-  let next = Lexer.stream diags input in
-  let cur = next () in
-  { next; cur; ahead = None; last = (Lexer.EOF, { Lexer.line = 1; col = 1 }) }
-
-let pos st = snd (peek st)
-let error st message = fail_at (pos st) message
-
 module Facts = struct
   (* newest first, each position packed in one int, line in the high
      bits *)
@@ -335,6 +209,133 @@ module Facts = struct
     go t.facts
 end
 
+type statement =
+  | S_tgd of Tgd.t
+  | S_egd of Egd.t
+  | S_nc of Nc.t
+  | S_query of Query.t
+
+(* Construction-time failures (non-ground facts, unsafe queries, empty
+   bodies) are statement-level semantic errors: code E003, located at
+   the statement's first token.  A statement built is [Some]. *)
+let wrap_invalid pos f =
+  try Some (f ()) with Invalid_argument m -> fail_at ~code:"E003" pos m
+
+(* Parsed rules are named after their head predicate (for readable
+   diagnostics and provenance), suffixed for uniqueness. *)
+let rule_counter = ref 0
+
+let rule_name head =
+  incr rule_counter;
+  match head with
+  | a :: _ -> Printf.sprintf "%s/%d" (Atom.pred a) !rule_counter
+  | [] -> Printf.sprintf "rule/%d" !rule_counter
+
+(* statement :=
+   | '!' ':-' body '.'
+   | '?' [atom] ':-' body '.'  |  '?' atom-with-head-vars ':-' body '.'
+   | VAR '=' term ':-' body '.'
+   | atoms '.'                        (fact, single ground atom)
+   | atoms ':-' body '.'              (TGD, multi-atom head)
+   A fact goes to [facts], and the result is [None]. *)
+let statement facts st =
+  let t, pos = peek st in
+  match t with
+  | Lexer.BANG ->
+    advance st;
+    expect st Lexer.TURNSTILE "':-'";
+    let atoms, cmps = parse_body st in
+    expect st Lexer.PERIOD "'.'";
+    if atoms = [] then
+      fail_at ~code:"E003" pos "constraint body needs at least one atom";
+    wrap_invalid pos (fun () -> S_nc (Nc.make ~cmps atoms))
+  | Lexer.QMARK ->
+    advance st;
+    let name, head =
+      match peek st with
+      | Lexer.TURNSTILE, _ -> (None, [])
+      | Lexer.IDENT _, _ ->
+        let a = parse_atom st in
+        (Some (Atom.pred a), Atom.args a)
+      | other, p ->
+        fail_at p
+          (Printf.sprintf "expected query head or ':-', found %s"
+             (Lexer.token_to_string other))
+    in
+    expect st Lexer.TURNSTILE "':-'";
+    let atoms, cmps = parse_body st in
+    expect st Lexer.PERIOD "'.'";
+    if atoms = [] then
+      fail_at ~code:"E003" pos "query body needs at least one atom";
+    wrap_invalid pos (fun () -> S_query (Query.make ?name ~cmps ~head atoms))
+  | Lexer.VAR v ->
+    advance st;
+    expect st Lexer.EQ "'='";
+    let rhs = parse_term st in
+    expect st Lexer.TURNSTILE "':-'";
+    let atoms, cmps = parse_body st in
+    expect st Lexer.PERIOD "'.'";
+    if cmps <> [] then
+      fail_at ~code:"E003" pos "EGD bodies cannot contain comparisons";
+    wrap_invalid pos (fun () -> S_egd (Egd.make ~body:atoms (Term.Var v) rhs))
+  | Lexer.IDENT _ -> (
+    match parse_ground_or_atom st with
+    | Ground (pred, tuple) when fst (peek st) = Lexer.PERIOD ->
+      advance st;
+      Facts.add facts pred tuple pos;
+      None
+    | first -> (
+      let rec more acc =
+        if comma st then more (parse_atom st :: acc) else List.rev acc
+      in
+      let head = to_atom first :: more [] in
+      match peek st with
+      | Lexer.PERIOD, _ ->
+        advance st;
+        (match head with
+         | [ _ ] -> fail_at ~code:"E003" pos "facts must be ground"
+         | _ -> fail_at ~code:"E003" pos "a fact is a single ground atom")
+      | Lexer.TURNSTILE, _ ->
+        advance st;
+        let atoms, cmps = parse_body st in
+        expect st Lexer.PERIOD "'.'";
+        if cmps <> [] then
+          fail_at ~code:"E003" pos "TGD bodies cannot contain comparisons";
+        if atoms = [] then
+          fail_at ~code:"E003" pos "TGD body needs at least one atom";
+        wrap_invalid pos (fun () ->
+            S_tgd (Tgd.make ~name:(rule_name head) ~body:atoms ~head ()))
+      | other, p ->
+        fail_at p
+          (Printf.sprintf "expected '.' or ':-', found %s"
+             (Lexer.token_to_string other))))
+  | other ->
+    fail_at pos
+      (Printf.sprintf "expected a statement but found %s"
+         (Lexer.token_to_string other))
+
+(* Resynchronization point for error recovery: consume tokens up to
+   and including the next '.', but stop (without consuming) at '}' or
+   EOF so enclosing parsers — e.g. a dimension body — can close. *)
+let recover st =
+  let rec go () =
+    match peek st with
+    | Lexer.EOF, _ | Lexer.RBRACE, _ -> ()
+    | Lexer.PERIOD, _ -> advance st
+    | _ ->
+      advance st;
+      go ()
+  in
+  go ()
+
+let init diags input =
+  let next = Lexer.stream diags input in
+  let cur = next () in
+  { next; cur; ahead = None; last = (Lexer.EOF, { Lexer.line = 1; col = 1 }) }
+
+let pos st = snd (peek st)
+let error st message = fail_at (pos st) message
+
 type located_statement = { stmt : statement; pos : Lexer.pos }
 
 (* Recovery-mode loop over a whole input: every error an item raises
@@ -346,9 +347,9 @@ let parse_items diags input extra =
   let item () =
     let pos = pos st in
     if not (extra st) then
-      match statement st with
-      | S_fact (pred, tuple) -> Facts.add facts pred tuple pos
-      | stmt -> out := { stmt; pos } :: !out
+      Option.iter
+        (fun stmt -> out := { stmt; pos } :: !out)
+        (statement facts st)
   in
   let rec go () =
     match peek st with
@@ -378,7 +379,6 @@ let parse_items diags input extra =
 let parse_statements diags input = parse_items diags input (fun _ -> false)
 
 let statement_atoms = function
-  | S_fact _ -> []  (* facts are buffered *)
   | S_tgd t -> t.Tgd.body @ t.Tgd.head
   | S_egd e -> e.Egd.body
   | S_nc n -> n.Nc.body
@@ -444,8 +444,7 @@ let program_of_statements diags statements facts =
       | S_tgd t -> tgds := t :: !tgds
       | S_egd e -> egds := e :: !egds
       | S_nc n -> ncs := n :: !ncs
-      | S_query q -> queries := q :: !queries
-      | S_fact _ -> ())
+      | S_query q -> queries := q :: !queries)
     statements;
   match
     Program.of_facts ~tgds:(List.rev !tgds) ~egds:(List.rev !egds)

@@ -78,9 +78,6 @@ val error : state -> string -> 'a
 (** @raise Error at the current position. *)
 
 type statement =
-  | S_fact of string * Mdqa_relational.Tuple.t
-      (** a ground atom, parsed straight into a tuple: its predicate
-          and its arguments *)
   | S_tgd of Tgd.t
   | S_egd of Egd.t
   | S_nc of Nc.t
@@ -88,12 +85,12 @@ type statement =
 
 (** {1 Recovering entry points} *)
 
-(** Ground facts never become statement ASTs: the statement loop hands
-    each {!S_fact} to one buffer of tuples, from which both front ends
-    fill relations with {!Program.load}.  The buffer keeps each fact's
-    position, packed in one int, for the diagnostics that locate a
-    fact, and per predicate its first fact and whether every fact has
-    that one's arity. *)
+(** Ground facts never become statement ASTs: the statement parser
+    hands each, parsed straight into a tuple, to one buffer of tuples,
+    from which both front ends fill relations with {!Program.load}.
+    The buffer keeps each fact's position, packed in one int, for the
+    diagnostics that locate a fact, and per predicate its first fact
+    and whether every fact has that one's arity. *)
 module Facts : sig
   type t
 
@@ -112,7 +109,7 @@ module Facts : sig
 end
 
 type located_statement = {
-  stmt : statement;  (** never an [S_fact]: facts are buffered *)
+  stmt : statement;
   pos : Lexer.pos;  (** position of the statement's first token *)
 }
 

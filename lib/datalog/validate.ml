@@ -24,7 +24,6 @@ let check_undefined diags statements facts =
     (fun { Parser.stmt; pos } ->
       let used =
         match stmt with
-        | Parser.S_fact _ -> []
         | Parser.S_tgd t -> t.Tgd.body
         | Parser.S_egd e -> e.Egd.body
         | Parser.S_nc n -> n.Nc.body

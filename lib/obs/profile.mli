@@ -36,7 +36,9 @@ type rule_stat = {
   enumerate_seconds : float;  (** body enumeration and trigger dedup *)
   probe_seconds : float;
       (** restricted-chase head probes (the oblivious chase's
-          fired-trigger test) *)
+          fired-trigger test); about 0 for a restricted rule without
+          existentials, whose membership test is its insert, counted
+          in [insert_seconds] *)
   insert_seconds : float;
       (** null minting, head instantiation, insertion with index
           maintenance, the stamp log and the checkpoint hook *)

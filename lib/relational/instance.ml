@@ -6,8 +6,6 @@ let find i name = Hashtbl.find_opt i.rels name
 let get i name =
   match find i name with Some r -> r | None -> raise Not_found
 
-let mem i name = Hashtbl.mem i.rels name
-
 let declare i s =
   let n = Rel_schema.name s in
   match find i n with

@@ -22,8 +22,6 @@ val find : t -> string -> Relation.t option
 val get : t -> string -> Relation.t
 (** @raise Not_found if absent. *)
 
-val mem : t -> string -> bool
-
 val add_tuple : t -> string -> Tuple.t -> bool
 (** Insert into the named relation ({!get} semantics); returns whether
     the tuple is new. *)

@@ -1,6 +1,7 @@
 (* Composite-key indexes: the key of a tuple under an index over
-   positions [ps] is [Tuple.project t ps]. *)
-type index = Tuple.t list Tuple.Tbl.t
+   positions [ps] is [Tuple.project t ps].  A bucket is a mutable cell,
+   so an insert under a present key is one lookup. *)
+type index = Tuple.t list ref Tuple.Tbl.t
 
 (* Per-position distinct counts and the cardinality they were taken at. *)
 type stats = { counts : int array; at : int }
@@ -25,9 +26,9 @@ let is_empty r = r.card = 0
 
 let index_insert (idx : index) ps t =
   let key = Tuple.project t ps in
-  match Tuple.Tbl.find_opt idx key with
-  | Some items -> Tuple.Tbl.replace idx key (t :: items)
-  | None -> Tuple.Tbl.add idx key [ t ]
+  match Tuple.Tbl.find idx key with
+  | items -> items := t :: !items
+  | exception Not_found -> Tuple.Tbl.add idx key (ref [ t ])
 
 let build_index r ps =
   let idx : index = Tuple.Tbl.create (max 16 r.card) in
@@ -120,7 +121,7 @@ let index r ps =
            | None -> build_index r ps);
         seen := r.indexes
       end;
-      match Tuple.Tbl.find !idx key with l -> l | exception Not_found -> []
+      match Tuple.Tbl.find !idx key with l -> !l | exception Not_found -> []
 
 let probe r binding =
   match binding with
@@ -130,12 +131,12 @@ let probe r binding =
 (* One pass over the tuples with throwaway per-position sets: the
    counts outlive them, so no index is kept alive for estimation. *)
 let count_distinct r =
-  let sets = Array.init (arity r) (fun _ -> Hashtbl.create 64) in
+  let sets = Array.init (arity r) (fun _ -> Value.Tbl.create 64) in
   Tuple.Set.iter
     (fun t ->
-      Array.iteri (fun p s -> Hashtbl.replace s (Tuple.get t p) ()) sets)
+      Array.iteri (fun p s -> Value.Tbl.replace s (Tuple.get t p) ()) sets)
     r.tuples;
-  { counts = Array.map Hashtbl.length sets; at = r.card }
+  { counts = Array.map Value.Tbl.length sets; at = r.card }
 
 let distinct r pos =
   let s =
@@ -164,11 +165,6 @@ let substitute r sigma =
       ignore (add r t);
       t)
     moved
-
-let filter p r =
-  let r' = create r.schema in
-  iter (fun t -> if p t then ignore (add r' t)) r;
-  r'
 
 let copy r =
   let c = create r.schema in

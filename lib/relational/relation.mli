@@ -75,9 +75,6 @@ val substitute : t -> Value.t Value.Map.t -> Tuple.Set.t
     already present).  Only tuples mentioning a key are touched; a
     relation with none keeps its indexes and distinct counts. *)
 
-val filter : (Tuple.t -> bool) -> t -> t
-(** New relation (same schema) with the matching tuples. *)
-
 val copy : t -> t
 (** [copy r] is a fresh relation sharing [r]'s tuple set ({!union}
     into an empty relation): O(1), and independent of [r] from then

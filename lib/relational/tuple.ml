@@ -20,26 +20,41 @@ let set t i v =
 let project t ps = Array.of_list (List.map (get t) ps)
 let append = Array.append
 let exists = Array.exists
-let for_all = Array.for_all
 let map = Array.map
 let has_null t = Array.exists Value.is_null t
 
-let compare a b =
-  let la = Array.length a and lb = Array.length b in
-  let c = Int.compare la lb in
-  if c <> 0 then c
+(* Arity first, then [Value.compare] position by position.  The loops
+   are top-level functions, so a comparison allocates no closure; a
+   position holding one value in both tuples is skipped, and symbols,
+   the common case, are compared inline. *)
+let rec compare_from (a : t) (b : t) i =
+  if i = Array.length a then 0
   else
-    let rec go i =
-      if i >= la then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
+    let c =
+      match Array.unsafe_get a i, Array.unsafe_get b i with
+      | x, y when x == y -> 0
+      | Value.Sym s, Value.Sym s' -> String.compare s s'
+      | x, y -> Value.compare x y
     in
-    go 0
+    if c <> 0 then c else compare_from a b (i + 1)
 
-let equal a b = compare a b = 0
+let compare a b =
+  let c = Int.compare (Array.length a) (Array.length b) in
+  if c <> 0 then c else compare_from a b 0
 
-let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
+let rec equal_from (a : t) (b : t) i =
+  i = Array.length a
+  || (Value.equal (Array.unsafe_get a i) (Array.unsafe_get b i)
+      && equal_from a b (i + 1))
+
+let equal a b = Array.length a = Array.length b && equal_from a b 0
+
+let hash t =
+  let h = ref 17 in
+  for i = 0 to Array.length t - 1 do
+    h := (!h * 31) + Value.hash (Array.unsafe_get t i)
+  done;
+  !h
 
 let pp ppf t =
   Format.fprintf ppf "(%a)"

@@ -25,15 +25,19 @@ val project : t -> int list -> t
 val append : t -> t -> t
 
 val exists : (Value.t -> bool) -> t -> bool
-val for_all : (Value.t -> bool) -> t -> bool
 val map : (Value.t -> Value.t) -> t -> t
 
 val has_null : t -> bool
 (** True iff some component is a labeled null. *)
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
+(** Arity first, then {!Value.compare} position by position. *)
+
+val equal : t -> t -> bool
+(** [equal a b] is [compare a b = 0], decided without ordering. *)
+
 val hash : t -> int
+(** Equal tuples hash equal.  Allocates nothing. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints [(v1, v2, ...)]. *)

@@ -18,13 +18,19 @@ let compare a b =
   | Null x, Null y -> Int.compare x y
   | _ -> Int.compare (kind_rank a) (kind_rank b)
 
-let equal a b = compare a b = 0
+let equal a b =
+  a == b
+  ||
+  match a, b with
+  | Sym x, Sym y -> String.equal x y
+  | Int x, Int y | Null x, Null y -> x = y
+  | Real x, Real y -> Float.equal x y
+  | _ -> false
 
-let hash = function
-  | Sym s -> Hashtbl.hash (0, s)
-  | Int i -> Hashtbl.hash (1, i)
-  | Real r -> Hashtbl.hash (2, r)
-  | Null n -> Hashtbl.hash (3, n)
+(* The structural hash mixes the constructor's tag with its contents
+   and allocates nothing; it folds -0.0 into 0.0 and every nan into
+   one, as [Float.equal] does. *)
+let hash (v : t) = Hashtbl.hash v
 
 let is_null = function Null _ -> true | Sym _ | Int _ | Real _ -> false
 let is_constant v = not (is_null v)
@@ -102,3 +108,9 @@ end
 
 module Map = Map.Make (Ordered)
 module Set = Set.Make (Ordered)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+  let equal = equal
+  let hash = hash
+end)

@@ -16,8 +16,10 @@ val compare : t -> t -> int
 (** Total order: nulls sort after constants; constants by kind then value. *)
 
 val equal : t -> t -> bool
+(** [equal a b] is [compare a b = 0], decided without ordering. *)
 
 val hash : t -> int
+(** Equal values hash equal.  Allocates nothing. *)
 
 val is_null : t -> bool
 (** [is_null v] is [true] iff [v] is a labeled null. *)
@@ -59,3 +61,4 @@ end
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
+module Tbl : Hashtbl.S with type key = t

@@ -2,8 +2,8 @@
 # Golden-output battery: `mdqa check --json` on every corpus file and
 # every example program, `mdqa context` stdout on every example .mdq,
 # and `mdqa chase` stdout on every example .dl and on the corpus's
-# interleaved-facts program, must equal the committed files under
-# golden/ byte for byte.
+# interleaved-facts and EGD-window programs, must equal the committed
+# files under golden/ byte for byte.
 # Front-end and rendering changes that promise identical output are
 # held to it.
 #
@@ -37,7 +37,7 @@ done
 for f in ../examples/*.mdq; do
   check "golden/context/$(basename "$f").out" "$exe" context "$f"
 done
-for f in ../examples/*.dl corpus/interleaved_facts.dl; do
+for f in ../examples/*.dl corpus/interleaved_facts.dl corpus/egd_window.dl; do
   check "golden/chase/$(basename "$f").out" "$exe" chase "$f"
 done
 

@@ -324,6 +324,45 @@ let test_chase_multi_atom_head_shares_null () =
   Alcotest.(check bool) "same null shared" true
     (R.Value.equal (null_of iu 1) (null_of pu 0))
 
+(* b(X), c(X) :- a(X): a ground two-atom head, whose check is its
+   inserts.  [present] are the head atoms the instance already holds. *)
+let two_head_run present =
+  let p =
+    Program.make
+      ~tgds:
+        [ tgd [ atom "a" [ v "X" ] ] [ atom "b" [ v "X" ]; atom "c" [ v "X" ] ] ]
+      ()
+  in
+  let inst =
+    instance_of
+      (("a", 1, [ [ "k" ] ])
+       :: List.map (fun h -> (h, 1, [ [ "k" ] ])) present)
+  in
+  let guard = Guard.unlimited () in
+  let r = Chase.run ~guard p inst in
+  Alcotest.(check bool) "saturated" true (r.Chase.outcome = Chase.Saturated);
+  Alcotest.(check int) "one trigger" 1 r.Chase.stats.Chase.triggers_checked;
+  (r, (Guard.consumption guard).Guard.rows)
+
+let test_chase_ground_head_adds_missing () =
+  let r, _ = two_head_run [ "b" ] in
+  Alcotest.(check int) "fires once" 1 r.Chase.stats.Chase.tgd_fires;
+  Alcotest.(check int) "adds only c(k)" 3
+    (R.Instance.total_tuples r.Chase.instance);
+  Alcotest.(check bool) "c(k) derived" true
+    (R.Relation.mem
+       (R.Instance.get r.Chase.instance "c")
+       (R.Tuple.of_list [ R.Value.sym "k" ]))
+
+let test_chase_ground_head_satisfied () =
+  let r, rows = two_head_run [ "b"; "c" ] in
+  Alcotest.(check int) "no fire" 0 r.Chase.stats.Chase.tgd_fires;
+  Alcotest.(check int) "nothing added" 3
+    (R.Instance.total_tuples r.Chase.instance);
+  Alcotest.(check int) "one round" 1 r.Chase.stats.Chase.rounds;
+  (* the body match, then the satisfied head *)
+  Alcotest.(check int) "two rows" 2 rows
+
 (* ------------------------------------------------------------------ *)
 (* Classes *)
 
@@ -1948,7 +1987,11 @@ let suites =
         case "NC violation fails" test_chase_nc_violation;
         case "NC with comparisons" test_chase_nc_with_cmp;
         case "input instance untouched" test_chase_input_not_mutated;
-        case "multi-atom head shares one null" test_chase_multi_atom_head_shares_null
+        case "multi-atom head shares one null" test_chase_multi_atom_head_shares_null;
+        case "ground head adds only the missing atom"
+          test_chase_ground_head_adds_missing;
+        case "satisfied ground head neither fires nor adds"
+          test_chase_ground_head_satisfied
       ] );
     ( "datalog.classes",
       [ case "join program: WS but not sticky" test_classes_join_program;

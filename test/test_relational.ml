@@ -496,10 +496,87 @@ let prop_csv_roundtrip =
       | Error _ -> false
       | Ok r' -> Tuple.Set.equal (Relation.to_set r) (Relation.to_set r'))
 
+(* Values that stress comparison and hashing: symbols that are one
+   shared string or a fresh copy of it (empty and quoted ones among
+   them), the integer extremes, the float specials and nulls. *)
+let symbols = [| ""; "a"; "Tom Waits"; "\"q\""; "w1" |]
+
+(* an equal value in a new block, with a new string for a symbol *)
+let copy_value = function
+  | Value.Sym s -> Value.Sym (Bytes.to_string (Bytes.of_string s))
+  | Value.Int i -> Value.Int i
+  | Value.Real r -> Value.Real r
+  | Value.Null n -> Value.Null n
+
+let edge_value_gen =
+  QCheck.Gen.(
+    oneof
+      [ map (fun s -> Value.Sym s) (oneofa symbols);
+        map copy_value (map (fun s -> Value.Sym s) (oneofa symbols));
+        map Value.int (oneofl [ min_int; max_int; -1; 0; 1 ]);
+        map Value.real
+          (oneofl [ nan; -0.0; 0.0; infinity; neg_infinity; 1.5 ]);
+        map (fun n -> Value.Null n) (0 -- 2) ])
+
+(* A pair of tuples, the second either independent (any arity) or made
+   from the first position by position: the same value, an equal copy
+   or another value. *)
+let edge_tuple_pair_gen =
+  let open QCheck.Gen in
+  let tuple = list_size (0 -- 4) edge_value_gen in
+  let derive a =
+    flatten_l
+      (List.map
+         (fun v -> oneof [ return v; return (copy_value v); edge_value_gen ])
+         a)
+  in
+  tuple >>= fun a ->
+  map
+    (fun b -> (Tuple.of_list a, Tuple.of_list b))
+    (oneof [ tuple; derive a ])
+
+let edge_tuple_pair_arb =
+  QCheck.make
+    ~print:(fun (a, b) -> Format.asprintf "%a %a" Tuple.pp a Tuple.pp b)
+    edge_tuple_pair_gen
+
+let sign c = Int.compare c 0
+
+(* the order tuples are defined to have: arity, then each position *)
+let reference_compare a b =
+  match Int.compare (Tuple.arity a) (Tuple.arity b) with
+  | 0 ->
+    List.fold_left2
+      (fun c x y -> if c <> 0 then c else Value.compare x y)
+      0 (Tuple.to_list a) (Tuple.to_list b)
+  | c -> c
+
+let prop_tuple_compare_hash =
+  QCheck.Test.make ~name:"Tuple compare/equal/hash agree with the order"
+    ~count:2000 edge_tuple_pair_arb (fun (a, b) ->
+      let c = Tuple.compare a b in
+      sign c = sign (reference_compare a b)
+      && sign (Tuple.compare b a) = - sign c
+      && Tuple.equal a b = (c = 0)
+      && ((not (Tuple.equal a b)) || Tuple.hash a = Tuple.hash b))
+
+let prop_value_equal_hash =
+  QCheck.Test.make ~name:"Value equal/hash agree with compare" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> Value.to_string a ^ " " ^ Value.to_string b)
+       QCheck.Gen.(
+         edge_value_gen >>= fun a ->
+         map (fun b -> (a, b))
+           (oneof [ return a; return (copy_value a); edge_value_gen ])))
+    (fun (a, b) ->
+      Value.equal a b = (Value.compare a b = 0)
+      && ((not (Value.equal a b)) || Value.hash a = Value.hash b))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_value_compare_total; prop_value_roundtrip; prop_tuple_project_id;
-      prop_relation_add_idempotent; prop_csv_roundtrip ]
+      prop_relation_add_idempotent; prop_csv_roundtrip;
+      prop_tuple_compare_hash; prop_value_equal_hash ]
 
 let case name f = Alcotest.test_case name `Quick f
 
