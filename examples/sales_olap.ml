@@ -199,9 +199,9 @@ let () =
 
   section "Summarizability diagnosis (bad classification)";
   let bad = product_instance product_links_bad in
-  Format.printf "%a@." Summarizability.pp_report (Summarizability.diagnose bad);
+  Format.printf "%a@." Dim_instance.pp_report (Dim_instance.diagnose bad);
   Printf.printf "\nItem -> Category summarizable? %b\n"
-    (Summarizability.summarizable bad ~from_category:"Item" ~to_category:"Category");
+    (Dim_instance.summarizable bad ~from_category:"Item" ~to_category:"Category");
   Printf.printf "guarded aggregation over the NON-STRICT hierarchy:\n";
   print_totals (totals_by_category bad (sales_relation "sales"));
   Printf.printf "forced anyway (~check:false; heater counted twice):\n";
@@ -209,7 +209,7 @@ let () =
 
   section "After fixing the classification";
   let fixed = product_instance product_links_fixed in
-  let report = Summarizability.diagnose fixed in
+  let report = Dim_instance.diagnose fixed in
   Printf.printf "strict: %b, homogeneous: %b\n" report.strict
     report.homogeneous;
   Printf.printf "category totals (correct):\n";

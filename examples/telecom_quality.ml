@@ -23,7 +23,7 @@ let () =
     (String.concat "  |  "
        (List.map (String.concat " -> ")
           (Dim_schema.paths Telecom.calendar_dim ~source:"Day" ~target:"Year")));
-  let report = Summarizability.diagnose Telecom.calendar_instance in
+  let report = Dim_instance.diagnose Telecom.calendar_instance in
   Printf.printf "strict: %b, homogeneous: %b\n" report.strict
     report.homogeneous;
 

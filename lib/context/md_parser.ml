@@ -285,27 +285,19 @@ let validate_dimension diags (d : dim_decl) =
       (Some schema, None)
     | Ok instance ->
       (* hierarchy quality warnings: strictness and homogeneity, each at
-         its member's first declaration *)
-      let first_pos =
+         its member's declaration (there is one, as [check] passed) *)
+      let member_pos =
         lazy
           (let tbl = Hashtbl.create (List.length d.dmembers) in
            List.iter
-             (fun (n, _, pos) ->
-               if not (Hashtbl.mem tbl n) then Hashtbl.add tbl n pos)
+             (fun (n, _, pos) -> Hashtbl.replace tbl (R.Value.sym n) (n, pos))
              d.dmembers;
            tbl)
       in
-      let pos_of_member m =
-        let name =
-          match m with R.Value.Sym s -> s | v -> R.Value.to_string v
-        in
-        ( name,
-          Option.value ~default:d.dim_pos
-            (Hashtbl.find_opt (Lazy.force first_pos) name) )
-      in
+      let pos_of_member m = Hashtbl.find (Lazy.force member_pos) m in
       List.iter
         (function
-          | Summarizability.Non_strict
+          | Dim_instance.Non_strict
               { member; ancestor_category; ancestors; _ } ->
             let m, pos = pos_of_member member in
             warn diags pos "W043"
@@ -319,7 +311,7 @@ let validate_dimension diags (d : dim_decl) =
               "dimension %s is not homogeneous: member %s has no parent in \
                category %s (roll-up is not total)"
               d.dim_name m parent_category)
-        (Summarizability.diagnose instance).violations;
+        (Dim_instance.diagnose instance).violations;
       (Some schema, Some instance))
 
 (* One front-end pass, as a profiler phase and a trace span. *)

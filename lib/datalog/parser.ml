@@ -14,6 +14,7 @@ type state = {
   mutable cur : Lexer.token * Lexer.pos;
   mutable ahead : (Lexer.token * Lexer.pos) option;  (* after [cur] *)
   mutable last : Lexer.token * Lexer.pos;  (* the last consumed token *)
+  numbered : (string, int) Hashtbl.t;  (* statements named so far, by kind *)
 }
 
 let fail_at ?(code = "E002") (pos : Lexer.pos) message =
@@ -221,15 +222,18 @@ type statement =
 let wrap_invalid pos f =
   try Some (f ()) with Invalid_argument m -> fail_at ~code:"E003" pos m
 
-(* Parsed rules are named after their head predicate (for readable
-   diagnostics and provenance), suffixed for uniqueness. *)
-let rule_counter = ref 0
+(* Rules, constraints and anonymous queries get [prefix] suffixed with
+   their number among the statements of their [kind] in this parse, so
+   one input always gets the same names.  Rules are named after their
+   head predicate, for readable diagnostics and provenance. *)
+let fresh_name st kind prefix =
+  let n = 1 + Option.value ~default:0 (Hashtbl.find_opt st.numbered kind) in
+  Hashtbl.replace st.numbered kind n;
+  prefix ^ string_of_int n
 
-let rule_name head =
-  incr rule_counter;
-  match head with
-  | a :: _ -> Printf.sprintf "%s/%d" (Atom.pred a) !rule_counter
-  | [] -> Printf.sprintf "rule/%d" !rule_counter
+let rule_name st head =
+  fresh_name st "rule"
+    (match head with a :: _ -> Atom.pred a ^ "/" | [] -> "rule/")
 
 (* statement :=
    | '!' ':-' body '.'
@@ -248,7 +252,8 @@ let statement facts st =
     expect st Lexer.PERIOD "'.'";
     if atoms = [] then
       fail_at ~code:"E003" pos "constraint body needs at least one atom";
-    wrap_invalid pos (fun () -> S_nc (Nc.make ~cmps atoms))
+    let name = fresh_name st "nc" "nc" in
+    wrap_invalid pos (fun () -> S_nc (Nc.make ~name ~cmps atoms))
   | Lexer.QMARK ->
     advance st;
     let name, head =
@@ -267,7 +272,10 @@ let statement facts st =
     expect st Lexer.PERIOD "'.'";
     if atoms = [] then
       fail_at ~code:"E003" pos "query body needs at least one atom";
-    wrap_invalid pos (fun () -> S_query (Query.make ?name ~cmps ~head atoms))
+    let name =
+      match name with Some n -> n | None -> fresh_name st "q" "q"
+    in
+    wrap_invalid pos (fun () -> S_query (Query.make ~name ~cmps ~head atoms))
   | Lexer.VAR v ->
     advance st;
     expect st Lexer.EQ "'='";
@@ -277,7 +285,9 @@ let statement facts st =
     expect st Lexer.PERIOD "'.'";
     if cmps <> [] then
       fail_at ~code:"E003" pos "EGD bodies cannot contain comparisons";
-    wrap_invalid pos (fun () -> S_egd (Egd.make ~body:atoms (Term.Var v) rhs))
+    let name = fresh_name st "egd" "egd" in
+    wrap_invalid pos (fun () ->
+        S_egd (Egd.make ~name ~body:atoms (Term.Var v) rhs))
   | Lexer.IDENT _ -> (
     match parse_ground_or_atom st with
     | Ground (pred, tuple) when fst (peek st) = Lexer.PERIOD ->
@@ -304,7 +314,7 @@ let statement facts st =
         if atoms = [] then
           fail_at ~code:"E003" pos "TGD body needs at least one atom";
         wrap_invalid pos (fun () ->
-            S_tgd (Tgd.make ~name:(rule_name head) ~body:atoms ~head ()))
+            S_tgd (Tgd.make ~name:(rule_name st head) ~body:atoms ~head ()))
       | other, p ->
         fail_at p
           (Printf.sprintf "expected '.' or ':-', found %s"
@@ -331,7 +341,8 @@ let recover st =
 let init diags input =
   let next = Lexer.stream diags input in
   let cur = next () in
-  { next; cur; ahead = None; last = (Lexer.EOF, { Lexer.line = 1; col = 1 }) }
+  { next; cur; ahead = None; last = (Lexer.EOF, { Lexer.line = 1; col = 1 });
+    numbered = Hashtbl.create 4 }
 
 let pos st = snd (peek st)
 let error st message = fail_at (pos st) message

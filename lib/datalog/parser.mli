@@ -128,7 +128,9 @@ val parse_items :
     failed item's ['.'] was already consumed.  At least one token is
     consumed per failed item, so the loop terminates.  Returns the
     rules, constraints and queries that did parse, each with its source
-    position, and the facts that did. *)
+    position, and the facts that did.  Rules are named [pred/N], NCs
+    [ncN], EGDs [egdN] and anonymous queries [qN], numbered from 1 per
+    kind in each run, so one input always gets the same names. *)
 
 val parse_statements :
   Diag.collector -> string -> located_statement list * Facts.t

@@ -56,7 +56,7 @@ let rollup di ~relation ~group_position ~to_category ?value_position ~op
         (Printf.sprintf "%s does not roll up to %s" from_category to_category)
   in
   let* () =
-    if (not check) || Summarizability.summarizable di ~from_category ~to_category
+    if (not check) || Dim_instance.summarizable di ~from_category ~to_category
     then Ok ()
     else
       Error

@@ -15,6 +15,25 @@ type problem =
       parent_category : string;
     }
 
+type violation =
+  | Non_strict of {
+      member : Value.t;
+      category : string;
+      ancestor_category : string;
+      ancestors : Value.t list;
+    }
+  | Non_covering of {
+      member : Value.t;
+      category : string;
+      parent_category : string;
+    }
+
+type report = {
+  strict : bool;
+  homogeneous : bool;
+  violations : violation list;
+}
+
 (* One member: its category, its immediate parents and, per proper
    ancestor category, the members it rolls up to there (all sorted). *)
 type node = {
@@ -26,59 +45,14 @@ type node = {
 
 type t = {
   schema : Dim_schema.t;
-  by_category : string list Smap.t;  (* category -> member names, sorted *)
+  by_category : Value.t list Smap.t;  (* category -> members, sorted *)
   nodes : (string, node) Hashtbl.t;  (* member name -> its node *)
   drilldowns : (Value.t * string, Value.t list) Hashtbl.t Lazy.t;
       (* (member, descendant category) -> its descendants there *)
+  report : report;
 }
 
 let find_list tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
-
-(* One pass over a declaration: its problems, each member's category
-   (the first declaration wins) and each member's parents along schema
-   edges, including the implicit links to [all]. *)
-let declare schema ~members ~links =
-  let problems = ref [] in
-  let report p = problems := p :: !problems in
-  let known = Dim_schema.mem_category schema
-  and edges = Dim_schema.edges schema in
-  let category_of = Hashtbl.create 64 and parents = Hashtbl.create 64 in
-  Hashtbl.replace category_of "all" Dim_schema.all;
-  List.iteri
-    (fun member (name, category) ->
-      if not (known category) then
-        report (Unknown_category { member; name; category });
-      match Hashtbl.find_opt category_of name with
-      | Some first -> report (Duplicate_member { member; name; first })
-      | None -> Hashtbl.replace category_of name category)
-    (List.concat_map
-       (fun (category, names) -> List.map (fun n -> (n, category)) names)
-       members);
-  let add_parent child parent =
-    Hashtbl.replace parents child (parent :: find_list parents child)
-  in
-  List.iteri
-    (fun link (child, parent) ->
-      match
-        ( Hashtbl.find_opt category_of child,
-          Hashtbl.find_opt category_of parent )
-      with
-      | None, _ -> report (Unknown_member { link; name = child })
-      | _, None -> report (Unknown_member { link; name = parent })
-      | Some cc, Some pc when not (known cc && known pc) -> ()
-      | Some cc, Some pc ->
-        if List.mem (cc, pc) edges then add_parent child parent
-        else
-          report
-            (Off_schema_link
-               { link; child; parent; child_category = cc;
-                 parent_category = pc }))
-    links;
-  Hashtbl.iter
-    (fun m cat ->
-      if List.mem (cat, Dim_schema.all) edges then add_parent m "all")
-    category_of;
-  (List.rev !problems, category_of, parents)
 
 let message schema p =
   let dim = Dim_schema.name schema in
@@ -110,27 +84,52 @@ let union a b =
           :: List.remove_assoc c acc)
       a b
 
-(* The roll-up closure of a declaration [declare] found no problem in. *)
-let build schema category_of parents =
-  let by_category =
-    Hashtbl.fold
-      (fun m cat bc ->
-        Smap.add cat (m :: Option.value ~default:[] (Smap.find_opt cat bc)) bc)
-      category_of Smap.empty
-    |> Smap.map (List.sort String.compare)
-  in
-  (* Top-down over the categories, so a member's parents (in strictly
-     higher categories) have their nodes before it: its ancestors in a
-     category are the union, over its parents p, of {p} and p's
-     ancestors there. *)
-  let nodes = Hashtbl.create (Hashtbl.length category_of) in
-  List.iter
-    (fun category ->
-      List.iter
-        (fun m ->
+(* A node's violations: each ancestor category it reaches at least two
+   members of, then each parent category it has no parent in. *)
+let node_violations ~above ~parent_categories n ps =
+  List.filter_map
+    (fun ancestor_category ->
+      match List.assoc_opt ancestor_category n.ancestors with
+      | Some (_ :: _ :: _ as ancestors) ->
+        Some
+          (Non_strict
+             { member = n.value; category = n.category; ancestor_category;
+               ancestors })
+      | _ -> None)
+    above
+  @ List.filter_map
+      (fun parent_category ->
+        if List.exists (fun p -> p.category = parent_category) ps then None
+        else
+          Some
+            (Non_covering
+               { member = n.value; category = n.category; parent_category }))
+      parent_categories
+
+(* The roll-up closure, top-down over the categories, so a member's
+   parents (in strictly higher categories) have their nodes before it:
+   its ancestors in a category are the union, over its parents p, of
+   {p} and p's ancestors there.  [declared] maps each member to its
+   category and its declared parents. *)
+let build schema declared =
+  let names = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun m (cat, _) -> Hashtbl.replace names cat (m :: find_list names cat))
+    declared;
+  let nodes = Hashtbl.create (Hashtbl.length declared) in
+  let by_category, violated =
+    List.fold_left
+      (fun (by_category, violated) category ->
+        let above = Dim_schema.ancestors schema category
+        and parent_categories = Dim_schema.parents schema category in
+        let implicit =
+          if List.mem Dim_schema.all parent_categories then [ "all" ] else []
+        in
+        let node m =
           let ps =
             List.map (Hashtbl.find nodes)
-              (List.sort_uniq String.compare (find_list parents m))
+              (List.sort_uniq String.compare
+                 (implicit @ !(snd (Hashtbl.find declared m))))
           in
           let ancestors =
             List.fold_left
@@ -138,11 +137,22 @@ let build schema category_of parents =
                 union acc ((p.category, [ p.value ]) :: p.ancestors))
               [] ps
           in
-          Hashtbl.replace nodes m
+          let n =
             { value = Value.sym m; category;
-              parents = List.map (fun p -> p.value) ps; ancestors })
-        (Option.value ~default:[] (Smap.find_opt category by_category)))
-    (List.rev (Dim_schema.categories schema));
+              parents = List.map (fun p -> p.value) ps; ancestors }
+          in
+          Hashtbl.replace nodes m n;
+          (n, node_violations ~above ~parent_categories n ps)
+        in
+        let built =
+          List.map node (List.sort String.compare (find_list names category))
+        in
+        ( Smap.add category (List.map (fun (n, _) -> n.value) built)
+            by_category,
+          List.concat_map snd built @ violated ))
+      (Smap.empty, [])
+      (List.rev (Dim_schema.categories schema))
+  in
   (* The inverse holds every member once per ancestor, and the
      assessment pipeline never drills down: build it on first use. *)
   let drilldowns =
@@ -164,12 +174,54 @@ let build schema category_of parents =
          down;
        down)
   in
-  { schema; by_category; nodes; drilldowns }
+  let no f = not (List.exists f violated) in
+  { schema; by_category; nodes; drilldowns;
+    report =
+      { strict = no (function Non_strict _ -> true | _ -> false);
+        homogeneous = no (function Non_covering _ -> true | _ -> false);
+        violations = violated } }
 
+(* One pass over a declaration finds its problems and, per member, its
+   category (the first declaration wins) and its parents along schema
+   edges; the closure is built only when there is no problem. *)
 let check schema ~members ~links =
-  match declare schema ~members ~links with
-  | [], category_of, parents -> Ok (build schema category_of parents)
-  | problems, _, _ -> Error problems
+  let problems = ref [] in
+  let report p = problems := p :: !problems in
+  let known = Dim_schema.mem_category schema
+  and edges = Dim_schema.edges schema in
+  let declared = Hashtbl.create 64 and member = ref 0 in
+  Hashtbl.replace declared "all" (Dim_schema.all, ref []);
+  List.iter
+    (fun (category, names) ->
+      List.iter
+        (fun name ->
+          if not (known category) then
+            report (Unknown_category { member = !member; name; category });
+          (match Hashtbl.find_opt declared name with
+           | Some (first, _) ->
+             report (Duplicate_member { member = !member; name; first })
+           | None -> Hashtbl.replace declared name (category, ref []));
+          incr member)
+        names)
+    members;
+  List.iteri
+    (fun link (child, parent) ->
+      match
+        (Hashtbl.find_opt declared child, Hashtbl.find_opt declared parent)
+      with
+      | None, _ -> report (Unknown_member { link; name = child })
+      | _, None -> report (Unknown_member { link; name = parent })
+      | Some (cc, _), Some (pc, _) when not (known cc && known pc) -> ()
+      | Some (cc, parents), Some (pc, _) ->
+        if List.mem (cc, pc) edges then parents := parent :: !parents
+        else
+          report
+            (Off_schema_link
+               { link; child; parent; child_category = cc;
+                 parent_category = pc }))
+    links;
+  if !problems = [] then Ok (build schema declared)
+  else Error (List.rev !problems)
 
 let make schema ~members ~links =
   match check schema ~members ~links with
@@ -180,8 +232,7 @@ let schema t = t.schema
 
 let members t cat =
   if not (Dim_schema.mem_category t.schema cat) then raise Not_found;
-  List.map Value.sym
-    (Option.value ~default:[] (Smap.find_opt cat t.by_category))
+  Option.value ~default:[] (Smap.find_opt cat t.by_category)
 
 let node t v =
   match v with Value.Sym n -> Hashtbl.find_opt t.nodes n | _ -> None
@@ -200,7 +251,28 @@ let drilldown t v ~to_category =
   Option.value ~default:[]
     (Hashtbl.find_opt (Lazy.force t.drilldowns) (v, to_category))
 
-let size t = Hashtbl.length t.nodes - 1
+let diagnose t = t.report
+
+let summarizable t ~from_category ~to_category =
+  Dim_schema.is_ancestor t.schema ~ancestor:to_category from_category
+  && List.for_all
+       (fun m -> List.length (rollup t m ~to_category) = 1)
+       (members t from_category)
+
+let pp_violation ppf = function
+  | Non_strict { member; category; ancestor_category; ancestors } ->
+    Format.fprintf ppf "non-strict: %a (%s) rolls up to {%s} in %s"
+      Value.pp member category
+      (String.concat ", " (List.map Value.to_string ancestors))
+      ancestor_category
+  | Non_covering { member; category; parent_category } ->
+    Format.fprintf ppf "non-covering: %a (%s) has no parent in %s" Value.pp
+      member category parent_category
+
+let pp_report ppf r =
+  Format.fprintf ppf "@[<v>strict: %b, homogeneous: %b" r.strict r.homogeneous;
+  List.iter (fun v -> Format.fprintf ppf "@,  %a" pp_violation v) r.violations;
+  Format.fprintf ppf "@]"
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>instance of %a:" Dim_schema.pp t.schema;
@@ -208,7 +280,6 @@ let pp ppf t =
     (fun cat ->
       if cat <> Dim_schema.all then
         Format.fprintf ppf "@,  %s = {%s}" cat
-          (String.concat ", "
-             (List.map Value.to_string (members t cat))))
+          (String.concat ", " (List.map Value.to_string (members t cat))))
     (Dim_schema.categories t.schema);
   Format.fprintf ppf "@]"

@@ -6,8 +6,9 @@
     arbitrary (not just adjacent) categories is the transitive closure
     of the member links; {!check} builds it once, so {!rollup} is a
     lookup, and {!drilldown} looks up its inverse, built from it on the
-    first call.  The HM summarizability conditions over it are
-    diagnosed by {!Summarizability.diagnose}. *)
+    first call.  The same top-down pass that builds the closure records
+    where it breaks the HM summarizability conditions (Hurtado–
+    Gutierrez–Mendelzon, TODS 2005), read back by {!diagnose}. *)
 
 type t
 
@@ -82,7 +83,42 @@ val drilldown :
   Mdqa_relational.Value.t list
 (** Descendants of the member within [to_category] (sorted). *)
 
-val size : t -> int
-(** Total number of members, excluding [all]. *)
+(** Aggregating at a higher category from pre-aggregated results at a
+    lower one is correct exactly when the roll-up between the two is
+    strict (no double counting) and covering (no lost members). *)
+type violation =
+  | Non_strict of {
+      member : Mdqa_relational.Value.t;
+      category : string;
+      ancestor_category : string;
+      ancestors : Mdqa_relational.Value.t list;
+          (** ≥ 2 distinct ancestors *)
+    }
+  | Non_covering of {
+      member : Mdqa_relational.Value.t;
+      category : string;
+      parent_category : string;  (** no parent there *)
+    }
+
+type report = {
+  strict : bool;
+  homogeneous : bool;
+  violations : violation list;
+}
+
+val diagnose : t -> report
+(** The violations {!check} recorded: categories in
+    {!Dim_schema.categories} order, members sorted within each; per
+    member, its [Non_strict] ones in {!Dim_schema.ancestors} order, then
+    its [Non_covering] ones in {!Dim_schema.parents} order. *)
+
+val summarizable : t -> from_category:string -> to_category:string -> bool
+(** Can aggregates at [from_category] be correctly combined into
+    aggregates at [to_category]?  True iff the roll-up between the two
+    is functional (strict) and total (covering) on the members of
+    [from_category]. *)
+
+val pp_violation : Format.formatter -> violation -> unit
+val pp_report : Format.formatter -> report -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Golden-output battery: `mdqa check --json` on every corpus file and
 # every example program, `mdqa context` stdout on every example .mdq,
-# and `mdqa chase` stdout on every example .dl and on the corpus's
-# interleaved-facts and EGD-window programs, must equal the committed
-# files under golden/ byte for byte.
+# `mdqa chase` stdout on every example .dl and on the corpus's
+# interleaved-facts and EGD-window programs, and the stdout of every
+# example executable under ../examples, must equal the committed files
+# under golden/ byte for byte.
 # Front-end and rendering changes that promise identical output are
 # held to it.
 #
@@ -39,6 +40,15 @@ for f in ../examples/*.mdq; do
 done
 for f in ../examples/*.dl corpus/interleaved_facts.dl corpus/egd_window.dl; do
   check "golden/chase/$(basename "$f").out" "$exe" chase "$f"
+done
+
+# the example executables: beside the script under dune, else in the
+# build tree (for --update from the source tree after `dune build`)
+ex=../examples
+[ -x "$ex/quickstart.exe" ] || ex=../_build/default/examples
+for e in quickstart hospital_navigation sensor_quality sales_olap \
+  telecom_quality; do
+  check "golden/examples/$e.out" "$ex/$e.exe"
 done
 
 [ "$status" -eq 0 ] && echo "golden: all outputs match"

@@ -1293,6 +1293,49 @@ let test_parse_program () =
   Alcotest.(check int) "ncs" 1 (List.length program.Program.ncs);
   Alcotest.(check int) "queries" 1 (List.length queries)
 
+(* Names are numbered per parse: one program parsed twice gets the
+   same names, so the profiler keeps one entry per rule across both
+   chases, with the triggers of both. *)
+let test_parse_names_per_parse () =
+  let text =
+    {|
+      e(a, b). e(b, c).
+      t(X, Y) :- e(X, Y).
+      t(X, Z) :- t(X, Y), e(Y, Z).
+      ! :- e(X, X).
+      X = Y :- f(X), f(Y).
+      ? :- t(a, c).
+    |}
+  in
+  let names { Parser.program; queries } =
+    List.map (fun t -> t.Tgd.name) program.Program.tgds
+    @ List.map (fun e -> e.Egd.name) program.Program.egds
+    @ List.map (fun n -> n.Nc.name) program.Program.ncs
+    @ List.map (fun q -> q.Query.name) queries
+  in
+  let first = Parser.parse_string text and second = Parser.parse_string text in
+  Alcotest.(check (list string)) "same names"
+    [ "t/1"; "t/2"; "egd1"; "nc1"; "q1" ] (names first);
+  Alcotest.(check (list string)) "same names again" (names first)
+    (names second);
+  let module P = Mdqa_obs.Profile in
+  let profile parses =
+    let p = P.create () in
+    P.install p;
+    Fun.protect ~finally:P.uninstall (fun () ->
+        List.iter
+          (fun { Parser.program; _ } ->
+            ignore (Chase.run program (Program.instance_of_facts program)))
+          parses);
+    List.map (fun (r, st) -> (r, st.P.triggers)) (P.snapshot p).P.rules
+  in
+  let once = profile [ first ] in
+  Alcotest.(check (list string)) "one entry per rule" [ "t/1"; "t/2" ]
+    (List.map fst once);
+  Alcotest.(check (list (pair string int))) "twice the triggers"
+    (List.map (fun (r, n) -> (r, 2 * n)) once)
+    (profile [ first; second ])
+
 let test_parse_end_to_end () =
   let text =
     {|
@@ -2060,6 +2103,7 @@ let suites =
     ( "datalog.parser",
       [ case "program statements" test_parse_program;
         case "parse + chase end to end" test_parse_end_to_end;
+        case "names are numbered per parse" test_parse_names_per_parse;
         case "existential head" test_parse_existential_head;
         case "multi-atom head" test_parse_multi_atom_head;
         case "error reporting" test_parse_errors;

@@ -97,10 +97,10 @@ let test_instance_drilldown () =
   Alcotest.(check int) "H1 has three wards" 3 (List.length down_h1)
 
 let test_instance_strict_homogeneous () =
-  let report = Summarizability.diagnose hinst in
+  let report = Dim_instance.diagnose hinst in
   Alcotest.(check bool) "strict" true report.strict;
   Alcotest.(check bool) "homogeneous" true report.homogeneous;
-  let time = Summarizability.diagnose Hospital.time_instance in
+  let time = Dim_instance.diagnose Hospital.time_instance in
   Alcotest.(check bool) "time strict" true time.strict;
   Alcotest.(check bool) "time homogeneous" true time.homogeneous
 
@@ -167,17 +167,17 @@ let non_strict =
     ~links:[ ("W5", "U1"); ("W5", "U2"); ("U1", "H"); ("U2", "H") ]
 
 let test_summarizability_non_strict () =
-  let report = Summarizability.diagnose non_strict in
-  Alcotest.(check bool) "not strict" false report.Summarizability.strict;
+  let report = Dim_instance.diagnose non_strict in
+  Alcotest.(check bool) "not strict" false report.Dim_instance.strict;
   Alcotest.(check bool) "has violation" true
     (List.exists
-       (function Summarizability.Non_strict _ -> true | _ -> false)
-       report.Summarizability.violations);
+       (function Dim_instance.Non_strict _ -> true | _ -> false)
+       report.Dim_instance.violations);
   Alcotest.(check bool) "ward->unit not summarizable" false
-    (Summarizability.summarizable non_strict ~from_category:"Ward"
+    (Dim_instance.summarizable non_strict ~from_category:"Ward"
        ~to_category:"Unit");
   Alcotest.(check bool) "hospital ward->unit summarizable" true
-    (Summarizability.summarizable hinst ~from_category:"Ward"
+    (Dim_instance.summarizable hinst ~from_category:"Ward"
        ~to_category:"Unit")
 
 let test_summarizability_non_covering () =
@@ -188,13 +188,13 @@ let test_summarizability_non_covering () =
         [ ("Ward", [ "W6" ]); ("Unit", [ "U1" ]); ("Institution", [ "H" ]) ]
       ~links:[ ("U1", "H") ]
   in
-  let report = Summarizability.diagnose inst in
+  let report = Dim_instance.diagnose inst in
   Alcotest.(check bool) "not homogeneous" false
-    report.Summarizability.homogeneous;
+    report.Dim_instance.homogeneous;
   Alcotest.(check bool) "non-covering found" true
     (List.exists
-       (function Summarizability.Non_covering _ -> true | _ -> false)
-       report.Summarizability.violations)
+       (function Dim_instance.Non_covering _ -> true | _ -> false)
+       report.Dim_instance.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Md_schema *)
@@ -775,7 +775,7 @@ let prop_rollup_drilldown_galois =
 let prop_strict_singleton_rollup =
   QCheck.Test.make ~name:"strict instances have functional roll-ups"
     ~count:200 instance_arb (fun di ->
-      QCheck.assume (Summarizability.diagnose di).Summarizability.strict;
+      QCheck.assume (Dim_instance.diagnose di).Dim_instance.strict;
       List.for_all
         (fun w ->
           List.length (Dim_instance.rollup di w ~to_category:"Institution") <= 1)
@@ -876,7 +876,7 @@ let prop_diamond_diagnose =
                   let ups = reference_rollup di m anc in
                   if List.length ups > 1 then
                     Some
-                      (Summarizability.Non_strict
+                      (Dim_instance.Non_strict
                          { member = m; category = cat; ancestor_category = anc;
                            ancestors = ups })
                   else None)
@@ -890,23 +890,23 @@ let prop_diamond_diagnose =
                     then None
                     else
                       Some
-                        (Summarizability.Non_covering
+                        (Dim_instance.Non_covering
                            { member = m; category = cat;
                              parent_category = pcat }))
                   (Dim_schema.parents diamond cat))
           (diamond_members di)
       in
-      let r = Summarizability.diagnose di in
-      List.sort compare r.violations = List.sort compare expected
+      let r = Dim_instance.diagnose di in
+      r.violations = expected
       && r.strict
          = not
              (List.exists
-                (function Summarizability.Non_strict _ -> true | _ -> false)
+                (function Dim_instance.Non_strict _ -> true | _ -> false)
                 expected)
       && r.homogeneous
          = not
              (List.exists
-                (function Summarizability.Non_covering _ -> true | _ -> false)
+                (function Dim_instance.Non_covering _ -> true | _ -> false)
                 expected))
 
 (* grand-total invariant: when the ward->unit roll-up is summarizable,

@@ -21,7 +21,7 @@ let test_calendar_dag_shape () =
   Alcotest.(check int) "Year level" 2 (Dim_schema.level d "Year")
 
 let test_calendar_instance_strict_homogeneous () =
-  let report = Summarizability.diagnose Telecom.calendar_instance in
+  let report = Dim_instance.diagnose Telecom.calendar_instance in
   Alcotest.(check bool) "strict across both paths" true report.strict;
   Alcotest.(check bool) "every day has a week and a month" true
     report.homogeneous
