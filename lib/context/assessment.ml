@@ -15,15 +15,14 @@ let compare_relations ~original ~quality =
     invalid_arg "Assessment.compare_relations: arity mismatch";
   let o = R.Relation.to_set original and q = R.Relation.to_set quality in
   let kept = R.Tuple.Set.cardinal (R.Tuple.Set.inter o q) in
-  let removed = R.Tuple.Set.cardinal (R.Tuple.Set.diff o q) in
-  let added = R.Tuple.Set.cardinal (R.Tuple.Set.diff q o) in
-  let original_size = R.Tuple.Set.cardinal o in
+  let original_size = R.Relation.cardinal original
+  and quality_size = R.Relation.cardinal quality in
   { relation = R.Relation.name original;
     original_size;
-    quality_size = R.Tuple.Set.cardinal q;
+    quality_size;
     kept;
-    removed;
-    added;
+    removed = original_size - kept;
+    added = quality_size - kept;
     ratio =
       (if original_size = 0 then 1.0
        else float_of_int kept /. float_of_int original_size) }

@@ -134,13 +134,10 @@ let quality_version ?(partial = false) a name =
               (R.Rel_schema.attributes (R.Relation.schema orig_rel))
           | _ -> R.Relation.schema qrel
         in
-        let out = R.Relation.create schema in
-        R.Relation.iter
-          (fun tup ->
-            if not (R.Tuple.has_null tup) then
-              ignore (R.Relation.add out tup))
-          qrel;
-        Some out)
+        Some
+          (R.Relation.of_tuples schema
+             (List.filter (Fun.negate R.Tuple.has_null)
+                (R.Relation.to_list qrel))))
 
 let rewrite_query t (q : Query.t) =
   let subst_pred p =

@@ -265,11 +265,10 @@ let validate_dimension diags (d : dim_decl) =
        the declaration's index *)
     let members = List.map (fun (m, cat, _) -> (cat, [ m ])) d.dmembers
     and links = List.map (fun (c, p, _) -> (c, p)) d.links in
-    let member_pos =
-      Array.of_list (List.map (fun (_, _, pos) -> pos) d.dmembers)
-    and link_pos = Array.of_list (List.map (fun (_, _, pos) -> pos) d.links) in
     match Dim_instance.check schema ~members ~links with
     | Error problems ->
+      let positions l = Array.of_list (List.map (fun (_, _, pos) -> pos) l) in
+      let member_pos = positions d.dmembers and link_pos = positions d.links in
       List.iter
         (fun p ->
           let pos, code =

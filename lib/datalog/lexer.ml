@@ -46,8 +46,7 @@ let stream diags input =
   let n = String.length input in
   let i = ref 0 and line = ref 1 and line_start = ref 0 in
   let pos_at at = { line = !line; col = at - !line_start + 1 } in
-  let fail at message =
-    let { line; col } = pos_at at in
+  let fail { line; col } message =
     Diag.error diags ~line ~col ~code:"E001" message
   in
   (* the token starting at [at] and ending before [stop] *)
@@ -93,6 +92,8 @@ let stream diags input =
       else if c = '-' && at + 1 < n && input.[at + 1] = '>' then
         tok at (at + 2) ARROW
       else if c = '"' then begin
+        (* taken before a newline in the literal moves [line] on *)
+        let start = pos_at at in
         let buf = Buffer.create 16 in
         let j = ref (at + 1) in
         let closed = ref false in
@@ -108,11 +109,13 @@ let stream diags input =
             end
           else begin
             Buffer.add_char buf input.[!j];
+            if input.[!j] = '\n' then (incr line; line_start := !j + 1);
             incr j
           end
         done;
-        if not !closed then fail at "unterminated string";
-        tok at !j (STRING (Buffer.contents buf))
+        if not !closed then fail start "unterminated string";
+        i := !j;
+        (STRING (Buffer.contents buf), start)
       end
       else if is_digit c || (c = '-' && at + 1 < n && is_digit input.[at + 1])
       then begin
@@ -154,7 +157,7 @@ let stream diags input =
       end
       else if c = '.' then tok at (at + 1) PERIOD
       else begin
-        fail at (Printf.sprintf "unexpected character %C" c);
+        fail (pos_at at) (Printf.sprintf "unexpected character %C" c);
         incr i;
         next ()
       end

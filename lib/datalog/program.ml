@@ -35,18 +35,25 @@ let arities p =
 let schema pred n =
   Rel_schema.of_names pred (List.init n (Printf.sprintf "c%d"))
 
+(* Facts are buffered per predicate, and each run of 4,096 joins its
+   relation as one [Relation.of_tuples] and one [Relation.union]. *)
 let load rel iter =
-  let rels = Hashtbl.create 16 in
+  let runs = Hashtbl.create 16 in
+  let flush r ts = Relation.(union r (of_tuples (schema r) ts)) in
   iter (fun pred tuple ->
-      let r =
-        match Hashtbl.find_opt rels pred with
-        | Some r -> r
+      let r, run =
+        match Hashtbl.find_opt runs pred with
+        | Some b -> b
         | None ->
-          let r = rel pred (Tuple.arity tuple) in
-          Hashtbl.add rels pred r;
-          r
+          let b = (rel pred (Tuple.arity tuple), ref ([], 0)) in
+          Hashtbl.add runs pred b;
+          b
       in
-      ignore (Relation.add r tuple))
+      Relation.check_arity r tuple;
+      match !run with
+      | ts, 4095 -> flush r (tuple :: ts); run := ([], 0)
+      | ts, n -> run := (tuple :: ts, n + 1));
+  Hashtbl.iter (fun _ (r, run) -> flush r (fst !run)) runs
 
 let of_facts ~tgds ~egds ~ncs iter =
   let inst = Instance.create () in

@@ -19,8 +19,8 @@ val load :
   unit
 (** The one fact loader of both front ends: [load rel iter] adds each
     fact [(pred, tuple)] that [iter] hands out to [rel pred arity],
-    asked for once per predicate.
-    @raise Invalid_argument if a fact's arity is not its relation's. *)
+    asked for once per predicate, 4,096 facts at a time.
+    @raise Invalid_argument at the first fact of the wrong arity. *)
 
 val of_facts :
   tgds:Tgd.t list ->

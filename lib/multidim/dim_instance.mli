@@ -6,9 +6,11 @@
     arbitrary (not just adjacent) categories is the transitive closure
     of the member links; {!check} builds it once, so {!rollup} is a
     lookup, and {!drilldown} looks up its inverse, built from it on the
-    first call.  The same top-down pass that builds the closure records
-    where it breaks the HM summarizability conditions (Hurtado–
-    Gutierrez–Mendelzon, TODS 2005), read back by {!diagnose}. *)
+    first call.  Each lookup finds a category by a scan of the schema's
+    and allocates the list it returns, one cell per member, per call.
+    The same top-down pass that builds the closure records where it
+    breaks the HM summarizability conditions (Hurtado–Gutierrez–
+    Mendelzon, TODS 2005), read back by {!diagnose}. *)
 
 type t
 
@@ -71,6 +73,11 @@ val category_of : t -> Mdqa_relational.Value.t -> string option
 
 val member_parents : t -> Mdqa_relational.Value.t -> Mdqa_relational.Value.t list
 (** Immediate parents of a member (across all parent categories). *)
+
+val fold_links : t -> child:string -> parent:string ->
+  (Mdqa_relational.Value.t -> Mdqa_relational.Value.t -> 'a -> 'a) -> 'a -> 'a
+(** [fold_links t ~child ~parent f init] folds [f member parent] over the
+    links from category [child] to category [parent], members by name. *)
 
 val rollup :
   t -> Mdqa_relational.Value.t -> to_category:string ->

@@ -64,40 +64,32 @@ let instance t =
   List.iter
     (fun rs -> ignore (R.Instance.declare inst rs))
     (Md_schema.relations t.schema);
-  (* Category membership facts. *)
+  let load pred attributes tuples =
+    let rs = R.Rel_schema.of_names pred attributes in
+    R.Relation.union (R.Instance.declare inst rs)
+      (R.Relation.of_tuples rs tuples)
+  in
   List.iter
     (fun di ->
       let ds = Dim_instance.schema di in
+      (* Category membership facts. *)
       List.iter
         (fun cat ->
-          if cat <> Dim_schema.all then begin
-            let pred = Md_schema.category_pred cat in
-            let rel =
-              R.Instance.declare inst (R.Rel_schema.of_names pred [ "member" ])
-            in
-            List.iter
-              (fun m -> ignore (R.Relation.add rel (R.Tuple.of_list [ m ])))
-              (Dim_instance.members di cat)
-          end)
+          if cat <> Dim_schema.all then
+            load (Md_schema.category_pred cat) [ "member" ]
+              (List.map (fun m -> R.Tuple.unsafe_of_array [| m |])
+                 (Dim_instance.members di cat)))
         (Dim_schema.categories ds);
       (* Parent-child facts per schema edge. *)
       List.iter
         (fun (child, parent) ->
-          if parent <> Dim_schema.all then begin
-            let pred = Md_schema.parent_child_pred ~parent ~child in
-            let rel =
-              R.Instance.declare inst
-                (R.Rel_schema.of_names pred [ "parent"; "child" ])
-            in
-            List.iter
-              (fun m ->
-                List.iter
-                  (fun p ->
-                    if Dim_instance.category_of di p = Some parent then
-                      ignore (R.Relation.add rel (R.Tuple.of_list [ p; m ])))
-                  (Dim_instance.member_parents di m))
-              (Dim_instance.members di child)
-          end)
+          if parent <> Dim_schema.all then
+            load
+              (Md_schema.parent_child_pred ~parent ~child)
+              [ "parent"; "child" ]
+              (Dim_instance.fold_links di ~child ~parent
+                 (fun m p acc -> R.Tuple.unsafe_of_array [| p; m |] :: acc)
+                 []))
         (Dim_schema.edges ds))
     t.dim_instances;
   inst

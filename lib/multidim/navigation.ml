@@ -15,20 +15,16 @@ let retarget_schema rel position to_category ~dimension ~name =
 
 let navigate step di ~relation ~position ~to_category ?name ~transform () =
   let dimension = Dim_schema.name (Dim_instance.schema di) in
-  let out =
-    R.Relation.create
-      (retarget_schema relation position to_category ~dimension ~name)
-  in
-  R.Relation.iter
-    (fun tuple ->
-      let member = R.Tuple.get tuple position in
-      List.iter
-        (fun target ->
-          let t = R.Tuple.set tuple position target in
-          ignore (R.Relation.add out (transform t)))
-        (step di member ~to_category))
-    relation;
-  out
+  R.Relation.of_tuples
+    (retarget_schema relation position to_category ~dimension ~name)
+    (R.Relation.fold
+       (fun tuple acc ->
+         List.fold_left
+           (fun acc target ->
+             transform (R.Tuple.set tuple position target) :: acc)
+           acc
+           (step di (R.Tuple.get tuple position) ~to_category))
+       relation [])
 
 let rollup di ~relation ~position ~to_category ?name () =
   navigate Dim_instance.rollup di ~relation ~position ~to_category ?name

@@ -73,11 +73,18 @@ let union r s =
     r.indexes <- [];
     r.stats <- s.stats
   end
+  else if r.indexes = [] then begin
+    r.card <-
+      r.card + s.card - Tuple.Set.cardinal (Tuple.Set.inter r.tuples s.tuples);
+    r.tuples <- Tuple.Set.union r.tuples s.tuples
+  end
   else Tuple.Set.iter (fun t -> ignore (add r t)) s.tuples
 
 let of_tuples schema ts =
   let r = create schema in
-  List.iter (fun t -> ignore (add r t)) ts;
+  List.iter (check_arity r) ts;
+  r.tuples <- Tuple.Set.of_list ts;
+  r.card <- Tuple.Set.cardinal r.tuples;
   r
 
 let mem r t = Tuple.Set.mem t r.tuples

@@ -14,6 +14,9 @@ val create : Rel_schema.t -> t
 (** Fresh empty relation. *)
 
 val of_tuples : Rel_schema.t -> Tuple.t list -> t
+(** The tuples' relation, built by one sort ([Tuple.Set.of_list]), not
+    one {!add} per tuple.  @raise Invalid_argument as {!add} would, at
+    the first tuple whose arity is not the schema's. *)
 
 val schema : t -> Rel_schema.t
 val name : t -> string
@@ -23,14 +26,17 @@ val is_empty : t -> bool
 
 val add : t -> Tuple.t -> bool
 (** [add r t] inserts [t]; returns [true] iff [t] was not present.
-    @raise Invalid_argument on arity mismatch. *)
+    @raise Invalid_argument on arity mismatch ({!check_arity}). *)
+
+val check_arity : t -> Tuple.t -> unit
+(** @raise Invalid_argument if the tuple's arity is not the relation's. *)
 
 val union : t -> t -> unit
 (** [union r s] adds every tuple of [s] to [r].  Into an empty [r] it
     is O(1): [r] takes [s]'s persistent tuple set as it is (and its
     distinct counts), so the two share one set until either changes;
     {!add}, {!remove} and {!substitute} on one leave the other as it
-    was.  Into a non-empty [r] it is one {!add} per tuple of [s].
+    was.  Into a non-empty [r]: one set union ({!add}s if it has indexes).
     @raise Invalid_argument if the arities differ. *)
 
 val mem : t -> Tuple.t -> bool

@@ -40,9 +40,9 @@ let int i = Int i
 let real r = Real r
 
 (* A symbol needs quoting when it could be mistaken for another lexical
-   class: numbers (including the letter-led spellings [of_string] reads
-   as floats, such as [inf] and [nan]), nulls, or anything with
-   spaces/punctuation. *)
+   class: numbers (with [inf], [infinity] and [nan] in any case, the
+   only letter-led floats: hence the test on i and n), nulls, or
+   anything with spaces/punctuation. *)
 let bare_symbol s =
   s <> ""
   && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false)
@@ -52,7 +52,8 @@ let bare_symbol s =
            true
          | _ -> false)
        s
-  && Option.is_none (float_of_string_opt s)
+  && ((not (String.contains "iInN" s.[0]))
+      || Option.is_none (float_of_string_opt s))
 
 let pp ppf = function
   | Sym s -> if bare_symbol s then Format.pp_print_string ppf s

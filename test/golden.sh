@@ -1,6 +1,8 @@
 #!/bin/sh
 # Golden-output battery: `mdqa check --json` on every corpus file and
-# every example program, `mdqa context` stdout on every example .mdq,
+# every example program, `mdqa context` stdout on every example .mdq
+# and on the corpus's roll-up programs (unsorted, non-strict and
+# non-homogeneous hierarchies),
 # `mdqa chase` stdout on every example .dl and on the corpus's
 # interleaved-facts and EGD-window programs, and the stdout of every
 # example executable under ../examples, must equal the committed files
@@ -35,7 +37,8 @@ check() {
 for f in corpus/* ../examples/*.mdq ../examples/*.dl; do
   check "golden/check/$(basename "$f").json" "$exe" check --json "$f"
 done
-for f in ../examples/*.mdq; do
+for f in ../examples/*.mdq corpus/rollup_unsorted.mdq corpus/nonstrict.mdq \
+  corpus/nonhomog.mdq; do
   check "golden/context/$(basename "$f").out" "$exe" context "$f"
 done
 for f in ../examples/*.dl corpus/interleaved_facts.dl corpus/egd_window.dl; do

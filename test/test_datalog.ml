@@ -1272,6 +1272,53 @@ let test_core_oblivious_equals_restricted () =
 (* ------------------------------------------------------------------ *)
 (* Parser / Pretty *)
 
+(* [Program.load] joins facts to their relations 4,096 at a time: the
+   relations hold what one add per fact gives, duplicates across runs
+   included, and the first fact of a wrong arity raises add's error. *)
+let test_program_load_runs () =
+  let fact i =
+    if i mod 3 = 0 then ("q", [ i mod 7 ])
+    else ("p", [ i mod 4999; i mod 4999 mod 3 ])
+  in
+  let facts = List.init 10_000 fact in
+  let tuple l = R.Tuple.of_list (List.map R.Value.int l) in
+  let rel inst pred n =
+    R.Instance.declare inst
+      (R.Rel_schema.of_names pred (List.init n (Printf.sprintf "c%d")))
+  in
+  let contents inst =
+    List.map
+      (fun r ->
+        (R.Relation.name r, R.Relation.cardinal r, R.Relation.to_list r))
+      (R.Instance.relations inst)
+  in
+  let by_adds facts =
+    let inst = R.Instance.create () in
+    List.iter
+      (fun (p, l) ->
+        ignore (R.Relation.add (rel inst p (List.length l)) (tuple l)))
+      facts;
+    contents inst
+  in
+  let by_load facts =
+    let inst = R.Instance.create () in
+    Program.load (rel inst) (fun add ->
+        List.iter (fun (p, l) -> add p (tuple l)) facts);
+    contents inst
+  in
+  Alcotest.(check bool) "same relations" true (by_load facts = by_adds facts);
+  let bad =
+    List.mapi
+      (fun i f ->
+        if i = 7000 then ("p", [ 1 ])
+        else if i = 8001 then ("q", [ 1; 2 ])
+        else f)
+      facts
+  in
+  Alcotest.check_raises "first clash"
+    (Invalid_argument "Relation p: arity mismatch (schema 2, tuple 1)")
+    (fun () -> ignore (by_load bad))
+
 let test_parse_program () =
   let text =
     {|
@@ -2102,6 +2149,7 @@ let suites =
           test_core_oblivious_equals_restricted ] );
     ( "datalog.parser",
       [ case "program statements" test_parse_program;
+        case "facts load in runs" test_program_load_runs;
         case "parse + chase end to end" test_parse_end_to_end;
         case "names are numbered per parse" test_parse_names_per_parse;
         case "existential head" test_parse_existential_head;

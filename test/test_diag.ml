@@ -146,6 +146,26 @@ let test_error_lines () =
      r(X) :- sensor(X, Y).\n"
     5
 
+(* A newline inside a string literal starts a new line for every later
+   token, while the string keeps the position of its opening quote. *)
+let test_multiline_string_lines () =
+  let next = Lexer.stream (Diag.collector ()) "p(\"a\nb\").\nq(X)." in
+  let pos () = let _, { Lexer.line; col } = next () in (line, col) in
+  let got = List.init 5 (fun _ -> pos ()) in
+  Alcotest.(check (list (pair int int)))
+    "p ( \"a\\nb\" ) ." [ (1, 1); (1, 2); (1, 3); (2, 3); (2, 4) ] got;
+  Alcotest.(check (pair int int)) "q on line 3" (3, 1) (pos ());
+  let located input =
+    List.map
+      (fun (d : Diag.t) -> (d.Diag.code, d.Diag.span.Diag.line, d.span.col))
+      (Validate.check_string input).Validate.diags
+  in
+  Alcotest.(check bool) "W040 at 4:1" true
+    (List.mem ("W040", 4, 1)
+       (located "p(\"a\nb\").\nq(X) :- p(X).\nr(X) :- zz(X).\n"));
+  Alcotest.(check bool) "unterminated string at its quote" true
+    (List.mem ("E001", 1, 3) (located "p(\"a\nb\n"))
+
 (* --- parser recovery ------------------------------------------------ *)
 
 let test_recovery_counts () =
@@ -410,7 +430,9 @@ let suites =
           test_corpus_never_raises;
         Alcotest.test_case "examples are clean" `Quick test_examples_clean;
         Alcotest.test_case "semantic errors carry real lines" `Quick
-          test_error_lines ] );
+          test_error_lines;
+        Alcotest.test_case "newlines inside strings are counted" `Quick
+          test_multiline_string_lines ] );
     ( "diag.recovery",
       [ Alcotest.test_case "statement resync counts" `Quick
           test_recovery_counts;

@@ -164,6 +164,34 @@ let test_quality_ratio_helpers () =
     (Assessment.departure ~original:Hospital.measurements
        ~quality:Hospital.expected_measurements_q)
 
+(* The report's counts against their set-difference definitions, on
+   random pairs of relations (overlapping, disjoint, empty, equal). *)
+let prop_compare_relations =
+  let rel =
+    QCheck.Gen.(
+      map
+        (fun ps ->
+          R.Relation.of_tuples
+            (R.Rel_schema.of_names "r" [ "a"; "b" ])
+            (List.map
+               (fun (a, b) -> R.Tuple.of_list [ R.Value.int a; sym b ])
+               ps))
+        (list_size (0 -- 30) (pair (0 -- 6) (oneofl [ "x"; "y" ]))))
+  in
+  QCheck.Test.make ~name:"compare_relations = set differences" ~count:300
+    (QCheck.make QCheck.Gen.(pair rel rel)) (fun (original, quality) ->
+      let o = R.Relation.to_set original and q = R.Relation.to_set quality in
+      let size = R.Tuple.Set.cardinal in
+      let r = Assessment.compare_relations ~original ~quality in
+      r.Assessment.original_size = size o
+      && r.quality_size = size q
+      && r.kept = size (R.Tuple.Set.inter o q)
+      && r.removed = size (R.Tuple.Set.diff o q)
+      && r.added = size (R.Tuple.Set.diff q o)
+      && r.ratio
+         = if size o = 0 then 1.0
+           else float (size (R.Tuple.Set.inter o q)) /. float (size o))
+
 (* The raw PatientWard (with the intensive-care tuple) makes the
    context inconsistent: assessment surfaces the NC violation. *)
 let test_raw_context_inconsistent () =
@@ -488,6 +516,7 @@ let suites =
         case "raw query without context differs" test_doctor_query_dirty_semantics;
         case "assessment report (2 of 6)" test_assessment_report;
         case "quality ratio helpers" test_quality_ratio_helpers;
+        QCheck_alcotest.to_alcotest prop_compare_relations;
         case "raw patient_ward makes context inconsistent"
           test_raw_context_inconsistent;
         case "query rewriting Q -> Q^q" test_rewrite_query ] );

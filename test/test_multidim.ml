@@ -790,7 +790,9 @@ let diamond =
       [ ("Day", "Week"); ("Week", "Year"); ("Day", "Month");
         ("Month", "Year") ]
 
-let gen_diamond_instance =
+(* A diamond declaration in random order: the members shuffled, each
+   run of one category's members one group, the links shuffled. *)
+let gen_diamond_declaration =
   QCheck.Gen.(
     let* n_days = 1 -- 6 in
     let* n_weeks = 1 -- 3 in
@@ -813,12 +815,35 @@ let gen_diamond_instance =
     let* day_months = links days "m" n_months in
     let* week_years = links weeks "y" n_years in
     let* month_years = links months "y" n_years in
-    return
-      (Dim_instance.make diamond
-         ~members:
+    let* order =
+      shuffle_l
+        (List.concat_map
+           (fun (c, ns) -> List.map (fun n -> (c, n)) ns)
            [ ("Day", days); ("Week", weeks); ("Month", months);
-             ("Year", names "y" n_years) ]
-         ~links:(day_weeks @ day_months @ week_years @ month_years)))
+             ("Year", names "y" n_years) ])
+    in
+    let* links =
+      shuffle_l (day_weeks @ day_months @ week_years @ month_years)
+    in
+    let groups =
+      List.fold_right
+        (fun (c, n) groups ->
+          match groups with
+          | (c', ns) :: rest when c = c' -> (c, n :: ns) :: rest
+          | _ -> (c, [ n ]) :: groups)
+        order []
+    in
+    return (groups, links))
+
+let print_declaration (members, links) =
+  String.concat "; "
+    (List.map (fun (c, ns) -> c ^ " " ^ String.concat "," ns) members
+    @ List.map (fun (a, b) -> a ^ "->" ^ b) links)
+
+let gen_diamond_instance =
+  QCheck.Gen.map
+    (fun (members, links) -> Dim_instance.make diamond ~members ~links)
+    gen_diamond_declaration
 
 (* The reference roll-up: breadth-first search over member_parents. *)
 let reference_rollup di m cat =
@@ -909,6 +934,181 @@ let prop_diamond_diagnose =
                 (function Dim_instance.Non_covering _ -> true | _ -> false)
                 expected))
 
+(* The closure of a declaration by naive fixpoint, without the
+   instance: each member's category, its parents by name ([all] for
+   members of categories under All) and every member it reaches. *)
+let naive_closure (members, links) =
+  let category =
+    ("all", Dim_schema.all)
+    :: List.concat_map (fun (c, ns) -> List.map (fun n -> (n, c)) ns) members
+  in
+  let parents m =
+    List.sort_uniq String.compare
+      ((if List.mem Dim_schema.all
+             (Dim_schema.parents diamond (List.assoc m category))
+        then [ "all" ]
+        else [])
+      @ List.filter_map (fun (c, p) -> if c = m then Some p else None) links)
+  in
+  let rec fix reach =
+    let next =
+      List.map
+        (fun (m, _) ->
+          ( m,
+            List.sort_uniq String.compare
+              (List.concat_map (fun p -> p :: List.assoc p reach) (parents m))
+          ))
+        category
+    in
+    if next = reach then reach else fix next
+  in
+  (category, parents, fix (List.map (fun (m, _) -> (m, [])) category))
+
+let prop_diamond_naive =
+  QCheck.Test.make
+    ~name:"shuffled diamond declarations match a naive fixpoint" ~count:200
+    (QCheck.make ~print:print_declaration gen_diamond_declaration)
+    (fun ((members, links) as declaration) ->
+      let di = Dim_instance.make diamond ~members ~links in
+      let category, parents, reach = naive_closure declaration in
+      let syms = List.map sym and cats = Dim_schema.categories diamond in
+      let within c = List.filter (fun n -> List.assoc n category = c) in
+      let members_of c =
+        List.sort String.compare (within c (List.map fst category))
+      in
+      let rollup m c = within c (List.assoc m reach) in
+      let drilldown m c =
+        List.filter (fun d -> List.mem m (List.assoc d reach)) (members_of c)
+      in
+      let violations =
+        List.concat_map
+          (fun c ->
+            List.concat_map
+              (fun m ->
+                List.filter_map
+                  (fun a ->
+                    match rollup m a with
+                    | _ :: _ :: _ as ups ->
+                      Some
+                        (Dim_instance.Non_strict
+                           { member = sym m; category = c;
+                             ancestor_category = a; ancestors = syms ups })
+                    | _ -> None)
+                  (Dim_schema.ancestors diamond c)
+                @ List.filter_map
+                    (fun pc ->
+                      if within pc (parents m) = [] then
+                        Some
+                          (Dim_instance.Non_covering
+                             { member = sym m; category = c;
+                               parent_category = pc })
+                      else None)
+                    (Dim_schema.parents diamond c))
+              (members_of c))
+          cats
+      in
+      let r = Dim_instance.diagnose di in
+      List.for_all
+        (fun c -> Dim_instance.members di c = syms (members_of c))
+        cats
+      && List.for_all
+           (fun (m, c) ->
+             let v = sym m in
+             Dim_instance.category_of di v = Some c
+             && Dim_instance.member_parents di v = syms (parents m)
+             && List.for_all
+                  (fun c' ->
+                    Dim_instance.rollup di v ~to_category:c'
+                    = syms (rollup m c')
+                    && Dim_instance.drilldown di v ~to_category:c'
+                       = syms (drilldown m c'))
+                  cats)
+           category
+      && Dim_instance.category_of di (sym "d") = None
+      && Dim_instance.member_parents di (R.Value.int 0) = []
+      && r.violations = violations
+      && r.strict
+         = List.for_all
+             (function Dim_instance.Non_strict _ -> false | _ -> true)
+             violations
+      && r.homogeneous
+         = List.for_all
+             (function Dim_instance.Non_covering _ -> false | _ -> true)
+             violations)
+
+(* [Md_ontology.instance] against its facts added one at a time: each
+   member of each category, then each link along each schema edge below
+   All, found through the public accessors. *)
+let instance_by_adds (o : Md_ontology.t) =
+  let inst = R.Instance.copy o.Md_ontology.data in
+  List.iter
+    (fun rs -> ignore (R.Instance.declare inst rs))
+    (Md_schema.relations o.schema);
+  let adder pred attributes =
+    let r = R.Instance.declare inst (R.Rel_schema.of_names pred attributes) in
+    fun t -> ignore (R.Relation.add r (R.Tuple.of_list t))
+  in
+  List.iter
+    (fun di ->
+      let ds = Dim_instance.schema di in
+      List.iter
+        (fun c ->
+          if c <> Dim_schema.all then
+            let add = adder (Md_schema.category_pred c) [ "member" ] in
+            List.iter (fun m -> add [ m ]) (Dim_instance.members di c))
+        (Dim_schema.categories ds);
+      List.iter
+        (fun (child, parent) ->
+          if parent <> Dim_schema.all then
+            let add =
+              adder
+                (Md_schema.parent_child_pred ~parent ~child)
+                [ "parent"; "child" ]
+            in
+            List.iter
+              (fun m ->
+                List.iter
+                  (fun p ->
+                    if Dim_instance.category_of di p = Some parent then
+                      add [ p; m ])
+                  (Dim_instance.member_parents di m))
+              (Dim_instance.members di child))
+        (Dim_schema.edges ds))
+    o.dim_instances;
+  inst
+
+let same_instance a b =
+  let rels i =
+    List.map
+      (fun r ->
+        (R.Relation.name r, R.Relation.cardinal r, R.Relation.to_list r))
+      (R.Instance.relations i)
+  in
+  rels a = rels b
+
+let test_ontology_instance_bulk () =
+  List.iter
+    (fun (name, o) ->
+      Alcotest.(check bool) name true
+        (same_instance (Md_ontology.instance o) (instance_by_adds o)))
+    [ ("hospital", Hospital.ontology ());
+      ("telecom", Mdqa_telecom.Telecom.ontology ());
+      ("scaled hospital", Hospital.Gen.ontology (Hospital.Gen.scale 4)) ]
+
+let prop_diamond_ontology_instance =
+  QCheck.Test.make ~name:"diamond ontology instance = one add per fact"
+    ~count:100
+    (QCheck.make
+       ~print:(fun i -> Format.asprintf "%a" Dim_instance.pp i)
+       gen_diamond_instance)
+    (fun di ->
+      let o =
+        Md_ontology.make
+          ~schema:(Md_schema.make ~dimensions:[ diamond ] ~relations:[])
+          ~dim_instances:[ di ] ()
+      in
+      same_instance (Md_ontology.instance o) (instance_by_adds o))
+
 (* grand-total invariant: when the ward->unit roll-up is summarizable,
    the per-unit sums add up to the plain total *)
 let prop_aggregate_partition =
@@ -957,7 +1157,8 @@ let prop_aggregate_partition =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_rollup_drilldown_galois; prop_strict_singleton_rollup;
-      prop_diamond_closure; prop_diamond_diagnose; prop_aggregate_partition ]
+      prop_diamond_closure; prop_diamond_diagnose; prop_diamond_naive;
+      prop_diamond_ontology_instance; prop_aggregate_partition ]
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -998,6 +1199,8 @@ let suites =
         case "upward-only detection" test_upward_only_detection ] );
     ( "multidim.ontology",
       [ case "compiled instance facts" test_ontology_instance_facts;
+        case "bulk-built instance = one add per fact"
+          test_ontology_instance_bulk;
         case "referential constraints hold" test_ontology_referential_ok;
         case "referential violation detected" test_ontology_referential_violation;
         case "class report: weakly sticky" test_ontology_classes;

@@ -65,7 +65,16 @@ let test_value_to_string_is_pp () =
       v_sym "W1"; v_sym "Sep/5-12:10"; v_sym "a\"b\\c\n"; v_sym "caf\xc3\xa9";
       v_sym "_x"; v_int 0; v_int (-7); v_int min_int; Value.real 37.5;
       Value.real (-0.001); Value.real 1e21; Value.real Float.nan;
-      Value.real Float.neg_infinity; Value.Null 1; Value.Null 12 ]
+      Value.real Float.neg_infinity; Value.Null 1; Value.Null 12;
+      v_sym "Inf"; v_sym "NaN"; v_sym "INFINITY"; v_sym "nan(12)";
+      v_sym "info"; v_sym "nano"; v_sym "i"; v_sym "n" ];
+  (* only whole float spellings are quoted *)
+  List.iter
+    (fun (s, bare) ->
+      Alcotest.(check bool) s bare (Value.to_string (v_sym s) = s))
+    [ ("Inf", false); ("NaN", false); ("INFINITY", false);
+      ("nan(12)", false); ("info", true); ("nano", true); ("i", true);
+      ("n", true) ]
 
 let test_value_of_string_forms () =
   Alcotest.check value_testable "underscore null" (Value.Null 7)
@@ -481,6 +490,51 @@ let prop_relation_add_idempotent =
         pairs;
       Relation.equal r1 r2)
 
+(* [of_tuples] against one [add] per tuple: the same tuples in the same
+   order, the same cardinal, and the same exception at the first tuple
+   of a wrong arity.  Long lists over a small domain cross the 4,096
+   tuple runs with duplicates on both sides of a boundary. *)
+let prop_of_tuples_is_adds =
+  let any2 = QCheck.Gen.map2 (fun a b -> tup [ a; b ]) value_gen value_gen
+  and few2 =
+    QCheck.Gen.(map (fun i -> tup [ v_int i; v_int (i mod 7) ]) (0 -- 3000))
+  in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (frequency
+           [ (4, list_size (0 -- 40) any2);
+             (1, list_size (4000 -- 9000) few2) ])
+        (opt (pair (0 -- 9000) tuple_gen))
+        (0 -- 1))
+  in
+  let print (ts, bad, _) =
+    Printf.sprintf "%d tuples, bad %s" (List.length ts)
+      (match bad with
+       | Some (i, t) -> Format.asprintf "%a at %d" Tuple.pp t i
+       | None -> "none")
+  in
+  QCheck.Test.make ~name:"Relation.of_tuples = one add per tuple" ~count:60
+    (QCheck.make ~print gen) (fun (ts, bad, twice) ->
+      let ts =
+        match bad with
+        | Some (i, t) ->
+          List.filteri (fun j _ -> j < i) ts
+          @ (t :: List.filteri (fun j _ -> j >= i) ts)
+        | None -> ts
+      in
+      let ts = if twice = 1 then ts @ ts else ts in
+      let result f =
+        match f () with
+        | r -> Ok (Relation.to_list r, Relation.cardinal r)
+        | exception Invalid_argument m -> Error m
+      in
+      result (fun () ->
+          let r = Relation.create schema_ab in
+          List.iter (fun t -> ignore (Relation.add r t)) ts;
+          r)
+      = result (fun () -> Relation.of_tuples schema_ab ts))
+
 let prop_csv_roundtrip =
   QCheck.Test.make ~name:"CSV relation roundtrip" ~count:100
     (QCheck.list_of_size (QCheck.Gen.int_bound 15)
@@ -575,7 +629,7 @@ let prop_value_equal_hash =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_value_compare_total; prop_value_roundtrip; prop_tuple_project_id;
-      prop_relation_add_idempotent; prop_csv_roundtrip;
+      prop_relation_add_idempotent; prop_of_tuples_is_adds; prop_csv_roundtrip;
       prop_tuple_compare_hash; prop_value_equal_hash ]
 
 let case name f = Alcotest.test_case name `Quick f
