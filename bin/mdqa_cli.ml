@@ -412,7 +412,7 @@ let run_resume path max_steps max_nulls timeout max_memory
        Logger.logf Logger.Warn
          ~fields:[ ("replayed", Logger.Int recovery.Store.replayed) ]
          "journal truncated (%a); resumed from the valid prefix"
-         Mdqa_store.Journal.pp_truncation t);
+         Mdqa_store.Binio.pp_damage t);
     print_chase_result r;
     chase_exit r
 

@@ -4,23 +4,14 @@ type t = {
   head : Atom.t list;
 }
 
-let counter = ref 0
-
 let vars_of_atoms atoms =
   List.fold_left
     (fun acc a -> Term.Var_set.union acc (Atom.vars a))
     Term.Var_set.empty atoms
 
-let make ?name ~body ~head () =
+let make ~name ~body ~head () =
   if body = [] then invalid_arg "Tgd.make: empty body";
   if head = [] then invalid_arg "Tgd.make: empty head";
-  let name =
-    match name with
-    | Some n -> n
-    | None ->
-      incr counter;
-      Printf.sprintf "tgd%d" !counter
-  in
   { name; body; head }
 
 let body_vars t = vars_of_atoms t.body

@@ -12,7 +12,7 @@ type t = private {
   head : Atom.t list;
 }
 
-val make : ?name:string -> body:Atom.t list -> head:Atom.t list -> unit -> t
+val make : name:string -> body:Atom.t list -> head:Atom.t list -> unit -> t
 (** @raise Invalid_argument if the body or head is empty, or if a head
     contains no atom. TGDs are safe by construction: head variables not
     occurring in the body are existential. *)

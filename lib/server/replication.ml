@@ -95,7 +95,7 @@ module Source = struct
           | Error c ->
             refused
               (Format.asprintf "local snapshot unreadable: %a"
-                 Snapshot.pp_corruption c)
+                 Mdqa_store.Binio.pp_damage c)
           | Ok sections ->
             let c = { epoch = Crc32.digest image; image; sections; id } in
             t.cache <- Some c;
@@ -594,7 +594,7 @@ module Follower = struct
                 | Error c ->
                   miss t
                     (Format.asprintf "installed image corrupt: %a"
-                       Snapshot.pp_corruption c)
+                       Mdqa_store.Binio.pp_damage c)
                 | Ok snap ->
                   resync snap;
                   t.epoch <- epoch';

@@ -83,8 +83,6 @@ type state = {
       (** a scrub finding requested a one-shot repair; it runs on the
           next scrub tick, so the tripped-breaker state is observable
           for at least one scrape *)
-  mutable scrub_bytes_seen : int;  (** folded into the counter so far *)
-  mutable scrub_errors_seen : int;
   mutable trace_dropped_seen : int;
       (** span-ring evictions already folded into
           [mdqa_trace_dropped_total] *)
@@ -666,6 +664,7 @@ let scrub_found st findings =
         ~fields:
           [ ("file", Logger.Str f.Scrub.file);
             ("offset", Logger.Int f.Scrub.offset);
+            ("kind", Logger.Str (Mdqa_store.Binio.kind_name f.Scrub.kind));
             ("reason", Logger.Str f.Scrub.reason) ]
         "mdqa serve: scrub found store damage")
     findings;
@@ -722,19 +721,17 @@ let scrub_tick st sc =
     Scrub.close sc
   end
   else begin
-    let findings = Scrub.tick sc in
+    let { Scrub.bytes; findings } = Scrub.tick sc in
     Metrics.add
       (Metrics.counter m ~help:"store bytes re-verified by the online scrubber"
          "mdqa_store_scrub_bytes_total")
-      (max 0 (Scrub.bytes_scrubbed sc - st.scrub_bytes_seen));
-    st.scrub_bytes_seen <- Scrub.bytes_scrubbed sc;
+      bytes;
     Metrics.add
       (Metrics.counter m
          ~help:"store damage found by the online scrubber (injected faults \
                 included)"
          "mdqa_store_scrub_errors_total")
-      (max 0 (Scrub.errors_found sc - st.scrub_errors_seen));
-    st.scrub_errors_seen <- Scrub.errors_found sc;
+      (List.length findings);
     if findings <> [] then scrub_found st findings
   end
 
@@ -785,8 +782,6 @@ let run ?follower cfg svc =
       scrub = None;
       scrub_due = 0.;
       scrub_repair_pending = false;
-      scrub_bytes_seen = 0;
-      scrub_errors_seen = 0;
       trace_dropped_seen = 0 }
   in
   (match (cfg.scrub_interval, Service.store_path svc) with

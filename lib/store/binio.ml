@@ -7,6 +7,29 @@ module Instance = Mdqa_relational.Instance
 
 exception Corrupt of { offset : int; reason : string }
 
+(* --- damage ---------------------------------------------------------- *)
+
+type damage_kind =
+  | Bad_header
+  | Torn_tail
+  | Crc_mismatch
+  | Inapplicable
+  | Unreadable
+  | Bad_program
+
+type damage = { offset : int; kind : damage_kind; reason : string }
+
+let kind_name = function
+  | Bad_header -> "bad-header"
+  | Torn_tail -> "torn-tail"
+  | Crc_mismatch -> "crc-mismatch"
+  | Inapplicable -> "inapplicable-record"
+  | Unreadable -> "unreadable"
+  | Bad_program -> "bad-program"
+
+let pp_damage ppf d =
+  Format.fprintf ppf "byte %d (%s): %s" d.offset (kind_name d.kind) d.reason
+
 (* --- writing --------------------------------------------------------- *)
 
 let u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
@@ -98,6 +121,38 @@ let rec fsync_retry fd =
   try Unix.fsync fd
   with Unix.Unix_error (Unix.EINTR, _, _) -> fsync_retry fd
 
+(* --- file input ------------------------------------------------------ *)
+
+let pread fd buf ~off ~len =
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  let rec go got =
+    if got >= len then got
+    else
+      match Unix.read fd buf got (len - got) with
+      | 0 -> got
+      | n -> go (got + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got
+  in
+  go 0
+
+let read_file path =
+  let unreadable reason = Error { offset = 0; kind = Unreadable; reason } in
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (e, _, _) ->
+    unreadable (path ^ ": " ^ Unix.error_message e)
+  | fd -> (
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    match
+      let size = (Unix.fstat fd).Unix.st_size in
+      let buf = Bytes.create size in
+      if pread fd buf ~off:0 ~len:size = size then
+        Ok (Bytes.unsafe_to_string buf)
+      else unreadable (path ^ ": file shrank mid-read")
+    with
+    | r -> r
+    | exception Unix.Unix_error (e, _, _) ->
+      unreadable (path ^ ": " ^ Unix.error_message e))
+
 (* --- reading --------------------------------------------------------- *)
 
 type reader = { data : string; mutable p : int; base : int }
@@ -120,10 +175,11 @@ let read_u8 r =
   r.p <- r.p + 1;
   v
 
+let get_u32 s i = Int32.to_int (String.get_int32_le s i) land 0xFFFF_FFFF
+
 let read_u32 r =
   need r 4;
-  let b k = Char.code r.data.[r.p + k] in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
+  let v = get_u32 r.data r.p in
   r.p <- r.p + 4;
   v
 
@@ -206,3 +262,153 @@ let read_instance r =
   in
   let rels = go n [] in
   build r (fun () -> Instance.of_relations rels)
+
+(* --- framed files ---------------------------------------------------- *)
+
+type layout = {
+  header_len : int;
+  header : string -> (int option, damage) result;
+  frame_len : int;
+  frame : at:int -> index:int -> string -> (int * int, damage) result;
+  name : int -> string;
+}
+
+let file_header ~magic ~version ~what s =
+  let m = String.length magic in
+  if String.sub s 0 m <> magic then
+    Error
+      { offset = 0;
+        kind = Bad_header;
+        reason = "bad magic: not an mdqa " ^ what }
+  else if get_u32 s m <> version then
+    Error
+      { offset = m;
+        kind = Bad_header;
+        reason =
+          Printf.sprintf "unsupported %s version %d (want %d)" what
+            (get_u32 s m) version }
+  else Ok ()
+
+type frame = { index : int; at : int; body : int; len : int; crc : int }
+
+type phase =
+  | Header
+  | Frames of { index : int; due : int option }
+      (* [due]: frames still to come; [None]: up to end of file *)
+  | Payload of { frame : frame; due : int option; run : Crc32.running }
+  | Over
+
+type walk = { layout : layout; mutable phase : phase; mutable off : int }
+
+type event = More | Verified of frame | Damaged of damage | Finished
+
+let walk layout = { layout; phase = Header; off = 0 }
+let offset w = w.off
+
+let want w =
+  match w.phase with
+  | Header -> (w.layout.header_len, w.layout.header_len)
+  | Frames { due = Some 0; _ } -> (1, 1)  (* any byte here trails *)
+  | Frames _ -> (w.layout.frame_len, w.layout.frame_len)
+  | Payload { frame; _ } -> (1, frame.body + frame.len - w.off)
+  | Over -> (0, 0)
+
+let feed w buf ~pos ~len =
+  let l = w.layout and at = w.off in
+  w.off <- at + len;
+  let stop d =
+    w.phase <- Over;
+    Damaged d
+  in
+  let finished () =
+    w.phase <- Over;
+    Finished
+  in
+  let torn offset what =
+    stop { offset; kind = Torn_tail; reason = "file ends inside " ^ what }
+  in
+  (* A payload is complete: its CRC decides. *)
+  let check frame due run =
+    if Crc32.finish run <> frame.crc then
+      stop
+        { offset = frame.at;
+          kind = Crc_mismatch;
+          reason = l.name frame.index ^ " checksum mismatch" }
+    else begin
+      w.phase <- Frames { index = frame.index + 1; due = Option.map pred due };
+      Verified frame
+    end
+  in
+  match w.phase with
+  | Over -> Finished
+  | Header -> (
+    if len < l.header_len then torn 0 "the file header"
+    else
+      match l.header (Bytes.sub_string buf pos len) with
+      | Ok due ->
+        w.phase <- Frames { index = 0; due };
+        More
+      | Error d -> stop d)
+  | Frames { index; due = Some 0 } ->
+    if len = 0 then finished ()
+    else
+      stop
+        { offset = at;
+          kind = Bad_header;
+          reason = "bytes trail " ^ l.name (index - 1) }
+  | Frames { due = None; _ } when len = 0 -> finished ()
+  | Frames { index; due } -> (
+    if len < l.frame_len then torn at ("the header of " ^ l.name index)
+    else
+      match l.frame ~at ~index (Bytes.sub_string buf pos len) with
+      | Error d -> stop d
+      | Ok (plen, crc) ->
+        let frame = { index; at; body = at + len; len = plen; crc } in
+        if plen = 0 then check frame due Crc32.start
+        else begin
+          w.phase <- Payload { frame; due; run = Crc32.start };
+          More
+        end)
+  | Payload p ->
+    if len = 0 then torn p.frame.at (l.name p.frame.index)
+    else
+      let run = Crc32.feed p.run buf ~pos ~len in
+      if w.off < p.frame.body + p.frame.len then begin
+        w.phase <- Payload { p with run };
+        More
+      end
+      else check p.frame p.due run
+
+let walk_string layout data ~on_frame =
+  let w = walk layout in
+  let buf = Bytes.unsafe_of_string data in
+  let rec go () =
+    let pos = w.off in
+    let len = max 0 (min (snd (want w)) (String.length data - pos)) in
+    match feed w buf ~pos ~len with
+    | More -> go ()
+    | Verified f -> Result.bind (on_frame f) go
+    | Damaged d -> Error d
+    | Finished -> Ok ()
+  in
+  go ()
+
+
+(* A payload under a valid CRC that still does not decode, or leaves
+   bytes over, is a writer bug or format skew; it is located at its
+   frame like any other damage to it. *)
+let decode_frame layout data f dec =
+  let r = reader ~offset:f.body (String.sub data f.body f.len) in
+  match
+    let v = dec r in
+    if not (at_end r) then corrupt r "trailing bytes";
+    v
+  with
+  | v -> Ok v
+  | exception Corrupt { offset; reason } ->
+    Error
+      { offset = f.at;
+        kind = Crc_mismatch;
+        reason =
+          Printf.sprintf "%s does not decode (byte %d): %s"
+            (layout.name f.index) offset reason }

@@ -15,7 +15,7 @@
 module Diag = Mdqa_datalog.Diag
 module Parser = Mdqa_datalog.Parser
 
-type damage_kind =
+type damage_kind = Binio.damage_kind =
   | Bad_header
   | Torn_tail
   | Crc_mismatch
@@ -45,13 +45,7 @@ type report = {
   infos : string list;
 }
 
-let kind_name = function
-  | Bad_header -> "bad-header"
-  | Torn_tail -> "torn-tail"
-  | Crc_mismatch -> "crc-mismatch"
-  | Inapplicable -> "inapplicable-record"
-  | Unreadable -> "unreadable"
-  | Bad_program -> "bad-program"
+let kind_name = Binio.kind_name
 
 let status_name = function
   | Clean -> "clean"
@@ -63,38 +57,9 @@ let exit_code r =
 
 (* --- classification --------------------------------------------------- *)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* The reader errors carry prose, not tags; triage keys on the stable
-   phrases.  Classification only drives reporting — the salvage chain
-   treats every kind the same way. *)
-let classify_snapshot file (c : Snapshot.corruption) =
-  let kind =
-    if c.what = "file" then Unreadable
-    else if c.what = "header" then Bad_header
-    else if contains c.reason "remain" then Torn_tail
-    else Crc_mismatch
-  in
-  { file; kind; offset = c.offset; reason = c.reason }
-
-let classify_journal file (t : Journal.truncation) =
-  let kind =
-    if String.starts_with ~prefix:"unreadable journal" t.reason then Unreadable
-    else if
-      String.starts_with ~prefix:"bad or truncated journal header" t.reason
-      || String.starts_with ~prefix:"unsupported journal version" t.reason
-    then Bad_header
-    else if String.starts_with ~prefix:"torn record" t.reason then Torn_tail
-    else if
-      contains t.reason "absent from snapshot"
-      || contains t.reason "does not match"
-    then Inapplicable
-    else Crc_mismatch
-  in
-  { file; kind; offset = t.offset; reason = t.reason }
+(* The readers classify their own damage; triage only says which file. *)
+let located file (d : Binio.damage) =
+  { file; kind = d.kind; offset = d.offset; reason = d.reason }
 
 let pp_damage ppf d =
   Format.fprintf ppf "%s: byte %d (%s): %s" d.file d.offset (kind_name d.kind)
@@ -287,7 +252,7 @@ let check ~path =
     else
       match Snapshot.read ~path with
       | Ok _ -> `Ok
-      | Error corr -> `Damaged (classify_snapshot path corr)
+      | Error d -> `Damaged (located path d)
   in
   match snapshot_state with
   | `Ok -> (
@@ -316,13 +281,11 @@ let check ~path =
         | None ->
           finish c ~path ~status:Clean ~damage:[] ~plan:None ~repaired:false
         | Some t ->
-          let d = classify_journal jpath t in
           addd c
             (Diag.make ~file:jpath Diag.Warning ~code:"W046"
-               (Format.asprintf
-                  "journal truncated at %a (%s); %d records recovered"
-                  Journal.pp_truncation t (kind_name d.kind) r.replayed));
-          finish c ~path ~status:Salvageable ~damage:[ d ]
+               (Format.asprintf "journal truncated at %a; %d records recovered"
+                  Binio.pp_damage t r.replayed));
+          finish c ~path ~status:Salvageable ~damage:[ located jpath t ]
             ~plan:
               (Some
                  (Printf.sprintf

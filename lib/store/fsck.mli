@@ -14,6 +14,13 @@
     + a re-sync from a live peer, when the caller supplies one (the CLI
       wires [--from HOST:PORT] to the replication ship API).
 
+    [check] does not read bytes or reasons of its own: the kind and
+    offset of each damage are what the readers report — {!Snapshot.read}
+    and {!Journal.read} (one decoder per file format) and {!Store.load}'s
+    replay ([Inapplicable]) — and the online {!Scrub} walks the same
+    decoders, so a fault has one kind and one offset wherever it is
+    found.  The offset is the first untrusted byte.
+
     Repair never destroys evidence: every damaged original is preserved
     under [<path>.d/quarantine/] (numbered, never overwritten).  The
     local stages commit new data (tmp + fsync + rename) before any old
@@ -25,18 +32,16 @@
     a store that no stage can save is reported [Unrepairable] with
     [E032] and keeps its original bytes; repair never invents data. *)
 
-type damage_kind =
-  | Bad_header  (** magic/version/length framing is wrong *)
-  | Torn_tail  (** the file ends mid-structure — the crash signature *)
-  | Crc_mismatch  (** framing intact, checksum wrong — bit rot *)
+type damage_kind = Binio.damage_kind =
+  | Bad_header
+  | Torn_tail
+  | Crc_mismatch
   | Inapplicable
-      (** a well-formed journal record its base image cannot absorb
-          (foreign predicate or arity) — version or epoch skew *)
-  | Unreadable  (** the file cannot be opened or read at all *)
+  | Unreadable
   | Bad_program
-      (** the image decodes but its stored program text no longer
-          parses — a writer bug, not bit rot (the section CRCs are
-          intact); the image cannot drive a resume *)
+(** The readers' own kinds ({!Binio.damage_kind}): {!Snapshot.read},
+    {!Journal.read} and {!Store.load}'s replay classify what they find,
+    and [check] copies it. *)
 
 type damage = {
   file : string;
@@ -105,5 +110,3 @@ val print_text : report -> unit
 (** Human-readable rendering to stdout: info lines, one diagnostic per
     line ({!Mdqa_datalog.Diag.pp}), the salvage plan, and a status
     summary line. *)
-
-val pp_damage : Format.formatter -> damage -> unit

@@ -9,7 +9,18 @@ type record =
 
 let magic = "MDQAJRNL"
 let version = 1
-let header_len = String.length magic + 4
+
+(* The layout: magic, u32 version, then frames of u32 payload length,
+   u32 payload CRC and the payload, up to the end of the file. *)
+let layout =
+  { Binio.header_len = String.length magic + 4;
+    header =
+      (fun s ->
+        Result.map (fun () -> None)
+          (Binio.file_header ~magic ~version ~what:"journal" s));
+    frame_len = 8;
+    frame = (fun ~at:_ ~index:_ s -> Ok (Binio.get_u32 s 0, Binio.get_u32 s 4));
+    name = (fun _ -> "record") }
 
 (* --- encoding -------------------------------------------------------- *)
 
@@ -97,104 +108,29 @@ let close w =
 
 (* --- recovery -------------------------------------------------------- *)
 
-type truncation = { offset : int; reason : string }
-
 type read_result = {
   records : (int * record) list;
-  truncation : truncation option;
+  truncation : Binio.damage option;
   valid_bytes : int;
 }
 
-let pp_truncation ppf t =
-  Format.fprintf ppf "byte %d: %s" t.offset t.reason
-
+(* The first frame that does not fully check out — torn, failing its
+   CRC, or not decoding under a valid one — truncates recovery at its
+   first byte. *)
 let read ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e ->
-    { records = [];
-      truncation =
-        Some { offset = 0; reason = "unreadable journal: " ^ e };
-      valid_bytes = 0 }
-  | exception End_of_file ->
-    { records = [];
-      truncation =
-        Some
-          { offset = 0;
-            reason =
-              "unreadable journal: file shrank mid-read (concurrent \
-               truncation)" };
-      valid_bytes = 0 }
-  | data ->
-    let len = String.length data in
-    if len < header_len || String.sub data 0 (String.length magic) <> magic
-    then
-      { records = [];
-        truncation =
-          Some { offset = 0; reason = "bad or truncated journal header" };
-        valid_bytes = 0 }
-    else begin
-      let ver =
-        let r = Binio.reader ~offset:(String.length magic)
-            (String.sub data (String.length magic) 4) in
-        Binio.read_u32 r
-      in
-      if ver <> version then
-        { records = [];
-          truncation =
-            Some
-              { offset = String.length magic;
-                reason =
-                  Printf.sprintf "unsupported journal version %d (want %d)"
-                    ver version };
-          valid_bytes = 0 }
-      else begin
-        let records = ref [] in
-        let pos = ref header_len in
-        let stop = ref None in
-        (* Walk frames; the first frame that does not fully check out
-           truncates recovery at its first byte. *)
-        while !stop = None && !pos < len do
-          let start = !pos in
-          let bad reason = stop := Some { offset = start; reason } in
-          if len - start < 8 then bad "torn record frame (header cut short)"
-          else begin
-            let hdr = Binio.reader ~offset:start (String.sub data start 8) in
-            let plen = Binio.read_u32 hdr in
-            let crc = Binio.read_u32 hdr in
-            if len - start - 8 < plen then
-              bad
-                (Printf.sprintf
-                   "torn record: payload claims %d bytes, %d remain" plen
-                   (len - start - 8))
-            else begin
-              let payload = String.sub data (start + 8) plen in
-              if Crc32.digest payload <> crc then
-                bad "record checksum mismatch"
-              else
-                match
-                  let r = Binio.reader ~offset:(start + 8) payload in
-                  let rec_ = decode_payload r in
-                  if not (Binio.at_end r) then
-                    raise
-                      (Binio.Corrupt
-                         { offset = start + 8 + Binio.pos r;
-                           reason = "trailing bytes inside record" });
-                  rec_
-                with
-                | rec_ ->
-                  records := (start, rec_) :: !records;
-                  pos := start + 8 + plen
-                | exception Binio.Corrupt { reason; _ } -> bad reason
-            end
-          end
-        done;
-        { records = List.rev !records;
-          truncation = !stop;
-          valid_bytes = !pos }
-      end
-    end
+  let records = ref [] in
+  let walked =
+    Result.bind (Binio.read_file path) (fun data ->
+        Binio.walk_string layout data ~on_frame:(fun f ->
+            Binio.decode_frame layout data f decode_payload
+            |> Result.map (fun record -> records := (f.at, record) :: !records))
+        |> Result.map (fun () -> String.length data))
+  in
+  match walked with
+  | Ok len ->
+    { records = List.rev !records; truncation = None; valid_bytes = len }
+  | Error d ->
+    { records = List.rev !records;
+      truncation = Some d;
+      valid_bytes =
+        (match d.kind with Bad_header | Unreadable -> 0 | _ -> d.offset) }

@@ -20,9 +20,9 @@
     {2 Recovery semantics}
 
     {!read} {e never fails}: whatever is on disk, it returns the longest
-    valid prefix of records plus an optional {!truncation} report
-    locating the first byte that could not be trusted (torn tail after a
-    crash, bit rot, a foreign file).  A missing or header-less journal
+    valid prefix of records plus an optional {!Binio.damage} locating
+    the first byte that could not be trusted (torn tail after a crash,
+    bit rot, a foreign file).  A missing or header-less journal
     reads as an empty one with a report.  Replaying a prefix of the
     journal over its snapshot always yields a well-formed instance — a
     prefix of the chase's own mutation sequence. *)
@@ -60,17 +60,12 @@ val close : writer -> unit
 
 (** {1 Recovery} *)
 
-type truncation = {
-  offset : int;  (** first untrusted byte *)
-  reason : string;
-}
-
 type read_result = {
   records : (int * record) list;
       (** the longest valid prefix, in order, each with the byte offset
           of its frame — so corruption found later (during replay) can
           still be located *)
-  truncation : truncation option;  (** [None]: the whole file was valid *)
+  truncation : Binio.damage option;  (** [None]: the whole file was valid *)
   valid_bytes : int;  (** length of the trusted prefix *)
 }
 
@@ -78,15 +73,6 @@ val read : path:string -> read_result
 (** Total function: corruption of any shape (including a missing file)
     yields the valid prefix and a report, never an exception. *)
 
-val pp_truncation : Format.formatter -> truncation -> unit
-
-(** {1 Format constants} — for the sibling integrity walkers ({!Fsck},
-    {!Scrub}) that stream over raw journal bytes. *)
-
-val magic : string
-(** ["MDQAJRNL"], 8 bytes. *)
-
-val version : int
-
-val header_len : int
-(** Bytes before the first record frame: magic + u32 version. *)
+val layout : Binio.layout
+(** The file header and frame headers, for {!Binio.walk}.  This module
+    is the only one that knows the layout. *)

@@ -7,6 +7,11 @@
    flipped bit is found while the previous generation is still fresh
    and a repair is cheap.
 
+   It knows neither layout: it runs {!Binio.walk} with the
+   {!Snapshot.layout} and then the {!Journal.layout} over bounded
+   [pread]s, so what it finds — kind and offset — is what
+   {!Snapshot.read} and {!Journal.read} find in the same bytes.
+
    Live-mutation safety — the files are being written while we read:
 
    - The snapshot fd is opened once per cycle and kept across ticks.  A
@@ -14,360 +19,158 @@
      the old, immutable, complete image — we finish verifying that
      inode and pick up the new one next cycle.  No false positives.
    - The journal is appended to (and truncated by compaction, which
-     keeps the same inode).  Growth past the size we started with is
-     simply next cycle's work.  A frame that runs past the current EOF
-     is a torn tail — the normal signature of an in-flight append or a
-     crash, explicitly NOT damage (recovery truncates it).  Only a
-     complete frame with a wrong CRC is damage, and before reporting it
-     we re-stat the file: if the inode changed or shrank beneath the
-     frame, the walk was invalidated by compaction and is abandoned
-     silently.
+     keeps the same inode).  Growth past the end we reach is simply
+     next cycle's work.  A torn tail is the normal signature of an
+     in-flight append or a crash, explicitly NOT damage (recovery
+     truncates it).  Any other journal damage is reported only after
+     re-checking the file: if the inode changed or shrank beneath the
+     bytes read, the walk was invalidated by compaction and is
+     abandoned silently.
 
    Findings are deduplicated per (inode, offset): a fault is reported
-   once, not once per cycle, so an errors counter driven by this module
-   counts faults, not passes over them.  After a repair the snapshot
-   inode changes, which naturally re-arms reporting. *)
+   once, not once per cycle.  After a repair the snapshot inode
+   changes, which naturally re-arms reporting. *)
 
-type finding = { file : string; offset : int; reason : string }
+type finding = {
+  file : string;
+  offset : int;
+  kind : Binio.damage_kind;
+  reason : string;
+}
 
 let pp_finding ppf f =
-  Format.fprintf ppf "%s: byte %d: %s" f.file f.offset f.reason
+  Format.fprintf ppf "%s: byte %d (%s): %s" f.file f.offset
+    (Binio.kind_name f.kind) f.reason
 
-type snap_phase =
-  | S_open  (* next: open the snapshot fd *)
-  | S_header  (* next: read + validate the 16-byte header *)
-  | S_section of { left : int }  (* next: read a 9-byte section header *)
-  | S_payload of {
-      left : int;  (* sections after this one *)
-      tag : char;
-      end_off : int;  (* first byte past this payload *)
-      expect : int;
-      run : Crc32.running;
-    }
-  | S_done
+type tick = { bytes : int; findings : finding list }
 
-type jrnl_phase =
-  | J_open
-  | J_frame
-  | J_payload of { end_off : int; expect : int; run : Crc32.running }
-  | J_done
+type cursor = {
+  fd : Unix.file_descr;
+  ino : int;
+  walk : Binio.walk;
+}
 
 type t = {
   path : string;
   budget : int;  (* max bytes verified per tick *)
   buf : bytes;
   seen : (int * int, unit) Hashtbl.t;  (* (inode, offset) already reported *)
-  mutable snap_fd : Unix.file_descr option;
-  mutable snap_ino : int;
-  mutable snap_phase : snap_phase;
-  mutable jrnl_fd : Unix.file_descr option;
-  mutable jrnl_ino : int;
-  mutable jrnl_phase : jrnl_phase;
-  mutable off : int;  (* read offset into whichever file is active *)
-  mutable bytes : int;
-  mutable errors : int;
+  mutable file : int;  (* 0 the snapshot, 1 the journal, 2 cycle done *)
+  mutable cursor : cursor option;
   mutable cycles : int;
 }
 
 let create ?(budget = 65536) ~path () =
+  let budget = max 512 budget in
   { path;
-    budget = max 512 budget;
-    buf = Bytes.create 65536;
+    budget;
+    buf = Bytes.create budget;
     seen = Hashtbl.create 8;
-    snap_fd = None;
-    snap_ino = 0;
-    snap_phase = S_open;
-    jrnl_fd = None;
-    jrnl_ino = 0;
-    jrnl_phase = J_open;
-    off = 0;
-    bytes = 0;
-    errors = 0;
+    file = 0;
+    cursor = None;
     cycles = 0 }
 
-let bytes_scrubbed t = t.bytes
-let errors_found t = t.errors
 let cycles t = t.cycles
 
-let close_fd fdo =
-  match fdo with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ()
+let release t =
+  Option.iter
+    (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
+    t.cursor;
+  t.cursor <- None
 
 (* [close] can land mid-walk (the server closes the scrubber after a
-   repair rewrites the files under it), so the phases must come back to
-   the opens with the fds: a phase that survived pointing past [*_open]
-   would dereference a released fd on the next tick. *)
+   repair rewrites the files under it): the next tick starts a fresh
+   cycle. *)
 let close t =
-  close_fd t.snap_fd;
-  close_fd t.jrnl_fd;
-  t.snap_fd <- None;
-  t.jrnl_fd <- None;
-  t.snap_phase <- S_open;
-  t.jrnl_phase <- J_open;
-  t.off <- 0
+  release t;
+  t.file <- 0
 
-(* pread without moving any shared cursor state between phases. *)
-let pread t fd ~off ~len =
-  let len = min len (Bytes.length t.buf) in
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let rec go got =
-    if got >= len then got
-    else
-      match Unix.read fd t.buf got (len - got) with
-      | 0 -> got
-      | n -> go (got + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got
-  in
-  let got = go 0 in
-  t.bytes <- t.bytes + got;
-  got
+let next_file t =
+  release t;
+  t.file <- t.file + 1
 
-let u32 b off =
-  Char.code (Bytes.get b off)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
-
-(* Report once per (inode, offset); injected faults bypass the cache
-   because each injection is a distinct fault. *)
-let report t out ~ino ~offset ~file reason =
-  if not (Hashtbl.mem t.seen (ino, offset)) then begin
-    Hashtbl.replace t.seen (ino, offset) ();
-    t.errors <- t.errors + 1;
-    out := { file; offset; reason } :: !out
+let report t out ~ino ~file (d : Binio.damage) =
+  if not (Hashtbl.mem t.seen (ino, d.offset)) then begin
+    Hashtbl.replace t.seen (ino, d.offset) ();
+    out := { file; offset = d.offset; kind = d.kind; reason = d.reason } :: !out
   end
 
-let fstat_ok fd = try Some (Unix.fstat fd) with Unix.Unix_error _ -> None
+(* The journal walk is valid only while the fd still names the live
+   journal and the file has not shrunk beneath [upto] (compaction
+   truncates in place).  Journal damage is reported only through this
+   guard. *)
+let journal_live fd jpath upto =
+  match (Unix.fstat fd, Unix.stat jpath) with
+  | st, pst -> st.Unix.st_size >= upto && pst.Unix.st_ino = st.Unix.st_ino
+  | exception Unix.Unix_error _ -> false
 
-(* --- snapshot walk ---------------------------------------------------- *)
-
-let snap_step t out budget =
-  match (t.snap_phase, t.snap_fd) with
-  | S_done, _ -> 0
-  | S_open, _ -> (
-    match Unix.openfile t.path [ Unix.O_RDONLY ] 0 with
+(* One step of the current file's walk; returns the bytes read. *)
+let step t out budget =
+  let journal = t.file = 1 in
+  let file = if journal then Store.journal_path t.path else t.path in
+  match t.cursor with
+  | None -> (
+    match Unix.openfile file [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
     | fd ->
-      t.snap_fd <- Some fd;
-      t.snap_ino <-
-        (match fstat_ok fd with Some st -> st.Unix.st_ino | None -> 0);
-      t.off <- 0;
-      t.snap_phase <- S_header;
-      1
+      let ino = try (Unix.fstat fd).Unix.st_ino with Unix.Unix_error _ -> 0 in
+      let layout = if journal then Journal.layout else Snapshot.layout in
+      t.cursor <- Some { fd; ino; walk = Binio.walk layout };
+      0
     | exception Unix.Unix_error (e, _, _) ->
-      report t out ~ino:0 ~offset:0 ~file:t.path
-        (Printf.sprintf "snapshot unreadable: %s" (Unix.error_message e));
-      t.snap_phase <- S_done;
-      1)
-  | (S_header | S_section _ | S_payload _), None ->
-    (* a [close] raced the walk: restart it rather than raise *)
-    t.snap_phase <- S_open;
-    t.off <- 0;
-    0
-  | S_header, Some fd -> (
-    let got = pread t fd ~off:0 ~len:16 in
-    if got < 16 then begin
-      report t out ~ino:t.snap_ino ~offset:0 ~file:t.path
-        "file shorter than the snapshot header";
-      t.snap_phase <- S_done;
-      got
-    end
-    else if Bytes.sub_string t.buf 0 8 <> Snapshot.magic then begin
-      report t out ~ino:t.snap_ino ~offset:0 ~file:t.path
-        "bad magic: not an mdqa snapshot";
-      t.snap_phase <- S_done;
-      got
-    end
-    else if u32 t.buf 8 <> Snapshot.version then begin
-      report t out ~ino:t.snap_ino ~offset:8 ~file:t.path
-        (Printf.sprintf "unsupported snapshot version %d" (u32 t.buf 8));
-      t.snap_phase <- S_done;
-      got
-    end
-    else begin
-      t.off <- 16;
-      t.snap_phase <- S_section { left = u32 t.buf 12 };
-      got
-    end)
-  | S_section { left }, Some fd ->
-    if left = 0 then begin
-      t.snap_phase <- S_done;
-      0
-    end
-    else begin
-      let got = pread t fd ~off:t.off ~len:9 in
-      if got < 9 then begin
-        report t out ~ino:t.snap_ino ~offset:t.off ~file:t.path
-          "snapshot ends mid-section-header";
-        t.snap_phase <- S_done
-      end
-      else begin
-        let tag = Bytes.get t.buf 0 in
-        let len = u32 t.buf 1 and expect = u32 t.buf 5 in
-        t.off <- t.off + 9;
-        t.snap_phase <-
-          S_payload
-            { left = left - 1;
-              tag;
-              end_off = t.off + len;
-              expect;
-              run = Crc32.start }
-      end;
-      got
-    end
-  | S_payload p, Some fd ->
-    let want = min budget (p.end_off - t.off) in
-    if want > 0 then begin
-      let got = pread t fd ~off:t.off ~len:want in
-      if got = 0 then begin
-        report t out ~ino:t.snap_ino ~offset:t.off ~file:t.path
-          (Printf.sprintf "section '%c' cut short" p.tag);
-        t.snap_phase <- S_done;
-        0
-      end
-      else begin
-        t.off <- t.off + got;
-        t.snap_phase <-
-          S_payload { p with run = Crc32.feed p.run t.buf ~pos:0 ~len:got };
-        got
-      end
-    end
-    else begin
-      if Crc32.finish p.run <> p.expect then
-        report t out ~ino:t.snap_ino ~offset:t.off ~file:t.path
-          (Printf.sprintf "section '%c' checksum mismatch" p.tag);
-      t.snap_phase <- S_section { left = p.left };
-      0
-    end
-
-(* --- journal walk ------------------------------------------------------ *)
-
-(* The walk is valid only while the fd still names the live journal and
-   the file has not shrunk beneath the offset in question (compaction
-   truncates in place).  Damage is reported only through this guard. *)
-let jrnl_live t upto =
-  match t.jrnl_fd with
-  | None -> false
-  | Some fd -> (
-    match fstat_ok fd with
-    | None -> false
-    | Some st -> (
-      st.Unix.st_size >= upto
-      &&
-      match Unix.stat (Store.journal_path t.path) with
-      | pst -> pst.Unix.st_ino = st.Unix.st_ino
-      | exception (Unix.Unix_error _ | Sys_error _) -> false))
-
-let jrnl_step t out budget =
-  let jpath = Store.journal_path t.path in
-  match (t.jrnl_phase, t.jrnl_fd) with
-  | J_done, _ -> 0
-  | (J_frame | J_payload _), None ->
-    (* a [close] raced the walk: restart it rather than raise *)
-    t.jrnl_phase <- J_open;
-    t.off <- 0;
-    0
-  | J_open, _ -> (
-    match Unix.openfile jpath [ Unix.O_RDONLY ] 0 with
-    | fd ->
-      t.jrnl_fd <- Some fd;
-      t.jrnl_ino <-
-        (match fstat_ok fd with Some st -> st.Unix.st_ino | None -> 0);
-      let got = pread t fd ~off:0 ~len:Journal.header_len in
-      if got < Journal.header_len then
-        (* a journal being created, or none: torn header = no records *)
-        t.jrnl_phase <- J_done
-      else if
-        Bytes.sub_string t.buf 0 8 <> Journal.magic
-        || u32 t.buf 8 <> Journal.version
-      then begin
-        if jrnl_live t Journal.header_len then
-          report t out ~ino:t.jrnl_ino ~offset:0 ~file:jpath
-            "bad or foreign journal header";
-        t.jrnl_phase <- J_done
-      end
-      else begin
-        t.off <- Journal.header_len;
-        t.jrnl_phase <- J_frame
-      end;
-      got
-    | exception Unix.Unix_error _ ->
-      (* absent journal: a freshly-compacted store is resetting it *)
-      t.jrnl_phase <- J_done;
+      (* an absent journal is a freshly compacted store resetting it *)
+      if not journal then
+        report t out ~ino:0 ~file
+          { offset = 0; kind = Unreadable; reason = Unix.error_message e };
+      next_file t;
       0)
-  | J_frame, Some fd -> (
-    let got = pread t fd ~off:t.off ~len:8 in
-    if got < 8 then begin
-      (* torn tail: the crash-normal ending, not damage *)
-      t.jrnl_phase <- J_done;
-      got
-    end
-    else
-      let len = u32 t.buf 0 and expect = u32 t.buf 4 in
-      match fstat_ok fd with
-      | Some st when t.off + 8 + len > st.Unix.st_size ->
-        (* frame runs past EOF: an append in flight or a torn tail *)
-        t.jrnl_phase <- J_done;
-        got
-      | _ ->
-        t.off <- t.off + 8;
-        t.jrnl_phase <-
-          J_payload { end_off = t.off + len; expect; run = Crc32.start };
-        got)
-  | J_payload p, Some fd ->
-    let want = min budget (p.end_off - t.off) in
-    if want > 0 then begin
-      let got = pread t fd ~off:t.off ~len:want in
-      if got = 0 then begin
-        t.jrnl_phase <- J_done;
-        0
-      end
-      else begin
-        t.off <- t.off + got;
-        t.jrnl_phase <-
-          J_payload { p with run = Crc32.feed p.run t.buf ~pos:0 ~len:got };
-        got
-      end
-    end
-    else begin
-      if Crc32.finish p.run <> p.expect && jrnl_live t p.end_off then
-        report t out ~ino:t.jrnl_ino ~offset:t.off ~file:jpath
-          "record checksum mismatch";
-      t.jrnl_phase <- J_frame;
+  | Some c -> (
+    let least, most = Binio.want c.walk in
+    let off = Binio.offset c.walk in
+    let damaged (d : Binio.damage) =
+      let upto = Binio.offset c.walk in
+      if (not journal) || (d.kind <> Torn_tail && journal_live c.fd file upto)
+      then report t out ~ino:c.ino ~file d;
+      next_file t
+    in
+    match Binio.pread c.fd t.buf ~off ~len:(max least (min most budget)) with
+    | exception Unix.Unix_error (e, _, _) ->
+      damaged
+        { offset = off; kind = Unreadable; reason = Unix.error_message e };
       0
-    end
-
-(* --- driver ----------------------------------------------------------- *)
+    | got ->
+      (match Binio.feed c.walk t.buf ~pos:0 ~len:got with
+       | More | Verified _ -> ()
+       | Damaged d -> damaged d
+       | Finished -> next_file t);
+      got)
 
 let tick t =
-  let out = ref [] in
-  (match Mdqa_obs.Failpoint.hit "store.scrub" with
-  | () -> (
-    let budget = ref t.budget in
-    let spin = ref 0 in
-    (* each step returns bytes consumed; zero-cost steps (phase
-       transitions) are bounded by [spin] so a tick always terminates *)
-    while !budget > 0 && !spin < 64 do
-      let used =
-        if t.snap_phase <> S_done then snap_step t out !budget
-        else if t.jrnl_phase <> J_done then jrnl_step t out !budget
-        else begin
-          (* cycle complete: release fds, start over next tick *)
-          close t;
-          t.cycles <- t.cycles + 1;
-          t.snap_phase <- S_open;
-          t.jrnl_phase <- J_open;
-          budget := 0;
-          0
-        end
-      in
-      if used = 0 then incr spin else spin := 0;
-      budget := !budget - used
-    done)
+  match Mdqa_obs.Failpoint.hit "store.scrub" with
   | exception Mdqa_obs.Failpoint.Injected msg ->
     (* a scripted fault counts as a detected fault: it exercises the
-       trip-and-repair path without real corruption *)
-    t.errors <- t.errors + 1;
-    out := { file = t.path; offset = 0; reason = "fault injected: " ^ msg }
-           :: !out);
-  List.rev !out
+       trip-and-repair path without real corruption; each injection is
+       a distinct fault, so it bypasses the dedup *)
+    { bytes = 0;
+      findings =
+        [ { file = t.path; offset = 0; kind = Crc_mismatch;
+            reason = "fault injected: " ^ msg } ] }
+  | () ->
+    let out = ref [] in
+    let bytes = ref 0 in
+    (* zero-byte steps (opens, file ends) are bounded by [spin] so a
+       tick always terminates *)
+    let rec go spin =
+      if t.file > 1 then begin
+        (* cycle complete: release the fds, start over next tick *)
+        close t;
+        t.cycles <- t.cycles + 1
+      end
+      else if !bytes < t.budget && spin < 64 then
+        match step t out (t.budget - !bytes) with
+        | 0 -> go (spin + 1)
+        | n ->
+          bytes := !bytes + n;
+          go 0
+    in
+    go 0;
+    { bytes = !bytes; findings = List.rev !out }

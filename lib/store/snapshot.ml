@@ -11,13 +11,8 @@ type t = {
   frontier : (string * Tuple.t list) list option;
 }
 
-type corruption = { offset : int; what : string; reason : string }
-
 let magic = "MDQASNAP"
 let version = 1
-
-let pp_corruption ppf c =
-  Format.fprintf ppf "byte %d (%s): %s" c.offset c.what c.reason
 
 (* --- encoding -------------------------------------------------------- *)
 
@@ -137,129 +132,68 @@ let decode_state r =
     { Chase.rounds; tgd_fires; triggers_checked; nulls_created; egd_merges },
     frontier )
 
+(* The layout: magic, u32 version, u32 section count, then per section
+   u8 tag, u32 payload length, u32 payload CRC.  Version 1 has exactly
+   the three sections of [sections], in that order. *)
+let tags = Array.of_list (List.map fst sections)
+
+let layout =
+  let count_at = String.length magic + 4 in
+  { Binio.header_len = count_at + 4;
+    header =
+      (fun s ->
+        Result.bind (Binio.file_header ~magic ~version ~what:"snapshot" s)
+          (fun () ->
+            let n = Binio.get_u32 s count_at in
+            if n = Array.length tags then Ok (Some n)
+            else
+              Error
+                { Binio.offset = count_at;
+                  kind = Bad_header;
+                  reason =
+                    Printf.sprintf "section count %d (want %d)" n
+                      (Array.length tags) }));
+    frame_len = 9;
+    frame =
+      (fun ~at ~index s ->
+        if s.[0] = tags.(index) then Ok (Binio.get_u32 s 1, Binio.get_u32 s 5)
+        else
+          Error
+            { Binio.offset = at;
+              kind = Bad_header;
+              reason =
+                Printf.sprintf "section tag %C where '%c' belongs" s.[0]
+                  tags.(index) });
+    name = (fun i -> Printf.sprintf "section '%c'" tags.(i)) }
+
+(* The one section walk: framing, order and every CRC.  Its frames are
+   the three sections, in [tags] order. *)
+let frames data =
+  let acc = ref [] in
+  Binio.walk_string layout data ~on_frame:(fun f ->
+      acc := f :: !acc;
+      Ok ())
+  |> Result.map (fun () -> Array.of_list (List.rev !acc))
+
 let of_string data =
-  let fail offset what reason = Error { offset; what; reason } in
-  (
-    let len = String.length data in
-    if len < String.length magic + 8 then
-      fail len "header" "file shorter than the snapshot header"
-    else if String.sub data 0 (String.length magic) <> magic then
-      fail 0 "header" "bad magic: not an mdqa snapshot"
-    else begin
-      let r = Binio.reader ~offset:0 data in
-      (* skip the magic *)
-      for _ = 1 to String.length magic do ignore (Binio.read_u8 r) done;
-      match
-        let v = Binio.read_u32 r in
-        if v <> version then
-          raise
-            (Binio.Corrupt
-               { offset = 8;
-                 reason =
-                   Printf.sprintf "unsupported snapshot version %d (want %d)" v
-                     version });
-        let count = Binio.read_u32 r in
-        let tbl = Hashtbl.create 4 in
-        for _ = 1 to count do
-          let tag = Char.chr (Binio.read_u8 r) in
-          let plen = Binio.read_u32 r in
-          let crc = Binio.read_u32 r in
-          let start = Binio.pos r in
-          if start + plen > len then
-            raise
-              (Binio.Corrupt
-                 { offset = start;
-                   reason =
-                     Printf.sprintf
-                       "section '%c' claims %d bytes but only %d remain" tag
-                       plen (len - start) });
-          let payload = String.sub data start plen in
-          if Crc32.digest payload <> crc then
-            raise
-              (Binio.Corrupt
-                 { offset = start;
-                   reason =
-                     Printf.sprintf "section '%c' checksum mismatch" tag });
-          (* skip over the payload in the outer reader *)
-          let r' = Binio.reader ~offset:start payload in
-          Hashtbl.replace tbl tag r';
-          for _ = 1 to plen do ignore (Binio.read_u8 r) done
-        done;
-        let section tag =
-          match Hashtbl.find_opt tbl tag with
-          | Some r' -> r'
-          | None ->
-            raise
-              (Binio.Corrupt
-                 { offset = len;
-                   reason = Printf.sprintf "missing section '%c'" tag })
-        in
-        let program_text = Binio.read_str (section 'P') in
-        let instance = Binio.read_instance (section 'I') in
-        let variant, null_base, stats, frontier = decode_state (section 'C') in
-        { program_text; variant; instance; null_base; stats; frontier }
-      with
-      | s -> Ok s
-      | exception Binio.Corrupt { offset; reason } ->
-        fail offset "snapshot" reason
-    end)
+  let ( let* ) = Result.bind in
+  let* f = frames data in
+  let decode i = Binio.decode_frame layout data f.(i) in
+  let* program_text = decode 0 Binio.read_str in
+  let* instance = decode 1 Binio.read_instance in
+  let* variant, null_base, stats, frontier = decode 2 decode_state in
+  Ok { program_text; variant; instance; null_base; stats; frontier }
 
-let read ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error { offset = 0; what = "file"; reason = e }
-  | exception End_of_file ->
-    Error
-      { offset = 0; what = "file"; reason = "unreadable (concurrent truncation)" }
-  | data -> of_string data
+let read ~path = Result.bind (Binio.read_file path) of_string
 
-(* Header walk only: the per-section CRCs without decoding any payload.
-   Replication compares these at snapshot boundaries — a standby whose
-   program section disagrees with its primary's is diverged, not stale,
-   and must refuse to follow rather than silently fork. *)
+(* Per-section CRCs.  Replication compares these at snapshot
+   boundaries — a standby whose program section disagrees with its
+   primary's is diverged, not stale, and must refuse to follow rather
+   than silently fork. *)
 let section_crcs data =
-  let fail offset what reason = Error { offset; what; reason } in
-  let len = String.length data in
-  if len < String.length magic + 8 then
-    fail len "header" "file shorter than the snapshot header"
-  else if String.sub data 0 (String.length magic) <> magic then
-    fail 0 "header" "bad magic: not an mdqa snapshot"
-  else begin
-    let r = Binio.reader ~offset:0 data in
-    for _ = 1 to String.length magic do ignore (Binio.read_u8 r) done;
-    match
-      let v = Binio.read_u32 r in
-      if v <> version then
-        raise
-          (Binio.Corrupt
-             { offset = 8;
-               reason =
-                 Printf.sprintf "unsupported snapshot version %d (want %d)" v
-                   version });
-      let count = Binio.read_u32 r in
-      let crcs = ref [] in
-      for _ = 1 to count do
-        let tag = Char.chr (Binio.read_u8 r) in
-        let plen = Binio.read_u32 r in
-        let crc = Binio.read_u32 r in
-        let start = Binio.pos r in
-        if start + plen > len then
-          raise
-            (Binio.Corrupt
-               { offset = start;
-                 reason =
-                   Printf.sprintf
-                     "section '%c' claims %d bytes but only %d remain" tag
-                     plen (len - start) });
-        crcs := (tag, crc) :: !crcs;
-        for _ = 1 to plen do ignore (Binio.read_u8 r) done
-      done;
-      List.rev !crcs
-    with
-    | crcs -> Ok crcs
-    | exception Binio.Corrupt { offset; reason } -> fail offset "snapshot" reason
-  end
+  Result.map
+    (fun fs ->
+      List.map
+        (fun (f : Binio.frame) -> (tags.(f.index), f.crc))
+        (Array.to_list fs))
+    (frames data)

@@ -18,9 +18,13 @@
       payload bytes
     v}
 
+    Version 1 has exactly three sections, in the order [P], [I], [C].
     Every section is independently checksummed; a snapshot is accepted
-    only if the magic, version, every length and every CRC check out —
-    otherwise {!read} returns a located {!corruption} (never raises).
+    only if the magic, version, section count, every tag, length and
+    CRC check out, no byte trails the last section, and every payload
+    decodes — otherwise {!read} returns a located {!Binio.damage}
+    (never raises).  This module is the only one that knows the
+    layout: the online scrubber walks it through {!layout}.
 
     {2 Durability}
 
@@ -48,20 +52,17 @@ type t = {
           chase must start with a full evaluation round. *)
 }
 
-type corruption = {
-  offset : int;  (** byte offset into the snapshot file *)
-  what : string;  (** which part: ["header"], ["section 'I'"], ... *)
-  reason : string;
-}
-
 val write : path:string -> t -> int
 (** Atomic, fsynced write; returns the number of bytes in the image.
     @raise Sys_error / Unix.Unix_error on I/O failure. *)
 
-val read : path:string -> (t, corruption) result
+val read : path:string -> (t, Binio.damage) result
 (** Never raises: missing files, short reads, bad magic, unsupported
     versions, truncation and checksum mismatches all come back as
-    [Error] with the first offending byte offset. *)
+    [Error] with the first untrusted byte offset. *)
+
+val layout : Binio.layout
+(** The file header and section headers, for {!Binio.walk}. *)
 
 (** {2 Raw images} — the replication ship path.  A snapshot travels the
     wire as its exact on-disk bytes, so the CRCs that protect it on disk
@@ -71,9 +72,8 @@ val read : path:string -> (t, corruption) result
 val encode : t -> string
 (** The full on-disk image (header + checksummed sections) as a string. *)
 
-val of_string : string -> (t, corruption) result
-(** Decode a raw image with exactly {!read}'s validation: magic,
-    version, every length and every section CRC. *)
+val of_string : string -> (t, Binio.damage) result
+(** Decode a raw image with exactly {!read}'s validation. *)
 
 val write_raw : path:string -> string -> int
 (** Install a pre-encoded image with {!write}'s atomic tmp/fsync/rename
@@ -81,22 +81,11 @@ val write_raw : path:string -> string -> int
     {!of_string} first.
     @raise Sys_error / Unix.Unix_error on I/O failure. *)
 
-val section_crcs : string -> ((char * int) list, corruption) result
-(** Per-section CRC-32s of a raw image, from the section headers alone
-    (no payload decode): [('P', crc); ('I', crc); ('C', crc)] for a
-    version-1 image.  Divergence detection compares these across
-    replicas at snapshot boundaries. *)
-
-val pp_corruption : Format.formatter -> corruption -> unit
-
-(** {2 Format constants and helpers} — for the sibling integrity
-    walkers ({!Fsck}, {!Scrub}) that re-implement the header walk over
-    raw bytes or an open fd. *)
-
-val magic : string
-(** ["MDQASNAP"], 8 bytes. *)
-
-val version : int
+val section_crcs : string -> ((char * int) list, Binio.damage) result
+(** Per-section CRC-32s of a raw image, after {!of_string}'s section
+    walk (framing and every CRC, no payload decode):
+    [('P', crc); ('I', crc); ('C', crc)].  Divergence detection
+    compares these across replicas at snapshot boundaries. *)
 
 val fsync_dir : string -> unit
 (** Make a just-performed rename/unlink in [dir] durable.  Failures are

@@ -230,18 +230,18 @@ type recovery = {
   null_base : int;
   stats : Chase.stats;
   replayed : int;
-  journal_truncation : Journal.truncation option;
+  journal_truncation : Binio.damage option;
 }
 
 type load_error =
   | No_store of string
-  | Corrupt_snapshot of Snapshot.corruption
+  | Corrupt_snapshot of Binio.damage
   | Bad_program of { line : int; message : string }
 
 let pp_load_error ppf = function
   | No_store p -> Format.fprintf ppf "no snapshot at %s" p
   | Corrupt_snapshot c ->
-    Format.fprintf ppf "corrupt snapshot: %a" Snapshot.pp_corruption c
+    Format.fprintf ppf "corrupt snapshot: %a" Binio.pp_damage c
   | Bad_program { line; message } ->
     Format.fprintf ppf "stored program no longer parses (line %d): %s" line
       message
@@ -304,7 +304,7 @@ let load_from ~snapshot:spath ~journal:jpath =
       let stopped = ref false in
       let stop offset reason =
         stopped := true;
-        truncation := Some { Journal.offset; reason }
+        truncation := Some { Binio.offset; kind = Inapplicable; reason }
       in
       List.iter
         (fun (off, record) ->
@@ -417,55 +417,35 @@ let image_id ~path =
     Some { dev; ino; size; mtime }
   | exception Unix.Unix_error _ -> None
 
-let read_file_string p =
-  match
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | data -> Ok data
-  | exception Sys_error e -> Error e
-  | exception End_of_file -> Error "unreadable (concurrent truncation)"
-
 let read_image ~path =
-  if not (Sys.file_exists path) then Error (Printf.sprintf "no snapshot at %s" path)
-  else read_file_string path
+  if not (Sys.file_exists path) then
+    Error (Printf.sprintf "no snapshot at %s" path)
+  else
+    Result.map_error (fun (d : Binio.damage) -> d.reason) (Binio.read_file path)
 
 let read_journal_slice ~path ~offset ~len =
   let jpath = journal_path path in
   if not (Sys.file_exists jpath) then Ok ("", 0)
   else
-    match Unix.openfile jpath [ Unix.O_RDONLY ] 0 with
+    match Unix.openfile jpath [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
     | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match
-            let total = (Unix.fstat fd).Unix.st_size in
-            let offset = min offset total in
-            let want = max 0 (min len (total - offset)) in
-            ignore (Unix.lseek fd offset Unix.SEEK_SET);
-            let buf = Bytes.create want in
-            let got = ref 0 in
-            (let continue = ref true in
-             while !continue && !got < want do
-               match Unix.read fd buf !got (want - !got) with
-               | 0 -> continue := false
-               | n -> got := !got + n
-               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-             done);
-            (Bytes.sub_string buf 0 !got, total)
-          with
-          | r -> Ok r
-          | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+    | fd -> (
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      match
+        let total = (Unix.fstat fd).Unix.st_size in
+        let offset = min offset total in
+        let buf = Bytes.create (max 0 (min len (total - offset))) in
+        let got = Binio.pread fd buf ~off:offset ~len:(Bytes.length buf) in
+        (Bytes.sub_string buf 0 got, total)
+      with
+      | r -> Ok r
+      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
 
 let install_stream ~path ~snapshot ~journal =
   match Snapshot.of_string snapshot with
   | Error c ->
     Error
-      (Format.asprintf "shipped snapshot rejected: %a" Snapshot.pp_corruption c)
+      (Format.asprintf "shipped snapshot rejected: %a" Binio.pp_damage c)
   | Ok _ -> (
     match
       ignore (Snapshot.write_raw ~path snapshot);

@@ -21,7 +21,7 @@
       two only leaves redundant journal records — replay is idempotent
       (re-adding a fact and re-applying a merge are no-ops).
     - Recovery never raises: every failure mode is a value
-      ({!Snapshot.corruption}, {!Journal.truncation}, {!load_error}).
+      ({!Binio.damage}, {!load_error}).
 
     Checkpoint I/O is accounted to the attached guard as
     [Guard.Checkpoint_bytes]. *)
@@ -38,15 +38,6 @@ val generation_path : string -> int -> string
 
 val generations : path:string -> int
 (** How many previous generations are on disk (consecutive from 1). *)
-
-val rotate_generations : path:string -> keep:int -> unit
-(** Rotate the committed image at [path] into the generation chain
-    before a new one replaces it: [path.k-1] renames to [path.k] for
-    k = keep..2, then [path] is hard-linked to [path.1] — so there is
-    never an instant with zero complete snapshots on disk.  Best-effort
-    (generations are redundancy): I/O failures are swallowed, and
-    [keep = 0] disables rotation.  Called automatically by every
-    snapshot write of an open store. *)
 
 val create :
   ?guard:Mdqa_datalog.Guard.t ->
@@ -123,13 +114,15 @@ type recovery = {
       (** cumulative stats at the last durable round boundary, plus the
           EGD merges replayed after it *)
   replayed : int;  (** journal records applied *)
-  journal_truncation : Journal.truncation option;
-      (** where and why journal replay stopped early, if it did *)
+  journal_truncation : Binio.damage option;
+      (** where and why journal replay stopped early, if it did: the
+          journal's own damage, or [Inapplicable] at the first record
+          the snapshot cannot absorb *)
 }
 
 type load_error =
   | No_store of string  (** no snapshot at the path *)
-  | Corrupt_snapshot of Snapshot.corruption
+  | Corrupt_snapshot of Binio.damage
   | Bad_program of { line : int; message : string }
       (** the stored program text no longer parses (version skew) —
           only possible for {!resume}, {!load} does not parse *)

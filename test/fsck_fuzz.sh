@@ -11,7 +11,11 @@
 #     not invented bytes);
 #   - with the generation chain stripped, header damage is declared
 #     unrepairable (exit 1, E032 in the JSON report) and the damaged
-#     file is left byte-identical — evidence is never destroyed.
+#     file is left byte-identical — evidence is never destroyed;
+#   - read-only `store fsck --json` names the damage kind: a flipped
+#     snapshot version byte is `bad-header`, and a snapshot or journal
+#     cut at any length past its header is `torn-tail` for that file
+#     (or, for a journal cut between records, a clean store).
 #
 # Usage: fsck_fuzz.sh MDQA_EXE
 set -u
@@ -126,6 +130,72 @@ cmp -s "$ck" "$dir/damaged.bin" \
   || fail "unrepairable store: repair modified the damaged evidence"
 [ -d "$ck.d/quarantine" ] \
   && fail "unrepairable store: evidence was quarantined with no replacement"
+
+# read-only fsck names the kind: $1 = file, $2 = kind, $3 = case
+expect_kind() {
+  out=$(timeout 30 "$exe" store fsck "$ck" --json 2>/dev/null)
+  case "$out" in
+  *"\"file\":\"$1\",\"kind\":\"$2\""*) ;;
+  *) fail "$3: want $2 for $1, got $out" ;;
+  esac
+}
+
+restore
+flip "$ck" 8
+expect_kind "$ck" bad-header "snapshot version byte flipped"
+
+# every cut past the 16-byte snapshot header
+restore
+off=16
+while [ "$off" -lt "$snap_size" ]; do
+  head -c "$off" "$dir/snap.orig" > "$ck"
+  expect_kind "$ck" torn-tail "snapshot cut to $off bytes"
+  off=$((off + 1))
+done
+
+# The chase above ends with a compaction, so its journal is a bare
+# header.  A journal with records is what a killed chase leaves: a long
+# one, killed once its journal passes 1 KiB; the sweep cuts its first
+# 300 bytes at every length past the 12-byte header.
+restore
+kp="$dir/long.dl"
+{
+  i=1
+  while [ "$i" -le 300 ]; do
+    echo "e($i, $((i + 1)))."
+    i=$((i + 1))
+  done
+  echo 't(X, Y) :- e(X, Y).'
+  echo 't(X, Z) :- t(X, Y), e(Y, Z).'
+} > "$kp"
+rm -f "$ck" "$ck.1" "$jn"
+"$exe" chase "$kp" --checkpoint "$ck" --max-steps 100000000 \
+  > /dev/null 2>&1 &
+pid=$!
+jn_size() { if [ -f "$jn" ]; then wc -c < "$jn"; else echo 0; fi; }
+n=0
+while [ "$n" -lt 3000 ] && [ "$(jn_size)" -lt 1024 ]; do
+  sleep 0.01
+  n=$((n + 1))
+done
+kill -9 "$pid" 2>/dev/null
+wait "$pid" 2>/dev/null
+if [ "$(jn_size)" -lt 1024 ]; then
+  fail "killed chase left no journal records to cut"
+else
+  head -c 300 "$jn" > "$dir/jn.long"
+  off=13
+  while [ "$off" -lt 300 ]; do
+    head -c "$off" "$dir/jn.long" > "$jn"
+    out=$(timeout 30 "$exe" store fsck "$ck" --json 2>/dev/null)
+    case "$out" in
+    *"\"file\":\"$jn\",\"kind\":\"torn-tail\""*) ;;
+    *'"status":"clean"'*) ;; # cut between two records
+    *) fail "journal cut to $off bytes: want torn-tail, got $out" ;;
+    esac
+    off=$((off + 1))
+  done
+fi
 
 [ "$status" -eq 0 ] && echo "fsck_fuzz: every corruption repaired or refused"
 exit $status

@@ -136,7 +136,12 @@ let test_eval_delta () =
 (* ------------------------------------------------------------------ *)
 (* Chase *)
 
-let tgd ?name body head = Tgd.make ?name ~body ~head ()
+(* Rules are named after their heads unless a test names them. *)
+let tgd ?name body head =
+  let name =
+    Option.value name ~default:(String.concat "," (List.map Atom.pred head))
+  in
+  Tgd.make ~name ~body ~head ()
 
 let test_chase_transitive_closure () =
   let p =
@@ -783,9 +788,10 @@ let raises_invalid f =
 let test_constructor_validation () =
   Alcotest.(check bool) "empty TGD body" true
     (raises_invalid (fun () ->
-         Tgd.make ~body:[] ~head:[ atom "p" [ v "X" ] ] ()));
+         Tgd.make ~name:"empty_body" ~body:[] ~head:[ atom "p" [ v "X" ] ] ()));
   Alcotest.(check bool) "empty TGD head" true
-    (raises_invalid (fun () -> Tgd.make ~body:[ atom "p" [ v "X" ] ] ~head:[] ()));
+    (raises_invalid (fun () ->
+         Tgd.make ~name:"empty_head" ~body:[ atom "p" [ v "X" ] ] ~head:[] ()));
   Alcotest.(check bool) "EGD head var not in body" true
     (raises_invalid (fun () ->
          Egd.make ~body:[ atom "p" [ v "X" ] ] (v "X") (v "Z")));

@@ -92,7 +92,9 @@ let test_rewrite_pruning_integration () =
      copy rule: copy(U,P) :- pu(U,P); query over copy unfolds to both
      pu and the join; the pu disjunct subsumes nothing here, so both
      survive; with an extra redundant rule the pruner kicks in. *)
-  let tgd body head = Tgd.make ~body ~head () in
+  let tgd body head =
+    Tgd.make ~name:(Atom.pred (List.hd head)) ~body ~head ()
+  in
   let p =
     Program.make
       ~tgds:
@@ -152,7 +154,12 @@ let test_repair_unrepairable () =
    | Ok _ -> Alcotest.fail "expected unrepairable error")
 
 let test_repair_derived_rejected () =
-  let tgd = Tgd.make ~body:[ atom "q" [ v "X" ] ] ~head:[ atom "p" [ v "X" ] ] () in
+  let tgd =
+    Tgd.make ~name:"q_to_p"
+      ~body:[ atom "q" [ v "X" ] ]
+      ~head:[ atom "p" [ v "X" ] ]
+      ()
+  in
   let p = Program.make ~tgds:[ tgd ] ~ncs:[ nc_bad ] () in
   let inst = repair_instance [] in
   (match Repair.violations p inst ~deletable:(fun _ -> true) with
@@ -721,7 +728,9 @@ let test_provenance_disabled_by_default () =
    | Ok _ -> Alcotest.fail "expected error without provenance")
 
 let test_provenance_simple_chain () =
-  let tgd body head = Tgd.make ~body ~head () in
+  let tgd body head =
+    Tgd.make ~name:(Atom.pred (List.hd head)) ~body ~head ()
+  in
   let p =
     Program.make
       ~tgds:

@@ -14,7 +14,12 @@ module Hospital = Mdqa_hospital.Hospital
 
 let v = Term.var
 let atom p args = Atom.make p args
-let tgd ?name body head = Tgd.make ?name ~body ~head ()
+(* Rules are named after their heads unless a test names them. *)
+let tgd ?name body head =
+  let name =
+    Option.value name ~default:(String.concat "," (List.map Atom.pred head))
+  in
+  Tgd.make ~name ~body ~head ()
 
 let instance_of bindings =
   let inst = R.Instance.create () in

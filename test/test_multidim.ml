@@ -596,7 +596,7 @@ let test_ontology_validation () =
              [ Hospital.hospital_instance; Hospital.time_instance;
                Hospital.device_instance ]
            ~rules:
-             [ Tgd.make
+             [ Tgd.make ~name:"mystery_unit"
                  ~body:[ Atom.make "mystery" [ v "X" ] ]
                  ~head:[ Atom.make "patient_unit" [ v "U"; v "D"; v "X" ] ]
                  () ]

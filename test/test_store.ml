@@ -230,7 +230,7 @@ let test_snapshot_roundtrip () =
   Alcotest.(check bool) "no temp file left" false
     (Sys.file_exists (path ^ ".tmp"));
   match Snapshot.read ~path with
-  | Error c -> Alcotest.failf "clean snapshot rejected: %s" c.Snapshot.reason
+  | Error c -> Alcotest.failf "clean snapshot rejected: %s" c.Binio.reason
   | Ok back -> check_snapshot_equal snap back
 
 let test_snapshot_qcheck =
@@ -883,34 +883,44 @@ let test_fsck_bad_program_salvaged () =
   Alcotest.(check bool) "repaired from the generation" true r.Fsck.repaired;
   check_repaired_store ~stage:"bad-program" path
 
+(* One scrub tick, holding it to its read budget: at most [budget]
+   bytes plus one file header. *)
+let scrub_tick ~budget s =
+  let r = Scrub.tick s in
+  if r.Scrub.bytes > budget + 16 then
+    Alcotest.failf "one tick read %d bytes on a budget of %d" r.Scrub.bytes
+      budget;
+  r
+
 let test_scrub_clean_then_corrupt () =
   let path, _ = completed_store () in
   Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
   let s = Scrub.create ~budget:512 ~path () in
   Fun.protect ~finally:(fun () -> Scrub.close s) @@ fun () ->
+  let bytes = ref 0 in
   let spin_until_cycles ~expect_clean target =
     let found = ref 0 in
     let guard = ref 0 in
     while Scrub.cycles s < target && !guard < 100_000 do
       incr guard;
-      let fs = Scrub.tick s in
-      found := !found + List.length fs;
-      if expect_clean && fs <> [] then
+      let r = scrub_tick ~budget:512 s in
+      bytes := !bytes + r.Scrub.bytes;
+      found := !found + List.length r.Scrub.findings;
+      if expect_clean && r.Scrub.findings <> [] then
         Alcotest.failf "clean store produced a finding: %s"
-          (Format.asprintf "%a" Scrub.pp_finding (List.hd fs))
+          (Format.asprintf "%a" Scrub.pp_finding (List.hd r.Scrub.findings))
     done;
     Alcotest.(check bool) "scrub cycles advance" true (Scrub.cycles s >= target);
     !found
   in
-  ignore (spin_until_cycles ~expect_clean:true 2);
-  Alcotest.(check bool) "bytes were scrubbed" true (Scrub.bytes_scrubbed s > 0);
-  Alcotest.(check int) "no errors on a clean store" 0 (Scrub.errors_found s);
+  Alcotest.(check int) "no errors on a clean store" 0
+    (spin_until_cycles ~expect_clean:true 2);
+  Alcotest.(check bool) "bytes were scrubbed" true (!bytes > 0);
   (* one flipped payload byte: detected, and deduplicated across the
      following cycles — one fault, one finding *)
   flip_byte path (String.length (read_file path) - 5);
   let found = spin_until_cycles ~expect_clean:false 6 in
-  Alcotest.(check int) "one corrupt byte, one finding" 1 found;
-  Alcotest.(check int) "errors counter matches" 1 (Scrub.errors_found s)
+  Alcotest.(check int) "one corrupt byte, one finding" 1 found
 
 (* serve closes the scrubber right after a repair rewrites the files
    under it, usually mid-walk on any store bigger than one tick's
@@ -931,21 +941,180 @@ let test_scrub_close_mid_walk_restarts () =
          frontier = None });
   let s = Scrub.create ~budget:512 ~path () in
   Fun.protect ~finally:(fun () -> Scrub.close s) @@ fun () ->
-  ignore (Scrub.tick s);
+  ignore (scrub_tick ~budget:512 s);
   Alcotest.(check int) "one tick leaves the walk mid-cycle" 0 (Scrub.cycles s);
   Scrub.close s;
   let guard = ref 0 in
   while Scrub.cycles s < 1 && !guard < 100_000 do
     incr guard;
-    match Scrub.tick s with
+    match (scrub_tick ~budget:512 s).Scrub.findings with
     | [] -> ()
     | f :: _ ->
       Alcotest.failf "clean store produced a finding after close: %s"
         (Format.asprintf "%a" Scrub.pp_finding f)
   done;
   Alcotest.(check bool) "cycle completes after a mid-walk close" true
-    (Scrub.cycles s >= 1);
-  Alcotest.(check int) "no errors on a clean store" 0 (Scrub.errors_found s)
+    (Scrub.cycles s >= 1)
+
+(* --- one reader per format: the online and offline walks agree ------- *)
+
+(* A completed store plus a journal of records it can replay. *)
+let store_with_journal () =
+  let path, _ = completed_store () in
+  write_journal (Store.journal_path path)
+    [ Journal.Fact ("e", R.Tuple.of_list [ R.Value.int 9; R.Value.int 10 ]);
+      Journal.Merge { from_ = R.Value.Null 0; into = R.Value.sym "tom" };
+      Journal.Round { merged = true; stats = stats_of (1, 2, 3, 4, 5) } ];
+  path
+
+(* What the offline readers find, as (file, offset, kind): everything
+   but a torn journal tail, which is an append in flight to a live
+   scrubber. *)
+let offline_damage path =
+  let jpath = Store.journal_path path in
+  (match Snapshot.read ~path with
+   | Ok _ -> []
+   | Error d -> [ (path, d.Binio.offset, d.Binio.kind) ])
+  @
+  match (Journal.read ~path:jpath).Journal.truncation with
+  | Some d when d.Binio.kind <> Binio.Torn_tail ->
+    [ (jpath, d.Binio.offset, d.Binio.kind) ]
+  | _ -> []
+
+(* What one full scrub cycle finds in the same files. *)
+let scrub_damage path =
+  let s = Scrub.create ~budget:512 ~path () in
+  Fun.protect ~finally:(fun () -> Scrub.close s) @@ fun () ->
+  let found = ref [] in
+  let guard = ref 0 in
+  while Scrub.cycles s < 1 && !guard < 100_000 do
+    incr guard;
+    found := !found @ (scrub_tick ~budget:512 s).Scrub.findings
+  done;
+  List.map (fun f -> (f.Scrub.file, f.Scrub.offset, f.Scrub.kind)) !found
+
+let pp_damages =
+  Format.pp_print_list (fun ppf (f, o, k) ->
+      Format.fprintf ppf "%s@%d:%s;" (Filename.basename f) o
+        (Binio.kind_name k))
+
+(* Every single-bit flip and every truncation of either file: Scrub's
+   findings are the offline readers' damage, offset and kind alike.
+   (A payload that passes its CRC but does not decode would be the
+   offline readers' alone; one flipped bit cannot make one.) *)
+let test_scrub_agrees_with_readers () =
+  let path = store_with_journal () in
+  Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
+  let jpath = Store.journal_path path in
+  let snap = read_file path and jrnl = read_file jpath in
+  let agree what =
+    let want = offline_damage path and got = scrub_damage path in
+    if want <> got then
+      Alcotest.failf "%s: readers found [%a], scrub found [%a]" what
+        pp_damages want pp_damages got
+  in
+  let sweep file image =
+    let name = Filename.basename file in
+    for len = 0 to String.length image - 1 do
+      write_file file (String.sub image 0 len);
+      agree (Printf.sprintf "%s cut to %d bytes" name len)
+    done;
+    String.iteri
+      (fun i c ->
+        for bit = 0 to 7 do
+          let b = Bytes.of_string image in
+          Bytes.set b i (Char.chr (Char.code c lxor (1 lsl bit)));
+          write_file file (Bytes.to_string b);
+          agree (Printf.sprintf "%s bit %d of byte %d" name bit i)
+        done)
+      image;
+    write_file file image
+  in
+  agree "clean store";
+  Alcotest.(check int) "clean store: no damage" 0
+    (List.length (offline_damage path));
+  sweep path snap;
+  sweep jpath jrnl
+
+(* The damage the old readers misnamed, each pinned to its kind. *)
+let test_snapshot_damage_kinds () =
+  let path = store_with_journal () in
+  Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
+  let image = read_file path in
+  let damage_of bytes =
+    write_file path bytes;
+    match Snapshot.read ~path with
+    | Ok _ -> Alcotest.fail "damaged snapshot accepted"
+    | Error d ->
+      Alcotest.(check bool)
+        "scrub finds the same" true
+        (scrub_damage path = [ (path, d.Binio.offset, d.Binio.kind) ]);
+      (d.Binio.offset, Binio.kind_name d.Binio.kind)
+  in
+  let set i c =
+    let b = Bytes.of_string image in
+    Bytes.set b i c;
+    Bytes.to_string b
+  in
+  let check what want got = Alcotest.(check (pair int string)) what want got in
+  check "version byte" (8, "bad-header") (damage_of (set 8 '\002'));
+  check "section count lowered" (12, "bad-header") (damage_of (set 12 '\002'));
+  check "section count raised" (12, "bad-header") (damage_of (set 12 '\004'));
+  check "cut inside a section header" (16, "torn-tail")
+    (damage_of (String.sub image 0 20));
+  check "cut inside a payload" (16, "torn-tail")
+    (damage_of (String.sub image 0 40));
+  check "trailing bytes" (String.length image, "bad-header")
+    (damage_of (image ^ "x"));
+  let last = String.length image - 5 in
+  let _, kind =
+    damage_of (set last (Char.chr (Char.code image.[last] lxor 1)))
+  in
+  Alcotest.(check string) "flipped payload byte" "crc-mismatch" kind
+
+(* One [Fsck.check] per kind the readers report. *)
+let test_fsck_damage_kinds () =
+  let kinds_of path =
+    List.map
+      (fun d -> (Filename.basename d.Fsck.file, Fsck.kind_name d.Fsck.kind))
+      (Fsck.check ~path).Fsck.damage
+  in
+  let with_store f =
+    let path = store_with_journal () in
+    Fun.protect ~finally:(fun () -> cleanup path) @@ fun () -> f path
+  in
+  let snap path = Filename.basename path
+  and jrnl path = Filename.basename (Store.journal_path path) in
+  let check what want got =
+    Alcotest.(check (list (pair string string))) what [ want ] got
+  in
+  with_store (fun path ->
+      let b = Bytes.of_string (read_file path) in
+      Bytes.set b 8 '\002';
+      write_file path (Bytes.to_string b);
+      check "bad header" (snap path, "bad-header") (kinds_of path));
+  with_store (fun path ->
+      write_file path (String.sub (read_file path) 0 20);
+      check "torn snapshot" (snap path, "torn-tail") (kinds_of path));
+  with_store (fun path ->
+      let jpath = Store.journal_path path in
+      let j = read_file jpath in
+      write_file jpath (String.sub j 0 (String.length j - 3));
+      check "torn journal" (jrnl path, "torn-tail") (kinds_of path));
+  with_store (fun path ->
+      flip_byte path (String.length (read_file path) - 5);
+      check "crc mismatch" (snap path, "crc-mismatch") (kinds_of path));
+  with_store (fun path ->
+      write_journal (Store.journal_path path)
+        [ Journal.Fact
+            ("no_such_predicate", R.Tuple.of_list [ R.Value.int 1 ]) ];
+      check "inapplicable" (jrnl path, "inapplicable-record") (kinds_of path));
+  with_store (fun path ->
+      let jpath = Store.journal_path path in
+      Sys.remove jpath;
+      Sys.mkdir jpath 0o755;
+      Fun.protect ~finally:(fun () -> Sys.rmdir jpath) @@ fun () ->
+      check "unreadable" (jrnl path, "unreadable") (kinds_of path))
 
 let test_checkpoint_bytes_accounted () =
   let path = tmp_store () in
@@ -1045,7 +1214,13 @@ let suites =
         Alcotest.test_case "scrub: clean pass, dedup after damage" `Quick
           test_scrub_clean_then_corrupt;
         Alcotest.test_case "scrub: close mid-walk restarts cleanly" `Quick
-          test_scrub_close_mid_walk_restarts ]
+          test_scrub_close_mid_walk_restarts;
+        Alcotest.test_case "scrub agrees with the readers: every flip and cut"
+          `Quick test_scrub_agrees_with_readers;
+        Alcotest.test_case "snapshot damage kinds and offsets" `Quick
+          test_snapshot_damage_kinds;
+        Alcotest.test_case "fsck check: one case per damage kind" `Quick
+          test_fsck_damage_kinds ]
       @ qcheck [ test_fsck_repair_idempotent ]
       @ [ Alcotest.test_case "fsck --json embeds the check report" `Quick
             test_fsck_json_embeds_check_report ] );
