@@ -410,19 +410,10 @@ let subst_of vars slots =
   Subst.of_list
     (Array.to_list (Array.mapi (fun s v -> (v, Term.Const slots.(s))) vars))
 
-let answers_guarded ?guard ?cmps inst atoms =
-  let out = ref [] in
-  match
-    search ?guard ?cmps inst atoms (fun vars s ->
-        out := subst_of vars s :: !out)
-  with
-  | () -> Guard.Complete (List.rev !out)
-  | exception Guard.Exhausted e -> Guard.Degraded (List.rev !out, e)
-
 let answers ?guard ?cmps inst atoms =
-  match answers_guarded ?guard ?cmps inst atoms with
-  | Guard.Complete l -> l
-  | Guard.Degraded (_, e) -> raise (Guard.Exhausted e)
+  let out = ref [] in
+  search ?guard ?cmps inst atoms (fun vars s -> out := subst_of vars s :: !out);
+  List.rev !out
 
 exception Found of Subst.t
 

@@ -20,14 +20,15 @@
     its key buffer reused) on a composite key over all of its bound
     positions.  It keeps variables in slots and checks repeated
     variables and every comparison at the first step where it is
-    ground; the [Subst.t] entry points build one per match from the
-    slots.
+    ground.  {!iter_matches} hands out the slots themselves (the chase
+    and {!Query} project rule and query heads from them); the
+    [Subst.t] entry points build one per match from the slots.
 
     Every entry point takes an optional {!Guard.t}: each emitted match
     consumes one row of the guard's row budget and every candidate
     tuple ticks the deadline / memory / cancellation check, so a join
-    explosion surfaces as {!Guard.Exhausted} (or a [Degraded] outcome
-    from {!answers_guarded}) instead of unbounded time or memory.
+    explosion surfaces as {!Guard.Exhausted} instead of unbounded time
+    or memory.
     Under an open {!Mdqa_obs.Profile} scope each visit of a step is
     credited to its atom's source position, with the step's position
     in the plan and its access path. *)
@@ -77,20 +78,7 @@ val answers :
     both sides are ground; one over a variable the body does not bind
     never holds.  Atoms over predicates absent from the instance yield
     no answers.
-    @raise Guard.Exhausted when the guard trips — used by engines that
-    thread one guard through a whole pipeline and catch the trip at
-    their own entry point.  Use {!answers_guarded} for the structured
-    form. *)
-
-val answers_guarded :
-  ?guard:Guard.t ->
-  ?cmps:Atom.Cmp.t list ->
-  Mdqa_relational.Instance.t ->
-  Atom.t list ->
-  Subst.t list Guard.outcome
-(** Like {!answers}, but a guard trip is absorbed: [Degraded] carries
-    the matches found before the budget ran out, together with the
-    exhaustion report.  Never raises {!Guard.Exhausted}. *)
+    @raise Guard.Exhausted when the guard trips. *)
 
 val exists :
   ?guard:Guard.t ->

@@ -1,5 +1,5 @@
 module Tuple = Mdqa_relational.Tuple
-module Instance = Mdqa_relational.Instance
+module Value = Mdqa_relational.Value
 
 type t = {
   name : string;
@@ -55,31 +55,45 @@ let answer_vars q =
       | Term.Const _ -> acc)
     Term.Var_set.empty q.head
 
-let head_image q s =
-  Tuple.of_list
-    (List.map
-       (fun t ->
-         match Subst.walk s t with
-         | Term.Const c -> c
-         | Term.Var v ->
-           invalid_arg
-             (Printf.sprintf "Query: unbound head variable %s" v))
-       q.head)
+(* The head compiled over the body's slot numbering ({!Eval.slot_vars}):
+   a constant stays a value, a variable becomes its slot, so a match's
+   image is read straight off the evaluator's slots. *)
+type arg = Val of Value.t | Slot of int
 
-let images_of q subs =
-  List.fold_left
-    (fun acc s -> Tuple.Set.add (head_image q s) acc)
-    Tuple.Set.empty subs
+let projection q =
+  let vars = Eval.slot_vars q.body in
+  let arg = function
+    | Term.Const c -> Val c
+    | Term.Var v -> Slot (Option.get (Array.find_index (String.equal v) vars))
+  in
+  let head = Array.of_list (List.map arg q.head) in
+  fun slots ->
+    Tuple.unsafe_of_array
+      (Array.map (function Val c -> c | Slot s -> slots.(s)) head)
 
-let matches ?guard inst q =
+(* Every match's head image (those with a null dropped when [certain]),
+   sorted and deduplicated.  A guard trip is absorbed: [Degraded]
+   carries the images of the matches emitted before it. *)
+let images ?guard ~certain inst q =
+  let image = projection q and found = ref [] in
+  let emit slots =
+    let t = image slots in
+    if not (certain && Tuple.has_null t) then found := t :: !found
+  in
+  let sorted () = List.sort_uniq Tuple.compare !found in
+  match Eval.iter_matches ?guard ~cmps:q.cmps inst q.body emit with
+  | () -> Guard.Complete (sorted ())
+  | exception Guard.Exhausted e -> Guard.Degraded (sorted (), e)
+
+let evaluate ?guard ~certain inst q =
   Mdqa_obs.Trace.with_span "eval" ~attrs:[ ("query", q.name) ] @@ fun () ->
   Mdqa_obs.Profile.with_query q.name @@ fun () ->
-  Tuple.Set.elements (images_of q (Eval.answers ?guard ~cmps:q.cmps inst q.body))
+  match images ?guard ~certain inst q with
+  | Guard.Complete l -> l
+  | Guard.Degraded (_, e) -> raise (Guard.Exhausted e)
 
-let certain ?guard inst q =
-  List.filter (fun t -> not (Tuple.has_null t)) (matches ?guard inst q)
-
-let holds ?guard inst q = Eval.exists ?guard ~cmps:q.cmps inst q.body
+let matches ?guard inst q = evaluate ?guard ~certain:false inst q
+let certain ?guard inst q = evaluate ?guard ~certain:true inst q
 
 type 'a outcome =
   | Ok of 'a
@@ -89,11 +103,6 @@ type 'a outcome =
       exhaustion : Guard.exhaustion;
       stats : Chase.stats;
     }
-
-let value = function
-  | Ok v -> Some v
-  | Degraded { partial; _ } -> Some partial
-  | Inconsistent _ -> None
 
 (* Chase, then evaluate with [eval] — an evaluation that itself returns
    a (possibly degraded) outcome.  When the chase trips the guard, the
@@ -127,13 +136,7 @@ let with_chase ?guard ?chase_variant ?(goal_directed = false) program inst q
 
 let certain_answers ?guard ?chase_variant ?goal_directed program inst q =
   with_chase ?guard ?chase_variant ?goal_directed program inst q
-    ~eval:(fun ?guard i ->
-      Guard.map
-        (fun subs ->
-          List.filter
-            (fun t -> not (Tuple.has_null t))
-            (Tuple.Set.elements (images_of q subs)))
-        (Eval.answers_guarded ?guard ~cmps:q.cmps i q.body))
+    ~eval:(fun ?guard i -> images ?guard ~certain:true i q)
 
 let entails ?guard ?chase_variant ?goal_directed program inst q =
   with_chase ?guard ?chase_variant ?goal_directed program inst q

@@ -34,17 +34,15 @@ val matches :
   ?guard:Guard.t ->
   Mdqa_relational.Instance.t -> t -> Mdqa_relational.Tuple.t list
 (** All head images over the given instance, including those containing
-    labeled nulls; sorted, deduplicated.
+    labeled nulls; sorted, deduplicated.  Each match's image is read off
+    the evaluator's slots ({!Eval.iter_matches}) through the head,
+    compiled once per call.
     @raise Guard.Exhausted when the guard trips. *)
 
 val certain :
   ?guard:Guard.t ->
   Mdqa_relational.Instance.t -> t -> Mdqa_relational.Tuple.t list
 (** Null-free head images over the given (chased) instance.
-    @raise Guard.Exhausted when the guard trips. *)
-
-val holds : ?guard:Guard.t -> Mdqa_relational.Instance.t -> t -> bool
-(** Boolean entailment over the given (chased) instance.
     @raise Guard.Exhausted when the guard trips. *)
 
 (** End-to-end answering: chase then evaluate. *)
@@ -61,9 +59,6 @@ type 'a outcome =
       exhaustion : Guard.exhaustion;  (** which resource ran out *)
       stats : Chase.stats;
     }  (** a guard resource ran out during the chase or evaluation *)
-
-val value : 'a outcome -> 'a option
-(** The (possibly partial) answers; [None] on [Inconsistent]. *)
 
 val certain_answers :
   ?guard:Guard.t ->

@@ -1,7 +1,6 @@
 type t = Term.t Term.Var_map.t
 
 let empty = Term.Var_map.empty
-let is_empty = Term.Var_map.is_empty
 
 let find s v = Term.Var_map.find_opt v s
 
@@ -39,17 +38,6 @@ let apply_atoms s l = List.map (apply_atom s) l
 
 let apply_cmp s (c : Atom.Cmp.t) =
   { c with Atom.Cmp.lhs = walk s c.Atom.Cmp.lhs; rhs = walk s c.Atom.Cmp.rhs }
-
-let domain s =
-  Term.Var_map.fold (fun v _ acc -> Term.Var_set.add v acc) s
-    Term.Var_set.empty
-
-let restrict s vars = Term.Var_map.filter (fun v _ -> Term.Var_set.mem v vars) s
-
-let equal a b =
-  (* Compare as fully-walked maps so chains and direct bindings agree. *)
-  let norm s = Term.Var_map.mapi (fun v _ -> walk s (Term.Var v)) s in
-  Term.Var_map.equal Term.equal (norm a) (norm b)
 
 let pp ppf s =
   Format.fprintf ppf "{%a}"

@@ -7,7 +7,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 
 val find : t -> string -> Term.t option
 
@@ -33,9 +32,4 @@ val apply_atom : t -> Atom.t -> Atom.t
 val apply_atoms : t -> Atom.t list -> Atom.t list
 val apply_cmp : t -> Atom.Cmp.t -> Atom.Cmp.t
 
-val domain : t -> Term.Var_set.t
-
-val restrict : t -> Term.Var_set.t -> t
-
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

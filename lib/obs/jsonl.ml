@@ -236,24 +236,34 @@ let parse s =
 
 (* --- printing -------------------------------------------------------- *)
 
+let escape_char buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | ch when Char.code ch < 0x20 ->
+    Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
+  | ch -> Buffer.add_char buf ch
+
+(* A string that needs no escaping, nearly every one, is copied whole. *)
 let escape buf s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s
+  let n = String.length s and i = ref 0 in
+  while
+    !i < n
+    && match s.[!i] with '"' | '\\' | '\000' .. '\031' -> false | _ -> true
+  do
+    incr i
+  done;
+  if !i = n then Buffer.add_string buf s else String.iter (escape_char buf) s
+
+(* The C formatter Printf reaches for these conversions, without
+   Printf's interpretation of the format on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.0f" f
+  else format_float "%.17g" f
 
 (* The shortest of %.15g, %.16g and %.17g that reads back as [f], with
    ".0" appended when that leaves neither a fraction nor an exponent. *)
@@ -265,8 +275,7 @@ let float_to_string f =
   let s = shortest 15 in
   if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
-let to_string v =
-  let buf = Buffer.create 128 in
+let to_buffer buf v =
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -299,7 +308,11 @@ let to_string v =
         fields;
       Buffer.add_char buf '}'
   in
-  go v;
+  go v
+
+let to_string v =
+  let buf = Buffer.create 128 in
+  to_buffer buf v;
   Buffer.contents buf
 
 (* --- accessors ------------------------------------------------------- *)

@@ -28,6 +28,9 @@ val to_string : t -> string
 (** Compact one-line rendering (no newlines, strings escaped, a
     non-finite number as [null]). *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** {!to_string}'s rendering, appended to a buffer. *)
+
 (** {1 Accessors} — total, [None] on shape mismatch. *)
 
 val member : string -> t -> t option

@@ -63,14 +63,18 @@ let endpoints t =
 
 (* Which parsed replies are worth retrying.  An overload shed always
    is (the server said "come back later").  An E029 — the request died
-   with its worker — is a server-side fault that a fresh worker will
-   almost surely not repeat, but re-sending is only safe when the
-   request is idempotent; queries are, so the caller says so. *)
+   with its worker — and an H054 — the pool is below min-ready while
+   workers restart — are server-side conditions a moment will almost
+   surely clear, but re-sending is only safe when the request is
+   idempotent; queries are, so the caller says so. *)
 let should_retry_reply ~idempotent (r : Protocol.reply) =
   if r.Protocol.status = "degraded" && r.Protocol.reason = Some "overload"
   then Some "server overloaded"
-  else if idempotent && r.Protocol.code = Some "E029" then
-    Some "worker crashed mid-request"
+  else if idempotent then
+    match r.Protocol.code with
+    | Some "E029" -> Some "worker crashed mid-request"
+    | Some "H054" -> Some "worker pool below min-ready"
+    | _ -> None
   else None
 
 (* The refused/unreachable signature of a dead endpoint.  These happen
@@ -150,18 +154,21 @@ let read_reply t fd =
 
 let roundtrip ?(idempotent = true) t line =
   let bo = Backoff.start t.policy in
+  (* a transient failure carries the retryable reply that caused it, if
+     any: out of retries, the caller gets that structured reply — the
+     server's last word — rather than a transport error *)
   let rec attempt () =
     let outcome =
       match ensure_connected t with
       (* connect-stage failure: the request was never sent, so the
          retry is safe regardless of idempotence (and may land on a
          rotated endpoint) *)
-      | Error e -> `Transient e
+      | Error e -> `Transient (e, None)
       | Ok fd -> (
         match Fdio.write_all fd (line ^ "\n") with
         | Error e ->
           disconnect t;
-          `Transient e
+          `Transient (e, None)
         | Ok () -> (
           match read_reply t fd with
           | Error e ->
@@ -169,31 +176,34 @@ let roundtrip ?(idempotent = true) t line =
             (* the request reached the server but its reply was lost
                (ECONNRESET, EOF mid-reply): it may have executed, so
                only an idempotent request may be re-sent *)
-            if idempotent then `Transient e
+            if idempotent then `Transient (e, None)
             else `Permanent (Error (Printf.sprintf "reply lost (%s)" e))
           | Ok reply_line -> (
             match Protocol.parse_reply reply_line with
             | Error e -> `Permanent (Error e)
             | Ok r -> (
               match should_retry_reply ~idempotent r with
-              | Some why -> `Transient why
+              | Some why -> `Transient (why, Some r)
               | None -> `Permanent (Ok r)))))
     in
     match outcome with
     | `Permanent r ->
       if Backoff.attempts bo > 0 then t.retried_total <- t.retried_total + 1;
       r
-    | `Transient why -> (
+    | `Transient (why, last) -> (
       match Backoff.next bo ~rand:t.rand with
       | Some d ->
         t.retries <- t.retries + 1;
         Fdio.sleepf d;
         attempt ()
-      | None ->
+      | None -> (
         if Backoff.attempts bo > 0 then t.retried_total <- t.retried_total + 1;
-        Error
-          (Printf.sprintf "retry budget exhausted after %d attempts (last: %s)"
-             (Backoff.attempts bo) why))
+        match last with
+        | Some r -> Ok r
+        | None ->
+          Error
+            (Printf.sprintf "retry budget exhausted after %d attempts (last: %s)"
+               (Backoff.attempts bo) why)))
   in
   attempt ()
 

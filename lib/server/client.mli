@@ -3,11 +3,13 @@
 
     Transient failures — the server restarting (connection refused, a
     vanished socket file), a torn connection, a [degraded:overload]
-    shed — are retried under a {!Backoff} policy: exponential backoff
-    with full jitter, bounded by both an attempt count and a
-    cumulative-sleep budget.  Everything else (an error reply, garbage
-    on the wire, budget exhausted) comes back as a value.  Never
-    raises on I/O.
+    shed, and for idempotent requests an E029 (worker crash) or H054
+    (worker pool below min-ready) reply — are retried under a
+    {!Backoff} policy: exponential backoff with full jitter, bounded by
+    both an attempt count and a cumulative-sleep budget.  Everything
+    else (an error reply, garbage on the wire, budget exhausted) comes
+    back as a value; a budget that runs out on a retryable reply hands
+    back that last reply.  Never raises on I/O.
 
     Connect-stage failures are classified by errno.  The dead-endpoint
     signature (ECONNREFUSED, EHOSTUNREACH, ENETUNREACH, ENOENT,
@@ -39,13 +41,16 @@ val roundtrip :
     (re)connecting and retrying transient failures under the policy.
     [Ok] is any parsed reply that is not retryable — including
     [status = "error"] replies, which are the server speaking, not a
-    transport failure.  [Error] means the retry budget ran out or the
-    server answered with something unparseable.
+    transport failure — or the last retryable reply when the retry
+    budget ran out on it.  [Error] means the retry budget ran out on a
+    transport failure or the server answered with something
+    unparseable.
 
     [idempotent] (default [true]: every request in the protocol is a
     read) additionally allows transparent re-sends when the reply was
     lost mid-read (ECONNRESET / EOF) or the server answered E029 (the
-    request died with its worker — a fresh worker will answer).  With
+    request died with its worker — a fresh worker will answer) or H054
+    (too few live workers — the supervisor is restarting them).  With
     [~idempotent:false] a lost reply is a permanent error, since the
     request may already have executed. *)
 
@@ -53,7 +58,7 @@ val should_retry_reply :
   idempotent:bool -> Protocol.reply -> string option
 (** The reply-classification half of the retry decision, exposed pure
     for tests: [Some reason] when a parsed reply should be retried
-    (overload shed always; E029 only when idempotent). *)
+    (overload shed always; E029 and H054 only when idempotent). *)
 
 val ping : t -> (Protocol.reply, string) result
 (** [roundtrip {"kind":"ping"}] — readiness probing. *)

@@ -140,9 +140,11 @@ let json_of_tuple t = Jsonl.List (List.map json_of_value (Tuple.to_list t))
 
 let base ?id ~status fields =
   let id_field = match id with None -> [] | Some v -> [ ("id", v) ] in
-  Jsonl.to_string
-    (Jsonl.Obj ((id_field @ [ ("status", Jsonl.Str status) ]) @ fields))
-  ^ "\n"
+  let buf = Buffer.create 256 in
+  Jsonl.to_buffer buf
+    (Jsonl.Obj ((id_field @ [ ("status", Jsonl.Str status) ]) @ fields));
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
 
 let answers_field = function
   | None -> []

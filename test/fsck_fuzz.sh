@@ -1,7 +1,8 @@
 #!/bin/sh
 # Exhaustive single-byte corruption sweep for `mdqa store fsck`, end to
-# end through the CLI.  For EVERY byte offset of the snapshot and of
-# the journal, flip one bit and demand the documented contract:
+# end through the CLI.  For EVERY byte offset of the snapshot, and of
+# the header and first records of a journal that holds records, flip
+# one bit and demand the documented contract:
 #
 #   - `store fsck --repair` exits 0 (repaired: a fresh store that
 #     `store verify` accepts) or 1 (unrepairable, E032) — never any
@@ -105,15 +106,6 @@ while [ "$off" -lt "$snap_size" ]; do
   off=$((off + 1))
 done
 
-jn_size=$(wc -c < "$jn")
-off=0
-while [ "$off" -lt "$jn_size" ]; do
-  restore
-  flip "$jn" "$off"
-  sweep_one journal "$off"
-  off=$((off + 1))
-done
-
 # no clean copy anywhere: exit 1, E032 in the report, evidence intact
 restore
 rm -f "$ck.1" "$ck.2"
@@ -155,8 +147,11 @@ done
 
 # The chase above ends with a compaction, so its journal is a bare
 # header.  A journal with records is what a killed chase leaves: a long
-# one, killed once its journal passes 1 KiB; the sweep cuts its first
-# 300 bytes at every length past the 12-byte header.
+# one, killed once its journal passes 1 KiB.  A bit flipped at every
+# offset of its first 160 bytes (the 12-byte header and the first
+# records) must be repaired or refused, and a cut at every length of
+# its first 300 bytes past the header must read as a torn tail or a
+# clean store.
 restore
 kp="$dir/long.dl"
 {
@@ -181,9 +176,22 @@ done
 kill -9 "$pid" 2>/dev/null
 wait "$pid" 2>/dev/null
 if [ "$(jn_size)" -lt 1024 ]; then
-  fail "killed chase left no journal records to cut"
+  fail "killed chase left no journal records to sweep"
 else
-  head -c 300 "$jn" > "$dir/jn.long"
+  cp "$ck" "$dir/snap.killed"
+  cp "$jn" "$dir/jn.killed"
+  off=0
+  while [ "$off" -lt 160 ]; do
+    cp "$dir/snap.killed" "$ck"
+    cp "$dir/jn.killed" "$jn"
+    rm -rf "$ck.d" "$ck.1" "$ck.2"
+    flip "$jn" "$off"
+    sweep_one journal "$off"
+    off=$((off + 1))
+  done
+  cp "$dir/snap.killed" "$ck"
+  rm -rf "$ck.d" "$ck.1" "$ck.2"
+  head -c 300 "$dir/jn.killed" > "$dir/jn.long"
   off=13
   while [ "$off" -lt 300 ]; do
     head -c "$off" "$dir/jn.long" > "$jn"

@@ -4,9 +4,12 @@
 # and on the corpus's roll-up programs (unsorted, non-strict and
 # non-homogeneous hierarchies),
 # `mdqa chase` stdout on every example .dl and on the corpus's
-# interleaved-facts and EGD-window programs, and the stdout of every
-# example executable under ../examples, must equal the committed files
-# under golden/ byte for byte.
+# interleaved-facts and EGD-window programs, `mdqa query` stdout under
+# the chase and rewrite engines on examples/hospital.dl and the EGD-window
+# program (free, bound, boolean, head-constant and null-carrying
+# queries), and the stdout of every example executable under
+# ../examples, must equal the committed files under golden/ byte for
+# byte.
 # Front-end and rendering changes that promise identical output are
 # held to it.
 #
@@ -43,6 +46,20 @@ for f in ../examples/*.mdq corpus/rollup_unsorted.mdq corpus/nonstrict.mdq \
 done
 for f in ../examples/*.dl corpus/interleaved_facts.dl corpus/egd_window.dl; do
   check "golden/chase/$(basename "$f").out" "$exe" chase "$f"
+done
+
+for e in chase rewrite; do
+  check "golden/query/hospital.dl.$e.out" "$exe" query ../examples/hospital.dl \
+    -e "$e" -q 'free(U, D, P) :- patient_unit(U, D, P)' \
+    -q 'bound(D) :- patient_unit(standard, D, tom)' \
+    -q 'yes() :- patient_unit(terminal, D, lou)' \
+    -q 'no() :- patient_unit(terminal, sep7, lou)' \
+    -q 'consts(standard, P, P) :- patient_unit(standard, D, P)' \
+    -q 'nulls(W, N, S) :- shifts(W, sep5, N, S)'
+  check "golden/query/egd_window.dl.$e.out" "$exe" query corpus/egd_window.dl \
+    -e "$e" -q 'free(I, U) :- institution_unit(I, U)' \
+    -q 'bound(P) :- patient_unit(intensive, D, P)' \
+    -q 'yes() :- staffed(h1, W, tom)'
 done
 
 # the example executables: beside the script under dune, else in the

@@ -1996,6 +1996,128 @@ let prop_planner_equals_nested_loop =
       && Eval.exists ~cmps inst body = (got <> [])
       && sorted (delta_answers ~cmps inst ~delta body) = ref_delta)
 
+(* Differential check of query answering: Query's head projection over
+   the evaluator's slots against a reference kept here, which images
+   every substitution of {!Eval.answers} through [Subst] and sorts.
+   Heads repeat variables and carry constants (or are empty: boolean
+   queries), bodies carry constants and comparisons, and instances hold
+   labelled nulls.  A row cap that trips mid-enumeration must leave
+   both sides with the same partial answers and the same exhaustion. *)
+
+let value_of_name name =
+  match name.[0] with
+  | 'n' -> R.Value.Null (int_of_string (String.sub name 1 1))
+  | _ -> R.Value.sym name
+
+let gen_query_case =
+  QCheck.Gen.(
+    let* body, cmps, _, _ = gen_planner_case in
+    let bound =
+      List.fold_left
+        (fun acc a -> Term.Var_set.union acc (Atom.vars a))
+        Term.Var_set.empty body
+    in
+    let cmps =
+      List.filter
+        (fun c -> Term.Var_set.subset (Atom.Cmp.vars c) bound)
+        cmps
+    in
+    let vars = Term.Var_set.elements bound in
+    let gen_head_term =
+      if vars = [] then map s skewed_const
+      else frequency [ (3, map v (oneofl vars)); (1, map s skewed_const) ]
+    in
+    let* head = list_size (0 -- 4) gen_head_term in
+    let gen_value =
+      frequency [ (5, skewed_const); (2, oneofl [ "n0"; "n1"; "n2" ]) ]
+    in
+    let* rows =
+      flatten_l
+        (List.map
+           (fun (pred, arity) ->
+             map
+               (fun rs -> (pred, arity, rs))
+               (list_size (0 -- 14) (list_repeat arity gen_value)))
+           planner_preds)
+    in
+    let* cap = 0 -- 12 in
+    return (Query.make ~cmps ~head body, rows, cap))
+
+let query_case_arb =
+  QCheck.make
+    ~print:(fun (q, rows, cap) ->
+      Format.asprintf "@[<v>%a@,row cap %d@,%a@]" Query.pp q cap
+        (Format.pp_print_list (fun ppf (pred, _, rs) ->
+             Format.fprintf ppf "%s: %s" pred
+               (String.concat " "
+                  (List.map (fun r -> "(" ^ String.concat "," r ^ ")") rs))))
+        rows)
+    gen_query_case
+
+let prop_query_projection_equals_subst =
+  QCheck.Test.make ~name:"query head projection = Subst head image" ~count:400
+    query_case_arb (fun (q, rows, cap) ->
+      let inst = R.Instance.create () in
+      List.iter
+        (fun (pred, arity, rs) ->
+          ignore
+            (R.Instance.declare inst
+               (R.Rel_schema.of_names pred
+                  (List.init arity (Printf.sprintf "c%d"))));
+          List.iter
+            (fun r ->
+              ignore
+                (R.Instance.add_tuple inst pred
+                   (R.Tuple.of_list (List.map value_of_name r))))
+            rs)
+        rows;
+      let image sub =
+        R.Tuple.of_list
+          (List.map
+             (fun t ->
+               match Subst.walk sub t with
+               | Term.Const c -> c
+               | Term.Var x -> failwith ("unbound head variable " ^ x))
+             q.Query.head)
+      in
+      let reference ~certain subs =
+        List.sort_uniq R.Tuple.compare
+          (List.filter
+             (fun t -> not (certain && R.Tuple.has_null t))
+             (List.map image subs))
+      in
+      let all = Eval.answers ~cmps:q.Query.cmps inst q.Query.body in
+      let cap_guard () = Guard.create ~max_rows:cap ~check_every:1 () in
+      let exhaustion =
+        match Eval.answers ~guard:(cap_guard ()) ~cmps:q.Query.cmps inst q.Query.body with
+        | _ -> None
+        | exception Guard.Exhausted e -> Some e
+      in
+      let partial = List.filteri (fun i _ -> i < cap) all in
+      let raised f =
+        match f (cap_guard ()) with
+        | l -> Ok l
+        | exception Guard.Exhausted e -> Error e
+      in
+      let capped ~certain =
+        match exhaustion with
+        | None -> Ok (reference ~certain all)
+        | Some e -> Error e
+      in
+      let no_rules = Program.make ~tgds:[] () in
+      Query.matches inst q = reference ~certain:false all
+      && Query.certain inst q = reference ~certain:true all
+      && raised (fun guard -> Query.matches ~guard inst q) = capped ~certain:false
+      && raised (fun guard -> Query.certain ~guard inst q) = capped ~certain:true
+      && (match
+            ( Query.certain_answers ~guard:(cap_guard ()) no_rules inst q,
+              exhaustion )
+          with
+          | Query.Ok l, None -> l = reference ~certain:true all
+          | Query.Degraded { partial = l; exhaustion = e; _ }, Some e' ->
+            l = reference ~certain:true partial && e = e'
+          | _ -> false))
+
 let prop_core_sound =
   QCheck.Test.make ~name:"core is a hom-equivalent retract" ~count:80
     program_arb (fun p ->
@@ -2053,7 +2175,7 @@ let qcheck_cases =
       prop_chase_idempotent; prop_semi_naive_equals_naive;
       prop_existential_paths_agree;
       prop_merge_path_agrees;
-      prop_planner_equals_nested_loop;
+      prop_planner_equals_nested_loop; prop_query_projection_equals_subst;
       prop_core_sound; prop_goal_directed_same;
       prop_parser_total; prop_parser_pretty_roundtrip; prop_facts_roundtrip ]
 

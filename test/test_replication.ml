@@ -470,14 +470,80 @@ let test_should_retry_reply () =
   in
   Alcotest.(check bool) "overload shed retried" true
     (Client.should_retry_reply ~idempotent:false overload <> None);
-  Alcotest.(check bool) "H054 never retried (idempotent)" true
-    (Client.should_retry_reply ~idempotent:true workers_down = None);
+  Alcotest.(check bool) "H054 retried when idempotent" true
+    (Client.should_retry_reply ~idempotent:true workers_down <> None);
   Alcotest.(check bool) "H054 never retried (non-idempotent)" true
     (Client.should_retry_reply ~idempotent:false workers_down = None);
   Alcotest.(check bool) "E029 retried when idempotent" true
     (Client.should_retry_reply ~idempotent:true crashed <> None);
   Alcotest.(check bool) "E029 not retried otherwise" true
     (Client.should_retry_reply ~idempotent:false crashed = None)
+
+(* A forked peer on a Unix socket that answers each request line of
+   one connection with the next scripted reply line. *)
+let with_scripted_peer replies f =
+  let dir = Filename.temp_file "mdqa_peer_dir" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "peer.sock" in
+  let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind srv (Unix.ADDR_UNIX path);
+  Unix.listen srv 1;
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    (try
+       let conn, _ = Unix.accept srv in
+       let byte = Bytes.create 1 in
+       let rec request_line () =
+         if Unix.read conn byte 0 1 = 1 && Bytes.get byte 0 <> '\n' then
+           request_line ()
+       in
+       List.iter
+         (fun r ->
+           request_line ();
+           ignore (Unix.write_substring conn r 0 (String.length r)))
+         replies
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.close srv;
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid);
+        Sys.remove path;
+        Unix.rmdir dir)
+      (fun () -> f path)
+
+let test_client_retries_h054 () =
+  let h054 =
+    Sproto.degraded_reply ~code:"H054" ~reason:"workers" ~answers:None
+      ~message:"pool below min-ready" ()
+  and complete = Sproto.complete_reply ~answers:(Some []) () in
+  let policy = Backoff.policy ~base:0.001 ~cap:0.002 ~max_attempts:3 () in
+  let roundtrip ?idempotent replies =
+    with_scripted_peer replies @@ fun addr ->
+    let c = Client.create ~policy ~rand:(fun _ -> 0.) ~addr () in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    let r = Client.roundtrip ?idempotent c {|{"kind":"query","query":"q(X) :- p(X)"}|} in
+    (r, Client.retries c)
+  in
+  let code = function
+    | Ok r, _ -> Option.value ~default:r.Sproto.status r.Sproto.code
+    | Error e, _ -> e
+  in
+  let r = roundtrip [ h054; h054; complete ] in
+  Alcotest.(check string) "H054, H054, complete: complete" "complete" (code r);
+  Alcotest.(check int) "after two retries" 2 (snd r);
+  let r = roundtrip (List.init 10 (fun _ -> h054)) in
+  Alcotest.(check string) "H054 throughout: the last H054 reply" "H054"
+    (code r);
+  Alcotest.(check int) "after the whole retry budget" 3 (snd r);
+  let r = roundtrip ~idempotent:false [ h054; complete ] in
+  Alcotest.(check string) "not idempotent: H054 at once" "H054" (code r);
+  Alcotest.(check int) "without a retry" 0 (snd r)
 
 (* --- follower -------------------------------------------------------- *)
 
@@ -563,7 +629,9 @@ let suites =
         Alcotest.test_case "rotation on dead endpoints" `Quick
           test_client_rotates_on_dead_endpoint;
         Alcotest.test_case "reply retry classification" `Quick
-          test_should_retry_reply ] );
+          test_should_retry_reply;
+        Alcotest.test_case "H054 retried, then handed back" `Quick
+          test_client_retries_h054 ] );
     ( "replication.follower",
       [ Alcotest.test_case "unreachable primary is E031" `Quick
           test_follower_unreachable_is_e031;

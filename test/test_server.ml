@@ -246,6 +246,52 @@ let prop_jsonl_total =
     (fun s ->
       match Jsonl.parse s with Ok _ | Error _ -> true)
 
+(* The printer's strings and numbers against a per-character escape
+   and Printf's conversions, kept here as the reference: its fast paths
+   (plain strings copied whole, the C float formatter called directly)
+   must not move a byte. *)
+let prop_jsonl_printing_reference =
+  let reference_str s =
+    let b = Buffer.create 16 in
+    Buffer.add_char b '"';
+    String.iter
+      (fun ch ->
+        match ch with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | ch when Char.code ch < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
+        | ch -> Buffer.add_char b ch)
+      s;
+    Buffer.add_char b '"';
+    Buffer.contents b
+  and reference_num f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else Printf.sprintf "%.17g" f
+  in
+  QCheck.Test.make ~name:"jsonl: strings and numbers print as the reference"
+    ~count:1000
+    QCheck.(
+      pair
+        (make
+           ~print:Print.string
+           Gen.(
+             string_size
+               ~gen:(frequency [ (6, printable); (1, map Char.chr (0 -- 40)) ])
+               (0 -- 24)))
+        (make ~print:Print.float
+           Gen.(
+             frequency
+               [ (3, float); (2, map (fun i -> float_of_int i /. 10.) (-1000 -- 1000));
+                 (1, map float_of_int int) ])))
+    (fun (s, f) ->
+      Jsonl.to_string (Jsonl.Str s) = reference_str s
+      && (not (Float.is_finite f)
+         || Jsonl.to_string (Jsonl.Num f) = reference_num f))
+
 let test_jsonl_unicode () =
   (match Jsonl.parse {|"aé😀b"|} with
    | Ok (Jsonl.Str s) ->
@@ -333,6 +379,22 @@ let test_reply_roundtrip () =
       r.Protocol.reason;
     Alcotest.(check (option string)) "code" (Some "W047") r.Protocol.code
   | Error e -> Alcotest.fail e
+
+(* The reply bytes of a fixed answer list, pinned: a symbol needing
+   quote, backslash and control escapes, a plain symbol, an int, two
+   reals (one integral) and a labelled null. *)
+let test_reply_bytes () =
+  let module V = Mdqa_relational.Value in
+  let t =
+    Mdqa_relational.Tuple.of_list
+      [ V.Sym "say \"hi\"\\ \n\t\001\031end"; V.Sym "plain"; V.Int 42;
+        V.Real 39.9; V.Real 40.0; V.Null 7 ]
+  in
+  Alcotest.(check string) "complete reply"
+    ({|{"id":3,"status":"complete","answers":[["say \"hi\"\\ \n\t\u0001\u001fend","plain",42,39.899999999999999,40,{"null":7}],[]]}|}
+    ^ "\n")
+    (Protocol.complete_reply ~id:(Jsonl.Num 3.)
+       ~answers:(Some [ t; Mdqa_relational.Tuple.of_list [] ]) ())
 
 (* --- Guard.fork / absorb ---------------------------------------------- *)
 
@@ -1193,6 +1255,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_delay_within_bounds; prop_ceiling_monotone;
       prop_budget_bounds_sleep; prop_jsonl_roundtrip; prop_jsonl_total;
+      prop_jsonl_printing_reference;
       prop_next_attempts; prop_restart_delay_bounded; prop_sup_single_reply ]
 
 let suites =
@@ -1220,6 +1283,7 @@ let suites =
         case "parse_request: well-formed" test_parse_request_ok;
         case "parse_request: malformations are E024" test_parse_request_bad;
         case "replies round-trip through parse_reply" test_reply_roundtrip;
+        case "complete reply bytes are pinned" test_reply_bytes;
         case "client: which replies are retried" test_client_retry_classification ] );
     ( "server.failpoint",
       [ case "parse_spec: grammar, delay units, rejects" test_failpoint_parse;
