@@ -523,8 +523,7 @@ let store_cmd =
 let engine_arg =
   Arg.(
     value
-    & opt (enum [ ("chase", `Chase); ("proof", `Proof); ("rewrite", `Rewrite) ])
-        `Chase
+    & opt (enum Answer.engines) Answer.Chase
     & info [ "engine"; "e" ] ~docv:"ENGINE"
         ~doc:
           "Answering engine: $(b,chase) (materialize then evaluate), \
@@ -580,12 +579,6 @@ let run_remote_query ~addr ~engine ~attempts ~budget ~timeout ~max_steps
   if query_strings = [] then fatal ~code:"E003" "no queries (use -q)";
   let policy = Backoff.policy ~max_attempts:attempts ~budget () in
   let client = Client.create ~policy ~addr () in
-  let engine_name =
-    match engine with
-    | `Chase -> "chase"
-    | `Proof -> "proof"
-    | `Rewrite -> "rewrite"
-  in
   let failed = ref false and degraded = ref false in
   List.iteri
     (fun i q ->
@@ -594,7 +587,7 @@ let run_remote_query ~addr ~engine ~attempts ~budget ~timeout ~max_steps
           ([ ("kind", Jsonl.Str "query");
              ("id", Jsonl.Num (float_of_int i));
              ("query", Jsonl.Str q);
-             ("engine", Jsonl.Str engine_name);
+             ("engine", Jsonl.Str (Answer.engine_name engine));
              ("max_steps", Jsonl.Num (float_of_int max_steps)) ]
           @
           match timeout with
@@ -667,37 +660,18 @@ let run_query file remote retry_attempts retry_budget engine query_strings
      watermark are global, so a query list can never outlive --timeout. *)
   let guard = make_guard ~max_steps ~max_nulls ~timeout ~max_memory () in
   let failed = ref false and degraded = ref false in
-  let note_degraded e =
-    report_degraded e;
-    degraded := true
-  in
   List.iter
     (fun q ->
-      match engine with
-      | `Chase -> (
-        match Query.certain_answers ~guard ~goal_directed program inst q with
-        | Query.Ok answers -> print_answers q.Query.name answers
-        | Query.Inconsistent f ->
-          Format.printf "%s: inconsistent — %a@." q.Query.name
-            Chase.pp_outcome (Chase.Failed f);
-          failed := true
-        | Query.Degraded { partial; exhaustion; _ } ->
-          print_answers ~partial:true q.Query.name partial;
-          note_degraded exhaustion)
-      | `Proof ->
-        let r = Proof.answer program inst q in
-        print_answers ~partial:(not r.Proof.complete) q.Query.name
-          r.Proof.answers;
-        if not r.Proof.complete then begin
-          Printf.printf "  (search truncated after %d steps)\n" r.Proof.steps;
-          degraded := true
-        end
-      | `Rewrite -> (
-        match Rewrite.answers ~guard program inst q with
-        | Guard.Complete answers -> print_answers q.Query.name answers
-        | Guard.Degraded (answers, e) ->
-          print_answers ~partial:true q.Query.name answers;
-          note_degraded e))
+      match Answer.answer ~guard ~goal_directed engine program inst q with
+      | Answer.Ok answers -> print_answers q.Query.name answers
+      | Answer.Inconsistent f ->
+        Format.printf "%s: inconsistent — %a@." q.Query.name Chase.pp_outcome
+          (Chase.Failed f);
+        failed := true
+      | Answer.Degraded { partial; exhaustion } ->
+        print_answers ~partial:true q.Query.name partial;
+        report_degraded exhaustion;
+        degraded := true)
     queries;
   if !failed then exit_error
   else if !degraded then exit_degraded

@@ -42,28 +42,32 @@ let () =
 
   section "Example 5: the dates Mark works in ward W1";
   Format.printf "query: %a@." Query.pp Hospital.example5_query;
-  (match Md_ontology.certain_answers m Hospital.example5_query with
-   | Query.Ok answers ->
+  (match Answer.of_fixpoint chased Hospital.example5_query with
+   | Answer.Ok answers ->
      List.iter (fun t -> Format.printf "  answer: %a@." R.Tuple.pp t) answers
    | _ -> print_endline "  chase failed");
-  let proof = Md_ontology.proof_answers m Hospital.example5_query in
+  let proof =
+    Proof.answer (Md_ontology.program m) (Md_ontology.instance m)
+      Hospital.example5_query
+  in
   Printf.printf
     "DeterministicWSQAns agrees (%d resolution steps, complete=%b):\n"
-    proof.Proof.steps proof.Proof.complete;
+    proof.Proof.steps
+    (Guard.degraded proof.Proof.answers = None);
   List.iter (fun t -> Format.printf "  answer: %a@." R.Tuple.pp t)
-    proof.Proof.answers;
+    (Guard.value proof.Proof.answers);
 
   section "The generated shift value is not certain";
   let q_shift =
     Query.make ~name:"marks_shift" ~head:[ v "S" ]
       [ Atom.make "shifts" [ c "W1"; c "Sep/9"; c "Mark"; v "S" ] ]
   in
-  (match Md_ontology.certain_answers m q_shift with
-   | Query.Ok [] ->
+  (match Answer.of_fixpoint chased q_shift with
+   | Answer.Ok [] ->
      print_endline
        "asking for the shift itself returns nothing: the chase only\n\
         knows a labeled null there (incomplete lower-level data)."
-   | Query.Ok _ -> print_endline "unexpected certain answer!"
+   | Answer.Ok _ -> print_endline "unexpected certain answer!"
    | _ -> print_endline "chase failed");
 
   section "Example 6: disjunctive downward navigation (rule (9))";

@@ -201,15 +201,19 @@ let () =
    | Guard.Complete rw -> Format.printf "%a@." Rewrite.pp_rewriting rw
    | Guard.Degraded (_, e) ->
      Format.printf "rewriting degraded: %a@." Guard.pp_exhaustion e);
-  (match Md_ontology.rewrite_answers up_only q with
-   | Guard.Complete answers ->
+  (match
+     Answer.answer Answer.Rewrite (Md_ontology.program up_only)
+       (Md_ontology.instance up_only) q
+   with
+   | Answer.Ok answers ->
      Format.printf "days the north region had a calibration: %a@."
        (Format.pp_print_list
           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
           R.Tuple.pp)
        answers
-   | Guard.Degraded (_, e) ->
-     Format.printf "answers degraded: %a@." Guard.pp_exhaustion e);
+   | Answer.Degraded { exhaustion; _ } ->
+     Format.printf "answers degraded: %a@." Guard.pp_exhaustion exhaustion
+   | Answer.Inconsistent _ -> print_endline "ontology inconsistent");
   Format.print_flush ();
 
   section "Integrity: the decommissioned station";

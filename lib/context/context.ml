@@ -153,9 +153,10 @@ let rewrite_query t (q : Query.t) =
     body
 
 let clean_answers ?(partial = false) a q =
-  if not (chase_usable ~partial a) then None
-  else
-    Some (Query.certain a.chase.Chase.instance (rewrite_query a.context q))
+  match Answer.of_fixpoint a.chase (rewrite_query a.context q) with
+  | Answer.Ok answers -> Some answers
+  | Answer.Degraded { partial = answers; _ } when partial -> Some answers
+  | Answer.Degraded _ | Answer.Inconsistent _ -> None
 
 let explain a name tuple =
   match List.assoc_opt name a.context.quality_versions with

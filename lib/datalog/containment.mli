@@ -4,7 +4,7 @@
     [Q ⊆ Q'] (every answer of [Q] is an answer of [Q'] on every
     instance) holds iff there is a homomorphism from [Q'] into the
     {e frozen} body of [Q] mapping head to head.  Used by
-    {!Rewrite.answers} to prune subsumed disjuncts from rewritten UCQs,
+    {!Rewrite.rewrite} to prune subsumed disjuncts from rewritten UCQs,
     and available as a standalone optimizer.
 
     Comparisons: the test is exact for comparison-free queries.  When

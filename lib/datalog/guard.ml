@@ -111,11 +111,16 @@ let fork ?max_steps ?max_nulls ?max_rows ?max_cqs ?max_repair_branches
     | Some r, Some q -> Some (min r q)
   in
   let started = g.clock () in
-  let deadline =
-    let requested = Option.map (fun s -> started +. s) timeout in
-    match (g.deadline, requested) with
-    | None, d | d, None -> d
-    | Some a, Some b -> Some (Float.min a b)
+  (* the earlier deadline and the timeout that sets it; a requested one
+     is kept as given, so a trip reports the limit that was asked for *)
+  let limit =
+    match
+      ( Option.map (fun d -> (d, d -. started)) g.deadline,
+        Option.map (fun s -> (started +. s, s)) timeout )
+    with
+    | None, l | l, None -> l
+    | (Some (a, _) as inherited), (Some (b, _) as requested) ->
+      if b <= a then requested else inherited
   in
   { g with
     max_steps = rem g.max_steps g.steps max_steps;
@@ -126,8 +131,8 @@ let fork ?max_steps ?max_nulls ?max_rows ?max_cqs ?max_repair_branches
       rem g.max_repair_branches g.repair_branches max_repair_branches;
     max_checkpoint_bytes =
       rem g.max_checkpoint_bytes g.checkpoint_bytes max_checkpoint_bytes;
-    deadline;
-    timeout = Option.map (fun d -> d -. started) deadline;
+    deadline = Option.map fst limit;
+    timeout = Option.map snd limit;
     started;
     steps = 0;
     nulls = 0;
@@ -272,18 +277,8 @@ let record_metrics g m =
     c.elapsed;
   set "mdqa_guard_heap_mb" "heap watermark in MiB" c.heap_mb
 
-let protect g f ~partial =
-  match f () with
-  | v -> Complete v
-  | exception Exhausted e ->
-    if g.tripped = None then g.tripped <- Some e;
-    Degraded (partial (), e)
-
 let value = function Complete v | Degraded (v, _) -> v
 let degraded = function Complete _ -> None | Degraded (_, e) -> Some e
-let map f = function
-  | Complete v -> Complete (f v)
-  | Degraded (v, e) -> Degraded (f v, e)
 
 let resource_name = function
   | Steps -> "steps"
@@ -300,7 +295,7 @@ let pp_exhaustion ppf e =
   match e.resource with
   | Cancelled -> Format.pp_print_string ppf "cancelled"
   | Deadline ->
-    Format.fprintf ppf "deadline exceeded (%.3fs elapsed, limit %.3fs)"
+    Format.fprintf ppf "deadline exceeded (%.3fs elapsed, limit %gs)"
       e.used e.limit
   | Memory ->
     Format.fprintf ppf "memory watermark exceeded (%.1f MiB, limit %.1f MiB)"

@@ -7,8 +7,8 @@
     disjuncts, repair branches — together with a wall-clock deadline, a
     heap watermark and a cooperative cancellation flag.  One guard is
     threaded through a whole pipeline run ({!Chase.run}, {!Eval},
-    {!Rewrite}, {!Query}, repairs, context assessment), so the budgets
-    are global to the run, not per-stage.
+    {!Rewrite}, {!Proof}, {!Query}, repairs, context assessment), so
+    the budgets are global to the run, not per-stage.
 
     Engines consume resources through the [count_*] functions; when a
     budget is exceeded the guard records an {!exhaustion} report and
@@ -166,16 +166,13 @@ val record_metrics : t -> Mdqa_obs.Metrics.t -> unit
 val exhaustion : t -> exhaustion option
 (** The recorded report if the guard has tripped. *)
 
-val protect : t -> (unit -> 'a) -> partial:(unit -> 'a) -> 'a outcome
-(** [protect g f ~partial] runs [f ()]; if it raises {!Exhausted}, the
-    trip is absorbed and [Degraded (partial (), e)] is returned. *)
-
 val value : 'a outcome -> 'a
 (** The carried value, complete or partial. *)
 
 val degraded : 'a outcome -> exhaustion option
 
-val map : ('a -> 'b) -> 'a outcome -> 'b outcome
-
 val resource_name : resource -> string
 val pp_exhaustion : Format.formatter -> exhaustion -> unit
+(** One line naming the resource, what was used and the limit.  A
+    deadline's limit is printed as given ([%g]), so a sub-millisecond
+    timeout reads as itself. *)

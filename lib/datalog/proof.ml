@@ -4,21 +4,29 @@ module Tuple = Mdqa_relational.Tuple
 module Value = Mdqa_relational.Value
 
 type result = {
-  answers : Tuple.t list;
-  complete : bool;
+  answers : Tuple.t list Guard.outcome;
   steps : int;
 }
 
-exception Truncated
 exception Proved
 
-let search ?(max_depth = 32) ?(max_steps = 2_000_000) (program : Program.t)
-    inst (q : Query.t) ~steps ~emit =
+(* Runs the search; a stop — [max_steps] or a guard trip — is returned
+   as its report, after the answers emitted so far have been kept. *)
+let search ?guard ?(max_depth = 32) ?(max_steps = 2_000_000)
+    (program : Program.t) inst (q : Query.t) ~steps ~emit =
   let rename_counter = ref 0 in
   let fresh = Value.Fresh.create ~start:1_000_000 () in
+  (* a resolution step ticks the guard (deadline, memory, cancel) but is
+     not charged to its step budget: [max_steps] is this search's own *)
   let tick () =
     incr steps;
-    if !steps > max_steps then raise Truncated
+    if !steps > max_steps then
+      raise
+        (Guard.Exhausted
+           { Guard.resource = Guard.Steps;
+             limit = float_of_int max_steps;
+             used = float_of_int !steps });
+    Option.iter Guard.tick guard
   in
   (* Comparisons: ground ones must hold and must not involve nulls
      (a null-dependent comparison is not certain). *)
@@ -98,44 +106,46 @@ let search ?(max_depth = 32) ?(max_steps = 2_000_000) (program : Program.t)
                 head)
             (Program.tgds_with_head program (Atom.pred g)))
   in
-  resolve q.Query.body Subst.empty [] 0 q.Query.cmps
+  match resolve q.Query.body Subst.empty [] 0 q.Query.cmps with
+  | () -> None
+  | exception Guard.Exhausted e -> Some e
 
-let head_image (q : Query.t) s =
-  List.map (fun t -> Subst.walk s t) q.Query.head
+(* The head's image under [s] when it is ground and null-free: only
+   those are certain answers. *)
+let certain_image (q : Query.t) s =
+  let consts =
+    List.filter_map
+      (fun t ->
+        match Subst.walk s t with
+        | Term.Const c when not (Value.is_null c) -> Some c
+        | _ -> None)
+      q.Query.head
+  in
+  if List.compare_lengths consts q.Query.head = 0 then
+    Some (Tuple.of_list consts)
+  else None
 
-let answer ?max_depth ?max_steps program inst q =
+let answer ?guard ?max_depth ?max_steps program inst q =
   let steps = ref 0 in
   let found = ref Tuple.Set.empty in
-  let complete = ref true in
-  (try
-     search ?max_depth ?max_steps program inst q ~steps ~emit:(fun s ->
-         let img = head_image q s in
-         let ground =
-           List.for_all
-             (function
-               | Term.Const c -> not (Value.is_null c)
-               | Term.Var _ -> false)
-             img
-         in
-         if ground then
-           found :=
-             Tuple.Set.add
-               (Tuple.of_list
-                  (List.map
-                     (function
-                       | Term.Const c -> c
-                       | Term.Var _ -> assert false)
-                     img))
-               !found)
-   with Truncated -> complete := false);
-  { answers = Tuple.Set.elements !found; complete = !complete; steps = !steps }
+  let stop =
+    search ?guard ?max_depth ?max_steps program inst q ~steps ~emit:(fun s ->
+        Option.iter
+          (fun t -> found := Tuple.Set.add t !found)
+          (certain_image q s))
+  in
+  let answers = Tuple.Set.elements !found in
+  { answers =
+      (match stop with
+       | None -> Guard.Complete answers
+       | Some e -> Guard.Degraded (answers, e));
+    steps = !steps }
 
 let entails ?max_depth ?max_steps program inst q =
   let steps = ref 0 in
-  try
-    search ?max_depth ?max_steps program inst q ~steps ~emit:(fun _ ->
-        raise Proved);
-    false
+  match
+    search ?max_depth ?max_steps program inst q ~steps
+      ~emit:(fun _ -> raise Proved)
   with
-  | Proved -> true
-  | Truncated -> false
+  | _ -> false
+  | exception Proved -> true

@@ -28,24 +28,30 @@
 
     Proof depth is polynomially bounded for WS programs; [max_depth]
     bounds rule applications per branch and [max_steps] bounds the
-    total search as engineering safety. *)
+    total search as engineering safety.  A {!Guard.t} bounds its wall
+    time, memory and cancellation like every other engine's. *)
 
 type result = {
-  answers : Mdqa_relational.Tuple.t list;
-      (** certain answers (null-free head images), sorted, deduplicated *)
-  complete : bool;
-      (** false if the search was truncated by [max_steps] *)
+  answers : Mdqa_relational.Tuple.t list Guard.outcome;
+      (** certain answers (null-free head images), sorted, deduplicated;
+          [Degraded] with the answers found so far when [max_steps] or
+          the guard stopped the search *)
   steps : int;  (** resolution steps performed *)
 }
 
 val answer :
+  ?guard:Guard.t ->
   ?max_depth:int ->
   ?max_steps:int ->
   Program.t ->
   Mdqa_relational.Instance.t ->
   Query.t ->
   result
-(** Defaults: [max_depth] 32, [max_steps] 2_000_000. *)
+(** Defaults: [max_depth] 32, [max_steps] 2_000_000.  Every resolution
+    step ticks [guard] ({!Guard.tick}: deadline, memory watermark,
+    cancellation) but is not charged to its step budget; [max_steps]
+    is the search's own, and running past it is reported as a
+    {!Guard.Steps} exhaustion. *)
 
 val entails :
   ?max_depth:int ->
@@ -55,4 +61,5 @@ val entails :
   Query.t ->
   bool
 (** Boolean conjunctive query answering: is there an accepting
-    resolution proof schema?  (short-circuits on the first proof) *)
+    resolution proof schema?  (short-circuits on the first proof;
+    [false] when the search is stopped first) *)

@@ -71,79 +71,41 @@ let projection q =
     Tuple.unsafe_of_array
       (Array.map (function Val c -> c | Slot s -> slots.(s)) head)
 
-(* Every match's head image (those with a null dropped when [certain]),
-   sorted and deduplicated.  A guard trip is absorbed: [Degraded]
-   carries the images of the matches emitted before it. *)
+(* Every match's head image (null-free ones only with [certain]), sorted
+   and deduplicated.  Duplicates are also dropped whenever the list has
+   doubled, so memory follows the distinct images, not the matches. *)
 let images ?guard ~certain inst q =
-  let image = projection q and found = ref [] in
+  Mdqa_obs.Trace.with_span "eval" ~attrs:[ ("query", q.name) ] @@ fun () ->
+  Mdqa_obs.Profile.with_query q.name @@ fun () ->
+  let image = projection q and found = ref [] and held = ref 0 in
+  let sorted () = List.sort_uniq Tuple.compare !found in
+  let dedup_at = ref 4096 in
   let emit slots =
     let t = image slots in
-    if not (certain && Tuple.has_null t) then found := t :: !found
+    if not (certain && Tuple.has_null t) then begin
+      found := t :: !found;
+      incr held;
+      if !held >= !dedup_at then begin
+        found := sorted ();
+        held := List.length !found;
+        dedup_at := max 4096 (2 * !held)
+      end
+    end
   in
-  let sorted () = List.sort_uniq Tuple.compare !found in
   match Eval.iter_matches ?guard ~cmps:q.cmps inst q.body emit with
   | () -> Guard.Complete (sorted ())
   | exception Guard.Exhausted e -> Guard.Degraded (sorted (), e)
 
-let evaluate ?guard ~certain inst q =
-  Mdqa_obs.Trace.with_span "eval" ~attrs:[ ("query", q.name) ] @@ fun () ->
-  Mdqa_obs.Profile.with_query q.name @@ fun () ->
-  match images ?guard ~certain inst q with
+let evaluate ?guard inst q = images ?guard ~certain:true inst q
+
+let raise_degraded = function
   | Guard.Complete l -> l
   | Guard.Degraded (_, e) -> raise (Guard.Exhausted e)
 
-let matches ?guard inst q = evaluate ?guard ~certain:false inst q
-let certain ?guard inst q = evaluate ?guard ~certain:true inst q
+let matches ?guard inst q =
+  raise_degraded (images ?guard ~certain:false inst q)
 
-type 'a outcome =
-  | Ok of 'a
-  | Inconsistent of Chase.failure
-  | Degraded of {
-      partial : 'a;
-      exhaustion : Guard.exhaustion;
-      stats : Chase.stats;
-    }
-
-(* Chase, then evaluate with [eval] — an evaluation that itself returns
-   a (possibly degraded) outcome.  When the chase trips the guard, the
-   query is still evaluated over the well-formed partial instance
-   (unguarded: the instance is finite and the guard has already
-   tripped), so callers always get the answers supported so far. *)
-let with_chase ?guard ?chase_variant ?(goal_directed = false) program inst q
-    ~eval =
-  let program =
-    if goal_directed then
-      Program.restrict_to_goals program
-        ~goals:(List.map Atom.pred q.body)
-    else program
-  in
-  let result = Chase.run ?variant:chase_variant ?guard program inst in
-  let stats = result.Chase.stats in
-  let eval ?guard i =
-    Mdqa_obs.Trace.with_span "eval" ~attrs:[ ("query", q.name) ] @@ fun () ->
-    Mdqa_obs.Profile.with_query q.name @@ fun () -> eval ?guard i
-  in
-  match result.Chase.outcome with
-  | Chase.Saturated -> (
-    match eval ?guard result.Chase.instance with
-    | Guard.Complete v -> Ok v
-    | Guard.Degraded (v, e) ->
-      Degraded { partial = v; exhaustion = e; stats })
-  | Chase.Failed failure -> Inconsistent failure
-  | Chase.Out_of_budget e ->
-    let partial = Guard.value (eval ?guard:None result.Chase.instance) in
-    Degraded { partial; exhaustion = e; stats }
-
-let certain_answers ?guard ?chase_variant ?goal_directed program inst q =
-  with_chase ?guard ?chase_variant ?goal_directed program inst q
-    ~eval:(fun ?guard i -> images ?guard ~certain:true i q)
-
-let entails ?guard ?chase_variant ?goal_directed program inst q =
-  with_chase ?guard ?chase_variant ?goal_directed program inst q
-    ~eval:(fun ?guard i ->
-      match Eval.exists ?guard ~cmps:q.cmps i q.body with
-      | b -> Guard.Complete b
-      | exception Guard.Exhausted e -> Guard.Degraded (false, e))
+let certain ?guard inst q = raise_degraded (evaluate ?guard inst q)
 
 let pp ppf q =
   Format.fprintf ppf "%s(%a) :- %a" q.name

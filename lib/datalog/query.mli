@@ -30,60 +30,27 @@ val boolean : ?name:string -> ?cmps:Atom.Cmp.t list -> Atom.t list -> t
 val is_boolean : t -> bool
 val answer_vars : t -> Term.Var_set.t
 
+val evaluate :
+  ?guard:Guard.t ->
+  Mdqa_relational.Instance.t -> t ->
+  Mdqa_relational.Tuple.t list Guard.outcome
+(** The null-free head images of every match over the given (chased)
+    instance, sorted and deduplicated (also as they accumulate, so
+    memory follows the distinct images).  Each image is read off the
+    evaluator's slots ({!Eval.iter_matches}) through the head, compiled
+    once per call.  A guard trip is absorbed: [Degraded] carries the
+    images of the matches found before it. *)
+
 val matches :
   ?guard:Guard.t ->
   Mdqa_relational.Instance.t -> t -> Mdqa_relational.Tuple.t list
-(** All head images over the given instance, including those containing
-    labeled nulls; sorted, deduplicated.  Each match's image is read off
-    the evaluator's slots ({!Eval.iter_matches}) through the head,
-    compiled once per call.
-    @raise Guard.Exhausted when the guard trips. *)
+(** Every match's head image, labeled nulls included, sorted and
+    deduplicated.  @raise Guard.Exhausted when the guard trips. *)
 
 val certain :
   ?guard:Guard.t ->
   Mdqa_relational.Instance.t -> t -> Mdqa_relational.Tuple.t list
-(** Null-free head images over the given (chased) instance.
+(** {!evaluate}'s answers.
     @raise Guard.Exhausted when the guard trips. *)
-
-(** End-to-end answering: chase then evaluate. *)
-
-type 'a outcome =
-  | Ok of 'a
-  | Inconsistent of Chase.failure
-      (** the chase failed; every tuple is entailed in classical
-          semantics, so no meaningful answer set exists *)
-  | Degraded of {
-      partial : 'a;
-          (** answers supported by the work done before the trip — a
-              sound under-approximation of the complete answer set *)
-      exhaustion : Guard.exhaustion;  (** which resource ran out *)
-      stats : Chase.stats;
-    }  (** a guard resource ran out during the chase or evaluation *)
-
-val certain_answers :
-  ?guard:Guard.t ->
-  ?chase_variant:Chase.variant ->
-  ?goal_directed:bool ->
-  Program.t ->
-  Mdqa_relational.Instance.t ->
-  t ->
-  Mdqa_relational.Tuple.t list outcome
-(** With [goal_directed] (off by default), the program is first
-    restricted to the rules relevant to the query's predicates
-    ({!Program.restrict_to_goals}) — same answers, smaller chase.
-    The guard governs the chase {e and} the final evaluation; on any
-    trip the result is [Degraded] with the partial answers, never an
-    exception or a hang. *)
-
-val entails :
-  ?guard:Guard.t ->
-  ?chase_variant:Chase.variant ->
-  ?goal_directed:bool ->
-  Program.t ->
-  Mdqa_relational.Instance.t ->
-  t ->
-  bool outcome
-(** Boolean conjunctive query answering via the chase.  [Degraded]
-    carries [false] when the evaluation itself was cut short. *)
 
 val pp : Format.formatter -> t -> unit

@@ -74,21 +74,24 @@ let applicable ~ex_vars ~counts (goal : Atom.t) (head_atom : Atom.t) =
       | _ -> true)
     (Atom.args goal) (Atom.args head_atom)
 
-let rewrite ?guard ?(max_cqs = 10_000) ?(prune = true) (program : Program.t)
-    (q : Query.t) =
-  let guard =
-    match guard with Some g -> g | None -> Guard.create ~max_cqs ()
-  in
+(* Unfold [q] depth-first, handing each new disjunct to [on_cq] as it
+   is produced (after charging it to [max_cqs] and the guard's CQ
+   budget), and counting unfolding steps in [expansions].
+   @raise Guard.Exhausted on a trip. *)
+let unfold ?(guard = Guard.unlimited ()) ~max_cqs ~expansions
+    (program : Program.t) (q : Query.t) ~on_cq =
   let seen = Hashtbl.create 64 in
-  let out = ref [] in
-  let expansions = ref 0 in
   let counter = ref 0 in
   let rec add (head, body, cmps) =
     let key = canonical_key head body cmps in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
+      let used = float_of_int (Hashtbl.length seen)
+      and limit = float_of_int max_cqs in
+      if used > limit then
+        raise (Guard.Exhausted { resource = Cqs; limit; used });
       Guard.count_cq guard;
-      out := (head, body, cmps) :: !out;
+      on_cq (Query.make ~name:q.Query.name ~cmps ~head body);
       expand (head, body, cmps)
     end
   and expand (head, body, cmps) =
@@ -126,51 +129,38 @@ let rewrite ?guard ?(max_cqs = 10_000) ?(prune = true) (program : Program.t)
           (Program.tgds_with_head program (Atom.pred goal)))
       body
   in
+  Mdqa_obs.Trace.with_span "rewrite"
+    ~attrs:[ ("query", q.Query.name) ]
+  @@ fun () ->
+  add (q.Query.head, q.Query.body, q.Query.cmps)
+
+let rewrite ?guard ?(max_cqs = 10_000) ?(prune = true) program q =
+  let out = ref [] and expansions = ref 0 in
   let finish () =
-    let ucq =
-      List.rev_map
-        (fun (head, body, cmps) ->
-          Query.make ~name:q.Query.name ~cmps ~head body)
-        !out
-      |> List.rev
-    in
+    (* latest disjunct first *)
+    let ucq = !out in
     let kept = if prune then Containment.prune_ucq ucq else ucq in
     { ucq = kept;
       expansions = !expansions;
       pruned = List.length ucq - List.length kept }
   in
-  Mdqa_obs.Trace.with_span "rewrite"
-    ~attrs:[ ("query", q.Query.name) ]
-  @@ fun () ->
-  match add (q.Query.head, q.Query.body, q.Query.cmps) with
+  match
+    unfold ?guard ~max_cqs ~expansions program q ~on_cq:(fun cq ->
+        out := cq :: !out)
+  with
   | () -> Guard.Complete (finish ())
   | exception Guard.Exhausted e -> Guard.Degraded (finish (), e)
 
-let answers ?guard ?max_cqs ?prune program inst q =
-  let eval ucq =
-    let all = ref Tuple.Set.empty in
-    let add_cq cq =
-      List.iter
-        (fun t -> all := Tuple.Set.add t !all)
-        (Query.certain ?guard inst cq)
-    in
-    match List.iter add_cq ucq with
-    | () -> Guard.Complete (Tuple.Set.elements !all)
-    | exception Guard.Exhausted e ->
-      Guard.Degraded (Tuple.Set.elements !all, e)
+let answers ?guard ?(max_cqs = 10_000) program inst q =
+  let all = ref Tuple.Set.empty in
+  let on_cq cq =
+    List.iter
+      (fun t -> all := Tuple.Set.add t !all)
+      (Query.certain ?guard inst cq)
   in
-  match rewrite ?guard ?max_cqs ?prune program q with
-  | Guard.Complete { ucq; _ } -> eval ucq
-  | Guard.Degraded ({ ucq; _ }, e) ->
-    (* evaluate the partial UCQ unguarded: the guard already tripped,
-       and each disjunct is a plain CQ over the extensional data *)
-    Guard.Degraded (Tuple.Set.elements (
-      List.fold_left
-        (fun acc cq ->
-          List.fold_left
-            (fun acc t -> Tuple.Set.add t acc)
-            acc (Query.certain inst cq))
-        Tuple.Set.empty ucq), e)
+  match unfold ?guard ~max_cqs ~expansions:(ref 0) program q ~on_cq with
+  | () -> Guard.Complete (Tuple.Set.elements !all)
+  | exception Guard.Exhausted e -> Guard.Degraded (Tuple.Set.elements !all, e)
 
 let pp_rewriting ppf r =
   Format.fprintf ppf "@[<v>UCQ with %d disjuncts (%d expansions, %d pruned):"

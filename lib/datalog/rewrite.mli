@@ -15,10 +15,11 @@
     Termination: when the program's predicate graph is acyclic —
     syntactically guaranteed for upward-only multidimensional
     ontologies, where rules only move data to strictly higher category
-    levels — unfolding terminates.  A {!Guard.t} (CQ budget, deadline,
-    memory, cancellation) bounds cyclic or explosive inputs: the
-    rewriting degrades to the disjuncts produced so far instead of
-    diverging. *)
+    levels — unfolding terminates.  A disjunct cap ([max_cqs]) and a
+    {!Guard.t} (CQ budget, deadline, memory, cancellation) bound cyclic
+    or explosive inputs: the rewriting degrades to the disjuncts
+    produced so far instead of diverging.  Only a deadline bounds the
+    time of the ever longer joins a cyclic program unfolds into. *)
 
 type rewriting = {
   ucq : Query.t list;  (** the union of conjunctive queries *)
@@ -32,23 +33,27 @@ val rewritable : Program.t -> bool
 val rewrite :
   ?guard:Guard.t -> ?max_cqs:int -> ?prune:bool -> Program.t -> Query.t ->
   rewriting Guard.outcome
-(** Without a [guard], one is created with [max_cqs] (default 10_000)
-    as its CQ budget.  With [prune] (the default), disjuncts contained
-    in another disjunct are removed via {!Containment} before
-    evaluation.  [Degraded] carries the (pruned) disjuncts produced
-    before the budget ran out — each one a sound member of the union. *)
+(** At most [max_cqs] (default 10_000) disjuncts are produced, under
+    any [guard] or none: past it the rewriting degrades with a
+    {!Guard.Cqs} exhaustion, as past the guard's own CQ budget.  With
+    [prune] (the default), disjuncts contained in another disjunct are
+    removed via {!Containment} before evaluation.  [Degraded] carries
+    the (pruned) disjuncts produced before the budget ran out — each
+    one a sound member of the union. *)
 
 val answers :
   ?guard:Guard.t ->
   ?max_cqs:int ->
-  ?prune:bool ->
   Program.t ->
   Mdqa_relational.Instance.t ->
   Query.t ->
   Mdqa_relational.Tuple.t list Guard.outcome
-(** Rewrite, then evaluate each disjunct on the extensional instance;
-    null-free answers only, sorted and deduplicated.  [Degraded]
-    answers are a sound under-approximation (the disjuncts evaluated
-    so far). *)
+(** Rewrite, evaluating each disjunct on the extensional instance under
+    the guard as soon as it is produced (no containment pruning: a
+    pruned disjunct's answers are a subset of another's); null-free
+    answers only, sorted and deduplicated.  [max_cqs] caps the
+    disjuncts as in {!rewrite}.  [Degraded] answers are a sound
+    under-approximation: those of the disjuncts evaluated before the
+    trip. *)
 
 val pp_rewriting : Format.formatter -> rewriting -> unit

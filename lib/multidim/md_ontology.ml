@@ -145,14 +145,6 @@ let referential_violations t =
 let chase ?variant ?guard t =
   Chase.run ?variant ?guard (program t) (instance t)
 
-let certain_answers ?guard t q =
-  Query.certain_answers ?guard (program t) (instance t) q
-
-let proof_answers t q = Proof.answer (program t) (instance t) q
-
-let rewrite_answers ?guard t q =
-  Rewrite.answers ?guard (program t) (instance t) q
-
 let is_upward_only t = Dim_rule.is_upward_only t.schema t.rules
 
 let classes t = Classes.classify (program t)

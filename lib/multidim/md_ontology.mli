@@ -72,22 +72,6 @@ val chase :
   Mdqa_datalog.Chase.result
 (** The guard governs the chase as in {!Mdqa_datalog.Chase.run}. *)
 
-val certain_answers :
-  ?guard:Mdqa_datalog.Guard.t ->
-  t -> Mdqa_datalog.Query.t ->
-  Mdqa_relational.Tuple.t list Mdqa_datalog.Query.outcome
-
-val proof_answers : t -> Mdqa_datalog.Query.t -> Mdqa_datalog.Proof.result
-(** Answer via the top-down {!Mdqa_datalog.Proof} search (no chase). *)
-
-val rewrite_answers :
-  ?guard:Mdqa_datalog.Guard.t ->
-  t -> Mdqa_datalog.Query.t ->
-  Mdqa_relational.Tuple.t list Mdqa_datalog.Guard.outcome
-(** Answer via FO rewriting — sound for upward-only ontologies.
-    [Degraded] answers are the disjuncts evaluated before the guard
-    tripped. *)
-
 val is_upward_only : t -> bool
 
 val classes : t -> Mdqa_datalog.Classes.report

@@ -1,15 +1,14 @@
+module Answer = Mdqa_datalog.Answer
 module Diag = Mdqa_datalog.Diag
 module Guard = Mdqa_datalog.Guard
 module Value = Mdqa_relational.Value
 module Tuple = Mdqa_relational.Tuple
 
-type engine = Chase | Proof | Rewrite
-
 type request =
   | Query of {
       id : Jsonl.t option;
       query : string;
-      engine : engine;
+      engine : Answer.engine;
       timeout : float option;
       max_steps : int option;
     }
@@ -104,14 +103,15 @@ let parse_request line =
       | None -> bad "query request has no string \"query\" field"
       | Some query -> (
         let engine =
-          match Jsonl.str_field "engine" obj with
-          | None | Some "chase" -> Ok Chase
-          | Some "proof" -> Ok Proof
-          | Some "rewrite" -> Ok Rewrite
-          | Some other ->
+          let name =
+            Option.value ~default:"chase" (Jsonl.str_field "engine" obj)
+          in
+          match List.assoc_opt name Answer.engines with
+          | Some engine -> Ok engine
+          | None ->
             bad
               (Printf.sprintf
-                 "unknown engine %S (want chase, proof or rewrite)" other)
+                 "unknown engine %S (want chase, proof or rewrite)" name)
         in
         match engine with
         | Error _ as e -> e

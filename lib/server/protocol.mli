@@ -37,13 +37,11 @@
     Parsing is total: a malformed line becomes an [Error] diagnostic
     the server answers with, never an exception. *)
 
-type engine = Chase | Proof | Rewrite
-
 type request =
   | Query of {
       id : Jsonl.t option;
       query : string;  (** surface syntax, e.g. ["q(X) :- p(X, Y)"] *)
-      engine : engine;
+      engine : Mdqa_datalog.Answer.engine;
       timeout : float option;  (** per-request deadline, seconds *)
       max_steps : int option;  (** per-request chase-step budget *)
     }

@@ -261,49 +261,24 @@ let query t ?timeout ?max_steps ~engine qtext =
         (Diag.make ~file:"<query>" Diag.Error ~code:"E012"
            (Printf.sprintf "unknown predicate %s" (Atom.pred a)))
     | [] -> (
-      match t.warm.Chase.outcome with
-      | Chase.Failed f ->
-        Inconsistent
-          (Format.asprintf "%a" Chase.pp_outcome (Chase.Failed f))
-      | warm_outcome ->
-        let child = Guard.fork ?timeout ?max_steps t.guard in
-        let result =
-          match engine with
-          | Protocol.Chase -> (
-            (* the whole point of serving: evaluate over the warm
-               fixpoint, no re-chase *)
-            match
-              Guard.protect child
-                (fun () ->
-                  Query.certain ~guard:child t.warm.Chase.instance q)
-                ~partial:(fun () -> [])
-            with
-            | Guard.Complete answers -> (
-              match warm_outcome with
-              | Chase.Out_of_budget e ->
-                (* sound under-approximation over a partial fixpoint *)
-                Partial (answers, e)
-              | _ -> Answers answers)
-            | Guard.Degraded (answers, e) -> Partial (answers, e))
-          | Protocol.Proof ->
-            let r =
-              Proof.answer ?max_steps t.program t.base q
-            in
-            if r.Proof.complete then Answers r.Proof.answers
-            else
-              Partial
-                ( r.Proof.answers,
-                  { Guard.resource = Guard.Steps;
-                    limit = float_of_int (Option.value ~default:2_000_000
-                                            max_steps);
-                    used = float_of_int r.Proof.steps } )
-          | Protocol.Rewrite -> (
-            match Rewrite.answers ~guard:child t.program t.base q with
-            | Guard.Complete answers -> Answers answers
-            | Guard.Degraded (answers, e) -> Partial (answers, e))
-        in
-        Guard.absorb t.guard child;
-        result))
+      let child = Guard.fork ?timeout ?max_steps t.guard in
+      let outcome =
+        match (engine, t.warm.Chase.outcome) with
+        | Answer.Chase, _ | _, Chase.Failed _ ->
+          (* the whole point of serving: evaluate over the warm
+             fixpoint, no re-chase; an inconsistent ontology answers
+             nothing, whatever the engine *)
+          Answer.of_fixpoint ~guard:child t.warm q
+        | engine, _ ->
+          Answer.answer ~guard:child ?max_steps engine t.program t.base q
+      in
+      Guard.absorb t.guard child;
+      match outcome with
+      | Answer.Ok answers -> Answers answers
+      | Answer.Degraded { partial; exhaustion } ->
+        Partial (partial, exhaustion)
+      | Answer.Inconsistent f ->
+        Inconsistent (Format.asprintf "%a" Chase.pp_outcome (Chase.Failed f))))
 
 (* --- introspection ---------------------------------------------------- *)
 

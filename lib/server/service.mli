@@ -74,24 +74,31 @@ val promote : t -> unit
     authority over the bytes is durable. *)
 
 type query_outcome =
-  | Answers of Mdqa_relational.Tuple.t list  (** complete *)
+  | Answers of Mdqa_relational.Tuple.t list
+      (** complete ({!Mdqa_datalog.Answer.Ok}) *)
   | Partial of Mdqa_relational.Tuple.t list * Mdqa_datalog.Guard.exhaustion
-      (** a budget ran out (theirs or the warm chase's): sound
+      (** {!Mdqa_datalog.Answer.Degraded}: a budget ran out (theirs or
+          the warm chase's); the answers found before it, a sound
           under-approximation *)
   | Bad_query of Mdqa_datalog.Diag.t  (** E002 / E012: reply error *)
   | Inconsistent of string
-      (** the warm chase failed a constraint; no meaningful answers *)
+      (** {!Mdqa_datalog.Answer.Inconsistent}: the warm chase failed a
+          constraint; no meaningful answers *)
 
 val query :
   t ->
   ?timeout:float ->
   ?max_steps:int ->
-  engine:Protocol.engine ->
+  engine:Mdqa_datalog.Answer.engine ->
   string ->
   query_outcome
-(** Answer one query given in surface syntax.  [timeout]/[max_steps]
-    bound this request via a guard fork; consumption is folded back
-    into the server guard afterwards.  Never raises. *)
+(** Answer one query given in surface syntax.  The chase engine reads
+    the warm fixpoint ({!Mdqa_datalog.Answer.of_fixpoint}); the others
+    run {!Mdqa_datalog.Answer.answer} over the base facts.
+    [timeout]/[max_steps] bound this request via a guard fork
+    ([max_steps] is also the proof search's own step budget); its
+    consumption is folded back into the server guard afterwards.
+    Never raises. *)
 
 val request_served : t -> unit
 (** Count one served request.  Every [checkpoint_every]-th one checks

@@ -5,8 +5,8 @@
 # non-homogeneous hierarchies),
 # `mdqa chase` stdout on every example .dl and on the corpus's
 # interleaved-facts and EGD-window programs, `mdqa query` stdout under
-# the chase and rewrite engines on examples/hospital.dl and the EGD-window
-# program (free, bound, boolean, head-constant and null-carrying
+# the chase, rewrite and proof engines on examples/hospital.dl and the
+# EGD-window program (free, bound, boolean, head-constant and null-carrying
 # queries), and the stdout of every example executable under
 # ../examples, must equal the committed files under golden/ byte for
 # byte.
@@ -48,7 +48,12 @@ for f in ../examples/*.dl corpus/interleaved_facts.dl corpus/egd_window.dl; do
   check "golden/chase/$(basename "$f").out" "$exe" chase "$f"
 done
 
-for e in chase rewrite; do
+# The proof engine ignores EGDs and egd_window.dl's are not separable,
+# so golden/query/egd_window.dl.proof.out pins a known-incomplete answer
+# set (its "free" and "yes" find nothing; the chase finds 3 and true):
+# it characterises current output, and changes when the engine learns
+# to refuse or handle such programs.
+for e in chase rewrite proof; do
   check "golden/query/hospital.dl.$e.out" "$exe" query ../examples/hospital.dl \
     -e "$e" -q 'free(U, D, P) :- patient_unit(U, D, P)' \
     -q 'bound(D) :- patient_unit(standard, D, tom)' \

@@ -537,13 +537,13 @@ let test_query_certain_answers_filter_nulls () =
   in
   let inst = instance_of [ ("person", 1, [ [ "ann" ] ]) ] in
   let q1 = Query.make ~head:[ v "Y" ] [ atom "father" [ s "ann"; v "Y" ] ] in
-  (match Query.certain_answers p inst q1 with
-   | Query.Ok [] -> ()
-   | Query.Ok l -> Alcotest.failf "expected none, got %d" (List.length l)
+  (match Answer.answer Answer.Chase p inst q1 with
+   | Answer.Ok [] -> ()
+   | Answer.Ok l -> Alcotest.failf "expected none, got %d" (List.length l)
    | _ -> Alcotest.fail "chase issue");
   let q2 = Query.make ~head:[ v "X" ] [ atom "father" [ v "X"; v "Y" ] ] in
-  (match Query.certain_answers p inst q2 with
-   | Query.Ok [ t ] ->
+  (match Answer.answer Answer.Chase p inst q2 with
+   | Answer.Ok [ t ] ->
      Alcotest.check tuple_testable "ann"
        (R.Tuple.of_list [ R.Value.sym "ann" ]) t
    | _ -> Alcotest.fail "expected exactly ann")
@@ -557,19 +557,20 @@ let test_query_boolean_entailment () =
   let inst = instance_of [ ("person", 1, [ [ "ann" ] ]) ] in
   let yes = Query.boolean [ atom "father" [ s "ann"; v "Y" ] ] in
   let no = Query.boolean [ atom "father" [ s "bob"; v "Y" ] ] in
-  (match Query.entails p inst yes with
-   | Query.Ok b -> Alcotest.(check bool) "entailed" true b
+  (* a boolean query's one certain answer is the empty tuple *)
+  (match Answer.answer Answer.Chase p inst yes with
+   | Answer.Ok l -> Alcotest.(check int) "entailed" 1 (List.length l)
    | _ -> Alcotest.fail "chase issue");
-  (match Query.entails p inst no with
-   | Query.Ok b -> Alcotest.(check bool) "not entailed" false b
+  (match Answer.answer Answer.Chase p inst no with
+   | Answer.Ok l -> Alcotest.(check int) "not entailed" 0 (List.length l)
    | _ -> Alcotest.fail "chase issue")
 
 let test_query_inconsistent () =
   let p = Program.make ~ncs:[ Nc.make [ atom "bad" [ v "X" ] ] ] () in
   let inst = instance_of [ ("bad", 1, [ [ "x" ] ]) ] in
   let q = Query.boolean [ atom "bad" [ v "X" ] ] in
-  (match Query.entails p inst q with
-   | Query.Inconsistent _ -> ()
+  (match Answer.answer Answer.Chase p inst q with
+   | Answer.Inconsistent _ -> ()
    | _ -> Alcotest.fail "expected Inconsistent")
 
 (* ------------------------------------------------------------------ *)
@@ -579,10 +580,11 @@ let test_proof_edb_only () =
   let p = Program.make () in
   let q = Query.make ~head:[ v "X" ] [ atom "e" [ v "X"; s "b" ] ] in
   let r = Proof.answer p edge_inst q in
-  Alcotest.(check bool) "complete" true r.Proof.complete;
+  Alcotest.(check bool) "complete" true
+    (Guard.degraded r.Proof.answers = None);
   Alcotest.(check (list tuple_testable)) "a"
     [ R.Tuple.of_list [ R.Value.sym "a" ] ]
-    r.Proof.answers
+    (Guard.value r.Proof.answers)
 
 let test_proof_via_rule () =
   let p =
@@ -596,7 +598,8 @@ let test_proof_via_rule () =
   in
   let q = Query.make ~head:[ v "Z" ] [ atom "t" [ s "a"; v "Z" ] ] in
   let r = Proof.answer p edge_inst q in
-  Alcotest.(check int) "b, c, d reachable" 3 (List.length r.Proof.answers)
+  Alcotest.(check int) "b, c, d reachable" 3
+    (List.length (Guard.value r.Proof.answers))
 
 let test_proof_existential_not_answer () =
   (* father invented by rule: entailed as BCQ but no certain answer *)
@@ -612,7 +615,8 @@ let test_proof_existential_not_answer () =
     Proof.answer p inst
       (Query.make ~head:[ v "Y" ] [ atom "father" [ s "ann"; v "Y" ] ])
   in
-  Alcotest.(check int) "no certain answer" 0 (List.length r.Proof.answers)
+  Alcotest.(check int) "no certain answer" 0
+    (List.length (Guard.value r.Proof.answers))
 
 let test_proof_existential_blocks_constant () =
   (* the invented null cannot equal a constant *)
@@ -657,11 +661,11 @@ let test_proof_agrees_with_chase () =
   in
   let q = Query.make ~head:[ v "X"; v "Z" ] [ atom "t" [ v "X"; v "Z" ] ] in
   let via_chase =
-    match Query.certain_answers p edge_inst q with
-    | Query.Ok l -> l
+    match Answer.answer Answer.Chase p edge_inst q with
+    | Answer.Ok l -> l
     | _ -> Alcotest.fail "chase failed"
   in
-  let via_proof = (Proof.answer p edge_inst q).Proof.answers in
+  let via_proof = Guard.value (Proof.answer p edge_inst q).Proof.answers in
   Alcotest.(check (list tuple_testable)) "same answers" via_chase via_proof
 
 (* ------------------------------------------------------------------ *)
@@ -718,8 +722,8 @@ let test_rewrite_matches_chase () =
   in
   let q = Query.make ~head:[ v "P" ] [ atom "inpat" [ v "P" ] ] in
   let via_chase =
-    match Query.certain_answers p inst q with
-    | Query.Ok l -> l
+    match Answer.answer Answer.Chase p inst q with
+    | Answer.Ok l -> l
     | _ -> Alcotest.fail "chase failed"
   in
   (match Rewrite.answers p inst q with
@@ -914,13 +918,14 @@ let test_proof_depth_budget () =
   in
   let q = Query.make ~head:[ v "Z" ] [ atom "t" [ s "n0"; v "Z" ] ] in
   let deep = Proof.answer ~max_depth:50 p (chain 10) q in
-  Alcotest.(check int) "all 10 reachable" 10 (List.length deep.Proof.answers);
+  Alcotest.(check int) "all 10 reachable" 10
+    (List.length (Guard.value deep.Proof.answers));
   let shallow = Proof.answer ~max_depth:3 p (chain 10) q in
   Alcotest.(check bool) "shallow finds fewer" true
-    (List.length shallow.Proof.answers < 10);
+    (List.length (Guard.value shallow.Proof.answers) < 10);
   let truncated = Proof.answer ~max_steps:5 p (chain 10) q in
   Alcotest.(check bool) "step truncation flagged" false
-    truncated.Proof.complete
+    (Guard.degraded truncated.Proof.answers = None)
 
 let test_rewrite_max_cqs_budget () =
   let p =
@@ -1216,10 +1221,10 @@ let test_goal_directed_same_answers () =
       ()
   in
   let q = Query.make ~head:[ v "X" ] [ atom "t" [ v "X"; v "Y" ] ] in
-  let a = Query.certain_answers p edge_inst q in
-  let b = Query.certain_answers ~goal_directed:true p edge_inst q in
+  let a = Answer.answer Answer.Chase p edge_inst q in
+  let b = Answer.answer ~goal_directed:true Answer.Chase p edge_inst q in
   (match a, b with
-   | Query.Ok xs, Query.Ok ys ->
+   | Answer.Ok xs, Answer.Ok ys ->
      Alcotest.(check bool) "same answers" true (xs = ys)
    | _ -> Alcotest.fail "chase failed");
   (* and the noise rule (with its unbounded existential) is not fired *)
@@ -1402,8 +1407,8 @@ let test_parse_end_to_end () =
   let { Parser.program; queries } = Parser.parse_string text in
   let inst = Program.instance_of_facts program in
   let q = List.hd queries in
-  (match Query.certain_answers program inst q with
-   | Query.Ok [ t ] ->
+  (match Answer.answer Answer.Chase program inst q with
+   | Answer.Ok [ t ] ->
      Alcotest.check tuple_testable "standard"
        (R.Tuple.of_list [ R.Value.sym "standard" ])
        t
@@ -1555,13 +1560,16 @@ let prop_proof_agrees_with_chase =
   QCheck.Test.make ~name:"proof search = chase certain answers" ~count:150
     program_arb (fun p ->
       let inst = Program.instance_of_facts p in
-      match Query.certain_answers p inst query_a with
-      | Query.Ok via_chase ->
-        let r = Proof.answer ~max_depth:10 ~max_steps:100_000 p inst query_a in
-        if r.Proof.complete then via_chase = r.Proof.answers
-        else
-          (* truncated searches must still be sound *)
-          List.for_all (fun t -> List.mem t via_chase) r.Proof.answers
+      match Answer.answer Answer.Chase p inst query_a with
+      | Answer.Ok via_chase ->
+        (match
+           (Proof.answer ~max_depth:10 ~max_steps:100_000 p inst query_a)
+             .Proof.answers
+         with
+         | Guard.Complete l -> via_chase = l
+         | Guard.Degraded (l, _) ->
+           (* truncated searches must still be sound *)
+           List.for_all (fun t -> List.mem t via_chase) l)
       | _ -> QCheck.assume_fail ())
 
 let prop_rewrite_agrees_with_chase =
@@ -1569,8 +1577,11 @@ let prop_rewrite_agrees_with_chase =
     program_arb (fun p ->
       QCheck.assume (Rewrite.rewritable p);
       let inst = Program.instance_of_facts p in
-      match Query.certain_answers p inst query_a, Rewrite.answers p inst query_a with
-      | Query.Ok via_chase, Guard.Complete via_rw -> via_chase = via_rw
+      match
+        ( Answer.answer Answer.Chase p inst query_a,
+          Rewrite.answers p inst query_a )
+      with
+      | Answer.Ok via_chase, Guard.Complete via_rw -> via_chase = via_rw
       | _ -> QCheck.assume_fail ())
 
 let prop_chase_idempotent =
@@ -2110,11 +2121,11 @@ let prop_query_projection_equals_subst =
       && raised (fun guard -> Query.matches ~guard inst q) = capped ~certain:false
       && raised (fun guard -> Query.certain ~guard inst q) = capped ~certain:true
       && (match
-            ( Query.certain_answers ~guard:(cap_guard ()) no_rules inst q,
+            ( Answer.answer ~guard:(cap_guard ()) Answer.Chase no_rules inst q,
               exhaustion )
           with
-          | Query.Ok l, None -> l = reference ~certain:true all
-          | Query.Degraded { partial = l; exhaustion = e; _ }, Some e' ->
+          | Answer.Ok l, None -> l = reference ~certain:true all
+          | Answer.Degraded { partial = l; exhaustion = e; _ }, Some e' ->
             l = reference ~certain:true partial && e = e'
           | _ -> false))
 
@@ -2133,10 +2144,10 @@ let prop_goal_directed_same =
     program_arb (fun p ->
       let inst = Program.instance_of_facts p in
       match
-        ( Query.certain_answers p inst query_a,
-          Query.certain_answers ~goal_directed:true p inst query_a )
+        ( Answer.answer Answer.Chase p inst query_a,
+          Answer.answer ~goal_directed:true Answer.Chase p inst query_a )
       with
-      | Query.Ok xs, Query.Ok ys -> xs = ys
+      | Answer.Ok xs, Answer.Ok ys -> xs = ys
       | _ -> QCheck.assume_fail ())
 
 let prop_parser_total =

@@ -175,6 +175,128 @@ let test_rewrite_cq_cap () =
       (fun cq -> ignore (Query.certain inst cq))
       rw.Rewrite.ucq
 
+(* A complete directed graph on [n] nodes and its transitive closure:
+   dense and cyclic, so both rewriting and proof search run without end
+   and the k-th unfolding of [path(n1, Y)] has (n-1)^k matches. *)
+let dense_path_program () =
+  Program.make
+    ~tgds:
+      [ tgd [ atom "edge" [ v "X"; v "Y" ] ] [ atom "path" [ v "X"; v "Y" ] ];
+        tgd
+          [ atom "edge" [ v "X"; v "Y" ]; atom "path" [ v "Y"; v "Z" ] ]
+          [ atom "path" [ v "X"; v "Z" ] ] ]
+    ()
+
+let dense_graph n =
+  let node i = Printf.sprintf "n%d" i in
+  instance_of
+    [ ( "edge", 2,
+        List.concat_map
+          (fun i ->
+            List.filter_map
+              (fun j -> if i = j then None else Some [ node i; node j ])
+              (List.init n succ))
+          (List.init n succ) );
+      ("path", 2, []) ]
+
+let path_from_n1 () =
+  Query.make ~name:"reach" ~head:[ v "Y" ]
+    [ atom "path" [ Term.Const (R.Value.sym "n1"); v "Y" ] ]
+
+let test_rewrite_stops_at_trip () =
+  (* 16 disjuncts would reach chains of 8 edges (3^8 matches); the row
+     cap trips during the evaluation of a short one, and nothing is
+     evaluated after it *)
+  let guard = Guard.create ~max_cqs:16 ~max_rows:50 () in
+  let profile = Mdqa_obs.Profile.create () in
+  Mdqa_obs.Profile.install profile;
+  let result =
+    Fun.protect ~finally:Mdqa_obs.Profile.uninstall @@ fun () ->
+    Rewrite.answers ~guard (dense_path_program ()) (dense_graph 4)
+      (path_from_n1 ())
+  in
+  (match result with
+   | Guard.Degraded (answers, e) ->
+     check_resource "rows named" Guard.Rows (Some e.Guard.resource);
+     Alcotest.(check bool) "partial answers kept" true (answers <> [])
+   | Guard.Complete _ -> Alcotest.fail "expected a row-cap degradation");
+  let scanned =
+    List.fold_left
+      (fun acc (_, a) -> acc + a.Mdqa_obs.Profile.scanned)
+      0 (Mdqa_obs.Profile.snapshot profile).Mdqa_obs.Profile.atoms
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "tuples walked after the trip are bounded (%d)" scanned)
+    true (scanned <= 200)
+
+let test_rewrite_cap_under_guard () =
+  (* over an edgeless graph every disjunct evaluates at once, so only
+     the disjunct cap can end the unfolding: it must hold under a guard
+     that sets no CQ budget of its own (the deadline is a backstop) *)
+  let guard = Guard.create ~timeout:2. () in
+  match
+    Rewrite.answers ~guard ~max_cqs:20 (dense_path_program ()) (dense_graph 1)
+      (path_from_n1 ())
+  with
+  | Guard.Degraded (answers, e) ->
+    check_resource "cqs named" Guard.Cqs (Some e.Guard.resource);
+    Alcotest.(check (float 0.)) "limit is max_cqs" 20. e.Guard.limit;
+    Alcotest.(check int) "no answers" 0 (List.length answers)
+  | Guard.Complete _ -> Alcotest.fail "expected a CQ-cap degradation"
+
+let test_eval_drops_duplicates () =
+  (* a 7-edge walk from n1 over the complete 5-node graph has 4^7 =
+     16,384 matches but 5 end points and 20 last edges: the answers
+     stay exact while duplicates are dropped during the evaluation *)
+  let node i = R.Value.sym (Printf.sprintf "n%d" i) in
+  let y i = v (Printf.sprintf "Y%d" i) in
+  let walk =
+    atom "edge" [ Term.Const (node 1); y 1 ]
+    :: List.init 6 (fun i -> atom "edge" [ y (i + 1); y (i + 2) ])
+  in
+  let inst = dense_graph 5 in
+  let ends = Query.certain inst (Query.make ~head:[ y 7 ] walk) in
+  Alcotest.(check int) "every node is an end point" 5 (List.length ends);
+  let last = Query.certain inst (Query.make ~head:[ y 6; y 7 ] walk) in
+  Alcotest.(check int) "every edge is a last edge" 20 (List.length last);
+  Alcotest.(check bool) "sorted, no repeats" true
+    (List.sort_uniq R.Tuple.compare last = last)
+
+(* --- proof search under the guard ------------------------------------- *)
+
+let test_proof_deadline () =
+  (* the search on a dense cyclic program runs to its 2,000,000-step
+     default; a deadline bounds it like any other engine *)
+  let t = ref 0. in
+  let clock () =
+    t := !t +. 0.1;
+    !t
+  in
+  let guard = Guard.create ~timeout:1.0 ~clock ~check_every:1 () in
+  let r =
+    Proof.answer ~guard (dense_path_program ()) (dense_graph 4)
+      (path_from_n1 ())
+  in
+  (match r.Proof.answers with
+   | Guard.Degraded (_, e) ->
+     check_resource "deadline named" Guard.Deadline (Some e.Guard.resource)
+   | Guard.Complete _ -> Alcotest.fail "expected a deadline degradation");
+  Alcotest.(check bool) "stopped within a few steps" true (r.Proof.steps <= 20);
+  Alcotest.(check int) "no guard steps charged" 0
+    (Guard.consumption guard).Guard.steps
+
+let test_proof_own_step_budget () =
+  let r =
+    Proof.answer ~max_steps:100 (dense_path_program ()) (dense_graph 4)
+      (path_from_n1 ())
+  in
+  match r.Proof.answers with
+  | Guard.Degraded (_, e) ->
+    check_resource "steps named" Guard.Steps (Some e.Guard.resource);
+    Alcotest.(check (float 0.)) "limit is max_steps" 100. e.Guard.limit;
+    Alcotest.(check (float 0.)) "used" 101. e.Guard.used
+  | Guard.Complete _ -> Alcotest.fail "expected a step-budget degradation"
+
 (* --- repair branch budget ---------------------------------------------- *)
 
 let test_repair_branch_budget () =
@@ -220,14 +342,16 @@ let test_query_degraded_partial_answers () =
   in
   let q = Query.make ~head:[ v "X" ] [ atom "t" [ v "X" ] ] in
   let guard = Guard.create ~max_steps:5 () in
-  match Query.certain_answers ~guard p inst q with
-  | Query.Ok _ -> Alcotest.fail "expected degradation"
-  | Query.Inconsistent _ -> Alcotest.fail "unexpected inconsistency"
-  | Query.Degraded { partial; exhaustion; stats } ->
+  let r = Chase.run ~guard p inst in
+  Alcotest.(check bool) "stats are populated" true
+    (r.Chase.stats.Chase.tgd_fires > 0);
+  match Answer.of_fixpoint ~guard r q with
+  | Answer.Ok _ -> Alcotest.fail "expected degradation"
+  | Answer.Inconsistent _ -> Alcotest.fail "unexpected inconsistency"
+  | Answer.Degraded { partial; exhaustion } ->
     check_resource "steps named" Guard.Steps (Some exhaustion.Guard.resource);
     Alcotest.(check bool) "some but not all answers" true
       (partial <> [] && List.length partial < 20);
-    Alcotest.(check bool) "stats are populated" true (stats.Chase.tgd_fires > 0);
     Alcotest.(check bool) "partials are sound (all copied from e)" true
       (List.for_all
          (fun t ->
@@ -313,11 +437,13 @@ let test_guard_consumption_and_outcome_helpers () =
   Alcotest.(check int) "value of Degraded" 7
     (Guard.value (Guard.Degraded (7, e)));
   Alcotest.(check bool) "degraded detected" true
-    (Guard.degraded (Guard.Degraded (7, e)) = Some e);
-  Alcotest.(check bool) "map preserves exhaustion" true
-    (match Guard.map string_of_int (Guard.Degraded (7, e)) with
-     | Guard.Degraded ("7", e') -> e' = e
-     | _ -> false)
+    (Guard.degraded (Guard.Degraded (7, e)) = Some e)
+
+let test_pp_exhaustion_limit_as_given () =
+  let e = { Guard.resource = Guard.Deadline; limit = 2e-05; used = 0.0004 } in
+  Alcotest.(check string) "sub-millisecond limit"
+    "deadline exceeded (0.000s elapsed, limit 2e-05s)"
+    (Format.asprintf "%a" Guard.pp_exhaustion e)
 
 let test_guard_trip_is_sticky () =
   (* once tripped, every later count re-raises with the same report *)
@@ -344,6 +470,12 @@ let suites =
         case "null budget" test_null_budget;
         case "eval row cap" test_eval_row_cap;
         case "rewrite CQ cap" test_rewrite_cq_cap;
+        case "rewrite stops at the trip" test_rewrite_stops_at_trip;
+        case "rewrite disjunct cap under any guard"
+          test_rewrite_cap_under_guard;
+        case "evaluation drops duplicate images" test_eval_drops_duplicates;
+        case "proof search deadline" test_proof_deadline;
+        case "proof search step budget" test_proof_own_step_budget;
         case "repair branch budget" test_repair_branch_budget ] );
     ( "guard.degradation",
       [ case "query: partial answers + stats" test_query_degraded_partial_answers;
@@ -354,4 +486,6 @@ let suites =
           test_cautious_answers_degraded;
         case "consumption + outcome helpers"
           test_guard_consumption_and_outcome_helpers;
+        case "deadline limit printed as given"
+          test_pp_exhaustion_limit_as_given;
         case "trip is sticky" test_guard_trip_is_sticky ] ) ]

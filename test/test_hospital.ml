@@ -11,6 +11,10 @@ module Hospital = Mdqa_hospital.Hospital
 let v = Term.var
 let c s = Term.Const (R.Value.sym s)
 let sym = R.Value.sym
+
+(* Certain answers over an ontology's compiled program and instance. *)
+let answer engine m q =
+  Answer.answer engine (Mdqa_multidim.Md_ontology.program m) (Mdqa_multidim.Md_ontology.instance m) q
 let tuple_testable = Alcotest.testable R.Tuple.pp R.Tuple.equal
 
 let assessment = lazy (Context.assess (Hospital.context ()) ~source:(Hospital.source ()))
@@ -63,8 +67,8 @@ let test_doctor_query_dirty_semantics () =
 (* Experiment T4/E5: downward navigation generates Mark's shifts. *)
 let test_example5_downward () =
   let m = Hospital.ontology () in
-  match Mdqa_multidim.Md_ontology.certain_answers m Hospital.example5_query with
-  | Query.Ok answers ->
+  match answer Answer.Chase m Hospital.example5_query with
+  | Answer.Ok answers ->
     Alcotest.(check (list tuple_testable)) "Sep/9"
       [ R.Tuple.of_list [ sym "Sep/9" ] ]
       answers
@@ -85,11 +89,12 @@ let test_table4_mark_shifts () =
 
 let test_example5_via_proof () =
   let m = Hospital.ontology () in
-  let r = Mdqa_multidim.Md_ontology.proof_answers m Hospital.example5_query in
-  Alcotest.(check bool) "complete" true r.Proof.complete;
-  Alcotest.(check (list tuple_testable)) "Sep/9 via DeterministicWSQAns"
-    [ R.Tuple.of_list [ sym "Sep/9" ] ]
-    r.Proof.answers
+  match answer Answer.Proof m Hospital.example5_query with
+  | Answer.Ok answers ->
+    Alcotest.(check (list tuple_testable)) "Sep/9 via DeterministicWSQAns"
+      [ R.Tuple.of_list [ sym "Sep/9" ] ]
+      answers
+  | _ -> Alcotest.fail "proof search incomplete"
 
 let test_example5_shift_unknown () =
   (* the generated shift attribute is a null: asking for the shift
@@ -99,9 +104,9 @@ let test_example5_shift_unknown () =
     Query.make ~name:"shift_of_mark" ~head:[ v "S" ]
       [ Atom.make "shifts" [ c "W1"; c "Sep/9"; c "Mark"; v "S" ] ]
   in
-  (match Mdqa_multidim.Md_ontology.certain_answers m q with
-   | Query.Ok [] -> ()
-   | Query.Ok l -> Alcotest.failf "expected none, got %d" (List.length l)
+  (match answer Answer.Chase m q with
+   | Answer.Ok [] -> ()
+   | Answer.Ok l -> Alcotest.failf "expected none, got %d" (List.length l)
    | _ -> Alcotest.fail "chase failed")
 
 (* Experiment T5/E6: rule (9) generates PatientUnit data with fresh
@@ -132,8 +137,8 @@ let test_rule9_joint_query () =
       [ Atom.make "institution_unit" [ c "H2"; v "U" ];
         Atom.make "patient_unit" [ v "U"; c "Oct/5"; c "Elvis Costello" ] ]
   in
-  (match Mdqa_multidim.Md_ontology.certain_answers m q with
-   | Query.Ok _ -> ()
+  (match answer Answer.Chase m q with
+   | Answer.Ok _ -> ()
    | _ -> Alcotest.fail "chase failed");
   Alcotest.(check bool) "entailed via proof search" true
     (Proof.entails
@@ -229,11 +234,10 @@ let test_upward_rewriting_methodology () =
       R.Tuple.of_list [ sym "Standard"; sym "Sep/6" ];
       R.Tuple.of_list [ sym "Terminal"; sym "Sep/9" ] ]
   in
-  (match Mdqa_multidim.Md_ontology.rewrite_answers m q with
-   | Guard.Complete answers ->
+  (match answer Answer.Rewrite m q with
+   | Answer.Ok answers ->
      Alcotest.(check (list tuple_testable)) "exact units" expected answers
-   | Guard.Degraded (_, e) ->
-     Alcotest.failf "degraded: %s" (Guard.resource_name e.Guard.resource))
+   | _ -> Alcotest.fail "rewriting degraded")
 
 (* The scaled generator: quality pipeline works at size and the
    quality subset is the standard-unit, certified-nurse fraction. *)
@@ -445,20 +449,21 @@ let test_generator_upward_engines_agree () =
       in
       let size = Printf.sprintf " (scale %d)" n in
       let via_chase =
-        match Mdqa_multidim.Md_ontology.certain_answers up q with
-        | Query.Ok l -> l
+        match answer Answer.Chase up q with
+        | Answer.Ok l -> l
         | _ -> Alcotest.fail ("chase did not saturate" ^ size)
       in
       Alcotest.(check bool) ("answers exist" ^ size) true (via_chase <> []);
-      (match Mdqa_multidim.Md_ontology.rewrite_answers up q with
-       | Guard.Complete via_rw ->
+      (match answer Answer.Rewrite up q with
+       | Answer.Ok via_rw ->
          Alcotest.(check (list tuple_testable)) ("rewriting = chase" ^ size)
            via_chase via_rw
-       | Guard.Degraded _ -> Alcotest.fail ("rewriting degraded" ^ size));
-      let proof = Mdqa_multidim.Md_ontology.proof_answers up q in
-      Alcotest.(check bool) ("proof complete" ^ size) true proof.Proof.complete;
-      Alcotest.(check (list tuple_testable)) ("proof = chase" ^ size) via_chase
-        proof.Proof.answers)
+       | _ -> Alcotest.fail ("rewriting degraded" ^ size));
+      match answer Answer.Proof up q with
+      | Answer.Ok via_proof ->
+        Alcotest.(check (list tuple_testable)) ("proof = chase" ^ size)
+          via_chase via_proof
+      | _ -> Alcotest.fail ("proof incomplete" ^ size))
     [ 20; 40; 80 ]
 
 (* Incremental assessment: a new quality measurement arrives. *)

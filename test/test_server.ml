@@ -7,6 +7,7 @@
 
 open Mdqa_server
 module Jsonl = Mdqa_obs.Jsonl
+module Answer = Mdqa_datalog.Answer
 module Guard = Mdqa_datalog.Guard
 
 (* --- backoff: full-jitter properties --------------------------------- *)
@@ -319,7 +320,7 @@ let test_parse_request_ok () =
    with
    | Ok (Protocol.Query { query; engine; timeout; max_steps; id }) ->
      Alcotest.(check string) "query" "q(X) :- p(X)" query;
-     Alcotest.(check bool) "engine" true (engine = Protocol.Proof);
+     Alcotest.(check bool) "engine" true (engine = Answer.Proof);
      Alcotest.(check (option (float 1e-9))) "timeout" (Some 0.5) timeout;
      Alcotest.(check (option int)) "max_steps" (Some 100) max_steps;
      Alcotest.(check bool) "id echoed" true (id = Some (Jsonl.Num 7.))
@@ -432,6 +433,22 @@ let test_fork_requested_above_remaining () =
   match Guard.count_step child with
   | () -> Alcotest.fail "child cannot exceed the parent's remaining budget"
   | exception Guard.Exhausted _ -> ()
+
+(* A request's timeout is reported as given, though its deadline is
+   the sum of a clock reading and the timeout, which rounds. *)
+let test_fork_reports_timeout_as_given () =
+  let now = ref 1.76e9 in
+  let clock () =
+    now := !now +. 1e-3;
+    !now
+  in
+  let child = Guard.fork ~timeout:2e-05 (Guard.create ~clock ()) in
+  match Guard.check child with
+  | () -> Alcotest.fail "expected a deadline trip"
+  | exception Guard.Exhausted e ->
+    Alcotest.(check string) "limit"
+      "deadline exceeded (0.001s elapsed, limit 2e-05s)"
+      (Format.asprintf "%a" Guard.pp_exhaustion e)
 
 let test_absorb_folds_consumption_back () =
   let parent = Guard.create ~max_steps:10 () in
@@ -1189,12 +1206,92 @@ let test_service_rejects_query_tail () =
   with_service @@ fun svc _ _ _ ->
   List.iter
     (fun q ->
-      match Service.query svc ~engine:Protocol.Chase q with
+      match Service.query svc ~engine:Answer.Chase q with
       | Service.Bad_query d ->
         Alcotest.(check string) q "E002" d.Mdqa_datalog.Diag.code
       | _ -> Alcotest.failf "answered %S" q)
     [ "q(W) :- patient_ward(W, D, P). ! :- patient_ward(W, D, P)";
       "q(W) :- patient_ward(W, D, P). X = Y :- patient_ward(W, X, Y)" ]
+
+(* A store-less service over examples/hospital.dl whose guard reads a
+   fake clock that advances one second per reading and checks it on
+   every tick: a request's [timeout] of [n + 0.5] trips on its
+   [n+1]-th check. *)
+let ticking_service ?max_steps () =
+  let now = ref 0. in
+  let clock () =
+    now := !now +. 1.;
+    !now
+  in
+  let guard = Guard.create ?max_steps ~clock ~check_every:1 () in
+  match Service.load ~guard ~program_file:"../examples/hospital.dl" () with
+  | Ok svc -> (svc, guard)
+  | Error _ -> Alcotest.fail "Service.load failed"
+
+let test_service_degraded_keeps_partial () =
+  let svc, _ = ticking_service () in
+  Fun.protect ~finally:(fun () -> Service.close svc) @@ fun () ->
+  let q = "q(U, D, P) :- patient_unit(U, D, P)" in
+  (match Service.query svc ~engine:Answer.Chase q with
+   | Service.Answers all ->
+     Alcotest.(check int) "six answers untimed" 6 (List.length all)
+   | _ -> Alcotest.fail "expected complete answers without a timeout");
+  match Service.query svc ~timeout:4.5 ~engine:Answer.Chase q with
+  | Service.Partial (answers, e) ->
+    Alcotest.(check string) "deadline" "deadline"
+      (Guard.resource_name e.Guard.resource);
+    Alcotest.(check bool)
+      (Printf.sprintf "some but not all answers (%d)" (List.length answers))
+      true
+      (answers <> [] && List.length answers < 6)
+  | _ -> Alcotest.fail "expected a degraded reply"
+
+let test_service_proof_timeout () =
+  let svc, _ = ticking_service () in
+  Fun.protect ~finally:(fun () -> Service.close svc) @@ fun () ->
+  match
+    Service.query svc ~timeout:4.5 ~engine:Answer.Proof
+      "q(U, D, P) :- patient_unit(U, D, P)"
+  with
+  | Service.Partial (_, e) ->
+    Alcotest.(check string) "deadline" "deadline"
+      (Guard.resource_name e.Guard.resource)
+  | _ -> Alcotest.fail "expected the proof search to stop at the deadline"
+
+(* Proof steps are the search's own budget: requests whose steps add up
+   to more than the warm chase left of the server's [max_steps] still
+   complete. *)
+let test_service_proof_steps_not_charged () =
+  let q = "q(U, D, P) :- patient_unit(U, D, P)" in
+  let warm_steps =
+    let svc, guard = ticking_service () in
+    Service.close svc;
+    (Guard.consumption guard).Guard.steps
+  in
+  let per_request =
+    let { Mdqa_datalog.Parser.program; _ } =
+      Mdqa_datalog.Parser.parse_string
+        (In_channel.with_open_bin "../examples/hospital.dl"
+           In_channel.input_all)
+    in
+    (Mdqa_datalog.Proof.answer program
+       (Mdqa_datalog.Program.instance_of_facts program)
+       (Mdqa_datalog.Parser.parse_query q))
+      .Mdqa_datalog.Proof.steps
+  in
+  (* the warm chase leaves the steps of one request *)
+  let svc, _ = ticking_service ~max_steps:(warm_steps + per_request) () in
+  Fun.protect ~finally:(fun () -> Service.close svc) @@ fun () ->
+  Alcotest.(check bool) "warm chase saturated" true
+    (Service.warm_saturated svc);
+  let requests = 20 in
+  for i = 1 to requests do
+    match Service.query svc ~engine:Answer.Proof q with
+    | Service.Answers l ->
+      Alcotest.(check int) (Printf.sprintf "request %d complete" i) 6
+        (List.length l)
+    | _ -> Alcotest.failf "request %d degraded" i
+  done
 
 let test_service_quiet_when_persisted () =
   with_service @@ fun svc _ _ checkpoints ->
@@ -1276,7 +1373,12 @@ let suites =
         case "out-of-band trip: probe writes and closes"
           test_service_trip_heals;
         case "a query with a trailing NC or EGD is E002"
-          test_service_rejects_query_tail ] );
+          test_service_rejects_query_tail;
+        case "degraded chase query keeps its partial answers"
+          test_service_degraded_keeps_partial;
+        case "proof request honours its timeout" test_service_proof_timeout;
+        case "proof steps are not charged to the server budget"
+          test_service_proof_steps_not_charged ] );
     ( "server.protocol",
       [ case "jsonl: unicode escapes and trailing bytes" test_jsonl_unicode;
         case "jsonl: nesting depth limit" test_jsonl_depth_limit;
@@ -1320,6 +1422,8 @@ let suites =
           test_fork_requested_below_remaining;
         case "fork clamps a larger requested budget"
           test_fork_requested_above_remaining;
+        case "fork reports a requested timeout as given"
+          test_fork_reports_timeout_as_given;
         case "absorb folds consumption back"
           test_absorb_folds_consumption_back;
         case "absorb never raises" test_absorb_never_raises ] );
