@@ -1780,7 +1780,7 @@ let run_profile_assess file json top max_steps max_nulls timeout max_memory
   if Filename.check_suffix file ".mdq" then begin
     let module Context = Mdqa_context.Context in
     let { Mdqa_context.Md_parser.context; source; queries; _ } =
-      Profile.with_phase "parse" @@ fun () -> load_context file
+      Trace.with_span "parse" @@ fun () -> load_context file
     in
     let a = Context.assess ~guard context ~source in
     let partial = Context.degradation a <> None in
@@ -1801,11 +1801,11 @@ let run_profile_assess file json top max_steps max_nulls timeout max_memory
   end
   else begin
     let { Parser.program; queries } =
-      Profile.with_phase "parse" @@ fun () -> load file
+      Trace.with_span "parse" @@ fun () -> load file
     in
     let inst = Program.instance_of_facts program in
     let r =
-      Profile.with_phase "assess" @@ fun () ->
+      Trace.with_span "assess" @@ fun () ->
       let r = Chase.run ~guard program inst in
       (match r.Chase.outcome with
       | Chase.Failed _ -> ()

@@ -40,6 +40,7 @@ let program t =
     ~egds:p.Program.egds ~ncs:p.Program.ncs ()
 
 let prepare t ~source =
+  Mdqa_obs.Trace.with_span "context.prepare" @@ fun () ->
   let inst = Md_ontology.instance t.ontology in
   (* Externals and the mapped copies of the original relations share
      their source's tuple set: nothing is copied. *)
@@ -65,7 +66,7 @@ let assess_prepared ?provenance ?guard ?metrics t ~source ~prepared =
   { context = t; chase; source }
 
 let assess ?provenance ?guard ?metrics t ~source =
-  Mdqa_obs.Profile.with_phase "assess" @@ fun () ->
+  Mdqa_obs.Trace.with_span "assess" @@ fun () ->
   assess_prepared ?provenance ?guard ?metrics t ~source
     ~prepared:(prepare t ~source)
 

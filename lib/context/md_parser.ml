@@ -2,6 +2,7 @@ open Mdqa_datalog
 open Mdqa_multidim
 module R = Mdqa_relational
 module Facts = Parser.Facts
+module Trace = Mdqa_obs.Trace
 
 type parsed = {
   ontology : Md_ontology.t;
@@ -313,17 +314,13 @@ let validate_dimension diags (d : dim_decl) =
         (Dim_instance.diagnose instance).violations;
       (Some schema, Some instance))
 
-(* One front-end pass, as a profiler phase and a trace span. *)
-let phase name f =
-  Mdqa_obs.Profile.with_phase name (fun () -> Mdqa_obs.Trace.with_span name f)
-
 let validate diags decls statements facts =
   (* 1. dimensions *)
   let dims =
     List.filter_map (function Dimension d, _ -> Some d | _ -> None) decls
   in
   let dim_schemas = ref Smap.empty and dim_instances = ref Smap.empty in
-  phase "md_parser.dimensions" (fun () ->
+  Trace.with_span "md_parser.dimensions" (fun () ->
       List.iter
         (fun (d : dim_decl) ->
           if Smap.mem d.dim_name !dim_schemas then
@@ -684,20 +681,21 @@ let advisory diags statements facts (p : parsed) =
 let check_string ?file input =
   let diags = Diag.collector ?file () in
   let decls, statements, facts =
-    phase "md_parser.collect" (fun () -> collect diags input)
+    Trace.with_span "md_parser.collect" (fun () -> collect diags input)
   in
   let arts =
-    phase "md_parser.validate" (fun () ->
+    Trace.with_span "md_parser.validate" (fun () ->
         validate diags decls statements facts)
   in
   let parsed =
     if Diag.has_errors diags then None
     else
       match
-        phase "md_parser.build" (fun () -> build decls statements facts arts)
+        Trace.with_span "md_parser.build" (fun () ->
+            build decls statements facts arts)
       with
       | p ->
-        phase "md_parser.advisory" (fun () ->
+        Trace.with_span "md_parser.advisory" (fun () ->
             advisory diags statements facts p);
         Some p
       | exception Invalid_argument m ->

@@ -60,6 +60,13 @@ let zero_stats =
     nulls_created = 0;
     egd_merges = 0 }
 
+let add_stats a b =
+  { rounds = a.rounds + b.rounds;
+    tgd_fires = a.tgd_fires + b.tgd_fires;
+    triggers_checked = a.triggers_checked + b.triggers_checked;
+    nulls_created = a.nulls_created + b.nulls_created;
+    egd_merges = a.egd_merges + b.egd_merges }
+
 exception Stop of outcome
 
 (* Largest null label in the instance, so fresh nulls never collide. *)
@@ -180,14 +187,21 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
   let ck f = match checkpoint with Some c -> f c | None -> () in
   let rounds = ref 0 and merges = ref 0 and facts = ref 0 in
   let rules = List.map (compile inst) program.Program.tgds in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rules in
-  let current_stats () =
-    { rounds = prior.rounds + !rounds;
-      tgd_fires = prior.tgd_fires + sum (fun r -> r.fires);
-      triggers_checked = prior.triggers_checked + sum (fun r -> r.triggers);
-      nulls_created = prior.nulls_created + Value.Fresh.count fresh;
-      egd_merges = prior.egd_merges + !merges }
+  (* This run's counts so far, built in one pass over the rules; the
+     run's [stats] add them to [prior]'s. *)
+  let run_stats () =
+    List.fold_left
+      (fun s r ->
+        { s with
+          tgd_fires = s.tgd_fires + r.fires;
+          triggers_checked = s.triggers_checked + r.triggers })
+      { zero_stats with
+        rounds = !rounds;
+        nulls_created = Value.Fresh.count fresh;
+        egd_merges = !merges }
+      rules
   in
+  let current_stats () = add_stats prior (run_stats ()) in
   (* [prof] is sampled once per run — installing a profiler mid-chase
      attributes from the next run on.  Rule time is only read off its
      clock, so an unprofiled run never reads one. *)
@@ -204,41 +218,37 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
       r.times.(i) <- r.times.(i) +. (t -. t0);
       t
   in
-  (* Publish this run's counts to the registry and the profiler. *)
+  (* Publish this run's counts to the registry and the profiler: the
+     totals once, then each rule's row to both sinks in one pass. *)
   let record () =
-    (match metrics with
-     | None -> ()
-     | Some m ->
-       let add name help n = Metrics.add (Metrics.counter m ~help name) n in
-       add "mdqa_chase_rounds_total" "chase rounds completed" !rounds;
-       add "mdqa_chase_triggers_total" "chase triggers checked"
-         (sum (fun r -> r.triggers));
-       add "mdqa_chase_tgd_fires_total" "TGD firings that derived a new fact"
-         (sum (fun r -> r.fires));
-       add "mdqa_chase_nulls_total" "labelled nulls minted"
-         (Value.Fresh.count fresh);
-       add "mdqa_chase_egd_merges_total" "EGD null merges applied" !merges;
-       add "mdqa_chase_facts_total" "facts derived by TGD heads" !facts;
-       List.iter
-         (fun r ->
-           if r.fires > 0 then
-             Metrics.add
-               (Metrics.counter m ~help:"TGD firings per rule"
-                  ~labels:[ ("rule", r.tgd.Tgd.name) ]
-                  "mdqa_chase_rule_fires_total")
-               r.fires)
-         rules);
-    match prof with
-    | None -> ()
-    | Some p ->
-      List.iter
-        (fun r ->
-          Profile.add_rule p r.tgd.Tgd.name
-            { Profile.fires = r.fires; triggers = r.triggers;
-              matches = r.matches; rule_seconds = r.times.(3);
-              enumerate_seconds = r.times.(0); probe_seconds = r.times.(1);
-              insert_seconds = r.times.(2) })
-        rules
+    let add ?labels name help n =
+      Option.iter
+        (fun m -> Metrics.add (Metrics.counter m ~help ?labels name) n)
+        metrics
+    in
+    let d = run_stats () in
+    add "mdqa_chase_rounds_total" "chase rounds completed" d.rounds;
+    add "mdqa_chase_triggers_total" "chase triggers checked"
+      d.triggers_checked;
+    add "mdqa_chase_tgd_fires_total" "TGD firings that derived a new fact"
+      d.tgd_fires;
+    add "mdqa_chase_nulls_total" "labelled nulls minted" d.nulls_created;
+    add "mdqa_chase_egd_merges_total" "EGD null merges applied" d.egd_merges;
+    add "mdqa_chase_facts_total" "facts derived by TGD heads" !facts;
+    List.iter
+      (fun r ->
+        if r.fires > 0 then
+          add ~labels:[ ("rule", r.tgd.Tgd.name) ] "mdqa_chase_rule_fires_total"
+            "TGD firings per rule" r.fires;
+        Option.iter
+          (fun p ->
+            Profile.add_rule p r.tgd.Tgd.name
+              { Profile.fires = r.fires; triggers = r.triggers;
+                matches = r.matches; rule_seconds = r.times.(3);
+                enumerate_seconds = r.times.(0); probe_seconds = r.times.(1);
+                insert_seconds = r.times.(2) })
+          prof)
+      rules
   in
   (* The stamp logs: every fact the run adds, seeds and EGD images
      included, each with its stamp from one run-wide [clock]; [added]
@@ -407,7 +417,7 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
   in
   let apply_egds () =
     if egds <> [] then
-      Profile.with_phase "egd" @@ fun () ->
+      Trace.with_span "egd" @@ fun () ->
       let rec pass () =
         let parent = Hashtbl.create 16 in
         let rec find v =
@@ -486,7 +496,7 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
 
   let check_ncs () =
     if program.Program.ncs <> [] then
-      Profile.with_phase "nc" @@ fun () ->
+      Trace.with_span "nc" @@ fun () ->
       List.iter
         (fun (nc : Nc.t) ->
           match Eval.first ~guard ~cmps:nc.Nc.cmps inst nc.Nc.body with
@@ -501,7 +511,7 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
 
   let outcome =
     Fun.protect ~finally:record @@ fun () ->
-    Profile.with_phase "chase" @@ fun () ->
+    Trace.with_span "chase" @@ fun () ->
     try
       (* The durable base image: everything below is journaled as a
          delta against the instance at this point. *)
@@ -530,12 +540,10 @@ let run ?(variant = Restricted) ?(semi_naive = true) ?(provenance = false)
         Trace.with_span "chase.round"
           ~attrs:[ ("round", string_of_int round_no) ]
         @@ fun () ->
-        Profile.with_round round_no
-        @@ fun () ->
         List.iter
           (fun r ->
-            (* One span per rule per round, around its enumeration and
-               firing: a span per trigger would cost more than the
+            (* One scope per rule per round, around its enumeration and
+               firing: a scope per trigger would cost more than the
                tracer's budget on large rounds. *)
             if Trace.active () then
               Trace.with_span "rule.fire"

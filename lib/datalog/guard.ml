@@ -3,6 +3,7 @@ type resource =
   | Nulls
   | Rows
   | Cqs
+  | Depth
   | Repair_branches
   | Checkpoint_bytes
   | Deadline
@@ -285,6 +286,7 @@ let resource_name = function
   | Nulls -> "nulls"
   | Rows -> "rows"
   | Cqs -> "cqs"
+  | Depth -> "depth"
   | Repair_branches -> "repair branches"
   | Checkpoint_bytes -> "checkpoint bytes"
   | Deadline -> "deadline"
@@ -300,6 +302,9 @@ let pp_exhaustion ppf e =
   | Memory ->
     Format.fprintf ppf "memory watermark exceeded (%.1f MiB, limit %.1f MiB)"
       e.used e.limit
+  | Depth ->
+    Format.fprintf ppf "proof depth limit %.0f reached: deeper branches pruned"
+      e.limit
   | r ->
     Format.fprintf ppf "%s budget exhausted (%.0f used, limit %.0f)"
       (resource_name r) e.used e.limit

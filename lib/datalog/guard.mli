@@ -25,6 +25,9 @@ type resource =
   | Nulls  (** invented labeled nulls *)
   | Rows  (** join rows emitted by {!Eval} *)
   | Cqs  (** conjunctive queries produced by {!Rewrite} *)
+  | Depth
+      (** rule applications on one {!Proof} branch: a branch that
+          needed more than [max_depth] was pruned *)
   | Repair_branches  (** hitting-set search branches in repairs *)
   | Checkpoint_bytes  (** bytes written to a chase checkpoint store *)
   | Deadline  (** wall-clock timeout *)

@@ -11,10 +11,12 @@ type result = {
 exception Proved
 
 (* Runs the search; a stop — [max_steps] or a guard trip — is returned
-   as its report, after the answers emitted so far have been kept. *)
+   as its report, after the answers emitted so far have been kept.  A
+   search that ran to its end but pruned a branch at [max_depth] is
+   reported as a [Depth] exhaustion: answers may be missing. *)
 let search ?guard ?(max_depth = 32) ?(max_steps = 2_000_000)
     (program : Program.t) inst (q : Query.t) ~steps ~emit =
-  let rename_counter = ref 0 in
+  let rename_counter = ref 0 and pruned = ref false in
   let fresh = Value.Fresh.create ~start:1_000_000 () in
   (* a resolution step ticks the guard (deadline, memory, cancel) but is
      not charged to its step budget: [max_steps] is this search's own *)
@@ -74,8 +76,9 @@ let search ?guard ?(max_depth = 32) ?(max_steps = 2_000_000)
             | Some s' -> resolve rest s' lemmas depth pending
             | None -> ())
           lemmas;
-        (* (c) apply a TGD whose head unifies with the goal *)
-        if depth < max_depth then
+        (* (c) apply a TGD whose head unifies with the goal; past
+           [max_depth] only note, once, that a branch was pruned *)
+        if depth < max_depth || not !pruned then
           List.iter
             (fun tgd ->
               incr rename_counter;
@@ -95,6 +98,7 @@ let search ?guard ?(max_depth = 32) ?(max_steps = 2_000_000)
               List.iteri
                 (fun i h ->
                   match Unify.unify ~init:s g h with
+                  | Some _ when depth >= max_depth -> pruned := true
                   | Some s' ->
                     let siblings =
                       List.filteri (fun j _ -> j <> i) head
@@ -107,6 +111,11 @@ let search ?guard ?(max_depth = 32) ?(max_steps = 2_000_000)
             (Program.tgds_with_head program (Atom.pred g)))
   in
   match resolve q.Query.body Subst.empty [] 0 q.Query.cmps with
+  | () when !pruned ->
+    Some
+      { Guard.resource = Guard.Depth;
+        limit = float_of_int max_depth;
+        used = float_of_int (max_depth + 1) }
   | () -> None
   | exception Guard.Exhausted e -> Some e
 

@@ -28,14 +28,17 @@
 
     Proof depth is polynomially bounded for WS programs; [max_depth]
     bounds rule applications per branch and [max_steps] bounds the
-    total search as engineering safety.  A {!Guard.t} bounds its wall
+    total search as engineering safety.  A search that pruned a branch
+    at [max_depth] may have missed answers, so it is reported as a
+    {!Guard.Depth} exhaustion, never as complete.  A {!Guard.t} bounds its wall
     time, memory and cancellation like every other engine's. *)
 
 type result = {
   answers : Mdqa_relational.Tuple.t list Guard.outcome;
       (** certain answers (null-free head images), sorted, deduplicated;
           [Degraded] with the answers found so far when [max_steps] or
-          the guard stopped the search *)
+          the guard stopped the search, or when a branch was pruned at
+          [max_depth] *)
   steps : int;  (** resolution steps performed *)
 }
 

@@ -1,5 +1,6 @@
 module Tuple = Mdqa_relational.Tuple
 module Value = Mdqa_relational.Value
+module Profile = Mdqa_obs.Profile
 
 type t = {
   name : string;
@@ -76,7 +77,11 @@ let projection q =
    doubled, so memory follows the distinct images, not the matches. *)
 let images ?guard ~certain inst q =
   Mdqa_obs.Trace.with_span "eval" ~attrs:[ ("query", q.name) ] @@ fun () ->
-  Mdqa_obs.Profile.with_query q.name @@ fun () ->
+  (* the body atoms' statistics are attributed to the query *)
+  (match Profile.installed () with
+   | Some p -> Profile.with_scope p q.name
+   | None -> fun f -> f ())
+  @@ fun () ->
   let image = projection q and found = ref [] and held = ref 0 in
   let sorted () = List.sort_uniq Tuple.compare !found in
   let dedup_at = ref 4096 in

@@ -1,7 +1,9 @@
 (* Cost-attribution profiler.  Mirrors Trace's installation idiom (a
    global [current] ref, one ref read on the disabled path) and
    Metrics' snapshot algebra (immutable sorted association lists with
-   an associative, commutative merge).  The chase counts its own work
+   an associative, commutative merge).  It reads no clock for phases,
+   rounds or queries: [Trace.with_span] times each scope once and hands
+   the duration over ([enter]/[leave]).  The chase counts its own work
    per rule and hands each rule's totals over once, when a run ends. *)
 
 type rule_stat = {
@@ -115,20 +117,22 @@ let scoped () =
   | Some t when t.scope <> None -> Some t
   | _ -> None
 
+(* The cell under [key], made by [fresh] on first use. *)
+let cell tbl key fresh =
+  match Hashtbl.find_opt tbl key with
+  | Some c -> c
+  | None ->
+    let c = fresh () in
+    Hashtbl.add tbl key c;
+    c
+
 let atom_cell t ~idx ~pred ~step ~key =
   Option.map
     (fun scope ->
-      let id = (scope, idx, pred) in
       let cell =
-        match Hashtbl.find_opt t.atoms id with
-        | Some c -> c
-        | None ->
-          let c =
+        cell t.atoms (scope, idx, pred) (fun () ->
             { a_visits = 0; a_scanned = 0; a_matched = 0; a_keys = [ key ];
-              a_step = step }
-          in
-          Hashtbl.add t.atoms id c;
-          c
+              a_step = step })
       in
       if not (List.exists (String.equal key) cell.a_keys) then
         cell.a_keys <- key :: cell.a_keys;
@@ -141,77 +145,45 @@ let count_visit cell ~scanned ~matched =
   cell.a_scanned <- cell.a_scanned + scanned;
   cell.a_matched <- cell.a_matched + matched
 
-let with_round n f =
-  match !current with
-  | None -> f ()
-  | Some t ->
-    let g0 = Gc.quick_stat () in
-    let t0 = t.clock () in
-    Fun.protect
-      ~finally:(fun () ->
-        let t1 = t.clock () in
+(* ------------------------------------------------------ scope sink *)
+
+(* A closed scope is filed under its name in [phases]; a chase round is
+   also filed by its "round" attribute, with the GC counters sampled at
+   its entry, and a query evaluation by its "query" attribute. *)
+type entry = Gc.stat option
+
+let enter name =
+  if String.equal name "chase.round" then Some (Gc.quick_stat ()) else None
+
+let leave t entry name attrs dt =
+  let p = cell t.phases name (fun () -> { p_calls = 0; p_seconds = 0. }) in
+  p.p_calls <- p.p_calls + 1;
+  p.p_seconds <- p.p_seconds +. dt;
+  match entry with
+  | Some g0 ->
+    Option.iter
+      (fun n ->
         let g1 = Gc.quick_stat () in
-        let cell =
-          match Hashtbl.find_opt t.rounds n with
-          | Some c -> c
-          | None ->
-            let c =
+        let c =
+          cell t.rounds n (fun () ->
               { rd_count = 0; rd_seconds = 0.; rd_minor = 0; rd_major = 0;
-                rd_heap = 0 }
-            in
-            Hashtbl.add t.rounds n c;
-            c
+                rd_heap = 0 })
         in
-        cell.rd_count <- cell.rd_count + 1;
-        cell.rd_seconds <- cell.rd_seconds +. Float.max 0. (t1 -. t0);
-        cell.rd_minor <-
-          cell.rd_minor
-          + max 0 (g1.Gc.minor_collections - g0.Gc.minor_collections);
-        cell.rd_major <-
-          cell.rd_major
-          + max 0 (g1.Gc.major_collections - g0.Gc.major_collections);
-        cell.rd_heap <- max cell.rd_heap g1.Gc.heap_words)
-      f
-
-let with_query name f =
-  match !current with
-  | None -> f ()
-  | Some t ->
-    let t0 = t.clock () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dt = Float.max 0. (t.clock () -. t0) in
-        let cell =
-          match Hashtbl.find_opt t.queries name with
-          | Some c -> c
-          | None ->
-            let c = { q_evals = 0; q_seconds = 0. } in
-            Hashtbl.add t.queries name c;
-            c
-        in
-        cell.q_evals <- cell.q_evals + 1;
-        cell.q_seconds <- cell.q_seconds +. dt)
-      (fun () -> with_scope t name f)
-
-let with_phase name f =
-  match !current with
-  | None -> f ()
-  | Some t ->
-    let t0 = t.clock () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dt = Float.max 0. (t.clock () -. t0) in
-        let cell =
-          match Hashtbl.find_opt t.phases name with
-          | Some c -> c
-          | None ->
-            let c = { p_calls = 0; p_seconds = 0. } in
-            Hashtbl.add t.phases name c;
-            c
-        in
-        cell.p_calls <- cell.p_calls + 1;
-        cell.p_seconds <- cell.p_seconds +. dt)
-      f
+        c.rd_count <- c.rd_count + 1;
+        c.rd_seconds <- c.rd_seconds +. dt;
+        let delta f = max 0 (f g1 - f g0) in
+        c.rd_minor <- c.rd_minor + delta (fun g -> g.Gc.minor_collections);
+        c.rd_major <- c.rd_major + delta (fun g -> g.Gc.major_collections);
+        c.rd_heap <- max c.rd_heap g1.Gc.heap_words)
+      (Option.bind (List.assoc_opt "round" attrs) int_of_string_opt)
+  | None when String.equal name "eval" ->
+    Option.iter
+      (fun q ->
+        let c = cell t.queries q (fun () -> { q_evals = 0; q_seconds = 0. }) in
+        c.q_evals <- c.q_evals + 1;
+        c.q_seconds <- c.q_seconds +. dt)
+      (List.assoc_opt "query" attrs)
+  | None -> ()
 
 (* --------------------------------------------------------- snapshots *)
 

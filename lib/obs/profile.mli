@@ -11,12 +11,19 @@
     stays within the overhead budget (≤1.05x on an unprofiled
     assessment).
 
+    The profiler keeps no timer of its own for layers: it is a sink of
+    {!Trace.with_span}, which times each scope once and hands the
+    duration to both the tracer and the profiler.  Its phases are the
+    per-name sums of those scopes; a ["chase.round"] scope is also
+    filed by its ["round"] attribute in [rounds], and an ["eval"] scope
+    by its ["query"] attribute in [queries].
+
     Everything is keyed on stable identifiers: rule name (the TGD name
     from the program text), body-atom source position within the rule
     (index 0 is the first written atom, regardless of the join order
     the evaluator actually picked; that order is in
     {!atom_stat.step}), query name, chase round number and
-    phase name.  Collected state is read out as an immutable
+    scope name.  Collected state is read out as an immutable
     {!snapshot} whose {!merge} is associative and commutative, so
     snapshots from different runs or processes combine like {!Metrics}
     snapshots do. *)
@@ -85,7 +92,8 @@ type snapshot = {
       (** keyed [(rule_or_query, atom_index, predicate)], sorted *)
   rounds : (int * round_stat) list;  (** keyed by round number, sorted *)
   queries : (string * query_stat) list;  (** sorted by query name *)
-  phases : (string * phase_stat) list;  (** sorted by phase name *)
+  phases : (string * phase_stat) list;
+      (** one row per scope name ({!Trace.with_span}), sorted *)
 }
 
 (** {1 Collector lifecycle} *)
@@ -104,13 +112,11 @@ val active : unit -> bool
 val clear : t -> unit
 (** Drop all accumulated statistics (the clock is kept). *)
 
-(** {1 Collection hooks}
-
-    The [with_]* wrappers act on the installed profiler and reduce to a
-    plain call when none is installed. *)
+(** {1 Collection hooks} *)
 
 val now : t -> float
-(** Read the collector's clock. *)
+(** Read the collector's clock: the chase's per-rule timing, and the
+    clock of {!Trace.with_span} when no tracer is installed. *)
 
 val add_rule : t -> string -> rule_stat -> unit
 (** Add one run's totals for a rule (creating its entry on first use). *)
@@ -120,10 +126,9 @@ val with_scope : t -> string -> (unit -> 'a) -> 'a
     query name; the previous scope is restored even on exceptions. *)
 
 val scoped : unit -> t option
-(** The installed profiler, but only while some [with_scope] (or
-    [with_query]) is dynamically active — evaluation outside any
-    attribution scope (EGD checks, applicability probes) reports
-    nothing. *)
+(** The installed profiler, but only while some [with_scope] is
+    dynamically active — evaluation outside any attribution scope (EGD
+    checks, applicability probes) reports nothing. *)
 
 type atom_cell
 
@@ -138,16 +143,23 @@ val count_visit : atom_cell -> scanned:int -> matched:int -> unit
 (** Credit one visit: one substitution arriving, [scanned] tuples
     walked, [matched] substitutions passed on. *)
 
-val with_round : int -> (unit -> 'a) -> 'a
-(** Time a chase round and sample [Gc.quick_stat] deltas at its
-    boundaries, keyed by round number. *)
+(** {1 Scope sink}
 
-val with_query : string -> (unit -> 'a) -> 'a
-(** Time one evaluation of a named query; also opens an attribution
-    scope with the query's name, so its body atoms land in [atoms]. *)
+    Called by {!Trace.with_span} only. *)
 
-val with_phase : string -> (unit -> 'a) -> 'a
-(** Time a coarse engine phase ("chase", "assess", ...). *)
+type entry
+(** What a scope keeps from its entry. *)
+
+val enter : string -> entry
+(** A scope of this name opens: a ["chase.round"] samples
+    [Gc.quick_stat], any other reads nothing. *)
+
+val leave : t -> entry -> string -> (string * string) list -> float -> unit
+(** [leave t entry name attrs seconds]: the scope closed after
+    [seconds].  Adds one call and [seconds] to phase [name]; a
+    ["chase.round"] with a ["round"] attribute also adds them, and the
+    GC deltas since [entry], to that round, and an ["eval"] with a
+    ["query"] attribute to that query. *)
 
 (** {1 Snapshots} *)
 

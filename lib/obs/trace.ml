@@ -1,6 +1,6 @@
-(* Ring-buffered span tracer.  The clock is {!Clock.now} by default,
-   injectable for tests, so traces are deterministic under a fake
-   clock. *)
+(* Ring-buffered span tracer, and the one timed scope behind both it and
+   the profiler.  The clock is {!Clock.now} by default, injectable for
+   tests, so traces are deterministic under a fake clock. *)
 
 type event = {
   name : string;
@@ -8,13 +8,6 @@ type event = {
   dur : float;
   depth : int;
   attrs : (string * string) list;
-}
-
-type span = {
-  sp_name : string;
-  sp_t0 : float;
-  sp_depth : int;
-  sp_attrs : (string * string) list;
 }
 
 type t = {
@@ -41,49 +34,42 @@ let record t ev =
   t.ring.(t.written mod t.cap) <- Some ev;
   t.written <- t.written + 1
 
-let span_begin t ?(attrs = []) name =
-  t.open_depth <- t.open_depth + 1;
-  { sp_name = name; sp_t0 = t.clock (); sp_depth = t.open_depth; sp_attrs = attrs }
-
-let span_end t ?(attrs = []) sp =
-  let now = t.clock () in
-  record t
-    {
-      name = sp.sp_name;
-      ts = sp.sp_t0 -. t.epoch;
-      dur = Float.max 0. (now -. sp.sp_t0);
-      depth = sp.sp_depth;
-      attrs = sp.sp_attrs @ attrs;
-    };
-  t.open_depth <- max 0 (t.open_depth - 1)
-
-let instant_on t ?(attrs = []) name =
-  record t
-    {
-      name;
-      ts = t.clock () -. t.epoch;
-      dur = 0.;
-      depth = t.open_depth;
-      attrs;
-    }
-
 (* ------------------------------------------------- global installation *)
 
 let current : t option ref = ref None
 let install t = current := Some t
 let uninstall () = current := None
 let installed () = !current
-let active () = !current <> None
+let active () = !current <> None || Profile.active ()
 
-let with_span ?attrs name f =
-  match !current with
-  | None -> f ()
-  | Some t ->
-    let sp = span_begin t ?attrs name in
-    Fun.protect ~finally:(fun () -> span_end t sp) f
+(* The one timed scope: [clock] is read on entry and on exit, and the
+   one duration goes to each installed sink. *)
+let scope ~clock tracer profiler attrs name f =
+  let entry = Option.map (fun p -> (p, Profile.enter name)) profiler in
+  let t0 = clock () in
+  let depth =
+    match tracer with
+    | Some t ->
+      t.open_depth <- t.open_depth + 1;
+      t.open_depth
+    | None -> 0
+  in
+  Fun.protect f ~finally:(fun () ->
+      let dur = Float.max 0. (clock () -. t0) in
+      Option.iter
+        (fun t ->
+          record t { name; ts = t0 -. t.epoch; dur; depth; attrs };
+          t.open_depth <- max 0 (t.open_depth - 1))
+        tracer;
+      Option.iter (fun (p, e) -> Profile.leave p e name attrs dur) entry)
 
-let instant ?attrs name =
-  match !current with None -> () | Some t -> instant_on t ?attrs name
+let with_span ?(attrs = []) name f =
+  match (!current, Profile.installed ()) with
+  | None, None -> f ()
+  | (Some t as tracer), profiler ->
+    scope ~clock:t.clock tracer profiler attrs name f
+  | None, (Some p as profiler) ->
+    scope ~clock:(fun () -> Profile.now p) None profiler attrs name f
 
 (* -------------------------------------------------------------- export *)
 
@@ -107,18 +93,14 @@ let export_json t =
   let open Jsonl in
   let micros s = Float (s *. 1e6) in
   let event ev =
-    let timing =
-      if ev.dur = 0. && ev.depth = 0 then
-        [ ("ph", Str "i"); ("s", Str "t"); ("ts", micros ev.ts) ]
-      else [ ("ph", Str "X"); ("ts", micros ev.ts); ("dur", micros ev.dur) ]
-    in
     let args =
       ("depth", Num (float_of_int ev.depth))
       :: List.map (fun (k, v) -> (k, Str v)) ev.attrs
     in
     Obj
-      ((("name", Str ev.name) :: ("cat", Str "mdqa") :: timing)
-      @ [ ("pid", Num 1.); ("tid", Num 1.); ("args", Obj args) ])
+      [ ("name", Str ev.name); ("cat", Str "mdqa"); ("ph", Str "X");
+        ("ts", micros ev.ts); ("dur", micros ev.dur); ("pid", Num 1.);
+        ("tid", Num 1.); ("args", Obj args) ]
   in
   Obj
     [ ("traceEvents", List (List.map event (events t)));

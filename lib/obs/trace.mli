@@ -1,21 +1,22 @@
 (** Span-based tracer with a bounded in-memory ring buffer and Chrome
-    trace-event JSON export.
+    trace-event JSON export, and the one timed scope of the code base.
 
-    A tracer is installed process-globally ([install]); instrumented
-    code calls [with_span] (or the manual [span_begin]/[span_end] pair
-    on hot paths) and pays only a ref read when no tracer is installed.
-    [with_span] closes its span even when the wrapped function raises
-    (via [Fun.protect]), so begin/end pairs are always well formed. *)
+    Instrumented code names each layer once, with [with_span].  A scope
+    reads a clock once on entry and once on exit and hands that one
+    duration to each installed sink: the tracer ([install]), which
+    records an {!event}, and the {!Profile} profiler
+    ({!Profile.install}), which adds one call and the duration to its
+    phase of that name.  Both sinks are installed process-globally; with
+    neither, a scope is two ref reads and a call.  A scope closes even
+    when the wrapped function raises (via [Fun.protect]), so begin/end
+    pairs are always well formed. *)
 
 type t
-
-type span
-(** An open span, returned by [span_begin] and consumed by [span_end]. *)
 
 type event = {
   name : string;
   ts : float;  (** seconds since the tracer's epoch *)
-  dur : float;  (** seconds; [0.] for instants *)
+  dur : float;  (** seconds *)
   depth : int;  (** nesting depth at emission, >= 1 for spans *)
   attrs : (string * string) list;
 }
@@ -31,22 +32,17 @@ val uninstall : unit -> unit
 val installed : unit -> t option
 
 val active : unit -> bool
-(** [active () = (installed () <> None)] — cheap hot-path check. *)
+(** Whether any sink is installed, a tracer or a profiler: the cheap
+    hot-path check before building a scope's attributes. *)
 
 val with_span :
   ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** Run the function under a span on the installed tracer; with no
-    tracer installed this is just a call to the function. *)
-
-val span_begin : t -> ?attrs:(string * string) list -> string -> span
-val span_end : t -> ?attrs:(string * string) list -> span -> unit
-(** Manual pair for hot loops where a closure per iteration would
-    show up in profiles.  Extra [attrs] given at [span_end] are
-    appended to the ones from [span_begin]. *)
-
-val instant : ?attrs:(string * string) list -> string -> unit
-(** Zero-duration marker event on the installed tracer (no-op when
-    none is installed). *)
+(** [with_span ~attrs name f] runs [f] as one scope named [name].  With
+    a tracer installed the scope reads the tracer's clock, and the
+    profiler, if one is installed too, gets the same duration; with
+    only a profiler installed it reads the profiler's clock.  Either
+    way the clock is read exactly twice.  With no sink installed this
+    is just a call to [f]. *)
 
 val events : t -> event list
 (** Buffered events, oldest first. *)

@@ -181,6 +181,7 @@ let exhaustion_reason (e : Guard.exhaustion) =
   | Guard.Nulls -> "nulls"
   | Guard.Rows -> "rows"
   | Guard.Cqs -> "cqs"
+  | Guard.Depth -> "depth"
   | Guard.Repair_branches -> "repair-branches"
   | Guard.Checkpoint_bytes -> "checkpoint-bytes"
   | Guard.Deadline -> "deadline"

@@ -281,8 +281,8 @@ let spans_json () =
          (fun (e : Trace.event) ->
            Jsonl.Obj
              ([ ("name", Jsonl.Str e.Trace.name);
-                ("ts", Jsonl.Num e.Trace.ts);
-                ("dur", Jsonl.Num e.Trace.dur);
+                ("ts", Jsonl.Float e.Trace.ts);
+                ("dur", Jsonl.Float e.Trace.dur);
                 ("depth", Jsonl.Num (float_of_int e.Trace.depth)) ]
              @
              match e.Trace.attrs with

@@ -91,7 +91,9 @@ let answer_query ~svc ~defaults ?(stale = false) req =
     let max_steps =
       match max_steps with Some _ -> max_steps | None -> defaults.max_steps
     in
-    match Service.query svc ?timeout ?max_steps ~engine query with
+    let out = Service.query svc ?timeout ?max_steps ~engine query in
+    Mdqa_obs.Trace.with_span "protocol.reply" @@ fun () ->
+    match out with
     | Service.Answers a ->
       let extra =
         if stale then

@@ -899,8 +899,8 @@ let test_egd_merge_rows_scale () =
 
 let test_proof_depth_budget () =
   (* transitive closure over a long chain: small depth misses distant
-     answers but stays complete=true (depth is a semantic bound, not a
-     truncation) — while max_steps truncation reports complete=false *)
+     answers, and both the depth bound and max_steps truncation report
+     the answer set as partial *)
   let chain n =
     instance_of
       [ ("e", 2,
@@ -920,12 +920,39 @@ let test_proof_depth_budget () =
   let deep = Proof.answer ~max_depth:50 p (chain 10) q in
   Alcotest.(check int) "all 10 reachable" 10
     (List.length (Guard.value deep.Proof.answers));
+  Alcotest.(check bool) "deep search complete" true
+    (Guard.degraded deep.Proof.answers = None);
   let shallow = Proof.answer ~max_depth:3 p (chain 10) q in
   Alcotest.(check bool) "shallow finds fewer" true
     (List.length (Guard.value shallow.Proof.answers) < 10);
+  Alcotest.(check bool) "depth pruning flagged" true
+    (Option.map (fun e -> e.Guard.resource) (Guard.degraded shallow.Proof.answers)
+     = Some Guard.Depth);
   let truncated = Proof.answer ~max_steps:5 p (chain 10) q in
   Alcotest.(check bool) "step truncation flagged" false
     (Guard.degraded truncated.Proof.answers = None)
+
+(* A 40-edge chain: the chase finds all 40 nodes reachable from n0, and
+   proof search at its default depth of 32 prunes the longer paths, so
+   its answers are a partial set reported as a depth exhaustion, never
+   a complete one. *)
+let test_proof_depth_pruning_degrades () =
+  let { Parser.program; _ } = Parser.parse_file "corpus/chain40.dl" in
+  let inst = Program.instance_of_facts program in
+  let q =
+    Query.make ~head:[ v "Y" ] [ atom "path" [ s "n0"; v "Y" ] ]
+  in
+  (match Answer.answer Answer.Chase program inst q with
+   | Answer.Ok l -> Alcotest.(check int) "chase: 40 answers" 40 (List.length l)
+   | _ -> Alcotest.fail "chase must complete");
+  match Answer.answer Answer.Proof program inst q with
+  | Answer.Degraded { partial; exhaustion } ->
+    Alcotest.(check string) "depth exhaustion" "depth"
+      (Guard.resource_name exhaustion.Guard.resource);
+    Alcotest.(check int) "partial: 32 answers" 32 (List.length partial)
+  | Answer.Ok l ->
+    Alcotest.failf "proof reported %d answers as complete" (List.length l)
+  | Answer.Inconsistent _ -> Alcotest.fail "proof cannot be inconsistent"
 
 let test_rewrite_max_cqs_budget () =
   let p =
@@ -2257,6 +2284,8 @@ let suites =
       ] );
     ( "datalog.budgets",
       [ case "proof depth vs step truncation" test_proof_depth_budget;
+        case "proof pruned at max_depth is degraded"
+          test_proof_depth_pruning_degrades;
         case "rewrite CQ budget" test_rewrite_max_cqs_budget ] );
     ( "datalog.eval_corners",
       [ case "duplicate variables in an atom" test_eval_duplicate_vars_in_atom;

@@ -166,8 +166,7 @@ let test_export_is_valid_json () =
   Trace.install tr;
   Fun.protect ~finally:Trace.uninstall (fun () ->
       Trace.with_span "outer" ~attrs:[ ("k", "v \"quoted\"") ] (fun () ->
-          Trace.with_span "inner" (fun () -> ());
-          Trace.instant "mark"));
+          Trace.with_span "inner" (fun () -> ())));
   match Jsonl.parse (Jsonl.to_string (Trace.export_json tr)) with
   | Error e -> Alcotest.failf "export does not parse: %s" e
   | Ok json ->
@@ -176,7 +175,7 @@ let test_export_is_valid_json () =
       | Some evs -> evs
       | None -> Alcotest.fail "no traceEvents"
     in
-    Alcotest.(check int) "three events" 3 (List.length events);
+    Alcotest.(check int) "two events" 2 (List.length events);
     List.iter
       (fun ev ->
         Alcotest.(check bool) "has name" true (Jsonl.str_field "name" ev <> None);
@@ -187,7 +186,6 @@ let test_export_is_valid_json () =
             (match Jsonl.num_field "dur" ev with
             | Some d -> d >= 0.
             | None -> false)
-        | Some "i" -> ()
         | other ->
           Alcotest.failf "unexpected ph %s" (Option.value ~default:"-" other))
       events
@@ -343,16 +341,17 @@ let profile_snapshot_of ops =
               ~key:(if n mod 7 < 4 then "scan" else "key=(0)")
               ~scanned:(n mod 11) ~matched:(n mod 4))
       | 3 ->
-        Profile.with_round (n mod 4) (fun () ->
-            tick := !tick +. float_of_int (n mod 6))
+        Trace.with_span "chase.round"
+          ~attrs:[ ("round", string_of_int (n mod 4)) ]
+          (fun () -> tick := !tick +. float_of_int (n mod 6))
       | _ ->
-        Profile.with_query
-          (Printf.sprintf "q%d" (n mod 2))
+        Trace.with_span "eval"
+          ~attrs:[ ("query", Printf.sprintf "q%d" (n mod 2)) ]
           (fun () -> tick := !tick +. 1.))
     ops;
   Profile.snapshot p
 
-(* Structural equality, ignoring GC readings: the [with_round] op
+(* Structural equality, ignoring GC readings: the chase.round op
    samples the real [Gc.quick_stat], so two replays of the same script
    may legitimately observe different collection counts.  The algebra
    under test (counter and duration combination) is unaffected. *)
@@ -432,8 +431,9 @@ let test_profile_json_seconds_are_floats () =
       Profile.add_rule p "idle"
         { Profile.fires = 0; triggers = 0; matches = 0; rule_seconds = 2.;
           enumerate_seconds = 1.; probe_seconds = 0.; insert_seconds = 0. };
-      Profile.with_phase "chase" (fun () ->
-          Profile.with_round 1 (fun () -> Profile.with_query "q" ignore)));
+      Trace.with_span "chase" (fun () ->
+          Trace.with_span "chase.round" ~attrs:[ ("round", "1") ] (fun () ->
+              Trace.with_span "eval" ~attrs:[ ("query", "q") ] ignore)));
   let text = Jsonl.to_string (Profile.to_json (Profile.snapshot p)) in
   let key = "seconds\":" in
   let n = String.length text and k = String.length key in
@@ -449,8 +449,9 @@ let test_profile_json_seconds_are_floats () =
       scan !j (seen + 1)
     end
   in
-  (* five per rule, one each for the round, the query and the phase *)
-  Alcotest.(check int) "seconds fields checked" 8 (scan 0 0)
+  (* five per rule, one each for the round and the query, and one phase
+     per scope name *)
+  Alcotest.(check int) "seconds fields checked" 10 (scan 0 0)
 
 let test_profile_scope_discipline () =
   let p = Profile.create ~clock:(fun () -> 0.) () in
@@ -524,8 +525,11 @@ let test_profile_visits_count_bucket_misses () =
 
 let test_profile_off_is_transparent () =
   Alcotest.(check bool) "inactive by default" false (Profile.active ());
-  (* the with_* hooks must reduce to plain calls when off *)
-  let r = Profile.with_round 1 (fun () -> Profile.with_phase "x" (fun () -> 41 + 1)) in
+  (* a scope must reduce to a plain call when no sink is installed *)
+  let r =
+    Trace.with_span "chase.round" ~attrs:[ ("round", "1") ] (fun () ->
+        Trace.with_span "x" (fun () -> 41 + 1))
+  in
   Alcotest.(check int) "value passes through" 42 r
 
 (* The acceptance pin: profiling the paper's hospital assessment must
@@ -730,7 +734,7 @@ let test_md_parser_phases () =
         Profile.uninstall ();
         Trace.uninstall ())
       (fun () ->
-        Profile.with_phase "parse" (fun () ->
+        Trace.with_span "parse" (fun () ->
             Mdqa_context.Md_parser.check_file "../examples/hospital.mdq"))
   in
   Alcotest.(check bool) "parsed" true
@@ -756,6 +760,61 @@ let test_md_parser_phases () =
     (List.mem "md_parser.dimensions" names);
   Alcotest.(check bool) "dimensions within validate" true
     (seconds "md_parser.dimensions" <= seconds "md_parser.validate")
+
+(* One timing path: a scope is timed once and handed to every installed
+   sink.  The hospital context pipeline (check, assess, clean answers,
+   then the repaired assessment, whose answers are evaluated) under a
+   tracer and a profiler on one fake clock: the profiler's phases are
+   exactly the trace's span names, and each phase's calls and seconds
+   are the count and summed duration of the events with its name. *)
+let test_scopes_feed_both_sinks () =
+  let module Context = Mdqa_context.Context in
+  let module Md_parser = Mdqa_context.Md_parser in
+  let tick = ref 0. in
+  let clock () =
+    tick := !tick +. 0.25;
+    !tick
+  in
+  let p = Profile.create ~clock () and tr = Trace.create ~clock () in
+  Profile.install p;
+  Trace.install tr;
+  Fun.protect
+    ~finally:(fun () ->
+      Profile.uninstall ();
+      Trace.uninstall ())
+    (fun () ->
+      let checked = Md_parser.check_file "../examples/hospital.mdq" in
+      match checked.Md_parser.parsed with
+      | None -> Alcotest.fail "hospital.mdq does not check"
+      | Some { Md_parser.context; source; queries; _ } -> (
+        let answer a =
+          List.iter (fun q -> ignore (Context.clean_answers a q)) queries
+        in
+        answer (Context.assess context ~source);
+        match Mdqa_context.Repair.assess_repaired context ~source with
+        | Ok (a, _) -> answer a
+        | Error e -> Alcotest.fail e));
+  let events = Trace.events tr in
+  Alcotest.(check int) "no span dropped" 0 (Trace.dropped tr);
+  let names =
+    List.sort_uniq String.compare (List.map (fun e -> e.Trace.name) events)
+  in
+  let phases = (Profile.snapshot p).Profile.phases in
+  Alcotest.(check (list string)) "phases are the span names" names
+    (List.map fst phases);
+  List.iter
+    (fun layer ->
+      Alcotest.(check bool) (layer ^ " is a layer") true (List.mem layer names))
+    [ "md_parser.collect"; "assess"; "context.prepare"; "chase"; "chase.round";
+      "rule.fire"; "nc"; "eval" ];
+  List.iter
+    (fun (name, (ph : Profile.phase_stat)) ->
+      let evs = List.filter (fun e -> e.Trace.name = name) events in
+      Alcotest.(check int) (name ^ " calls") (List.length evs) ph.Profile.calls;
+      Alcotest.(check (float 1e-9)) (name ^ " seconds")
+        (List.fold_left (fun acc e -> acc +. e.Trace.dur) 0. evs)
+        ph.Profile.phase_seconds)
+    phases
 
 (* ---------------------------------------------------------------------- *)
 
@@ -794,7 +853,9 @@ let suites =
           case "to_json prints every seconds field as a float"
             test_profile_json_seconds_are_floats;
           case ".mdq front-end passes are phases and spans"
-            test_md_parser_phases ] );
+            test_md_parser_phases;
+          case "every scope feeds the tracer and the profiler alike"
+            test_scopes_feed_both_sinks ] );
     ( "obs.counts",
       [ case "two runs share one registry" test_counts_shared_registry;
         case "guard trip in mid-round" test_counts_guard_trip;

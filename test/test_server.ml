@@ -1355,6 +1355,112 @@ let qcheck_cases =
       prop_jsonl_printing_reference;
       prop_next_attempts; prop_restart_delay_bounded; prop_sup_single_reply ]
 
+(* --- served telemetry ---------------------------------------------------- *)
+
+(* Every literal after [key] in [text]: the bytes up to the next [,] or
+   [}]. *)
+let literals_after key text =
+  let key = "\"" ^ key ^ "\":" in
+  let n = String.length text and k = String.length key in
+  let rec scan i acc =
+    if i + k > n then List.rev acc
+    else if String.sub text i k <> key then scan (i + 1) acc
+    else begin
+      let j = ref (i + k) in
+      while !j < n && not (String.contains ",}" text.[!j]) do incr j done;
+      scan !j (String.sub text (i + k) (!j - i - k) :: acc)
+    end
+  in
+  scan 0 []
+
+(* A live server (forked, inline, with the tracer and profiler that
+   [mdqa serve] installs) after one served chase query: its spans reply
+   holds the request's serve.request and eval scopes with every [ts] and
+   [dur] printed as a JSON float, and its distinct span names are the
+   phase names of its profile reply. *)
+let test_spans_reply () =
+  let dir = Filename.temp_file "mdqa_spans" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sock = Filename.concat dir "s.sock" in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    (try
+       Mdqa_obs.Trace.install (Mdqa_obs.Trace.create ());
+       Mdqa_obs.Profile.install (Mdqa_obs.Profile.create ());
+       match Service.load ~program_file:"../examples/hospital.dl" () with
+       | Ok svc ->
+         ignore (Server.run (Server.default_config (Server.Unix_path sock)) svc)
+       | Error _ -> ()
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid);
+        Array.iter
+          (fun e -> Sys.remove (Filename.concat dir e))
+          (Sys.readdir dir);
+        Unix.rmdir dir)
+    @@ fun () ->
+    let waited = ref 0 in
+    while (not (Sys.file_exists sock)) && !waited < 200 do
+      Unix.sleepf 0.05;
+      incr waited
+    done;
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    let ic = Unix.in_channel_of_descr fd
+    and oc = Unix.out_channel_of_descr fd in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let request line =
+      output_string oc (line ^ "\n");
+      flush oc;
+      let reply = input_line ic in
+      match Jsonl.parse reply with
+      | Ok json -> (reply, json)
+      | Error e -> Alcotest.failf "unparseable reply %s: %s" reply e
+    in
+    let field name json =
+      match Jsonl.member name json with
+      | Some v -> v
+      | None -> Alcotest.failf "reply without %s" name
+    in
+    let names key rows =
+      List.filter_map (Jsonl.str_field key)
+        (Option.value ~default:[] (Jsonl.to_list rows))
+      |> List.sort_uniq String.compare
+    in
+    let _, answered =
+      request
+        {|{"kind":"query","query":"q(U, D, P) :- patient_unit(U, D, P)"}|}
+    in
+    Alcotest.(check (option string)) "query answered" (Some "complete")
+      (Jsonl.str_field "status" answered);
+    let text, spans = request {|{"kind":"spans"}|} in
+    let span_names = names "name" (field "spans" spans) in
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) (name ^ " span served") true
+          (List.mem name span_names))
+      [ "serve.request"; "eval"; "protocol.reply" ];
+    List.iter
+      (fun key ->
+        let lits = literals_after key text in
+        Alcotest.(check bool) (key ^ " fields present") true (lits <> []);
+        List.iter
+          (fun lit ->
+            if not (String.exists (fun c -> c = '.' || c = 'e') lit) then
+              Alcotest.failf "%s printed as %s, not a float" key lit)
+          lits)
+      [ "ts"; "dur" ];
+    let _, profile = request {|{"kind":"profile"}|} in
+    Alcotest.(check (list string)) "span names = profile phases" span_names
+      (names "phase" (field "phases" (field "profile" profile)))
+
 let suites =
   [ ( "server.backoff-breaker-admission",
       [ case "breaker: trip, probe, re-open, recover"
@@ -1378,7 +1484,9 @@ let suites =
           test_service_degraded_keeps_partial;
         case "proof request honours its timeout" test_service_proof_timeout;
         case "proof steps are not charged to the server budget"
-          test_service_proof_steps_not_charged ] );
+          test_service_proof_steps_not_charged;
+        case "spans reply: served scopes, float seconds, profile layers"
+          test_spans_reply ] );
     ( "server.protocol",
       [ case "jsonl: unicode escapes and trailing bytes" test_jsonl_unicode;
         case "jsonl: nesting depth limit" test_jsonl_depth_limit;

@@ -31,9 +31,11 @@ grep -q "outcome: saturated" "$dir/chase.out" \
   || fail "traced chase result changed" "$dir/chase.out"
 
 # 2. the exported trace passes the checker, with the span taxonomy the
-#    chase promises: validate, chase.round, rule.fire
+#    chase promises: validate, chase, chase.round, rule.fire, and egd
+#    (the hospital program has EGDs)
 timeout 60 "$exe" trace verify "$dir/t.json" \
     --require validate --require chase.round --require rule.fire \
+    --require chase --require egd \
     > "$dir/verify.out" 2>&1 \
   || fail "trace verify must accept a fresh trace" "$dir/verify.out"
 
@@ -49,11 +51,11 @@ timeout 60 "$exe" trace verify "$dir/garbage.json" > /dev/null 2>&1
 rc=$?
 [ "$rc" -eq 1 ] || fail "verify on garbage must exit 1, got $rc"
 
-# 5. a traced query also produces a valid trace (eval spans)
+# 5. a traced query also produces a valid trace (chase and eval spans)
 timeout 60 "$exe" query "$prog" --trace "$dir/q.json" > /dev/null 2>&1 \
   || fail "traced query must exit 0"
-timeout 60 "$exe" trace verify "$dir/q.json" --require eval \
-  > /dev/null 2>&1 || fail "query trace must contain eval spans"
+timeout 60 "$exe" trace verify "$dir/q.json" --require eval --require chase \
+  > /dev/null 2>&1 || fail "query trace must contain chase and eval spans"
 
 # 6. --log-json emits parseable JSONL records on stderr at the chosen
 #    level; --log-level error silences the info record
