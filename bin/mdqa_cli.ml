@@ -671,7 +671,11 @@ let run_query file remote retry_attempts retry_budget engine query_strings
       | Answer.Degraded { partial; exhaustion } ->
         print_answers ~partial:true q.Query.name partial;
         report_degraded exhaustion;
-        degraded := true)
+        degraded := true
+      | Answer.Refused d ->
+        Printf.printf "%s: refused — %s %s\n" q.Query.name d.Diag.code
+          d.Diag.message;
+        failed := true)
     queries;
   if !failed then exit_error
   else if !degraded then exit_degraded
@@ -721,27 +725,13 @@ let query_cmd =
 
 let run_classify file =
   run_protected @@ fun () ->
-  let { Parser.program; _ } = load file in
-  Format.printf "%a@.@." Classes.pp_report (Classes.classify program);
-  let g = Position_graph.build program in
-  let finite = Position_graph.finite_rank_positions g in
-  let infinite = Position_graph.infinite_rank_positions g in
-  Format.printf "positions: %d finite rank, %d infinite rank@."
-    (List.length finite) (List.length infinite);
-  if infinite <> [] then
-    Format.printf "infinite-rank: %s@."
-      (String.concat ", "
-         (List.map (fun (p, i) -> Printf.sprintf "%s[%d]" p i) infinite));
-  let affected = Position_graph.affected_positions g in
-  Format.printf "affected positions: %s@."
-    (if affected = [] then "(none)"
-     else
-       String.concat ", "
-         (List.map (fun (p, i) -> Printf.sprintf "%s[%d]" p i) affected));
-  Format.printf "EGD separability (non-affected heads): %a@."
-    Separability.pp_verdict (Separability.non_affected_heads program);
-  Format.printf "rewritable by unfolding (acyclic predicates): %b@."
-    (Rewrite.rewritable program);
+  let program =
+    if Filename.check_suffix file ".mdq" then
+      Mdqa_context.Context.program
+        (load_context file).Mdqa_context.Md_parser.context
+    else (load file).Parser.program
+  in
+  Format.printf "%a@." Analysis.pp (Analysis.analyse program);
   exit_complete
 
 let classify_cmd =
@@ -873,9 +863,9 @@ let run_context file do_repair loads explain_n max_steps max_nulls timeout
      List.iter
        (fun v -> Format.printf "referential violation: %a@." Md_ontology.pp_violation v)
        viols);
-  Format.printf "Datalog± classes:@.%a@." Classes.pp_report
+  Format.printf "Datalog± classes:@.%a@." Analysis.pp_classes
     (Md_ontology.classes ontology);
-  Format.printf "EGD separability: %a@." Separability.pp_verdict
+  Format.printf "EGD separability: %a@." Analysis.pp_separability
     (Md_ontology.separability ontology);
   Printf.printf "upward-only: %b\n\n" (Md_ontology.is_upward_only ontology);
   let guard = make_guard ~max_steps ~max_nulls ~timeout ~max_memory () in

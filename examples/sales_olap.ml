@@ -220,9 +220,9 @@ let () =
   let p = Md_ontology.program m in
   Format.printf "EGD: %a@." Egd.pp egd_tax;
   Format.printf "  non-affected-heads criterion: %a@."
-    Separability.pp_verdict (Separability.non_affected_heads p);
+    Analysis.pp_separability (Analysis.analyse p).Analysis.egds;
   Format.printf "  categorical-positions criterion: %a@."
-    Separability.pp_verdict (Md_ontology.separability m);
+    Analysis.pp_separability (Md_ontology.separability m);
 
   section "Inter-dimensional constraint: recalled items in Berlin";
   Format.printf "%a@." Nc.pp nc_recall;

@@ -213,7 +213,8 @@ let () =
        answers
    | Answer.Degraded { exhaustion; _ } ->
      Format.printf "answers degraded: %a@." Guard.pp_exhaustion exhaustion
-   | Answer.Inconsistent _ -> print_endline "ontology inconsistent");
+   | Answer.Inconsistent _ -> print_endline "ontology inconsistent"
+   | Answer.Refused d -> print_endline d.Diag.message);
   Format.print_flush ();
 
   section "Integrity: the decommissioned station";

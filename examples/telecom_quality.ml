@@ -38,7 +38,7 @@ let () =
   List.iter
     (fun info -> Format.printf "%a@." Dim_rule.pp_info info)
     m.Md_ontology.rule_infos;
-  Format.printf "@.classes:@.%a@." Classes.pp_report (Md_ontology.classes m);
+  Format.printf "@.classes:@.%a@." Analysis.pp_classes (Md_ontology.classes m);
 
   section "Quality assessment";
   let assessment = Context.assess (Telecom.context ()) ~source:(Telecom.source ()) in

@@ -157,7 +157,7 @@ let clean_answers ?(partial = false) a q =
   match Answer.of_fixpoint a.chase (rewrite_query a.context q) with
   | Answer.Ok answers -> Some answers
   | Answer.Degraded { partial = answers; _ } when partial -> Some answers
-  | Answer.Degraded _ | Answer.Inconsistent _ -> None
+  | Answer.Degraded _ | Answer.Inconsistent _ | Answer.Refused _ -> None
 
 let explain a name tuple =
   match List.assoc_opt name a.context.quality_versions with

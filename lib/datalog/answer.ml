@@ -1,13 +1,13 @@
-type engine = Chase | Proof | Rewrite
+type engine = Analysis.engine = Chase | Proof | Rewrite
 
-let engines = [ ("chase", Chase); ("proof", Proof); ("rewrite", Rewrite) ]
-
-let engine_name e = fst (List.find (fun (_, e') -> e' = e) engines)
+let engine_name = Analysis.engine_name
+let engines = List.map (fun e -> (engine_name e, e)) [ Chase; Proof; Rewrite ]
 
 type 'a outcome =
   | Ok of 'a
   | Inconsistent of Chase.failure
   | Degraded of { partial : 'a; exhaustion : Guard.exhaustion }
+  | Refused of Diag.t
 
 let of_guarded = function
   | Guard.Complete a -> Ok a
@@ -40,6 +40,14 @@ let answer ?guard ?(goal_directed = false) ?max_steps engine program inst
       else program
     in
     of_fixpoint ?guard (Chase.run ?guard program inst) q
-  | Proof ->
-    of_guarded (Proof.answer ?guard ?max_steps program inst q).Proof.answers
-  | Rewrite -> of_guarded (Rewrite.answers ?guard program inst q)
+  | Proof | Rewrite -> (
+    match Analysis.scope (Analysis.analyse program) engine with
+    | Error why ->
+      Refused
+        (Diag.make Diag.Error ~code:"E033"
+           (Printf.sprintf "engine %s is out of scope (%s); the chase always \
+                            applies"
+              (engine_name engine) why))
+    | Ok () when engine = Proof ->
+      of_guarded (Proof.answer ?guard ?max_steps program inst q).Proof.answers
+    | Ok () -> of_guarded (Rewrite.answers ?guard program inst q))

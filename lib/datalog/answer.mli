@@ -6,9 +6,11 @@
     model), by [DeterministicWSQAns] top-down proof search
     ({!Proof}), and by FO rewriting for upward-only ontologies
     ({!Rewrite}).  All three run under the same {!Guard.t} and report
-    through the same {!outcome}: degradation, never a hang. *)
+    through the same {!outcome}: degradation, never a hang.  An engine
+    whose scope ({!Analysis.scope}) excludes the program is refused,
+    never run. *)
 
-type engine = Chase | Proof | Rewrite
+type engine = Analysis.engine = Chase | Proof | Rewrite
 
 val engines : (string * engine) list
 (** The wire and command-line names of the engines, in documentation
@@ -27,6 +29,9 @@ type 'a outcome =
               sound under-approximation of the complete answer set *)
       exhaustion : Guard.exhaustion;  (** which resource ran out *)
     }
+  | Refused of Diag.t
+      (** [E033]: the engine is out of the program's scope, so its
+          answers need not be the certain ones; nothing was run *)
 
 val of_fixpoint :
   ?guard:Guard.t ->
@@ -56,8 +61,8 @@ val answer :
     {!Proof.answer} with [max_steps] as its own search budget; the
     guard bounds its time, memory and cancellation.  [Rewrite] runs
     {!Rewrite.answers} (at most 10,000 disjuncts, whatever the guard).
-    Only [Chase] can be [Inconsistent]: the other engines check no
-    constraints, and neither checks its scope.  A [Proof] [Ok] is
-    complete only if the EGDs are separable ({!Separability}: the
-    search ignores EGDs), a [Rewrite] [Ok] only for
-    {!Rewrite.rewritable} (upward-only, acyclic) programs. *)
+    Both are first checked against {!Analysis.scope}: [Proof] needs a
+    weakly-sticky program, [Rewrite] an acyclic predicate graph, and
+    both separable EGDs (they ignore EGDs); outside it the answer is
+    [Refused].  Only [Chase] can be [Inconsistent]: the other engines
+    check no constraints. *)

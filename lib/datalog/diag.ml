@@ -36,6 +36,7 @@ let registry =
     ("E030", "replication-divergence");
     ("E031", "replication-refused");
     ("E032", "unrepairable-store");
+    ("E033", "engine-out-of-scope");
     ("W040", "undefined-predicate");
     ("W041", "not-weakly-sticky");
     ("W042", "quality-version-undefined");

@@ -31,6 +31,8 @@
       primary/standby replication layer);
     - [E032] unrepairable-store (the {!Mdqa_store.Fsck} salvage chain
       exhausted every stage);
+    - [E033] engine-out-of-scope (a query engine refused for a program
+      outside its scope, {!Answer.answer});
     - [W040] undefined-predicate, [W041] not-weakly-sticky, [W042]
       quality-version-undefined, [W043] non-strict-hierarchy, [W044]
       non-homogeneous-hierarchy, [W045] referential-violation, [W046]

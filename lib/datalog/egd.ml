@@ -41,11 +41,6 @@ let equated_vars t =
   in
   add (add Term.Var_set.empty t.lhs) t.rhs
 
-let var_body_positions t v =
-  List.concat_map
-    (fun a -> List.map (fun i -> (Atom.pred a, i)) (Atom.var_positions a v))
-    t.body
-
 let pp ppf t =
   Format.fprintf ppf "%a = %a :- %a" Term.pp t.lhs Term.pp t.rhs
     (Format.pp_print_list

@@ -19,7 +19,4 @@ val body_vars : t -> Term.Var_set.t
 val equated_vars : t -> Term.Var_set.t
 (** The head variables (0, 1 or 2 of them; a side may be a constant). *)
 
-val var_body_positions : t -> string -> (string * int) list
-(** Positions [(pred, i)] at which the variable occurs in the body. *)
-
 val pp : Format.formatter -> t -> unit

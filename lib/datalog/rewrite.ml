@@ -6,8 +6,6 @@ type rewriting = {
   pruned : int;
 }
 
-let rewritable = Program.predicate_graph_acyclic
-
 (* A canonical key for a CQ: variables renamed in first-occurrence
    order over head, body and comparisons.  Two alpha-equivalent CQs
    with the same atom order map to the same key. *)
@@ -134,12 +132,12 @@ let unfold ?(guard = Guard.unlimited ()) ~max_cqs ~expansions
   @@ fun () ->
   add (q.Query.head, q.Query.body, q.Query.cmps)
 
-let rewrite ?guard ?(max_cqs = 10_000) ?(prune = true) program q =
+let rewrite ?guard ?(max_cqs = 10_000) program q =
   let out = ref [] and expansions = ref 0 in
   let finish () =
     (* latest disjunct first *)
     let ucq = !out in
-    let kept = if prune then Containment.prune_ucq ucq else ucq in
+    let kept = Containment.prune_ucq ucq in
     { ucq = kept;
       expansions = !expansions;
       pruned = List.length ucq - List.length kept }

@@ -19,7 +19,8 @@
     {!Guard.t} (CQ budget, deadline, memory, cancellation) bound cyclic
     or explosive inputs: the rewriting degrades to the disjuncts
     produced so far instead of diverging.  Only a deadline bounds the
-    time of the ever longer joins a cyclic program unfolds into. *)
+    time of the ever longer joins a cyclic program unfolds into, so
+    {!Answer.answer} refuses cyclic programs ({!Analysis.scope}). *)
 
 type rewriting = {
   ucq : Query.t list;  (** the union of conjunctive queries *)
@@ -27,17 +28,14 @@ type rewriting = {
   pruned : int;  (** disjuncts removed by containment pruning *)
 }
 
-val rewritable : Program.t -> bool
-(** Sufficient syntactic test: the predicate graph is acyclic. *)
-
 val rewrite :
-  ?guard:Guard.t -> ?max_cqs:int -> ?prune:bool -> Program.t -> Query.t ->
+  ?guard:Guard.t -> ?max_cqs:int -> Program.t -> Query.t ->
   rewriting Guard.outcome
 (** At most [max_cqs] (default 10_000) disjuncts are produced, under
     any [guard] or none: past it the rewriting degrades with a
-    {!Guard.Cqs} exhaustion, as past the guard's own CQ budget.  With
-    [prune] (the default), disjuncts contained in another disjunct are
-    removed via {!Containment} before evaluation.  [Degraded] carries
+    {!Guard.Cqs} exhaustion, as past the guard's own CQ budget.
+    Disjuncts contained in another disjunct are removed via
+    {!Containment}.  [Degraded] carries
     the (pruned) disjuncts produced before the budget ran out — each
     one a sound member of the union. *)
 

@@ -43,7 +43,7 @@ let check_undefined diags statements facts =
 
 let check_certificate diags statements (program : Program.t) =
   if program.Program.tgds <> [] then begin
-    let cert = Stickiness.certify program in
+    let a = Analysis.analyse program in
     let pos_of_rule name =
       List.find_map
         (fun { Parser.stmt; pos } ->
@@ -52,21 +52,19 @@ let check_certificate diags statements (program : Program.t) =
           | _ -> None)
         statements
     in
-    if not cert.Stickiness.weakly_sticky then
-      List.iter
-        (fun ((tgd : Tgd.t), var) ->
-          let pos = pos_of_rule tgd.Tgd.name in
-          Diag.warningf diags
-            ?line:(Option.map (fun p -> p.Lexer.line) pos)
-            ?col:(Option.map (fun p -> p.Lexer.col) pos)
-            ~code:"W041"
-            "rule %s breaks weak stickiness: marked variable %s repeats \
-             in the body with no finite-rank occurrence"
-            tgd.Tgd.name var)
-        cert.Stickiness.violations;
-    Diag.hintf diags ~line:1 ~code:"H050" "%s"
-      (Format.asprintf "justified QA path: %a" Stickiness.pp_qa_path
-         cert.Stickiness.path)
+    List.iter
+      (fun ((tgd : Tgd.t), var) ->
+        let pos = pos_of_rule tgd.Tgd.name in
+        Diag.warningf diags
+          ?line:(Option.map (fun p -> p.Lexer.line) pos)
+          ?col:(Option.map (fun p -> p.Lexer.col) pos)
+          ~code:"W041"
+          "rule %s breaks weak stickiness: marked variable %s repeats in \
+           the body with no finite-rank occurrence"
+          tgd.Tgd.name var)
+      a.Analysis.violations;
+    Diag.hintf diags ~line:1 ~code:"H050" "justified QA path: %s"
+      (Analysis.qa_path a)
   end
 
 let check_string ?file input =

@@ -12,10 +12,10 @@
     - predicates used in rule/constraint/query bodies that have no
       facts and no defining rule ([W040]: a forever-empty extension,
       almost always a typo);
-    - the weak-stickiness certificate ({!Stickiness.certify}): [W041]
-      per rule breaking weak stickiness, and an [H050] hint naming the
-      strongest justified query-answering path (FO rewriting /
-      DeterministicWSQAns / budgeted chase).
+    - the program analysis ({!Analysis.analyse}): [W041] per rule
+      breaking weak stickiness, and an [H050] hint naming the first
+      engine in scope ({!Analysis.qa_path}: FO rewriting /
+      DeterministicWSQAns / budgeted chase, with the reason).
 
     Statement-level well-formedness (ground facts, safe queries, ...)
     is enforced during parsing and surfaces as [E003]. *)
@@ -35,6 +35,6 @@ val check_file : string -> checked
 
 val check_certificate :
   Diag.collector -> Parser.located_statement list -> Program.t -> unit
-(** The weak-stickiness certificate as diagnostics ([W041]/[H050]),
+(** The program analysis as diagnostics ([W041]/[H050]),
     locating violations at their rule's statement when it appears in
     [statements]. *)

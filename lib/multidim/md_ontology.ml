@@ -147,10 +147,10 @@ let chase ?variant ?guard t =
 
 let is_upward_only t = Dim_rule.is_upward_only t.schema t.rules
 
-let classes t = Classes.classify (program t)
+let classes t = (Analysis.analyse (program t)).Analysis.classes
 
 let separability t =
-  Separability.within_positions (program t)
+  Analysis.within_positions (program t)
     ~closed:(Md_schema.categorical_positions t.schema)
 
 let pp_violation ppf v =

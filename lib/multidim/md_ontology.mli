@@ -74,11 +74,11 @@ val chase :
 
 val is_upward_only : t -> bool
 
-val classes : t -> Mdqa_datalog.Classes.report
+val classes : t -> Mdqa_datalog.Analysis.classes
 (** Datalog± class report of the compiled rule set (experiment C1). *)
 
-val separability : t -> Mdqa_datalog.Separability.verdict
-(** {!Mdqa_datalog.Separability.within_positions} with the schema's
+val separability : t -> Mdqa_datalog.Analysis.separability
+(** {!Mdqa_datalog.Analysis.within_positions} with the schema's
     categorical positions as the closed set (experiment C2). *)
 
 val pp_violation : Format.formatter -> referential_violation -> unit

@@ -84,7 +84,7 @@ val categorical_positions : t -> (string * int) list
 (** All positions ranging over category members: every K and O
     position, and the categorical positions of the relations.  These
     have closed finite domains — the set handed to
-    {!Mdqa_datalog.Separability.within_positions}. *)
+    {!Mdqa_datalog.Analysis.within_positions}. *)
 
 val to_dot : t -> string
 (** Graphviz rendering in the style of the paper's Figure 1: one

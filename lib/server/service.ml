@@ -278,7 +278,8 @@ let query t ?timeout ?max_steps ~engine qtext =
       | Answer.Degraded { partial; exhaustion } ->
         Partial (partial, exhaustion)
       | Answer.Inconsistent f ->
-        Inconsistent (Format.asprintf "%a" Chase.pp_outcome (Chase.Failed f))))
+        Inconsistent (Format.asprintf "%a" Chase.pp_outcome (Chase.Failed f))
+      | Answer.Refused d -> Bad_query d))
 
 (* --- introspection ---------------------------------------------------- *)
 

@@ -80,7 +80,9 @@ type query_outcome =
       (** {!Mdqa_datalog.Answer.Degraded}: a budget ran out (theirs or
           the warm chase's); the answers found before it, a sound
           under-approximation *)
-  | Bad_query of Mdqa_datalog.Diag.t  (** E002 / E012: reply error *)
+  | Bad_query of Mdqa_datalog.Diag.t
+      (** E002 / E012, or E033 ({!Mdqa_datalog.Answer.Refused}): reply
+          error *)
   | Inconsistent of string
       (** {!Mdqa_datalog.Answer.Inconsistent}: the warm chase failed a
           constraint; no meaningful answers *)

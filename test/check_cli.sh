@@ -33,6 +33,26 @@ expect "check missing file" 1 "$exe" check corpus/no_such_file.mdq
 expect "context pre-validation" 1 "$exe" context corpus/syntax_multi.mdq
 expect "chase pre-validation" 1 "$exe" chase corpus/nonground_fact.dl
 expect "query pre-validation" 1 "$exe" query corpus/arity_clash.dl
+expect "classify .mdq" 0 "$exe" classify ../examples/hospital.mdq
+expect "classify .dl" 0 "$exe" classify corpus/egd_window.dl
+
+# An engine out of the program's scope is refused: egd_window.dl's EGDs
+# are not separable, so proof search and FO rewriting exit 1 with E033
+# where the chase answers.
+expect "query -e chase in scope" 0 "$exe" query corpus/egd_window.dl \
+  -q 'free(I, U) :- institution_unit(I, U)'
+for e in proof rewrite; do
+  out=$(timeout 60 "$exe" query corpus/egd_window.dl -e "$e" \
+    -q 'free(I, U) :- institution_unit(I, U)' 2>/dev/null)
+  got=$?
+  case "$got $out" in
+    "1 free: refused — E033 "*) ;;
+    *)
+      echo "check-cli FAIL: query -e $e on egd_window.dl exited $got ($out), want 1 with E033" >&2
+      status=1
+      ;;
+  esac
+done
 
 # one pass reports every error: at least 2 "error E..." diagnostics
 n=$(timeout 60 "$exe" check corpus/syntax_multi.mdq 2>/dev/null \

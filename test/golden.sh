@@ -48,11 +48,6 @@ for f in ../examples/*.dl corpus/interleaved_facts.dl corpus/egd_window.dl; do
   check "golden/chase/$(basename "$f").out" "$exe" chase "$f"
 done
 
-# The proof engine ignores EGDs and egd_window.dl's are not separable,
-# so golden/query/egd_window.dl.proof.out pins a known-incomplete answer
-# set (its "free" and "yes" find nothing; the chase finds 3 and true):
-# it characterises current output, and changes when the engine learns
-# to refuse or handle such programs.
 for e in chase rewrite proof; do
   check "golden/query/hospital.dl.$e.out" "$exe" query ../examples/hospital.dl \
     -e "$e" -q 'free(U, D, P) :- patient_unit(U, D, P)' \

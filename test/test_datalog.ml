@@ -397,37 +397,40 @@ let prog_not_ws =
           [ atom "s" [ v "X" ] ] ]
     ()
 
+let classes p = (Analysis.analyse p).Analysis.classes
+
 let test_classes_join_program () =
-  let c = Classes.classify prog_join in
-  Alcotest.(check bool) "not linear" false c.Classes.linear;
-  Alcotest.(check bool) "not guarded" false c.Classes.guarded;
-  Alcotest.(check bool) "weakly guarded" true c.Classes.weakly_guarded;
-  Alcotest.(check bool) "not sticky" false c.Classes.sticky;
-  Alcotest.(check bool) "weakly sticky" true c.Classes.weakly_sticky;
-  Alcotest.(check bool) "weakly acyclic" true c.Classes.weakly_acyclic
+  let c = classes prog_join in
+  Alcotest.(check bool) "not linear" false c.Analysis.linear;
+  Alcotest.(check bool) "not guarded" false c.Analysis.guarded;
+  Alcotest.(check bool) "weakly guarded" true c.Analysis.weakly_guarded;
+  Alcotest.(check bool) "not sticky" false c.Analysis.sticky;
+  Alcotest.(check bool) "weakly sticky" true c.Analysis.weakly_sticky;
+  Alcotest.(check bool) "weakly acyclic" true c.Analysis.weakly_acyclic
 
 let test_classes_linear_cyclic () =
-  let c = Classes.classify prog_linear_cyclic in
-  Alcotest.(check bool) "linear" true c.Classes.linear;
-  Alcotest.(check bool) "guarded" true c.Classes.guarded;
-  Alcotest.(check bool) "sticky" true c.Classes.sticky;
-  Alcotest.(check bool) "weakly sticky" true c.Classes.weakly_sticky;
-  Alcotest.(check bool) "not weakly acyclic" false c.Classes.weakly_acyclic
+  let c = classes prog_linear_cyclic in
+  Alcotest.(check bool) "linear" true c.Analysis.linear;
+  Alcotest.(check bool) "guarded" true c.Analysis.guarded;
+  Alcotest.(check bool) "sticky" true c.Analysis.sticky;
+  Alcotest.(check bool) "weakly sticky" true c.Analysis.weakly_sticky;
+  Alcotest.(check bool) "not weakly acyclic" false c.Analysis.weakly_acyclic
 
 let test_classes_not_ws () =
-  let c = Classes.classify prog_not_ws in
-  Alcotest.(check bool) "not sticky" false c.Classes.sticky;
-  Alcotest.(check bool) "not weakly sticky" false c.Classes.weakly_sticky;
-  let viols = Stickiness.weak_stickiness_violations prog_not_ws in
+  let a = Analysis.analyse prog_not_ws in
+  Alcotest.(check bool) "not sticky" false a.Analysis.classes.Analysis.sticky;
+  Alcotest.(check bool) "not weakly sticky" false
+    a.Analysis.classes.Analysis.weakly_sticky;
+  let viols = a.Analysis.violations in
   Alcotest.(check int) "one violation" 1 (List.length viols);
   Alcotest.(check string) "on Y" "Y" (snd (List.hd viols))
 
 let test_warded () =
+  let warded p = (classes p).Analysis.warded in
   (* full programs have no harmful variables: trivially warded *)
-  Alcotest.(check bool) "join program warded" true (Classes.is_warded prog_join);
+  Alcotest.(check bool) "join program warded" true (warded prog_join);
   (* linear rules are warded: the single body atom is the ward *)
-  Alcotest.(check bool) "linear cyclic warded" true
-    (Classes.is_warded prog_linear_cyclic);
+  Alcotest.(check bool) "linear cyclic warded" true (warded prog_linear_cyclic);
   (* two dangerous variables spread over two atoms: not warded *)
   let not_warded =
     Program.make
@@ -439,9 +442,7 @@ let test_warded () =
       ()
   in
   Alcotest.(check bool) "split dangerous vars: not warded" false
-    (Classes.is_warded not_warded);
-  Alcotest.(check bool) "report includes wardedness" true
-    (Classes.classify prog_join).Classes.warded
+    (warded not_warded)
 
 let test_guarded_detection () =
   (* guard g(X,Y,Z) covers both body vars of the join *)
@@ -453,32 +454,29 @@ let test_guarded_detection () =
             [ atom "t" [ v "X" ] ] ]
       ()
   in
-  Alcotest.(check bool) "guarded" true (Classes.is_guarded p)
+  Alcotest.(check bool) "guarded" true (classes p).Analysis.guarded
+
+let infinite_rank p =
+  Analysis.Pos_set.elements (Analysis.analyse p).Analysis.infinite_rank
 
 let test_position_graph_ranks () =
-  let g = Position_graph.build prog_join in
-  (* no existentials: every position has rank 0 *)
-  List.iter
-    (fun p ->
-      Alcotest.(check (option int)) "rank 0" (Some 0) (Position_graph.rank g p))
-    (Position_graph.positions g);
-  let g2 = Position_graph.build prog_linear_cyclic in
+  (* no existentials: every position has finite rank *)
+  Alcotest.(check int) "join: none infinite" 0
+    (List.length (infinite_rank prog_join));
   Alcotest.(check bool) "r positions infinite" true
-    (List.length (Position_graph.infinite_rank_positions g2) = 2)
+    (List.length (infinite_rank prog_linear_cyclic) = 2)
 
 let test_position_graph_finite_special () =
-  (* p(X) -> ∃Y q(X,Y): q[1] has rank 1, all finite *)
+  (* p(X) -> ∃Y q(X,Y): a special edge on no cycle, all ranks finite *)
   let p =
     Program.make
       ~tgds:[ tgd [ atom "p" [ v "X" ] ] [ atom "q" [ v "X"; v "Y" ] ] ]
       ()
   in
-  let g = Position_graph.build p in
-  Alcotest.(check bool) "weakly acyclic" true (Position_graph.is_weakly_acyclic g);
-  Alcotest.(check (option int)) "q[1] rank 1" (Some 1)
-    (Position_graph.rank g ("q", 1));
-  Alcotest.(check (option int)) "q[0] rank 0" (Some 0)
-    (Position_graph.rank g ("q", 0))
+  Alcotest.(check bool) "weakly acyclic" true
+    (classes p).Analysis.weakly_acyclic;
+  Alcotest.(check (list (pair string int))) "no infinite rank" []
+    (infinite_rank p)
 
 let test_affected_positions () =
   (* p(X) -> ∃Y q(X,Y);  q(X,Y) -> t(Y): t[0] affected transitively *)
@@ -489,11 +487,11 @@ let test_affected_positions () =
           tgd [ atom "q" [ v "X"; v "Y" ] ] [ atom "t" [ v "Y" ] ] ]
       ()
   in
-  let g = Position_graph.build p in
-  let affected = Position_graph.affected_positions g in
-  Alcotest.(check bool) "q[1] affected" true (List.mem ("q", 1) affected);
-  Alcotest.(check bool) "t[0] affected" true (List.mem ("t", 0) affected);
-  Alcotest.(check bool) "q[0] not affected" false (List.mem ("q", 0) affected)
+  let a = Analysis.analyse p in
+  let affected pos = Analysis.Pos_set.mem pos a.Analysis.affected in
+  Alcotest.(check bool) "q[1] affected" true (affected ("q", 1));
+  Alcotest.(check bool) "t[0] affected" true (affected ("t", 0));
+  Alcotest.(check bool) "q[0] not affected" false (affected ("q", 0))
 
 let test_separability () =
   (* EGD equating a variable at an affected position: not separable *)
@@ -507,7 +505,7 @@ let test_separability () =
       ()
   in
   Alcotest.(check bool) "affected head: not separable" false
-    (Separability.non_affected_heads p).Separability.separable;
+    (Analysis.analyse p).Analysis.egds.Analysis.separable;
   (* EGD on the key side only: separable *)
   let p2 =
     Program.make
@@ -519,10 +517,9 @@ let test_separability () =
       ()
   in
   Alcotest.(check bool) "non-affected heads: separable" true
-    (Separability.non_affected_heads p2).Separability.separable;
+    (Analysis.analyse p2).Analysis.egds.Analysis.separable;
   Alcotest.(check bool) "within categorical positions" true
-    (Separability.within_positions p2 ~closed:[ ("q", 0) ]).Separability
-      .separable
+    (Analysis.within_positions p2 ~closed:[ ("q", 0) ]).Analysis.separable
 
 (* ------------------------------------------------------------------ *)
 (* Query + certain answers *)
@@ -681,7 +678,8 @@ let test_rewrite_simple_unfold () =
             [ atom "pu" [ v "U"; v "P" ] ] ]
       ()
   in
-  Alcotest.(check bool) "rewritable" true (Rewrite.rewritable p);
+  Alcotest.(check bool) "rewrite in scope" true
+    (Analysis.scope (Analysis.analyse p) Analysis.Rewrite = Ok ());
   let q = Query.make ~head:[ v "P" ] [ atom "pu" [ s "std"; v "P" ] ] in
   (match Rewrite.rewrite p q with
    | Guard.Complete r ->
@@ -774,7 +772,8 @@ let test_rewrite_cyclic_errors () =
           tgd [ atom "q" [ v "X" ] ] [ atom "p" [ v "X" ] ] ]
       ()
   in
-  Alcotest.(check bool) "not rewritable" false (Rewrite.rewritable p);
+  Alcotest.(check bool) "rewrite out of scope" true
+    (Result.is_error (Analysis.scope (Analysis.analyse p) Analysis.Rewrite));
   let q = Query.make ~head:[ v "X" ] [ atom "p" [ v "X" ] ] in
   (* unfolding p <-> q actually reaches a fixpoint of 2 CQs here; the
      canonicalizer must recognize the alpha-equivalent repeats *)
@@ -953,6 +952,28 @@ let test_proof_depth_pruning_degrades () =
   | Answer.Ok l ->
     Alcotest.failf "proof reported %d answers as complete" (List.length l)
   | Answer.Inconsistent _ -> Alcotest.fail "proof cannot be inconsistent"
+  | Answer.Refused d -> Alcotest.failf "proof refused: %s" d.Diag.message
+
+(* egd_window.dl's EGD equates units at affected positions, so its
+   EGDs are not separable: the chase finds 3 institution units, and the
+   engines that ignore EGDs are refused rather than answer fewer. *)
+let test_out_of_scope_refused () =
+  let { Parser.program; _ } = Parser.parse_file "corpus/egd_window.dl" in
+  let inst = Program.instance_of_facts program in
+  let q =
+    Query.make ~head:[ v "I"; v "U" ]
+      [ atom "institution_unit" [ v "I"; v "U" ] ]
+  in
+  (match Answer.answer Answer.Chase program inst q with
+   | Answer.Ok l -> Alcotest.(check int) "chase: 3 answers" 3 (List.length l)
+   | _ -> Alcotest.fail "chase must complete");
+  List.iter
+    (fun e ->
+      match Answer.answer e program inst q with
+      | Answer.Refused d ->
+        Alcotest.(check string) (Answer.engine_name e) "E033" d.Diag.code
+      | _ -> Alcotest.failf "%s answered" (Answer.engine_name e))
+    [ Answer.Proof; Answer.Rewrite ]
 
 let test_rewrite_max_cqs_budget () =
   let p =
@@ -1176,16 +1197,14 @@ let test_resume_empty_frontier_full_round () =
 
 let test_marking_base_step () =
   (* t(X,Z) :- r(X,Y), s(Y,Z): Y is not in the head -> marked *)
-  let m = Stickiness.mark prog_join in
+  let m = Analysis.analyse prog_join in
   let the_tgd = List.hd prog_join.Program.tgds in
-  Alcotest.(check bool) "Y marked" true (Stickiness.is_marked m the_tgd "Y");
-  Alcotest.(check bool) "X unmarked" false (Stickiness.is_marked m the_tgd "X");
+  Alcotest.(check bool) "Y marked" true (Analysis.is_marked m the_tgd "Y");
+  Alcotest.(check bool) "X unmarked" false (Analysis.is_marked m the_tgd "X");
   Alcotest.(check bool) "r[1] marked position" true
-    (List.mem ("r", 1) (Stickiness.marked_positions m));
+    (List.mem ("r", 1) (Analysis.marked_positions m));
   Alcotest.(check bool) "s[0] marked position" true
-    (List.mem ("s", 0) (Stickiness.marked_positions m));
-  Alcotest.(check int) "two marked occurrences" 2
-    (List.length (Stickiness.marked_occurrences m))
+    (List.mem ("s", 0) (Analysis.marked_positions m))
 
 let test_marking_propagation () =
   (* σa: s(X) :- t(X,Y)           — Y marked at t[1]
@@ -1199,12 +1218,12 @@ let test_marking_propagation () =
             [ atom "t" [ v "X"; v "Y" ] ] ]
       ()
   in
-  let m = Stickiness.mark p in
+  let m = Analysis.analyse p in
   let sb = List.find (fun (t : Tgd.t) -> t.Tgd.name = "sb") p.Program.tgds in
   Alcotest.(check bool) "Y propagated into sb" true
-    (Stickiness.is_marked m sb "Y");
+    (Analysis.is_marked m sb "Y");
   Alcotest.(check bool) "u[1] marked" true
-    (List.mem ("u", 1) (Stickiness.marked_positions m))
+    (List.mem ("u", 1) (Analysis.marked_positions m))
 
 (* ------------------------------------------------------------------ *)
 (* Goal-directed restriction *)
@@ -1602,7 +1621,7 @@ let prop_proof_agrees_with_chase =
 let prop_rewrite_agrees_with_chase =
   QCheck.Test.make ~name:"rewriting = chase on acyclic programs" ~count:150
     program_arb (fun p ->
-      QCheck.assume (Rewrite.rewritable p);
+      QCheck.assume (Program.predicate_graph_acyclic p);
       let inst = Program.instance_of_facts p in
       match
         ( Answer.answer Answer.Chase p inst query_a,
@@ -2286,6 +2305,7 @@ let suites =
       [ case "proof depth vs step truncation" test_proof_depth_budget;
         case "proof pruned at max_depth is degraded"
           test_proof_depth_pruning_degrades;
+        case "engines out of scope are refused" test_out_of_scope_refused;
         case "rewrite CQ budget" test_rewrite_max_cqs_budget ] );
     ( "datalog.eval_corners",
       [ case "duplicate variables in an atom" test_eval_duplicate_vars_in_atom;

@@ -422,6 +422,59 @@ let test_fuzz_never_raises =
       ignore (Mdqa_context.Md_parser.check_string s);
       true)
 
+(* H050 and [Answer.answer] read one scope: on every well-formed
+   program of the corpus and the examples, the engine the hint names
+   answers a query over the first predicate, never refuses it. *)
+let test_hint_engine_accepted () =
+  let examples =
+    Sys.readdir "../examples" |> Array.to_list |> List.sort compare
+    |> List.map (Filename.concat "../examples")
+  in
+  let named = ref [] in
+  List.iter
+    (fun path ->
+      match Validate.check_file path with
+      | { Validate.parsed = Some { Parser.program; _ }; diags } -> (
+        match List.find_opt (fun d -> d.Diag.code = "H050") diags with
+        | None -> ()
+        | Some d ->
+          let engine =
+            List.assoc
+              (List.find
+                 (fun prefix ->
+                   String.starts_with ~prefix:("justified QA path: " ^ prefix)
+                     d.Diag.message)
+                 [ "FO rewriting"; "DeterministicWSQAns"; "budgeted chase" ])
+              [ ("FO rewriting", Answer.Rewrite);
+                ("DeterministicWSQAns", Answer.Proof);
+                ("budgeted chase", Answer.Chase) ]
+          in
+          named := engine :: !named;
+          let pred, n = List.hd (Program.predicates program) in
+          let xs = List.init n (fun i -> Term.Var (Printf.sprintf "X%d" i)) in
+          let q = Query.make ~head:xs [ Atom.make pred xs ] in
+          match
+            Answer.answer
+              ~guard:(Guard.create ~timeout:0.2 ())
+              engine program
+              (Program.instance_of_facts program)
+              q
+          with
+          | Answer.Refused d ->
+            Alcotest.failf "%s: H050 names %s, refused: %s" path
+              (Answer.engine_name engine) d.Diag.message
+          | Answer.Ok _ | Answer.Degraded _ | Answer.Inconsistent _ -> ())
+      | { Validate.parsed = None; _ } -> ())
+    (List.filter
+       (fun f -> Filename.check_suffix f ".dl")
+       (corpus_files () @ examples));
+  List.iter
+    (fun e ->
+      Alcotest.(check bool)
+        (Answer.engine_name e ^ " named somewhere")
+        true (List.mem e !named))
+    [ Answer.Chase; Answer.Proof; Answer.Rewrite ]
+
 let suites =
   [ ( "diag.corpus",
       [ Alcotest.test_case "golden corpus" `Quick test_corpus;
@@ -429,6 +482,8 @@ let suites =
         Alcotest.test_case "no escaping exceptions" `Quick
           test_corpus_never_raises;
         Alcotest.test_case "examples are clean" `Quick test_examples_clean;
+        Alcotest.test_case "the engine H050 names is in scope" `Quick
+          test_hint_engine_accepted;
         Alcotest.test_case "semantic errors carry real lines" `Quick
           test_error_lines;
         Alcotest.test_case "newlines inside strings are counted" `Quick

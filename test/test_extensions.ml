@@ -106,13 +106,10 @@ let test_rewrite_pruning_integration () =
       ()
   in
   let q = Query.make ~head:[ v "P" ] [ atom "copy" [ v "U"; v "P" ] ] in
-  (match Rewrite.rewrite ~prune:false p q with
+  (match Rewrite.rewrite p q with
    | Guard.Complete r ->
-     Alcotest.(check int) "unpruned has 3 disjuncts" 3 (List.length r.Rewrite.ucq)
-   | Guard.Degraded (_, e) ->
-     Alcotest.failf "degraded: %s" (Guard.resource_name e.Guard.resource));
-  (match Rewrite.rewrite ~prune:true p q with
-   | Guard.Complete r ->
+     Alcotest.(check int) "unpruned has 3 disjuncts" 3
+       (List.length r.Rewrite.ucq + r.Rewrite.pruned);
      Alcotest.(check int) "pruned drops the guarded variant" 2
        (List.length r.Rewrite.ucq);
      Alcotest.(check int) "reports 1 pruned" 1 r.Rewrite.pruned

@@ -348,6 +348,7 @@ let test_query_degraded_partial_answers () =
   match Answer.of_fixpoint ~guard r q with
   | Answer.Ok _ -> Alcotest.fail "expected degradation"
   | Answer.Inconsistent _ -> Alcotest.fail "unexpected inconsistency"
+  | Answer.Refused _ -> Alcotest.fail "the chase is never refused"
   | Answer.Degraded { partial; exhaustion } ->
     check_resource "steps named" Guard.Steps (Some exhaustion.Guard.resource);
     Alcotest.(check bool) "some but not all answers" true

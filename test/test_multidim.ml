@@ -437,14 +437,14 @@ let test_ontology_classes () =
   let m = Hospital.ontology () in
   let report = Md_ontology.classes m in
   Alcotest.(check bool) "weakly sticky (paper claim)" true
-    report.Classes.weakly_sticky;
-  Alcotest.(check bool) "not sticky" false report.Classes.sticky;
-  Alcotest.(check bool) "not linear" false report.Classes.linear
+    report.Analysis.weakly_sticky;
+  Alcotest.(check bool) "not sticky" false report.Analysis.sticky;
+  Alcotest.(check bool) "not linear" false report.Analysis.linear
 
 let test_ontology_separability () =
   let m = Hospital.ontology () in
   Alcotest.(check bool) "EGD (6) separable over categorical positions" true
-    (Md_ontology.separability m).Separability.separable
+    (Md_ontology.separability m).Analysis.separable
 
 let test_ontology_chase_saturates () =
   let m = Hospital.ontology () in

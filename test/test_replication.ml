@@ -597,7 +597,8 @@ let test_replication_codes_registered () =
     [ ("E030", "replication-divergence"); ("E031", "replication-refused");
       ("W050", "stale-read"); ("H055", "promoted");
       ("E032", "unrepairable-store"); ("W051", "salvaged-from-generation");
-      ("W052", "journal-records-dropped"); ("H056", "quarantined-file") ]
+      ("W052", "journal-records-dropped"); ("H056", "quarantined-file");
+      ("E033", "engine-out-of-scope") ]
 
 let suites =
   [ ( "replication.codec",

@@ -1213,6 +1213,40 @@ let test_service_rejects_query_tail () =
     [ "q(W) :- patient_ward(W, D, P). ! :- patient_ward(W, D, P)";
       "q(W) :- patient_ward(W, D, P). X = Y :- patient_ward(W, X, Y)" ]
 
+(* A served rewrite request on a cyclic program is refused at once
+   (E033) instead of unfolding without end, and the server goes on to
+   answer the next request.  The request's 5 s timeout only bounds the
+   test where the refusal is missing: there it degrades, here it never
+   runs. *)
+let test_service_refuses_cyclic_rewrite () =
+  let file = Filename.temp_file "mdqa_graph" ".dl" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Out_channel.with_open_bin file (fun oc ->
+      for i = 1 to 8 do
+        for j = 1 to 8 do
+          if i <> j then Printf.fprintf oc "edge(n%d, n%d).\n" i j
+        done
+      done;
+      output_string oc
+        "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).\n");
+  let svc =
+    match Service.load ~program_file:file () with
+    | Ok svc -> svc
+    | Error _ -> Alcotest.fail "Service.load failed"
+  in
+  Fun.protect ~finally:(fun () -> Service.close svc) @@ fun () ->
+  let q = "q(Y) :- path(n1, Y)" in
+  let t0 = Unix.gettimeofday () in
+  (match Service.query svc ~timeout:5. ~engine:Answer.Rewrite q with
+   | Service.Bad_query d ->
+     Alcotest.(check string) "refused" "E033" d.Mdqa_datalog.Diag.code
+   | _ -> Alcotest.fail "cyclic rewrite was not refused");
+  Alcotest.(check bool) "at once" true (Unix.gettimeofday () -. t0 < 1.);
+  match Service.query svc ~engine:Answer.Chase q with
+  | Service.Answers l ->
+    Alcotest.(check int) "chase: 8 answers" 8 (List.length l)
+  | _ -> Alcotest.fail "chase request after the refusal not answered"
+
 (* A store-less service over examples/hospital.dl whose guard reads a
    fake clock that advances one second per reading and checks it on
    every tick: a request's [timeout] of [n + 0.5] trips on its
@@ -1483,6 +1517,8 @@ let suites =
         case "degraded chase query keeps its partial answers"
           test_service_degraded_keeps_partial;
         case "proof request honours its timeout" test_service_proof_timeout;
+        case "cyclic rewrite request is refused at once"
+          test_service_refuses_cyclic_rewrite;
         case "proof steps are not charged to the server budget"
           test_service_proof_steps_not_charged;
         case "spans reply: served scopes, float seconds, profile layers"

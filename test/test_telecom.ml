@@ -62,16 +62,16 @@ let test_two_dimension_rules () =
 let test_ontology_classes_and_separability () =
   let m = Telecom.ontology () in
   let report = Md_ontology.classes m in
-  Alcotest.(check bool) "weakly sticky" true report.Classes.weakly_sticky;
+  Alcotest.(check bool) "weakly sticky" true report.Analysis.weakly_sticky;
   Alcotest.(check bool) "weakly acyclic (full rules)" true
-    report.Classes.weakly_acyclic;
+    report.Analysis.weakly_acyclic;
   (* the crew EGD equates a plain attribute: the categorical-positions
      criterion refuses, the non-affected criterion accepts *)
   Alcotest.(check bool) "categorical-positions criterion fails" false
-    (Md_ontology.separability m).Separability.separable;
+    (Md_ontology.separability m).Analysis.separable;
   Alcotest.(check bool) "non-affected criterion passes" true
-    (Separability.non_affected_heads (Md_ontology.program m))
-      .Separability.separable
+    (Analysis.analyse (Md_ontology.program m)).Analysis.egds.Analysis
+      .separable
 
 (* --- the quality pipeline ------------------------------------------- *)
 
