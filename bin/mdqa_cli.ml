@@ -180,7 +180,9 @@ let file_arg =
 let max_steps_arg =
   Arg.(
     value & opt int 1_000_000
-    & info [ "max-steps" ] ~docv:"N" ~doc:"Chase step budget.")
+    & info [ "max-steps" ] ~docv:"N"
+        ~doc:"Step budget, shared by every engine: chase triggers and \
+              proof resolution steps.")
 
 let max_nulls_arg =
   Arg.(
@@ -547,14 +549,6 @@ let print_answers ?(partial = false) name answers =
   print_newline ();
   List.iter (fun t -> Format.printf "  %a@." R.Tuple.pp t) answers
 
-let goal_directed_arg =
-  Arg.(
-    value & flag
-    & info [ "goal-directed" ]
-        ~doc:
-          "With the chase engine: restrict the rules to those relevant \
-           to the query before chasing.")
-
 (* Remote answering: ship each -q query to a running [mdqa serve] and
    render its reply with the same shape (and exit codes) as local
    evaluation.  Transient failures — the server restarting, overload
@@ -630,7 +624,7 @@ let run_remote_query ~addr ~engine ~attempts ~budget ~timeout ~max_steps
   else exit_complete
 
 let run_query file remote retry_attempts retry_budget engine query_strings
-    goal_directed trace max_steps max_nulls timeout max_memory =
+    trace max_steps max_nulls timeout max_memory =
   run_protected @@ fun () ->
   with_tracer trace @@ fun () ->
   match remote with
@@ -662,7 +656,7 @@ let run_query file remote retry_attempts retry_budget engine query_strings
   let failed = ref false and degraded = ref false in
   List.iter
     (fun q ->
-      match Answer.answer ~guard ~goal_directed engine program inst q with
+      match Answer.answer ~guard engine program inst q with
       | Answer.Ok answers -> print_answers q.Query.name answers
       | Answer.Inconsistent f ->
         Format.printf "%s: inconsistent — %a@." q.Query.name Chase.pp_outcome
@@ -717,9 +711,8 @@ let query_cmd =
   Cmd.v (Cmd.info "query" ~doc:"Answer conjunctive queries over a program.")
     Cterm.(
       const run_query $ query_file_arg $ remote_arg $ retry_attempts_arg
-      $ retry_budget_arg $ engine_arg $ query_arg $ goal_directed_arg
-      $ trace_arg $ max_steps_arg $ max_nulls_arg $ timeout_arg
-      $ max_memory_arg)
+      $ retry_budget_arg $ engine_arg $ query_arg $ trace_arg $ max_steps_arg
+      $ max_nulls_arg $ timeout_arg $ max_memory_arg)
 
 (* --- classify -------------------------------------------------------- *)
 
@@ -778,12 +771,7 @@ let run_consistency file max_steps max_nulls timeout max_memory =
    | Chase.Saturated ->
      print_endline "consistent: all EGDs and constraints satisfied"
    | o -> Format.printf "%a@." Chase.pp_outcome o);
-  match r.Chase.outcome with
-  | Chase.Saturated -> exit_complete
-  | Chase.Out_of_budget e ->
-    report_degraded e;
-    exit_degraded
-  | Chase.Failed _ -> exit_error
+  chase_exit r
 
 let consistency_cmd =
   Cmd.v
@@ -865,8 +853,11 @@ let run_context file do_repair loads explain_n max_steps max_nulls timeout
        viols);
   Format.printf "Datalog± classes:@.%a@." Analysis.pp_classes
     (Md_ontology.classes ontology);
-  Format.printf "EGD separability: %a@." Analysis.pp_separability
-    (Md_ontology.separability ontology);
+  (* the verdict wraps as it would alone: the label does not move its
+     line breaks *)
+  Format.printf "EGD separability (categorical positions): %s@."
+    (Format.asprintf "%a" Analysis.pp_separability
+       (Md_ontology.separability ontology));
   Printf.printf "upward-only: %b\n\n" (Md_ontology.is_upward_only ontology);
   let guard = make_guard ~max_steps ~max_nulls ~timeout ~max_memory () in
   (* Assessment: a saturated chase prints the full report; a degraded
@@ -1264,33 +1255,6 @@ let serve_cmd =
 
 (* --- remote: raw line client (the chaos harness's scalpel) ----------- *)
 
-let connect_endpoint addr =
-  if String.contains addr '/' then (
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX addr);
-    fd)
-  else
-    match String.rindex_opt addr ':' with
-    | Some i when i > 0 && i < String.length addr - 1
-                  && int_of_string_opt
-                       (String.sub addr (i + 1) (String.length addr - i - 1))
-                     <> None ->
-      let host = String.sub addr 0 i in
-      let port =
-        int_of_string (String.sub addr (i + 1) (String.length addr - i - 1))
-      in
-      let inet =
-        try Unix.inet_addr_of_string host
-        with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (inet, port));
-      fd
-    | _ ->
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX addr);
-      fd
-
 let read_reply_line fd buf =
   let chunk = Bytes.create 4096 in
   let rec go () =
@@ -1326,7 +1290,7 @@ let run_remote_burst addr =
      done
    with End_of_file -> ());
   let requests = List.rev !requests in
-  let fd = connect_endpoint addr in
+  let fd = Client.connect addr in
   let buf = Buffer.create 256 in
   let rc = ref exit_complete in
   (match
@@ -1368,7 +1332,7 @@ let run_remote_raw addr slow use_retry burst =
     Client.close client;
     !rc)
   else (
-    let fd = connect_endpoint addr in
+    let fd = Client.connect addr in
     let buf = Buffer.create 256 in
     let rc = ref exit_complete in
     (try
@@ -1777,17 +1741,8 @@ let run_profile_assess file json top max_steps max_nulls timeout max_memory
     List.iter
       (fun q -> ignore (Context.clean_answers ~partial a q))
       queries;
-    (match Context.degradation a with
-    | Some e -> report_degraded e
-    | None -> ());
-    let code =
-      match a.Context.chase.Chase.outcome with
-      | Chase.Failed _ -> exit_error
-      | Chase.Out_of_budget _ -> exit_degraded
-      | Chase.Saturated -> exit_complete
-    in
     profile_finish ~json ~top (Profile.snapshot p)
-      (Context.program context).Program.tgds code
+      (Context.program context).Program.tgds (chase_exit a.Context.chase)
   end
   else begin
     let { Parser.program; queries } =
@@ -1797,17 +1752,9 @@ let run_profile_assess file json top max_steps max_nulls timeout max_memory
     let r =
       Trace.with_span "assess" @@ fun () ->
       let r = Chase.run ~guard program inst in
-      (match r.Chase.outcome with
-      | Chase.Failed _ -> ()
-      | _ ->
-        List.iter
-          (fun q -> ignore (Query.certain ~guard r.Chase.instance q))
-          queries);
+      List.iter (fun q -> ignore (Answer.of_fixpoint ~guard r q)) queries;
       r
     in
-    (match r.Chase.outcome with
-    | Chase.Out_of_budget e -> report_degraded e
-    | _ -> ());
     profile_finish ~json ~top (Profile.snapshot p)
       program.Program.tgds (chase_exit r)
   end

@@ -46,16 +46,18 @@ let () =
    | Answer.Ok answers ->
      List.iter (fun t -> Format.printf "  answer: %a@." R.Tuple.pp t) answers
    | _ -> print_endline "  chase failed");
+  (* the search charges its resolution steps to the guard *)
+  let guard = Guard.unlimited () in
   let proof =
-    Proof.answer (Md_ontology.program m) (Md_ontology.instance m)
+    Proof.answer ~guard (Md_ontology.program m) (Md_ontology.instance m)
       Hospital.example5_query
   in
   Printf.printf
     "DeterministicWSQAns agrees (%d resolution steps, complete=%b):\n"
-    proof.Proof.steps
-    (Guard.degraded proof.Proof.answers = None);
+    (Guard.consumption guard).Guard.steps
+    (Guard.degraded proof = None);
   List.iter (fun t -> Format.printf "  answer: %a@." R.Tuple.pp t)
-    (Guard.value proof.Proof.answers);
+    (Guard.value proof);
 
   section "The generated shift value is not certain";
   let q_shift =

@@ -1,3 +1,5 @@
+module Tuple = Mdqa_relational.Tuple
+
 type engine = Analysis.engine = Chase | Proof | Rewrite
 
 let engine_name = Analysis.engine_name
@@ -30,16 +32,51 @@ let of_fixpoint ?guard (r : Chase.result) q =
     | Guard.Complete partial -> Degraded { partial; exhaustion }
     | degraded -> of_guarded degraded)
 
-let answer ?guard ?(goal_directed = false) ?max_steps engine program inst
-    (q : Query.t) =
+exception Undecided of Guard.exhaustion
+
+(* Consistency through the answering engine (arXiv:1312.7373 §III),
+   EGDs first as in a chase round.  An NC's witness is the first
+   null-free match of its body, else empty.  A proof found before a
+   trip counts.  @raise Undecided on a trip with none. *)
+let violation ask (program : Program.t) =
+  let answers ?cmps head body = ask (Query.make ?cmps ~head body) in
+  let first ?cmps head body =
+    match answers ?cmps head body with
+    | Guard.Degraded ([], e) -> raise (Undecided e)
+    | o -> List.nth_opt (Guard.value o) 0
+  in
+  let clash (egd : Egd.t) =
+    let l = egd.Egd.lhs and r = egd.Egd.rhs in
+    first ~cmps:[ Atom.Cmp.make Atom.Cmp.Neq l r ] [ l; r ] egd.Egd.body
+    |> Option.map (fun t ->
+           Chase.Egd_clash { egd; left = Tuple.get t 0; right = Tuple.get t 1 })
+  in
+  let violated (nc : Nc.t) =
+    let vars = Term.Var_set.elements (Nc.body_vars nc) and cmps = nc.Nc.cmps in
+    first ~cmps [] nc.Nc.body
+    |> Option.map (fun _ ->
+           let witness =
+             match
+               Guard.value (answers ~cmps (List.map Term.var vars) nc.Nc.body)
+             with
+             | t :: _ ->
+               Subst.of_list
+                 (List.mapi (fun i v -> (v, Term.Const (Tuple.get t i))) vars)
+             | [] -> Subst.empty
+           in
+           Chase.Nc_violation { nc; witness })
+  in
+  match List.find_map clash program.Program.egds with
+  | None -> List.find_map violated program.Program.ncs
+  | failure -> failure
+
+let answer ?guard engine program inst (q : Query.t) =
   match engine with
   | Chase ->
-    let program =
-      if goal_directed then
-        Program.restrict_to_goals program ~goals:(List.map Atom.pred q.body)
-      else program
-    in
-    of_fixpoint ?guard (Chase.run ?guard program inst) q
+    let goals = List.map Atom.pred q.body in
+    of_fixpoint ?guard
+      (Chase.run ?guard (Program.restrict_to_goals program ~goals) inst)
+      q
   | Proof | Rewrite -> (
     match Analysis.scope (Analysis.analyse program) engine with
     | Error why ->
@@ -48,6 +85,12 @@ let answer ?guard ?(goal_directed = false) ?max_steps engine program inst
            (Printf.sprintf "engine %s is out of scope (%s); the chase always \
                             applies"
               (engine_name engine) why))
-    | Ok () when engine = Proof ->
-      of_guarded (Proof.answer ?guard ?max_steps program inst q).Proof.answers
-    | Ok () -> of_guarded (Rewrite.answers ?guard program inst q))
+    | Ok () -> (
+      let ask q =
+        (if engine = Proof then Proof.answer else Rewrite.answers)
+          ?guard program inst q
+      in
+      match violation ask program with
+      | Some f -> Inconsistent f
+      | None -> of_guarded (ask q)
+      | exception Undecided exhaustion -> Degraded { partial = []; exhaustion }))

@@ -21,7 +21,7 @@ val engine_name : engine -> string
 type 'a outcome =
   | Ok of 'a
   | Inconsistent of Chase.failure
-      (** the chase failed a constraint; every tuple is entailed in
+      (** the program fails a constraint; every tuple is entailed in
           classical semantics, so no meaningful answer set exists *)
   | Degraded of {
       partial : 'a;
@@ -47,22 +47,19 @@ val of_fixpoint :
 
 val answer :
   ?guard:Guard.t ->
-  ?goal_directed:bool ->
-  ?max_steps:int ->
   engine ->
   Program.t ->
   Mdqa_relational.Instance.t ->
   Query.t ->
   Mdqa_relational.Tuple.t list outcome
-(** Certain answers by the given engine.  [Chase] runs {!Chase.run}
-    then {!of_fixpoint}; with [goal_directed] (off by default) the
-    program is first restricted to the rules relevant to the query's
-    predicates ({!Program.restrict_to_goals}).  [Proof] runs
-    {!Proof.answer} with [max_steps] as its own search budget; the
-    guard bounds its time, memory and cancellation.  [Rewrite] runs
-    {!Rewrite.answers} (at most 10,000 disjuncts, whatever the guard).
-    Both are first checked against {!Analysis.scope}: [Proof] needs a
-    weakly-sticky program, [Rewrite] an acyclic predicate graph, and
-    both separable EGDs (they ignore EGDs); outside it the answer is
-    [Refused].  Only [Chase] can be [Inconsistent]: the other engines
-    check no constraints. *)
+(** Certain answers by the given engine, bounded by [guard] alone.
+    [Chase] chases the program restricted to the query's goals
+    ({!Program.restrict_to_goals}), then reads it off ({!of_fixpoint}).
+    [Proof] ({!Proof.answer}) and [Rewrite] ({!Rewrite.answers}) run
+    only in their {!Analysis.scope} — [Proof] a weakly-sticky program,
+    [Rewrite] an acyclic one, both separable EGDs — else [Refused].
+    In scope they check consistency through the same engine first:
+    each EGD is asked as [clash(L, R) :- body, L != R] and each NC as
+    a boolean query; a hit is [Inconsistent] with the chase's failure,
+    and a trip before the check decides is [Degraded] with no
+    answers. *)

@@ -32,7 +32,6 @@ let make ?name ~body lhs rhs =
   in
   { name; body; lhs; rhs }
 
-let body_vars t = body_vars_of t.body
 
 let equated_vars t =
   let add acc = function

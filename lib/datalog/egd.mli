@@ -14,8 +14,6 @@ val make : ?name:string -> body:Atom.t list -> Term.t -> Term.t -> t
 (** @raise Invalid_argument if the body is empty or if a side is a
     variable that does not occur in the body. *)
 
-val body_vars : t -> Term.Var_set.t
-
 val equated_vars : t -> Term.Var_set.t
 (** The head variables (0, 1 or 2 of them; a side may be a constant). *)
 

@@ -102,9 +102,8 @@ let unlimited () = create ()
 
 (* Child budgets are capped by what remains of the parent's: a forked
    request can never spend more than the enclosing service has left. *)
-let fork ?max_steps ?max_nulls ?max_rows ?max_cqs ?max_repair_branches
-    ?max_checkpoint_bytes ?timeout g =
-  let rem limit used requested =
+let fork ?max_steps ?max_cqs ?timeout g =
+  let rem ?requested limit used =
     let remaining = Option.map (fun l -> max 0 (l - used)) limit in
     match (remaining, requested) with
     | None, r -> r
@@ -124,14 +123,12 @@ let fork ?max_steps ?max_nulls ?max_rows ?max_cqs ?max_repair_branches
       if b <= a then requested else inherited
   in
   { g with
-    max_steps = rem g.max_steps g.steps max_steps;
-    max_nulls = rem g.max_nulls g.nulls max_nulls;
-    max_rows = rem g.max_rows g.rows max_rows;
-    max_cqs = rem g.max_cqs g.cqs max_cqs;
-    max_repair_branches =
-      rem g.max_repair_branches g.repair_branches max_repair_branches;
-    max_checkpoint_bytes =
-      rem g.max_checkpoint_bytes g.checkpoint_bytes max_checkpoint_bytes;
+    max_steps = rem g.max_steps g.steps ?requested:max_steps;
+    max_nulls = rem g.max_nulls g.nulls;
+    max_rows = rem g.max_rows g.rows;
+    max_cqs = rem g.max_cqs g.cqs ?requested:max_cqs;
+    max_repair_branches = rem g.max_repair_branches g.repair_branches;
+    max_checkpoint_bytes = rem g.max_checkpoint_bytes g.checkpoint_bytes;
     deadline = Option.map fst limit;
     timeout = Option.map snd limit;
     started;

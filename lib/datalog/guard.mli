@@ -27,7 +27,7 @@ type resource =
   | Cqs  (** conjunctive queries produced by {!Rewrite} *)
   | Depth
       (** rule applications on one {!Proof} branch: a branch that
-          needed more than [max_depth] was pruned *)
+          needed more than the depth bound (32) was pruned *)
   | Repair_branches  (** hitting-set search branches in repairs *)
   | Checkpoint_bytes  (** bytes written to a chase checkpoint store *)
   | Deadline  (** wall-clock timeout *)
@@ -94,32 +94,25 @@ val unlimited : unit -> t
 (** A guard with no limits — still tracks consumption and supports
     cancellation. *)
 
-val fork :
-  ?max_steps:int ->
-  ?max_nulls:int ->
-  ?max_rows:int ->
-  ?max_cqs:int ->
-  ?max_repair_branches:int ->
-  ?max_checkpoint_bytes:int ->
-  ?timeout:float ->
-  t ->
-  t
-(** [fork parent] is a child guard for one unit of work inside a
-    long-running service: each child budget is the requested value
-    capped by what {e remains} of the parent's corresponding budget
-    (so a request can never spend more than the server has left), and
-    the child's deadline is the earlier of [timeout] seconds from now
-    and the parent's own deadline.  The clock, heap sampler, memory
-    watermark and [check_every] are inherited; consumption counters
-    start at zero.  Fold the child's spending back into the parent
-    with {!absorb} when the work finishes. *)
+val fork : ?max_steps:int -> ?max_cqs:int -> ?timeout:float -> t -> t
+(** [fork parent] is a child guard for one unit of work — a served
+    request, or an engine's own safety cap (proof steps, rewriting
+    disjuncts): a budget given here is capped by what {e remains} of
+    the parent's (so the work can never spend more than the parent has
+    left), every other budget is that remainder, and the deadline is
+    the earlier of [timeout] seconds from now and the parent's.  The
+    clock, heap sampler, memory watermark and [check_every] are
+    inherited, the cancellation flag copied as it is now (a later
+    {!cancel} of the parent does not reach the child); consumption
+    counters start at zero.  Fold the child's spending back into the
+    parent with {!absorb} when the work finishes, if it is the
+    parent's. *)
 
 val absorb : t -> t -> unit
 (** [absorb parent child] adds the child's counted consumption
     (steps, nulls, rows, cqs, repair branches, checkpoint bytes) into
-    the parent's counters.  Never raises — a service charging request
-    work back must not be torn down mid-reply; if a parent budget is
-    now exceeded, the parent's next [count_*] call trips it. *)
+    the parent's counters.  Never raises: if a parent budget is now
+    exceeded, the parent's next [count_*] call trips it. *)
 
 val cancel : t -> unit
 (** Request cooperative cancellation: the next check trips the guard

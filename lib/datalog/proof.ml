@@ -3,33 +3,20 @@ module Relation = Mdqa_relational.Relation
 module Tuple = Mdqa_relational.Tuple
 module Value = Mdqa_relational.Value
 
-type result = {
-  answers : Tuple.t list Guard.outcome;
-  steps : int;
-}
-
 exception Proved
 
-(* Runs the search; a stop — [max_steps] or a guard trip — is returned
-   as its report, after the answers emitted so far have been kept.  A
-   search that ran to its end but pruned a branch at [max_depth] is
-   reported as a [Depth] exhaustion: answers may be missing. *)
-let search ?guard ?(max_depth = 32) ?(max_steps = 2_000_000)
-    (program : Program.t) inst (q : Query.t) ~steps ~emit =
+(* Rule applications per branch: polynomially bounded for WS programs,
+   a fixed safety bound until the search is tabled. *)
+let max_depth = 32
+
+(* Runs the search under [guard], one step per resolution; a stop — a
+   trip of [guard] — is returned as its report, after the answers
+   emitted so far have been kept.  A search that ran to its end but
+   pruned a branch at [max_depth] is reported as a [Depth] exhaustion:
+   answers may be missing. *)
+let search guard (program : Program.t) inst (q : Query.t) ~emit =
   let rename_counter = ref 0 and pruned = ref false in
   let fresh = Value.Fresh.create ~start:1_000_000 () in
-  (* a resolution step ticks the guard (deadline, memory, cancel) but is
-     not charged to its step budget: [max_steps] is this search's own *)
-  let tick () =
-    incr steps;
-    if !steps > max_steps then
-      raise
-        (Guard.Exhausted
-           { Guard.resource = Guard.Steps;
-             limit = float_of_int max_steps;
-             used = float_of_int !steps });
-    Option.iter Guard.tick guard
-  in
   (* Comparisons: ground ones must hold and must not involve nulls
      (a null-dependent comparison is not certain). *)
   let check_cmps s cmps =
@@ -47,7 +34,7 @@ let search ?guard ?(max_depth = 32) ?(max_steps = 2_000_000)
     go [] cmps
   in
   let rec resolve goals s lemmas depth cmps =
-    tick ();
+    Guard.count_step guard;
     match check_cmps s cmps with
     | None -> ()
     | Some pending -> (
@@ -134,27 +121,28 @@ let certain_image (q : Query.t) s =
     Some (Tuple.of_list consts)
   else None
 
-let answer ?guard ?max_depth ?max_steps program inst q =
-  let steps = ref 0 in
+(* The search's own safety cap: a fork of the caller's guard, so the
+   caller's step budget, deadline, memory watermark and cancellation
+   (as of the fork) bound it too, and its steps are charged back. *)
+let run ?(guard = Guard.unlimited ()) program inst q ~emit =
+  let g = Guard.fork ~max_steps:2_000_000 guard in
+  Fun.protect ~finally:(fun () -> Guard.absorb guard g) @@ fun () ->
+  search g program inst q ~emit
+
+let answer ?guard program inst q =
   let found = ref Tuple.Set.empty in
   let stop =
-    search ?guard ?max_depth ?max_steps program inst q ~steps ~emit:(fun s ->
+    run ?guard program inst q ~emit:(fun s ->
         Option.iter
           (fun t -> found := Tuple.Set.add t !found)
           (certain_image q s))
   in
   let answers = Tuple.Set.elements !found in
-  { answers =
-      (match stop with
-       | None -> Guard.Complete answers
-       | Some e -> Guard.Degraded (answers, e));
-    steps = !steps }
+  match stop with
+  | None -> Guard.Complete answers
+  | Some e -> Guard.Degraded (answers, e)
 
-let entails ?max_depth ?max_steps program inst q =
-  let steps = ref 0 in
-  match
-    search ?max_depth ?max_steps program inst q ~steps
-      ~emit:(fun _ -> raise Proved)
-  with
+let entails program inst q =
+  match run program inst q ~emit:(fun _ -> raise Proved) with
   | _ -> false
   | exception Proved -> true

@@ -22,47 +22,40 @@
     atoms in the extensional database").  Answers containing nulls are
     not certain and are filtered.
 
-    EGDs and negative constraints are not used by the search: apply it
-    to programs whose EGDs are separable (see {!Separability}) and
-    whose consistency has been checked (e.g. by {!Chase.run}).
+    EGDs and negative constraints are not used by the search:
+    {!Answer.answer} runs it only on programs whose EGDs are separable
+    ({!Analysis.scope}), and checks their consistency through this
+    same search first.
 
-    Proof depth is polynomially bounded for WS programs; [max_depth]
-    bounds rule applications per branch and [max_steps] bounds the
-    total search as engineering safety.  A search that pruned a branch
-    at [max_depth] may have missed answers, so it is reported as a
-    {!Guard.Depth} exhaustion, never as complete.  A {!Guard.t} bounds its wall
-    time, memory and cancellation like every other engine's. *)
-
-type result = {
-  answers : Mdqa_relational.Tuple.t list Guard.outcome;
-      (** certain answers (null-free head images), sorted, deduplicated;
-          [Degraded] with the answers found so far when [max_steps] or
-          the guard stopped the search, or when a branch was pruned at
-          [max_depth] *)
-  steps : int;  (** resolution steps performed *)
-}
+    Proof depth is polynomially bounded for WS programs; a fixed depth
+    of 32 rule applications per branch bounds it here as engineering
+    safety.  A search that pruned a branch at that depth may have
+    missed answers, so it is reported as a {!Guard.Depth} exhaustion,
+    never as complete. *)
 
 val answer :
   ?guard:Guard.t ->
-  ?max_depth:int ->
-  ?max_steps:int ->
   Program.t ->
   Mdqa_relational.Instance.t ->
   Query.t ->
-  result
-(** Defaults: [max_depth] 32, [max_steps] 2_000_000.  Every resolution
-    step ticks [guard] ({!Guard.tick}: deadline, memory watermark,
-    cancellation) but is not charged to its step budget; [max_steps]
-    is the search's own, and running past it is reported as a
-    {!Guard.Steps} exhaustion. *)
+  Mdqa_relational.Tuple.t list Guard.outcome
+(** Certain answers (null-free head images), sorted, deduplicated;
+    [Degraded] with the answers found so far when a budget stopped the
+    search, or when a branch was pruned at the depth bound.  Every
+    resolution step is one step of a {!Guard.fork} of [guard] capped at
+    2,000,000 steps: the caller's step budget, deadline, memory
+    watermark and cancellation bound the search too, and its steps are
+    charged back to [guard] ({!Guard.absorb}), where the caller reads
+    them.  Running out is a {!Guard.Steps} exhaustion reporting the
+    fork's limit: what was left of [guard]'s step budget, or the cap.
+    The fork copies [guard]'s cancellation flag when it is made, so a
+    later {!Guard.cancel} does not reach a search under way. *)
 
 val entails :
-  ?max_depth:int ->
-  ?max_steps:int ->
   Program.t ->
   Mdqa_relational.Instance.t ->
   Query.t ->
   bool
 (** Boolean conjunctive query answering: is there an accepting
     resolution proof schema?  (short-circuits on the first proof;
-    [false] when the search is stopped first) *)
+    [false] when the 2,000,000-step cap stops the search first) *)

@@ -73,21 +73,16 @@ let applicable ~ex_vars ~counts (goal : Atom.t) (head_atom : Atom.t) =
     (Atom.args goal) (Atom.args head_atom)
 
 (* Unfold [q] depth-first, handing each new disjunct to [on_cq] as it
-   is produced (after charging it to [max_cqs] and the guard's CQ
-   budget), and counting unfolding steps in [expansions].
+   is produced (after charging it to the guard's CQ budget), and
+   counting unfolding steps in [expansions].
    @raise Guard.Exhausted on a trip. *)
-let unfold ?(guard = Guard.unlimited ()) ~max_cqs ~expansions
-    (program : Program.t) (q : Query.t) ~on_cq =
+let unfold guard ~expansions (program : Program.t) (q : Query.t) ~on_cq =
   let seen = Hashtbl.create 64 in
   let counter = ref 0 in
   let rec add (head, body, cmps) =
     let key = canonical_key head body cmps in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
-      let used = float_of_int (Hashtbl.length seen)
-      and limit = float_of_int max_cqs in
-      if used > limit then
-        raise (Guard.Exhausted { resource = Cqs; limit; used });
       Guard.count_cq guard;
       on_cq (Query.make ~name:q.Query.name ~cmps ~head body);
       expand (head, body, cmps)
@@ -132,33 +127,40 @@ let unfold ?(guard = Guard.unlimited ()) ~max_cqs ~expansions
   @@ fun () ->
   add (q.Query.head, q.Query.body, q.Query.cmps)
 
-let rewrite ?guard ?(max_cqs = 10_000) program q =
-  let out = ref [] and expansions = ref 0 in
-  let finish () =
-    (* latest disjunct first *)
-    let ucq = !out in
-    let kept = Containment.prune_ucq ucq in
-    { ucq = kept;
-      expansions = !expansions;
-      pruned = List.length ucq - List.length kept }
+(* The unfolding's own cap of 10,000 disjuncts: a fork of the caller's
+   guard, which bounds it too and is charged what it spent. *)
+let capped ?(guard = Guard.unlimited ()) f ~finish =
+  let g = Guard.fork ~max_cqs:10_000 guard in
+  let outcome =
+    match f g with
+    | () -> Guard.Complete (finish ())
+    | exception Guard.Exhausted e -> Guard.Degraded (finish (), e)
   in
-  match
-    unfold ?guard ~max_cqs ~expansions program q ~on_cq:(fun cq ->
-        out := cq :: !out)
-  with
-  | () -> Guard.Complete (finish ())
-  | exception Guard.Exhausted e -> Guard.Degraded (finish (), e)
+  Guard.absorb guard g;
+  outcome
 
-let answers ?guard ?(max_cqs = 10_000) program inst q =
+let rewrite ?guard program q =
+  let out = ref [] and expansions = ref 0 in
+  capped ?guard
+    (fun g ->
+      unfold g ~expansions program q ~on_cq:(fun cq -> out := cq :: !out))
+    ~finish:(fun () ->
+      (* latest disjunct first *)
+      let ucq = !out in
+      let kept = Containment.prune_ucq ucq in
+      { ucq = kept;
+        expansions = !expansions;
+        pruned = List.length ucq - List.length kept })
+
+let answers ?guard program inst q =
   let all = ref Tuple.Set.empty in
-  let on_cq cq =
-    List.iter
-      (fun t -> all := Tuple.Set.add t !all)
-      (Query.certain ?guard inst cq)
-  in
-  match unfold ?guard ~max_cqs ~expansions:(ref 0) program q ~on_cq with
-  | () -> Guard.Complete (Tuple.Set.elements !all)
-  | exception Guard.Exhausted e -> Guard.Degraded (Tuple.Set.elements !all, e)
+  capped ?guard
+    (fun g ->
+      unfold g ~expansions:(ref 0) program q ~on_cq:(fun cq ->
+          List.iter
+            (fun t -> all := Tuple.Set.add t !all)
+            (Query.certain ~guard:g inst cq)))
+    ~finish:(fun () -> Tuple.Set.elements !all)
 
 let pp_rewriting ppf r =
   Format.fprintf ppf "@[<v>UCQ with %d disjuncts (%d expansions, %d pruned):"

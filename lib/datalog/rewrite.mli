@@ -15,7 +15,7 @@
     Termination: when the program's predicate graph is acyclic —
     syntactically guaranteed for upward-only multidimensional
     ontologies, where rules only move data to strictly higher category
-    levels — unfolding terminates.  A disjunct cap ([max_cqs]) and a
+    levels — unfolding terminates.  A cap of 10,000 disjuncts and the
     {!Guard.t} (CQ budget, deadline, memory, cancellation) bound cyclic
     or explosive inputs: the rewriting degrades to the disjuncts
     produced so far instead of diverging.  Only a deadline bounds the
@@ -29,29 +29,27 @@ type rewriting = {
 }
 
 val rewrite :
-  ?guard:Guard.t -> ?max_cqs:int -> Program.t -> Query.t ->
-  rewriting Guard.outcome
-(** At most [max_cqs] (default 10_000) disjuncts are produced, under
-    any [guard] or none: past it the rewriting degrades with a
-    {!Guard.Cqs} exhaustion, as past the guard's own CQ budget.
-    Disjuncts contained in another disjunct are removed via
-    {!Containment}.  [Degraded] carries
-    the (pruned) disjuncts produced before the budget ran out — each
-    one a sound member of the union. *)
+  ?guard:Guard.t -> Program.t -> Query.t -> rewriting Guard.outcome
+(** Each disjunct is one CQ of a {!Guard.fork} of [guard] capped at
+    10,000: past the cap, or past what was left of [guard]'s CQ
+    budget, the rewriting degrades with a {!Guard.Cqs} exhaustion
+    reporting that limit.  What the unfolding spent is charged back to
+    [guard] ({!Guard.absorb}).  Disjuncts contained in another
+    disjunct are removed via {!Containment}.  [Degraded] carries the
+    (pruned) disjuncts produced before the budget ran out — each one a
+    sound member of the union. *)
 
 val answers :
   ?guard:Guard.t ->
-  ?max_cqs:int ->
   Program.t ->
   Mdqa_relational.Instance.t ->
   Query.t ->
   Mdqa_relational.Tuple.t list Guard.outcome
 (** Rewrite, evaluating each disjunct on the extensional instance under
-    the guard as soon as it is produced (no containment pruning: a
+    the same fork as soon as it is produced (no containment pruning: a
     pruned disjunct's answers are a subset of another's); null-free
-    answers only, sorted and deduplicated.  [max_cqs] caps the
-    disjuncts as in {!rewrite}.  [Degraded] answers are a sound
-    under-approximation: those of the disjuncts evaluated before the
-    trip. *)
+    answers only, sorted and deduplicated.  The disjunct cap is
+    {!rewrite}'s.  [Degraded] answers are a sound under-approximation:
+    those of the disjuncts evaluated before the trip. *)
 
 val pp_rewriting : Format.formatter -> rewriting -> unit

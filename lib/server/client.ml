@@ -1,7 +1,5 @@
-type endpoint = Unix_path of string | Tcp of string * int
-
 type t = {
-  endpoints : endpoint array;  (** at least one; [current] rotates *)
+  endpoints : string array;  (** at least one; [current] rotates *)
   policy : Backoff.policy;
   rand : float -> float;
   mutable current : int;
@@ -13,20 +11,6 @@ type t = {
   mutable rotations : int;  (** failovers to another endpoint *)
 }
 
-let parse_addr s =
-  if String.contains s '/' then Unix_path s
-  else
-    match String.rindex_opt s ':' with
-    | Some i when i > 0 && i < String.length s - 1 -> (
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some port -> Tcp (String.sub s 0 i, port)
-      | None -> Unix_path s)
-    | _ -> Unix_path s
-
-let string_of_endpoint = function
-  | Unix_path p -> p
-  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-
 let create ?(policy = Backoff.default_policy) ?(rand = Random.float) ~addr () =
   Fdio.ignore_sigpipe ();
   let parts =
@@ -35,7 +19,7 @@ let create ?(policy = Backoff.default_policy) ?(rand = Random.float) ~addr () =
     |> List.filter (fun s -> s <> "")
   in
   let parts = if parts = [] then [ addr ] else parts in
-  { endpoints = Array.of_list (List.map parse_addr parts);
+  { endpoints = Array.of_list parts;
     policy;
     rand;
     current = 0;
@@ -56,10 +40,8 @@ let close = disconnect
 let retries t = t.retries
 let retried_total t = t.retried_total
 let rotations t = t.rotations
-let current_addr t = string_of_endpoint t.endpoints.(t.current)
-
-let endpoints t =
-  Array.to_list (Array.map string_of_endpoint t.endpoints)
+let current_addr t = t.endpoints.(t.current)
+let endpoints t = Array.to_list t.endpoints
 
 (* Which parsed replies are worth retrying.  An overload shed always
    is (the server said "come back later").  An E029 — the request died
@@ -89,46 +71,49 @@ let endpoint_down = function
     true
   | _ -> false
 
-let connect_fd ep =
-  let attempt fd sockaddr =
+let connect addr =
+  let connect_to domain sockaddr =
+    let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
     try
       Unix.connect fd sockaddr;
-      Ok fd
+      fd
     with e ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (endpoint_down e, Printexc.to_string e)
+      raise e
   in
-  match ep with
-  | Unix_path path ->
-    attempt
-      (Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0)
-      (Unix.ADDR_UNIX path)
-  | Tcp (host, port) -> (
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    match
+  let tcp =
+    match String.rindex_opt addr ':' with
+    | Some i when i > 0 && not (String.contains addr '/') ->
+      Option.map
+        (fun port -> (String.sub addr 0 i, port))
+        (int_of_string_opt
+           (String.sub addr (i + 1) (String.length addr - i - 1)))
+    | _ -> None
+  in
+  match tcp with
+  | None -> connect_to Unix.PF_UNIX (Unix.ADDR_UNIX addr)
+  | Some (host, port) ->
+    let inet =
       try Unix.inet_addr_of_string host
       with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with
-    | inet -> attempt fd (Unix.ADDR_INET (inet, port))
-    | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (endpoint_down e, Printexc.to_string e))
+    in
+    connect_to Unix.PF_INET (Unix.ADDR_INET (inet, port))
 
 let ensure_connected t =
   match t.fd with
   | Some fd -> Ok fd
   | None -> (
-    match connect_fd t.endpoints.(t.current) with
-    | Ok fd ->
+    let addr = t.endpoints.(t.current) in
+    match connect addr with
+    | fd ->
       t.fd <- Some fd;
       Ok fd
-    | Error (down, msg) ->
-      let failed = string_of_endpoint t.endpoints.(t.current) in
-      if down && Array.length t.endpoints > 1 then begin
+    | exception e ->
+      if endpoint_down e && Array.length t.endpoints > 1 then begin
         t.current <- (t.current + 1) mod Array.length t.endpoints;
         t.rotations <- t.rotations + 1
       end;
-      Error (Printf.sprintf "%s: %s" failed msg))
+      Error (Printf.sprintf "%s: %s" addr (Printexc.to_string e)))
 
 let read_reply t fd =
   let chunk = Bytes.create 65536 in

@@ -30,10 +30,16 @@ val create :
   unit ->
   t
 (** [addr] is one endpoint or a comma-separated failover list tried in
-    order.  Each endpoint is a Unix socket path, or [host:port] when
-    the suffix after the last [:] parses as a port and the string
-    contains no [/].  No connection is made until the first
-    {!roundtrip}. *)
+    order, each one as {!connect} reads it.  No connection is made
+    until the first {!roundtrip}. *)
+
+val connect : string -> Unix.file_descr
+(** Connect once, without retries, to one endpoint: a Unix socket path,
+    or [host:port] when the suffix after the last [:] parses as a port
+    and the string contains no [/].  {!create}'s endpoints follow the
+    same rule.
+    @raise Unix.Unix_error when the connection fails, [Not_found] for
+    an unknown host. *)
 
 val roundtrip :
   ?idempotent:bool -> t -> string -> (Protocol.reply, string) result

@@ -261,18 +261,17 @@ let query t ?timeout ?max_steps ~engine qtext =
         (Diag.make ~file:"<query>" Diag.Error ~code:"E012"
            (Printf.sprintf "unknown predicate %s" (Atom.pred a)))
     | [] -> (
-      let child = Guard.fork ?timeout ?max_steps t.guard in
+      (* a request is bounded by its own fork and charges nothing
+         back: no run of requests can spend the server's budgets *)
+      let guard = Guard.fork ?timeout ?max_steps t.guard in
       let outcome =
-        match (engine, t.warm.Chase.outcome) with
-        | Answer.Chase, _ | _, Chase.Failed _ ->
+        match engine with
+        | Answer.Chase ->
           (* the whole point of serving: evaluate over the warm
-             fixpoint, no re-chase; an inconsistent ontology answers
-             nothing, whatever the engine *)
-          Answer.of_fixpoint ~guard:child t.warm q
-        | engine, _ ->
-          Answer.answer ~guard:child ?max_steps engine t.program t.base q
+             fixpoint, no re-chase *)
+          Answer.of_fixpoint ~guard t.warm q
+        | engine -> Answer.answer ~guard engine t.program t.base q
       in
-      Guard.absorb t.guard child;
       match outcome with
       | Answer.Ok answers -> Answers answers
       | Answer.Degraded { partial; exhaustion } ->

@@ -84,8 +84,9 @@ type query_outcome =
       (** E002 / E012, or E033 ({!Mdqa_datalog.Answer.Refused}): reply
           error *)
   | Inconsistent of string
-      (** {!Mdqa_datalog.Answer.Inconsistent}: the warm chase failed a
-          constraint; no meaningful answers *)
+      (** {!Mdqa_datalog.Answer.Inconsistent}: the program fails a
+          constraint (found by the warm chase, or by the proof or
+          rewrite engine's own check); no meaningful answers *)
 
 val query :
   t ->
@@ -96,11 +97,11 @@ val query :
   query_outcome
 (** Answer one query given in surface syntax.  The chase engine reads
     the warm fixpoint ({!Mdqa_datalog.Answer.of_fixpoint}); the others
-    run {!Mdqa_datalog.Answer.answer} over the base facts.
-    [timeout]/[max_steps] bound this request via a guard fork
-    ([max_steps] is also the proof search's own step budget); its
-    consumption is folded back into the server guard afterwards.
-    Never raises. *)
+    run {!Mdqa_datalog.Answer.answer} over the base facts, which checks
+    consistency through the engine itself.  [timeout]/[max_steps] bound
+    this request via a guard fork, whatever the engine; the fork's
+    consumption is not charged back to the server guard, so requests
+    can never spend the server's budgets.  Never raises. *)
 
 val request_served : t -> unit
 (** Count one served request.  Every [checkpoint_every]-th one checks

@@ -54,6 +54,26 @@ for e in proof rewrite; do
   esac
 done
 
+# Every engine checks consistency itself: a violated NC and an EGD
+# clash are inconsistent (exit 1) under the chase, proof search and FO
+# rewriting alike.
+inconsistent() {
+  # $1 = corpus program, $2 = a boolean query named yes over it
+  for e in chase proof rewrite; do
+    out=$(timeout 60 "$exe" query "corpus/$1" -e "$e" -q "$2" 2>/dev/null)
+    got=$?
+    case "$got $out" in
+      "1 yes: inconsistent — "*) ;;
+      *)
+        echo "check-cli FAIL: query -e $e on $1 exited $got ($out), want 1 with inconsistent" >&2
+        status=1
+        ;;
+    esac
+  done
+}
+inconsistent inconsistent_nc.dl 'yes() :- p(a)'
+inconsistent inconsistent_egd.dl 'yes() :- r(a, b)'
+
 # one pass reports every error: at least 2 "error E..." diagnostics
 n=$(timeout 60 "$exe" check corpus/syntax_multi.mdq 2>/dev/null \
       | grep -c "error E")

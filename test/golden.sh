@@ -5,9 +5,10 @@
 # non-homogeneous hierarchies),
 # `mdqa chase` stdout on every example .dl and on the corpus's
 # interleaved-facts and EGD-window programs, `mdqa query` stdout under
-# the chase, rewrite and proof engines on examples/hospital.dl and the
+# the chase, rewrite and proof engines on examples/hospital.dl, the
 # EGD-window program (free, bound, boolean, head-constant and null-carrying
-# queries), and the stdout of every example executable under
+# queries) and the two inconsistent programs (one NC, one EGD clash),
+# and the stdout of every example executable under
 # ../examples, must equal the committed files under golden/ byte for
 # byte.
 # Front-end and rendering changes that promise identical output are
@@ -48,19 +49,27 @@ for f in ../examples/*.dl corpus/interleaved_facts.dl corpus/egd_window.dl; do
   check "golden/chase/$(basename "$f").out" "$exe" chase "$f"
 done
 
-for e in chase rewrite proof; do
-  check "golden/query/hospital.dl.$e.out" "$exe" query ../examples/hospital.dl \
-    -e "$e" -q 'free(U, D, P) :- patient_unit(U, D, P)' \
-    -q 'bound(D) :- patient_unit(standard, D, tom)' \
-    -q 'yes() :- patient_unit(terminal, D, lou)' \
-    -q 'no() :- patient_unit(terminal, sep7, lou)' \
-    -q 'consts(standard, P, P) :- patient_unit(standard, D, P)' \
-    -q 'nulls(W, N, S) :- shifts(W, sep5, N, S)'
-  check "golden/query/egd_window.dl.$e.out" "$exe" query corpus/egd_window.dl \
-    -e "$e" -q 'free(I, U) :- institution_unit(I, U)' \
-    -q 'bound(P) :- patient_unit(intensive, D, P)' \
-    -q 'yes() :- staffed(h1, W, tom)'
-done
+# one golden per engine for a program and its -q queries
+query_goldens() {
+  prog="$1"
+  shift
+  for e in chase rewrite proof; do
+    check "golden/query/$(basename "$prog").$e.out" "$exe" query "$prog" \
+      -e "$e" "$@"
+  done
+}
+query_goldens ../examples/hospital.dl -q 'free(U, D, P) :- patient_unit(U, D, P)' \
+  -q 'bound(D) :- patient_unit(standard, D, tom)' \
+  -q 'yes() :- patient_unit(terminal, D, lou)' \
+  -q 'no() :- patient_unit(terminal, sep7, lou)' \
+  -q 'consts(standard, P, P) :- patient_unit(standard, D, P)' \
+  -q 'nulls(W, N, S) :- shifts(W, sep5, N, S)'
+query_goldens corpus/egd_window.dl -q 'free(I, U) :- institution_unit(I, U)' \
+  -q 'bound(P) :- patient_unit(intensive, D, P)' \
+  -q 'yes() :- staffed(h1, W, tom)'
+query_goldens corpus/inconsistent_nc.dl -q 'free(X) :- q(X)' -q 'yes() :- p(a)'
+query_goldens corpus/inconsistent_egd.dl -q 'free(X, Y) :- s(X, Y)' \
+  -q 'yes() :- r(a, b)'
 
 # the example executables: beside the script under dune, else in the
 # build tree (for --update from the source tree after `dune build`)

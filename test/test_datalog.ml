@@ -578,10 +578,10 @@ let test_proof_edb_only () =
   let q = Query.make ~head:[ v "X" ] [ atom "e" [ v "X"; s "b" ] ] in
   let r = Proof.answer p edge_inst q in
   Alcotest.(check bool) "complete" true
-    (Guard.degraded r.Proof.answers = None);
+    (Guard.degraded r = None);
   Alcotest.(check (list tuple_testable)) "a"
     [ R.Tuple.of_list [ R.Value.sym "a" ] ]
-    (Guard.value r.Proof.answers)
+    (Guard.value r)
 
 let test_proof_via_rule () =
   let p =
@@ -596,7 +596,7 @@ let test_proof_via_rule () =
   let q = Query.make ~head:[ v "Z" ] [ atom "t" [ s "a"; v "Z" ] ] in
   let r = Proof.answer p edge_inst q in
   Alcotest.(check int) "b, c, d reachable" 3
-    (List.length (Guard.value r.Proof.answers))
+    (List.length (Guard.value r))
 
 let test_proof_existential_not_answer () =
   (* father invented by rule: entailed as BCQ but no certain answer *)
@@ -613,7 +613,7 @@ let test_proof_existential_not_answer () =
       (Query.make ~head:[ v "Y" ] [ atom "father" [ s "ann"; v "Y" ] ])
   in
   Alcotest.(check int) "no certain answer" 0
-    (List.length (Guard.value r.Proof.answers))
+    (List.length (Guard.value r))
 
 let test_proof_existential_blocks_constant () =
   (* the invented null cannot equal a constant *)
@@ -662,7 +662,7 @@ let test_proof_agrees_with_chase () =
     | Answer.Ok l -> l
     | _ -> Alcotest.fail "chase failed"
   in
-  let via_proof = Guard.value (Proof.answer p edge_inst q).Proof.answers in
+  let via_proof = Guard.value (Proof.answer p edge_inst q) in
   Alcotest.(check (list tuple_testable)) "same answers" via_chase via_proof
 
 (* ------------------------------------------------------------------ *)
@@ -777,7 +777,7 @@ let test_rewrite_cyclic_errors () =
   let q = Query.make ~head:[ v "X" ] [ atom "p" [ v "X" ] ] in
   (* unfolding p <-> q actually reaches a fixpoint of 2 CQs here; the
      canonicalizer must recognize the alpha-equivalent repeats *)
-  (match Rewrite.rewrite ~max_cqs:50 p q with
+  (match Rewrite.rewrite ~guard:(Guard.create ~max_cqs:50 ()) p q with
    | Guard.Complete r ->
      Alcotest.(check int) "two CQs" 2 (List.length r.Rewrite.ucq)
    | Guard.Degraded _ -> ())
@@ -897,8 +897,9 @@ let test_egd_merge_rows_scale () =
 (* Budgets and truncation behaviour *)
 
 let test_proof_depth_budget () =
-  (* transitive closure over a long chain: small depth misses distant
-     answers, and both the depth bound and max_steps truncation report
+  (* transitive closure over a chain: within the depth bound of 32 the
+     search is complete; over the 40-edge chain it misses the distant
+     answers, and both the depth bound and a guard's step budget report
      the answer set as partial *)
   let chain n =
     instance_of
@@ -916,20 +917,29 @@ let test_proof_depth_budget () =
       ()
   in
   let q = Query.make ~head:[ v "Z" ] [ atom "t" [ s "n0"; v "Z" ] ] in
-  let deep = Proof.answer ~max_depth:50 p (chain 10) q in
+  let deep = Proof.answer p (chain 10) q in
   Alcotest.(check int) "all 10 reachable" 10
-    (List.length (Guard.value deep.Proof.answers));
+    (List.length (Guard.value deep));
   Alcotest.(check bool) "deep search complete" true
-    (Guard.degraded deep.Proof.answers = None);
-  let shallow = Proof.answer ~max_depth:3 p (chain 10) q in
+    (Guard.degraded deep = None);
+  let { Parser.program = chain40; _ } =
+    Parser.parse_file "corpus/chain40.dl"
+  in
+  let shallow =
+    Proof.answer chain40
+      (Program.instance_of_facts chain40)
+      (Query.make ~head:[ v "Y" ] [ atom "path" [ s "n0"; v "Y" ] ])
+  in
   Alcotest.(check bool) "shallow finds fewer" true
-    (List.length (Guard.value shallow.Proof.answers) < 10);
+    (List.length (Guard.value shallow) < 40);
   Alcotest.(check bool) "depth pruning flagged" true
-    (Option.map (fun e -> e.Guard.resource) (Guard.degraded shallow.Proof.answers)
+    (Option.map (fun e -> e.Guard.resource) (Guard.degraded shallow)
      = Some Guard.Depth);
-  let truncated = Proof.answer ~max_steps:5 p (chain 10) q in
+  let truncated =
+    Proof.answer ~guard:(Guard.create ~max_steps:5 ()) p (chain 10) q
+  in
   Alcotest.(check bool) "step truncation flagged" false
-    (Guard.degraded truncated.Proof.answers = None)
+    (Guard.degraded truncated = None)
 
 (* A 40-edge chain: the chase finds all 40 nodes reachable from n0, and
    proof search at its default depth of 32 prunes the longer paths, so
@@ -951,7 +961,7 @@ let test_proof_depth_pruning_degrades () =
     Alcotest.(check int) "partial: 32 answers" 32 (List.length partial)
   | Answer.Ok l ->
     Alcotest.failf "proof reported %d answers as complete" (List.length l)
-  | Answer.Inconsistent _ -> Alcotest.fail "proof cannot be inconsistent"
+  | Answer.Inconsistent _ -> Alcotest.fail "chain40 is consistent"
   | Answer.Refused d -> Alcotest.failf "proof refused: %s" d.Diag.message
 
 (* egd_window.dl's EGD equates units at affected positions, so its
@@ -975,6 +985,40 @@ let test_out_of_scope_refused () =
       | _ -> Alcotest.failf "%s answered" (Answer.engine_name e))
     [ Answer.Proof; Answer.Rewrite ]
 
+(* One step budget bounds every engine: proof search on the complete
+   8-node graph, which would run to its 2,000,000-step cap, stops at
+   the guard's 1,000 steps and reports that limit. *)
+let test_proof_under_guard_steps () =
+  let node i = Printf.sprintf "n%d" i in
+  let edges =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j -> if i = j then None else Some [ node i; node j ])
+          (List.init 8 succ))
+      (List.init 8 succ)
+  in
+  let p =
+    Program.make
+      ~tgds:
+        [ tgd [ atom "edge" [ v "X"; v "Y" ] ] [ atom "path" [ v "X"; v "Y" ] ];
+          tgd
+            [ atom "edge" [ v "X"; v "Y" ]; atom "path" [ v "Y"; v "Z" ] ]
+            [ atom "path" [ v "X"; v "Z" ] ] ]
+      ()
+  in
+  let inst = instance_of [ ("edge", 2, edges); ("path", 2, []) ] in
+  let q = Query.make ~head:[ v "Y" ] [ atom "path" [ s "n1"; v "Y" ] ] in
+  match
+    Answer.answer ~guard:(Guard.create ~max_steps:1000 ()) Answer.Proof p inst
+      q
+  with
+  | Answer.Degraded { exhaustion = e; _ } ->
+    Alcotest.(check string) "steps" "steps"
+      (Guard.resource_name e.Guard.resource);
+    Alcotest.(check (float 0.)) "limit 1000" 1000. e.Guard.limit
+  | _ -> Alcotest.fail "expected a step-budget degradation"
+
 let test_rewrite_max_cqs_budget () =
   let p =
     Program.make
@@ -987,7 +1031,7 @@ let test_rewrite_max_cqs_budget () =
   let query = Query.make ~head:[ v "X" ] [ atom "q" [ v "X" ] ] in
   (* the cycle q <-> r converges here; a budget of 1 must degrade,
      naming the CQ resource and carrying the disjuncts produced *)
-  (match Rewrite.rewrite ~max_cqs:1 p query with
+  (match Rewrite.rewrite ~guard:(Guard.create ~max_cqs:1 ()) p query with
    | Guard.Degraded (r, e) ->
      Alcotest.(check bool) "cq resource named" true
        (e.Guard.resource = Guard.Cqs);
@@ -1258,6 +1302,8 @@ let test_restrict_keeps_constraint_feeders () =
   let r = Program.restrict_to_goals p ~goals:[ "other" ] in
   Alcotest.(check int) "feeder kept" 1 (List.length r.Program.tgds)
 
+(* The chase engine always chases the program restricted to the
+   query's goals: its answers are those read off the full fixpoint. *)
 let test_goal_directed_same_answers () =
   let p =
     Program.make
@@ -1267,8 +1313,8 @@ let test_goal_directed_same_answers () =
       ()
   in
   let q = Query.make ~head:[ v "X" ] [ atom "t" [ v "X"; v "Y" ] ] in
-  let a = Answer.answer Answer.Chase p edge_inst q in
-  let b = Answer.answer ~goal_directed:true Answer.Chase p edge_inst q in
+  let a = Answer.of_fixpoint (Chase.run p edge_inst) q in
+  let b = Answer.answer Answer.Chase p edge_inst q in
   (match a, b with
    | Answer.Ok xs, Answer.Ok ys ->
      Alcotest.(check bool) "same answers" true (xs = ys)
@@ -1609,8 +1655,9 @@ let prop_proof_agrees_with_chase =
       match Answer.answer Answer.Chase p inst query_a with
       | Answer.Ok via_chase ->
         (match
-           (Proof.answer ~max_depth:10 ~max_steps:100_000 p inst query_a)
-             .Proof.answers
+           (Proof.answer ~guard:(Guard.create ~max_steps:100_000 ()) p inst
+              query_a)
+             
          with
          | Guard.Complete l -> via_chase = l
          | Guard.Degraded (l, _) ->
@@ -2190,8 +2237,8 @@ let prop_goal_directed_same =
     program_arb (fun p ->
       let inst = Program.instance_of_facts p in
       match
-        ( Answer.answer Answer.Chase p inst query_a,
-          Answer.answer ~goal_directed:true Answer.Chase p inst query_a )
+        ( Answer.of_fixpoint (Chase.run p inst) query_a,
+          Answer.answer Answer.Chase p inst query_a )
       with
       | Answer.Ok xs, Answer.Ok ys -> xs = ys
       | _ -> QCheck.assume_fail ())
@@ -2303,9 +2350,11 @@ let suites =
       ] );
     ( "datalog.budgets",
       [ case "proof depth vs step truncation" test_proof_depth_budget;
-        case "proof pruned at max_depth is degraded"
+        case "proof pruned at the depth bound is degraded"
           test_proof_depth_pruning_degrades;
         case "engines out of scope are refused" test_out_of_scope_refused;
+        case "proof search stops at the guard's step budget"
+          test_proof_under_guard_steps;
         case "rewrite CQ budget" test_rewrite_max_cqs_budget ] );
     ( "datalog.eval_corners",
       [ case "duplicate variables in an atom" test_eval_duplicate_vars_in_atom;

@@ -230,18 +230,35 @@ let test_rewrite_stops_at_trip () =
     true (scanned <= 200)
 
 let test_rewrite_cap_under_guard () =
-  (* over an edgeless graph every disjunct evaluates at once, so only
-     the disjunct cap can end the unfolding: it must hold under a guard
-     that sets no CQ budget of its own (the deadline is a backstop) *)
+  (* 14 layers of [pK(X) :- pJ(X), aK(X)] and [pK(X) :- pJ(X), bK(X)]:
+     [p14(X)] unfolds into 2^15 - 1 disjuncts of at most 15 atoms, each
+     evaluated at once over empty relations, so only the unfolding's
+     own cap of 10,000 disjuncts can end it early; it must hold under a
+     guard that sets no CQ budget of its own (the deadline is a
+     backstop) *)
+  let layer k side =
+    let p j = atom (Printf.sprintf "p%d" j) [ v "X" ] in
+    tgd [ p (k - 1); atom (Printf.sprintf "%s%d" side k) [ v "X" ] ] [ p k ]
+  in
+  let p =
+    Program.make
+      ~tgds:
+        (List.concat_map
+           (fun k -> [ layer k "a"; layer k "b" ])
+           (List.init 14 succ))
+      ()
+  in
   let guard = Guard.create ~timeout:2. () in
   match
-    Rewrite.answers ~guard ~max_cqs:20 (dense_path_program ()) (dense_graph 1)
-      (path_from_n1 ())
+    Rewrite.answers ~guard p (Program.instance_of_facts p)
+      (Query.make ~head:[ v "X" ] [ atom "p14" [ v "X" ] ])
   with
   | Guard.Degraded (answers, e) ->
     check_resource "cqs named" Guard.Cqs (Some e.Guard.resource);
-    Alcotest.(check (float 0.)) "limit is max_cqs" 20. e.Guard.limit;
-    Alcotest.(check int) "no answers" 0 (List.length answers)
+    Alcotest.(check (float 0.)) "limit is the cap" 10_000. e.Guard.limit;
+    Alcotest.(check int) "no answers" 0 (List.length answers);
+    Alcotest.(check int) "the cap's disjuncts charged to the guard" 10_001
+      (Guard.consumption guard).Guard.cqs
   | Guard.Complete _ -> Alcotest.fail "expected a CQ-cap degradation"
 
 let test_eval_drops_duplicates () =
@@ -266,7 +283,8 @@ let test_eval_drops_duplicates () =
 
 let test_proof_deadline () =
   (* the search on a dense cyclic program runs to its 2,000,000-step
-     default; a deadline bounds it like any other engine *)
+     cap; a deadline bounds it like any other engine, and its steps are
+     charged to the guard *)
   let t = ref 0. in
   let clock () =
     t := !t +. 0.1;
@@ -277,20 +295,24 @@ let test_proof_deadline () =
     Proof.answer ~guard (dense_path_program ()) (dense_graph 4)
       (path_from_n1 ())
   in
-  (match r.Proof.answers with
+  (match r with
    | Guard.Degraded (_, e) ->
      check_resource "deadline named" Guard.Deadline (Some e.Guard.resource)
    | Guard.Complete _ -> Alcotest.fail "expected a deadline degradation");
-  Alcotest.(check bool) "stopped within a few steps" true (r.Proof.steps <= 20);
-  Alcotest.(check int) "no guard steps charged" 0
-    (Guard.consumption guard).Guard.steps
+  let steps = (Guard.consumption guard).Guard.steps in
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped within a few steps, charged to the guard (%d)"
+       steps)
+    true
+    (steps > 0 && steps <= 20)
 
 let test_proof_own_step_budget () =
   let r =
-    Proof.answer ~max_steps:100 (dense_path_program ()) (dense_graph 4)
-      (path_from_n1 ())
+    Proof.answer
+      ~guard:(Guard.create ~max_steps:100 ())
+      (dense_path_program ()) (dense_graph 4) (path_from_n1 ())
   in
-  match r.Proof.answers with
+  match r with
   | Guard.Degraded (_, e) ->
     check_resource "steps named" Guard.Steps (Some e.Guard.resource);
     Alcotest.(check (float 0.)) "limit is max_steps" 100. e.Guard.limit;

@@ -1247,6 +1247,54 @@ let test_service_refuses_cyclic_rewrite () =
     Alcotest.(check int) "chase: 8 answers" 8 (List.length l)
   | _ -> Alcotest.fail "chase request after the refusal not answered"
 
+(* Served and in-process answers follow one path: for every engine,
+   [Service.query] and [Answer.answer] give the same kind of outcome —
+   complete with the same answers, refused with the same code, or
+   inconsistent with the same failure — on a consistent program, one
+   out of the proof and rewrite engines' scope, and the two
+   inconsistent ones. *)
+let test_service_matches_answer () =
+  let render_answer = function
+    | Answer.Ok l -> Printf.sprintf "complete: %d answers" (List.length l)
+    | Answer.Degraded _ -> "degraded"
+    | Answer.Refused d -> "refused: " ^ d.Mdqa_datalog.Diag.code
+    | Answer.Inconsistent f ->
+      Format.asprintf "inconsistent: %a" Mdqa_datalog.Chase.pp_outcome
+        (Mdqa_datalog.Chase.Failed f)
+  in
+  let render_reply = function
+    | Service.Answers l ->
+      Printf.sprintf "complete: %d answers" (List.length l)
+    | Service.Partial _ -> "degraded"
+    | Service.Bad_query d -> "refused: " ^ d.Mdqa_datalog.Diag.code
+    | Service.Inconsistent msg -> "inconsistent: " ^ msg
+  in
+  List.iter
+    (fun (file, q) ->
+      let { Mdqa_datalog.Parser.program; _ } =
+        Mdqa_datalog.Parser.parse_file file
+      in
+      let svc =
+        match Service.load ~program_file:file () with
+        | Ok svc -> svc
+        | Error _ -> Alcotest.failf "Service.load %s failed" file
+      in
+      Fun.protect ~finally:(fun () -> Service.close svc) @@ fun () ->
+      List.iter
+        (fun (name, engine) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s -e %s" file name)
+            (render_answer
+               (Answer.answer engine program
+                  (Mdqa_datalog.Program.instance_of_facts program)
+                  (Mdqa_datalog.Parser.parse_query q)))
+            (render_reply (Service.query svc ~engine q)))
+        Answer.engines)
+    [ ("../examples/hospital.dl", "q(U, D, P) :- patient_unit(U, D, P)");
+      ("corpus/egd_window.dl", "q(I, U) :- institution_unit(I, U)");
+      ("corpus/inconsistent_nc.dl", "q(X) :- q(X)");
+      ("corpus/inconsistent_egd.dl", "q(X, Y) :- s(X, Y)") ]
+
 (* A store-less service over examples/hospital.dl whose guard reads a
    fake clock that advances one second per reading and checks it on
    every tick: a request's [timeout] of [n + 0.5] trips on its
@@ -1292,8 +1340,9 @@ let test_service_proof_timeout () =
       (Guard.resource_name e.Guard.resource)
   | _ -> Alcotest.fail "expected the proof search to stop at the deadline"
 
-(* Proof steps are the search's own budget: requests whose steps add up
-   to more than the warm chase left of the server's [max_steps] still
+(* A request's proof steps are charged to its own fork of the server
+   guard, never back to the server: requests whose steps add up to more
+   than the warm chase left of the server's [max_steps] still
    complete. *)
 let test_service_proof_steps_not_charged () =
   let q = "q(U, D, P) :- patient_unit(U, D, P)" in
@@ -1308,10 +1357,12 @@ let test_service_proof_steps_not_charged () =
         (In_channel.with_open_bin "../examples/hospital.dl"
            In_channel.input_all)
     in
-    (Mdqa_datalog.Proof.answer program
-       (Mdqa_datalog.Program.instance_of_facts program)
-       (Mdqa_datalog.Parser.parse_query q))
-      .Mdqa_datalog.Proof.steps
+    let guard = Guard.unlimited () in
+    ignore
+      (Answer.answer ~guard Answer.Proof program
+         (Mdqa_datalog.Program.instance_of_facts program)
+         (Mdqa_datalog.Parser.parse_query q));
+    (Guard.consumption guard).Guard.steps
   in
   (* the warm chase leaves the steps of one request *)
   let svc, _ = ticking_service ~max_steps:(warm_steps + per_request) () in
@@ -1521,6 +1572,8 @@ let suites =
           test_service_refuses_cyclic_rewrite;
         case "proof steps are not charged to the server budget"
           test_service_proof_steps_not_charged;
+        case "every engine answers as Answer.answer does"
+          test_service_matches_answer;
         case "spans reply: served scopes, float seconds, profile layers"
           test_spans_reply ] );
     ( "server.protocol",

@@ -71,5 +71,15 @@ timeout 60 "$exe" chase "$prog" --log-level error \
 [ -s "$dir/quiet.err" ] \
   && fail "--log-level error must silence info records" "$dir/quiet.err"
 
+# 7. a profiled assessment whose chase runs out of budget still reads
+#    its queries off the partial instance: exit 2, one degradation line
+timeout 60 "$exe" profile assess "$prog" --max-steps 3 > /dev/null \
+  2>"$dir/prof.err"
+rc=$?
+[ "$rc" -eq 2 ] || fail "degraded profile assess must exit 2, got $rc" \
+  "$dir/prof.err"
+[ "$(grep -c degraded "$dir/prof.err")" -eq 1 ] \
+  || fail "degraded profile assess must report once" "$dir/prof.err"
+
 echo "trace_cli: all checks passed"
 exit 0
