@@ -105,11 +105,12 @@ let load path =
   let { Validate.parsed; diags } = Validate.check_file path in
   parsed_or_exit parsed diags
 
+(* with the referential violations the check found *)
 let load_context path =
-  let { Mdqa_context.Md_parser.parsed; diags } =
+  let { Mdqa_context.Md_parser.parsed; diags; referential } =
     Mdqa_context.Md_parser.check_file path
   in
-  parsed_or_exit parsed diags
+  (parsed_or_exit parsed diags, referential)
 
 (* A located, coded fatal error: the diagnostic prints like any other
    (file:line code message) and the command exits 1 through
@@ -721,7 +722,7 @@ let run_classify file =
   let program =
     if Filename.check_suffix file ".mdq" then
       Mdqa_context.Context.program
-        (load_context file).Mdqa_context.Md_parser.context
+        (fst (load_context file)).Mdqa_context.Md_parser.context
     else (load file).Parser.program
   in
   Format.printf "%a@." Analysis.pp (Analysis.analyse program);
@@ -814,7 +815,8 @@ let run_context file do_repair loads explain_n max_steps max_nulls timeout
   let module Context = Mdqa_context.Context in
   let module Repair = Mdqa_context.Repair in
   let module Md_ontology = Mdqa_multidim.Md_ontology in
-  let { Mdqa_context.Md_parser.ontology; context; source; queries } =
+  let { Mdqa_context.Md_parser.ontology; context; source; queries }, referential
+      =
     load_context file
   in
   (* CSV overrides for source relations *)
@@ -845,7 +847,7 @@ let run_context file do_repair loads explain_n max_steps max_nulls timeout
             "--load %s: no 'source %s(...)' declaration" rel rel))
     loads;
   (* Static reports. *)
-  (match Md_ontology.referential_violations ontology with
+  (match referential with
    | [] -> print_endline "referential constraints (1): satisfied"
    | viols ->
      List.iter
@@ -1733,7 +1735,7 @@ let run_profile_assess file json top max_steps max_nulls timeout max_memory
   with_profiler @@ fun p ->
   if Filename.check_suffix file ".mdq" then begin
     let module Context = Mdqa_context.Context in
-    let { Mdqa_context.Md_parser.context; source; queries; _ } =
+    let { Mdqa_context.Md_parser.context; source; queries; _ }, _ =
       Trace.with_span "parse" @@ fun () -> load_context file
     in
     let a = Context.assess ~guard context ~source in

@@ -14,6 +14,7 @@ type parsed = {
 type checked = {
   parsed : parsed option;
   diags : Diag.t list;
+  referential : Md_ontology.referential_violation list;
 }
 
 (* Intermediate, pre-assembly representation of the declarations.
@@ -206,10 +207,10 @@ let parse_wiring st ~quality =
 (* The declarations and the Datalog± statements of an input, each in
    source order, and its facts: to the shared recovering loop a
    declaration is one more kind of item. *)
-let collect diags input =
+let collect sym diags input =
   let decls = ref [] in
   let statements, facts =
-    Parser.parse_items diags input (fun st ->
+    Parser.parse_items ~sym diags input (fun st ->
         let pos = Parser.pos st in
         let decl d =
           decls := (d, pos) :: !decls;
@@ -247,7 +248,7 @@ let err diags (pos : Lexer.pos) code fmt =
 let warn diags (pos : Lexer.pos) code fmt =
   Diag.warningf diags ~line:pos.Lexer.line ~col:pos.Lexer.col ~code fmt
 
-let validate_dimension diags (d : dim_decl) =
+let validate_dimension sym diags (d : dim_decl) =
   let edges =
     List.map (fun (c, p, _) -> (c, p)) d.cat_edges
     @ List.filter_map
@@ -266,7 +267,7 @@ let validate_dimension diags (d : dim_decl) =
        the declaration's index *)
     let members = List.map (fun (m, cat, _) -> (cat, [ m ])) d.dmembers
     and links = List.map (fun (c, p, _) -> (c, p)) d.links in
-    match Dim_instance.check schema ~members ~links with
+    match Dim_instance.check ~sym schema ~members ~links with
     | Error problems ->
       let positions l = Array.of_list (List.map (fun (_, _, pos) -> pos) l) in
       let member_pos = positions d.dmembers and link_pos = positions d.links in
@@ -288,13 +289,13 @@ let validate_dimension diags (d : dim_decl) =
          its member's declaration (there is one, as [check] passed) *)
       let member_pos =
         lazy
-          (let tbl = Hashtbl.create (List.length d.dmembers) in
+          (let tbl = R.Value.Tbl.create (List.length d.dmembers) in
            List.iter
-             (fun (n, _, pos) -> Hashtbl.replace tbl (R.Value.sym n) (n, pos))
+             (fun (n, _, pos) -> R.Value.Tbl.replace tbl (sym n) (n, pos))
              d.dmembers;
            tbl)
       in
-      let pos_of_member m = Hashtbl.find (Lazy.force member_pos) m in
+      let pos_of_member m = R.Value.Tbl.find (Lazy.force member_pos) m in
       List.iter
         (function
           | Dim_instance.Non_strict
@@ -314,7 +315,7 @@ let validate_dimension diags (d : dim_decl) =
         (Dim_instance.diagnose instance).violations;
       (Some schema, Some instance))
 
-let validate diags decls statements facts =
+let validate sym diags decls statements facts =
   (* 1. dimensions *)
   let dims =
     List.filter_map (function Dimension d, _ -> Some d | _ -> None) decls
@@ -326,7 +327,7 @@ let validate diags decls statements facts =
           if Smap.mem d.dim_name !dim_schemas then
             err diags d.dim_pos "E010" "duplicate dimension %s" d.dim_name
           else begin
-            let schema, instance = validate_dimension diags d in
+            let schema, instance = validate_dimension sym diags d in
             (match schema with
              | Some s -> dim_schemas := Smap.add d.dim_name s !dim_schemas
              | None -> ());
@@ -643,7 +644,7 @@ let build decls statements facts (arts : artifacts) =
   { ontology; context; source; queries = List.rev !queries }
 
 (* Post-build advisory analyses: the weak-stickiness certificate and
-   the closed-world referential check, as warnings/hints. *)
+   the closed-world referential check, whose violations it returns. *)
 let advisory diags statements facts (p : parsed) =
   Validate.check_certificate diags statements (Context.program p.context);
   (* each fact's first position, per predicate, built on the first
@@ -665,6 +666,7 @@ let advisory diags statements facts (p : parsed) =
     in
     R.Tuple.Tbl.find_opt tbl tuple
   in
+  let referential = Md_ontology.referential_violations p.ontology in
   List.iter
     (fun (v : Md_ontology.referential_violation) ->
       let pos =
@@ -676,40 +678,41 @@ let advisory diags statements facts (p : parsed) =
       Diag.warningf diags ?line ?col ~code:"W045" "%s"
         (Format.asprintf "referential violation: %a" Md_ontology.pp_violation
            v))
-    (Md_ontology.referential_violations p.ontology)
+    referential;
+  referential
 
 let check_string ?file input =
-  let diags = Diag.collector ?file () in
+  let diags = Diag.collector ?file () and sym = R.Value.interner () in
   let decls, statements, facts =
-    Trace.with_span "md_parser.collect" (fun () -> collect diags input)
+    Trace.with_span "md_parser.collect" (fun () -> collect sym diags input)
   in
   let arts =
     Trace.with_span "md_parser.validate" (fun () ->
-        validate diags decls statements facts)
+        validate sym diags decls statements facts)
   in
-  let parsed =
-    if Diag.has_errors diags then None
+  let parsed, referential =
+    if Diag.has_errors diags then (None, [])
     else
       match
         Trace.with_span "md_parser.build" (fun () ->
             build decls statements facts arts)
       with
       | p ->
-        Trace.with_span "md_parser.advisory" (fun () ->
-            advisory diags statements facts p);
-        Some p
+        ( Some p,
+          Trace.with_span "md_parser.advisory" (fun () ->
+              advisory diags statements facts p) )
       | exception Invalid_argument m ->
         (* validation pre-empts every assembly failure; located net *)
         Diag.error diags ~line:1 ~code:"E003" m;
-        None
+        (None, [])
   in
-  { parsed; diags = Diag.to_list diags }
+  { parsed; diags = Diag.to_list diags; referential }
 
 let check_file path =
   check_string ~file:path (In_channel.with_open_bin path In_channel.input_all)
 
 let parse_string input =
-  let { parsed; diags } = check_string input in
+  let { parsed; diags; _ } = check_string input in
   Parser.fail_fast parsed diags
 
 let parse_file path =

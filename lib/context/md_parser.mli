@@ -64,6 +64,8 @@ type checked = {
   parsed : parsed option;
       (** [Some] iff no error-severity diagnostic was produced *)
   diags : Mdqa_datalog.Diag.t list;  (** in source order *)
+  referential : Mdqa_multidim.Md_ontology.referential_violation list;
+      (** what [W045] reports, found once; [\[\]] without [parsed] *)
 }
 
 val check_string : ?file:string -> string -> checked

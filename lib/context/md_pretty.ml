@@ -54,14 +54,14 @@ let dimension_block buf schema instance =
             let mname = R.Value.to_string m in
             let mname =
               (* strip the quoting Value.to_string may add *)
-              match m with R.Value.Sym s -> s | _ -> mname
+              match m with R.Value.Sym { name; _ } -> name | _ -> mname
             in
             let parents =
               List.filter_map
                 (fun p ->
                   match p with
-                  | R.Value.Sym "all" -> None
-                  | R.Value.Sym s -> Some (q_name s)
+                  | R.Value.Sym { name = "all"; _ } -> None
+                  | R.Value.Sym { name; _ } -> Some (q_name name)
                   | _ -> None)
                 (Dim_instance.member_parents instance m)
             in

@@ -28,7 +28,7 @@ let frozen_instance (q : Query.t) =
 let frozen_head (q : Query.t) = List.map freeze_term q.Query.head
 
 let is_frozen = function
-  | Term.Const (Value.Sym s) ->
+  | Term.Const (Value.Sym { name = s; _ }) ->
     String.length s >= 4 && String.sub s 0 4 = "\000fz:"
   | _ -> false
 

@@ -254,7 +254,7 @@ let plan ?(bound = [||]) inst (atoms : tagged list) cmps =
           ( Probe
               ( Relation.index rels.(i) (List.map fst key),
                 srcs,
-                Array.make (Array.length srcs) (Value.Int 0) ),
+                Array.make (Array.length srcs) (Value.int 0) ),
             key_label key, checks )
       in
       List.iter (fun (_, s) -> bound.(s) <- true) !binds;
@@ -359,7 +359,7 @@ let plain a = { atom = a; keep = (fun _ -> true); delta = None; kept = Fun.id }
 
 let slot_vars atoms = snd (slot_table (List.map plain atoms))
 
-let new_slots p = Array.make (Array.length p.vars) (Value.Int 0)
+let new_slots p = Array.make (Array.length p.vars) (Value.int 0)
 
 (* Semi-naive enumeration: exactly the matches using at least one
    delta fact, partitioned so no match is produced twice: for each atom

@@ -15,6 +15,7 @@ type state = {
   mutable ahead : (Lexer.token * Lexer.pos) option;  (* after [cur] *)
   mutable last : Lexer.token * Lexer.pos;  (* the last consumed token *)
   numbered : (string, int) Hashtbl.t;  (* statements named so far, by kind *)
+  sym : string -> Value.t;  (* this parse's symbols *)
 }
 
 let fail_at ?(code = "E002") (pos : Lexer.pos) message =
@@ -47,8 +48,8 @@ let expect st tok what =
          (Lexer.token_to_string t))
 
 (* the value of a constant token *)
-let constant = function
-  | Lexer.IDENT s | Lexer.STRING s -> Some (Value.sym s)
+let constant st = function
+  | Lexer.IDENT s | Lexer.STRING s -> Some (st.sym s)
   | Lexer.INT i -> Some (Value.int i)
   | Lexer.FLOAT f -> Some (Value.real f)
   | _ -> None
@@ -56,7 +57,7 @@ let constant = function
 (* term := VAR | IDENT | STRING | INT | FLOAT *)
 let parse_term st =
   let t, pos = peek st in
-  match t, constant t with
+  match t, constant st t with
   | Lexer.VAR v, _ ->
     advance st;
     Term.Var v
@@ -88,7 +89,7 @@ let parse_ground_or_atom st =
     advance st;
     expect st Lexer.LPAREN "'('";
     let rec values vs =
-      match constant (fst (peek st)) with
+      match constant st (fst (peek st)) with
       | None -> terms (List.map Term.const vs)
       | Some v ->
         advance st;
@@ -338,11 +339,11 @@ let recover st =
   in
   go ()
 
-let init diags input =
+let init sym diags input =
   let next = Lexer.stream diags input in
   let cur = next () in
   { next; cur; ahead = None; last = (Lexer.EOF, { Lexer.line = 1; col = 1 });
-    numbered = Hashtbl.create 4 }
+    numbered = Hashtbl.create 4; sym }
 
 let pos st = snd (peek st)
 let error st message = fail_at (pos st) message
@@ -352,8 +353,8 @@ type located_statement = { stmt : statement; pos : Lexer.pos }
 (* Recovery-mode loop over a whole input: every error an item raises
    becomes a diagnostic and parsing resumes at the next item, so one
    pass reports them all. *)
-let parse_items diags input extra =
-  let st = init diags input in
+let parse_items ?(sym = Value.interner ()) diags input extra =
+  let st = init sym diags input in
   let out = ref [] and facts = Facts.create () in
   let item () =
     let pos = pos st in

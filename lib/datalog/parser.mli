@@ -114,6 +114,7 @@ type located_statement = {
 }
 
 val parse_items :
+  ?sym:(string -> Mdqa_relational.Value.t) ->
   Diag.collector ->
   string ->
   (state -> bool) ->
@@ -130,7 +131,8 @@ val parse_items :
     rules, constraints and queries that did parse, each with its source
     position, and the facts that did.  Rules are named [pred/N], NCs
     [ncN], EGDs [egdN] and anonymous queries [qN], numbered from 1 per
-    kind in each run, so one input always gets the same names. *)
+    kind in each run, so one input always gets the same names.  [sym]
+    (default: a new {!Mdqa_relational.Value.interner}) makes symbols. *)
 
 val parse_statements :
   Diag.collector -> string -> located_statement list * Facts.t

@@ -28,7 +28,7 @@ let quote s =
   Buffer.contents buf
 
 let value ppf = function
-  | Value.Sym s ->
+  | Value.Sym { name = s; _ } ->
     Format.pp_print_string ppf (if symbol_needs_quotes s then quote s else s)
   | Value.Int i -> Format.pp_print_int ppf i
   | Value.Real r ->

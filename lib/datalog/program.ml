@@ -76,8 +76,15 @@ let positions p =
 let idb_predicates p =
   List.sort_uniq String.compare (List.concat_map Tgd.head_preds p.tgds)
 
-let tgds_with_head p pred =
-  List.filter (fun t -> List.mem pred (Tgd.head_preds t)) p.tgds
+(* added last to first, so each predicate finds its TGDs in order *)
+let tgds_with_head p =
+  let heads = Hashtbl.create 64 in
+  List.iter
+    (fun t ->
+      List.iter (fun h -> Hashtbl.add heads h t)
+        (List.sort_uniq String.compare (Tgd.head_preds t)))
+    (List.rev p.tgds);
+  Hashtbl.find_all heads
 
 let predicate_graph p =
   List.concat_map
@@ -89,8 +96,8 @@ let predicate_graph p =
   |> List.sort_uniq compare
 
 let predicate_graph_acyclic p =
-  let edges = predicate_graph p in
-  let succs n = List.filter_map (fun (a, b) -> if a = n then Some b else None) edges in
+  let edges = predicate_graph p and succs = Hashtbl.create 64 in
+  List.iter (fun (a, b) -> Hashtbl.add succs a b) edges;
   let nodes =
     List.sort_uniq compare (List.concat_map (fun (a, b) -> [ a; b ]) edges)
   in
@@ -102,7 +109,7 @@ let predicate_graph_acyclic p =
     | Some `Active -> false
     | None ->
       Hashtbl.add colour n `Active;
-      let ok = List.for_all visit (succs n) in
+      let ok = List.for_all visit (Hashtbl.find_all succs n) in
       Hashtbl.replace colour n `Done;
       ok
   in

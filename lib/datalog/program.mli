@@ -52,6 +52,8 @@ val idb_predicates : t -> string list
 (** Predicates occurring in some TGD head. *)
 
 val tgds_with_head : t -> string -> Tgd.t list
+(** The TGDs with a head atom over a predicate, in program order, from
+    a table [tgds_with_head p] builds: apply it once per program. *)
 
 val predicate_graph_acyclic : t -> bool
 (** No directed cycle in the body-predicate → head-predicate graph of

@@ -16,6 +16,7 @@ let max_depth = 32
    answers may be missing. *)
 let search guard (program : Program.t) inst (q : Query.t) ~emit =
   let rename_counter = ref 0 and pruned = ref false in
+  let with_head = Program.tgds_with_head program in
   let fresh = Value.Fresh.create ~start:1_000_000 () in
   (* Comparisons: ground ones must hold and must not involve nulls
      (a null-dependent comparison is not certain). *)
@@ -95,7 +96,7 @@ let search guard (program : Program.t) inst (q : Query.t) ~emit =
                       s' (siblings @ lemmas) (depth + 1) pending
                   | None -> ())
                 head)
-            (Program.tgds_with_head program (Atom.pred g)))
+            (with_head (Atom.pred g)))
   in
   match resolve q.Query.body Subst.empty [] 0 q.Query.cmps with
   | () when !pruned ->

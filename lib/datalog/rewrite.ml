@@ -77,7 +77,7 @@ let applicable ~ex_vars ~counts (goal : Atom.t) (head_atom : Atom.t) =
    counting unfolding steps in [expansions].
    @raise Guard.Exhausted on a trip. *)
 let unfold guard ~expansions (program : Program.t) (q : Query.t) ~on_cq =
-  let seen = Hashtbl.create 64 in
+  let seen = Hashtbl.create 64 and with_head = Program.tgds_with_head program in
   let counter = ref 0 in
   let rec add (head, body, cmps) =
     let key = canonical_key head body cmps in
@@ -119,7 +119,7 @@ let unfold guard ~expansions (program : Program.t) (q : Query.t) ~on_cq =
                     let cmps' = List.map (Subst.apply_cmp s) cmps in
                     add (head', new_atoms @ body', cmps'))
               tgd'.Tgd.head)
-          (Program.tgds_with_head program (Atom.pred goal)))
+          (with_head (Atom.pred goal)))
       body
   in
   Mdqa_obs.Trace.with_span "rewrite"

@@ -1,5 +1,4 @@
 module Value = Mdqa_relational.Value
-module Names = Hashtbl.Make (String)
 
 let all_member = Value.sym "all"
 
@@ -41,7 +40,7 @@ type report = {
 type t = {
   schema : Dim_schema.t;
   categories : string array;  (* category -> its name *)
-  index : int Names.t;  (* member name -> member *)
+  index : int array;  (* {!Value.slot}s over [value]: member value -> member *)
   value : Value.t array;  (* member -> its value *)
   category : int array;  (* member -> its category *)
   parents : int list array;  (* member -> its parents, by name *)
@@ -168,10 +167,11 @@ let build schema categories index value category parents ~above ~up =
         violations = !violated } }
 
 (* One pass over a declaration finds its problems and numbers each
-   member (the first declaration wins) with its category and its
-   parents along schema edges; the closure is built only when there is
-   no problem, and then every declared member has a number. *)
-let check schema ~members ~links =
+   member (the first declaration wins, found by one probe) with its
+   category and its parents along schema edges; the closure is built
+   only when there is no problem, and then every declared member has a
+   number. *)
+let check ?(sym = Value.sym) schema ~members ~links =
   let problems = ref [] in
   let report p = problems := p :: !problems in
   let categories = Array.of_list (List.rev (Dim_schema.categories schema)) in
@@ -183,10 +183,10 @@ let check schema ~members ~links =
   let n =
     List.fold_left (fun n (_, names) -> n + List.length names) 1 members
   in
-  let index = Names.create n and value = Array.make n all_member in
+  let index = Value.slots n and value = Array.make n (sym "all") in
   let category = Array.make n 0 and declared_in = Array.make n Dim_schema.all in
   let declared = Array.make n [] and count = ref 1 and member = ref 0 in
-  Names.add index "all" 0;
+  index.(Value.slot index value value.(0)) <- 0;
   List.iter
     (fun (cat, names) ->
       let c = number categories cat in
@@ -195,26 +195,29 @@ let check schema ~members ~links =
           if c < 0 then
             report
               (Unknown_category { member = !member; name; category = cat });
-          (match Names.find_opt index name with
-           | None ->
-             Names.add index name !count;
-             value.(!count) <- Value.sym name;
+          let v = sym name in
+          let s = Value.slot index value v in
+          (match index.(s) with
+           | -1 ->
+             index.(s) <- !count;
+             value.(!count) <- v;
              category.(!count) <- c;
              declared_in.(!count) <- cat;
              incr count
-           | Some first ->
+           | first ->
              report
                (Duplicate_member
                   { member = !member; name; first = declared_in.(first) }));
           incr member)
         names)
     members;
+  let find name = index.(Value.slot index value (sym name)) in
   List.iteri
     (fun link (child, parent) ->
-      match (Names.find_opt index child, Names.find_opt index parent) with
-      | None, _ -> report (Unknown_member { link; name = child })
-      | _, None -> report (Unknown_member { link; name = parent })
-      | Some c, Some p ->
+      match (find child, find parent) with
+      | -1, _ -> report (Unknown_member { link; name = child })
+      | _, -1 -> report (Unknown_member { link; name = parent })
+      | c, p ->
         let cc = category.(c) and pc = category.(p) in
         if cc < 0 || pc < 0 then ()
         else if List.mem pc up.(cc) then declared.(c) <- p :: declared.(c)
@@ -235,9 +238,8 @@ let make schema ~members ~links =
 
 let schema t = t.schema
 
-let member_number t = function
-  | Value.Sym n -> Names.find_opt t.index n
-  | _ -> None
+let member_number t v =
+  match t.index.(Value.slot t.index t.value v) with -1 -> None | m -> Some m
 
 let members t cat =
   match number t.categories cat with

@@ -15,7 +15,7 @@
 type t
 
 val all_member : Mdqa_relational.Value.t
-(** [Sym "all"], the unique member of category [All]. *)
+(** [sym "all"], the unique member of category [All]. *)
 
 (** A declared member or link that {!check} rejects.  Members are
     numbered from 0 in the order they appear in [~members], group by
@@ -38,6 +38,7 @@ type problem =
       (** the link does not follow a schema edge *)
 
 val check :
+  ?sym:(string -> Mdqa_relational.Value.t) ->
   Dim_schema.t ->
   members:(string * string list) list ->
   links:(string * string) list ->
@@ -49,7 +50,8 @@ val check :
     declaration finds every problem, members first, each in input
     order; the roll-up closure is built only when there is none.  A
     link is not checked against the schema when an endpoint is in an
-    unknown category: that member is already reported. *)
+    unknown category: that member is already reported.  [sym] (default
+    {!Mdqa_relational.Value.sym}) makes member values. *)
 
 val make :
   Dim_schema.t ->

@@ -15,8 +15,6 @@ let cell_of_value v =
   let s = Value.to_string v in
   if needs_quote s then quote s else s
 
-let value_of_cell s = Value.of_string s
-
 (* Split one CSV line honouring double-quoted cells. *)
 let split_line line =
   let n = String.length line in
@@ -101,7 +99,7 @@ let relation_of_string_result ~name text =
     | exception Invalid_argument m -> Error [ { row = hrow; col = 0; message = m } ]
     | schema ->
       let arity = Rel_schema.arity schema in
-      let r = Relation.create schema in
+      let r = Relation.create schema and sym = Value.interner () in
       let errs = ref [] in
       List.iter
         (fun (row, line) ->
@@ -118,7 +116,8 @@ let relation_of_string_result ~name text =
               :: !errs
           else
             ignore
-              (Relation.add r (Tuple.of_list (List.map value_of_cell cells))))
+              (Relation.add r
+                 (Tuple.of_list (List.map (Value.of_string ~sym) cells))))
         rows;
       (match List.rev !errs with [] -> Ok r | errs -> Error errs))
 

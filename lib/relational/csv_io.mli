@@ -4,10 +4,9 @@
     tuple.  Cells are separated by commas; cells containing commas,
     quotes or newlines are double-quoted with ["" ] escaping.  Values
     are parsed back with {!Value.of_string} (so numbers round-trip as
-    numbers, nulls as nulls). *)
+    numbers, nulls as nulls), one {!Value.interner} per file. *)
 
 val cell_of_value : Value.t -> string
-val value_of_cell : string -> Value.t
 
 val relation_to_string : Relation.t -> string
 

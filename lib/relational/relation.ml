@@ -135,15 +135,25 @@ let probe r binding =
   | [] -> to_list r
   | _ -> index r (List.map fst binding) (Tuple.of_list (List.map snd binding))
 
-(* One pass over the tuples with throwaway per-position sets: the
-   counts outlive them, so no index is kept alive for estimation. *)
+(* One pass per position over one flat table of [slots], cleared between
+   positions, indexing the values met so far in [seen]: nothing is
+   allocated per tuple, and no index is kept alive for estimation. *)
 let count_distinct r =
-  let sets = Array.init (arity r) (fun _ -> Value.Tbl.create 64) in
-  Tuple.Set.iter
-    (fun t ->
-      Array.iteri (fun p s -> Value.Tbl.replace s (Tuple.get t p) ()) sets)
-    r.tuples;
-  { counts = Array.map Value.Tbl.length sets; at = r.card }
+  let slots = Value.slots r.card and seen = Array.make r.card (Value.int 0) in
+  let count p =
+    Array.fill slots 0 (Array.length slots) (-1);
+    Tuple.Set.fold
+      (fun t n ->
+        let s = Value.slot slots seen (Tuple.get t p) in
+        if slots.(s) >= 0 then n
+        else begin
+          slots.(s) <- n;
+          seen.(n) <- Tuple.get t p;
+          n + 1
+        end)
+      r.tuples 0
+  in
+  { counts = Array.init (arity r) count; at = r.card }
 
 let distinct r pos =
   let s =

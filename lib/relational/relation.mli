@@ -68,11 +68,10 @@ val index : t -> int list -> Tuple.t -> Tuple.t list
 
 val distinct : t -> int -> int
 (** [distinct r pos] is the number of distinct values at position
-    [pos].  Counted in one pass and cached: recounted once the
-    cardinality has doubled or halved since the last count, and
-    dropped, like the indexes, by {!remove} and by a {!substitute} that
-    moves a tuple.
-    Counting builds no index. *)
+    [pos], exact: one pass per position through one flat {!Value.slot}
+    table.  Cached: recounted once the cardinality has doubled or
+    halved since the last count, and dropped, like the indexes, by
+    {!remove} and by a {!substitute} that moves a tuple. *)
 
 val substitute : t -> Value.t Value.Map.t -> Tuple.Set.t
 (** [substitute r sigma] rewrites, in place and simultaneously, every

@@ -33,7 +33,7 @@ let rec compare_from (a : t) (b : t) i =
     let c =
       match Array.unsafe_get a i, Array.unsafe_get b i with
       | x, y when x == y -> 0
-      | Value.Sym s, Value.Sym s' -> String.compare s s'
+      | Value.Sym s, Value.Sym s' -> String.compare s.name s'.name
       | x, y -> Value.compare x y
     in
     if c <> 0 then c else compare_from a b (i + 1)

@@ -4,10 +4,16 @@
     (symbols, integers, reals) the domain contains {e labeled nulls},
     the fresh placeholder values invented by the Datalog± chase when a
     tuple-generating dependency with existential head variables fires.
-    Two labeled nulls are equal iff they carry the same label. *)
+    Two labeled nulls are equal iff they carry the same label.
 
-type t =
-  | Sym of string  (** symbolic constant, e.g. ["Tom Waits"], ["W1"] *)
+    A symbol carries the hash of its spelling, computed once by {!sym}.
+    Each load (a parse, a snapshot or journal read, a CSV file) has its
+    own {!interner}, so within it a spelling is one value.  There is no
+    process-wide table: symbols of two loads are {!equal}, not [==]. *)
+
+type t = private
+  | Sym of { name : string; hash : int }
+      (** symbolic constant, e.g. ["Tom Waits"], ["W1"] *)
   | Int of int  (** integer constant *)
   | Real of float  (** floating-point constant *)
   | Null of int  (** labeled null [⊥k], invented by the chase *)
@@ -30,6 +36,18 @@ val is_constant : t -> bool
 val sym : string -> t
 val int : int -> t
 val real : float -> t
+val null : int -> t
+
+val interner : unit -> string -> t
+(** A new, empty table: {!sym}, but one value per spelling. *)
+
+val slots : int -> int array
+(** [slots n]: a free table for {!slot}, at most half full with [n] keys. *)
+
+val slot : int array -> t array -> t -> int
+(** [slot slots keys v]: linear probing over [slots] ([-1] is free),
+    whose entries index [keys]: the slot holding [v]'s index, or the
+    free one where it goes. *)
 
 val pp : Format.formatter -> t -> unit
 (** Nulls print as [⊥k]; symbols print bare (quoted if they contain
@@ -38,9 +56,10 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 (** What {!pp} prints, built without a formatter. *)
 
-val of_string : string -> t
+val of_string : ?sym:(string -> t) -> string -> t
 (** Parse a value from its surface form: [⊥k] or [_:k] as nulls,
-    integer/float literals as numbers, quoted or bare words as symbols. *)
+    integer/float literals as numbers, quoted or bare words as symbols,
+    made by [sym] (default {!sym}). *)
 
 module Fresh : sig
   (** Generator of fresh labeled nulls.

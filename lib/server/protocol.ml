@@ -131,7 +131,7 @@ let parse_request line =
 (* --- replies --------------------------------------------------------- *)
 
 let json_of_value = function
-  | Value.Sym s -> Jsonl.Str s
+  | Value.Sym { name; _ } -> Jsonl.Str name
   | Value.Int i -> Jsonl.Num (float_of_int i)
   | Value.Real r -> Jsonl.Num r
   | Value.Null k -> Jsonl.Obj [ ("null", Jsonl.Num (float_of_int k)) ]

@@ -60,9 +60,9 @@ let str b s =
   Buffer.add_string b s
 
 let value b = function
-  | Value.Sym s ->
+  | Value.Sym { name; _ } ->
     u8 b 0;
-    str b s
+    str b name
   | Value.Int n ->
     u8 b 1;
     i64 b n
@@ -155,9 +155,11 @@ let read_file path =
 
 (* --- reading --------------------------------------------------------- *)
 
-type reader = { data : string; mutable p : int; base : int }
+type reader = {
+  data : string; mutable p : int; base : int; sym : string -> Value.t }
 
-let reader ?(offset = 0) data = { data; p = 0; base = offset }
+let reader ?(offset = 0) ?(sym = Value.interner ()) data =
+  { data; p = 0; base = offset; sym }
 let pos r = r.p
 let at_end r = r.p >= String.length r.data
 
@@ -205,10 +207,10 @@ let read_str r =
 
 let read_value r =
   match read_u8 r with
-  | 0 -> Value.Sym (read_str r)
-  | 1 -> Value.Int (read_i64 r)
-  | 2 -> Value.Real (read_f64 r)
-  | 3 -> Value.Null (read_i64 r)
+  | 0 -> r.sym (read_str r)
+  | 1 -> Value.int (read_i64 r)
+  | 2 -> Value.real (read_f64 r)
+  | 3 -> Value.null (read_i64 r)
   | tag -> corrupt r (Printf.sprintf "unknown value tag %d" tag)
 
 let read_tuple r =
@@ -397,8 +399,8 @@ let walk_string layout data ~on_frame =
 (* A payload under a valid CRC that still does not decode, or leaves
    bytes over, is a writer bug or format skew; it is located at its
    frame like any other damage to it. *)
-let decode_frame layout data f dec =
-  let r = reader ~offset:f.body (String.sub data f.body f.len) in
+let decode_frame ~sym layout data f dec =
+  let r = reader ~offset:f.body ~sym (String.sub data f.body f.len) in
   match
     let v = dec r in
     if not (at_end r) then corrupt r "trailing bytes";

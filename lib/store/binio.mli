@@ -103,10 +103,11 @@ val pread : Unix.file_descr -> bytes -> off:int -> len:int -> int
 type reader
 (** A cursor over an immutable byte slice. *)
 
-val reader : ?offset:int -> string -> reader
-(** [reader ~offset s] reads [s]; [offset] (default 0) is added to
-    reported offsets so errors locate bytes in the enclosing file, not
-    the slice. *)
+val reader :
+  ?offset:int -> ?sym:(string -> Mdqa_relational.Value.t) -> string -> reader
+(** [reader ~offset ~sym s] reads [s], making symbols by [sym] (default:
+    a new interner); [offset] (default 0) is added to reported offsets
+    so errors locate bytes in the enclosing file, not the slice. *)
 
 val pos : reader -> int
 (** Position within the slice (excluding the reporting offset). *)
@@ -178,10 +179,11 @@ val feed : walk -> bytes -> pos:int -> len:int -> event
     Fewer than the [least] of {!want} means the file ends there. *)
 
 val decode_frame :
+  sym:(string -> Mdqa_relational.Value.t) ->
   layout -> string -> frame -> (reader -> 'a) -> ('a, damage) result
-(** Decode a verified frame's payload out of the whole file image; a
-    payload that does not decode, or leaves bytes over, is
-    [Crc_mismatch] damage at the frame. *)
+(** Decode a verified frame's payload out of the whole file image (pass
+    one [sym] per file); a payload that does not decode, or leaves
+    bytes over, is [Crc_mismatch] damage at the frame. *)
 
 val walk_string :
   layout -> string -> on_frame:(frame -> (unit, damage) result) ->

@@ -118,11 +118,11 @@ type read_result = {
    CRC, or not decoding under a valid one — truncates recovery at its
    first byte. *)
 let read ~path =
-  let records = ref [] in
+  let records = ref [] and sym = Value.interner () in
   let walked =
     Result.bind (Binio.read_file path) (fun data ->
         Binio.walk_string layout data ~on_frame:(fun f ->
-            Binio.decode_frame layout data f decode_payload
+            Binio.decode_frame ~sym layout data f decode_payload
             |> Result.map (fun record -> records := (f.at, record) :: !records))
         |> Result.map (fun () -> String.length data))
   in

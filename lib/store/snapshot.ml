@@ -177,8 +177,9 @@ let frames data =
 
 let of_string data =
   let ( let* ) = Result.bind in
+  let sym = Mdqa_relational.Value.interner () in
   let* f = frames data in
-  let decode i = Binio.decode_frame layout data f.(i) in
+  let decode i = Binio.decode_frame ~sym layout data f.(i) in
   let* program_text = decode 0 Binio.read_str in
   let* instance = decode 1 Binio.read_instance in
   let* variant, null_base, stats, frontier = decode 2 decode_state in

@@ -985,6 +985,29 @@ let test_out_of_scope_refused () =
       | _ -> Alcotest.failf "%s answered" (Answer.engine_name e))
     [ Answer.Proof; Answer.Rewrite ]
 
+(* A goal's rules are found by a table built once per program: with
+   9,000 rules for one head, proof search and rewriting (each of which
+   looks up the rules of every goal they meet) answer in well under a
+   second, as the chase does. *)
+let test_wide_program_heads () =
+  let text =
+    String.concat "\n"
+      (List.init 9000 (Printf.sprintf "p(X) :- e%d(X).")
+       @ [ "e1(a). e2(b)." ])
+  in
+  let { Parser.program; _ } = Parser.parse_string text in
+  let inst = Program.instance_of_facts program in
+  let q = Parser.parse_query "q(X) :- p(X)" in
+  List.iter
+    (fun e ->
+      match Answer.answer ~guard:(Guard.create ~timeout:1.0 ()) e program inst q
+      with
+      | Answer.Ok l ->
+        Alcotest.(check int) (Answer.engine_name e ^ ": 2 answers") 2
+          (List.length l)
+      | _ -> Alcotest.failf "%s did not answer in 1 s" (Answer.engine_name e))
+    [ Answer.Proof; Answer.Rewrite ]
+
 (* One step budget bounds every engine: proof search on the complete
    8-node graph, which would run to its 2,000,000-step cap, stops at
    the guard's 1,000 steps and reports that limit. *)
@@ -1335,7 +1358,7 @@ let test_core_folds_redundant_null () =
        (R.Tuple.of_list [ R.Value.sym "ann"; R.Value.sym "carl" ]));
   ignore
     (R.Instance.add_tuple inst "father"
-       (R.Tuple.of_list [ R.Value.sym "ann"; R.Value.Null 1 ]));
+       (R.Tuple.of_list [ R.Value.sym "ann"; R.Value.null 1 ]));
   let core = Core_inst.compute inst in
   Alcotest.(check int) "null folded away" 0 (Core_inst.null_count core);
   Alcotest.(check int) "one fact" 1
@@ -1351,7 +1374,7 @@ let test_core_keeps_necessary_null () =
   ignore (R.Instance.declare inst (R.Rel_schema.of_names "father" [ "a"; "b" ]));
   ignore
     (R.Instance.add_tuple inst "father"
-       (R.Tuple.of_list [ R.Value.sym "bob"; R.Value.Null 2 ]));
+       (R.Tuple.of_list [ R.Value.sym "bob"; R.Value.null 2 ]));
   let core = Core_inst.compute inst in
   Alcotest.(check int) "null kept" 1 (Core_inst.null_count core)
 
@@ -1442,6 +1465,34 @@ let test_parse_program () =
   Alcotest.(check int) "egds" 1 (List.length program.Program.egds);
   Alcotest.(check int) "ncs" 1 (List.length program.Program.ncs);
   Alcotest.(check int) "queries" 1 (List.length queries)
+
+(* One parse is one load: a spelling is one value across its facts and
+   rules; another parse has its own, equal values. *)
+let test_parse_shares_symbols () =
+  let text = {| p(a, "b"). q(b, a). r(X) :- p(X, a). |} in
+  let first = Parser.parse_string text and second = Parser.parse_string text in
+  let fact { Parser.program; _ } pred =
+    match
+      R.Relation.to_list
+        (R.Instance.get (Program.instance_of_facts program) pred)
+    with
+    | [ t ] -> t
+    | _ -> Alcotest.failf "one %s fact expected" pred
+  in
+  let p = fact first "p" and q = fact first "q" in
+  let a = R.Tuple.get p 0 in
+  Alcotest.(check bool) "a" true (a == R.Tuple.get q 1);
+  Alcotest.(check bool) "b (string and identifier)" true
+    (R.Tuple.get p 1 == R.Tuple.get q 0);
+  (match first.Parser.program.Program.tgds with
+   | [ { Tgd.body = [ b ]; _ } ] ->
+     Alcotest.(check bool) "rule constant" true
+       (match Atom.args b with [ _; Term.Const c ] -> c == a | _ -> false)
+   | _ -> Alcotest.fail "one rule expected");
+  let a' = R.Tuple.get (fact second "p") 0 in
+  Alcotest.(check bool) "another parse, another value" true (a' != a);
+  Alcotest.(check bool) "another parse, an equal value" true
+    (R.Value.equal a' a)
 
 (* Names are numbered per parse: one program parsed twice gets the
    same names, so the profiler keeps one entry per rule across both
@@ -1861,7 +1912,7 @@ let reference_merge_chase (p : Program.t) =
         Term.Var_set.fold
           (fun x s ->
             incr next_null;
-            Subst.bind_exn s x (Term.Const (R.Value.Null !next_null)))
+            Subst.bind_exn s x (Term.Const (R.Value.null !next_null)))
           (Tgd.existential_vars tgd) s
       in
       List.iter
@@ -2110,7 +2161,7 @@ let prop_planner_equals_nested_loop =
 
 let value_of_name name =
   match name.[0] with
-  | 'n' -> R.Value.Null (int_of_string (String.sub name 1 1))
+  | 'n' -> R.Value.null (int_of_string (String.sub name 1 1))
   | _ -> R.Value.sym name
 
 let gen_query_case =
@@ -2353,6 +2404,7 @@ let suites =
         case "proof pruned at the depth bound is degraded"
           test_proof_depth_pruning_degrades;
         case "engines out of scope are refused" test_out_of_scope_refused;
+        case "a wide program's rules are found by head" test_wide_program_heads;
         case "proof search stops at the guard's step budget"
           test_proof_under_guard_steps;
         case "rewrite CQ budget" test_rewrite_max_cqs_budget ] );
@@ -2389,6 +2441,7 @@ let suites =
         case "facts load in runs" test_program_load_runs;
         case "parse + chase end to end" test_parse_end_to_end;
         case "names are numbered per parse" test_parse_names_per_parse;
+        case "one value per spelling in a parse" test_parse_shares_symbols;
         case "existential head" test_parse_existential_head;
         case "multi-atom head" test_parse_multi_atom_head;
         case "error reporting" test_parse_errors;

@@ -109,7 +109,7 @@ let test_corpus_never_raises () =
 let test_examples_clean () =
   List.iter
     (fun path ->
-      let { Md_parser.diags; parsed } = Md_parser.check_file path in
+      let { Md_parser.diags; parsed; _ } = Md_parser.check_file path in
       (match parsed with
        | Some _ -> ()
        | None -> Alcotest.failf "%s: did not parse" path);
@@ -475,6 +475,39 @@ let test_hint_engine_accepted () =
         true (List.mem e !named))
     [ Answer.Chase; Answer.Proof; Answer.Rewrite ]
 
+(* One .mdq parse is one load: a fact's value is the dimension member
+   of its spelling, and a spelling repeated in facts is one value. *)
+let test_mdq_shares_symbols () =
+  let text =
+    {|
+dimension Hospital {
+  category Ward -> Unit.
+  member "W1" in Ward -> "Standard".
+  member "W2" in Ward -> "Standard".
+  member "Standard" in Unit.
+}
+relation patient_ward(ward in Hospital.Ward, patient).
+patient_ward("W1", "tom").
+patient_ward("W2", tom).
+|}
+  in
+  match (Md_parser.check_string text).Md_parser.parsed with
+  | None -> Alcotest.fail "clean input rejected"
+  | Some { Md_parser.ontology; _ } -> (
+    let module O = Mdqa_multidim.Md_ontology in
+    let module D = Mdqa_multidim.Dim_instance in
+    let di = List.hd ontology.O.dim_instances in
+    match
+      ( D.members di "Ward",
+        R.Relation.to_list (R.Instance.get ontology.O.data "patient_ward") )
+    with
+    | [ w1; w2 ], [ t1; t2 ] ->
+      Alcotest.(check bool) "fact value is the member" true
+        (R.Tuple.get t1 0 == w1 && R.Tuple.get t2 0 == w2);
+      Alcotest.(check bool) "a spelling repeated in facts" true
+        (R.Tuple.get t1 1 == R.Tuple.get t2 1)
+    | _ -> Alcotest.fail "two wards and two facts expected")
+
 let suites =
   [ ( "diag.corpus",
       [ Alcotest.test_case "golden corpus" `Quick test_corpus;
@@ -497,7 +530,9 @@ let suites =
           test_fail_fast_agrees;
         Alcotest.test_case "fail-fast returns the checked examples" `Quick
           test_fail_fast_examples;
-        Alcotest.test_case "source order survives" `Quick test_source_order ] );
+        Alcotest.test_case "source order survives" `Quick test_source_order;
+        Alcotest.test_case "one value per spelling in a .mdq parse" `Quick
+          test_mdq_shares_symbols ] );
     ( "diag.csv",
       [ Alcotest.test_case "row and column numbers" `Quick test_csv_row_col;
         Alcotest.test_case "empty input" `Quick test_csv_empty;

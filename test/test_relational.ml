@@ -20,21 +20,21 @@ let test_value_order () =
   Alcotest.(check bool) "int < real" true
     (Value.compare (v_int 5) (Value.real 1.0) < 0);
   Alcotest.(check bool) "const < null" true
-    (Value.compare (Value.real 9.9) (Value.Null 1) < 0);
+    (Value.compare (Value.real 9.9) (Value.null 1) < 0);
   Alcotest.(check bool) "null by label" true
-    (Value.compare (Value.Null 1) (Value.Null 2) < 0)
+    (Value.compare (Value.null 1) (Value.null 2) < 0)
 
 let test_value_null_predicates () =
-  Alcotest.(check bool) "null is null" true (Value.is_null (Value.Null 3));
+  Alcotest.(check bool) "null is null" true (Value.is_null (Value.null 3));
   Alcotest.(check bool) "sym not null" false (Value.is_null (v_sym "a"));
   Alcotest.(check bool) "sym is constant" true (Value.is_constant (v_sym "a"));
   Alcotest.(check bool) "null not constant" false
-    (Value.is_constant (Value.Null 3))
+    (Value.is_constant (Value.null 3))
 
 let test_value_string_roundtrip () =
   let cases =
     [ v_sym "Tom"; v_sym "Tom Waits"; v_int 42; v_int (-7); Value.real 37.5;
-      Value.Null 12; v_sym "W1"; v_sym "Sep/5-12:10" ]
+      Value.null 12; v_sym "W1"; v_sym "Sep/5-12:10" ]
   in
   List.iter
     (fun v ->
@@ -65,7 +65,7 @@ let test_value_to_string_is_pp () =
       v_sym "W1"; v_sym "Sep/5-12:10"; v_sym "a\"b\\c\n"; v_sym "caf\xc3\xa9";
       v_sym "_x"; v_int 0; v_int (-7); v_int min_int; Value.real 37.5;
       Value.real (-0.001); Value.real 1e21; Value.real Float.nan;
-      Value.real Float.neg_infinity; Value.Null 1; Value.Null 12;
+      Value.real Float.neg_infinity; Value.null 1; Value.null 12;
       v_sym "Inf"; v_sym "NaN"; v_sym "INFINITY"; v_sym "nan(12)";
       v_sym "info"; v_sym "nano"; v_sym "i"; v_sym "n" ];
   (* only whole float spellings are quoted *)
@@ -77,7 +77,7 @@ let test_value_to_string_is_pp () =
       ("n", true) ]
 
 let test_value_of_string_forms () =
-  Alcotest.check value_testable "underscore null" (Value.Null 7)
+  Alcotest.check value_testable "underscore null" (Value.null 7)
     (Value.of_string "_:7");
   Alcotest.check value_testable "int" (v_int 10) (Value.of_string "10");
   Alcotest.check value_testable "real" (Value.real 1.5) (Value.of_string "1.5");
@@ -89,7 +89,7 @@ let test_fresh_gen () =
   Alcotest.(check bool) "distinct" false (Value.equal a b);
   Alcotest.(check int) "count" 2 (Value.Fresh.count g);
   let g2 = Value.Fresh.create ~start:100 () in
-  Alcotest.check value_testable "start respected" (Value.Null 100)
+  Alcotest.check value_testable "start respected" (Value.null 100)
     (Value.Fresh.next g2)
 
 (* ------------------------------------------------------------------ *)
@@ -114,7 +114,7 @@ let test_tuple_project_append () =
 let test_tuple_has_null () =
   Alcotest.(check bool) "no null" false (Tuple.has_null (syms [ "a" ]));
   Alcotest.(check bool) "null" true
-    (Tuple.has_null (tup [ v_sym "a"; Value.Null 1 ]))
+    (Tuple.has_null (tup [ v_sym "a"; Value.null 1 ]))
 
 let test_tuple_bounds () =
   let t = syms [ "a" ] in
@@ -225,11 +225,11 @@ let test_probe_composite_after_mutation () =
   Alcotest.(check bool) "add" true (Relation.add r (syms [ "x"; "1"; "z" ]));
   count "after add" 2 key;
   (* merge a null into x: the null's row joins the (x,1) bucket *)
-  ignore (Relation.add r (tup [ Value.Null 7; v_sym "1"; v_sym "n" ]));
-  count "null row" 1 [ (0, Value.Null 7); (1, v_sym "1") ];
-  ignore (Relation.substitute r (Value.Map.singleton (Value.Null 7) (v_sym "x")));
+  ignore (Relation.add r (tup [ Value.null 7; v_sym "1"; v_sym "n" ]));
+  count "null row" 1 [ (0, Value.null 7); (1, v_sym "1") ];
+  ignore (Relation.substitute r (Value.Map.singleton (Value.null 7) (v_sym "x")));
   count "after substitute" 3 key;
-  count "null gone" 0 [ (0, Value.Null 7); (1, v_sym "1") ];
+  count "null gone" 0 [ (0, Value.null 7); (1, v_sym "1") ];
   (* the rewrite also invalidates the distinct counts *)
   Alcotest.(check int) "distinct a after merge" 2 (Relation.distinct r 0)
 
@@ -245,20 +245,20 @@ let test_distinct_counts () =
 
 let test_relation_substitute () =
   let r = Relation.create schema_ab in
-  ignore (Relation.add r (tup [ Value.Null 1; v_sym "k" ]));
+  ignore (Relation.add r (tup [ Value.null 1; v_sym "k" ]));
   ignore (Relation.add r (tup [ v_sym "c"; v_sym "k" ]));
-  ignore (Relation.add r (tup [ Value.Null 2; Value.Null 1 ]));
+  ignore (Relation.add r (tup [ Value.null 2; Value.null 1 ]));
   ignore (Relation.add r (tup [ v_sym "d"; v_sym "e" ]));
   (* simultaneous: ⊥1 ↦ c and ⊥2 ↦ ⊥1 do not chain *)
   let sigma =
     Value.Map.(
       empty
-      |> add (Value.Null 1) (v_sym "c")
-      |> add (Value.Null 2) (Value.Null 1))
+      |> add (Value.null 1) (v_sym "c")
+      |> add (Value.null 2) (Value.null 1))
   in
   let images = Relation.substitute r sigma in
   Alcotest.(check (list tuple_testable)) "images of the moved tuples"
-    [ syms [ "c"; "k" ]; tup [ Value.Null 1; v_sym "c" ] ]
+    [ syms [ "c"; "k" ]; tup [ Value.null 1; v_sym "c" ] ]
     (Tuple.Set.elements images);
   Alcotest.(check int) "merged" 3 (Relation.cardinal r);
   Alcotest.(check bool) "contains merged" true
@@ -266,7 +266,7 @@ let test_relation_substitute () =
   Alcotest.(check bool) "untouched tuple kept" true
     (Relation.mem r (syms [ "d"; "e" ]));
   Alcotest.(check bool) "nothing moves twice" true
-    (Tuple.Set.is_empty (Relation.substitute r (Value.Map.singleton (Value.Null 2) (v_sym "c"))))
+    (Tuple.Set.is_empty (Relation.substitute r (Value.Map.singleton (Value.null 2) (v_sym "c"))))
 
 let test_relation_remove () =
   let r = Relation.create schema_ab in
@@ -283,7 +283,7 @@ let test_relation_union_shares () =
   let source = Relation.create schema_ab in
   List.iter
     (fun t -> ignore (Relation.add source t))
-    [ syms [ "x"; "1" ]; syms [ "y"; "2" ]; tup [ Value.Null 1; v_sym "3" ] ];
+    [ syms [ "x"; "1" ]; syms [ "y"; "2" ]; tup [ Value.null 1; v_sym "3" ] ];
   let before = contents source in
   (* an index built before the union must not be shared either *)
   ignore (Relation.probe source [ (0, v_sym "z") ]);
@@ -296,7 +296,7 @@ let test_relation_union_shares () =
   ignore (Relation.remove shared (syms [ "x"; "1" ]));
   ignore
     (Relation.substitute shared
-       (Value.Map.singleton (Value.Null 1) (v_sym "w")));
+       (Value.Map.singleton (Value.null 1) (v_sym "w")));
   Alcotest.(check (list (list value_testable)))
     "source unchanged by add/remove/substitute on the sharer" before
     (contents source);
@@ -308,7 +308,7 @@ let test_relation_union_shares () =
   ignore (Relation.remove source (syms [ "y"; "2" ]));
   ignore
     (Relation.substitute source
-       (Value.Map.singleton (Value.Null 1) (v_sym "u")));
+       (Value.Map.singleton (Value.null 1) (v_sym "u")));
   Alcotest.(check (list (list value_testable)))
     "sharer unchanged by add/remove/substitute on the source" after
     (contents shared);
@@ -394,7 +394,7 @@ let test_csv_roundtrip () =
   let r =
     Relation.of_tuples schema
       [ tup [ v_sym "Sep/5-12:10"; v_sym "Tom Waits"; Value.real 38.2 ];
-        tup [ v_sym "Sep/6-11:50"; v_sym "Tom, Waits"; Value.Null 4 ] ]
+        tup [ v_sym "Sep/6-11:50"; v_sym "Tom, Waits"; Value.null 4 ] ]
   in
   let r' = parse_csv_exn ~name:"m" (Csv_io.relation_to_string r) in
   Alcotest.(check int) "cardinal" 2 (Relation.cardinal r');
@@ -405,7 +405,7 @@ let test_csv_numeric_symbols () =
   let schema = Rel_schema.of_names "m" [ "a"; "b" ] in
   let r =
     Relation.of_tuples schema
-      (List.map (fun s -> tup [ v_sym s; Value.Null 1 ]) numeric_spellings)
+      (List.map (fun s -> tup [ v_sym s; Value.null 1 ]) numeric_spellings)
   in
   let r' = parse_csv_exn ~name:"m" (Csv_io.relation_to_string r) in
   Alcotest.(check bool) "symbols stay symbols" true
@@ -415,7 +415,7 @@ let test_csv_quoting () =
   let cell = Csv_io.cell_of_value (v_sym "a,b") in
   Alcotest.(check bool) "comma quoted" true (cell.[0] = '"');
   Alcotest.check value_testable "roundtrip via of_string" (v_sym "a,b")
-    (Csv_io.value_of_cell (Value.to_string (v_sym "a,b")))
+    (Value.of_string (Value.to_string (v_sym "a,b")))
 
 let test_csv_file_roundtrip () =
   let schema = Rel_schema.of_names "m" [ "a"; "b" ] in
@@ -452,7 +452,7 @@ let value_gen =
     oneof
       [ map Value.sym (string_size ~gen:(char_range 'a' 'z') (1 -- 6));
         map Value.int (0 -- 1000);
-        map (fun n -> Value.Null n) (0 -- 50) ])
+        map (fun n -> Value.null n) (0 -- 50) ])
 
 let value_arb = QCheck.make ~print:Value.to_string value_gen
 
@@ -557,20 +557,20 @@ let symbols = [| ""; "a"; "Tom Waits"; "\"q\""; "w1" |]
 
 (* an equal value in a new block, with a new string for a symbol *)
 let copy_value = function
-  | Value.Sym s -> Value.Sym (Bytes.to_string (Bytes.of_string s))
-  | Value.Int i -> Value.Int i
-  | Value.Real r -> Value.Real r
-  | Value.Null n -> Value.Null n
+  | Value.Sym { name; _ } -> Value.sym (Bytes.to_string (Bytes.of_string name))
+  | Value.Int i -> Value.int i
+  | Value.Real r -> Value.real r
+  | Value.Null n -> Value.null n
 
 let edge_value_gen =
   QCheck.Gen.(
     oneof
-      [ map (fun s -> Value.Sym s) (oneofa symbols);
-        map copy_value (map (fun s -> Value.Sym s) (oneofa symbols));
+      [ map (fun s -> Value.sym s) (oneofa symbols);
+        map copy_value (map (fun s -> Value.sym s) (oneofa symbols));
         map Value.int (oneofl [ min_int; max_int; -1; 0; 1 ]);
         map Value.real
           (oneofl [ nan; -0.0; 0.0; infinity; neg_infinity; 1.5 ]);
-        map (fun n -> Value.Null n) (0 -- 2) ])
+        map (fun n -> Value.null n) (0 -- 2) ])
 
 (* A pair of tuples, the second either independent (any arity) or made
    from the first position by position: the same value, an equal copy
@@ -626,11 +626,53 @@ let prop_value_equal_hash =
       Value.equal a b = (Value.compare a b = 0)
       && ((not (Value.equal a b)) || Value.hash a = Value.hash b))
 
+(* the flat count against a set of each position's values *)
+let prop_distinct_exact =
+  QCheck.Test.make ~name:"Relation.distinct counts exactly" ~count:300
+    (QCheck.make
+       ~print:(Format.asprintf "%a" (Format.pp_print_list Tuple.pp))
+       QCheck.Gen.(
+         list_size (0 -- 300)
+           (map Tuple.of_list (list_repeat 2 edge_value_gen))))
+    (fun ts ->
+      let r = Relation.of_tuples (Rel_schema.of_names "r" [ "a"; "b" ]) ts in
+      List.for_all
+        (fun p ->
+          Relation.distinct r p
+          = Value.Set.cardinal
+              (Relation.fold (fun t s -> Value.Set.add (Tuple.get t p) s) r
+                 Value.Set.empty))
+        [ 0; 1 ])
+
+(* An interner is one load: a spelling is one value in it, and in
+   another load an equal value that is not the same one; a bare [sym]
+   is equal to both.  A CSV file is one load. *)
+let test_value_interned () =
+  let load = Value.interner () and other = Value.interner () in
+  let a = load "Tom Waits" in
+  Alcotest.(check bool) "one value per spelling" true
+    (a == load (String.concat " " [ "Tom"; "Waits" ]));
+  List.iter
+    (fun (what, b) ->
+      Alcotest.(check bool) (what ^ ": another value") true (a != b);
+      Alcotest.(check bool) (what ^ ": equal") true (Value.equal a b);
+      Alcotest.(check int) (what ^ ": compare") 0 (Value.compare a b);
+      Alcotest.(check int) (what ^ ": hash") (Value.hash a) (Value.hash b))
+    [ ("another load", other "Tom Waits"); ("bare sym", Value.sym "Tom Waits") ];
+  match Csv_io.relation_of_string_result ~name:"m" "a,b\nx,y\ny,x\n" with
+  | Ok r -> (
+    match Relation.to_list r with
+    | [ t; t' ] ->
+      Alcotest.(check bool) "csv: one value per spelling" true
+        (Tuple.get t 0 == Tuple.get t' 1 && Tuple.get t 1 == Tuple.get t' 0)
+    | _ -> Alcotest.fail "two rows expected")
+  | Error _ -> Alcotest.fail "clean CSV rejected"
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_value_compare_total; prop_value_roundtrip; prop_tuple_project_id;
       prop_relation_add_idempotent; prop_of_tuples_is_adds; prop_csv_roundtrip;
-      prop_tuple_compare_hash; prop_value_equal_hash ]
+      prop_tuple_compare_hash; prop_value_equal_hash; prop_distinct_exact ]
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -642,7 +684,8 @@ let suites =
         case "of_string surface forms" test_value_of_string_forms;
         case "to_string prints as pp" test_value_to_string_is_pp;
         case "numeric spellings stay symbols" test_value_numeric_symbols;
-        case "fresh null generator" test_fresh_gen ] );
+        case "fresh null generator" test_fresh_gen;
+        case "symbols are shared within a load" test_value_interned ] );
     ( "relational.tuple",
       [ case "basic access and update" test_tuple_basic;
         case "project and append" test_tuple_project_append;

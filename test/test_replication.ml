@@ -66,7 +66,7 @@ let primary_snapshot () =
       mk_instance
         [ ("e", 2,
            [ [ R.Value.int 1; R.Value.int 2 ];
-             [ R.Value.sym "a"; R.Value.Null 3 ] ]);
+             [ R.Value.sym "a"; R.Value.null 3 ] ]);
           ("t", 2, []) ];
     null_base = 7;
     stats = stats_of (1, 2, 3, 4, 5);
@@ -74,8 +74,8 @@ let primary_snapshot () =
 
 let journal_records =
   [ Journal.Fact ("t", R.Tuple.of_list [ R.Value.int 1; R.Value.int 2 ]);
-    Journal.Fact ("t", R.Tuple.of_list [ R.Value.sym "a"; R.Value.Null 8 ]);
-    Journal.Merge { from_ = R.Value.Null 8; into = R.Value.Null 3 };
+    Journal.Fact ("t", R.Tuple.of_list [ R.Value.sym "a"; R.Value.null 8 ]);
+    Journal.Merge { from_ = R.Value.null 8; into = R.Value.null 3 };
     Journal.Round { merged = true; stats = stats_of (2, 4, 6, 8, 10) } ]
 
 (* Writes snapshot + journal files at [path]; returns their raw bytes

@@ -353,8 +353,8 @@ let test_parse_request_bad () =
 let test_reply_roundtrip () =
   let t =
     Mdqa_relational.Tuple.of_list
-      [ Mdqa_relational.Value.Sym "a"; Mdqa_relational.Value.Int 3;
-        Mdqa_relational.Value.Null 2 ]
+      [ Mdqa_relational.Value.sym "a"; Mdqa_relational.Value.int 3;
+        Mdqa_relational.Value.null 2 ]
   in
   let line =
     Protocol.complete_reply ~id:(Jsonl.Num 9.) ~answers:(Some [ t ]) ()
@@ -388,8 +388,8 @@ let test_reply_bytes () =
   let module V = Mdqa_relational.Value in
   let t =
     Mdqa_relational.Tuple.of_list
-      [ V.Sym "say \"hi\"\\ \n\t\001\031end"; V.Sym "plain"; V.Int 42;
-        V.Real 39.9; V.Real 40.0; V.Null 7 ]
+      [ V.sym "say \"hi\"\\ \n\t\001\031end"; V.sym "plain"; V.int 42;
+        V.real 39.9; V.real 40.0; V.null 7 ]
   in
   Alcotest.(check string) "complete reply"
     ({|{"id":3,"status":"complete","answers":[["say \"hi\"\\ \n\t\u0001\u001fend","plain",42,39.899999999999999,40,{"null":7}],[]]}|}

@@ -59,8 +59,8 @@ let nasty_values =
   @ [ R.Value.int 0; R.Value.int 1; R.Value.int (-1); R.Value.int max_int;
       R.Value.int min_int; R.Value.real 0.; R.Value.real (-0.);
       R.Value.real 3.14159; R.Value.real 1e-300; R.Value.real infinity;
-      R.Value.real neg_infinity; R.Value.Null 0; R.Value.Null 42;
-      R.Value.Null 999999 ]
+      R.Value.real neg_infinity; R.Value.null 0; R.Value.null 42;
+      R.Value.null 999999 ]
 
 let mk_instance rels =
   let inst = R.Instance.create () in
@@ -80,8 +80,8 @@ let nasty_instance () =
     [ ("empty_rel", 2, []);
       ("vals", 1, List.map (fun v -> [ v ]) nasty_values);
       ( "pairs", 3,
-        [ [ R.Value.sym "a"; R.Value.Null 3; R.Value.int 7 ];
-          [ R.Value.sym "nul\000"; R.Value.Null 3; R.Value.real nan ] ] ) ]
+        [ [ R.Value.sym "a"; R.Value.null 3; R.Value.int 7 ];
+          [ R.Value.sym "nul\000"; R.Value.null 3; R.Value.real nan ] ] ) ]
 
 let stats_of (a, b, c, d, e) =
   { Chase.rounds = a; tgd_fires = b; triggers_checked = c; nulls_created = d;
@@ -112,7 +112,7 @@ let normalize_nulls inst =
   ignore
     (R.Instance.substitute inst
        (Hashtbl.fold
-          (fun k k' m -> R.Value.Map.add (R.Value.Null k) (R.Value.Null k') m)
+          (fun k k' m -> R.Value.Map.add (R.Value.null k) (R.Value.null k') m)
           mapping R.Value.Map.empty));
   inst
 
@@ -174,7 +174,7 @@ let gen_value =
         (2, map R.Value.sym string_printable);
         (2, map R.Value.int int);
         (1, map R.Value.real (oneofl [ 0.; -1.5; 2.75e10; 1e-30 ]));
-        (2, map (fun k -> R.Value.Null k) (int_bound 1000)) ])
+        (2, map (fun k -> R.Value.null k) (int_bound 1000)) ])
 
 let gen_instance =
   QCheck.Gen.(
@@ -209,7 +209,7 @@ let nasty_snapshot () =
     stats = stats_of (3, 14, 159, 26, 5);
     frontier =
       Some
-        [ ("vals", [ R.Tuple.of_list [ R.Value.Null 3 ] ]);
+        [ ("vals", [ R.Tuple.of_list [ R.Value.null 3 ] ]);
           ("empty_rel", []) ] }
 
 let check_snapshot_equal (a : Snapshot.t) (b : Snapshot.t) =
@@ -296,9 +296,9 @@ let test_snapshot_bitflip_sweep () =
 (* --- journal --------------------------------------------------------- *)
 
 let sample_records =
-  [ Journal.Fact ("vals", R.Tuple.of_list [ R.Value.sym "nul\000"; R.Value.Null 3 ]);
+  [ Journal.Fact ("vals", R.Tuple.of_list [ R.Value.sym "nul\000"; R.Value.null 3 ]);
     Journal.Fact ("vals", R.Tuple.of_list [ R.Value.int min_int; R.Value.real 1e300 ]);
-    Journal.Merge { from_ = R.Value.Null 3; into = R.Value.Null 1 };
+    Journal.Merge { from_ = R.Value.null 3; into = R.Value.null 1 };
     Journal.Round { merged = true; stats = stats_of (1, 2, 3, 4, 5) };
     Journal.Fact ("t", R.Tuple.of_list [ R.Value.sym "a"; R.Value.sym "b" ]);
     Journal.Round { merged = false; stats = stats_of (2, 3, 4, 5, 6) } ]
@@ -307,6 +307,52 @@ let write_journal path records =
   let w = Journal.create ~path in
   List.iter (fun r -> ignore (Journal.append w r)) records;
   Journal.close w
+
+(* A snapshot read and a journal read are one load each: a spelling is
+   one value across the file.  Values of one spelling from a parse, a
+   read-back and a bare [sym] are equal but not the same value. *)
+let test_read_shares_symbols () =
+  let path = tmp_store () in
+  Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
+  let sym = R.Value.sym and tuple = R.Tuple.of_list in
+  let inst = R.Instance.create () in
+  let e = R.Instance.declare inst (R.Rel_schema.of_names "e" [ "x"; "y" ]) in
+  List.iter
+    (fun (x, y) -> ignore (R.Relation.add e (tuple [ sym x; sym y ])))
+    [ ("a", "b"); ("b", "a") ];
+  ignore
+    (Snapshot.write ~path
+       { (nasty_snapshot ()) with instance = inst; frontier = None });
+  let a =
+    match Snapshot.read ~path with
+    | Error c -> Alcotest.failf "clean snapshot rejected: %s" c.Binio.reason
+    | Ok back -> (
+      match R.Relation.to_list (R.Instance.get back.instance "e") with
+      | [ t; t' ] ->
+        Alcotest.(check bool) "snapshot: one value per spelling" true
+          (R.Tuple.get t 0 == R.Tuple.get t' 1);
+        R.Tuple.get t 0
+      | _ -> Alcotest.fail "two tuples expected")
+  in
+  write_journal path
+    [ Journal.Fact ("e", tuple [ sym "a" ]); Journal.Fact ("e", tuple [ sym "a" ]) ];
+  (match (Journal.read ~path).Journal.records with
+   | [ (_, Journal.Fact (_, t)); (_, Journal.Fact (_, t')) ] ->
+     Alcotest.(check bool) "journal: one value per spelling" true
+       (R.Tuple.get t 0 == R.Tuple.get t' 0)
+   | _ -> Alcotest.fail "two records expected");
+  let parsed =
+    match (Parser.parse_string "e(a).").Parser.program.Program.facts with
+    | [ r ] -> R.Tuple.get (List.hd (R.Relation.to_list r)) 0
+    | _ -> Alcotest.fail "one relation expected"
+  in
+  List.iter
+    (fun (what, b) ->
+      Alcotest.(check bool) (what ^ ": another value") true (a != b);
+      Alcotest.(check bool) (what ^ ": equal") true (R.Value.equal a b);
+      Alcotest.(check int) (what ^ ": compare") 0 (R.Value.compare a b);
+      Alcotest.(check int) (what ^ ": hash") (R.Value.hash a) (R.Value.hash b))
+    [ ("parse", parsed); ("bare sym", sym "a") ]
 
 let test_journal_roundtrip () =
   let path = tmp_store () in
@@ -963,7 +1009,7 @@ let store_with_journal () =
   let path, _ = completed_store () in
   write_journal (Store.journal_path path)
     [ Journal.Fact ("e", R.Tuple.of_list [ R.Value.int 9; R.Value.int 10 ]);
-      Journal.Merge { from_ = R.Value.Null 0; into = R.Value.sym "tom" };
+      Journal.Merge { from_ = R.Value.null 0; into = R.Value.sym "tom" };
       Journal.Round { merged = true; stats = stats_of (1, 2, 3, 4, 5) } ];
   path
 
@@ -1169,7 +1215,9 @@ let suites =
       [ Alcotest.test_case "round-trip" `Quick test_snapshot_roundtrip;
         Alcotest.test_case "truncation sweep (every prefix)" `Quick
           test_snapshot_truncation_sweep;
-        Alcotest.test_case "bit-flip sweep" `Slow test_snapshot_bitflip_sweep ]
+        Alcotest.test_case "bit-flip sweep" `Slow test_snapshot_bitflip_sweep;
+        Alcotest.test_case "a read shares its symbols" `Quick
+          test_read_shares_symbols ]
       @ qcheck [ test_snapshot_qcheck ] );
     ( "store.journal",
       [ Alcotest.test_case "round-trip" `Quick test_journal_roundtrip;
