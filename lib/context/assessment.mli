@@ -42,5 +42,4 @@ val report : ?partial:bool -> Context.assessment -> relation_report list
     computed so far ({!Context.quality_version} with [~partial:true]);
     ratios are then lower bounds. *)
 
-val pp_relation_report : Format.formatter -> relation_report -> unit
 val pp_report : Format.formatter -> relation_report list -> unit

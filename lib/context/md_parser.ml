@@ -1,7 +1,6 @@
 open Mdqa_datalog
 open Mdqa_multidim
 module R = Mdqa_relational
-module Facts = Parser.Facts
 module Trace = Mdqa_obs.Trace
 
 type parsed = {
@@ -205,11 +204,11 @@ let parse_wiring st ~quality =
   if quality then Quality (from, target) else Map (from, target)
 
 (* The declarations and the Datalog± statements of an input, each in
-   source order, and its facts: to the shared recovering loop a
-   declaration is one more kind of item. *)
-let collect sym diags input =
+   source order; its facts go to [fact].  To the shared recovering loop
+   a declaration is one more kind of item. *)
+let collect sym diags input fact =
   let decls = ref [] in
-  let statements, facts =
+  let statements =
     Parser.parse_items ~sym diags input (fun st ->
         let pos = Parser.pos st in
         let decl d =
@@ -226,8 +225,9 @@ let collect sym diags input =
         | Some k ->
           fail st (Printf.sprintf "'%s' is only allowed inside a dimension" k)
         | None -> false)
+      fact
   in
-  (List.rev !decls, statements, facts)
+  (List.rev !decls, statements)
 
 (* --- semantic validation ------------------------------------------- *)
 
@@ -397,18 +397,17 @@ let validate sym diags decls statements facts =
       None
   in
   (* 4. facts: declared predicates only *)
+  let fact_preds = List.map R.Relation.name (Parser.fact_relations facts) in
   let undeclared =
-    List.filter (fun p -> not (Hashtbl.mem schemas p)) (Facts.preds facts)
+    List.filter (fun p -> not (Hashtbl.mem schemas p)) fact_preds
   in
   if undeclared <> [] then
-    Facts.iter
-      (fun p _ loc ->
+    Parser.replay_facts facts (fun p _ pos ->
         if List.mem p undeclared then
-          err diags (Facts.pos loc) "E013"
+          err diags pos "E013"
             "fact over undeclared predicate %s (declare it with 'relation', \
              'source' or 'external')"
-            p)
-      facts;
+            p);
   (* 5. global arity consistency: the MD schema's predicates, then the
      declarations, then every fact and statement *)
   let md_preds =
@@ -500,7 +499,7 @@ let validate sym diags decls statements facts =
             List.iter know (Tgd.head_preds t)
           | _ -> ())
         statements;
-      List.iter know (Facts.preds facts);
+      List.iter know fact_preds;
       let check_known what name preds pos =
         List.iter
           (fun p ->
@@ -593,7 +592,6 @@ let build decls statements facts (arts : artifacts) =
         | _ -> None)
       decls
   in
-  (* Facts. *)
   let data = R.Instance.create () in
   let source = R.Instance.create () in
   let externals = R.Instance.create () in
@@ -610,8 +608,10 @@ let build decls statements facts (arts : artifacts) =
     | Some (External, _, _) -> R.Instance.get externals p
     | None -> invalid_arg ("fact over undeclared predicate " ^ p)
   in
-  Program.load (fun p _ -> rel p) (fun add ->
-      Facts.iter (fun p t _ -> add p t) facts);
+  (* each whole relation into its empty declared one: O(1) *)
+  List.iter
+    (fun r -> R.Relation.union (rel (R.Relation.name r)) r)
+    (Parser.fact_relations facts);
   let egds = ref [] and ncs = ref [] and queries = ref [] in
   List.iter
     (fun { Parser.stmt; _ } ->
@@ -647,31 +647,24 @@ let build decls statements facts (arts : artifacts) =
    the closed-world referential check, whose violations it returns. *)
 let advisory diags statements facts (p : parsed) =
   Validate.check_certificate diags statements (Context.program p.context);
-  (* each fact's first position, per predicate, built on the first
-     violation over that predicate *)
-  let tables = Hashtbl.create 8 in
-  let first_loc pred tuple =
-    let tbl =
-      match Hashtbl.find_opt tables pred with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = R.Tuple.Tbl.create 64 in
-        (* newest first: the earliest position is written last *)
-        Facts.iter
-          (fun p t loc ->
-            if String.equal p pred then R.Tuple.Tbl.replace tbl t loc)
-          facts;
-        Hashtbl.add tables pred tbl;
-        tbl
-    in
-    R.Tuple.Tbl.find_opt tbl tuple
-  in
   let referential = Md_ontology.referential_violations p.ontology in
+  (* each fact's first position, over the relations with a violation:
+     the facts are read again only when there is one *)
+  let firsts = Hashtbl.create 8 in
+  List.iter
+    (fun (v : Md_ontology.referential_violation) ->
+      if not (Hashtbl.mem firsts v.relation) then
+        Hashtbl.add firsts v.relation (R.Tuple.Tbl.create 64))
+    referential;
+  if referential <> [] then
+    Parser.replay_facts facts (fun p t pos ->
+        match Hashtbl.find_opt firsts p with
+        | Some tbl when not (R.Tuple.Tbl.mem tbl t) -> R.Tuple.Tbl.add tbl t pos
+        | _ -> ());
   List.iter
     (fun (v : Md_ontology.referential_violation) ->
       let pos =
-        Option.map Facts.pos
-          (first_loc v.Md_ontology.relation v.Md_ontology.tuple)
+        R.Tuple.Tbl.find_opt (Hashtbl.find firsts v.relation) v.tuple
       in
       let line = Option.map (fun p -> p.Lexer.line) pos in
       let col = Option.map (fun p -> p.Lexer.col) pos in
@@ -683,8 +676,14 @@ let advisory diags statements facts (p : parsed) =
 
 let check_string ?file input =
   let diags = Diag.collector ?file () and sym = R.Value.interner () in
-  let decls, statements, facts =
-    Trace.with_span "md_parser.collect" (fun () -> collect sym diags input)
+  let facts =
+    Parser.facts (fun sink ->
+        ignore
+          (collect (R.Value.interner ()) (Diag.collector ()) input sink))
+  in
+  let decls, statements =
+    Trace.with_span "md_parser.collect" (fun () ->
+        collect sym diags input (Parser.add_fact facts))
   in
   let arts =
     Trace.with_span "md_parser.validate" (fun () ->

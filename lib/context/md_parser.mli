@@ -90,13 +90,14 @@ val check_string : ?file:string -> string -> checked
     [md_parser.build] and [md_parser.advisory]; the dimension checks
     inside [validate] are one more, [md_parser.dimensions].
 
-    Facts never become statement ASTs: [collect] reads each ground
-    fact straight into a tuple in one {!Mdqa_datalog.Parser.Facts}
-    buffer, [validate] checks them once per predicate ([E013],
-    [E011]), [build] inserts the buffered tuples into their relations
-    and [W045] locates a fact through a table keyed on the buffered
-    tuples, built on the first violation.  The buffer is garbage once
-    the check returns: [parsed] holds only relations. *)
+    Facts never become statement ASTs: [collect] writes each ground
+    fact straight into its predicate's relation
+    ({!Mdqa_datalog.Parser.add_fact}), [validate] checks them once per
+    predicate ([E013], [E011]) and [build] hands each whole relation to
+    its declaration.  No fact keeps a position: [E011] on a fact,
+    [E013] and [W045] locate theirs by running [collect] over the input
+    once more ({!Mdqa_datalog.Parser.replay_facts}), so only an input
+    that gets one of them parses twice. *)
 
 val check_file : string -> checked
 (** @raise Sys_error on I/O failure only. *)

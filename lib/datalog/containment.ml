@@ -1,5 +1,4 @@
 module Instance = Mdqa_relational.Instance
-module Rel_schema = Mdqa_relational.Rel_schema
 module Tuple = Mdqa_relational.Tuple
 module Value = Mdqa_relational.Value
 
@@ -16,10 +15,7 @@ let frozen_instance (q : Query.t) =
   List.iter
     (fun a ->
       let fa = freeze_atom a in
-      let schema =
-        Rel_schema.of_names (Atom.pred fa)
-          (List.init (Atom.arity fa) (Printf.sprintf "c%d"))
-      in
+      let schema = Program.schema (Atom.pred fa) (Atom.arity fa) in
       ignore (Instance.declare inst schema);
       ignore (Instance.add_tuple inst (Atom.pred fa) (Atom.to_tuple fa)))
     q.Query.body;
@@ -123,20 +119,40 @@ let minimize (q : Query.t) =
   if List.length body = List.length q.Query.body then q
   else Query.make ~name:q.Query.name ~cmps:q.Query.cmps ~head:q.Query.head body
 
+(* A disjunct can contain another only when each of its body
+   predicates occurs in the other one: [Eval] finds no match over an
+   absent predicate.  Each disjunct is listed under its first body
+   predicate, so those that may contain [i] are found from [i]'s own
+   predicates, and tried in the order of the all-pairs loop. *)
 let prune_ucq disjuncts =
   let arr = Array.of_list disjuncts in
   let n = Array.length arr in
+  let preds =
+    Array.map
+      (fun (q : Query.t) ->
+        List.sort_uniq String.compare (List.map Atom.pred q.Query.body))
+      arr
+  in
+  let under = Hashtbl.create n in
+  Array.iteri (fun j ps -> Hashtbl.add under (List.hd ps) j) preds;
+  let candidates i =
+    List.concat_map (Hashtbl.find_all under) preds.(i)
+    |> List.filter (fun j ->
+           j <> i && List.for_all (fun p -> List.mem p preds.(i)) preds.(j))
+    |> List.sort Int.compare
+  in
   let dropped = Array.make n false in
   for i = 0 to n - 1 do
     if not dropped.(i) then
-      for j = 0 to n - 1 do
-        if i <> j && (not dropped.(i)) && not dropped.(j) then
-          if contained ~sub:arr.(i) ~super:arr.(j) then
-            if contained ~sub:arr.(j) ~super:arr.(i) then begin
-              (* equivalent: keep the earlier one *)
-              if j < i then dropped.(i) <- true else dropped.(j) <- true
-            end
-            else dropped.(i) <- true
-      done
+      List.iter
+        (fun j ->
+          if (not dropped.(i)) && not dropped.(j) then
+            if contained ~sub:arr.(i) ~super:arr.(j) then
+              if contained ~sub:arr.(j) ~super:arr.(i) then begin
+                (* equivalent: keep the earlier one *)
+                if j < i then dropped.(i) <- true else dropped.(j) <- true
+              end
+              else dropped.(i) <- true)
+        (candidates i)
   done;
   List.filteri (fun i _ -> not dropped.(i)) (Array.to_list arr)

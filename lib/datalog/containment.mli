@@ -24,4 +24,7 @@ val minimize : Query.t -> Query.t
 
 val prune_ucq : Query.t list -> Query.t list
 (** Remove every disjunct contained in another one (keeping the first
-    of equivalent pairs); the union's answers are unchanged. *)
+    of equivalent pairs); the union's answers are unchanged.  A pair is
+    compared only when every body predicate of the containing disjunct
+    occurs in the contained one, found through a predicate → disjuncts
+    table. *)

@@ -83,17 +83,7 @@ val collector : ?file:string -> unit -> collector
 (** A fresh, empty collector.  [file] is stamped on every diagnostic
     added through the helpers below (an explicit [?file] wins). *)
 
-val add : collector -> t -> unit
-
 val error :
-  collector -> ?file:string -> ?line:int -> ?col:int -> code:string ->
-  string -> unit
-
-val warning :
-  collector -> ?file:string -> ?line:int -> ?col:int -> code:string ->
-  string -> unit
-
-val hint :
   collector -> ?file:string -> ?line:int -> ?col:int -> code:string ->
   string -> unit
 

@@ -48,14 +48,13 @@ type rule_cost = {
   rule_name : string;
   rule : Mdqa_obs.Profile.rule_stat;  (** counts and the time split *)
   body : atom_cost list;
-      (** in body order; {!pp_rule_cost} prints them in executed order *)
+      (** in body order; {!pp_cost} prints them in executed order *)
 }
 
 val cost : Mdqa_obs.Profile.snapshot -> Tgd.t list -> rule_cost list
 (** One {!rule_cost} per TGD (zeroed when the profiler never saw the
     rule), hottest first. *)
 
-val pp_rule_cost : Format.formatter -> rule_cost -> unit
 val pp_cost : Format.formatter -> rule_cost list -> unit
 (** EXPLAIN-style plan view: the body atoms in the order the join ran
     them (by {!Mdqa_obs.Profile.atom_stat.step}; [[i]] is still the

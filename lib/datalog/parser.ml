@@ -1,5 +1,6 @@
 module Value = Mdqa_relational.Value
 module Tuple = Mdqa_relational.Tuple
+module Relation = Mdqa_relational.Relation
 
 type parsed = {
   program : Program.t;
@@ -151,65 +152,65 @@ let parse_body st =
   in
   go [] []
 
-module Facts = struct
-  (* newest first, each position packed in one int, line in the high
-     bits *)
-  type chain =
-    | Nil
-    | Fact of { pred : string; tuple : Tuple.t; loc : int; rest : chain }
+type sink = string -> Tuple.t -> Lexer.pos -> unit
 
-  type loc = int
+(* A predicate's facts: its relation, joined 4,096 new tuples at a time
+   by one [Relation.of_tuples] and one [Relation.union], and its first
+   fact. *)
+type pred_facts = {
+  rel : Relation.t;  (* the first fact fixes its arity *)
+  at : Lexer.pos;  (* the first fact's position *)
+  mutable uniform : bool;  (* every later fact had the first one's arity *)
+  mutable run : Tuple.t list;  (* not yet in [rel] *)
+  mutable pending : int;
+}
 
-  (* the first fact over a predicate, and whether all have its arity *)
-  type first = {
-    name : string;  (* shared by the chain's facts over it *)
-    arity : int;
-    at : Lexer.pos;
-    mutable uniform : bool;
-  }
+type facts = {
+  preds : (string, pred_facts) Hashtbl.t;
+  mutable newest : pred_facts list;  (* newest predicate first *)
+  replay : sink -> unit;
+}
 
-  type t = {
-    firsts : (string, first) Hashtbl.t;
-    mutable newest : first list;  (* newest predicate first *)
-    mutable facts : chain;
-  }
+let facts replay = { preds = Hashtbl.create 16; newest = []; replay }
 
-  let create () = { firsts = Hashtbl.create 16; newest = []; facts = Nil }
+let flush f =
+  if f.pending > 0 then begin
+    Relation.(union f.rel (of_tuples (schema f.rel) f.run));
+    f.run <- [];
+    f.pending <- 0
+  end
 
-  let add t pred tuple (pos : Lexer.pos) =
-    let f =
-      match t.newest with
-      | f :: _ when String.equal f.name pred -> f  (* facts come in runs *)
-      | _ -> (
-        match Hashtbl.find_opt t.firsts pred with
-        | Some f -> f
-        | None ->
-          let f =
-            { name = pred; arity = Tuple.arity tuple; at = pos; uniform = true }
-          in
-          Hashtbl.add t.firsts pred f;
-          t.newest <- f :: t.newest;
-          f)
-    in
-    if Tuple.arity tuple <> f.arity then f.uniform <- false;
-    t.facts <-
-      Fact
-        { pred = f.name; tuple; loc = (pos.line lsl 32) lor pos.col;
-          rest = t.facts }
+let add_fact facts pred tuple (pos : Lexer.pos) =
+  let f =
+    match facts.newest with
+    | f :: _ when String.equal (Relation.name f.rel) pred -> f  (* a run *)
+    | _ -> (
+      match Hashtbl.find_opt facts.preds pred with
+      | Some f -> f
+      | None ->
+        let rel = Relation.create (Program.schema pred (Tuple.arity tuple)) in
+        let f = { rel; at = pos; uniform = true; run = []; pending = 0 } in
+        Hashtbl.add facts.preds pred f;
+        facts.newest <- f :: facts.newest;
+        f)
+  in
+  if Tuple.arity tuple <> Relation.arity f.rel then f.uniform <- false
+  else begin
+    f.run <- tuple :: f.run;
+    f.pending <- f.pending + 1;
+    if f.pending = 4096 then flush f
+  end
 
-  let firsts t = List.rev t.newest
-  let preds t = List.map (fun f -> f.name) (firsts t)
-  let pos loc = { Lexer.line = loc lsr 32; col = loc land 0xffffffff }
+let firsts facts = List.rev facts.newest
 
-  let iter f t =
-    let rec go = function
-      | Nil -> ()
-      | Fact { pred; tuple; loc; rest } ->
-        f pred tuple loc;
-        go rest
-    in
-    go t.facts
-end
+let fact_relations facts =
+  List.map
+    (fun f ->
+      flush f;
+      f.rel)
+    (firsts facts)
+
+let replay_facts facts sink = facts.replay sink
 
 type statement =
   | S_tgd of Tgd.t
@@ -242,8 +243,8 @@ let rule_name st head =
    | VAR '=' term ':-' body '.'
    | atoms '.'                        (fact, single ground atom)
    | atoms ':-' body '.'              (TGD, multi-atom head)
-   A fact goes to [facts], and the result is [None]. *)
-let statement facts st =
+   A fact goes to [fact], and the result is [None]. *)
+let statement fact st =
   let t, pos = peek st in
   match t with
   | Lexer.BANG ->
@@ -293,7 +294,7 @@ let statement facts st =
     match parse_ground_or_atom st with
     | Ground (pred, tuple) when fst (peek st) = Lexer.PERIOD ->
       advance st;
-      Facts.add facts pred tuple pos;
+      fact pred tuple pos;
       None
     | first -> (
       let rec more acc =
@@ -353,15 +354,15 @@ type located_statement = { stmt : statement; pos : Lexer.pos }
 (* Recovery-mode loop over a whole input: every error an item raises
    becomes a diagnostic and parsing resumes at the next item, so one
    pass reports them all. *)
-let parse_items ?(sym = Value.interner ()) diags input extra =
+let parse_items ?(sym = Value.interner ()) diags input extra fact =
   let st = init sym diags input in
-  let out = ref [] and facts = Facts.create () in
+  let out = ref [] in
   let item () =
     let pos = pos st in
     if not (extra st) then
       Option.iter
         (fun stmt -> out := { stmt; pos } :: !out)
-        (statement facts st)
+        (statement fact st)
   in
   let rec go () =
     match peek st with
@@ -386,9 +387,16 @@ let parse_items ?(sym = Value.interner ()) diags input extra =
         go ())
   in
   go ();
-  (List.rev !out, facts)
+  List.rev !out
 
-let parse_statements diags input = parse_items diags input (fun _ -> false)
+let no_declarations _ = false
+
+let parse_statements diags input =
+  let facts =
+    facts (fun sink ->
+        ignore (parse_items (Diag.collector ()) input no_declarations sink))
+  in
+  (parse_items diags input no_declarations (add_fact facts), facts)
 
 let statement_atoms = function
   | S_tgd t -> t.Tgd.body @ t.Tgd.head
@@ -416,12 +424,13 @@ let check_arities ~declared diags statements facts =
   List.iter (fun (p, k, pos) -> see pos p k) declared;
   (* a predicate's first fact claims it unless a statement did earlier;
      the firsts are in source order *)
-  let unclaimed = ref (Facts.firsts facts) in
+  let unclaimed = ref (firsts facts) in
   let rec claim_before pos =
     match !unclaimed with
-    | (f : Facts.first) :: rest when compare f.at pos < 0 ->
-      if not (Hashtbl.mem seen f.name) then
-        Hashtbl.add seen f.name (f.arity, f.at);
+    | f :: rest when compare f.at pos < 0 ->
+      let p = Relation.name f.rel in
+      if not (Hashtbl.mem seen p) then
+        Hashtbl.add seen p (Relation.arity f.rel, f.at);
       unclaimed := rest;
       claim_before pos
     | _ -> ()
@@ -434,18 +443,19 @@ let check_arities ~declared diags statements facts =
         (statement_atoms stmt))
     statements;
   claim_before { Lexer.line = max_int; col = max_int };
-  (* the facts are walked only when some predicate's may clash *)
+  (* only when some fact clashes are the facts read again, positioned *)
   if
     List.exists
-      (fun (f : Facts.first) ->
-        not (f.uniform && f.arity = fst (Hashtbl.find seen f.name)))
-      (Facts.firsts facts)
+      (fun f ->
+        let k, _ = Hashtbl.find seen (Relation.name f.rel) in
+        not (f.uniform && Relation.arity f.rel = k))
+      (firsts facts)
   then
-    Facts.iter
-      (fun p t loc ->
-        let ((k, _) as first) = Hashtbl.find seen p and n = Tuple.arity t in
-        if n <> k then clash (Facts.pos loc) p n first)
-      facts
+    replay_facts facts (fun p t pos ->
+        match Hashtbl.find_opt seen p with
+        | Some ((k, _) as first) when Tuple.arity t <> k ->
+          clash pos p (Tuple.arity t) first
+        | _ -> ())
 
 let program_of_statements diags statements facts =
   let tgds = ref [] and egds = ref [] in
@@ -459,8 +469,8 @@ let program_of_statements diags statements facts =
       | S_query q -> queries := q :: !queries)
     statements;
   match
-    Program.of_facts ~tgds:(List.rev !tgds) ~egds:(List.rev !egds)
-      ~ncs:(List.rev !ncs) (fun add -> Facts.iter (fun p t _ -> add p t) facts)
+    Program.of_relations ~tgds:(List.rev !tgds) ~egds:(List.rev !egds)
+      ~ncs:(List.rev !ncs) (fact_relations facts)
   with
   | p -> Some { program = p; queries = List.rev !queries }
   | exception Invalid_argument m ->
@@ -505,10 +515,17 @@ let parse_query input =
       input
     else input ^ "."
   in
-  match parse_string input with
-  | { queries = [ q ];
-      program = { Program.tgds = []; egds = []; ncs = []; facts = [] } } ->
-    q
+  let statements, facts =
+    Mdqa_obs.Trace.with_span "parse" @@ fun () ->
+    let diags = Diag.collector () in
+    let statements, facts = parse_statements diags input in
+    check_arities ~declared:[] diags statements facts;
+    fail_fast
+      (if Diag.has_errors diags then None else Some (statements, facts))
+      (Diag.to_list diags)
+  in
+  match statements, firsts facts with
+  | [ { stmt = S_query q; _ } ], [] -> q
   | _ ->
     raise
       (Error

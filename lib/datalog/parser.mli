@@ -46,7 +46,9 @@ val parse_file : string -> parsed
 (** @raise Sys_error on I/O failure, {!Error} as {!parse_string}. *)
 
 val parse_query : string -> Query.t
-(** Parse a single query statement (with or without the leading [?]).
+(** Parse a single query statement (with or without the leading [?])
+    through {!parse_statements} and {!check_arities}, building no
+    program.
     @raise Error ([E002]) if the input is anything but one query. *)
 
 (** {1 Parsing toolkit}
@@ -86,27 +88,39 @@ type statement =
 (** {1 Recovering entry points} *)
 
 (** Ground facts never become statement ASTs: the statement parser
-    hands each, parsed straight into a tuple, to one buffer of tuples,
-    from which both front ends fill relations with {!Program.load}.
-    The buffer keeps each fact's position, packed in one int, for the
-    diagnostics that locate a fact, and per predicate its first fact
-    and whether every fact has that one's arity. *)
-module Facts : sig
-  type t
+    reads each into a tuple and hands it to a {!sink}.  A front end's
+    sink, {!add_fact}, writes it into its predicate's relation at once,
+    keeping no record or position per fact.  The diagnostics that
+    point at one fact ([E011] on a fact, [E013], [W045]) read the facts
+    again ({!replay_facts}), so only an input that gets one of them
+    parses twice. *)
 
-  type loc = private int
-  (** A fact's position, packed. *)
+type sink = string -> Mdqa_relational.Tuple.t -> Lexer.pos -> unit
+(** Takes each fact's predicate, tuple and position, in source order. *)
 
-  val preds : t -> string list
-  (** The predicates with facts, in the order of their first facts. *)
+type facts
+(** The facts of one parse: per predicate, its relation and its first
+    fact (position, arity, and whether every later fact had that
+    arity). *)
 
-  val iter :
-    (string -> Mdqa_relational.Tuple.t -> loc -> unit) -> t -> unit
-  (** Every fact, duplicates included, newest first.  Facts over one
-      predicate share one predicate string. *)
+val facts : (sink -> unit) -> facts
+(** An empty store whose facts [replay] hands out again, by running the
+    same recovering loop over the same input with a throwaway
+    collector. *)
 
-  val pos : loc -> Lexer.pos
-end
+val add_fact : facts -> sink
+(** Adds a fact to its predicate's relation ({!Program.schema} of the
+    first fact's arity), 4,096 tuples at a time: one
+    {!Mdqa_relational.Relation.of_tuples} and one
+    {!Mdqa_relational.Relation.union}.  A fact of another arity is left
+    out, for {!check_arities} to report. *)
+
+val fact_relations : facts -> Mdqa_relational.Relation.t list
+(** Each predicate's relation, holding every fact added so far, in the
+    order of the predicates' first facts. *)
+
+val replay_facts : facts -> sink -> unit
+(** Every fact again, with its position. *)
 
 type located_statement = {
   stmt : statement;
@@ -118,10 +132,11 @@ val parse_items :
   Diag.collector ->
   string ->
   (state -> bool) ->
-  located_statement list * Facts.t
+  sink ->
+  located_statement list
 (** The one recovering loop over a whole input.  At each item,
-    [parse_items diags input extra] first lets [extra] parse one of the
-    caller's own declarations (returning [true]); otherwise it parses a
+    [parse_items diags input extra fact] first lets [extra] parse one of
+    the caller's own declarations (returning [true]); otherwise it parses a
     statement.  Every lexical and syntax error goes to the collector
     instead of raising: an {!Error} raised by [extra] or the statement
     is recorded, and parsing resumes at the next item, after the next
@@ -129,36 +144,39 @@ val parse_items :
     failed item's ['.'] was already consumed.  At least one token is
     consumed per failed item, so the loop terminates.  Returns the
     rules, constraints and queries that did parse, each with its source
-    position, and the facts that did.  Rules are named [pred/N], NCs
-    [ncN], EGDs [egdN] and anonymous queries [qN], numbered from 1 per
-    kind in each run, so one input always gets the same names.  [sym]
+    position; each fact that did goes to [fact].  Rules are named
+    [pred/N], NCs [ncN], EGDs [egdN] and anonymous queries [qN],
+    numbered from 1 per kind in each run, so one input always gets the
+    same names.  [sym]
     (default: a new {!Mdqa_relational.Value.interner}) makes symbols. *)
 
 val parse_statements :
-  Diag.collector -> string -> located_statement list * Facts.t
-(** {!parse_items} with no declarations of its own: a plain program. *)
+  Diag.collector -> string -> located_statement list * facts
+(** {!parse_items} with no declarations of its own, its facts in a new
+    store: a plain program. *)
 
 val check_arities :
   declared:(string * int * Lexer.pos) list ->
   Diag.collector ->
   located_statement list ->
-  Facts.t ->
+  facts ->
   unit
 (** One arity table over [declared] [(predicate, arity, position)]
     entries, then over every atom of [statements] and every fact, in
     source order: the first use of a predicate fixes its arity, and
     each later use with another arity is an [E011] at its statement or
-    fact.  A buffer whose facts all have the table's arity is checked
-    in one comparison.  [.mdq] contexts seed [declared] with their
-    category/roll-up predicates and relation declarations; plain
-    programs pass [[]]. *)
+    fact.  A predicate whose facts all have the table's arity is
+    checked in one comparison; the facts are read again
+    ({!replay_facts}) only when one clashes.  [.mdq] contexts seed
+    [declared] with their category/roll-up predicates and relation
+    declarations; plain programs pass [[]]. *)
 
 val program_of_statements :
-  Diag.collector -> located_statement list -> Facts.t -> parsed option
-(** Assemble parsed statements and facts into a program, the facts
-    loaded straight from the buffer into one relation per predicate
-    ({!Program.of_facts}).  [None] (with a diagnostic) if assembly
-    fails — e.g. inconsistent arities not caught earlier. *)
+  Diag.collector -> located_statement list -> facts -> parsed option
+(** Assemble parsed statements and facts into a program, whose facts
+    are the store's relations as they are ({!Program.of_relations}).
+    [None] (with a diagnostic) if assembly fails — e.g. inconsistent
+    arities not caught earlier. *)
 
 val fail_fast : 'a option -> Diag.t list -> 'a
 (** [fail_fast parsed diags] is the value of [parsed], or, when it is

@@ -4,7 +4,6 @@
     program structurally equal to [p] (rule names aside) — the
     round-trip is property-tested. *)
 
-val term : Format.formatter -> Term.t -> unit
 val atom : Format.formatter -> Atom.t -> unit
 val tgd : Format.formatter -> Tgd.t -> unit
 val egd : Format.formatter -> Egd.t -> unit

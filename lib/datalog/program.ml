@@ -35,36 +35,22 @@ let arities p =
 let schema pred n =
   Rel_schema.of_names pred (List.init n (Printf.sprintf "c%d"))
 
-(* Facts are buffered per predicate, and each run of 4,096 joins its
-   relation as one [Relation.of_tuples] and one [Relation.union]. *)
-let load rel iter =
-  let runs = Hashtbl.create 16 in
-  let flush r ts = Relation.(union r (of_tuples (schema r) ts)) in
-  iter (fun pred tuple ->
-      let r, run =
-        match Hashtbl.find_opt runs pred with
-        | Some b -> b
-        | None ->
-          let b = (rel pred (Tuple.arity tuple), ref ([], 0)) in
-          Hashtbl.add runs pred b;
-          b
-      in
-      Relation.check_arity r tuple;
-      match !run with
-      | ts, 4095 -> flush r (tuple :: ts); run := ([], 0)
-      | ts, n -> run := (tuple :: ts, n + 1));
-  Hashtbl.iter (fun _ (r, run) -> flush r (fst !run)) runs
-
-let of_facts ~tgds ~egds ~ncs iter =
-  let inst = Instance.create () in
-  load (fun pred n -> Instance.declare inst (schema pred n)) iter;
-  let p = { tgds; egds; ncs; facts = Instance.relations inst } in
+let of_relations ~tgds ~egds ~ncs facts =
+  let by_name a b = String.compare (Relation.name a) (Relation.name b) in
+  let p = { tgds; egds; ncs; facts = List.sort by_name facts } in
   ignore (arities p);
   p
 
 let make ?(tgds = []) ?(egds = []) ?(ncs = []) ?(facts = []) () =
-  of_facts ~tgds ~egds ~ncs (fun add ->
-      List.iter (fun f -> add (Atom.pred f) (Atom.to_tuple f)) facts)
+  let inst = Instance.create () in
+  List.iter
+    (fun f ->
+      let pred = Atom.pred f and tuple = Atom.to_tuple f in
+      if Instance.find inst pred = None then
+        ignore (Instance.declare inst (schema pred (Tuple.arity tuple)));
+      ignore (Instance.add_tuple inst pred tuple))
+    facts;
+  of_relations ~tgds ~egds ~ncs (Instance.relations inst)
 
 let predicates p = Smap.bindings (arities p)
 

@@ -1,6 +1,7 @@
 (** Datalog± programs: the rule sets ΣM (TGDs, EGDs, negative
     constraints) and the ground facts of their text, one relation per
-    predicate.  Arities are inferred from rule atoms and fact relations
+    predicate, taken as the parser filled them ({!Parser.add_fact}).
+    Arities are inferred from rule atoms and fact relations
     and validated for consistency.  The chase reads extensional data
     only from the instance it is given ({!instance_of_facts}). *)
 
@@ -13,23 +14,19 @@ type t = private {
           [c0..cn]; shared by {!instance_of_facts}, never mutated *)
 }
 
-val load :
-  (string -> int -> Mdqa_relational.Relation.t) ->
-  ((string -> Mdqa_relational.Tuple.t -> unit) -> unit) ->
-  unit
-(** The one fact loader of both front ends: [load rel iter] adds each
-    fact [(pred, tuple)] that [iter] hands out to [rel pred arity],
-    asked for once per predicate, 4,096 facts at a time.
-    @raise Invalid_argument at the first fact of the wrong arity. *)
+val schema : string -> int -> Mdqa_relational.Rel_schema.t
+(** The schema of a program predicate of that arity: the predicate's
+    name, attributes [c0..cn]. *)
 
-val of_facts :
+val of_relations :
   tgds:Tgd.t list ->
   egds:Egd.t list ->
   ncs:Nc.t list ->
-  ((string -> Mdqa_relational.Tuple.t -> unit) -> unit) ->
+  Mdqa_relational.Relation.t list ->
   t
-(** The program whose facts [iter] hands out, {!load}ed into fresh
-    relations.  @raise Invalid_argument as {!make}. *)
+(** The program whose facts are the given relations, one per
+    predicate, each under its {!schema}, taken as they are.
+    @raise Invalid_argument as {!make}. *)
 
 val make :
   ?tgds:Tgd.t list ->
@@ -38,7 +35,8 @@ val make :
   ?facts:Atom.t list ->
   unit ->
   t
-(** {!of_facts} over ground atoms.
+(** {!of_relations} over ground atoms, added to their relations one by
+    one.
     @raise Invalid_argument if a predicate is used with two different
     arities or a listed fact is not ground. *)
 

@@ -8,8 +8,6 @@ type t
 
 val empty : t
 
-val find : t -> string -> Term.t option
-
 val walk : t -> Term.t -> Term.t
 (** Follow variable bindings until a constant or an unbound variable. *)
 

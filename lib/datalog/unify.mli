@@ -5,8 +5,6 @@
     [match_against] is one-way: only the pattern's variables may be
     bound (used for trigger finding and fact lookup). *)
 
-val unify_terms : Subst.t -> Term.t -> Term.t -> Subst.t option
-
 val unify : ?init:Subst.t -> Atom.t -> Atom.t -> Subst.t option
 (** Most general unifier of two atoms (same predicate and arity
     required). *)

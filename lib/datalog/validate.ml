@@ -17,7 +17,10 @@ let check_undefined diags statements facts =
             (fun s a -> Smap.add (Atom.pred a) () s)
             s t.Tgd.head
         | _ -> s)
-      (Smap.of_list (List.map (fun p -> (p, ())) (Parser.Facts.preds facts)))
+      (Smap.of_list
+         (List.map
+            (fun r -> (Mdqa_relational.Relation.name r, ()))
+            (Parser.fact_relations facts)))
       statements
   in
   List.iter

@@ -127,7 +127,6 @@ val summarizable : t -> from_category:string -> to_category:string -> bool
     is functional (strict) and total (covering) on the members of
     [from_category]. *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -13,7 +13,6 @@ type field = Str of string | Int of int | Float of float | Bool of bool
 val set_level : level -> unit
 val level : unit -> level
 val level_of_string : string -> level option
-val level_name : level -> string
 
 val set_json : bool -> unit
 (** [true] switches to JSONL records; default is the text format. *)

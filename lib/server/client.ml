@@ -6,8 +6,6 @@ type t = {
   mutable fd : Unix.file_descr option;
   ibuf : Buffer.t;
   mutable retries : int;
-  mutable retried_total : int;
-      (** roundtrips that needed at least one retry *)
   mutable rotations : int;  (** failovers to another endpoint *)
 }
 
@@ -26,7 +24,6 @@ let create ?(policy = Backoff.default_policy) ?(rand = Random.float) ~addr () =
     fd = None;
     ibuf = Buffer.create 256;
     retries = 0;
-    retried_total = 0;
     rotations = 0 }
 
 let disconnect t =
@@ -38,7 +35,6 @@ let disconnect t =
 
 let close = disconnect
 let retries t = t.retries
-let retried_total t = t.retried_total
 let rotations t = t.rotations
 let current_addr t = t.endpoints.(t.current)
 let endpoints t = Array.to_list t.endpoints
@@ -172,9 +168,7 @@ let roundtrip ?(idempotent = true) t line =
               | None -> `Permanent (Ok r)))))
     in
     match outcome with
-    | `Permanent r ->
-      if Backoff.attempts bo > 0 then t.retried_total <- t.retried_total + 1;
-      r
+    | `Permanent r -> r
     | `Transient (why, last) -> (
       match Backoff.next bo ~rand:t.rand with
       | Some d ->
@@ -182,7 +176,6 @@ let roundtrip ?(idempotent = true) t line =
         Fdio.sleepf d;
         attempt ()
       | None -> (
-        if Backoff.attempts bo > 0 then t.retried_total <- t.retried_total + 1;
         match last with
         | Some r -> Ok r
         | None ->

@@ -72,11 +72,6 @@ val ping : t -> (Protocol.reply, string) result
 val retries : t -> int
 (** Total retries taken over the life of this client. *)
 
-val retried_total : t -> int
-(** Roundtrips that needed at least one retry before resolving (in
-    either direction) — the "how often was the first attempt not
-    enough" number, vs {!retries} which counts every extra attempt. *)
-
 val rotations : t -> int
 (** Failovers taken: how often a dead-endpoint connect failure rotated
     the client to the next endpoint. *)

@@ -130,6 +130,8 @@ let parse_request line =
 
 (* --- replies --------------------------------------------------------- *)
 
+(* a labeled null [⊥k] is [{"null": k}], so clients can tell open-world
+   placeholders from data *)
 let json_of_value = function
   | Value.Sym { name; _ } -> Jsonl.Str name
   | Value.Int i -> Jsonl.Num (float_of_int i)

@@ -78,13 +78,6 @@ val parse_request : string -> (request, Mdqa_datalog.Diag.t) result
 
 (** {1 Replies} — each renders to one newline-terminated line. *)
 
-val json_of_value : Mdqa_relational.Value.t -> Jsonl.t
-(** Symbols and numbers map to JSON strings and numbers; a labeled
-    null [⊥k] maps to [{"null": k}] so clients can tell open-world
-    placeholders from data. *)
-
-val json_of_tuple : Mdqa_relational.Tuple.t -> Jsonl.t
-
 val complete_reply :
   ?id:Jsonl.t -> ?extra:(string * Jsonl.t) list ->
   answers:Mdqa_relational.Tuple.t list option -> unit -> string

@@ -29,9 +29,6 @@ type hooks = {
   rand : float -> float;  (** jitter source, as [Random.float] *)
 }
 
-val default_hooks : hooks
-(** [Guard.Clock] + real [kill]/[waitpid]/[Random.float]. *)
-
 (** {1 Pure policy helpers} *)
 
 val next_attempts : healthy_after:float -> uptime:float -> attempts:int -> int
@@ -87,15 +84,11 @@ val handle_readable : t -> Unix.file_descr -> unit
 (** Drain one worker fd the select loop reported readable: complete
     reply frames answer their clients, EOF triggers a targeted reap. *)
 
-val handle_exit : t -> pid:int -> status:Unix.process_status -> bool
-(** Process one reaped child.  E029 to its client if it died
-    mid-request, exit classification, backoff bookkeeping, cooldown
-    scheduling.  [false] when the pid belongs to no slot (already
-    handled, or not ours). *)
-
 val reap : t -> int
-(** Nonblocking [wait_any] loop; {!handle_exit} for each.  Returns how
-    many slots were resolved.  Call on every loop iteration — SIGCHLD
+(** Nonblocking [wait_any] loop, processing each reaped child: E029 to
+    its client if it died mid-request, exit classification, backoff
+    bookkeeping, cooldown scheduling.  Returns how many slots were
+    resolved.  Call on every loop iteration — SIGCHLD
     only wakes the select, this does the work. *)
 
 val tick : t -> unit

@@ -51,12 +51,6 @@ val answer_query :
     [~stale:true] (a standby answering while it follows) tags complete
     replies with a W050 stale-read warning. *)
 
-val answer_protected :
-  svc:Service.t -> defaults:defaults -> Protocol.request ->
-  string * string * string option
-(** {!answer_query} under crash isolation: a raising handler becomes
-    one E027 error reply. *)
-
 type recycle = { max_requests : int; max_heap_mb : float }
 (** Retirement thresholds; [0] / [0.] disables the respective check. *)
 

@@ -71,8 +71,6 @@ val str : Buffer.t -> string -> unit
 
 val value : Buffer.t -> Mdqa_relational.Value.t -> unit
 val tuple : Buffer.t -> Mdqa_relational.Tuple.t -> unit
-val schema : Buffer.t -> Mdqa_relational.Rel_schema.t -> unit
-val relation : Buffer.t -> Mdqa_relational.Relation.t -> unit
 val instance : Buffer.t -> Mdqa_relational.Instance.t -> unit
 
 (** {1 File output} *)

@@ -69,9 +69,6 @@ val layout : Binio.layout
     protect it in flight, and an installed standby image is
     byte-identical to its primary's. *)
 
-val encode : t -> string
-(** The full on-disk image (header + checksummed sections) as a string. *)
-
 val of_string : string -> (t, Binio.damage) result
 (** Decode a raw image with exactly {!read}'s validation. *)
 

@@ -1398,9 +1398,9 @@ let test_core_oblivious_equals_restricted () =
 (* ------------------------------------------------------------------ *)
 (* Parser / Pretty *)
 
-(* [Program.load] joins facts to their relations 4,096 at a time: the
+(* The parser joins facts to their relations 4,096 at a time: the
    relations hold what one add per fact gives, duplicates across runs
-   included, and the first fact of a wrong arity raises add's error. *)
+   included, and each fact of a wrong arity is an E011 at its line. *)
 let test_program_load_runs () =
   let fact i =
     if i mod 3 = 0 then ("q", [ i mod 7 ])
@@ -1408,31 +1408,35 @@ let test_program_load_runs () =
   in
   let facts = List.init 10_000 fact in
   let tuple l = R.Tuple.of_list (List.map R.Value.int l) in
-  let rel inst pred n =
-    R.Instance.declare inst
-      (R.Rel_schema.of_names pred (List.init n (Printf.sprintf "c%d")))
+  let text facts =
+    String.concat ""
+      (List.map
+         (fun (p, l) ->
+           Printf.sprintf "%s(%s).\n" p
+             (String.concat ", " (List.map string_of_int l)))
+         facts)
   in
-  let contents inst =
+  let contents rels =
     List.map
       (fun r ->
         (R.Relation.name r, R.Relation.cardinal r, R.Relation.to_list r))
-      (R.Instance.relations inst)
+      rels
   in
   let by_adds facts =
     let inst = R.Instance.create () in
     List.iter
       (fun (p, l) ->
-        ignore (R.Relation.add (rel inst p (List.length l)) (tuple l)))
+        let r =
+          R.Instance.declare inst (Program.schema p (List.length l))
+        in
+        ignore (R.Relation.add r (tuple l)))
       facts;
-    contents inst
+    contents (R.Instance.relations inst)
   in
-  let by_load facts =
-    let inst = R.Instance.create () in
-    Program.load (rel inst) (fun add ->
-        List.iter (fun (p, l) -> add p (tuple l)) facts);
-    contents inst
+  let by_parse facts =
+    contents (Parser.parse_string (text facts)).Parser.program.Program.facts
   in
-  Alcotest.(check bool) "same relations" true (by_load facts = by_adds facts);
+  Alcotest.(check bool) "same relations" true (by_parse facts = by_adds facts);
   let bad =
     List.mapi
       (fun i f ->
@@ -1441,9 +1445,12 @@ let test_program_load_runs () =
         else f)
       facts
   in
-  Alcotest.check_raises "first clash"
-    (Invalid_argument "Relation p: arity mismatch (schema 2, tuple 1)")
-    (fun () -> ignore (by_load bad))
+  Alcotest.(check (list (pair string int)))
+    "each clash at its fact"
+    [ ("E011", 7001); ("E011", 8002) ]
+    (List.map
+       (fun (d : Diag.t) -> (d.Diag.code, d.Diag.span.Diag.line))
+       (Validate.check_string (text bad)).Validate.diags)
 
 let test_parse_program () =
   let text =
@@ -1592,7 +1599,18 @@ let test_parse_comparisons () =
 
 let test_parse_query_helper () =
   let q = Parser.parse_query "q(X) :- e(X, Y)" in
-  Alcotest.(check int) "one head var" 1 (List.length q.Query.head)
+  Alcotest.(check int) "one head var" 1 (List.length q.Query.head);
+  (* the statement checks of a program, with their codes and messages *)
+  List.iter
+    (fun (input, expected) ->
+      match Parser.parse_query input with
+      | exception Parser.Error { code; message; _ } ->
+        Alcotest.(check (pair string string)) input expected (code, message)
+      | _ -> Alcotest.failf "accepted %S" input)
+    [ ( "q(X) :- zz(X), zz(X, Y)",
+        ("E011", "predicate zz used with arity 2 here but arity 1 at line 1") );
+      ("q(X :- p(X)", ("E002", "expected ')' but found :-"));
+      ("q(X) :- p(X). r(a)", ("E002", "expected exactly one query")) ]
 
 (* A statement after the query is never dropped: a trailing
    constraint or EGD is E002, like a trailing fact or rule. *)
