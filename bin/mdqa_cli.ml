@@ -643,8 +643,8 @@ let run_query file remote retry_attempts retry_budget engine query_strings
     List.map
       (fun s ->
         try Parser.parse_query s
-        with Parser.Error { line; message; _ } ->
-          fatal ~file:"<query>" ~line ~code:"E002" "query %S: %s" s message)
+        with Parser.Error { line; code; message; _ } ->
+          fatal ~file:"<query>" ~line ~code "query %S: %s" s message)
       query_strings
   in
   let queries = queries @ extra in
@@ -1008,13 +1008,13 @@ let serve_read_timeout_arg =
 
 let request_timeout_arg =
   Arg.(
-    value
-    & opt (some float) None
+    value & opt float 10.
     & info [ "request-timeout" ] ~docv:"SEC"
         ~doc:
-          "Default per-request deadline; a request's own \"timeout\" \
-           field takes precedence.  On expiry the request degrades to \
-           the partial answer, the server keeps running.")
+          "Deadline of a query that carries no \"timeout\" field of its \
+           own; a request's own \"timeout\" takes precedence.  On expiry \
+           the request degrades to the partial answer and the server \
+           moves on to the next one.")
 
 let request_max_steps_arg =
   Arg.(
@@ -1046,49 +1046,6 @@ let drain_grace_arg =
         ~doc:
           "On SIGTERM/SIGINT: seconds to finish queued requests before \
            the rest are answered degraded:drain and the server exits.")
-
-let workers_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Answer queries from a supervised pool of $(docv) forked \
-           workers sharing the warm fixpoint copy-on-write.  A crashed \
-           worker costs one E029 reply and a backed-off restart; 0 \
-           (the default) answers inline, single-process.")
-
-let watchdog_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "watchdog" ] ~docv:"SEC"
-        ~doc:
-          "Per-request hang deadline for workers: one exceeding it is \
-           SIGKILLed and its client answered degraded (W049).  Only \
-           meaningful with --workers.")
-
-let min_ready_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "min-ready" ] ~docv:"N"
-        ~doc:
-          "Live workers required to accept queries; below it queued \
-           queries are refused with H054 instead of waiting on a dead \
-           pool.")
-
-let worker_max_requests_arg =
-  Arg.(
-    value & opt int 10_000
-    & info [ "worker-max-requests" ] ~docv:"N"
-        ~doc:
-          "Recycle a worker after it has answered $(docv) requests \
-           (bounds leak accumulation; 0 disables).")
-
-let worker_max_heap_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "worker-max-heap" ] ~docv:"MB"
-        ~doc:"Recycle a worker whose heap exceeds $(docv) MiB (0 disables).")
 
 let replica_of_arg =
   Arg.(
@@ -1134,8 +1091,7 @@ let scrub_interval_arg =
 
 let run_serve file socket port host store max_queue read_timeout
     request_timeout request_max_steps max_request_bytes checkpoint_every
-    keep_generations drain_grace workers watchdog min_ready
-    worker_max_requests worker_max_heap_mb scrub_interval replica_of
+    keep_generations drain_grace scrub_interval replica_of
     repl_interval promote_after max_steps max_nulls max_checkpoint_bytes
     verbose log_level log_json =
   run_protected @@ fun () ->
@@ -1172,11 +1128,6 @@ let run_serve file socket port host store max_queue read_timeout
       request_timeout;
       request_max_steps;
       drain_grace;
-      workers;
-      watchdog;
-      min_ready;
-      worker_max_requests;
-      worker_max_heap_mb;
       scrub_interval;
       scrub_budget = 65536 }
     |> fun c ->
@@ -1186,12 +1137,7 @@ let run_serve file socket port host store max_queue read_timeout
   match replica_of with
   | Some primary -> (
     (* Standby: sync the primary's store down first, then warm-start
-       from the shipped bytes and follow.  Workers are forbidden — a
-       standby answers read-only and inline; forked children would
-       hold stale copies of a fixpoint that changes on every applied
-       frame. *)
-    if workers > 0 then
-      fatal ~code:"E024" "--workers cannot be combined with --replica-of";
+       from the shipped bytes and follow. *)
     if file <> None then
       fatal ~code:"E024"
         "--replica-of takes its program from the shipped store; drop the \
@@ -1238,8 +1184,9 @@ let serve_cmd =
          "Serve quality queries from a warm chase fixpoint over a \
           line-delimited JSON protocol (Unix socket or TCP).  Admission \
           control sheds overload, each request runs under its own guard \
-          fork, \
-          a crashed request costs one error reply, checkpoint I/O sits \
+          fork (10 s deadline unless $(b,--request-timeout) or the \
+          request says otherwise), a crashed request costs one error \
+          reply, checkpoint I/O sits \
           behind a circuit breaker, and SIGTERM drains gracefully \
           (exit 0, or 2 when anything was degraded on the way out).  \
           With $(b,--replica-of) the server runs as a hot standby: \
@@ -1250,8 +1197,7 @@ let serve_cmd =
       $ serve_store_arg $ max_queue_arg $ serve_read_timeout_arg
       $ request_timeout_arg $ request_max_steps_arg $ max_request_bytes_arg
       $ checkpoint_every_arg $ keep_generations_arg $ drain_grace_arg
-      $ workers_arg $ watchdog_arg $ min_ready_arg $ worker_max_requests_arg
-      $ worker_max_heap_arg $ scrub_interval_arg $ replica_of_arg
+      $ scrub_interval_arg $ replica_of_arg
       $ repl_interval_arg $ promote_after_arg $ max_steps_arg $ max_nulls_arg
       $ max_checkpoint_bytes_arg $ verbose_arg $ log_level_arg $ log_json_arg)
 

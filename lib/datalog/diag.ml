@@ -9,6 +9,9 @@ type t = {
   message : string;
 }
 
+(* Retired codes stay out of the registry and are never reused: E029
+   worker-crashed, W049 watchdog-kill and H054 workers-unavailable
+   belonged to the forked worker pool of [mdqa serve], which is gone. *)
 let registry =
   [ ("E001", "lexical-error");
     ("E002", "syntax-error");
@@ -32,7 +35,6 @@ let registry =
     ("E026", "request-timeout");
     ("E027", "request-crashed");
     ("E028", "repair-failed");
-    ("E029", "worker-crashed");
     ("E030", "replication-divergence");
     ("E031", "replication-refused");
     ("E032", "unrepairable-store");
@@ -46,7 +48,6 @@ let registry =
     ("W046", "store-truncated");
     ("W047", "overload-shed");
     ("W048", "breaker-open");
-    ("W049", "watchdog-kill");
     ("W050", "stale-read");
     ("W051", "salvaged-from-generation");
     ("W052", "journal-records-dropped");
@@ -54,7 +55,6 @@ let registry =
     ("H051", "unused-map-target");
     ("H052", "stale-checkpoint-temp");
     ("H053", "server-drain");
-    ("H054", "workers-unavailable");
     ("H055", "promoted");
     ("H056", "quarantined-file") ]
 

@@ -24,9 +24,8 @@
     - [E019] invalid-rule, [E020] non-dimensional-constraint, [E021]
       dangling-wiring, [E022] csv-error, [E023] store-corrupt;
     - [E024] invalid-request, [E025] oversized-request, [E026]
-      request-timeout, [E027] request-crashed, [E028] repair-failed,
-      [E029] worker-crashed (the server front door, repair pipeline
-      and worker pool);
+      request-timeout, [E027] request-crashed, [E028] repair-failed
+      (the server front door and repair pipeline);
     - [E030] replication-divergence, [E031] replication-refused (the
       primary/standby replication layer);
     - [E032] unrepairable-store (the {!Mdqa_store.Fsck} salvage chain
@@ -37,11 +36,15 @@
       quality-version-undefined, [W043] non-strict-hierarchy, [W044]
       non-homogeneous-hierarchy, [W045] referential-violation, [W046]
       store-truncated, [W047] overload-shed, [W048] breaker-open,
-      [W049] watchdog-kill, [W050] stale-read, [W051]
-      salvaged-from-generation, [W052] journal-records-dropped;
+      [W050] stale-read, [W051] salvaged-from-generation, [W052]
+      journal-records-dropped;
     - [H050] qa-path, [H051] unused-map-target, [H052]
-      stale-checkpoint-temp, [H053] server-drain, [H054]
-      workers-unavailable, [H055] promoted, [H056] quarantined-file. *)
+      stale-checkpoint-temp, [H053] server-drain, [H055] promoted,
+      [H056] quarantined-file.
+
+    Retired, never reused: [E029] worker-crashed, [W049] watchdog-kill
+    and [H054] workers-unavailable, the codes of the forked worker pool
+    [mdqa serve] once had. *)
 
 type severity = Error | Warning | Hint
 

@@ -123,8 +123,6 @@ let fp_counter m name =
     ~labels:[ ("name", name) ]
     "mdqa_failpoint_hits_total"
 
-let record_in m ~name n = if n > 0 then Metrics.add (fp_counter m name) n
-
 let attach_metrics m =
   registry := Some m;
   (* backfill hits recorded before the registry existed *)
@@ -140,8 +138,8 @@ let count site name =
 
 (* --- the site --------------------------------------------------------- *)
 
-(* EINTR-proof sleep: a drain signal or SIGCHLD must not cut a scripted
-   hang short, or the watchdog test becomes racy again. *)
+(* EINTR-proof sleep: a drain signal must not cut a scripted hang
+   short. *)
 let sleep_for duration =
   let until = Unix.gettimeofday () +. duration in
   let rec go () =

@@ -5,7 +5,7 @@
     through the [MDQA_FAILPOINTS] environment variable — makes the site
     perform a scripted fault: crash the process, exit with a code, hang,
     delay, or raise.  Faults fire on exact hit numbers, so a chaos
-    harness can script "the worker's third request dies" instead of
+    harness can script "the server's third query raises" instead of
     racing an external [kill] against request timing.
 
     Spec grammar (entries separated by [,]):
@@ -14,17 +14,18 @@
       entry   := name "=" action trigger?
       action  := "crash"            abort the process with SIGABRT
                | "exit:" CODE       exit immediately with CODE
-               | "hang:" SECS       sleep SECS (trips hang watchdogs)
+               | "hang:" SECS       sleep SECS
                | "delay:" MS        sleep MS milliseconds, then continue
                | "err"              raise Injected (in-process fault)
                | "off"              armed but inert (hits still counted)
       trigger := "@" N              fire only on the N-th hit (1-based)
                | "@" N "+"          fire on the N-th hit and after
     v}
-    Example: [MDQA_FAILPOINTS=worker.request=crash@3,store.checkpoint=err]
+    Example: [MDQA_FAILPOINTS=serve.request=err@3,store.checkpoint=err]
 
-    Hit counters are per-process: a forked child starts from a copy of
-    the parent's counts at fork time. *)
+    Hit counters are per-process.  [mdqa serve] hits [serve.request]
+    once per query it answers, inside the handler that turns an
+    exception into an E027 reply. *)
 
 type action =
   | Crash  (** SIGABRT to self: dies as a signal, like a real crash *)
@@ -64,18 +65,10 @@ val attach_metrics : Metrics.t -> unit
     given registry: existing counts are backfilled, later hits increment
     directly.  At most one registry is attached at a time. *)
 
-val record_in : Metrics.t -> name:string -> int -> unit
-(** Add [n] hits for site [name] to [mdqa_failpoint_hits_total] in the
-    given registry directly (no local site involved).  The supervisor
-    uses this to fold the deltas a worker piggybacks on its replies
-    into the parent's registry.  Negative or zero [n] is a no-op. *)
-
 val hit : string -> unit
 (** The instrumented site.  A no-op (one ref read) while nothing is
     armed; when [name] is armed the hit is counted and the scripted
     action fires if its trigger matches. *)
 
 val hits : unit -> (string * int) list
-(** Hit counts of every armed site, sorted by name.  A worker process
-    piggybacks these on reply frames so the supervisor can aggregate
-    hit counters across the pool. *)
+(** Hit counts of every armed site, sorted by name. *)

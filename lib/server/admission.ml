@@ -21,7 +21,6 @@ let offer t x =
   end
 
 let take t = Queue.take_opt t.queue
-let peek t = Queue.peek_opt t.queue
 
 let length t = Queue.length t.queue
 let capacity t = t.capacity

@@ -19,11 +19,6 @@ val offer : 'a t -> 'a -> bool
 val take : 'a t -> 'a option
 (** Dequeue in arrival order. *)
 
-val peek : 'a t -> 'a option
-(** Head of the queue without removing it.  The supervised dispatch
-    loop peeks before committing a request to a worker so that a
-    dispatch refusal (no ready worker) leaves arrival order intact. *)
-
 val length : 'a t -> int
 val capacity : 'a t -> int
 val is_empty : 'a t -> bool

@@ -39,20 +39,12 @@ let rotations t = t.rotations
 let current_addr t = t.endpoints.(t.current)
 let endpoints t = Array.to_list t.endpoints
 
-(* Which parsed replies are worth retrying.  An overload shed always
-   is (the server said "come back later").  An E029 — the request died
-   with its worker — and an H054 — the pool is below min-ready while
-   workers restart — are server-side conditions a moment will almost
-   surely clear, but re-sending is only safe when the request is
-   idempotent; queries are, so the caller says so. *)
-let should_retry_reply ~idempotent (r : Protocol.reply) =
+(* Which parsed replies are worth retrying: an overload shed (the
+   server said "come back later").  Re-sending it is safe whatever the
+   request, since a shed request never ran. *)
+let should_retry_reply (r : Protocol.reply) =
   if r.Protocol.status = "degraded" && r.Protocol.reason = Some "overload"
   then Some "server overloaded"
-  else if idempotent then
-    match r.Protocol.code with
-    | Some "E029" -> Some "worker crashed mid-request"
-    | Some "H054" -> Some "worker pool below min-ready"
-    | _ -> None
   else None
 
 (* The refused/unreachable signature of a dead endpoint.  These happen
@@ -163,7 +155,7 @@ let roundtrip ?(idempotent = true) t line =
             match Protocol.parse_reply reply_line with
             | Error e -> `Permanent (Error e)
             | Ok r -> (
-              match should_retry_reply ~idempotent r with
+              match should_retry_reply r with
               | Some why -> `Transient (why, Some r)
               | None -> `Permanent (Ok r)))))
     in
@@ -184,5 +176,3 @@ let roundtrip ?(idempotent = true) t line =
                (Backoff.attempts bo) why)))
   in
   attempt ()
-
-let ping t = roundtrip t {|{"kind":"ping"}|}

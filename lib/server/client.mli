@@ -2,9 +2,8 @@
     failover.
 
     Transient failures — the server restarting (connection refused, a
-    vanished socket file), a torn connection, a [degraded:overload]
-    shed, and for idempotent requests an E029 (worker crash) or H054
-    (worker pool below min-ready) reply — are retried under a
+    vanished socket file), a torn connection and a [degraded:overload]
+    shed — are retried under a
     {!Backoff} policy: exponential backoff with full jitter, bounded by
     both an attempt count and a cumulative-sleep budget.  Everything
     else (an error reply, garbage on the wire, budget exhausted) comes
@@ -54,20 +53,14 @@ val roundtrip :
 
     [idempotent] (default [true]: every request in the protocol is a
     read) additionally allows transparent re-sends when the reply was
-    lost mid-read (ECONNRESET / EOF) or the server answered E029 (the
-    request died with its worker — a fresh worker will answer) or H054
-    (too few live workers — the supervisor is restarting them).  With
-    [~idempotent:false] a lost reply is a permanent error, since the
-    request may already have executed. *)
+    lost mid-read (ECONNRESET / EOF).  With [~idempotent:false] a lost
+    reply is a permanent error, since the request may already have
+    executed. *)
 
-val should_retry_reply :
-  idempotent:bool -> Protocol.reply -> string option
+val should_retry_reply : Protocol.reply -> string option
 (** The reply-classification half of the retry decision, exposed pure
-    for tests: [Some reason] when a parsed reply should be retried
-    (overload shed always; E029 and H054 only when idempotent). *)
-
-val ping : t -> (Protocol.reply, string) result
-(** [roundtrip {"kind":"ping"}] — readiness probing. *)
+    for tests: [Some reason] when a parsed reply should be retried (an
+    overload shed, whatever the request). *)
 
 val retries : t -> int
 (** Total retries taken over the life of this client. *)

@@ -21,10 +21,10 @@ let sleepf duration =
   in
   go ()
 
-(* One select over read fds that survives EINTR: with SIGCHLD arriving
-   routinely from the worker pool, a signal mid-select retries with the
-   timeout recomputed against the monotonic deadline instead of
-   surfacing [Unix_error (EINTR, _, _)] to the event loop. *)
+(* One select over read fds that survives EINTR: a signal mid-select
+   (a drain request) retries with the timeout recomputed against the
+   monotonic deadline instead of surfacing [Unix_error (EINTR, _, _)]
+   to the event loop. *)
 let select_read fds ~timeout =
   let deadline = Clock.now () +. Float.max 0. timeout in
   let rec go () =
@@ -85,19 +85,3 @@ let read_available fd ~max =
     | exception Unix.Unix_error (e, _, _) -> `Error (Unix.error_message e)
   in
   go ()
-
-(* Blocking read of exactly [n] bytes; [None] on EOF at a record
-   boundary, [Error] mid-record.  EINTR retries. *)
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off >= n then Ok (Bytes.to_string buf)
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> if off = 0 then Error `Eof else Error (`Torn off)
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (`Unix (Unix.error_message e))
-  in
-  go 0

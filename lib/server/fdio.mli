@@ -1,10 +1,10 @@
 (** Signal-safe, deadline-bounded socket I/O.
 
     Every syscall a long-running server makes must survive two things
-    the one-shot CLI never sees: EINTR (a drain signal or SIGCHLD
-    landing mid-call) and EPIPE/ECONNRESET (a client disconnecting
+    the one-shot CLI never sees: EINTR (a drain signal landing
+    mid-call) and EPIPE/ECONNRESET (a client disconnecting
     mid-reply).  These helpers retry the former and surface the latter
-    as values, so neither can kill the accept loop or tear a frame.
+    as values, so neither can kill the accept loop or tear a reply.
 
     All deadlines are absolute times on [Guard.Clock] — the process's
     monotonic clock — never wall time, so an NTP step cannot expire a
@@ -21,9 +21,9 @@ val select_read :
   timeout:float ->
   (Unix.file_descr list, Unix.error) result
 (** [select] on read fds that survives EINTR: retried with the timeout
-    recomputed against the original monotonic deadline, so a SIGCHLD
-    storm from the worker pool cannot spin the event loop or surface
-    [EINTR] to it.  [Ok []] on timeout. *)
+    recomputed against the original monotonic deadline, so a signal
+    cannot spin the event loop or surface [EINTR] to it.  [Ok []] on
+    timeout. *)
 
 val write_all :
   ?deadline:float -> Unix.file_descr -> string -> (unit, string) result
@@ -40,15 +40,6 @@ val read_available : Unix.file_descr -> max:int -> [
   | `Error of string  (** connection reset or other socket failure *)
 ]
 (** One nonblocking read.  EINTR retries internally. *)
-
-val read_exact :
-  Unix.file_descr ->
-  int ->
-  (string, [ `Eof | `Torn of int | `Unix of string ]) result
-(** Blocking read of exactly [n] bytes.  [`Eof] when the peer closed at
-    a record boundary (zero bytes read), [`Torn got] when it closed
-    mid-record, EINTR retries.  Worker children use this to block on
-    their request pipe. *)
 
 val set_nonblock : Unix.file_descr -> unit
 val sleepf : float -> unit

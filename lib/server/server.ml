@@ -17,14 +17,9 @@ type config = {
   read_timeout : float;
   write_timeout : float;
   max_request_bytes : int;
-  request_timeout : float option;
+  request_timeout : float;
   request_max_steps : int option;
   drain_grace : float;
-  workers : int;  (** 0 = answer queries inline (no forked pool) *)
-  watchdog : float option;  (** per-request hang deadline for workers *)
-  min_ready : int;  (** below this many live workers, shed with H054 *)
-  worker_max_requests : int;  (** recycle a worker after this many; 0 = off *)
-  worker_max_heap_mb : float;  (** recycle past this heap size; 0 = off *)
   scrub_interval : float option;
       (** seconds between online store-scrub steps; [None] = off *)
   scrub_budget : int;  (** bytes the scrubber verifies per step *)
@@ -37,14 +32,9 @@ let default_config addr =
     read_timeout = 10.;
     write_timeout = 10.;
     max_request_bytes = 1 lsl 20;
-    request_timeout = None;
+    request_timeout = 10.;
     request_max_steps = None;
     drain_grace = 5.;
-    workers = 0;
-    watchdog = None;
-    min_ready = 1;
-    worker_max_requests = 10_000;
-    worker_max_heap_mb = 0.;
     scrub_interval = None;
     scrub_budget = 65536 }
 
@@ -61,10 +51,7 @@ type state = {
   cfg : config;
   svc : Service.t;
   mutable conns : conn list;
-  queue : (conn * Protocol.request * string) Admission.t;
-      (** the raw line rides along: a dispatched request crosses the
-          worker pipe verbatim *)
-  mutable sup : Supervisor.t option;
+  queue : (conn * Protocol.request) Admission.t;
   source : Replication.Source.t;
       (** the ship side of replication; inert until a standby fetches *)
   follower : Replication.Follower.t option;
@@ -72,8 +59,7 @@ type state = {
   mutable draining : bool;
   mutable drain_deadline : float;
   mutable degraded_events : int;
-      (** requests degraded for server reasons (drain, dead pool), not
-          budget *)
+      (** requests degraded for server reasons (drain), not budget *)
   mutable crashed : int;
   mutable scrub : Scrub.t option;
       (** the online store scrubber (present iff [scrub_interval] is
@@ -103,7 +89,7 @@ let role_gauge_value st =
   | None -> 0.
   | Some f -> if Replication.Follower.promoted f then 2. else 1.
 
-(* Monotonic: deadlines (drain, write, slow-loris, watchdog) must not
+(* Monotonic: deadlines (drain, write, slow-loris) must not
    move when NTP steps the wall clock.  Wall time is only for logs. *)
 let now () = Guard.Clock.now ()
 
@@ -147,9 +133,6 @@ let count_shed st =
     (Metrics.counter (Service.metrics st.svc)
        ~help:"requests or connections shed under overload"
        "mdqa_server_shed_total")
-
-let worker_defaults cfg =
-  { Worker.timeout = cfg.request_timeout; max_steps = cfg.request_max_steps }
 
 (* Promotion: stop following, take ownership of the store
    ([Service.promote] forces one checkpoint so the new primary's
@@ -220,7 +203,6 @@ let server_fields st =
            @ [ ("promoted", Jsonl.Bool (Replication.Follower.promoted f)) ]))
       ]
     | None -> [])
-  @ match st.sup with Some s -> Supervisor.health_fields s | None -> []
 
 (* Refresh scrape-time gauges and render the Prometheus exposition.
    The reply counter for the metrics request itself is bumped after
@@ -246,9 +228,6 @@ let exposition st =
   | Some p ->
     set "mdqa_store_generation" "previous snapshot generations on disk"
       (float_of_int (Store.generations ~path:p))
-  | None -> ());
-  (match st.sup with
-  | Some s -> Supervisor.record_metrics s m
   | None -> ());
   (* Process heap health, so growth is observable without a bench run.
      [Gc.quick_stat] reads counters only — no heap traversal. *)
@@ -297,6 +276,47 @@ let profile_json () =
   match Mdqa_obs.Profile.installed () with
   | None -> Jsonl.Obj []
   | Some p -> Mdqa_obs.Profile.to_json (Mdqa_obs.Profile.snapshot p)
+
+(* A query runs under its own guard fork: its budget is the request's
+   own, or the server's default deadline, so no request holds the loop
+   for good.  A following standby tags complete answers with a W050
+   stale-read warning: the data is a replica of the primary's, correct
+   as of the last applied journal frame but possibly behind it. *)
+let answer_query st ?id ~query ~engine ~timeout ~max_steps () =
+  Failpoint.hit "serve.request";
+  let timeout = Option.value timeout ~default:st.cfg.request_timeout in
+  let max_steps =
+    match max_steps with Some _ -> max_steps | None -> st.cfg.request_max_steps
+  in
+  let out = Service.query st.svc ~timeout ?max_steps ~engine query in
+  Trace.with_span "protocol.reply" @@ fun () ->
+  match out with
+  | Service.Answers a ->
+    let stale = standby st in
+    let extra =
+      if stale then
+        [ ("stale", Jsonl.Bool true);
+          ("warning", Jsonl.Str "W050");
+          ("mnemonic", Jsonl.Str "stale-read") ]
+      else []
+    in
+    ( Protocol.complete_reply ?id ~extra ~answers:(Some a) (),
+      "complete",
+      if stale then Some "W050" else None )
+  | Service.Partial (a, e) ->
+    ( Protocol.degraded_reply ?id
+        ~reason:(Protocol.exhaustion_reason e)
+        ~answers:(Some a)
+        ~message:(Format.asprintf "%a" Guard.pp_exhaustion e)
+        (),
+      "degraded",
+      None )
+  | Service.Bad_query d -> (Protocol.error_reply ?id d, "error", Some d.Diag.code)
+  | Service.Inconsistent msg ->
+    ( Protocol.obj_reply ?id ~status:"error"
+        [ ("inconsistent", Jsonl.Bool true); ("message", Jsonl.Str msg) ],
+      "error",
+      None )
 
 let answer st conn req =
   let id = Protocol.request_id req in
@@ -377,12 +397,8 @@ let answer st conn req =
               ("message", Jsonl.Str "already a primary") ],
           "complete",
           None )
-    | Protocol.Query _ ->
-      (* the same code path a forked worker runs, so a reply is
-         byte-identical with or without the pool; a following standby
-         tags complete answers with the W050 stale-read warning *)
-      Worker.answer_query ~svc:st.svc ~defaults:(worker_defaults st.cfg)
-        ~stale:(standby st) req
+    | Protocol.Query { query; engine; timeout; max_steps; _ } ->
+      answer_query st ?id ~query ~engine ~timeout ~max_steps ()
   in
   let reply, status, code =
     match compute () with
@@ -451,7 +467,7 @@ let handle_line st conn line =
              ~code:"H053" ~reason:"drain" ~answers:None
              ~message:"server is draining; retry against a fresh instance"
              ()))
-      else if not (Admission.offer st.queue (conn, req, line)) then (
+      else if not (Admission.offer st.queue (conn, req)) then (
         count_shed st;
         send_reply st conn ~status:"degraded" ~code:"W047"
           (Protocol.degraded_reply
@@ -550,95 +566,20 @@ let rec accept_loop st lfd =
     else st.conns <- c :: st.conns;
     accept_loop st lfd
 
-(* --- dispatch to the pool --------------------------------------------- *)
-
-(* The reply closure the supervisor invokes when the worker's frame
-   (or its obituary) comes back: same accounting as an inline answer —
-   reply counters via [send_reply], periodic checkpoints via
-   [request_served], the latency histogram (measured dispatch-to-reply
-   here) and the crash counter when the worker reported E027. *)
-let dispatch_query st sup conn req line =
-  let m = Service.metrics st.svc in
-  let req_id = Protocol.request_id req in
-  let t0 = now () in
-  let reply ~status ~code out_line =
-    (match code with
-    | Some "E027" ->
-      st.crashed <- st.crashed + 1;
-      Metrics.inc
-        (Metrics.counter m ~help:"requests whose handler raised"
-           "mdqa_server_crashed_total")
-    | _ -> ());
-    send_reply st conn ~status ?code out_line;
-    Service.request_served st.svc;
-    Metrics.observe
-      (Metrics.histogram m ~help:"request handling latency"
-         "mdqa_server_request_seconds")
-      (now () -. t0)
-  in
-  let accepted =
-    Supervisor.dispatch sup ~line ~req_id
-      ~write_deadline:(now () +. st.cfg.write_timeout)
-      ~reply
-  in
-  if accepted then
-    Metrics.inc
-      (Metrics.counter m ~help:"requests received, by kind"
-         ~labels:[ ("kind", Protocol.request_kind req) ]
-         "mdqa_server_requests_total");
-  accepted
-
-let shed_dead_query st conn req =
-  (* not enough live workers to promise progress: refuse the query
-     outright rather than park it on a dead pool *)
-  st.degraded_events <- st.degraded_events + 1;
-  send_reply st conn ~status:"degraded" ~code:"H054"
-    (Protocol.degraded_reply
-       ?id:(Protocol.request_id req)
-       ~code:"H054" ~reason:"workers" ~answers:None
-       ~message:"worker pool unavailable (crash backoff); retry with backoff"
-       ())
-
 let process_queue st =
-  match st.sup with
-  | None ->
-    let budget = ref (Admission.length st.queue) in
-    while !budget > 0 do
-      (match Admission.take st.queue with
-       | None -> budget := 1
-       | Some (conn, req, _line) -> answer st conn req);
-      decr budget
-    done
-  | Some sup ->
-    (* strict FIFO: a query head with no ready worker blocks the queue
-       until a reply or a respawn frees one.  Below quorum, queries are
-       refused outright (H054) instead of parking on a dead pool — but
-       non-query requests are still answered inline: the control plane
-       stays responsive through any worker storm. *)
-    let continue = ref true in
-    while !continue do
-      match Admission.peek st.queue with
-      | None -> continue := false
-      | Some (conn, req, line) -> (
-        match req with
-        | Protocol.Query _ ->
-          if not (Supervisor.quorum sup) then begin
-            ignore (Admission.take st.queue);
-            shed_dead_query st conn req
-          end
-          else if dispatch_query st sup conn req line then
-            ignore (Admission.take st.queue)
-          else continue := false
-        | _ ->
-          ignore (Admission.take st.queue);
-          answer st conn req)
-    done
+  let budget = ref (Admission.length st.queue) in
+  while !budget > 0 do
+    (match Admission.take st.queue with
+     | None -> budget := 1
+     | Some (conn, req) -> answer st conn req);
+    decr budget
+  done
 
 let expire_queue st =
   let rec go () =
     match Admission.take st.queue with
     | None -> ()
-    | Some (conn, req, _line) ->
+    | Some (conn, req) ->
       st.degraded_events <- st.degraded_events + 1;
       send_reply st conn ~status:"degraded" ~code:"H053"
         (Protocol.degraded_reply
@@ -770,7 +711,6 @@ let run ?follower cfg svc =
       svc;
       conns = [];
       queue = Admission.create ~capacity:cfg.max_queue;
-      sup = None;
       source =
         Replication.Source.create ~metrics:(Service.metrics svc)
           ~store_path:(Service.store_path svc);
@@ -788,40 +728,9 @@ let run ?follower cfg svc =
   | Some _, Some path ->
     st.scrub <- Some (Scrub.create ~budget:cfg.scrub_budget ~path ())
   | _ -> ());
-  (* Fork the pool only now: the children share the warmed-up fixpoint
-     copy-on-write, and [on_child] (run in each fresh child, at every
-     respawn) closes whatever parent fds exist at that moment. *)
-  let prev_chld = ref None in
-  if cfg.workers > 0 then begin
-    let on_child () =
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      (try Unix.close pr with Unix.Unix_error _ -> ());
-      (try Unix.close pw with Unix.Unix_error _ -> ());
-      List.iter
-        (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-        st.conns
-    in
-    let spawn ~on_child =
-      Worker.spawn ~svc ~defaults:(worker_defaults cfg)
-        ~recycle:
-          { Worker.max_requests = cfg.worker_max_requests;
-            max_heap_mb = cfg.worker_max_heap_mb }
-        ~on_child ()
-    in
-    st.sup <-
-      Some
-        (Supervisor.start ~metrics:(Service.metrics svc)
-           ?watchdog:cfg.watchdog ~min_ready:cfg.min_ready ~count:cfg.workers
-           ~spawn ~on_child ());
-    (* SIGCHLD only wakes the select; the reap happens in the loop *)
-    prev_chld :=
-      Some (Sys.signal Sys.sigchld (Sys.Signal_handle (fun _ -> wake ())))
-  end;
   let listener_open = ref true in
   Logger.info
-    ~fields:
-      [ ("addr", Logger.Str (addr_string cfg.addr));
-        ("workers", Logger.Int cfg.workers) ]
+    ~fields:[ ("addr", Logger.Str (addr_string cfg.addr)) ]
     "mdqa serve: listening";
   let finished = ref false in
   while not !finished do
@@ -836,29 +745,11 @@ let run ?follower cfg svc =
         ~fields:[ ("grace_s", Logger.Float cfg.drain_grace) ]
         "mdqa serve: draining");
     st.conns <- List.filter (fun c -> c.alive) st.conns;
-    (match st.sup with
-    | Some sup ->
-      ignore (Supervisor.reap sup);
-      Supervisor.tick sup
-    | None -> ());
-    let worker_fds =
-      match st.sup with Some sup -> Supervisor.fds sup | None -> []
-    in
     let read_fds =
       (if !listener_open then [ lfd ] else [])
-      @ (pr :: worker_fds)
-      @ List.map (fun c -> c.fd) st.conns
+      @ (pr :: List.map (fun c -> c.fd) st.conns)
     in
-    let tmo =
-      match st.sup with
-      | None -> if Admission.is_empty st.queue then 0.25 else 0.
-      | Some sup -> (
-        (* queued work makes progress only via a worker event or a
-           scheduled tick, both of which wake the select; no spin *)
-        match Supervisor.next_wakeup sup with
-        | None -> 0.25
-        | Some at -> Float.min 0.25 (Float.max 0. (at -. now ())))
-    in
+    let tmo = if Admission.is_empty st.queue then 0.25 else 0. in
     let tmo =
       (* don't let an idle select oversleep the next scrub step *)
       match st.scrub with
@@ -874,13 +765,6 @@ let run ?follower cfg svc =
      | Error _ -> ()
      | Ok ready ->
        if List.mem pr ready then drain_pipe pr;
-       (match st.sup with
-       | Some sup ->
-         List.iter
-           (fun fd ->
-             if List.mem fd ready then Supervisor.handle_readable sup fd)
-           worker_fds
-       | None -> ());
        if !listener_open && List.mem lfd ready then accept_loop st lfd;
        List.iter
          (fun c -> if c.alive && List.mem c.fd ready then feed st c)
@@ -930,32 +814,13 @@ let run ?follower cfg svc =
           "mdqa serve: scrub tick crashed")
     | _ -> ());
     if st.draining then begin
-      if now () > st.drain_deadline then begin
-        expire_queue st;
-        match st.sup with
-        | Some sup ->
-          let aborted =
-            Supervisor.abort_inflight sup ~code:"H053" ~reason:"drain"
-              ~message:"drain deadline reached before this request finished"
-          in
-          st.degraded_events <- st.degraded_events + aborted
-        | None -> ()
-      end;
-      let inflight =
-        match st.sup with Some sup -> Supervisor.inflight sup | None -> 0
-      in
-      if Admission.is_empty st.queue && inflight = 0 then finished := true
+      if now () > st.drain_deadline then expire_queue st;
+      if Admission.is_empty st.queue then finished := true
     end
   done;
   List.iter close_conn st.conns;
   Sys.set_signal Sys.sigterm prev_term;
   Sys.set_signal Sys.sigint prev_int;
-  (match !prev_chld with
-  | Some prev -> Sys.set_signal Sys.sigchld prev
-  | None -> ());
-  (match st.sup with
-  | Some sup -> Supervisor.shutdown sup ~grace:2.
-  | None -> ());
   (try Unix.close pr with Unix.Unix_error _ -> ());
   (try Unix.close pw with Unix.Unix_error _ -> ());
   Option.iter Scrub.close st.scrub;
@@ -992,11 +857,7 @@ let run ?follower cfg svc =
       [ ("requests", Logger.Int (Service.requests svc));
         ("shed", Logger.Int (Admission.shed st.queue));
         ("crashed", Logger.Int st.crashed);
-        ("degraded", Logger.Int st.degraded_events);
-        ("worker_restarts",
-         Logger.Int
-           (match st.sup with Some s -> Supervisor.restarts s | None -> 0))
-      ]
+        ("degraded", Logger.Int st.degraded_events) ]
     "mdqa serve: drained";
   if
     st.degraded_events > 0 || checkpoint_failed

@@ -23,15 +23,10 @@
       final (breaker-bypassing) checkpoint, exit 0 — or 2 when
       anything had to be degraded on the way out.
 
-    With [workers > 0] the loop keeps all of the above but answers
-    queries through a {!Supervisor}-managed pool of forked workers
-    sharing the warm fixpoint copy-on-write: a worker crash costs one
-    E029 reply and a jittered-backoff restart, a hung worker is
-    SIGKILLed at the watchdog deadline (W049), and when fewer than
-    [min_ready] workers are alive queued queries are refused with H054
-    instead of waiting on a dead pool.  Non-query requests (ping,
-    health, ready, metrics, spans) are always answered inline — the
-    control plane stays responsive through any worker storm. *)
+    Every query runs under its own fork of the server guard, bounded by
+    the request's own ["timeout"] or else [request_timeout]: a query
+    that explodes degrades to its partial answer at the deadline and
+    the loop moves on. *)
 
 type addr =
   | Unix_path of string  (** a filesystem socket; removed on exit *)
@@ -44,14 +39,11 @@ type config = {
   read_timeout : float;  (** seconds to finish sending a line (10.) *)
   write_timeout : float;  (** seconds to accept a reply (10.) *)
   max_request_bytes : int;  (** request line cap (1 MiB) *)
-  request_timeout : float option;  (** default per-request deadline *)
+  request_timeout : float;
+      (** per-request deadline, seconds, for a query that carries no
+          ["timeout"] of its own (10.) *)
   request_max_steps : int option;  (** default per-request step budget *)
   drain_grace : float;  (** seconds to finish in-flight work on drain *)
-  workers : int;  (** forked query workers; 0 (default) = inline *)
-  watchdog : float option;  (** per-request worker hang deadline, seconds *)
-  min_ready : int;  (** live workers required to accept queries (1) *)
-  worker_max_requests : int;  (** recycle after this many requests; 0 = off *)
-  worker_max_heap_mb : float;  (** recycle past this heap size; 0. = off *)
   scrub_interval : float option;
       (** with [Some s], re-verify the store's on-disk CRCs from the
           event loop, one bounded step every [s] seconds

@@ -251,9 +251,8 @@ let unknown_predicates t q =
 
 let query t ?timeout ?max_steps ~engine qtext =
   match Parser.parse_query qtext with
-  | exception Parser.Error { line; message; _ } ->
-    Bad_query
-      (Diag.make ~file:"<query>" ~line Diag.Error ~code:"E002" message)
+  | exception Parser.Error { line; code; message; _ } ->
+    Bad_query (Diag.make ~file:"<query>" ~line Diag.Error ~code message)
   | q -> (
     match unknown_predicates t q with
     | a :: _ ->

@@ -81,8 +81,9 @@ type query_outcome =
           the warm chase's); the answers found before it, a sound
           under-approximation *)
   | Bad_query of Mdqa_datalog.Diag.t
-      (** E002 / E012, or E033 ({!Mdqa_datalog.Answer.Refused}): reply
-          error *)
+      (** the query parser's own code ({!Mdqa_datalog.Parser.Error}:
+          E002, E003, E011, ...), E012, or E033
+          ({!Mdqa_datalog.Answer.Refused}): reply error *)
   | Inconsistent of string
       (** {!Mdqa_datalog.Answer.Inconsistent}: the program fails a
           constraint (found by the warm chase, or by the proof or
@@ -110,9 +111,7 @@ val request_served : t -> unit
     missing — the fixpoint never persisted, the breaker not closed, or
     the file at the store path not the one last written
     ({!Mdqa_store.Store.image_id}: unlinked, replaced, rewritten).
-    Otherwise the check is one [stat].  Standbys never write.  Only the
-    process that owns the store calls this: forked workers answer with
-    {!query} alone. *)
+    Otherwise the check is one [stat].  Standbys never write. *)
 
 val checkpoint :
   t ->

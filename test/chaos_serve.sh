@@ -4,11 +4,11 @@
 # it — and demand that every reply carries a status, the store is never
 # corrupted, a restart answers identically, and SIGTERM drains cleanly.
 #
-# A second battery targets the supervised worker pool: failpoint-driven
-# worker crashes (E029 + restart), SIGKILLed workers mid-burst, hung
-# workers tripping the watchdog (W049), a kill-storm collapsing the
-# pool (H054 refusals while the control plane stays up), and failpoint
-# hit counters aggregated across workers into the parent's metrics.
+# A second battery targets the one serving path's own bounds: a
+# failpoint-injected request crash costs exactly one E027 reply while
+# the other queries complete, and a rewrite that explodes
+# (corpus/layers.dl) sent without a "timeout" ends degraded at the
+# server's --request-timeout, so a ping behind it is answered in time.
 #
 # A third battery (repl-chaos) targets hot-standby replication: a
 # standby syncs to byte-identical store files, serves W050-tagged
@@ -24,13 +24,10 @@
 # fails scrub re-syncs from its primary.
 #
 # Usage: chaos_serve.sh MDQA_EXE
-#
-# CHAOS_WORKERS=N (default 0) additionally runs the *entire* baseline
-# battery through an N-worker pool, proving the supervised path meets
-# every contract the inline path does.
 set -u
 
 exe="$1"
+layers="$(dirname "$0")/corpus/layers.dl"
 dir=$(mktemp -d "${TMPDIR:-/tmp}/mdqa_chaos.XXXXXX")
 trap 'kill -9 "${pid:-0}" 2>/dev/null; rm -rf "$dir"' EXIT
 
@@ -60,18 +57,11 @@ sock="$dir/s.sock"
 store="$dir/store.snap"
 q='q(X, Y) :- t(X, Y)'
 
-# CHAOS_WORKERS > 0 pushes every baseline phase through the worker pool.
-CHAOS_WORKERS="${CHAOS_WORKERS:-0}"
-WORKER_FLAGS=""
-if [ "$CHAOS_WORKERS" -gt 0 ] 2>/dev/null; then
-  WORKER_FLAGS="--workers $CHAOS_WORKERS --watchdog 10"
-fi
-
 start_server() {
   # shellcheck disable=SC2086
   "$exe" serve "$prog" --socket "$sock" --store "$store" \
     --checkpoint-every 5 --read-timeout 1 --max-request-bytes 2048 \
-    --drain-grace 5 $WORKER_FLAGS $EXTRA_FLAGS 2>>"$dir/server.err" &
+    --drain-grace 5 $EXTRA_FLAGS 2>>"$dir/server.err" &
   pid=$!
   # wait for readiness: the retrying client backs off through ENOENT /
   # connection-refused while the listener comes up
@@ -295,28 +285,30 @@ kill -TERM "$pid" 2>/dev/null
 wait "$pid" 2>/dev/null
 
 # ======================================================================
-# Supervised worker-pool battery.  Fresh servers per phase, no store:
-# these phases target the supervisor, not checkpointing.
+# Request-bound battery.  Fresh servers per phase, no store: these
+# phases target the request handler, not checkpointing.
 # ======================================================================
-werr="$dir/worker.err"
+berr="$dir/bounds.err"
 
-start_pool() {
-  # $1 = MDQA_FAILPOINTS spec ("" for none); the rest are serve flags
+# $1 = MDQA_FAILPOINTS spec ("" for none), $2 = program; the rest are
+# serve flags
+start_bare() {
   fpspec="$1"
-  shift
-  MDQA_FAILPOINTS="$fpspec" "$exe" serve "$prog" --socket "$sock" \
-    --drain-grace 5 "$@" 2>>"$werr" &
+  bprog="$2"
+  shift 2
+  MDQA_FAILPOINTS="$fpspec" "$exe" serve "$bprog" --socket "$sock" \
+    --drain-grace 5 "$@" 2>>"$berr" &
   pid=$!
   printf '{"kind":"ping"}\n' | timeout 30 "$exe" remote --retry "$sock" \
-    > /dev/null 2>&1 || fail "pool server never became ready" "$werr"
+    > /dev/null 2>&1 || fail "server never became ready" "$berr"
 }
 
-stop_pool() {
+stop_bare() {
   kill -TERM "$pid" 2>/dev/null
   wait "$pid" 2>/dev/null
   rc=$?
   { [ "$rc" -eq 0 ] || [ "$rc" -eq 2 ]; } \
-    || fail "pool drain must exit 0 or 2, got $rc" "$werr"
+    || fail "drain must exit 0 or 2, got $rc" "$berr"
 }
 
 queries() {
@@ -327,163 +319,52 @@ queries() {
   done
 }
 
-health_field() {
-  printf '{"kind":"health"}\n' | "$exe" remote "$sock" 2>/dev/null \
-    | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p" | head -1
-}
+# ------------------------------- crash isolation: one E027, nine answers
+# The server's third query raises inside the request handler; that
+# costs exactly one E027 reply, the other nine complete, and the site's
+# hit counter reads one hit per query.
+start_bare 'serve.request=err@3' "$prog"
+queries 10 | timeout 60 "$exe" remote "$sock" > "$dir/crash.out" 2>&1
+n=$(grep -c '"code":"E027"' "$dir/crash.out")
+[ "$n" -eq 1 ] \
+  || fail "one injected crash must cost exactly one E027 (got $n)" \
+       "$dir/crash.out" "$berr"
+n=$(grep -c '"status":"complete"' "$dir/crash.out")
+[ "$n" -eq 9 ] \
+  || fail "the other nine queries must complete (got $n/9)" \
+       "$dir/crash.out" "$berr"
+timeout 30 "$exe" metrics --remote "$sock" > "$dir/crash_metrics.out" 2>&1 \
+  || fail "metrics scrape failed after the crash" \
+       "$dir/crash_metrics.out" "$berr"
+grep -q '^mdqa_failpoint_hits_total{name="serve.request"} 10$' \
+  "$dir/crash_metrics.out" \
+  || fail "serve.request must count one hit per query (10)" \
+       "$dir/crash_metrics.out"
+stop_bare
 
-# ------------------------------- W1: scripted crashes, E029, restarts
-# Every worker's third request aborts the worker (hit counters are
-# per-process, so each fresh worker crashes on *its* third request).
-# Each crash costs exactly one E029 reply; the pool keeps answering.
-start_pool 'worker.request=crash@3' --workers 4 --watchdog 10
-queries 40 | timeout 60 "$exe" remote "$sock" > "$dir/w1.out" 2>&1
-replies=$(grep -c '"status"' "$dir/w1.out")
-[ "$replies" -eq 40 ] \
-  || fail "W1: every request needs a reply (got $replies/40)" \
-       "$dir/w1.out" "$werr"
-grep -q '"code":"E029"' "$dir/w1.out" \
-  || fail "W1: a crash mid-request must be answered E029" "$dir/w1.out"
-grep -q '"status":"complete"' "$dir/w1.out" \
-  || fail "W1: the pool must keep completing queries between crashes" \
-       "$dir/w1.out"
-restarts=$(health_field restarts)
-[ "${restarts:-0}" -ge 1 ] \
-  || fail "W1: crashed workers must be restarted (restarts=${restarts:-none})" \
-       "$werr"
-# the retrying client absorbs worker crashes entirely: same answers as
-# the pre-chaos baseline, exit 0, no E029 surfacing to the caller
-"$exe" query --remote "$sock" -q "$q" > "$dir/w1_retry.out" 2>/dev/null \
-  || fail "W1: retrying client must absorb a worker crash" \
-       "$dir/w1_retry.out" "$werr"
-cmp -s "$dir/baseline.out" "$dir/w1_retry.out" \
-  || fail "W1: answers after crash-retry differ from baseline" \
-       "$dir/baseline.out" "$dir/w1_retry.out"
-stop_pool
+# ------------------------ default deadline: an exploding rewrite yields
+# The layered program's rewriting explodes.  Sent without "timeout", it
+# ends degraded:deadline at --request-timeout 2, and a ping sent behind
+# it on another connection is answered within 3 s of the query.
+start_bare '' "$layers" --request-timeout 2
+printf '{"kind":"query","query":"q(Y) :- p6(n1, Y)","engine":"rewrite","id":1}\n' \
+  | timeout 30 "$exe" remote "$sock" > "$dir/deadline.out" 2>&1 &
+qpid=$!
+sleep 0.2
+printf '{"kind":"ping","id":2}\n' | timeout 2.8 "$exe" remote "$sock" \
+  > "$dir/deadline_ping.out" 2>&1
+grep -q '"status":"complete"' "$dir/deadline_ping.out" \
+  || fail "a ping behind an exploding rewrite must be answered within 3 s" \
+       "$dir/deadline_ping.out" "$berr"
+wait "$qpid"
+grep -q '"status":"degraded"' "$dir/deadline.out" \
+  && grep -q '"degraded":"deadline"' "$dir/deadline.out" \
+  || fail "the rewrite must end degraded at the default deadline" \
+       "$dir/deadline.out" "$berr"
+stop_bare
 
-# --------------------------- W2: SIGKILL k of N workers mid-burst
-if command -v pgrep > /dev/null 2>&1; then
-  start_pool '' --workers 4 --watchdog 10
-  queries 200 | timeout 60 "$exe" remote "$sock" --burst > "$dir/w2.out" 2>&1 &
-  burst=$!
-  sleep 0.2
-  kids=$(pgrep -P "$pid" | head -2)
-  # shellcheck disable=SC2086
-  [ -n "$kids" ] && kill -9 $kids 2>/dev/null
-  wait "$burst" 2>/dev/null
-  replies=$(grep -c '"status"' "$dir/w2.out")
-  [ "$replies" -eq 200 ] \
-    || fail "W2: SIGKILL mid-burst must not lose replies (got $replies/200)" \
-         "$dir/w2.out" "$werr"
-  kill -0 "$pid" 2>/dev/null \
-    || fail "W2: the parent must survive worker SIGKILLs" "$werr"
-  sleep 0.5
-  restarts=$(health_field restarts)
-  [ "${restarts:-0}" -ge 1 ] \
-    || fail "W2: SIGKILLed workers must restart (restarts=${restarts:-none})" \
-         "$werr"
-  alive=$(health_field alive)
-  [ "${alive:-0}" -eq 4 ] \
-    || fail "W2: the pool must heal back to 4 alive (got ${alive:-none})" \
-         "$werr"
-  stop_pool
-else
-  echo "chaos_serve: pgrep unavailable, skipping W2 (worker SIGKILL)" >&2
-fi
-
-# ----------------------------- W3: hung worker tripped by the watchdog
-# Every fresh worker's first request hangs 30s; the 2s watchdog must
-# SIGKILL it and answer W049 long before the client's 15s patience.
-start_pool 'worker.request=hang:30@1' --workers 2 --watchdog 2
-printf '{"kind":"query","query":"%s","id":0}\n' "$q" \
-  | timeout 15 "$exe" remote "$sock" > "$dir/w3.out" 2>&1
-grep -q '"code":"W049"' "$dir/w3.out" \
-  || fail "W3: a hung worker must be answered W049 within the deadline" \
-       "$dir/w3.out" "$werr"
-printf '{"kind":"ping"}\n' | timeout 10 "$exe" remote "$sock" \
-  > "$dir/w3_ping.out" 2>&1
-grep -q '"status":"complete"' "$dir/w3_ping.out" \
-  || fail "W3: the control plane must answer during a hang" \
-       "$dir/w3_ping.out" "$werr"
-sleep 0.3
-kills=$(health_field watchdog_kills)
-[ "${kills:-0}" -ge 1 ] \
-  || fail "W3: watchdog_kills must count the kill (got ${kills:-none})" "$werr"
-stop_pool
-
-# -------------------- W4: kill-storm collapses the pool to H054 refusals
-# Every dispatched request crashes its worker.  Nothing completes, each
-# request is answered E029 or refused H054, the parent keeps answering
-# pings, and restarts stay bounded by requests + pool size.
-start_pool 'worker.request=crash' --workers 2 --watchdog 10
-queries 20 | timeout 60 "$exe" remote "$sock" --burst > "$dir/w4.out" 2>&1
-replies=$(grep -c '"status"' "$dir/w4.out")
-[ "$replies" -eq 20 ] \
-  || fail "W4: the storm must not lose replies (got $replies/20)" \
-       "$dir/w4.out" "$werr"
-grep -q '"code":"E029"' "$dir/w4.out" \
-  || fail "W4: dispatched requests must surface E029" "$dir/w4.out"
-grep -q '"code":"H054"' "$dir/w4.out" \
-  || fail "W4: a dead pool must refuse queued queries with H054" "$dir/w4.out"
-if grep -q '"status":"complete"' "$dir/w4.out"; then
-  fail "W4: nothing can complete when every request crashes its worker" \
-    "$dir/w4.out"
-fi
-printf '{"kind":"ping"}\n' | timeout 10 "$exe" remote "$sock" \
-  > "$dir/w4_ping.out" 2>&1
-grep -q '"status":"complete"' "$dir/w4_ping.out" \
-  || fail "W4: the parent must answer pings through the storm" \
-       "$dir/w4_ping.out" "$werr"
-restarts=$(health_field restarts)
-[ "${restarts:-0}" -le 22 ] \
-  || fail "W4: restarts must stay bounded (got ${restarts:-none} > 22)" "$werr"
-stop_pool
-
-# --------------- W5: worker failpoint hits aggregate into parent metrics
-# delay:10 fires on every worker request without failing it; the hit
-# counters piggybacked on reply envelopes must sum to exactly the
-# number of pooled queries in the parent's exposition.
-start_pool 'worker.request=delay:10' --workers 2 --watchdog 10
-queries 6 | timeout 30 "$exe" remote "$sock" > "$dir/w5.out" 2>&1
-n=$(grep -c '"status":"complete"' "$dir/w5.out")
-[ "$n" -eq 6 ] \
-  || fail "W5: delayed requests must still complete (got $n/6)" \
-       "$dir/w5.out" "$werr"
-timeout 30 "$exe" metrics --remote "$sock" > "$dir/w5_metrics.out" 2>&1 \
-  || fail "W5: metrics scrape failed" "$dir/w5_metrics.out" "$werr"
-grep -q 'mdqa_failpoint_hits_total{name="worker.request"} 6' \
-  "$dir/w5_metrics.out" \
-  || fail "W5: worker failpoint hits must aggregate to 6 in parent metrics" \
-       "$dir/w5_metrics.out"
-stop_pool
-
-# ------------------------------ W6: degenerate 1-worker pool, clean drain
-start_pool '' --workers 1
-{
-  i=0
-  while [ "$i" -lt 20 ]; do
-    case $((i % 4)) in
-      0 | 1) printf '{"kind":"query","query":"%s","id":%d}\n' "$q" "$i" ;;
-      2) printf '{"kind":"ping","id":%d}\n' "$i" ;;
-      3) printf '{"kind":"health","id":%d}\n' "$i" ;;
-    esac
-    i=$((i + 1))
-  done
-} | timeout 30 "$exe" remote "$sock" > "$dir/w6.out" 2>&1
-replies=$(grep -c '"status"' "$dir/w6.out")
-[ "$replies" -eq 20 ] \
-  || fail "W6: got $replies/20 replies from a 1-worker pool" \
-       "$dir/w6.out" "$werr"
-"$exe" query --remote "$sock" -q "$q" > "$dir/w6_q.out" 2>/dev/null
-cmp -s "$dir/baseline.out" "$dir/w6_q.out" \
-  || fail "W6: pooled answers differ from the inline baseline" \
-       "$dir/baseline.out" "$dir/w6_q.out"
-stop_pool
-[ "$rc" -eq 0 ] \
-  || fail "W6: a clean pooled load must drain to exit 0 (got $rc)" "$werr"
-
-if grep -Eq 'Fatal error|Raised at|Raised by' "$werr"; then
-  fail "unhandled exception in server stderr during the worker battery" "$werr"
+if grep -Eq 'Fatal error|Raised at|Raised by' "$berr"; then
+  fail "unhandled exception in server stderr during the bounds battery" "$berr"
 fi
 
 # ======================================================================
@@ -811,5 +692,5 @@ if grep -Eq 'Fatal error|Raised at|Raised by' "$scerr"; then
   fail "unhandled exception in scrub battery stderr" "$scerr"
 fi
 
-echo "chaos_serve: survived SIGKILL, store faults, garbage, slow-loris, overload, a 500-request soak, a worker-pool battery (crash/kill/hang/storm/metrics), a replication battery (sync/stale-reads/failover-promote/failpoints/divergence), and a scrub battery (detect/trip/repair/heal, standby re-sync) with CHAOS_WORKERS=$CHAOS_WORKERS"
+echo "chaos_serve: survived SIGKILL, store faults, garbage, slow-loris, overload, a 500-request soak, a request-bound battery (crash isolation/default deadline), a replication battery (sync/stale-reads/failover-promote/failpoints/divergence), and a scrub battery (detect/trip/repair/heal, standby re-sync)"
 exit 0

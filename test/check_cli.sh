@@ -74,6 +74,23 @@ inconsistent() {
 inconsistent inconsistent_nc.dl 'yes() :- p(a)'
 inconsistent inconsistent_egd.dl 'yes() :- r(a, b)'
 
+# A -q query keeps the parser's own code: an arity clash is E011 and an
+# unsafe head E003, not a blanket E002 syntax error.
+query_code() {
+  # $1 = a -q query over egd_window.dl, $2 = the code it must be refused with
+  out=$(timeout 60 "$exe" query corpus/egd_window.dl -q "$1" 2>&1)
+  got=$?
+  case "$got $out" in
+    "1 <query>:1: error $2 "*) ;;
+    *)
+      echo "check-cli FAIL: query -q '$1' exited $got ($out), want 1 with $2" >&2
+      status=1
+      ;;
+  esac
+}
+query_code 'q(X) :- zz(X), zz(X, Y).' E011
+query_code 'q(X, Z) :- institution_unit(X, Y).' E003
+
 # one pass reports every error: at least 2 "error E..." diagnostics
 n=$(timeout 60 "$exe" check corpus/syntax_multi.mdq 2>/dev/null \
       | grep -c "error E")

@@ -368,6 +368,16 @@ let test_csv_ok_roundtrip () =
 
 (* --- collector / presentation --------------------------------------- *)
 
+(* Codes of the removed worker pool stay retired: none is in the
+   registry, so none can be handed out again with another meaning. *)
+let test_retired_codes () =
+  List.iter
+    (fun code ->
+      Alcotest.(check (option string)) code None (Diag.describe code);
+      Alcotest.(check bool) (code ^ " not listed") false
+        (List.mem_assoc code Diag.codes))
+    [ "E029"; "W049"; "H054" ]
+
 let test_exit_codes () =
   let e = Diag.make Diag.Error ~code:"E002" "boom" in
   let w = Diag.make Diag.Warning ~code:"W040" "hmm" in
@@ -546,4 +556,6 @@ let suites =
         Alcotest.test_case "never located at line 0" `Quick
           test_never_located_at_zero;
         Alcotest.test_case "json report" `Quick test_json_report;
+        Alcotest.test_case "retired codes are never reused" `Quick
+          test_retired_codes;
         QCheck_alcotest.to_alcotest test_fuzz_never_raises ] ) ]

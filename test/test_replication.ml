@@ -458,26 +458,8 @@ let test_should_retry_reply () =
       (Sproto.degraded_reply ~code:"W047" ~reason:"overload" ~answers:None
          ~message:"queue full" ())
   in
-  let workers_down =
-    parse_reply_exn
-      (Sproto.degraded_reply ~code:"H054" ~reason:"workers" ~answers:None
-         ~message:"pool below min-ready" ())
-  in
-  let crashed =
-    parse_reply_exn
-      (Sproto.error_reply
-         (Diag.make Diag.Error ~code:"E029" "worker died"))
-  in
   Alcotest.(check bool) "overload shed retried" true
-    (Client.should_retry_reply ~idempotent:false overload <> None);
-  Alcotest.(check bool) "H054 retried when idempotent" true
-    (Client.should_retry_reply ~idempotent:true workers_down <> None);
-  Alcotest.(check bool) "H054 never retried (non-idempotent)" true
-    (Client.should_retry_reply ~idempotent:false workers_down = None);
-  Alcotest.(check bool) "E029 retried when idempotent" true
-    (Client.should_retry_reply ~idempotent:true crashed <> None);
-  Alcotest.(check bool) "E029 not retried otherwise" true
-    (Client.should_retry_reply ~idempotent:false crashed = None)
+    (Client.should_retry_reply overload <> None)
 
 (* A forked peer on a Unix socket that answers each request line of
    one connection with the next scripted reply line. *)
@@ -517,10 +499,10 @@ let with_scripted_peer replies f =
         Unix.rmdir dir)
       (fun () -> f path)
 
-let test_client_retries_h054 () =
-  let h054 =
-    Sproto.degraded_reply ~code:"H054" ~reason:"workers" ~answers:None
-      ~message:"pool below min-ready" ()
+let test_client_retries_w047 () =
+  let w047 =
+    Sproto.degraded_reply ~code:"W047" ~reason:"overload" ~answers:None
+      ~message:"queue full" ()
   and complete = Sproto.complete_reply ~answers:(Some []) () in
   let policy = Backoff.policy ~base:0.001 ~cap:0.002 ~max_attempts:3 () in
   let roundtrip ?idempotent replies =
@@ -534,16 +516,17 @@ let test_client_retries_h054 () =
     | Ok r, _ -> Option.value ~default:r.Sproto.status r.Sproto.code
     | Error e, _ -> e
   in
-  let r = roundtrip [ h054; h054; complete ] in
-  Alcotest.(check string) "H054, H054, complete: complete" "complete" (code r);
+  let r = roundtrip [ w047; w047; complete ] in
+  Alcotest.(check string) "W047, W047, complete: complete" "complete" (code r);
   Alcotest.(check int) "after two retries" 2 (snd r);
-  let r = roundtrip (List.init 10 (fun _ -> h054)) in
-  Alcotest.(check string) "H054 throughout: the last H054 reply" "H054"
+  let r = roundtrip (List.init 10 (fun _ -> w047)) in
+  Alcotest.(check string) "W047 throughout: the last W047 reply" "W047"
     (code r);
   Alcotest.(check int) "after the whole retry budget" 3 (snd r);
-  let r = roundtrip ~idempotent:false [ h054; complete ] in
-  Alcotest.(check string) "not idempotent: H054 at once" "H054" (code r);
-  Alcotest.(check int) "without a retry" 0 (snd r)
+  let r = roundtrip ~idempotent:false [ w047; complete ] in
+  Alcotest.(check string) "not idempotent: a shed request is re-sent"
+    "complete" (code r);
+  Alcotest.(check int) "after one retry" 1 (snd r)
 
 (* --- follower -------------------------------------------------------- *)
 
@@ -631,8 +614,8 @@ let suites =
           test_client_rotates_on_dead_endpoint;
         Alcotest.test_case "reply retry classification" `Quick
           test_should_retry_reply;
-        Alcotest.test_case "H054 retried, then handed back" `Quick
-          test_client_retries_h054 ] );
+        Alcotest.test_case "W047 retried, then handed back" `Quick
+          test_client_retries_w047 ] );
     ( "replication.follower",
       [ Alcotest.test_case "unreachable primary is E031" `Quick
           test_follower_unreachable_is_e031;

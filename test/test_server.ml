@@ -1,9 +1,10 @@
 (* Unit and property tests for the mdqa_server building blocks: backoff
    (the ISSUE's qcheck properties), circuit breaker transitions under an
    injected clock, admission-queue shedding, the JSONL codec, the wire
-   protocol, and Guard.fork/absorb budget arithmetic.  The end-to-end
-   loop — signals, socket faults, overload — is exercised by
-   test/chaos_serve.sh. *)
+   protocol, Guard.fork/absorb budget arithmetic, and the live inline
+   server (crash isolation, deadlines, shedding, drain) forked over a
+   Unix socket.  The chaos end of the loop — SIGKILL, store faults,
+   soak, replication — is exercised by test/chaos_serve.sh. *)
 
 open Mdqa_server
 module Jsonl = Mdqa_obs.Jsonl
@@ -567,96 +568,9 @@ let test_failpoint_arm () =
   Alcotest.(check bool) "empty env is Ok" true (Failpoint.arm_env () = Ok ());
   Failpoint.disarm_all ()
 
-(* --- worker: frame codec, envelope, classification -------------------- *)
-
-let test_frame_codec () =
-  Fdio.ignore_sigpipe ();
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock a;
-  let r = Worker.Frame.reader () in
-  Alcotest.(check bool) "empty pipe: nothing" true
-    (Worker.Frame.poll r a = `Nothing);
-  let write fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
-  (* two frames in one write arrive in order *)
-  write b (Worker.Frame.encode "hello" ^ Worker.Frame.encode "world");
-  (match Worker.Frame.poll r a with
-   | `Frames [ "hello"; "world" ] -> ()
-   | _ -> Alcotest.fail "expected both frames in order");
-  (* a frame split mid-prefix survives partial delivery *)
-  let big = String.make 100 'x' in
-  let f = Worker.Frame.encode big in
-  write b (String.sub f 0 2);
-  Alcotest.(check bool) "partial prefix: nothing yet" true
-    (Worker.Frame.poll r a = `Nothing);
-  write b (String.sub f 2 (String.length f - 2));
-  (match Worker.Frame.poll r a with
-   | `Frames [ p ] -> Alcotest.(check string) "reassembled" big p
-   | _ -> Alcotest.fail "expected the reassembled frame");
-  Unix.close b;
-  Alcotest.(check bool) "peer close is eof" true (Worker.Frame.poll r a = `Eof);
-  Unix.close a
-
-let test_frame_corrupt () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock a;
-  let r = Worker.Frame.reader () in
-  (* 0xFFFFFFFF little-endian: negative / far past max_payload *)
-  ignore (Unix.write_substring b "\xff\xff\xff\xff" 0 4);
-  (match Worker.Frame.poll r a with
-   | `Error _ -> ()
-   | _ -> Alcotest.fail "corrupt length prefix must be an error");
-  Unix.close a;
-  Unix.close b
-
-let test_frame_read_blocking () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let msg = Worker.Frame.encode "payload" in
-  ignore (Unix.write_substring a msg 0 (String.length msg));
-  (match Worker.Frame.read_blocking b with
-   | Some "payload" -> ()
-   | _ -> Alcotest.fail "blocking read must return the payload");
-  Unix.close a;
-  Alcotest.(check bool) "eof is None" true (Worker.Frame.read_blocking b = None);
-  Unix.close b
-
-let test_envelope_roundtrip () =
-  Failpoint.disarm_all ();
-  Failpoint.arm "t.env2" { Failpoint.action = Failpoint.Off; trigger = Failpoint.Always };
-  Failpoint.hit "t.env2";
-  Failpoint.hit "t.env2";
-  let env = Worker.envelope ~line:"the reply\n" ~status:"degraded" ~code:(Some "W049") in
-  (match Worker.parse_envelope env with
-   | Ok pr ->
-     Alcotest.(check string) "line" "the reply\n" pr.Worker.line;
-     Alcotest.(check string) "status" "degraded" pr.Worker.status;
-     Alcotest.(check (option string)) "code" (Some "W049") pr.Worker.code;
-     Alcotest.(check int) "failpoint counters piggybacked" 2
-       (List.assoc "t.env2" pr.Worker.fp)
-   | Error e -> Alcotest.fail e);
-  Failpoint.disarm_all ();
-  (match Worker.parse_envelope {|{"nope": 1}|} with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "envelope without status/line must be rejected");
-  match Worker.parse_envelope "not json" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage envelope must be rejected"
-
-let test_classify () =
-  let check_cls name expected status =
-    Alcotest.(check bool) name true (Worker.classify status = expected)
-  in
-  check_cls "exit 0 is a recycle" Worker.Recycled (Unix.WEXITED 0);
-  check_cls "exit 125 is a crash" (Worker.Crashed "exit 125") (Unix.WEXITED 125);
-  check_cls "SIGKILL is a crash" (Worker.Crashed "SIGKILL")
-    (Unix.WSIGNALED Sys.sigkill);
-  check_cls "SIGSEGV is a crash" (Worker.Crashed "SIGSEGV")
-    (Unix.WSIGNALED Sys.sigsegv);
-  Alcotest.(check string) "signal_name" "SIGABRT" (Worker.signal_name Sys.sigabrt)
-
-(* Failpoint-driven crash/exit classification against real forked
-   processes: the same [hit] that fires in a worker, classified by the
-   same [classify] the supervisor uses. *)
-let test_classify_forked () =
+(* The process-ending actions against real forked processes: [crash]
+   dies as SIGABRT, [exit:N] exits with N. *)
+let test_failpoint_process_actions () =
   let status_after f =
     flush stdout;
     flush stderr;
@@ -666,32 +580,17 @@ let test_classify_forked () =
       Unix._exit 99
     | pid -> snd (Unix.waitpid [] pid)
   in
-  Failpoint.disarm_all ();
-  Failpoint.arm "t.die" { Failpoint.action = Failpoint.Crash; trigger = Failpoint.Always };
-  Alcotest.(check bool) "crash action dies as SIGABRT" true
-    (Worker.classify (status_after (fun () -> Failpoint.hit "t.die"))
-     = Worker.Crashed "SIGABRT");
-  Failpoint.arm "t.die" { Failpoint.action = Failpoint.Exit 7; trigger = Failpoint.Always };
-  Alcotest.(check bool) "exit:7 action classifies as exit 7" true
-    (Worker.classify (status_after (fun () -> Failpoint.hit "t.die"))
-     = Worker.Crashed "exit 7");
-  Failpoint.arm "t.die" { Failpoint.action = Failpoint.Exit 0; trigger = Failpoint.Always };
-  Alcotest.(check bool) "exit:0 action classifies as a recycle" true
-    (Worker.classify (status_after (fun () -> Failpoint.hit "t.die"))
-     = Worker.Recycled);
+  let check name action expected =
+    Failpoint.disarm_all ();
+    Failpoint.arm "t.die" { Failpoint.action; trigger = Failpoint.Always };
+    Alcotest.(check bool) name true
+      (status_after (fun () -> Failpoint.hit "t.die") = expected)
+  in
+  check "crash action dies as SIGABRT" Failpoint.Crash
+    (Unix.WSIGNALED Sys.sigabrt);
+  check "exit:7 action exits 7" (Failpoint.Exit 7) (Unix.WEXITED 7);
+  check "exit:0 action exits 0" (Failpoint.Exit 0) (Unix.WEXITED 0);
   Failpoint.disarm_all ()
-
-let test_should_retire () =
-  let r = { Worker.max_requests = 100; max_heap_mb = 50. } in
-  Alcotest.(check bool) "below both thresholds" false
-    (Worker.should_retire ~served:99 ~heap_mb:10. r);
-  Alcotest.(check bool) "request threshold" true
-    (Worker.should_retire ~served:100 ~heap_mb:10. r);
-  Alcotest.(check bool) "heap threshold" true
-    (Worker.should_retire ~served:0 ~heap_mb:50.1 r);
-  let off = { Worker.max_requests = 0; max_heap_mb = 0. } in
-  Alcotest.(check bool) "zeroes disable retirement" false
-    (Worker.should_retire ~served:1_000_000 ~heap_mb:4096. off)
 
 (* --- client: retry classification ------------------------------------- *)
 
@@ -707,453 +606,10 @@ let test_client_retry_classification () =
          ~message:"shed" ())
   in
   Alcotest.(check bool) "overload shed always retried" true
-    (Client.should_retry_reply ~idempotent:true overload <> None
-     && Client.should_retry_reply ~idempotent:false overload <> None);
-  let e029 =
-    parsed_reply
-      (Protocol.error_reply
-         (Mdqa_datalog.Diag.make Mdqa_datalog.Diag.Error ~code:"E029"
-            "worker crashed while handling this request (SIGKILL)"))
-  in
-  Alcotest.(check bool) "E029 retried when idempotent" true
-    (Client.should_retry_reply ~idempotent:true e029 <> None);
-  Alcotest.(check bool) "E029 not retried otherwise" true
-    (Client.should_retry_reply ~idempotent:false e029 = None);
+    (Client.should_retry_reply overload <> None);
   let complete = parsed_reply (Protocol.complete_reply ~answers:None ()) in
   Alcotest.(check bool) "complete never retried" true
-    (Client.should_retry_reply ~idempotent:true complete = None);
-  (* a watchdog kill is NOT retried: the same query would hang the
-     next worker too *)
-  let w049 =
-    parsed_reply
-      (Protocol.degraded_reply ~code:"W049" ~reason:"watchdog" ~answers:None
-         ~message:"killed" ())
-  in
-  Alcotest.(check bool) "watchdog kill never retried" true
-    (Client.should_retry_reply ~idempotent:true w049 = None)
-
-(* --- supervisor: state machine under fake hooks ------------------------ *)
-
-(* The supervisor does everything through its hooks record and the
-   worker fds, so the whole state machine runs here with a fake clock,
-   a recording kill, scripted reaps and a spawn that hands back a
-   socketpair instead of forking. *)
-type sim = {
-  mutable now : float;
-  mutable killed : int list;
-  exits : (int * Unix.process_status) Queue.t;
-  mutable next_pid : int;
-  mutable peers : (int * Unix.file_descr) list;
-      (** pid -> the would-be child's end of the pipe *)
-  mutable spawned : int;
-}
-
-let sim () =
-  Fdio.ignore_sigpipe ();
-  { now = 0.;
-    killed = [];
-    exits = Queue.create ();
-    next_pid = 900_001;
-    peers = [];
-    spawned = 0 }
-
-let sim_hooks s =
-  { Supervisor.clock = (fun () -> s.now);
-    kill = (fun pid -> s.killed <- pid :: s.killed);
-    wait_any = (fun () -> Queue.take_opt s.exits);
-    wait_pid =
-      (fun pid ->
-        let found = ref None in
-        let rest = Queue.create () in
-        Queue.iter
-          (fun (p, st) ->
-            if !found = None && p = pid then found := Some (p, st)
-            else Queue.add (p, st) rest)
-          s.exits;
-        Queue.clear s.exits;
-        Queue.transfer rest s.exits;
-        !found);
-    rand = (fun x -> x) }
-
-let fake_spawn s ~on_child:_ =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock a;
-  let pid = s.next_pid in
-  s.next_pid <- s.next_pid + 1;
-  s.spawned <- s.spawned + 1;
-  s.peers <- (pid, b) :: s.peers;
-  { Worker.pid; fd = a; reader = Worker.Frame.reader () }
-
-let sim_cleanup sup s =
-  Supervisor.shutdown sup ~grace:0.;
-  List.iter
-    (fun (_, fd) -> try Unix.close fd with Unix.Unix_error _ -> ())
-    s.peers
-
-(* Write one framed envelope into a worker's pipe from the child side;
-   a closed parent end (already reaped) is fine. *)
-let send_frame s pid payload =
-  match List.assoc_opt pid s.peers with
-  | None -> ()
-  | Some fd -> (
-    let data = Worker.Frame.encode payload in
-    try ignore (Unix.write_substring fd data 0 (String.length data))
-    with Unix.Unix_error _ -> ())
-
-let drain_fds sup =
-  List.iter (fun fd -> Supervisor.handle_readable sup fd) (Supervisor.fds sup)
-
-let wdl () = Guard.Clock.now () +. 5.
-
-let recorder () =
-  let replies = ref [] in
-  let reply ~status ~code line = replies := (status, code, line) :: !replies in
-  (replies, reply)
-
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
-
-let test_sup_frame_reply () =
-  let s = sim () in
-  let replies, reply = recorder () in
-  let sup =
-    Supervisor.start ~hooks:(sim_hooks s) ~watchdog:3. ~count:1
-      ~spawn:(fake_spawn s) ~on_child:ignore ()
-  in
-  let pid0 = s.next_pid - 1 in
-  Alcotest.(check int) "one ready worker" 1 (Supervisor.ready sup);
-  Alcotest.(check bool) "dispatch accepted" true
-    (Supervisor.dispatch sup ~line:"{}" ~req_id:None ~write_deadline:(wdl ())
-       ~reply);
-  Alcotest.(check int) "one inflight" 1 (Supervisor.inflight sup);
-  Alcotest.(check int) "busy, not ready" 0 (Supervisor.ready sup);
-  send_frame s pid0 (Worker.envelope ~line:"ok\n" ~status:"complete" ~code:None);
-  drain_fds sup;
-  (match !replies with
-   | [ ("complete", None, "ok\n") ] -> ()
-   | _ -> Alcotest.fail "expected exactly the worker's reply");
-  Alcotest.(check int) "slot back to ready" 1 (Supervisor.ready sup);
-  Alcotest.(check int) "nothing inflight" 0 (Supervisor.inflight sup);
-  (* long past the watchdog deadline: an answered slot is left alone *)
-  s.now <- 100.;
-  Supervisor.tick sup;
-  Alcotest.(check int) "no late watchdog reply" 1 (List.length !replies);
-  Alcotest.(check int) "no kills" 0 (List.length s.killed);
-  sim_cleanup sup s
-
-let test_sup_watchdog () =
-  let s = sim () in
-  let replies, reply = recorder () in
-  let sup =
-    Supervisor.start ~hooks:(sim_hooks s) ~watchdog:3. ~count:1
-      ~spawn:(fake_spawn s) ~on_child:ignore ()
-  in
-  let pid0 = s.next_pid - 1 in
-  ignore
-    (Supervisor.dispatch sup ~line:"{}" ~req_id:None ~write_deadline:(wdl ())
-       ~reply);
-  s.now <- 4.;
-  Supervisor.tick sup;
-  (match !replies with
-   | [ ("degraded", Some "W049", line) ] ->
-     Alcotest.(check bool) "reply names the deadline" true
-       (contains line "deadline")
-   | _ -> Alcotest.fail "expected one W049 degraded reply");
-  Alcotest.(check bool) "hung pid SIGKILLed" true (s.killed = [ pid0 ]);
-  Alcotest.(check int) "watchdog_kills" 1 (Supervisor.watchdog_kills sup);
-  Alcotest.(check int) "answered: nothing inflight" 0 (Supervisor.inflight sup);
-  (* a late reply from the doomed worker is dropped *)
-  send_frame s pid0 (Worker.envelope ~line:"late\n" ~status:"complete" ~code:None);
-  drain_fds sup;
-  Alcotest.(check int) "late frame dropped" 1 (List.length !replies);
-  (* the reap classifies the SIGKILL as a crash but sends no E029 *)
-  Queue.add (pid0, Unix.WSIGNALED Sys.sigkill) s.exits;
-  Alcotest.(check int) "reaped" 1 (Supervisor.reap sup);
-  Alcotest.(check int) "no extra reply at reap" 1 (List.length !replies);
-  Alcotest.(check int) "restart counted" 1 (Supervisor.restarts sup);
-  (* cooldown, then the slot comes back *)
-  (match Supervisor.next_wakeup sup with
-   | Some u -> s.now <- u
-   | None -> Alcotest.fail "a cooldown must be scheduled");
-  Supervisor.tick sup;
-  Alcotest.(check int) "respawned" 2 s.spawned;
-  Alcotest.(check int) "ready again" 1 (Supervisor.ready sup);
-  sim_cleanup sup s
-
-let test_sup_crash_e029 () =
-  let s = sim () in
-  let replies, reply = recorder () in
-  let sup =
-    Supervisor.start ~hooks:(sim_hooks s) ~count:1 ~spawn:(fake_spawn s)
-      ~on_child:ignore ()
-  in
-  let pid0 = s.next_pid - 1 in
-  ignore
-    (Supervisor.dispatch sup ~line:"{}" ~req_id:None ~write_deadline:(wdl ())
-       ~reply);
-  Queue.add (pid0, Unix.WSIGNALED Sys.sigsegv) s.exits;
-  Alcotest.(check int) "reaped" 1 (Supervisor.reap sup);
-  (match !replies with
-   | [ ("error", Some "E029", line) ] ->
-     Alcotest.(check bool) "cause in the reply" true (contains line "SIGSEGV")
-   | _ -> Alcotest.fail "expected exactly one E029 reply");
-  Alcotest.(check int) "restart counted" 1 (Supervisor.restarts sup);
-  Alcotest.(check int) "not a recycle" 0 (Supervisor.recycles sup);
-  Alcotest.(check int) "nothing inflight" 0 (Supervisor.inflight sup);
-  sim_cleanup sup s
-
-let test_sup_recycle_idle () =
-  let s = sim () in
-  let replies, _reply = recorder () in
-  let sup =
-    Supervisor.start ~hooks:(sim_hooks s) ~count:1 ~spawn:(fake_spawn s)
-      ~on_child:ignore ()
-  in
-  let pid0 = s.next_pid - 1 in
-  Queue.add (pid0, Unix.WEXITED 0) s.exits;
-  Alcotest.(check int) "reaped" 1 (Supervisor.reap sup);
-  Alcotest.(check int) "recycle counted" 1 (Supervisor.recycles sup);
-  Alcotest.(check int) "not a restart" 0 (Supervisor.restarts sup);
-  Alcotest.(check int) "no reply for an idle exit" 0 (List.length !replies);
-  (* recycling carries no backoff: the replacement spawns immediately *)
-  Supervisor.tick sup;
-  Alcotest.(check int) "respawned at once" 2 s.spawned;
-  Alcotest.(check int) "ready" 1 (Supervisor.ready sup);
-  sim_cleanup sup s
-
-let test_sup_exit0_midrequest () =
-  let s = sim () in
-  let replies, reply = recorder () in
-  let sup =
-    Supervisor.start ~hooks:(sim_hooks s) ~count:1 ~spawn:(fake_spawn s)
-      ~on_child:ignore ()
-  in
-  let pid0 = s.next_pid - 1 in
-  ignore
-    (Supervisor.dispatch sup ~line:"{}" ~req_id:None ~write_deadline:(wdl ())
-       ~reply);
-  Queue.add (pid0, Unix.WEXITED 0) s.exits;
-  ignore (Supervisor.reap sup);
-  (* an exit 0 with a request in hand is a fault, not a recycle: the
-     client gets its E029 and the slot pays crash backoff *)
-  (match !replies with
-   | [ ("error", Some "E029", _) ] -> ()
-   | _ -> Alcotest.fail "expected an E029 for the abandoned request");
-  Alcotest.(check int) "classified as a crash" 1 (Supervisor.restarts sup);
-  Alcotest.(check int) "not a recycle" 0 (Supervisor.recycles sup);
-  sim_cleanup sup s
-
-let test_sup_backoff () =
-  let policy =
-    Backoff.policy ~base:1. ~cap:8. ~max_attempts:1000 ~budget:1e9 ()
-  in
-  let s = sim () in
-  let sup =
-    Supervisor.start ~hooks:(sim_hooks s) ~policy ~healthy_after:5. ~count:1
-      ~spawn:(fake_spawn s) ~on_child:ignore ()
-  in
-  let crash () =
-    Queue.add (s.next_pid - 1, Unix.WSIGNALED Sys.sigsegv) s.exits;
-    ignore (Supervisor.reap sup)
-  in
-  let delay () =
-    match Supervisor.next_wakeup sup with
-    | Some u -> u -. s.now
-    | None -> Alcotest.fail "a cooldown must be scheduled"
-  in
-  let respawn () =
-    (match Supervisor.next_wakeup sup with
-     | Some u -> s.now <- u
-     | None -> Alcotest.fail "a cooldown must be scheduled");
-    Supervisor.tick sup
-  in
-  (* rand is the identity in sim_hooks, so delays are the full jitter
-     ceiling: deterministic and strictly growing until the cap *)
-  crash ();
-  let d1 = delay () in
-  Alcotest.(check bool) "first delay positive" true (d1 > 0.);
-  respawn ();
-  crash ();
-  let d2 = delay () in
-  Alcotest.(check bool) "instant re-crash: delay grows" true (d2 > d1);
-  respawn ();
-  for _ = 1 to 8 do
-    crash ();
-    Alcotest.(check bool) "delay never exceeds the cap" true
-      (delay () <= 8. +. 1e-9);
-    respawn ()
-  done;
-  (* a healthy uptime earns the attempts back *)
-  s.now <- s.now +. 6.;
-  crash ();
-  Alcotest.(check (float 1e-9)) "healthy uptime resets the walk" d1 (delay ());
-  sim_cleanup sup s
-
-let test_sup_quorum () =
-  let s = sim () in
-  let _replies, reply = recorder () in
-  let sup =
-    Supervisor.start ~hooks:(sim_hooks s) ~count:2 ~min_ready:2
-      ~spawn:(fake_spawn s) ~on_child:ignore ()
-  in
-  let p0 = s.next_pid - 2 and p1 = s.next_pid - 1 in
-  Alcotest.(check bool) "quorum with both up" true (Supervisor.quorum sup);
-  Alcotest.(check int) "alive" 2 (Supervisor.alive sup);
-  Queue.add (p0, Unix.WSIGNALED Sys.sigkill) s.exits;
-  Queue.add (p1, Unix.WSIGNALED Sys.sigkill) s.exits;
-  Alcotest.(check int) "both reaped" 2 (Supervisor.reap sup);
-  Alcotest.(check int) "none alive" 0 (Supervisor.alive sup);
-  Alcotest.(check bool) "quorum lost" false (Supervisor.quorum sup);
-  Alcotest.(check int) "min_ready exposed" 2 (Supervisor.min_ready sup);
-  Alcotest.(check bool) "dispatch refused on a dead pool" false
-    (Supervisor.dispatch sup ~line:"{}" ~req_id:None ~write_deadline:(wdl ())
-       ~reply);
-  (match Supervisor.next_wakeup sup with
-   | Some u -> s.now <- u
-   | None -> Alcotest.fail "cooldowns must be scheduled");
-  Supervisor.tick sup;
-  Alcotest.(check int) "both respawned" 4 s.spawned;
-  Alcotest.(check bool) "quorum regained" true (Supervisor.quorum sup);
-  sim_cleanup sup s
-
-let test_sup_abort () =
-  let s = sim () in
-  let replies, reply = recorder () in
-  let sup =
-    Supervisor.start ~hooks:(sim_hooks s) ~count:1 ~spawn:(fake_spawn s)
-      ~on_child:ignore ()
-  in
-  let pid0 = s.next_pid - 1 in
-  ignore
-    (Supervisor.dispatch sup ~line:"{}" ~req_id:None ~write_deadline:(wdl ())
-       ~reply);
-  Alcotest.(check int) "one aborted" 1
-    (Supervisor.abort_inflight sup ~code:"H053" ~reason:"drain"
-       ~message:"draining");
-  (match !replies with
-   | [ ("degraded", Some "H053", _) ] -> ()
-   | _ -> Alcotest.fail "expected one H053 degraded reply");
-  Alcotest.(check int) "second abort finds nothing" 0
-    (Supervisor.abort_inflight sup ~code:"H053" ~reason:"drain"
-       ~message:"draining");
-  (* the worker's own answer arrives after the abort: dropped *)
-  send_frame s pid0 (Worker.envelope ~line:"late\n" ~status:"complete" ~code:None);
-  drain_fds sup;
-  Alcotest.(check int) "late answer dropped" 1 (List.length !replies);
-  sim_cleanup sup s
-
-let test_sup_failover () =
-  let s = sim () in
-  let _replies, reply = recorder () in
-  let sup =
-    Supervisor.start ~hooks:(sim_hooks s) ~count:2 ~spawn:(fake_spawn s)
-      ~on_child:ignore ()
-  in
-  let p0 = s.next_pid - 2 in
-  (* break slot 0's pipe: its dispatch write will fail *)
-  (match List.assoc_opt p0 s.peers with
-   | Some fd -> Unix.close fd
-   | None -> Alcotest.fail "peer fd tracked");
-  s.peers <- List.remove_assoc p0 s.peers;
-  Alcotest.(check bool) "dispatch fails over to the healthy worker" true
-    (Supervisor.dispatch sup ~line:"{}" ~req_id:None ~write_deadline:(wdl ())
-       ~reply);
-  Alcotest.(check bool) "broken worker killed" true (List.mem p0 s.killed);
-  Alcotest.(check int) "request landed on the sibling" 1 (Supervisor.busy sup);
-  Alcotest.(check int) "one inflight" 1 (Supervisor.inflight sup);
-  sim_cleanup sup s
-
-(* --- supervisor: qcheck properties ------------------------------------ *)
-
-let prop_next_attempts =
-  QCheck.Test.make
-    ~name:"supervisor: crash count resets after healthy uptime, else grows"
-    ~count:500
-    (QCheck.make
-       ~print:(fun (h, u, a) ->
-         Printf.sprintf "healthy_after=%g uptime=%g attempts=%d" h u a)
-       QCheck.Gen.(
-         triple (float_range 0.1 10.) (float_range 0. 20.) (int_range 0 50)))
-    (fun (healthy_after, uptime, attempts) ->
-      let n = Supervisor.next_attempts ~healthy_after ~uptime ~attempts in
-      if uptime >= healthy_after then n = 1 else n = attempts + 1)
-
-let prop_restart_delay_bounded =
-  QCheck.Test.make
-    ~name:"supervisor: restart delay bounded by the cap, monotone in attempts"
-    ~count:500
-    QCheck.(pair policy_arb (pair (int_range 1 60) int))
-    (fun (pspec, (attempts, seed)) ->
-      let p = mk_policy pspec in
-      let st = Random.State.make [| seed |] in
-      let d =
-        Supervisor.restart_delay p ~rand:(Random.State.float st) ~attempts
-      in
-      let id x = x in
-      let here = Supervisor.restart_delay p ~rand:id ~attempts in
-      let next = Supervisor.restart_delay p ~rand:id ~attempts:(attempts + 1) in
-      d >= 0. && d <= p.Backoff.cap && here <= next)
-
-(* The exactly-once invariant: one dispatched request, an arbitrary
-   interleaving of worker reply, worker death, watchdog expiry and
-   no-op ticks, with a drain abort at the end — the client hears back
-   exactly once no matter the order. *)
-let prop_sup_single_reply =
-  let event_gen = QCheck.Gen.oneofl [ `Frame; `Exit; `Watchdog; `Tick ] in
-  let print_event = function
-    | `Frame -> "frame"
-    | `Exit -> "exit"
-    | `Watchdog -> "watchdog"
-    | `Tick -> "tick"
-  in
-  QCheck.Test.make
-    ~name:"supervisor: a dispatched request is answered exactly once"
-    ~count:150
-    (QCheck.make
-       ~print:(fun evs -> String.concat "," (List.map print_event evs))
-       QCheck.Gen.(list_size (int_range 0 6) event_gen))
-    (fun events ->
-      let s = sim () in
-      let policy =
-        Backoff.policy ~base:0.1 ~cap:1. ~max_attempts:1000 ~budget:1e9 ()
-      in
-      let sup =
-        Supervisor.start ~hooks:(sim_hooks s) ~policy ~watchdog:3. ~count:1
-          ~spawn:(fake_spawn s) ~on_child:ignore ()
-      in
-      let pid0 = s.next_pid - 1 in
-      let n_replies = ref 0 in
-      let reply ~status:_ ~code:_ _ = incr n_replies in
-      let ok =
-        Supervisor.dispatch sup ~line:"{}" ~req_id:None
-          ~write_deadline:(wdl ()) ~reply
-      in
-      let exited = ref false in
-      List.iter
-        (fun ev ->
-          match ev with
-          | `Frame ->
-            send_frame s pid0
-              (Worker.envelope ~line:"r\n" ~status:"complete" ~code:None);
-            drain_fds sup
-          | `Exit ->
-            if not !exited then begin
-              exited := true;
-              Queue.add (pid0, Unix.WSIGNALED Sys.sigkill) s.exits
-            end;
-            ignore (Supervisor.reap sup)
-          | `Watchdog ->
-            s.now <- s.now +. 10.;
-            Supervisor.tick sup
-          | `Tick -> Supervisor.tick sup)
-        events;
-      ignore
-        (Supervisor.abort_inflight sup ~code:"H053" ~reason:"drain"
-           ~message:"draining");
-      sim_cleanup sup s;
-      ok && !n_replies = 1)
+    (Client.should_retry_reply complete = None)
 
 (* --- service: the periodic check over a persisted fixpoint ----------- *)
 
@@ -1212,6 +668,27 @@ let test_service_rejects_query_tail () =
       | _ -> Alcotest.failf "answered %S" q)
     [ "q(W) :- patient_ward(W, D, P). ! :- patient_ward(W, D, P)";
       "q(W) :- patient_ward(W, D, P). X = Y :- patient_ward(W, X, Y)" ]
+
+(* A served query refused by the query parser keeps the parser's own
+   code: an arity clash is E011 and an unsafe head E003. *)
+let test_service_keeps_parser_code () =
+  with_service @@ fun svc _ _ _ ->
+  List.iter
+    (fun (q, code) ->
+      match Service.query svc ~engine:Answer.Chase q with
+      | Service.Bad_query d ->
+        Alcotest.(check string) q code d.Mdqa_datalog.Diag.code
+      | _ -> Alcotest.failf "answered %S" q)
+    [ ("q(X) :- zz(X), zz(X, Y).", "E011");
+      ("q(W, Z) :- patient_ward(W, D, P).", "E003") ]
+
+(* A served query without a "timeout" of its own is bounded by the
+   server's default deadline, the same 10 s as the read timeout. *)
+let test_default_request_deadline () =
+  let cfg = Server.default_config (Server.Unix_path "unused.sock") in
+  Alcotest.(check (float 0.)) "request_timeout" 10. cfg.Server.request_timeout;
+  Alcotest.(check (float 0.)) "same as read_timeout" cfg.Server.read_timeout
+    cfg.Server.request_timeout
 
 (* A served rewrite request on a cyclic program is refused at once
    (E033) instead of unfolding without end, and the server goes on to
@@ -1437,8 +914,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_delay_within_bounds; prop_ceiling_monotone;
       prop_budget_bounds_sleep; prop_jsonl_roundtrip; prop_jsonl_total;
-      prop_jsonl_printing_reference;
-      prop_next_attempts; prop_restart_delay_bounded; prop_sup_single_reply ]
+      prop_jsonl_printing_reference ]
 
 (* --- served telemetry ---------------------------------------------------- *)
 
@@ -1546,6 +1022,454 @@ let test_spans_reply () =
     Alcotest.(check (list string)) "span names = profile phases" span_names
       (names "phase" (field "phases" (field "profile" profile)))
 
+(* --- the live inline server ---------------------------------------------- *)
+
+(* A server forked from the test process: it answers every request
+   inline from a warm [Service] over [program], armed with the
+   [failpoints] spec, with the tracer and failpoint metrics that
+   [mdqa serve] installs, under [config] applied to the defaults.  Its
+   process exit code is [Server.run]'s result. *)
+type live = { sock : string; pid : int; mutable reaped : bool }
+
+let hospital = "../examples/hospital.dl"
+let layers = "corpus/layers.dl"
+let hospital_q = "q(U, D, P) :- patient_unit(U, D, P)"
+
+let query_line ?id ?engine ?(extra = "") q =
+  Printf.sprintf {|{"kind":"query","query":"%s"%s%s%s}|} q
+    (match engine with
+     | Some e -> Printf.sprintf {|,"engine":"%s"|} e
+     | None -> "")
+    (match id with Some i -> Printf.sprintf {|,"id":%d|} i | None -> "")
+    extra
+
+let runaway_line ?id ?extra () =
+  query_line ?id ?extra ~engine:"rewrite" "q(Y) :- p6(n1, Y)"
+
+type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+
+(* Every read on a test connection gives up after 10 s, so a server
+   that never answers fails the case instead of hanging the suite. *)
+let connect srv =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  Unix.connect fd (Unix.ADDR_UNIX srv.sock);
+  { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+
+let disconnect c = try Unix.close c.fd with Unix.Unix_error _ -> ()
+
+(* All of [lines] in one write, so the server reads them in one chunk. *)
+let send c lines =
+  List.iter (fun l -> output_string c.oc (l ^ "\n")) lines;
+  flush c.oc
+
+let recv c =
+  let line = input_line c.ic in
+  match Protocol.parse_reply line with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "unparseable reply %s: %s" line e
+
+let request c line =
+  send c [ line ];
+  recv c
+
+let closed_by_server c =
+  match input_line c.ic with
+  | _ -> false
+  | exception End_of_file -> true
+
+let reply_id (r : Protocol.reply) =
+  match r.Protocol.id with Some (Jsonl.Num n) -> int_of_float n | _ -> -1
+
+(* The child's exit code once it is gone, waiting at most [limit]
+   seconds; [None] when it is still running. *)
+let wait_exit ?(limit = 10.) srv =
+  let until = Unix.gettimeofday () +. limit in
+  let rec poll () =
+    match Unix.waitpid [ Unix.WNOHANG ] srv.pid with
+    | 0, _ when Unix.gettimeofday () < until ->
+      Unix.sleepf 0.02;
+      poll ()
+    | 0, _ -> None
+    | _, Unix.WEXITED code ->
+      srv.reaped <- true;
+      Some code
+    | _, _ ->
+      srv.reaped <- true;
+      Some (-1)
+  in
+  poll ()
+
+let drain srv =
+  Unix.kill srv.pid Sys.sigterm;
+  match wait_exit srv with
+  | Some code -> code
+  | None -> Alcotest.fail "server did not exit within 10 s of SIGTERM"
+
+let with_server ?(failpoints = "") ?(config = Fun.id) program f =
+  let dir = Filename.temp_file "mdqa_inline" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sock = Filename.concat dir "s.sock" in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        Failpoint.disarm_all ();
+        (match Failpoint.arm_spec failpoints with
+         | Ok () -> ()
+         | Error msg -> failwith msg);
+        Mdqa_obs.Trace.install (Mdqa_obs.Trace.create ());
+        match Service.load ~program_file:program () with
+        | Ok svc ->
+          Failpoint.attach_metrics (Service.metrics svc);
+          Server.run (config (Server.default_config (Server.Unix_path sock)))
+            svc
+        | Error _ -> 100
+      with _ -> 101
+    in
+    Unix._exit code
+  | pid ->
+    let srv = { sock; pid; reaped = false } in
+    Fun.protect
+      ~finally:(fun () ->
+        if not srv.reaped then (
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid));
+        Array.iter
+          (fun e -> Sys.remove (Filename.concat dir e))
+          (Sys.readdir dir);
+        Unix.rmdir dir)
+    @@ fun () ->
+    let waited = ref 0 in
+    while (not (Sys.file_exists sock)) && !waited < 200 do
+      Unix.sleepf 0.05;
+      incr waited
+    done;
+    f srv
+
+let check_status what expected (r : Protocol.reply) =
+  Alcotest.(check string) (what ^ ": status") expected r.Protocol.status
+
+let check_code what expected (r : Protocol.reply) =
+  Alcotest.(check (option string)) (what ^ ": code") (Some expected)
+    r.Protocol.code
+
+let check_reason what expected (r : Protocol.reply) =
+  Alcotest.(check (option string)) (what ^ ": reason") (Some expected)
+    r.Protocol.reason
+
+let exposition_line c prefix =
+  let r = request c {|{"kind":"metrics"}|} in
+  match Jsonl.str_field "exposition" r.Protocol.json with
+  | None -> Alcotest.fail "metrics reply without an exposition"
+  | Some text ->
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' text)
+
+let health_server c =
+  let r = request c {|{"kind":"health"}|} in
+  match Jsonl.member "server" r.Protocol.json with
+  | Some (Jsonl.Obj fields) -> fields
+  | _ -> Alcotest.fail "health reply without a server object"
+
+(* The third query raises inside the handler: it costs one E027 reply
+   on its own connection, the queries around it complete, and the warm
+   fixpoint answers as before. *)
+let test_inline_crash_isolated () =
+  with_server ~failpoints:"serve.request=err@3" hospital @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  let replies = List.init 5 (fun i -> request c (query_line ~id:i hospital_q)) in
+  List.iteri
+    (fun i r ->
+      let what = Printf.sprintf "query %d" i in
+      Alcotest.(check int) (what ^ ": id") i (reply_id r);
+      if i = 2 then (
+        check_status what "error" r;
+        check_code what "E027" r)
+      else (
+        check_status what "complete" r;
+        Alcotest.(check bool) (what ^ ": answers as the first") true
+          (r.Protocol.answers = (List.hd replies).Protocol.answers)))
+    replies;
+  Alcotest.(check int) "six answers" 6
+    (List.length (Option.get (List.hd replies).Protocol.answers))
+
+(* The crash is counted where an operator looks: the health reply's
+   crashed_requests, the crash counter, and the site's hit counter,
+   which counts queries only. *)
+let test_inline_crash_counted () =
+  with_server ~failpoints:"serve.request=err@2" hospital @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  for i = 0 to 3 do
+    ignore (request c (query_line ~id:i hospital_q));
+    ignore (request c {|{"kind":"ping"}|})
+  done;
+  Alcotest.(check bool) "health: one crashed request" true
+    (List.assoc_opt "crashed_requests" (health_server c)
+    = Some (Jsonl.Num 1.));
+  Alcotest.(check (option string)) "crash counter"
+    (Some "mdqa_server_crashed_total 1")
+    (exposition_line c "mdqa_server_crashed_total");
+  Alcotest.(check (option string)) "one hit per query"
+    (Some {|mdqa_failpoint_hits_total{name="serve.request"} 4|})
+    (exposition_line c {|mdqa_failpoint_hits_total{name="serve.request"}|})
+
+(* A client handed an E027 reply returns it: a crash is the server
+   speaking, not a transient failure to retry. *)
+let test_inline_client_no_retry () =
+  with_server ~failpoints:"serve.request=err@1" hospital @@ fun srv ->
+  let client = Client.create ~addr:srv.sock () in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  (match Client.roundtrip client (query_line hospital_q) with
+   | Ok r ->
+     check_status "crashed query" "error" r;
+     check_code "crashed query" "E027" r
+   | Error e -> Alcotest.failf "roundtrip failed: %s" e);
+  Alcotest.(check int) "no retry" 0 (Client.retries client);
+  match Client.roundtrip client (query_line hospital_q) with
+  | Ok r -> check_status "next query" "complete" r
+  | Error e -> Alcotest.failf "roundtrip failed: %s" e
+
+(* A rewrite whose unfolding explodes, sent without a "timeout", ends
+   degraded at the server's default deadline with no watchdog. *)
+let test_inline_default_deadline () =
+  with_server layers
+    ~config:(fun c -> { c with Server.request_timeout = 0.5 })
+  @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let r = request c (runaway_line ~id:1 ()) in
+  check_status "runaway rewrite" "degraded" r;
+  check_reason "runaway rewrite" "deadline" r;
+  Alcotest.(check bool) "ended near its deadline" true
+    (Unix.gettimeofday () -. t0 < 3.)
+
+(* A ping queued behind the runaway rewrite on another connection is
+   answered once the deadline ends the rewrite. *)
+let test_inline_ping_behind_runaway () =
+  with_server layers
+    ~config:(fun c -> { c with Server.request_timeout = 0.5 })
+  @@ fun srv ->
+  let a = connect srv and b = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect a; disconnect b) @@ fun () ->
+  check_status "warm-up ping" "complete" (request b {|{"kind":"ping"}|});
+  let t0 = Unix.gettimeofday () in
+  send a [ runaway_line ~id:1 () ];
+  Unix.sleepf 0.1;
+  check_status "ping" "complete" (request b {|{"kind":"ping","id":2}|});
+  Alcotest.(check bool) "answered within 3 s" true
+    (Unix.gettimeofday () -. t0 < 3.);
+  check_reason "runaway rewrite" "deadline" (recv a)
+
+(* A request's own "timeout" takes precedence over the server's
+   default: with a default of a minute, the runaway ends at its own. *)
+let test_inline_own_timeout () =
+  with_server layers
+    ~config:(fun c -> { c with Server.request_timeout = 60. })
+  @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let r = request c (runaway_line ~extra:{|,"timeout":0.3|} ()) in
+  check_reason "runaway rewrite" "deadline" r;
+  Alcotest.(check bool) "ended at its own deadline" true
+    (Unix.gettimeofday () -. t0 < 3.)
+
+(* The same for the step budget: [request_max_steps] bounds a proof
+   query without a "max_steps" of its own, and yields to one it has. *)
+let test_inline_own_max_steps () =
+  with_server hospital
+    ~config:(fun c -> { c with Server.request_max_steps = Some 2 })
+  @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  let r = request c (query_line ~engine:"proof" hospital_q) in
+  check_status "server's budget" "degraded" r;
+  check_reason "server's budget" "steps" r;
+  let r =
+    request c
+      (query_line ~engine:"proof" ~extra:{|,"max_steps":1000000|} hospital_q)
+  in
+  check_status "own budget" "complete" r
+
+(* Requests pipelined in one write, well-formed or not, are answered
+   exactly once each: nothing is lost, nothing is answered twice. *)
+let test_inline_pipelined_once () =
+  with_server hospital @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  send c
+    [ {|{"kind":"ping","id":1}|};
+      query_line ~id:2 hospital_q;
+      query_line ~id:3 "q(X) :- zz(X), zz(X, Y).";
+      {|{"kind":"nonsense","id":4}|};
+      query_line ~id:5 ~engine:"proof" hospital_q;
+      {|{"kind":"health","id":6}|} ];
+  let replies = List.init 6 (fun _ -> recv c) in
+  (* a request refused by the protocol parser is answered without its
+     id: the id is read from a request only once it parses *)
+  let by_id i =
+    match List.filter (fun r -> reply_id r = i) replies with
+    | [ r ] -> r
+    | l -> Alcotest.failf "request %d answered %d times" i (List.length l)
+  in
+  check_status "ping" "complete" (by_id 1);
+  check_status "chase query" "complete" (by_id 2);
+  check_code "arity clash" "E011" (by_id 3);
+  check_code "unknown kind" "E024" (by_id (-1));
+  check_status "proof query" "complete" (by_id 5);
+  check_status "health" "complete" (by_id 6);
+  check_status "then a ping" "complete" (request c {|{"kind":"ping","id":7}|})
+
+(* A line that is not JSON costs one E024 reply; the connection stays
+   open for the requests behind it. *)
+let test_inline_garbage_kept () =
+  with_server hospital @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  check_code "garbage" "E024" (request c "{not json");
+  check_status "next query" "complete" (request c (query_line hospital_q))
+
+(* A line over [max_request_bytes] is answered E025 and its connection
+   closed; other connections are unaffected. *)
+let test_inline_oversized_closed () =
+  with_server hospital
+    ~config:(fun c -> { c with Server.max_request_bytes = 64 })
+  @@ fun srv ->
+  let c = connect srv and other = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c; disconnect other) @@ fun () ->
+  check_code "oversized" "E025"
+    (request c (query_line hospital_q ~extra:(String.make 100 ' ')));
+  Alcotest.(check bool) "connection closed" true (closed_by_server c);
+  check_status "other connection" "complete"
+    (request other {|{"kind":"ping"}|})
+
+(* A line not finished within [read_timeout] is answered E026 and its
+   connection closed. *)
+let test_inline_slow_line_closed () =
+  with_server hospital
+    ~config:(fun c -> { c with Server.read_timeout = 0.3 })
+  @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  output_string c.oc {|{"kind":|};
+  flush c.oc;
+  check_code "slow line" "E026" (recv c);
+  Alcotest.(check bool) "connection closed" true (closed_by_server c)
+
+(* Requests beyond the admission queue's capacity are shed at once with
+   W047 and counted; the admitted one is answered. *)
+let test_inline_queue_sheds () =
+  with_server hospital ~config:(fun c -> { c with Server.max_queue = 1 })
+  @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  send c (List.init 3 (fun i -> query_line ~id:i hospital_q));
+  let replies = List.init 3 (fun _ -> recv c) in
+  List.iter
+    (fun r ->
+      if reply_id r = 0 then check_status "admitted" "complete" r
+      else (
+        check_code "shed" "W047" r;
+        check_reason "shed" "overload" r))
+    replies;
+  match List.assoc_opt "queue" (health_server c) with
+  | Some q ->
+    Alcotest.(check bool) "two shed" true
+      (Jsonl.member "shed" q = Some (Jsonl.Num 2.))
+  | None -> Alcotest.fail "health reply without the queue"
+
+(* A connection beyond [max_clients] is refused with W047 and closed,
+   not left hanging. *)
+let test_inline_clients_shed () =
+  with_server hospital ~config:(fun c -> { c with Server.max_clients = 1 })
+  @@ fun srv ->
+  let a = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect a) @@ fun () ->
+  check_status "first client" "complete" (request a {|{"kind":"ping"}|});
+  let b = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect b) @@ fun () ->
+  let r = recv b in
+  check_code "second client" "W047" r;
+  check_reason "second client" "overload" r;
+  Alcotest.(check bool) "second client closed" true (closed_by_server b);
+  check_status "first client kept" "complete" (request a {|{"kind":"ping"}|})
+
+(* SIGTERM while a query runs: the query is answered in full, the
+   server exits 0 and removes its socket. *)
+let test_inline_drain_answers () =
+  with_server ~failpoints:"serve.request=delay:1000@1" hospital @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  check_status "warm-up ping" "complete" (request c {|{"kind":"ping"}|});
+  send c [ query_line hospital_q ];
+  Unix.sleepf 0.2;
+  Unix.kill srv.pid Sys.sigterm;
+  check_status "in-flight query" "complete" (recv c);
+  Alcotest.(check (option int)) "exit 0" (Some 0) (wait_exit srv);
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists srv.sock)
+
+(* A request that arrives once the drain has begun is answered H053,
+   and the degraded request makes the exit code 2. *)
+let test_inline_drain_refuses_new () =
+  with_server ~failpoints:"serve.request=delay:1500@1" hospital @@ fun srv ->
+  let a = connect srv and b = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect a; disconnect b) @@ fun () ->
+  check_status "warm-up a" "complete" (request a {|{"kind":"ping"}|});
+  check_status "warm-up b" "complete" (request b {|{"kind":"ping"}|});
+  send a [ query_line hospital_q ];
+  Unix.sleepf 0.4;
+  send b [ {|{"kind":"ping","id":2}|} ];
+  Unix.kill srv.pid Sys.sigterm;
+  check_status "in-flight query" "complete" (recv a);
+  let r = recv b in
+  check_code "after the drain began" "H053" r;
+  check_reason "after the drain began" "drain" r;
+  Alcotest.(check (option int)) "exit 2" (Some 2) (wait_exit srv)
+
+(* The health reply's server object holds the inline server's fields
+   and nothing of a worker pool. *)
+let test_inline_health_fields () =
+  with_server hospital @@ fun srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  Alcotest.(check (list string)) "server fields"
+    [ "connections"; "crashed_requests"; "draining"; "queue"; "role" ]
+    (List.sort String.compare (List.map fst (health_server c)))
+
+let inline_cases =
+  [ case "crash mid-request answered E027 once, the loop goes on"
+      test_inline_crash_isolated;
+    case "crashed requests show in health and metrics"
+      test_inline_crash_counted;
+    case "client returns an E027 reply without retrying"
+      test_inline_client_no_retry;
+    case "default deadline degrades a runaway rewrite"
+      test_inline_default_deadline;
+    case "ping behind a runaway answered after its deadline"
+      test_inline_ping_behind_runaway;
+    case "own timeout precedes the default deadline" test_inline_own_timeout;
+    case "own max_steps precedes request_max_steps" test_inline_own_max_steps;
+    case "pipelined requests answered exactly once each"
+      test_inline_pipelined_once;
+    case "malformed line is E024, connection kept" test_inline_garbage_kept;
+    case "oversized line is E025, connection closed"
+      test_inline_oversized_closed;
+    case "slow line is E026, connection closed" test_inline_slow_line_closed;
+    case "full admission queue sheds W047" test_inline_queue_sheds;
+    case "surplus client refused W047" test_inline_clients_shed;
+    case "drain answers in-flight, exits 0" test_inline_drain_answers;
+    case "after drain begins, requests are H053, exit 2"
+      test_inline_drain_refuses_new;
+    case "health server fields hold no pool" test_inline_health_fields ]
+
 let suites =
   [ ( "server.backoff-breaker-admission",
       [ case "breaker: trip, probe, re-open, recover"
@@ -1565,6 +1489,9 @@ let suites =
           test_service_trip_heals;
         case "a query with a trailing NC or EGD is E002"
           test_service_rejects_query_tail;
+        case "a refused query keeps the parser's code"
+          test_service_keeps_parser_code;
+        case "default request deadline is 10 s" test_default_request_deadline;
         case "degraded chase query keeps its partial answers"
           test_service_degraded_keeps_partial;
         case "proof request honours its timeout" test_service_proof_timeout;
@@ -1587,31 +1514,9 @@ let suites =
     ( "server.failpoint",
       [ case "parse_spec: grammar, delay units, rejects" test_failpoint_parse;
         case "triggers: @N, @N+, off counting, disarm" test_failpoint_triggers;
-        case "arm_spec / arm_env / re-arm keeps counts" test_failpoint_arm ] );
-    ( "server.worker",
-      [ case "frame codec: order, split delivery, eof" test_frame_codec;
-        case "frame codec: corrupt length is an error" test_frame_corrupt;
-        case "frame codec: blocking child read" test_frame_read_blocking;
-        case "envelope round-trips with failpoint counters"
-          test_envelope_roundtrip;
-        case "exit classification" test_classify;
-        case "failpoint-driven crash/exit classification (forked)"
-          test_classify_forked;
-        case "recycling thresholds" test_should_retire ] );
-    ( "server.supervisor",
-      [ case "worker reply answers once; watchdog stays quiet"
-          test_sup_frame_reply;
-        case "watchdog: W049 once, SIGKILL, restart after cooldown"
-          test_sup_watchdog;
-        case "crash mid-request: E029 exactly once" test_sup_crash_e029;
-        case "idle exit 0 is a recycle, not a crash" test_sup_recycle_idle;
-        case "exit 0 mid-request is a crash with E029"
-          test_sup_exit0_midrequest;
-        case "crash-loop backoff: capped, resets when healthy"
-          test_sup_backoff;
-        case "quorum flips with deaths and respawns" test_sup_quorum;
-        case "drain aborts in-flight exactly once" test_sup_abort;
-        case "dispatch fails over a broken worker pipe" test_sup_failover ] );
+        case "arm_spec / arm_env / re-arm keeps counts" test_failpoint_arm;
+        case "crash and exit actions end a forked process"
+          test_failpoint_process_actions ] );
     ( "server.guard-fork",
       [ case "fork caps child by parent remaining"
           test_fork_caps_child_by_remaining;
@@ -1624,4 +1529,5 @@ let suites =
         case "absorb folds consumption back"
           test_absorb_folds_consumption_back;
         case "absorb never raises" test_absorb_never_raises ] );
+    ("server.inline", inline_cases);
     ("server.properties", qcheck_cases) ]
